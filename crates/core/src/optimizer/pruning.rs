@@ -23,17 +23,15 @@ fn mark_all(a: &mut Req) {
     *a = None;
 }
 
-/// Computes the columns each tileable must expose, walking backward from
-/// sinks. Conservative: suffix-renamed join columns fall back to "all".
+/// Computes the columns each tileable of a fetch's closure
+/// ([`TileableGraph::closure`]) must expose, walking backward from the
+/// sink — the last node, i.e. the fetched target, which keeps everything.
+/// Conservative: suffix-renamed join columns fall back to "all".
 pub fn required_columns(graph: &TileableGraph) -> Vec<Req> {
     let n = graph.len();
-    let consumer_counts = graph.consumer_counts();
     let mut req: Vec<Req> = vec![Some(BTreeSet::new()); n];
-    // sinks (fetched results) must keep everything
-    for (i, r) in req.iter_mut().enumerate() {
-        if consumer_counts[i] == 0 {
-            *r = None;
-        }
+    if let Some(sink) = req.last_mut() {
+        *sink = None;
     }
 
     for id in (0..n).rev() {
@@ -189,73 +187,29 @@ fn propagate(
     }
 }
 
-/// Rewrites the graph, inserting a projection after each dataframe source
-/// whose required set is known. Returns the rewritten graph and a map from
-/// old tileable ids to new ids.
-pub fn prune_columns(graph: &TileableGraph) -> (TileableGraph, Vec<TileableId>) {
-    let req = required_columns(graph);
+/// Rewrites a fetch's closure, inserting a projection after each dataframe
+/// source whose required set is known. The target stays the last node.
+pub fn prune_columns(graph: TileableGraph) -> TileableGraph {
+    let req = required_columns(&graph);
     let mut out = TileableGraph::new();
+    // old tileable id -> new id
     let mut remap: Vec<TileableId> = Vec::with_capacity(graph.len());
-    for (id, op) in graph.nodes.iter().enumerate() {
-        // rewrite input references
-        let mut op = op.clone();
-        rewrite_inputs(&mut op, &remap);
-        let new_id = out.push(op).expect("remapped inputs are valid");
+    for (mut op, req) in graph.nodes.into_iter().zip(req) {
+        op.map_inputs(|i| remap[i]);
+        let is_source = matches!(op, TileableOp::DfSource(_));
+        let mut new_id = out.push(op).expect("remapped inputs are valid");
         // insert projection after prunable sources
-        let final_id = match (&graph.nodes[id], &req[id]) {
-            (TileableOp::DfSource(_), Some(cols)) if !cols.is_empty() => out
+        if let Some(cols) = req.filter(|cols| is_source && !cols.is_empty()) {
+            new_id = out
                 .push(TileableOp::PruneColumns {
                     input: new_id,
-                    columns: cols.iter().cloned().collect(),
+                    columns: cols.into_iter().collect(),
                 })
-                .expect("projection input valid"),
-            _ => new_id,
-        };
-        remap.push(final_id);
+                .expect("projection input valid");
+        }
+        remap.push(new_id);
     }
-    (out, remap)
-}
-
-fn rewrite_inputs(op: &mut TileableOp, remap: &[TileableId]) {
-    let r = |i: &mut TileableId| *i = remap[*i];
-    match op {
-        TileableOp::DfSource(_)
-        | TileableOp::TensorRandom { .. }
-        | TileableOp::TensorFromArr(_) => {}
-        TileableOp::Filter { input, .. }
-        | TileableOp::Project { input, .. }
-        | TileableOp::PruneColumns { input, .. }
-        | TileableOp::Assign { input, .. }
-        | TileableOp::Fillna { input, .. }
-        | TileableOp::Dropna { input, .. }
-        | TileableOp::Rename { input, .. }
-        | TileableOp::GroupbyAgg { input, .. }
-        | TileableOp::SortValues { input, .. }
-        | TileableOp::Head { input, .. }
-        | TileableOp::ILocRow { input, .. }
-        | TileableOp::DropDuplicates { input, .. }
-        | TileableOp::PivotTable { input, .. }
-        | TileableOp::TensorMapChain { input, .. }
-        | TileableOp::TensorQr { input }
-        | TileableOp::TensorReduce { input, .. } => r(input),
-        TileableOp::Merge { left, right, .. } => {
-            r(left);
-            r(right);
-        }
-        TileableOp::ConcatDf { inputs } => inputs.iter_mut().for_each(r),
-        TileableOp::TensorBinary { a, b, .. } => {
-            r(a);
-            r(b);
-        }
-        TileableOp::TensorMatMul { a, b } => {
-            r(a);
-            r(b);
-        }
-        TileableOp::TensorLstsq { x, y } => {
-            r(x);
-            r(y);
-        }
-    }
+    out
 }
 
 #[cfg(test)]
@@ -291,11 +245,15 @@ mod tests {
             vec!["a".to_string(), "b".to_string()]
         );
         // rewrite inserts a projection after the source
-        let (pruned, remap) = prune_columns(&g);
+        let pruned = prune_columns(g);
         assert_eq!(pruned.len(), 3);
         assert!(matches!(
-            pruned.op(remap[s]),
+            pruned.op(s + 1),
             TileableOp::PruneColumns { columns, .. } if columns == &vec!["a".to_string(), "b".to_string()]
+        ));
+        assert!(matches!(
+            pruned.op(2),
+            TileableOp::GroupbyAgg { input: 1, .. }
         ));
     }
 
@@ -327,8 +285,30 @@ mod tests {
         let req = required_columns(&g);
         assert!(req[s].is_none());
         // no projection inserted when everything is needed
-        let (pruned, _) = prune_columns(&g);
-        assert_eq!(pruned.len(), 1);
+        assert_eq!(prune_columns(g).len(), 1);
+    }
+
+    #[test]
+    fn fetched_target_keeps_all_columns_whatever_consumes_it() {
+        let mut g = TileableGraph::new();
+        let s = g.push(source()).unwrap();
+        let f = g
+            .push(TileableOp::Filter {
+                input: s,
+                predicate: col("c").gt(lit(0i64)),
+            })
+            .unwrap();
+        let _agg = g
+            .push(TileableOp::GroupbyAgg {
+                input: f,
+                keys: vec!["a".into()],
+                specs: vec![AggSpec::new("b", AggFunc::Sum, "s")],
+            })
+            .unwrap();
+        // fetching the filter: the groupby on top of it is not in its
+        // closure and cannot narrow what it must expose
+        let req = required_columns(&g.closure(f));
+        assert!(req[f].is_none() && req[s].is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! drives the loop: prune → tile (possibly yielding into execution for
 //! metadata) → optimize → execute → gather.
 
-use crate::chunk::{ChunkKey, KeyGen, Payload};
+use crate::chunk::{ChunkGraph, ChunkKey, KeyGen, Payload};
 use crate::config::XorbitsConfig;
 use crate::error::{XbError, XbResult};
 use crate::optimizer;
@@ -16,7 +16,7 @@ use crate::tileable::{DfSource, TileableGraph, TileableId, TileableOp};
 use crate::tiling::{MetaView, TileStep, Tiler, TilingStats};
 use crate::trace;
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use xorbits_array::{NdArray, Reduction};
 use xorbits_dataframe::{AggSpec, DataFrame, Expr, JoinType, Scalar};
 
@@ -101,13 +101,13 @@ pub struct RunReport {
 }
 
 /// A pluggable result cache consulted by the fetch path. Keys are canonical
-/// structural hashes of the fetched sub-DAG
-/// ([`crate::tileable::canonical_hash`]); `sources` are the lineage
-/// fingerprints ([`crate::tileable::lineage_sources`]) the entry depends on,
-/// so an implementation can invalidate every dependent entry when an
-/// upstream source changes or is lost. The cache assumes all sessions that
-/// share it run one fixed [`XorbitsConfig`]: the key hashes the logical
-/// plan, not the tiling configuration.
+/// structural hashes of the fetched sub-DAG and `sources` the lineage
+/// fingerprints the entry depends on (both from
+/// [`crate::tileable::cache_key`]), so an implementation can invalidate
+/// every dependent entry when an upstream source changes or is lost. The
+/// cache assumes all sessions that share it run one fixed
+/// [`XorbitsConfig`]: the key hashes the logical plan, not the tiling
+/// configuration.
 pub trait ResultCache: Send {
     /// Returns the cached payloads for `key`, or `None` on miss (including
     /// entries whose residency was evicted or lineage invalidated).
@@ -133,9 +133,9 @@ pub trait Executor: MetaView {
     fn release(&mut self, _keys: &[ChunkKey]) {}
 }
 
-struct SessInner<E: Executor> {
-    graph: TileableGraph,
-    cfg: XorbitsConfig,
+/// What a fetch runs on: locked for the whole prune → tile → execute →
+/// gather loop, never while the graph is being built.
+struct RunState<E: Executor> {
     executor: E,
     keygen: KeyGen,
     last_report: Option<RunReport>,
@@ -143,10 +143,39 @@ struct SessInner<E: Executor> {
     cache: Option<Arc<Mutex<dyn ResultCache>>>,
 }
 
+impl<E: Executor> RunState<E> {
+    /// Fuses and executes one chunk-graph fragment, keeping `protected`
+    /// keys published, then releases the chunks whose last consumers ran.
+    fn run_fragment(
+        &mut self,
+        cfg: &XorbitsConfig,
+        g: ChunkGraph,
+        protected: &HashSet<ChunkKey>,
+        tiler: &mut Tiler,
+    ) -> XbResult<ExecStats> {
+        let sg = trace::timed(trace::Stage::Build, "build_subtasks", || {
+            optimizer::build_subtask_graph(g, cfg, protected)
+        });
+        let stats = trace::timed(trace::Stage::Execute, "execute", || {
+            self.executor.execute(&sg)
+        })?;
+        self.executor.release(&tiler.take_releasable());
+        Ok(stats)
+    }
+}
+
+struct SessInner<E: Executor> {
+    cfg: XorbitsConfig,
+    /// Locked only to push a node or to extract a fetch's closure, so
+    /// handles keep building on other threads while a fetch executes.
+    graph: Mutex<TileableGraph>,
+    run: Mutex<RunState<E>>,
+}
+
 /// A Xorbits session: owns the tileable graph, the configuration and the
 /// executor. Cheap to clone (shared interior).
 pub struct Session<E: Executor> {
-    inner: Arc<Mutex<SessInner<E>>>,
+    inner: Arc<SessInner<E>>,
 }
 
 impl<E: Executor> Clone for Session<E> {
@@ -168,31 +197,50 @@ impl<E: Executor> Session<E> {
     /// bases so their chunks never collide in the executor's namespace.
     pub fn with_key_base(cfg: XorbitsConfig, executor: E, key_base: ChunkKey) -> Session<E> {
         Session {
-            inner: Arc::new(Mutex::new(SessInner {
-                graph: TileableGraph::new(),
+            inner: Arc::new(SessInner {
                 cfg,
-                executor,
-                keygen: KeyGen::starting_at(key_base),
-                last_report: None,
-                cumulative: ExecStats::default(),
-                cache: None,
-            })),
+                graph: Mutex::new(TileableGraph::new()),
+                run: Mutex::new(RunState {
+                    executor,
+                    keygen: KeyGen::starting_at(key_base),
+                    last_report: None,
+                    cumulative: ExecStats::default(),
+                    cache: None,
+                }),
+            }),
         }
+    }
+
+    /// The graph lock. Poison-tolerant: every update is a single validated
+    /// `Vec::push`, so the graph is well-formed at every step and a panic
+    /// elsewhere must not stop handles from building.
+    fn graph(&self) -> MutexGuard<'_, TileableGraph> {
+        self.inner
+            .graph
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn run(&self) -> MutexGuard<'_, RunState<E>> {
+        self.inner
+            .run
+            .lock()
+            .expect("an executor panicked inside an earlier fetch of this session")
     }
 
     /// Attaches a result cache consulted (and filled) by every fetch.
     pub fn set_result_cache(&self, cache: Arc<Mutex<dyn ResultCache>>) {
-        self.inner.lock().unwrap().cache = Some(cache);
+        self.run().cache = Some(cache);
     }
 
     fn push(&self, op: TileableOp) -> XbResult<TileableId> {
-        self.inner.lock().unwrap().graph.push(op)
+        self.graph().push(op)
     }
 
     /// Runs `f` against the session's executor (e.g. to read executor-side
     /// metrics like storage accounting in tests and benches).
     pub fn with_executor<R>(&self, f: impl FnOnce(&E) -> R) -> R {
-        f(&self.inner.lock().unwrap().executor)
+        f(&self.run().executor)
     }
 
     /// Registers a dataframe source — `xorbits.pandas.read_*`.
@@ -245,41 +293,60 @@ impl<E: Executor> Session<E> {
 
     /// Report of the most recent fetch.
     pub fn last_report(&self) -> Option<RunReport> {
-        self.inner.lock().unwrap().last_report.clone()
+        self.run().last_report.clone()
     }
 
     /// Statistics accumulated over every fetch of this session (multi-phase
     /// queries that fetch an intermediate scalar pay for both phases, as
     /// real lazy engines do).
     pub fn total_stats(&self) -> ExecStats {
-        self.inner.lock().unwrap().cumulative
+        self.run().cumulative
     }
 
     /// Resets the accumulated statistics.
     pub fn reset_stats(&self) {
-        self.inner.lock().unwrap().cumulative = ExecStats::default();
+        self.run().cumulative = ExecStats::default();
     }
 
-    /// The Fig 5a loop: prune → tile (yielding into execution as needed) →
-    /// optimize → execute → gather payloads of the target's chunks.
+    /// The Fig 5a loop over the target's ancestor closure: extract → prune
+    /// → tile (yielding into execution as needed) → optimize → execute →
+    /// gather payloads of the target's chunks. Everything after the
+    /// extraction works on the owned closure, whose unique sink is the
+    /// target, so a fetch costs what its target touches — not what the
+    /// session has built — and keeps every column of the target whatever
+    /// was built on top of it.
     fn fetch_payloads(&self, id: TileableId, slot: usize) -> XbResult<Vec<Arc<Payload>>> {
-        let mut inner = self.inner.lock().unwrap();
-        let inner = &mut *inner;
-        let cfg = inner.cfg.clone();
+        let cfg = &self.inner.cfg;
+        let (closure, graph_nodes) = trace::timed(trace::Stage::Prune, "closure", || {
+            let graph = self.graph();
+            (graph.closure(id), graph.len())
+        });
+        if trace::is_enabled() {
+            let (closure_nodes, graph_nodes) = (closure.len() as u64, graph_nodes as u64);
+            let args = [
+                ("closure_nodes", closure_nodes),
+                ("graph_nodes", graph_nodes),
+            ];
+            trace::instant(trace::Stage::Prune, "closure", &args);
+            trace::counter_add("session.closure_nodes", closure_nodes);
+            trace::counter_add("session.graph_nodes", graph_nodes);
+        }
+        let mut run = self.run();
+        let run = &mut *run;
 
         // result cache: key the fetch by the canonical structural hash of
-        // the (unpruned) sub-DAG — pruning is a deterministic rewrite, so
+        // the (unpruned) closure — pruning is a deterministic rewrite, so
         // hashing the logical plan keys the same result
-        let cache_key = inner
+        let cached = run
             .cache
-            .as_ref()
-            .map(|_| crate::tileable::canonical_hash(&inner.graph, id, slot));
-        if let (Some(key), Some(cache)) = (cache_key, inner.cache.clone()) {
-            if let Some(payloads) = cache.lock().unwrap().lookup(key) {
+            .clone()
+            .map(|cache| (cache, crate::tileable::cache_key(&closure, slot)));
+        if let Some((cache, (key, _))) = &cached {
+            if let Some(payloads) = cache.lock().unwrap().lookup(*key) {
                 if trace::is_enabled() {
                     trace::instant(trace::Stage::Gather, "result_cache_hit", &[]);
                 }
-                inner.last_report = Some(RunReport {
+                run.last_report = Some(RunReport {
                     cache_hit: true,
                     ..Default::default()
                 });
@@ -288,38 +355,30 @@ impl<E: Executor> Session<E> {
         }
 
         // column pruning rewrites the logical plan (§V-A)
-        let (pgraph, target) = if cfg.column_pruning {
-            let (g, remap) = trace::timed(trace::Stage::Prune, "prune_columns", || {
-                optimizer::pruning::prune_columns(&inner.graph)
-            });
-            (g, remap[id])
+        let pgraph = if cfg.column_pruning {
+            trace::timed(trace::Stage::Prune, "prune_columns", || {
+                optimizer::pruning::prune_columns(closure)
+            })
         } else {
-            (inner.graph.clone(), id)
+            closure
         };
+        let target = pgraph.len() - 1;
 
-        let mut tiler = Tiler::with_targets(&pgraph, cfg.clone(), &[target]);
+        let mut tiler = Tiler::new(&pgraph, cfg.clone());
         let mut stats = ExecStats::default();
-        let final_keys: Vec<ChunkKey>;
-        loop {
+        let final_keys = loop {
             let step = trace::timed(trace::Stage::Tile, "tile_step", || {
-                tiler.step(&mut inner.keygen, &inner.executor)
+                tiler.step(&mut run.keygen, &run.executor)
             })?;
             match step {
                 TileStep::Execute(g) => {
                     // every layout key may be consumed by later tiling:
                     // protect them all from fusion elimination
                     let protected = tiler.live_keys();
-                    let sg = trace::timed(trace::Stage::Build, "build_subtasks", || {
-                        optimizer::build_subtask_graph(g, &cfg, &protected)
-                    });
-                    let s = trace::timed(trace::Stage::Execute, "execute", || {
-                        inner.executor.execute(&sg)
-                    })?;
-                    stats.merge(&s);
-                    inner.executor.release(&tiler.take_releasable());
+                    stats.merge(&run.run_fragment(cfg, g, &protected, &mut tiler)?);
                 }
                 TileStep::Done(g) => {
-                    final_keys = tiler.layout(target, slot)?.keys();
+                    let final_keys = tiler.layout(target, slot)?.keys();
                     if !g.is_empty() {
                         // after the final fragment only the gathered result
                         // must survive; everything else is reclaimable as
@@ -335,25 +394,18 @@ impl<E: Executor> Session<E> {
                         } else {
                             final_keys.iter().copied().collect()
                         };
-                        let sg = trace::timed(trace::Stage::Build, "build_subtasks", || {
-                            optimizer::build_subtask_graph(g, &cfg, &protected)
-                        });
-                        let s = trace::timed(trace::Stage::Execute, "execute", || {
-                            inner.executor.execute(&sg)
-                        })?;
-                        stats.merge(&s);
-                        inner.executor.release(&tiler.take_releasable());
+                        stats.merge(&run.run_fragment(cfg, g, &protected, &mut tiler)?);
                     }
-                    break;
+                    break final_keys;
                 }
             }
-        }
+        };
 
         let payloads = trace::timed(trace::Stage::Gather, "gather", || {
             final_keys
                 .iter()
                 .map(|k| {
-                    inner.executor.payload(*k).ok_or_else(|| {
+                    run.executor.payload(*k).ok_or_else(|| {
                         XbError::Plan(format!("result chunk {k} missing from storage"))
                     })
                 })
@@ -367,18 +419,17 @@ impl<E: Executor> Session<E> {
             }
             trace::record_exec_stats(&stats);
         }
-        inner.cumulative.merge(&stats);
-        inner.last_report = Some(RunReport {
+        run.cumulative.merge(&stats);
+        run.last_report = Some(RunReport {
             stats,
             tiling: tiler.stats.clone(),
             metrics: trace::metrics_snapshot(),
             cache_hit: false,
         });
-        if let (Some(key), Some(cache)) = (cache_key, inner.cache.clone()) {
-            let sources = crate::tileable::lineage_sources(&inner.graph, id);
-            cache.lock().unwrap().insert(key, &sources, &payloads);
+        if let Some((cache, (key, sources))) = &cached {
+            cache.lock().unwrap().insert(*key, sources, &payloads);
         }
-        inner.executor.clear();
+        run.executor.clear();
         Ok(payloads)
     }
 }
@@ -705,5 +756,55 @@ impl<E: Executor> std::fmt::Display for TensorHandle<E> {
             Ok(a) => write!(f, "{:?}", a.data()),
             Err(e) => write!(f, "<error: {e}>"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::local::LocalExecutor;
+    use crate::tileable::DF_FINGERPRINTS;
+    use xorbits_dataframe::Column;
+
+    /// A cache that never hits and counts what it is offered.
+    #[derive(Default)]
+    struct MissCache {
+        inserted: Vec<(u64, Vec<u64>)>,
+    }
+
+    impl ResultCache for MissCache {
+        fn lookup(&mut self, _key: u64) -> Option<Vec<Arc<Payload>>> {
+            None
+        }
+        fn insert(&mut self, key: u64, sources: &[u64], _payloads: &[Arc<Payload>]) {
+            self.inserted.push((key, sources.to_vec()));
+        }
+    }
+
+    /// A fetch miss hashes every value of a materialized table to key the
+    /// result cache; it must do so once per source, however the plan fans
+    /// out over it, and not again for the lineage set.
+    #[test]
+    fn fetch_miss_fingerprints_each_materialized_source_once() {
+        let df = |v: i64| DataFrame::new(vec![("a", Column::from_i64(vec![v, v + 1]))]).unwrap();
+        let s = Session::new(XorbitsConfig::default(), LocalExecutor::new());
+        let cache = Arc::new(Mutex::new(MissCache::default()));
+        s.set_result_cache(cache.clone());
+        let a = s.from_df(df(1)).unwrap();
+        let b = s.from_df(df(7)).unwrap();
+        // never fetched: must not be fingerprinted by anyone's fetch
+        let _unrelated = s.from_df(df(99)).unwrap().head(1).unwrap();
+        let diamond = a
+            .head(1)
+            .unwrap()
+            .concat(&[&a.head(2).unwrap(), &b])
+            .unwrap();
+
+        DF_FINGERPRINTS.with(|c| c.set(0));
+        assert_eq!(diamond.fetch().unwrap().num_rows(), 5);
+        assert_eq!(DF_FINGERPRINTS.with(|c| c.get()), 2);
+        let cache = cache.lock().unwrap();
+        assert_eq!(cache.inserted.len(), 1);
+        assert_eq!(cache.inserted[0].1.len(), 2, "lineage = the two sources");
     }
 }

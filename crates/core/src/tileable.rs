@@ -319,6 +319,45 @@ impl TileableOp {
         }
     }
 
+    /// Rewrites every input id through `f` (closure extraction, pruning).
+    pub(crate) fn map_inputs(&mut self, mut f: impl FnMut(TileableId) -> TileableId) {
+        let mut r = |i: &mut TileableId| *i = f(*i);
+        match self {
+            TileableOp::DfSource(_)
+            | TileableOp::TensorRandom { .. }
+            | TileableOp::TensorFromArr(_) => {}
+            TileableOp::Filter { input, .. }
+            | TileableOp::Project { input, .. }
+            | TileableOp::PruneColumns { input, .. }
+            | TileableOp::Assign { input, .. }
+            | TileableOp::Fillna { input, .. }
+            | TileableOp::Dropna { input, .. }
+            | TileableOp::Rename { input, .. }
+            | TileableOp::GroupbyAgg { input, .. }
+            | TileableOp::SortValues { input, .. }
+            | TileableOp::Head { input, .. }
+            | TileableOp::ILocRow { input, .. }
+            | TileableOp::DropDuplicates { input, .. }
+            | TileableOp::PivotTable { input, .. }
+            | TileableOp::TensorMapChain { input, .. }
+            | TileableOp::TensorQr { input }
+            | TileableOp::TensorReduce { input, .. } => r(input),
+            TileableOp::Merge { left, right, .. } => {
+                r(left);
+                r(right);
+            }
+            TileableOp::ConcatDf { inputs } => inputs.iter_mut().for_each(r),
+            TileableOp::TensorBinary { a, b, .. } | TileableOp::TensorMatMul { a, b } => {
+                r(a);
+                r(b);
+            }
+            TileableOp::TensorLstsq { x, y } => {
+                r(x);
+                r(y);
+            }
+        }
+    }
+
     /// Number of output slots (only QR has two: Q and R).
     pub fn n_outputs(&self) -> usize {
         match self {
@@ -393,6 +432,35 @@ impl TileableGraph {
         }
         counts
     }
+
+    /// The ancestor closure of `target` as an owned graph: exactly the
+    /// nodes `target` depends on, in construction order, ids remapped
+    /// densely, `target` last (and therefore the unique sink). This is the
+    /// graph a fetch prunes, tiles and executes, so its cost — this walk
+    /// included — scales with the query, not with the session that holds
+    /// it.
+    pub fn closure(&self, target: TileableId) -> TileableGraph {
+        // inputs have smaller ids than their consumer, so a max-heap pops
+        // the ancestors in strictly descending order, duplicates adjacent
+        let mut heap = std::collections::BinaryHeap::from([target]);
+        let mut ids: Vec<TileableId> = Vec::new();
+        while let Some(id) = heap.pop() {
+            if ids.last() != Some(&id) {
+                ids.push(id);
+                heap.extend(self.op(id).inputs());
+            }
+        }
+        ids.reverse();
+        let nodes = ids
+            .iter()
+            .map(|&id| {
+                let mut op = self.nodes[id].clone();
+                op.map_inputs(|i| ids.binary_search(&i).expect("input is an ancestor"));
+                op
+            })
+            .collect();
+        TileableGraph { nodes }
+    }
 }
 
 // ---- canonical structural hashing (serving result cache) -------------------
@@ -443,8 +511,17 @@ impl Digest {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Calls to [`df_fingerprint`] on this thread (each one hashes every
+    /// value of a table, so tests pin how many a fetch makes).
+    pub(crate) static DF_FINGERPRINTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Content fingerprint of a materialized dataframe: schema plus every value.
 pub fn df_fingerprint(df: &DataFrame) -> u64 {
+    #[cfg(test)]
+    DF_FINGERPRINTS.with(|c| c.set(c.get() + 1));
     let mut d = Digest::new("df");
     d.word(df.num_rows() as u64);
     for (name, col) in df
@@ -537,15 +614,16 @@ fn source_fingerprint(op: &TileableOp) -> Option<u64> {
 }
 
 /// Hashes one node's tag and parameters (inputs are mixed in separately via
-/// their canonical digests, never via raw ids).
-fn op_param_hash(op: &TileableOp) -> u64 {
+/// their canonical digests, never via raw ids). `source_fp` is the node's
+/// [`source_fingerprint`], computed once by the caller.
+fn op_param_hash(op: &TileableOp, source_fp: Option<u64>) -> u64 {
     match op {
         // Sources reduce to their fingerprint so content changes propagate.
         TileableOp::DfSource(_)
         | TileableOp::TensorRandom { .. }
         | TileableOp::TensorFromArr(_) => {
             let mut d = Digest::new("source");
-            d.word(source_fingerprint(op).unwrap_or(0));
+            d.word(source_fp.unwrap_or(0));
             d.finish()
         }
         TileableOp::Filter { predicate, .. } => {
@@ -660,63 +738,39 @@ fn op_param_hash(op: &TileableOp) -> u64 {
     }
 }
 
-/// Canonical structural hash of the sub-DAG that produces `target`'s output
-/// slot `slot`. Invariant under tileable-id renaming and session replay;
+/// Result-cache identity of a fetch, from one pass over the fetch's
+/// [`TileableGraph::closure`] (whose last node is the target): the
+/// canonical structural hash of the sub-DAG producing output slot `slot`,
+/// and the fingerprints of every source feeding it, sorted and deduped.
+///
+/// The hash is invariant under tileable-id renaming and session replay and
 /// sensitive to every op parameter, constant, source content and input
-/// order.
-pub fn canonical_hash(graph: &TileableGraph, target: TileableId, slot: usize) -> u64 {
-    // Node inputs always have smaller ids, so a single ascending pass over
-    // the reachable set computes every digest bottom-up.
-    let mut reach = vec![false; graph.len()];
-    reach[target] = true;
-    for id in (0..=target).rev() {
-        if reach[id] {
-            for i in graph.op(id).inputs() {
-                reach[i] = true;
-            }
-        }
-    }
-    let mut digests = vec![0u64; graph.len()];
-    for id in 0..=target {
-        if !reach[id] {
-            continue;
-        }
-        let op = graph.op(id);
+/// order. The fingerprints are the lineage key set a cached result depends
+/// on: losing or changing any of these sources must invalidate the entry.
+/// Each source is fingerprinted exactly once.
+pub fn cache_key(closure: &TileableGraph, slot: usize) -> (u64, Vec<u64>) {
+    // inputs precede their consumers, so one ascending pass computes every
+    // digest bottom-up
+    let mut digests: Vec<u64> = Vec::with_capacity(closure.len());
+    let mut sources = Vec::new();
+    for op in &closure.nodes {
+        let source_fp = source_fingerprint(op);
+        sources.extend(source_fp);
         let mut d = Digest::new("node");
-        d.word(op_param_hash(op));
+        d.word(op_param_hash(op, source_fp));
         let inputs = op.inputs();
         for i in &inputs {
             d.word(digests[*i]);
         }
         d.word(inputs.len() as u64);
-        digests[id] = d.finish();
+        digests.push(d.finish());
     }
+    sources.sort_unstable();
+    sources.dedup();
     let mut d = Digest::new("fetch");
-    d.word(digests[target]);
+    d.word(digests.last().copied().unwrap_or(0));
     d.word(slot as u64);
-    d.finish()
-}
-
-/// Fingerprints of every source node feeding `target`, sorted and deduped —
-/// the lineage key set a cached result depends on. Losing or changing any
-/// of these sources must invalidate the cache entry.
-pub fn lineage_sources(graph: &TileableGraph, target: TileableId) -> Vec<u64> {
-    let mut reach = vec![false; graph.len()];
-    reach[target] = true;
-    for id in (0..=target).rev() {
-        if reach[id] {
-            for i in graph.op(id).inputs() {
-                reach[i] = true;
-            }
-        }
-    }
-    let mut fps: Vec<u64> = (0..=target)
-        .filter(|&id| reach[id])
-        .filter_map(|id| source_fingerprint(graph.op(id)))
-        .collect();
-    fps.sort_unstable();
-    fps.dedup();
-    fps
+    (d.finish(), sources)
 }
 
 #[cfg(test)]
@@ -767,6 +821,173 @@ mod tests {
             specs: vec![],
         };
         assert!(!g.is_static_shape());
+    }
+
+    fn canonical_hash(g: &TileableGraph, target: TileableId, slot: usize) -> u64 {
+        cache_key(&g.closure(target), slot).0
+    }
+
+    fn lineage_sources(g: &TileableGraph, target: TileableId) -> Vec<u64> {
+        cache_key(&g.closure(target), 0).1
+    }
+
+    /// Ancestors of `target` by a descending scan of `0..=target` — the
+    /// whole-graph walk [`TileableGraph::closure`] replaced, kept as the
+    /// oracle.
+    fn reference_reach(graph: &TileableGraph, target: TileableId) -> Vec<bool> {
+        let mut reach = vec![false; graph.len()];
+        reach[target] = true;
+        for id in (0..=target).rev() {
+            if reach[id] {
+                for i in graph.op(id).inputs() {
+                    reach[i] = true;
+                }
+            }
+        }
+        reach
+    }
+
+    /// The pre-closure two-function cache identity (hash, then lineage),
+    /// each redoing the reach walk and the source fingerprints.
+    fn reference_cache_key(
+        graph: &TileableGraph,
+        target: TileableId,
+        slot: usize,
+    ) -> (u64, Vec<u64>) {
+        let reach = reference_reach(graph, target);
+        let mut digests = vec![0u64; graph.len()];
+        for id in (0..=target).filter(|&id| reach[id]) {
+            let op = graph.op(id);
+            let mut d = Digest::new("node");
+            d.word(op_param_hash(op, source_fingerprint(op)));
+            let inputs = op.inputs();
+            for i in &inputs {
+                d.word(digests[*i]);
+            }
+            d.word(inputs.len() as u64);
+            digests[id] = d.finish();
+        }
+        let mut d = Digest::new("fetch");
+        d.word(digests[target]);
+        d.word(slot as u64);
+        let mut fps: Vec<u64> = (0..=target)
+            .filter(|&id| reach[id])
+            .filter_map(|id| source_fingerprint(graph.op(id)))
+            .collect();
+        fps.sort_unstable();
+        fps.dedup();
+        (d.finish(), fps)
+    }
+
+    /// A seeded random DAG: shared materialized/random sources, unary and
+    /// multi-input operators over uniformly drawn earlier nodes (so
+    /// diamonds and unreachable islands are common), multi-output QR.
+    /// Only the structure matters here, so dataframe and tensor operators
+    /// mix freely.
+    fn random_dag(seed: u64) -> TileableGraph {
+        let mut rng = xorbits_array::prng::Xoshiro256::seed_from_u64(seed);
+        let mut g = TileableGraph::new();
+        let n = 3 + rng.next_bounded(38) as usize;
+        for id in 0..n {
+            let pick = |rng: &mut xorbits_array::prng::Xoshiro256| {
+                rng.next_bounded(id as u64) as TileableId
+            };
+            let kind = if id < 2 { 0 } else { rng.next_bounded(9) };
+            let op = match kind {
+                0 => {
+                    // few distinct contents: equal sources dedupe in lineage
+                    let v = rng.next_bounded(3) as i64;
+                    let df = DataFrame::new(vec![("a", Column::from_i64(vec![v, v + 1]))]).unwrap();
+                    TileableOp::DfSource(DfSource::materialized(df))
+                }
+                1 => TileableOp::TensorRandom {
+                    shape: vec![4, 2],
+                    seed: rng.next_bounded(3),
+                    normal: false,
+                },
+                2 => TileableOp::Filter {
+                    input: pick(&mut rng),
+                    predicate: col("a").gt(lit(rng.next_bounded(4) as i64)),
+                },
+                3 => TileableOp::Head {
+                    input: pick(&mut rng),
+                    n: 1 + rng.next_bounded(3) as usize,
+                },
+                4 => TileableOp::TensorQr {
+                    input: pick(&mut rng),
+                },
+                5 => TileableOp::Merge {
+                    left: pick(&mut rng),
+                    right: pick(&mut rng),
+                    left_on: vec!["a".into()],
+                    right_on: vec!["a".into()],
+                    how: JoinType::Inner,
+                    suffixes: ("_x".into(), "_y".into()),
+                },
+                6 => TileableOp::TensorMatMul {
+                    a: pick(&mut rng),
+                    b: pick(&mut rng),
+                },
+                7 => TileableOp::ConcatDf {
+                    inputs: (0..1 + rng.next_bounded(3))
+                        .map(|_| pick(&mut rng))
+                        .collect(),
+                },
+                _ => TileableOp::TensorLstsq {
+                    x: pick(&mut rng),
+                    y: pick(&mut rng),
+                },
+            };
+            g.push(op).unwrap();
+        }
+        g
+    }
+
+    #[test]
+    fn closure_is_exactly_the_ancestors_in_order_and_keeps_the_cache_key() {
+        for seed in 0..256u64 {
+            let g = random_dag(seed);
+            for target in [g.len() - 1, g.len() / 2, (seed as usize) % g.len()] {
+                let reach = reference_reach(&g, target);
+                let ancestors: Vec<TileableId> = (0..g.len()).filter(|&id| reach[id]).collect();
+                let c = g.closure(target);
+                // exactly the ancestors, relative order kept, target last
+                assert_eq!(c.len(), ancestors.len(), "seed {seed} target {target}");
+                assert_eq!(ancestors.last(), Some(&target));
+                for (new_id, &old_id) in ancestors.iter().enumerate() {
+                    let (new_op, old_op) = (c.op(new_id), g.op(old_id));
+                    assert_eq!(
+                        op_param_hash(new_op, source_fingerprint(new_op)),
+                        op_param_hash(old_op, source_fingerprint(old_op)),
+                        "seed {seed}: node {old_id} changed on the way into the closure"
+                    );
+                    // dense remap: every input precedes its consumer and
+                    // names the same original node, position by position
+                    let old_inputs = old_op.inputs();
+                    let new_inputs = new_op.inputs();
+                    assert_eq!(new_inputs.len(), old_inputs.len());
+                    for (ni, oi) in new_inputs.iter().zip(&old_inputs) {
+                        assert!(*ni < new_id, "seed {seed}: forward edge in closure");
+                        assert_eq!(ancestors[*ni], *oi);
+                    }
+                }
+                // the cache identity survives the renaming, and the one-pass
+                // (key, sources) equals the old two-walk result
+                for slot in 0..2 {
+                    let reference = reference_cache_key(&g, target, slot);
+                    assert_eq!(
+                        reference_cache_key(&c, c.len() - 1, slot),
+                        reference,
+                        "seed {seed} target {target}"
+                    );
+                    assert_eq!(
+                        cache_key(&c, slot),
+                        reference,
+                        "seed {seed} target {target}"
+                    );
+                }
+            }
+        }
     }
 
     fn demo_graph(pred_lit: i64, pad: usize) -> (TileableGraph, TileableId) {

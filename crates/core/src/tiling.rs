@@ -140,8 +140,6 @@ pub struct Tiler<'g> {
     consumer_counts: Vec<usize>,
     /// Consumers not yet tiled, per tileable; zero ⇒ chunks reclaimable.
     remaining_consumers: Vec<usize>,
-    /// Tileables the session will gather — never reclaimed.
-    targets: Vec<TileableId>,
     /// Chunk keys whose memory the runtime may reclaim after the next
     /// execution (their last consumers are in the pending graph).
     releasable: Vec<ChunkKey>,
@@ -150,21 +148,11 @@ pub struct Tiler<'g> {
 }
 
 impl<'g> Tiler<'g> {
-    /// Creates a tiler over a tileable graph.
+    /// Creates a tiler over a fetch's closure
+    /// ([`TileableGraph::closure`], pruned or not): every node is tiled,
+    /// and the chunks of sinks — the fetched target — are never reclaimed.
     pub fn new(graph: &'g TileableGraph, cfg: XorbitsConfig) -> Tiler<'g> {
-        Tiler::with_targets(graph, cfg, &[])
-    }
-
-    /// Creates a tiler that additionally protects the chunks of `targets`
-    /// (the tileables the session will gather) from memory reclamation —
-    /// a fetched handle need not be a graph sink.
-    pub fn with_targets(
-        graph: &'g TileableGraph,
-        cfg: XorbitsConfig,
-        targets: &[TileableId],
-    ) -> Tiler<'g> {
         let consumer_counts = graph.consumer_counts();
-        let targets = targets.to_vec();
         Tiler {
             graph,
             cfg,
@@ -176,7 +164,6 @@ impl<'g> Tiler<'g> {
             topk_peephole: HashSet::new(),
             remaining_consumers: consumer_counts.clone(),
             consumer_counts,
-            targets,
             releasable: Vec::new(),
             stats: TilingStats::default(),
         }
@@ -205,13 +192,10 @@ impl<'g> Tiler<'g> {
             return;
         }
         // keys still referenced by any live layout (live = has remaining
-        // consumers, or is a sink the user may fetch)
+        // consumers, or is the sink the session gathers)
         let mut live: HashSet<ChunkKey> = HashSet::new();
         for (&(t, _slot), layout) in &self.layouts {
-            if self.remaining_consumers[t] > 0
-                || self.consumer_counts[t] == 0
-                || self.targets.contains(&t)
-            {
+            if self.remaining_consumers[t] > 0 || self.consumer_counts[t] == 0 {
                 live.extend(layout.chunks.iter().map(|c| c.key));
             }
         }

@@ -1,9 +1,9 @@
 //! The lineage-keyed result cache.
 //!
 //! Entries are keyed by the canonical structural hash of the fetched
-//! tileable sub-DAG ([`xorbits_core::tileable::canonical_hash`]) and carry
-//! the lineage fingerprints of every source the result was derived from
-//! ([`xorbits_core::tileable::lineage_sources`]). Residency is charged to a
+//! tileable sub-DAG and carry the lineage fingerprints of every source the
+//! result was derived from (both computed in one pass by
+//! [`xorbits_core::tileable::cache_key`]). Residency is charged to a
 //! dedicated [`StorageService`] ledger — cached chunks are stored as
 //! ordinary [`ChunkValue`]s, so the same accounting that meters executor
 //! storage meters the cache — while admission/eviction policy stays up

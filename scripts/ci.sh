@@ -120,6 +120,19 @@ cargo test -q --release --test sql_tpch
 echo "==> SQL parser/binder property suite"
 cargo test -q --release --test sql_props
 
+# Session-aging gate (hard): a fetch runs on its target's ancestor closure,
+# so every op of a long-lived session — 22 TPC-H texts cold, then a
+# whitespace variant of each, and interleaved builder-API dataframe/tensor
+# programs — must match the same op alone in a fresh session: bit-identical
+# result and equal subtasks, subtask graphs, tiler yields/probes, cluster
+# charges and pruning column lists, on Local, Parallel(4) and Sim. Counts
+# only, no wall clock. The companion core suite pins non-sink fetches
+# keeping all columns and the graph lock staying free (and un-poisoned)
+# while an executor runs (or panics).
+echo "==> session-aging gate (aged session == fresh session, 3 executors)"
+cargo test -q --release --test session_aging
+cargo test -q --release -p xorbits-core --test session_fetch
+
 # Opt-in kernel bench smoke: 1e4-row run of the shuffle/join/groupby kernel
 # suite, failing if any kernel is >2x slower than the checked-in reference
 # (scripts/bench_reference.json). Off by default — wall-clock gates are only
