@@ -82,10 +82,12 @@ pub fn trace_init_from_env() {
 
 /// Applies the `XORBITS_THREADS` knob process-wide and returns the
 /// resolved worker count (default: available parallelism). Morsel kernels
-/// (`xorbits_dataframe::par`) pick it up immediately; pass the returned
-/// count to [`xorbits_core::ParallelExecutor::with_threads`] (or set
-/// `XorbitsConfig::threads`) for subtask-level parallelism. Call at the
-/// top of every bench `main`, mirroring [`trace_init_from_env`].
+/// (`xorbits_dataframe::par`) run that wide wherever no executor overrides
+/// it — under `SimExecutor`, and in direct kernel calls; the host
+/// executors run kernels at their own thread count (`LocalExecutor`: 1).
+/// Pass the returned count to [`xorbits_core::ParallelExecutor::with_threads`]
+/// (or set `XorbitsConfig::threads`) for subtask-level parallelism. Call at
+/// the top of every bench `main`, mirroring [`trace_init_from_env`].
 pub fn threads_init_from_env() -> usize {
     let t = xorbits_core::threads_from_env();
     xorbits_dataframe::par::set_kernel_threads(t);

@@ -4,12 +4,117 @@
 //! bottoming out in the single-node kernels (`xorbits-dataframe` standing in
 //! for pandas, `xorbits-array` for NumPy), exactly as the paper's workers
 //! call the single-node packages on split chunks.
+//!
+//! The fused-subtask loop of §V lives here too, once: [`run_node`] is one
+//! chunk operator against a scratch map and a [`ChunkIo`], [`run_subtask`]
+//! is a subtask's nodes in order. Every executor — host or simulated,
+//! first run or lineage replay — supplies only the [`ChunkIo`].
 
-use crate::chunk::{ArrStep, ChunkOp, DfStep, Payload};
+use crate::chunk::{ArrStep, ChunkKey, ChunkNode, ChunkOp, DfStep, Payload};
 use crate::error::{XbError, XbResult};
+use crate::subtask::SubtaskGraph;
+use std::collections::HashMap;
 use std::sync::Arc;
 use xorbits_array::{linalg, random, NdArray, Reduction};
 use xorbits_dataframe::{eval, groupby, join, partition, pivot, sort, DataFrame, JoinOptions};
+
+/// Where a running subtask's chunks come from and go to.
+pub trait ChunkIo {
+    /// Reads the inputs of one node that no earlier node of the run left
+    /// in scratch, one payload per key, in order. A key the store does not
+    /// hold is a [`missing_input`] error.
+    fn load(&mut self, keys: &[ChunkKey]) -> XbResult<Vec<Arc<Payload>>>;
+
+    /// Takes an output that outlives the run.
+    fn publish(&mut self, key: ChunkKey, payload: Payload) -> XbResult<()>;
+
+    /// The node that last called [`ChunkIo::load`] is over: its outputs
+    /// are handed over, or it failed.
+    fn node_done(&mut self) {}
+}
+
+/// The error for an input that is neither in scratch nor in the store.
+pub fn missing_input(key: ChunkKey) -> XbError {
+    XbError::Plan(format!("input chunk {key} not found"))
+}
+
+/// Runs one chunk node: inputs resolve scratch-then-store, every output
+/// goes to the store when `publishes(key)` and into `scratch` otherwise.
+/// Returns the logical bytes of all outputs.
+pub fn run_node<IO: ChunkIo>(
+    node: &ChunkNode,
+    scratch: &mut HashMap<ChunkKey, Arc<Payload>>,
+    publishes: impl Fn(ChunkKey) -> bool,
+    io: &mut IO,
+) -> XbResult<usize> {
+    let stored: Vec<ChunkKey> = node
+        .inputs
+        .iter()
+        .copied()
+        .filter(|k| !scratch.contains_key(k))
+        .collect();
+    let result = (|| {
+        let mut loaded = io.load(&stored)?.into_iter();
+        let payloads: Vec<Arc<Payload>> = node
+            .inputs
+            .iter()
+            .map(|k| match scratch.get(k) {
+                Some(p) => Ok(Arc::clone(p)),
+                None => loaded.next().ok_or_else(|| missing_input(*k)),
+            })
+            .collect::<XbResult<_>>()?;
+        let mut bytes = 0usize;
+        let outputs = execute_chunk(&node.op, &payloads)?;
+        for (key, payload) in node.outputs.iter().zip(outputs) {
+            bytes += payload.nbytes();
+            if publishes(*key) {
+                io.publish(*key, payload)?;
+            } else {
+                scratch.insert(*key, Arc::new(payload));
+            }
+        }
+        Ok(bytes)
+    })();
+    io.node_done();
+    result
+}
+
+/// Runs subtask `si` of `graph`: its fused nodes in order, intermediates
+/// in a scratch map that never touches the store, each one dropped after
+/// its last consumer inside the subtask. Returns the peak transient
+/// working set in logical bytes — the most that outputs published so far
+/// plus live intermediates came to after any node — which is what fusion
+/// still costs in memory (§V-C).
+pub fn run_subtask<IO: ChunkIo>(graph: &SubtaskGraph, si: usize, io: &mut IO) -> XbResult<usize> {
+    let st = &graph.subtasks[si];
+    let nodes = &graph.chunks.nodes;
+    // last node consuming each intermediate
+    let mut last_use: HashMap<ChunkKey, usize> =
+        st.internal_keys.iter().map(|&k| (k, usize::MAX)).collect();
+    for &ni in &st.nodes {
+        for k in &nodes[ni].inputs {
+            if let Some(last) = last_use.get_mut(k) {
+                *last = ni;
+            }
+        }
+    }
+    let mut scratch: HashMap<ChunkKey, Arc<Payload>> = HashMap::new();
+    let (mut live, mut peak) = (0usize, 0usize);
+    for &ni in &st.nodes {
+        let node = &nodes[ni];
+        let publishes = |k| st.published_outputs.contains(&k);
+        live += run_node(node, &mut scratch, publishes, io)?;
+        peak = peak.max(live);
+        for k in &node.inputs {
+            if last_use.get(k) == Some(&ni) {
+                if let Some(p) = scratch.remove(k) {
+                    live = live.saturating_sub(p.nbytes());
+                }
+            }
+        }
+    }
+    Ok(peak)
+}
 
 /// Executes one chunk operator. Returns one payload per declared output.
 pub fn execute_chunk(op: &ChunkOp, inputs: &[Arc<Payload>]) -> XbResult<Vec<Payload>> {
@@ -382,6 +487,77 @@ mod tests {
             ])
             .unwrap(),
         ))
+    }
+
+    /// A store that is just a map.
+    #[derive(Default)]
+    struct MapIo(HashMap<ChunkKey, Arc<Payload>>);
+
+    impl ChunkIo for MapIo {
+        fn load(&mut self, keys: &[ChunkKey]) -> XbResult<Vec<Arc<Payload>>> {
+            keys.iter()
+                .map(|k| self.0.get(k).cloned().ok_or_else(|| missing_input(*k)))
+                .collect()
+        }
+
+        fn publish(&mut self, key: ChunkKey, payload: Payload) -> XbResult<()> {
+            self.0.insert(key, Arc::new(payload));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn fused_chain_drops_intermediates_after_last_consumer() {
+        // literal (k0) -> filter (k1) -> assign (k2), fused into one subtask
+        // that publishes only k2
+        let src = DataFrame::new(vec![("v", Column::from_i64((0..1000).collect()))]).unwrap();
+        let ops = [
+            ChunkOp::DfLiteral(Arc::new(src)),
+            ChunkOp::DfMap(vec![DfStep::Filter(col("v").lt(lit(100i64)))]),
+            ChunkOp::DfMap(vec![DfStep::Assign(vec![(
+                "w".into(),
+                col("v").mul(lit(2i64)),
+            )])]),
+        ];
+        let mut chunks = crate::chunk::ChunkGraph::new();
+        let mut sizes = Vec::new();
+        let mut prev: Option<(ChunkKey, Arc<Payload>)> = None;
+        for (key, op) in ops.into_iter().enumerate() {
+            let key = key as ChunkKey;
+            let inputs: Vec<_> = prev.iter().map(|(_, p)| Arc::clone(p)).collect();
+            let out = execute_chunk(&op, &inputs).unwrap().remove(0);
+            sizes.push(out.nbytes());
+            chunks.push(ChunkNode {
+                op,
+                inputs: prev.iter().map(|(k, _)| *k).collect(),
+                outputs: vec![key],
+            });
+            prev = Some((key, Arc::new(out)));
+        }
+        let protected = [2].into_iter().collect();
+        let graph = SubtaskGraph::from_groups(chunks, &[0, 0, 0], &protected).unwrap();
+        assert_eq!(graph.subtasks[0].internal_keys, vec![0, 1]);
+
+        let mut io = MapIo::default();
+        let peak = run_subtask(&graph, 0, &mut io).unwrap();
+        // intermediates never reach the store
+        assert_eq!(io.0.keys().copied().collect::<Vec<_>>(), vec![2]);
+        // k0 is gone once the filter has run and k1 once the assign has,
+        // so the peak is the larger adjacent pair — never all three
+        let (a, b, c) = (sizes[0], sizes[1], sizes[2]);
+        assert_eq!(peak, (a + b).max(b + c));
+        assert!(peak < a + b + c);
+    }
+
+    #[test]
+    fn missing_input_is_a_plan_error() {
+        let node = ChunkNode {
+            op: ChunkOp::Concat,
+            inputs: vec![7],
+            outputs: vec![8],
+        };
+        let err = run_node(&node, &mut HashMap::new(), |_| true, &mut MapIo::default());
+        assert!(matches!(err, Err(XbError::Plan(m)) if m.contains("chunk 7")));
     }
 
     #[test]

@@ -1,36 +1,30 @@
-//! A minimal in-process executor: runs subtask graphs immediately on the
-//! host thread with no cluster model. Used by unit tests and by the
+//! The sequential host executor: [`ParallelExecutor`] pinned to one thread.
+//! Subtasks run in graph order on the calling thread with sequential
+//! kernels and no mid-run re-tiling — the schedule every other executor's
+//! results are compared against bit for bit. Used by unit tests and by the
 //! single-node ("pandas-like") baseline engine, whose makespan is simply
 //! its single-threaded kernel time.
 //!
-//! Chunk storage is delegated to [`StorageService`]: an unbounded executor
-//! keeps everything resident; a budgeted one either OOMs past the budget
-//! (the historical pandas-process model, [`LocalExecutor::with_budget`]) or
-//! spills cold chunks to a disk tier and reads them back transparently
-//! ([`LocalExecutor::with_budget_and_spill`]). Inputs of the subtask being
-//! executed are pinned so the eviction sweep can never push the working set
-//! out from under a running kernel.
+//! Chunk storage is the host executor's [`StorageService`](xorbits_storage::
+//! StorageService): an unbounded executor keeps everything resident; a
+//! budgeted one either OOMs past the budget (the historical pandas-process
+//! model, [`LocalExecutor::with_budget`]) or spills cold chunks to a disk
+//! tier and reads them back transparently
+//! ([`LocalExecutor::with_budget_and_spill`]).
 
-use crate::chunk::{payload_to_value, value_to_payload, ChunkKey, ChunkMeta, Payload};
-use crate::error::{XbError, XbResult};
+use crate::chunk::{ChunkKey, ChunkMeta, Payload};
+use crate::error::XbResult;
+use crate::parallel::ParallelExecutor;
+use crate::retile::RetileMode;
 use crate::session::{ExecStats, Executor};
 use crate::subtask::SubtaskGraph;
 use crate::tiling::MetaView;
-use crate::trace;
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
-use xorbits_storage::{SpillConfig, StorageConfig, StorageMetrics, StorageService, Workspaces};
+use xorbits_storage::{SpillConfig, StorageConfig, StorageMetrics};
 
-/// Immediate single-threaded executor whose chunk store is a
-/// [`StorageService`] — optionally budgeted, optionally spill-capable.
-pub struct LocalExecutor {
-    service: StorageService,
-    metas: HashMap<ChunkKey, ChunkMeta>,
-    /// Reused encode/decode scratch: spill and read-back triggered by this
-    /// executor's stores run through warmed buffers (chunkfmt v2 workspaces).
-    ws: Workspaces,
-}
+/// Immediate single-threaded executor — optionally budgeted, optionally
+/// spill-capable.
+pub struct LocalExecutor(ParallelExecutor);
 
 impl Default for LocalExecutor {
     fn default() -> LocalExecutor {
@@ -41,27 +35,19 @@ impl Default for LocalExecutor {
 impl LocalExecutor {
     /// Unbounded executor.
     pub fn new() -> LocalExecutor {
-        LocalExecutor {
-            service: StorageService::unbounded(),
-            metas: HashMap::new(),
-            ws: Workspaces::default(),
-        }
+        LocalExecutor::sequential(ParallelExecutor::with_threads(1))
     }
 
     /// Executor with a single-node memory budget and **no** disk tier:
     /// exceeding the budget is an immediate OOM (models a single pandas
     /// process).
     pub fn with_budget(bytes: usize) -> LocalExecutor {
-        LocalExecutor {
-            service: StorageService::new(StorageConfig {
-                memory_budget: Some(bytes),
-                spill: SpillConfig::Disabled,
-                ..Default::default()
-            })
-            .expect("no io in a memory-only config"),
-            metas: HashMap::new(),
-            ws: Workspaces::default(),
-        }
+        LocalExecutor::with_storage(StorageConfig {
+            memory_budget: Some(bytes),
+            spill: SpillConfig::Disabled,
+            ..Default::default()
+        })
+        .expect("no io in a memory-only config")
     }
 
     /// Executor with a memory budget *and* a temp-dir disk tier: going over
@@ -76,173 +62,47 @@ impl LocalExecutor {
 
     /// Executor over an arbitrary storage configuration.
     pub fn with_storage(config: StorageConfig) -> XbResult<LocalExecutor> {
-        Ok(LocalExecutor {
-            service: StorageService::new(config)?,
-            metas: HashMap::new(),
-            ws: Workspaces::default(),
-        })
+        ParallelExecutor::with_storage_and_threads(config, 1).map(LocalExecutor::sequential)
+    }
+
+    /// The reference schedule never re-tiles, whatever `XORBITS_RETILE` says.
+    fn sequential(inner: ParallelExecutor) -> LocalExecutor {
+        LocalExecutor(inner.with_retile(RetileMode::Off))
     }
 
     /// Peak resident bytes observed so far.
     pub fn peak_bytes(&self) -> usize {
-        self.service.metrics().peak_resident_bytes
+        self.0.peak_bytes()
     }
 
     /// Snapshot of the storage tier (evictions, spill/read-back bytes,
     /// hit/miss counts, residency).
     pub fn storage_metrics(&self) -> StorageMetrics {
-        self.service.metrics()
-    }
-
-    fn store(&mut self, key: ChunkKey, payload: Payload, index: (usize, usize)) -> XbResult<()> {
-        let meta = ChunkMeta {
-            nbytes: payload.nbytes(),
-            rows: payload.rows(),
-            index,
-        };
-        self.service
-            .put_with(key, payload_to_value(&payload), &mut self.ws)?;
-        self.metas.insert(key, meta);
-        Ok(())
+        self.0.storage_metrics()
     }
 }
 
 impl MetaView for LocalExecutor {
     fn meta(&self, key: ChunkKey) -> Option<ChunkMeta> {
-        self.metas.get(&key).copied()
+        self.0.meta(key)
     }
 }
 
 impl Executor for LocalExecutor {
     fn execute(&mut self, graph: &SubtaskGraph) -> XbResult<ExecStats> {
-        let start = Instant::now();
-        let before = self.service.metrics();
-        let mut subtasks = 0usize;
-        for st in &graph.subtasks {
-            let _st_span = if trace::is_enabled() {
-                let name: String = st
-                    .nodes
-                    .iter()
-                    .map(|&ni| graph.chunks.nodes[ni].op.name())
-                    .collect::<Vec<_>>()
-                    .join("+");
-                trace::span_on(trace::Stage::Execute, name, trace::Track::LOCAL)
-            } else {
-                trace::SpanGuard::disabled()
-            };
-            subtasks += 1;
-            // run the subtask's nodes in order; internal intermediates live
-            // only in this scratch map
-            let mut scratch: HashMap<ChunkKey, Arc<Payload>> = HashMap::new();
-            for &ni in &st.nodes {
-                let node = &graph.chunks.nodes[ni];
-                // pin stored inputs so storing this node's outputs cannot
-                // evict (and re-read) the chunks the kernel is consuming
-                let mut pinned: Vec<ChunkKey> = Vec::new();
-                for &k in &node.inputs {
-                    if !scratch.contains_key(&k) && self.service.pin(k).is_ok() {
-                        pinned.push(k);
-                    }
-                }
-                let result = (|| -> XbResult<()> {
-                    let inputs: Vec<Arc<Payload>> = node
-                        .inputs
-                        .iter()
-                        .map(|k| {
-                            if let Some(p) = scratch.get(k) {
-                                return Ok(Arc::clone(p));
-                            }
-                            if self.service.contains(*k) {
-                                let v = self.service.get_with(*k, &mut self.ws)?;
-                                return Ok(Arc::new(value_to_payload(&v)));
-                            }
-                            Err(XbError::Plan(format!("input chunk {k} not found")))
-                        })
-                        .collect::<XbResult<Vec<_>>>()?;
-                    let outputs = crate::exec::execute_chunk(&node.op, &inputs)?;
-                    for (slot, (key, payload)) in node.outputs.iter().zip(outputs).enumerate() {
-                        if st.published_outputs.contains(key) {
-                            self.store(*key, payload, (ni, slot))?;
-                        } else {
-                            scratch.insert(*key, Arc::new(payload));
-                        }
-                    }
-                    Ok(())
-                })();
-                for k in pinned {
-                    self.service.unpin(k);
-                }
-                result?;
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let after = self.service.metrics();
-        if trace::is_enabled() {
-            trace::counter_add("storage.evictions", after.evictions - before.evictions);
-            trace::counter_add(
-                "storage.spilled_bytes",
-                after.spilled_bytes - before.spilled_bytes,
-            );
-            trace::counter_add(
-                "storage.read_back_bytes",
-                after.read_back_bytes - before.read_back_bytes,
-            );
-            trace::counter_add(
-                "storage.encoded_raw_bytes",
-                after.encoded_raw_bytes - before.encoded_raw_bytes,
-            );
-            trace::counter_add(
-                "storage.encoded_wire_bytes",
-                after.encoded_wire_bytes - before.encoded_wire_bytes,
-            );
-            let unbalanced = after.unbalanced_unpins - before.unbalanced_unpins;
-            if unbalanced > 0 {
-                // pin-leak signal: unpin of a never-pinned / absent chunk
-                trace::instant(
-                    trace::Stage::Storage,
-                    "unbalanced_unpins",
-                    &[("count", unbalanced)],
-                );
-                trace::counter_add("storage.unbalanced_unpins", unbalanced);
-            }
-        }
-        Ok(ExecStats {
-            makespan: elapsed,
-            subtasks,
-            net_bytes: 0,
-            spilled_bytes: (after.spilled_bytes - before.spilled_bytes) as usize,
-            read_back_bytes: (after.read_back_bytes - before.read_back_bytes) as usize,
-            peak_worker_bytes: after.peak_resident_bytes,
-            real_cpu_seconds: elapsed,
-            retries: 0,
-            recomputed_subtasks: 0,
-            recovered_from_spill_bytes: 0,
-            encoded_raw_bytes: (after.encoded_raw_bytes - before.encoded_raw_bytes) as usize,
-            encoded_wire_bytes: (after.encoded_wire_bytes - before.encoded_wire_bytes) as usize,
-            retiled_partitions: 0,
-            speculative_launched: 0,
-            speculative_won: 0,
-        })
+        self.0.execute(graph)
     }
 
     fn payload(&self, key: ChunkKey) -> Option<Arc<Payload>> {
-        let v = self.service.get(key).ok()?;
-        Some(Arc::new(value_to_payload(&v)))
+        self.0.payload(key)
     }
 
     fn clear(&mut self) {
-        self.service.clear();
-        self.metas.clear();
+        self.0.clear()
     }
 
     fn release(&mut self, keys: &[ChunkKey]) {
-        // reclaim mid-fetch: drop the chunk from every storage tier
-        // (including its spill file) instead of letting released chunks —
-        // and their disk footprint — accumulate until the fetch ends
-        for k in keys {
-            self.service.remove(*k);
-            self.metas.remove(k);
-        }
+        self.0.release(keys)
     }
 }
 
@@ -250,8 +110,11 @@ impl Executor for LocalExecutor {
 mod tests {
     use super::*;
     use crate::config::XorbitsConfig;
+    use crate::error::XbError;
+    use crate::exec::ChunkIo;
     use crate::session::Session;
     use xorbits_dataframe::{col, lit, AggFunc, AggSpec, Column, DataFrame, Scalar};
+    use xorbits_storage::Workspaces;
 
     fn small_cfg() -> XorbitsConfig {
         // tiny chunk limit so even small frames split into several chunks
@@ -265,6 +128,12 @@ mod tests {
 
     fn sess() -> Session<LocalExecutor> {
         Session::new(small_cfg(), LocalExecutor::new())
+    }
+
+    /// Publishes one chunk the way a running subtask does.
+    fn store(ex: &LocalExecutor, key: ChunkKey, payload: Payload) {
+        let mut ws = Workspaces::default();
+        ex.0.io(&mut ws).publish(key, payload).unwrap();
     }
 
     fn sample_df(n: usize) -> DataFrame {
@@ -447,12 +316,12 @@ mod tests {
     fn restore_under_same_key_releases_old_entry() {
         // regression: re-storing a payload under a present key used to add
         // its bytes to the ledger without releasing the old entry
-        let mut ex = LocalExecutor::new();
+        let ex = LocalExecutor::new();
         let payload = || Payload::Df(sample_df(100));
         let one = payload().nbytes();
-        ex.store(7, payload(), (0, 0)).unwrap();
-        ex.store(7, payload(), (0, 0)).unwrap();
-        ex.store(7, payload(), (0, 0)).unwrap();
+        store(&ex, 7, payload());
+        store(&ex, 7, payload());
+        store(&ex, 7, payload());
         assert_eq!(
             ex.storage_metrics().resident_bytes,
             one,
@@ -464,13 +333,13 @@ mod tests {
     #[test]
     fn clear_resets_ledger() {
         let mut ex = LocalExecutor::new();
-        ex.store(1, Payload::Df(sample_df(100)), (0, 0)).unwrap();
-        ex.store(2, Payload::Df(sample_df(100)), (1, 0)).unwrap();
+        store(&ex, 1, Payload::Df(sample_df(100)));
+        store(&ex, 2, Payload::Df(sample_df(100)));
         ex.clear();
         assert_eq!(ex.storage_metrics().resident_bytes, 0);
         assert!(ex.payload(1).is_none());
         // the ledger restarts cleanly: a fresh store is charged from zero
-        ex.store(3, Payload::Df(sample_df(10)), (0, 0)).unwrap();
+        store(&ex, 3, Payload::Df(sample_df(10)));
         assert_eq!(
             ex.storage_metrics().resident_bytes,
             Payload::Df(sample_df(10)).nbytes()

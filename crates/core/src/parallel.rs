@@ -1,7 +1,10 @@
-//! Work-stealing multi-core executor: runs a subtask graph's independent
-//! subtasks concurrently on a pool of scoped threads, with results
-//! **bit-identical** to [`LocalExecutor`](crate::local::LocalExecutor)
-//! regardless of thread count or steal order.
+//! The host executor: runs subtask graphs for real on this machine, against
+//! a [`StorageService`]. With one thread it is the in-order sequential
+//! schedule ([`LocalExecutor`](crate::local::LocalExecutor) is exactly that
+//! case); with more it runs a graph's independent subtasks concurrently on
+//! a work-stealing pool of scoped threads, with results **bit-identical**
+//! to the one-thread schedule regardless of thread count or steal order.
+//! Either way a subtask is one [`exec::run_subtask`] call.
 //!
 //! # Topology
 //!
@@ -33,13 +36,14 @@
 //! gates this with all 22 TPC-H queries at 1/2/4/8 threads against the
 //! `LocalExecutor` oracle.
 //!
-//! With `threads == 1` the executor skips the pool entirely and runs the
-//! same sequential loop as `LocalExecutor` — no queues, no parking, no
-//! atomics on the hot path — so a single-thread `ParallelExecutor` stays
-//! within noise of the single-threaded baseline.
+//! With `threads == 1` (or a one-subtask range) the executor skips the
+//! pool entirely and runs subtasks in graph order on the calling thread —
+//! no queues, no parking, no atomics on the hot path. That schedule is the
+//! bit-identity reference every other executor is compared against.
 
 use crate::chunk::{payload_to_value, value_to_payload, ChunkKey, ChunkMeta, Payload};
 use crate::error::{XbError, XbResult};
+use crate::exec::{self, ChunkIo};
 use crate::retile::{self, RetileMode, RetileParams, SynthKeys};
 use crate::session::{ExecStats, Executor};
 use crate::subtask::SubtaskGraph;
@@ -68,8 +72,9 @@ pub fn threads_from_env() -> usize {
         })
 }
 
-/// Multi-core executor over a thread-safe [`StorageService`]; drop-in for
-/// [`LocalExecutor`](crate::local::LocalExecutor) with identical results.
+/// Host executor over a thread-safe [`StorageService`] — unbounded,
+/// budgeted (over budget = OOM) or budgeted with a disk tier that spills
+/// cold chunks and reads them back transparently.
 pub struct ParallelExecutor {
     service: StorageService,
     metas: Mutex<HashMap<ChunkKey, ChunkMeta>>,
@@ -103,15 +108,12 @@ impl ParallelExecutor {
     /// Budgeted executor with **no** disk tier (over budget = OOM), with
     /// [`threads_from_env`] workers.
     pub fn with_budget(bytes: usize) -> ParallelExecutor {
-        ParallelExecutor::build(
-            StorageService::new(StorageConfig {
-                memory_budget: Some(bytes),
-                spill: SpillConfig::Disabled,
-                ..Default::default()
-            })
-            .expect("no io in a memory-only config"),
-            threads_from_env(),
-        )
+        ParallelExecutor::with_storage(StorageConfig {
+            memory_budget: Some(bytes),
+            spill: SpillConfig::Disabled,
+            ..Default::default()
+        })
+        .expect("no io in a memory-only config")
     }
 
     /// Budgeted executor with a temp-dir disk tier, with
@@ -175,84 +177,30 @@ impl ParallelExecutor {
         self.service.metrics()
     }
 
-    fn store(
-        &self,
-        key: ChunkKey,
-        payload: Payload,
-        index: (usize, usize),
-        ws: &mut Workspaces,
-    ) -> XbResult<()> {
-        let meta = ChunkMeta {
-            nbytes: payload.nbytes(),
-            rows: payload.rows(),
-            index,
-        };
-        self.service.put_with(key, payload_to_value(&payload), ws)?;
-        self.metas.lock().unwrap().insert(key, meta);
-        Ok(())
+    /// This executor as one worker's chunk source and sink; `ws` is the
+    /// worker's own encode/decode scratch, so spill and read-back on its
+    /// chunks reuse warmed buffers.
+    pub(crate) fn io<'a>(&'a self, ws: &'a mut Workspaces) -> HostIo<'a> {
+        HostIo {
+            exec: self,
+            ws,
+            pinned: Vec::new(),
+        }
     }
 
-    /// Runs one subtask: pin inputs, execute its fused nodes in order,
-    /// publish outputs, unpin. Byte-for-byte the `LocalExecutor` inner
-    /// loop, shared by the sequential path and every pool worker — each
-    /// caller passes its own [`Workspaces`] so spill and read-back on this
-    /// worker's chunks reuse warmed encode/decode buffers.
+    /// Runs one subtask, shared by the sequential path and every pool
+    /// worker.
     fn run_subtask(&self, graph: &SubtaskGraph, sti: usize, ws: &mut Workspaces) -> XbResult<()> {
-        let st = &graph.subtasks[sti];
         let _st_span = if trace::is_enabled() {
-            let name: String = st
-                .nodes
-                .iter()
-                .map(|&ni| graph.chunks.nodes[ni].op.name())
-                .collect::<Vec<_>>()
-                .join("+");
-            trace::span_on(trace::Stage::Execute, name, trace::Track::LOCAL)
+            trace::span_on(
+                trace::Stage::Execute,
+                graph.subtask_label(sti),
+                trace::Track::LOCAL,
+            )
         } else {
             trace::SpanGuard::disabled()
         };
-        // intermediates inside the subtask live only in this scratch map
-        let mut scratch: HashMap<ChunkKey, Arc<Payload>> = HashMap::new();
-        for &ni in &st.nodes {
-            let node = &graph.chunks.nodes[ni];
-            // pin stored inputs so storing this node's outputs cannot evict
-            // (and re-read) the chunks the kernel is consuming
-            let mut pinned: Vec<ChunkKey> = Vec::new();
-            for &k in &node.inputs {
-                if !scratch.contains_key(&k) && self.service.pin(k).is_ok() {
-                    pinned.push(k);
-                }
-            }
-            let result = (|| -> XbResult<()> {
-                let inputs: Vec<Arc<Payload>> = node
-                    .inputs
-                    .iter()
-                    .map(|k| {
-                        if let Some(p) = scratch.get(k) {
-                            return Ok(Arc::clone(p));
-                        }
-                        if self.service.contains(*k) {
-                            let v = self.service.get_with(*k, ws)?;
-                            return Ok(Arc::new(value_to_payload(&v)));
-                        }
-                        Err(XbError::Plan(format!("input chunk {k} not found")))
-                    })
-                    .collect::<XbResult<Vec<_>>>()?;
-                let outputs = crate::exec::execute_chunk(&node.op, &inputs)?;
-                for (slot, (key, payload)) in node.outputs.iter().zip(outputs).enumerate() {
-                    if st.published_outputs.contains(key) {
-                        self.store(*key, payload, (ni, slot), ws)?;
-                    } else {
-                        scratch.insert(*key, Arc::new(payload));
-                    }
-                }
-                Ok(())
-            })();
-            for k in pinned {
-                self.service.unpin(k);
-            }
-            result?;
-        }
-        Ok(())
+        exec::run_subtask(graph, sti, &mut self.io(ws)).map(drop)
     }
 
     /// Dispatches subtasks `lo..hi` over the worker pool (producers below
@@ -312,6 +260,8 @@ impl ParallelExecutor {
                 let pool = &pool;
                 let handle = handle.clone();
                 scope.spawn(move || {
+                    let _kernel_threads =
+                        xorbits_dataframe::par::scoped_kernel_threads(self.threads);
                     if let Some(h) = &handle {
                         trace::adopt(h);
                     }
@@ -331,7 +281,7 @@ impl ParallelExecutor {
             return Ok(0.0);
         }
         if self.threads <= 1 || hi - lo <= 1 {
-            // sequential fast path: the LocalExecutor loop, no pool at all
+            // sequential fast path: graph order on this thread, no pool
             let start = Instant::now();
             let mut ws = self.worker_ws[0].lock().unwrap();
             for sti in lo..hi {
@@ -399,26 +349,19 @@ impl ParallelExecutor {
         before: &StorageMetrics,
     ) -> ExecStats {
         let after = self.service.metrics();
+        let spilled = after.spilled_bytes - before.spilled_bytes;
+        let read_back = after.read_back_bytes - before.read_back_bytes;
+        let enc_raw = after.encoded_raw_bytes - before.encoded_raw_bytes;
+        let enc_wire = after.encoded_wire_bytes - before.encoded_wire_bytes;
         if trace::is_enabled() {
             trace::counter_add("storage.evictions", after.evictions - before.evictions);
-            trace::counter_add(
-                "storage.spilled_bytes",
-                after.spilled_bytes - before.spilled_bytes,
-            );
-            trace::counter_add(
-                "storage.read_back_bytes",
-                after.read_back_bytes - before.read_back_bytes,
-            );
-            trace::counter_add(
-                "storage.encoded_raw_bytes",
-                after.encoded_raw_bytes - before.encoded_raw_bytes,
-            );
-            trace::counter_add(
-                "storage.encoded_wire_bytes",
-                after.encoded_wire_bytes - before.encoded_wire_bytes,
-            );
+            trace::counter_add("storage.spilled_bytes", spilled);
+            trace::counter_add("storage.read_back_bytes", read_back);
+            trace::counter_add("storage.encoded_raw_bytes", enc_raw);
+            trace::counter_add("storage.encoded_wire_bytes", enc_wire);
             let unbalanced = after.unbalanced_unpins - before.unbalanced_unpins;
             if unbalanced > 0 {
+                // pin-leak signal: unpin of a never-pinned / absent chunk
                 trace::instant(
                     trace::Stage::Storage,
                     "unbalanced_unpins",
@@ -430,19 +373,61 @@ impl ParallelExecutor {
         ExecStats {
             makespan: elapsed,
             subtasks,
-            net_bytes: 0,
-            spilled_bytes: (after.spilled_bytes - before.spilled_bytes) as usize,
-            read_back_bytes: (after.read_back_bytes - before.read_back_bytes) as usize,
+            spilled_bytes: spilled as usize,
+            read_back_bytes: read_back as usize,
             peak_worker_bytes: after.peak_resident_bytes,
             real_cpu_seconds: busy_seconds,
-            retries: 0,
-            recomputed_subtasks: 0,
-            recovered_from_spill_bytes: 0,
-            encoded_raw_bytes: (after.encoded_raw_bytes - before.encoded_raw_bytes) as usize,
-            encoded_wire_bytes: (after.encoded_wire_bytes - before.encoded_wire_bytes) as usize,
+            encoded_raw_bytes: enc_raw as usize,
+            encoded_wire_bytes: enc_wire as usize,
             retiled_partitions: retiled,
-            speculative_launched: 0,
-            speculative_won: 0,
+            ..Default::default()
+        }
+    }
+}
+
+/// One worker's handle on a [`ParallelExecutor`] while it runs a subtask.
+pub(crate) struct HostIo<'a> {
+    exec: &'a ParallelExecutor,
+    ws: &'a mut Workspaces,
+    /// Inputs of the node in flight, unpinned when it is done.
+    pinned: Vec<ChunkKey>,
+}
+
+impl ChunkIo for HostIo<'_> {
+    fn load(&mut self, keys: &[ChunkKey]) -> XbResult<Vec<Arc<Payload>>> {
+        let service = &self.exec.service;
+        // pin every stored input before reading the first, so neither a
+        // read-back nor storing this node's outputs can evict (and
+        // re-read) a chunk the kernel is consuming
+        self.pinned
+            .extend(keys.iter().filter(|&&k| service.pin(k).is_ok()));
+        keys.iter()
+            .map(|&k| {
+                if !service.contains(k) {
+                    return Err(exec::missing_input(k));
+                }
+                let v = service.get_with(k, self.ws)?;
+                Ok(Arc::new(value_to_payload(&v)))
+            })
+            .collect()
+    }
+
+    fn publish(&mut self, key: ChunkKey, payload: Payload) -> XbResult<()> {
+        let meta = ChunkMeta {
+            nbytes: payload.nbytes(),
+            rows: payload.rows(),
+            index: (0, 0), // authoritative (r,c) lives in the plan layout
+        };
+        self.exec
+            .service
+            .put_with(key, payload_to_value(&payload), self.ws)?;
+        self.exec.metas.lock().unwrap().insert(key, meta);
+        Ok(())
+    }
+
+    fn node_done(&mut self) {
+        for k in self.pinned.drain(..) {
+            self.exec.service.unpin(k);
         }
     }
 }
@@ -561,8 +546,9 @@ impl MetaView for ParallelExecutor {
 
 impl Executor for ParallelExecutor {
     fn execute(&mut self, graph: &SubtaskGraph) -> XbResult<ExecStats> {
-        // morsel kernels share the worker budget (one knob, see par docs)
-        xorbits_dataframe::par::set_kernel_threads(self.threads);
+        // morsel kernels share the worker budget (one knob, see par docs),
+        // for this run only
+        let _kernel_threads = xorbits_dataframe::par::scoped_kernel_threads(self.threads);
         let start = Instant::now();
         let before = self.service.metrics();
         let mode = self.retile.unwrap_or_else(crate::retile::retile_from_env);
@@ -587,6 +573,9 @@ impl Executor for ParallelExecutor {
     }
 
     fn release(&mut self, keys: &[ChunkKey]) {
+        // reclaim mid-fetch: drop the chunk from every storage tier
+        // (including its spill file) instead of letting released chunks —
+        // and their disk footprint — accumulate until the fetch ends
         let mut metas = self.metas.lock().unwrap();
         for k in keys {
             self.service.remove(*k);
@@ -649,6 +638,17 @@ mod tests {
             let got = pipeline_result(ParallelExecutor::with_threads(t));
             assert_eq!(got, oracle, "threads={t}");
         }
+    }
+
+    #[test]
+    fn kernel_thread_budget_ends_with_execute() {
+        // regression: `execute` used to leave its thread count in the
+        // process-wide kernel knob, so every later executor in the process
+        // ran its kernels that wide
+        let oracle = pipeline_result(LocalExecutor::new());
+        assert_eq!(pipeline_result(ParallelExecutor::with_threads(4)), oracle);
+        assert_eq!(xorbits_dataframe::par::kernel_threads(), 1);
+        assert_eq!(pipeline_result(LocalExecutor::new()), oracle);
     }
 
     #[test]

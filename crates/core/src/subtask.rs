@@ -195,6 +195,16 @@ impl SubtaskGraph {
         Ok(out)
     }
 
+    /// Trace label of subtask `si`: its fused operator names joined by `+`.
+    pub fn subtask_label(&self, si: usize) -> String {
+        let names: Vec<&str> = self.subtasks[si]
+            .nodes
+            .iter()
+            .map(|&ni| self.chunks.nodes[ni].op.name())
+            .collect();
+        names.join("+")
+    }
+
     /// Number of subtasks.
     pub fn len(&self) -> usize {
         self.subtasks.len()

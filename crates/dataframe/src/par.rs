@@ -19,31 +19,64 @@
 //! promise `LocalExecutor`-identical results (see `xorbits-core`).
 //!
 //! The thread count is a process-wide knob ([`set_kernel_threads`]),
-//! defaulting to 1 so nothing changes for callers that never opt in. The
-//! helpers all degrade to plain sequential loops when the knob is 1, the
+//! defaulting to 1 so nothing changes for callers that never opt in; an
+//! executor overrides it for the threads it runs kernels on, for the
+//! duration of one `execute`, with [`scoped_kernel_threads`]. The
+//! helpers all degrade to plain sequential loops when the count is 1, the
 //! input is small, or there is only one unit of work — the single-thread
 //! fast path stays free of spawns and synchronization.
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide kernel thread count; 1 = sequential (the default).
 static KERNEL_THREADS: AtomicUsize = AtomicUsize::new(1);
 
+thread_local! {
+    /// This thread's override of [`KERNEL_THREADS`]; 0 = none.
+    static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+}
+
 /// Rows below which range-parallel kernels stay sequential: spawn +
 /// join overhead (~10µs/thread) dwarfs the work on small inputs.
 pub const PAR_ROW_THRESHOLD: usize = 1 << 16;
 
-/// Current kernel thread count (≥ 1).
+/// Kernel thread count (≥ 1) for a kernel called on this thread: the
+/// thread's [`scoped_kernel_threads`] override if one is live, else the
+/// process-wide count.
 pub fn kernel_threads() -> usize {
-    KERNEL_THREADS.load(Ordering::Relaxed)
+    match THREAD_OVERRIDE.get() {
+        0 => KERNEL_THREADS.load(Ordering::Relaxed),
+        n => n,
+    }
 }
 
 /// Sets the process-wide kernel thread count; 0 and 1 both mean
-/// sequential. Executors set this from their own worker budget so kernel
-/// morsels and subtask slots share one knob.
+/// sequential.
 pub fn set_kernel_threads(n: usize) {
     KERNEL_THREADS.store(n.max(1), Ordering::Relaxed);
+}
+
+/// Restores the calling thread's previous kernel thread count on drop.
+pub struct KernelThreadsGuard {
+    prev: usize,
+}
+
+/// Overrides the kernel thread count for kernels called on this thread
+/// until the guard drops. Executors scope their worker budget with this so
+/// kernel morsels and subtask slots share one knob without one executor's
+/// run leaking into the next, or into one running concurrently.
+pub fn scoped_kernel_threads(n: usize) -> KernelThreadsGuard {
+    KernelThreadsGuard {
+        prev: THREAD_OVERRIDE.replace(n.max(1)),
+    }
+}
+
+impl Drop for KernelThreadsGuard {
+    fn drop(&mut self) {
+        THREAD_OVERRIDE.set(self.prev);
+    }
 }
 
 /// Splits `0..n` into at most `parts` near-even contiguous ranges
@@ -277,6 +310,24 @@ mod tests {
             assert_eq!(groupby_agg(&df, &["s"], &specs).unwrap(), agg_seq);
         }
         set_kernel_threads(1);
+    }
+
+    #[test]
+    fn scoped_override_is_per_thread_and_restores() {
+        let _g = KNOB.lock().unwrap();
+        set_kernel_threads(1);
+        {
+            let _outer = scoped_kernel_threads(4);
+            assert_eq!(kernel_threads(), 4);
+            {
+                let _inner = scoped_kernel_threads(2);
+                assert_eq!(kernel_threads(), 2);
+            }
+            assert_eq!(kernel_threads(), 4);
+            // other threads keep the process-wide count
+            assert_eq!(std::thread::spawn(kernel_threads).join().unwrap(), 1);
+        }
+        assert_eq!(kernel_threads(), 1);
     }
 
     #[test]

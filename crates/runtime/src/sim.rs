@@ -33,8 +33,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 use xorbits_array::prng::Xoshiro256;
-use xorbits_core::chunk::{payload_to_value, ChunkKey, ChunkMeta, ChunkOp, Payload};
+use xorbits_core::chunk::{payload_to_value, ChunkGraph, ChunkKey, ChunkMeta, ChunkNode, Payload};
 use xorbits_core::error::{PendingSubtask, XbError, XbResult};
+use xorbits_core::exec::{self, ChunkIo};
 use xorbits_core::retile::{self, RetileMode, RetileParams, SynthKeys};
 use xorbits_core::session::{ExecStats, Executor};
 use xorbits_core::subtask::SubtaskGraph;
@@ -68,9 +69,62 @@ struct LineageNode {
     /// Global production order across all graphs in the fetch: monotone in
     /// execution order, hence a valid topological order for replay.
     seq: u64,
-    op: ChunkOp,
-    inputs: Vec<ChunkKey>,
-    outputs: Vec<ChunkKey>,
+    node: ChunkNode,
+}
+
+/// What bringing a dispatch's inputs to its worker costs.
+#[derive(Default)]
+struct InputCost {
+    /// Latest producer finish time.
+    arrival: f64,
+    /// Encoded bytes crossing to this worker for the first time.
+    recv_bytes: usize,
+    /// Disk-tier seconds spent reading spilled inputs back.
+    disk_io: f64,
+    /// Logical bytes read off the storage service.
+    read_bytes: usize,
+}
+
+/// How [`SimExecutor::charge_inputs`] treats spilled inputs.
+#[derive(Clone, Copy)]
+enum ReadBack {
+    /// Paid, and traced on the band that produced the chunk (dispatch).
+    OnProducerBand,
+    /// Paid, and traced on this band (lineage replay).
+    OnBand(usize),
+    /// Not paid: a speculative clone's disk read rides the primary's.
+    NotCharged,
+}
+
+/// The simulator as a running subtask's chunk source and sink: inputs come
+/// straight from the payload map; published outputs are compacted and held
+/// back until the dispatch's virtual-time bookkeeping has placed them.
+struct SimIo<'a> {
+    storage: &'a HashMap<ChunkKey, Arc<Payload>>,
+    compact_slack: f64,
+    published: Vec<(ChunkKey, Arc<Payload>)>,
+}
+
+impl ChunkIo for SimIo<'_> {
+    fn load(&mut self, keys: &[ChunkKey]) -> XbResult<Vec<Arc<Payload>>> {
+        keys.iter()
+            .map(|k| {
+                let held = self.published.iter().find(|(pk, _)| pk == k);
+                held.map(|(_, p)| p)
+                    .or_else(|| self.storage.get(k))
+                    .cloned()
+                    .ok_or_else(|| exec::missing_input(*k))
+            })
+            .collect()
+    }
+
+    fn publish(&mut self, key: ChunkKey, mut payload: Payload) -> XbResult<()> {
+        // a view about to outlive its producer must not pin a parent
+        // buffer far larger than what it shows
+        payload.compact(self.compact_slack);
+        self.published.push((key, Arc::new(payload)));
+        Ok(())
+    }
 }
 
 /// The simulator (implements [`Executor`]).
@@ -167,17 +221,9 @@ pub struct GraphRun {
     next: usize,
     /// Virtual submission time.
     t0: f64,
-    real_cpu: f64,
-    subtasks: usize,
-    /// Per-run counter deltas accumulated around each dispatch.
-    net_bytes: usize,
-    spilled_bytes: usize,
-    read_back_bytes: usize,
-    retries: usize,
-    recomputed: usize,
-    recovered_spill: usize,
-    enc_raw: usize,
-    enc_wire: usize,
+    /// What [`SimExecutor::end_graph`] reports: the executor-wide counters
+    /// enter as per-dispatch deltas, makespan and peak are filled at the end.
+    stats: ExecStats,
     /// Latest virtual finish time over this run's dispatched subtasks.
     last_finish: f64,
     faults_on: bool,
@@ -195,13 +241,9 @@ pub struct GraphRun {
     /// Shuffle waves already considered (by wave id): each wave is
     /// harvested and re-tiled at most once.
     done_waves: HashSet<Vec<usize>>,
-    /// Shuffle partitions rebalanced (split or coalesced) this run.
-    retiled_partitions: usize,
     /// External-input bytes of completed dispatches — the median baseline
     /// the speculation trigger compares against.
     ext_bytes_seen: Vec<u64>,
-    speculative_launched: usize,
-    speculative_won: usize,
 }
 
 impl GraphRun {
@@ -227,14 +269,15 @@ impl GraphRun {
     }
 
     fn absorb(&mut self, before: CounterSnap, after: CounterSnap) {
-        self.net_bytes += after.net - before.net;
-        self.spilled_bytes += after.spill - before.spill;
-        self.read_back_bytes += after.read_back - before.read_back;
-        self.retries += after.retries - before.retries;
-        self.recomputed += after.recomputed - before.recomputed;
-        self.recovered_spill += after.recovered - before.recovered;
-        self.enc_raw += after.enc_raw - before.enc_raw;
-        self.enc_wire += after.enc_wire - before.enc_wire;
+        let s = &mut self.stats;
+        s.net_bytes += after.net - before.net;
+        s.spilled_bytes += after.spill - before.spill;
+        s.read_back_bytes += after.read_back - before.read_back;
+        s.retries += after.retries - before.retries;
+        s.recomputed_subtasks += after.recomputed - before.recomputed;
+        s.recovered_from_spill_bytes += after.recovered - before.recovered;
+        s.encoded_raw_bytes += after.enc_raw - before.enc_raw;
+        s.encoded_wire_bytes += after.enc_wire - before.enc_wire;
     }
 }
 
@@ -591,6 +634,138 @@ impl SimExecutor {
         self.storage.remove(&key);
     }
 
+    /// Charges `keys` as the inputs of a dispatch on `worker`: producers
+    /// must have finished, and the receiving worker's NIC serialises all
+    /// cross-worker bytes (flows into one consumer do not overlap for
+    /// free) — paid once per worker, then cached. Spilled inputs
+    /// additionally pay the disk tier, and a disk copy that outlived its
+    /// crashed worker counts as recovered without recompute.
+    fn charge_inputs(
+        &mut self,
+        keys: &[ChunkKey],
+        worker: usize,
+        read_back: ReadBack,
+    ) -> XbResult<InputCost> {
+        let mut cost = InputCost::default();
+        for k in keys {
+            let Some(&cs) = self.states.get(k) else {
+                return Err(XbError::Plan(format!(
+                    "input chunk {k} has no simulation state"
+                )));
+            };
+            cost.arrival = cost.arrival.max(cs.finish);
+            if self.spec.worker_of(cs.band) != worker && self.arrived.insert((*k, worker)) {
+                // the wire carries the encoded envelope, not the view
+                cost.recv_bytes += cs.enc_bytes;
+                self.total_net_bytes += cs.enc_bytes;
+            }
+            cost.read_bytes += cs.nbytes;
+            let track = match read_back {
+                ReadBack::OnProducerBand => Track::band(cs.band),
+                ReadBack::OnBand(band) => Track::band(band),
+                ReadBack::NotCharged => continue,
+            };
+            if !cs.spilled {
+                continue;
+            }
+            // read-back pays the encoded envelope off the disk tier
+            let enc = cs.enc_bytes as u64;
+            let args = [("chunk", *k), ("bytes", enc)];
+            cost.disk_io += cs.enc_bytes as f64 / self.spec.disk_bandwidth;
+            self.total_read_back_bytes += cs.enc_bytes;
+            if trace::is_enabled() {
+                trace::instant_at(Stage::ReadBack, "read_back", track, cs.finish, &args);
+                trace::counter_add("sim.read_back_bytes", enc);
+            }
+            if cs.disk_orphan {
+                self.total_recovered_spill += cs.enc_bytes;
+                self.states.get_mut(k).expect("checked").disk_orphan = false;
+                if trace::is_enabled() {
+                    let at = cs.finish;
+                    trace::instant_at(Stage::Recovery, "recovered_from_spill", track, at, &args);
+                    trace::counter_add("sim.recovered_from_spill_bytes", enc);
+                }
+            }
+        }
+        Ok(cost)
+    }
+
+    /// Virtual start of a dispatch whose band and inputs are ready at
+    /// `ready`. With a central scheduler, one supervisor/driver thread
+    /// works through dispatches back-to-back from submission: task k cannot
+    /// start before its dispatch slot (k × overhead into the graph) nor
+    /// before `ready` — large graphs queue on the dispatcher, chains do not.
+    fn dispatch_start(&mut self, ready: f64) -> f64 {
+        if self.spec.central_scheduler {
+            self.sched_clock += self.spec.sched_overhead;
+            ready.max(self.sched_clock)
+        } else {
+            ready + self.spec.sched_overhead
+        }
+    }
+
+    /// Places one published chunk on `band` at virtual time `finish`:
+    /// records its meta and state, charges its retained footprint to the
+    /// worker's ledger and stores the payload. A chunk is measured once, at
+    /// its first publish; a `republish` (lineage replay) reuses the stored
+    /// sizes, since the state survives loss.
+    fn publish_chunk(
+        &mut self,
+        key: ChunkKey,
+        payload: Arc<Payload>,
+        band: usize,
+        finish: f64,
+        republish: bool,
+    ) -> XbResult<()> {
+        let nbytes = payload.nbytes();
+        let enc_bytes = match self.states.get(&key) {
+            Some(st) if republish => st.enc_bytes,
+            _ => self.measure_payload(&payload),
+        };
+        self.metas.insert(
+            key,
+            ChunkMeta {
+                nbytes,
+                rows: payload.rows(),
+                index: (0, 0), // authoritative (r,c) lives in the plan layout
+            },
+        );
+        self.states.insert(
+            key,
+            ChunkState {
+                band,
+                finish,
+                nbytes,
+                enc_bytes,
+                resident: true,
+                spilled: false,
+                disk_orphan: false,
+            },
+        );
+        self.charge_chunk(self.spec.worker_of(band), key, &payload)?;
+        if !republish && trace::is_enabled() {
+            trace::observe_bytes("sim.chunk.bytes", nbytes as u64);
+        }
+        self.storage.insert(key, payload);
+        Ok(())
+    }
+
+    /// Records how every node of `chunks` is produced, so lost chunks can
+    /// be recomputed; `seq` is monotone in execution order across all
+    /// graphs of the fetch, hence topological.
+    fn record_lineage(&mut self, chunks: &ChunkGraph) {
+        for node in &chunks.nodes {
+            let rec = Arc::new(LineageNode {
+                seq: self.lineage_seq,
+                node: node.clone(),
+            });
+            self.lineage_seq += 1;
+            for k in &node.outputs {
+                self.lineage.insert(*k, Arc::clone(&rec));
+            }
+        }
+    }
+
     // ---- fault injection + lineage recovery --------------------------------
 
     /// Fires every not-yet-fired plan event whose trigger is due.
@@ -785,8 +960,8 @@ impl SimExecutor {
             };
             let rec = Arc::clone(rec);
             if seen_nodes.insert(rec.seq) {
-                planned.extend(rec.outputs.iter().copied());
-                stack.extend(rec.inputs.iter().copied());
+                planned.extend(rec.node.outputs.iter().copied());
+                stack.extend(rec.node.inputs.iter().copied());
                 nodes.push(rec);
             }
         }
@@ -801,113 +976,47 @@ impl SimExecutor {
 
         // 2. replay in production order (seq is topological)
         for rec in &nodes {
-            let mut arrival: f64 = 0.0;
-            let mut recv_bytes = 0usize;
-            let mut disk_io: f64 = 0.0;
-            let mut read_bytes = 0usize;
-            for k in &rec.inputs {
-                if scratch.contains_key(k) {
-                    continue;
-                }
-                let Some(&cs) = self.states.get(k) else {
-                    return Err(XbError::Plan(format!(
-                        "recovery input chunk {k} has no simulation state"
-                    )));
-                };
-                arrival = arrival.max(cs.finish);
-                if self.spec.worker_of(cs.band) != worker && self.arrived.insert((*k, worker)) {
-                    // the wire carries the encoded envelope, not the view
-                    recv_bytes += cs.enc_bytes;
-                    self.total_net_bytes += cs.enc_bytes;
-                }
-                if cs.spilled {
-                    disk_io += cs.enc_bytes as f64 / self.spec.disk_bandwidth;
-                    self.total_read_back_bytes += cs.enc_bytes;
-                    if trace::is_enabled() {
-                        trace::instant_at(
-                            Stage::ReadBack,
-                            "read_back",
-                            Track::band(band),
-                            cs.finish,
-                            &[("chunk", *k), ("bytes", cs.enc_bytes as u64)],
-                        );
-                        trace::counter_add("sim.read_back_bytes", cs.enc_bytes as u64);
-                    }
-                    if cs.disk_orphan {
-                        // a crash-surviving spilled copy: its read-back IS
-                        // the recovery (cheaper than recomputing)
-                        self.total_recovered_spill += cs.enc_bytes;
-                        self.states.get_mut(k).expect("checked").disk_orphan = false;
-                        if trace::is_enabled() {
-                            trace::instant_at(
-                                Stage::Recovery,
-                                "recovered_from_spill",
-                                Track::band(band),
-                                cs.finish,
-                                &[("chunk", *k), ("bytes", cs.enc_bytes as u64)],
-                            );
-                            trace::counter_add(
-                                "sim.recovered_from_spill_bytes",
-                                cs.enc_bytes as u64,
-                            );
-                        }
-                    }
-                }
-                read_bytes += cs.nbytes;
-            }
-            let net_io = recv_bytes as f64 / self.spec.net_bandwidth;
-            let mut storage_io = read_bytes as f64 / self.spec.storage_bandwidth;
-
-            let timer = Instant::now();
-            let inputs: Vec<Arc<Payload>> = rec
+            let stored: Vec<ChunkKey> = rec
+                .node
                 .inputs
                 .iter()
-                .map(|k| {
-                    scratch
-                        .get(k)
-                        .cloned()
-                        .or_else(|| self.storage.get(k).cloned())
-                        .ok_or_else(|| XbError::Plan(format!("recovery input chunk {k} not found")))
-                })
-                .collect::<XbResult<Vec<_>>>()?;
-            let outputs = xorbits_core::exec::execute_chunk(&rec.op, &inputs)?;
+                .copied()
+                .filter(|k| !scratch.contains_key(k))
+                .collect();
+            let cost = self.charge_inputs(&stored, worker, ReadBack::OnBand(band))?;
+            let (arrival, disk_io) = (cost.arrival, cost.disk_io);
+            let net_io = cost.recv_bytes as f64 / self.spec.net_bandwidth;
+            let mut storage_io = cost.read_bytes as f64 / self.spec.storage_bandwidth;
+
+            // republish only what the fault destroyed (or what the caller
+            // demands): ancestors that already had their last read —
+            // refcount-freed or fused-internal — stay scratch, so recovery
+            // never resurrects memory nobody will read
+            let timer = Instant::now();
+            let mut io = SimIo {
+                storage: &self.storage,
+                compact_slack: self.spec.compact_slack,
+                published: Vec::new(),
+            };
+            let lost = &self.lost;
+            let publishes = |k| lost.contains(&k) || want.contains(&k);
+            let out_bytes = exec::run_node(&rec.node, &mut scratch, publishes, &mut io)?;
+            let published = io.published;
             let measured = timer.elapsed().as_secs_f64();
             *real_cpu += measured;
 
-            let mut published: Vec<(ChunkKey, Arc<Payload>)> = Vec::new();
-            for (key, mut payload) in rec.outputs.iter().zip(outputs) {
-                // republish only what the fault destroyed (or what the
-                // caller demands): ancestors that already had their last
-                // read — refcount-freed or fused-internal — stay scratch,
-                // so recovery never resurrects memory nobody will read
-                let publish = self.lost.contains(key) || want.contains(key);
-                if publish {
-                    payload.compact(self.spec.compact_slack);
-                } else {
-                    transient_bytes += payload.nbytes();
-                }
-                let payload = Arc::new(payload);
-                scratch.insert(*key, Arc::clone(&payload));
-                if publish {
-                    published.push((*key, payload));
-                }
-            }
             let published_bytes: usize = published.iter().map(|(_, p)| p.nbytes()).sum();
+            transient_bytes += out_bytes - published_bytes;
             storage_io += published_bytes as f64 / self.spec.storage_bandwidth;
 
             // recompute dispatches pay the scheduler like any other subtask
-            if self.spec.central_scheduler {
-                self.sched_clock += self.spec.sched_overhead;
-                clock = clock.max(arrival).max(self.sched_clock);
-            } else {
-                clock = clock.max(arrival) + self.spec.sched_overhead;
-            }
+            clock = self.dispatch_start(clock.max(arrival));
             let replay_start = clock;
             clock += net_io + storage_io + measured + disk_io;
             if trace::is_enabled() {
                 trace::span_at(
                     Stage::Recovery,
-                    format!("recompute {}", rec.op.name()),
+                    format!("recompute {}", rec.node.op.name()),
                     Track::band(band),
                     replay_start,
                     clock - replay_start,
@@ -917,42 +1026,16 @@ impl SimExecutor {
             }
 
             for (key, payload) in published {
-                let nbytes = payload.nbytes();
-                // the chunk was measured when first published and its state
-                // survives loss — reuse it instead of rewalking the payload
-                let enc_bytes = match self.states.get(&key) {
-                    Some(st) => st.enc_bytes,
-                    None => self.measure_payload(&payload),
-                };
-                self.metas.insert(
-                    key,
-                    ChunkMeta {
-                        nbytes,
-                        rows: payload.rows(),
-                        index: (0, 0),
-                    },
-                );
-                self.states.insert(
-                    key,
-                    ChunkState {
-                        band,
-                        finish: clock,
-                        nbytes,
-                        enc_bytes,
-                        resident: true,
-                        spilled: false,
-                        disk_orphan: false,
-                    },
-                );
-                self.charge_chunk(worker, key, &payload)?;
-                self.storage.insert(key, payload);
+                // later replay nodes read it like any other replayed output
+                scratch.insert(key, Arc::clone(&payload));
+                self.publish_chunk(key, payload, band, clock, true)?;
             }
 
             self.total_recomputed += 1;
-            for key in &rec.outputs {
+            for key in &rec.node.outputs {
                 self.lost.remove(key);
             }
-            if let Some(first) = rec.outputs.first() {
+            if let Some(first) = rec.node.outputs.first() {
                 self.recovery_log.push(*first);
             }
         }
@@ -966,8 +1049,6 @@ impl SimExecutor {
         Ok(())
     }
 
-    /// Subtasks after `si` that have not run, with the inputs they are
-    /// still missing — attached to [`XbError::Hang`] for debuggability.
     fn snap(&self) -> CounterSnap {
         CounterSnap {
             net: self.total_net_bytes,
@@ -1012,32 +1093,9 @@ impl SimExecutor {
             _ => (Vec::new(), 0.0),
         };
         if faults_on {
-            // record lineage for every node so lost chunks can be
-            // recomputed; `seq` is monotone in execution order across all
-            // graphs of the fetch, hence topological
-            for node in &graph.chunks.nodes {
-                let rec = Arc::new(LineageNode {
-                    seq: self.lineage_seq,
-                    op: node.op.clone(),
-                    inputs: node.inputs.clone(),
-                    outputs: node.outputs.clone(),
-                });
-                self.lineage_seq += 1;
-                for k in &node.outputs {
-                    self.lineage.insert(*k, Arc::clone(&rec));
-                }
-            }
+            self.record_lineage(&graph.chunks);
         }
-
-        // refcount lifecycle: last consuming subtask per key in this graph
-        let mut last_consumer: HashMap<ChunkKey, usize> = HashMap::new();
-        for (si, st) in graph.subtasks.iter().enumerate() {
-            for &ni in &st.nodes {
-                for k in &graph.chunks.nodes[ni].inputs {
-                    last_consumer.insert(*k, si);
-                }
-            }
-        }
+        let last_consumer = last_consumers(&graph);
 
         let retile = self.spec.retile.unwrap_or_else(retile::retile_from_env);
         let retile_params = RetileParams {
@@ -1050,16 +1108,7 @@ impl SimExecutor {
             graph,
             next: 0,
             t0,
-            real_cpu: 0.0,
-            subtasks: 0,
-            net_bytes: 0,
-            spilled_bytes: 0,
-            read_back_bytes: 0,
-            retries: 0,
-            recomputed: 0,
-            recovered_spill: 0,
-            enc_raw: 0,
-            enc_wire: 0,
+            stats: ExecStats::default(),
             last_finish: t0,
             faults_on,
             events,
@@ -1070,10 +1119,7 @@ impl SimExecutor {
             retile_params,
             synth,
             done_waves: HashSet::new(),
-            retiled_partitions: 0,
             ext_bytes_seen: Vec::new(),
-            speculative_launched: 0,
-            speculative_won: 0,
         }
     }
 
@@ -1104,34 +1150,16 @@ impl SimExecutor {
         ) else {
             return;
         };
-        run.retiled_partitions += out.retiled_partitions;
+        run.stats.retiled_partitions += out.retiled_partitions;
 
         // the splice rewrote the pending tail: refresh everything derived
         // from node or subtask indices. Lineage records for the whole
         // graph are re-registered with fresh (still topological) seqs so
         // recovery replays the spliced shape, not the pre-splice one.
         if run.faults_on {
-            for node in &run.graph.chunks.nodes {
-                let rec = Arc::new(LineageNode {
-                    seq: self.lineage_seq,
-                    op: node.op.clone(),
-                    inputs: node.inputs.clone(),
-                    outputs: node.outputs.clone(),
-                });
-                self.lineage_seq += 1;
-                for k in &node.outputs {
-                    self.lineage.insert(*k, Arc::clone(&rec));
-                }
-            }
+            self.record_lineage(&run.graph.chunks);
         }
-        run.last_consumer.clear();
-        for (si, st) in run.graph.subtasks.iter().enumerate() {
-            for &ni in &st.nodes {
-                for k in &run.graph.chunks.nodes[ni].inputs {
-                    run.last_consumer.insert(*k, si);
-                }
-            }
-        }
+        run.last_consumer = last_consumers(&run.graph);
         if trace::is_enabled() {
             trace::instant_at(
                 Stage::Retile,
@@ -1182,7 +1210,7 @@ impl SimExecutor {
         if run.retile == RetileMode::Auto {
             self.maybe_retile_run(run);
         }
-        run.subtasks += 1;
+        run.stats.subtasks += 1;
         if run.faults_on {
             self.fire_due_faults(&run.events);
             if self.band_dead.iter().all(|d| *d) {
@@ -1193,7 +1221,7 @@ impl SimExecutor {
             // lineage recovery: rematerialise lost inputs before
             // placement so locality sees the recovered chunks
             let needed = run.graph.subtasks[si].external_inputs.clone();
-            self.ensure_inputs(&needed, &mut run.real_cpu)?;
+            self.ensure_inputs(&needed, &mut run.stats.real_cpu_seconds)?;
         }
         let st = &run.graph.subtasks[si];
         self.dispatch_step += 1;
@@ -1201,123 +1229,27 @@ impl SimExecutor {
         let worker = self.spec.worker_of(band);
         self.band_dispatches[band] += 1;
 
-        // arrival of inputs: producers must have finished, and the
-        // receiving worker's NIC serialises all cross-worker bytes
-        // (flows into one consumer do not overlap for free); spilled
-        // inputs additionally pay the disk tier
-        let mut arrival: f64 = 0.0;
-        let mut recv_bytes = 0usize;
-        let mut disk_io: f64 = 0.0;
-        for k in &st.external_inputs {
-            let Some(&cs) = self.states.get(k) else {
-                return Err(XbError::Plan(format!(
-                    "input chunk {k} has no simulation state"
-                )));
-            };
-            arrival = arrival.max(cs.finish);
-            if self.spec.worker_of(cs.band) != worker && self.arrived.insert((*k, worker)) {
-                // the wire carries the encoded envelope, not the view
-                recv_bytes += cs.enc_bytes;
-                self.total_net_bytes += cs.enc_bytes;
-            }
-            if cs.spilled {
-                // read-back pays the encoded envelope off the disk tier
-                disk_io += cs.enc_bytes as f64 / self.spec.disk_bandwidth;
-                self.total_read_back_bytes += cs.enc_bytes;
-                if trace::is_enabled() {
-                    trace::instant_at(
-                        Stage::ReadBack,
-                        "read_back",
-                        Track::band(cs.band),
-                        cs.finish,
-                        &[("chunk", *k), ("bytes", cs.enc_bytes as u64)],
-                    );
-                    trace::counter_add("sim.read_back_bytes", cs.enc_bytes as u64);
-                }
-                if cs.disk_orphan {
-                    // the disk copy outlived its crashed worker: this
-                    // read-back recovers the chunk without recompute
-                    self.total_recovered_spill += cs.enc_bytes;
-                    self.states.get_mut(k).expect("checked").disk_orphan = false;
-                    if trace::is_enabled() {
-                        trace::instant_at(
-                            Stage::Recovery,
-                            "recovered_from_spill",
-                            Track::band(cs.band),
-                            cs.finish,
-                            &[("chunk", *k), ("bytes", cs.enc_bytes as u64)],
-                        );
-                        trace::counter_add("sim.recovered_from_spill_bytes", cs.enc_bytes as u64);
-                    }
-                }
-            }
-        }
-        let net_io = recv_bytes as f64 / self.spec.net_bandwidth;
+        let cost = self.charge_inputs(&st.external_inputs, worker, ReadBack::OnProducerBand)?;
+        let (arrival, disk_io) = (cost.arrival, cost.disk_io);
+        let net_io = cost.recv_bytes as f64 / self.spec.net_bandwidth;
         // storage-service traffic: reading external inputs from the
         // shared tier (publishing is charged when outputs are stored)
-        let ext_read_bytes: usize = st
-            .external_inputs
-            .iter()
-            .filter_map(|k| self.states.get(k).map(|s| s.nbytes))
-            .sum();
+        let ext_read_bytes = cost.read_bytes;
         let mut storage_io = ext_read_bytes as f64 / self.spec.storage_bandwidth;
 
-        // last node (within this subtask) consuming each internal key,
-        // so the transient working set shrinks as fusion progresses
-        let mut internal_last: HashMap<ChunkKey, usize> = HashMap::new();
-        for &ni in &st.nodes {
-            for k in &run.graph.chunks.nodes[ni].inputs {
-                if st.internal_keys.contains(k) {
-                    internal_last.insert(*k, ni);
-                }
-            }
-        }
-
-        // real execution, measured; tracks the transient working set
+        // real execution, measured; its peak transient working set is
+        // charged below (fusion saves storage traffic, not the memory the
+        // computation itself needs)
         let timer = Instant::now();
-        let mut scratch: HashMap<ChunkKey, Arc<Payload>> = HashMap::new();
-        let mut produced: Vec<(ChunkKey, Arc<Payload>)> = Vec::new();
-        let mut extra_bytes = 0usize; // internal live + published so far
-        let mut peak_extra = 0usize;
-        for &ni in &st.nodes {
-            let node = &run.graph.chunks.nodes[ni];
-            let inputs: Vec<Arc<Payload>> = node
-                .inputs
-                .iter()
-                .map(|k| {
-                    scratch
-                        .get(k)
-                        .cloned()
-                        .or_else(|| self.storage.get(k).cloned())
-                        .ok_or_else(|| XbError::Plan(format!("input chunk {k} not found")))
-                })
-                .collect::<XbResult<Vec<_>>>()?;
-            let outputs = xorbits_core::exec::execute_chunk(&node.op, &inputs)?;
-            for (key, mut payload) in node.outputs.iter().zip(outputs) {
-                if st.published_outputs.contains(key) {
-                    // a view about to outlive its producer must not pin
-                    // a parent buffer far larger than what it shows
-                    payload.compact(self.spec.compact_slack);
-                }
-                let payload = Arc::new(payload);
-                extra_bytes += payload.nbytes();
-                scratch.insert(*key, Arc::clone(&payload));
-                if st.published_outputs.contains(key) {
-                    produced.push((*key, payload));
-                }
-            }
-            peak_extra = peak_extra.max(extra_bytes);
-            // drop internal intermediates whose last use has passed
-            for (k, &last) in &internal_last {
-                if last == ni {
-                    if let Some(p) = scratch.remove(k) {
-                        extra_bytes = extra_bytes.saturating_sub(p.nbytes());
-                    }
-                }
-            }
-        }
+        let mut io = SimIo {
+            storage: &self.storage,
+            compact_slack: self.spec.compact_slack,
+            published: Vec::new(),
+        };
+        let peak_extra = exec::run_subtask(&run.graph, si, &mut io)?;
+        let produced = io.published;
         let measured = timer.elapsed().as_secs_f64();
-        run.real_cpu += measured;
+        run.stats.real_cpu_seconds += measured;
 
         // speculation trigger: a dispatch whose external input bytes dwarf
         // the median over this run's completed dispatches is a predicted
@@ -1386,17 +1318,7 @@ impl SimExecutor {
         let published_bytes: usize = produced.iter().map(|(_, p)| p.nbytes()).sum();
         storage_io += published_bytes as f64 / self.spec.storage_bandwidth;
 
-        let start = if self.spec.central_scheduler {
-            // one supervisor/driver thread works through the graph's
-            // dispatches back-to-back from submission: task k cannot
-            // start before its dispatch slot (k × overhead into the
-            // graph) nor before its inputs — large graphs queue on the
-            // dispatcher, chains do not
-            self.sched_clock += self.spec.sched_overhead;
-            self.band_free[band].max(arrival).max(self.sched_clock)
-        } else {
-            self.band_free[band].max(arrival) + self.spec.sched_overhead
-        };
+        let start = self.dispatch_start(self.band_free[band].max(arrival));
         let primary_finish = start + net_io + storage_io + measured + disk_io + attempt_overhead;
 
         // race the clone in virtual time: both copies occupy their bands
@@ -1404,25 +1326,14 @@ impl SimExecutor {
         // the loser is cancelled and its band reclaimed
         let (band, worker, start, finish, winner_failures) =
             if let (Some(cb), Some((cf, coh, _))) = (clone_band, clone_draw) {
-                run.speculative_launched += 1;
+                run.stats.speculative_launched += 1;
                 self.band_dispatches[cb] += 1;
                 let cw = self.spec.worker_of(cb);
                 // the clone's worker fetches remote inputs it has not cached
-                let mut clone_recv = 0usize;
-                for k in &st.external_inputs {
-                    if let Some(cs) = self.states.get(k).copied() {
-                        if self.spec.worker_of(cs.band) != cw && self.arrived.insert((*k, cw)) {
-                            clone_recv += cs.enc_bytes;
-                            self.total_net_bytes += cs.enc_bytes;
-                        }
-                    }
-                }
-                let clone_start = if self.spec.central_scheduler {
-                    self.sched_clock += self.spec.sched_overhead;
-                    self.band_free[cb].max(arrival).max(self.sched_clock)
-                } else {
-                    self.band_free[cb].max(arrival) + self.spec.sched_overhead
-                };
+                let clone_recv = self
+                    .charge_inputs(&st.external_inputs, cw, ReadBack::NotCharged)?
+                    .recv_bytes;
+                let clone_start = self.dispatch_start(self.band_free[cb].max(arrival));
                 let clone_finish = clone_start
                     + clone_recv as f64 / self.spec.net_bandwidth
                     + storage_io
@@ -1446,7 +1357,7 @@ impl SimExecutor {
                     }
                 }
                 let (wb, ws, wf, wfail, lb, lf) = if clone_wins {
-                    run.speculative_won += 1;
+                    run.stats.speculative_won += 1;
                     (cb, clone_start, clone_finish, cf, band, primary_finish)
                 } else {
                     (
@@ -1471,12 +1382,7 @@ impl SimExecutor {
         self.band_free[band] = finish;
         run.last_finish = run.last_finish.max(finish);
         if trace::is_enabled() {
-            let name: String = st
-                .nodes
-                .iter()
-                .map(|&ni| run.graph.chunks.nodes[ni].op.name())
-                .collect::<Vec<_>>()
-                .join("+");
+            let name = run.graph.subtask_label(si);
             if let Some(t) = self.tenant_track {
                 // mirror the dispatch on the tenant's lane so Chrome
                 // renders per-tenant occupancy alongside the band lanes
@@ -1514,51 +1420,12 @@ impl SimExecutor {
             }
         }
 
-        // transient working-set charge (fusion saves storage traffic,
-        // not the memory the computation itself needs)
-        if std::env::var("XORBITS_SIM_DEBUG").is_ok() && peak_extra > self.spec.worker_memory_bytes
-        {
-            eprintln!(
-                "DEBUG transient {}MB > budget in subtask {:?} (ext inputs {})",
-                peak_extra >> 20,
-                st.nodes
-                    .iter()
-                    .map(|&n| run.graph.chunks.nodes[n].op.name())
-                    .collect::<Vec<_>>(),
-                st.external_inputs.len()
-            );
-        }
+        // the transient working set is held only while the subtask runs
         self.charge(worker, peak_extra)?;
         self.worker_live[worker] = self.worker_live[worker].saturating_sub(peak_extra);
 
         for (key, payload) in produced {
-            let nbytes = payload.nbytes();
-            let enc_bytes = self.measure_payload(&payload);
-            self.metas.insert(
-                key,
-                ChunkMeta {
-                    nbytes,
-                    rows: payload.rows(),
-                    index: (0, 0), // authoritative (r,c) lives in the plan layout
-                },
-            );
-            self.states.insert(
-                key,
-                ChunkState {
-                    band,
-                    finish,
-                    nbytes,
-                    enc_bytes,
-                    resident: true,
-                    spilled: false,
-                    disk_orphan: false,
-                },
-            );
-            self.charge_chunk(worker, key, &payload)?;
-            if trace::is_enabled() {
-                trace::observe_bytes("sim.chunk.bytes", nbytes as u64);
-            }
-            self.storage.insert(key, payload);
+            self.publish_chunk(key, payload, band, finish, false)?;
         }
         if trace::is_enabled() {
             trace::counter_at(
@@ -1633,7 +1500,7 @@ impl SimExecutor {
                 .collect();
             if !lost_retained.is_empty() {
                 lost_retained.sort_unstable();
-                self.recover(&lost_retained, &mut run.real_cpu)?;
+                self.recover(&lost_retained, &mut run.stats.real_cpu_seconds)?;
             }
             // retained chunks whose memory copy died with a crashed worker
             // but whose spilled copy survived: the gather reads them off
@@ -1685,25 +1552,16 @@ impl SimExecutor {
         }
         run.absorb(before, self.snap());
         if trace::is_enabled() {
-            trace::counter_add("sim.encoded_raw_bytes", run.enc_raw as u64);
-            trace::counter_add("sim.encoded_wire_bytes", run.enc_wire as u64);
+            trace::counter_add("sim.encoded_raw_bytes", run.stats.encoded_raw_bytes as u64);
+            trace::counter_add(
+                "sim.encoded_wire_bytes",
+                run.stats.encoded_wire_bytes as u64,
+            );
         }
         Ok(ExecStats {
             makespan: makespan_total - run.t0,
-            subtasks: run.subtasks,
-            net_bytes: run.net_bytes,
-            spilled_bytes: run.spilled_bytes,
-            read_back_bytes: run.read_back_bytes,
             peak_worker_bytes: self.worker_peak.iter().copied().max().unwrap_or(0),
-            real_cpu_seconds: run.real_cpu,
-            retries: run.retries,
-            recomputed_subtasks: run.recomputed,
-            recovered_from_spill_bytes: run.recovered_spill,
-            encoded_raw_bytes: run.enc_raw,
-            encoded_wire_bytes: run.enc_wire,
-            retiled_partitions: run.retiled_partitions,
-            speculative_launched: run.speculative_launched,
-            speculative_won: run.speculative_won,
+            ..run.stats
         })
     }
 
@@ -1725,6 +1583,8 @@ impl SimExecutor {
         self.arrived.retain(|(k, _)| !dropped.contains(k));
     }
 
+    /// Subtasks after `si` that have not run, with the inputs they are
+    /// still missing — attached to [`XbError::Hang`] for debuggability.
     fn pending_after(&self, graph: &SubtaskGraph, si: usize) -> Vec<PendingSubtask> {
         graph
             .subtasks
@@ -1742,6 +1602,19 @@ impl SimExecutor {
             })
             .collect()
     }
+}
+
+/// Refcount lifecycle: the last consuming subtask of every key in `graph`.
+fn last_consumers(graph: &SubtaskGraph) -> HashMap<ChunkKey, usize> {
+    let mut last = HashMap::new();
+    for (si, st) in graph.subtasks.iter().enumerate() {
+        for &ni in &st.nodes {
+            for k in &graph.chunks.nodes[ni].inputs {
+                last.insert(*k, si);
+            }
+        }
+    }
+    last
 }
 
 /// Draws one copy's transient-failure attempts off the plan RNG: returns

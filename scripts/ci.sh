@@ -15,6 +15,23 @@ trap cleanup_spill_dirs EXIT
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# Structural gate (hard): the fused-subtask loop exists once. Every executor
+# — host, simulator dispatch, lineage replay — reaches the kernels through
+# core::exec::run_node, so `execute_chunk(` has exactly one call site outside
+# test modules (everything before a file's `#[cfg(test)]`), in core/src/exec.rs.
+echo "==> one execution core (single non-test execute_chunk call site)"
+callers=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_tests = 0 }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  !in_tests && /execute_chunk\(/ && !/fn execute_chunk\(/ && !/^[[:space:]]*\/\// {
+    print FILENAME ":" FNR
+  }')
+if [[ "$(echo "$callers" | wc -l)" -ne 1 || "$callers" != crates/core/src/exec.rs:* ]]; then
+  echo "expected one non-test execute_chunk( call, in crates/core/src/exec.rs; found:"
+  echo "$callers"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
