@@ -24,7 +24,8 @@
 use std::sync::Arc;
 use xorbits_array::prng::{Xoshiro256, Zipf};
 use xorbits_baselines::EngineKind;
-use xorbits_core::config::{cache_bytes_from_env, tenants_from_env, XorbitsConfig};
+use xorbits_bench::{cache_bytes_from_env, tenants_from_env};
+use xorbits_core::config::XorbitsConfig;
 use xorbits_core::explain::explain_serving;
 use xorbits_runtime::ClusterSpec;
 use xorbits_serving::{percentile, ServingOutcome, ServingRuntime, TenantStream};

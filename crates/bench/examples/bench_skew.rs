@@ -2,10 +2,10 @@
 //! static tiling on the Zipf skew family: the non-decomposable groupby
 //! (`nunique`, a raw-row shuffle with one hot reduce partition), the
 //! decomposable control (`sum`, skew-immune by map-side pre-aggregation)
-//! and the lopsided orphan-key join — at skew 1.1 / 1.5 / 2.0, with
-//! speculation off and on. Every configuration must stay bit-identical
-//! to static tiling; on Zipf(1.5) the adaptive runs must beat the static
-//! virtual makespan on the skewed shuffles. Emits `BENCH_skew.json`.
+//! and the lopsided orphan-key join — at skew 1.1 / 1.5 / 2.0. The
+//! adaptive run must stay bit-identical to static tiling; on Zipf(1.5) it
+//! must beat the static virtual makespan on the skewed shuffles. Emits
+//! `BENCH_skew.json`.
 //!
 //! Run: `cargo run --release -p xorbits-bench --example bench_skew`
 
@@ -35,13 +35,10 @@ fn cfg() -> XorbitsConfig {
 
 /// Shuffle-bound virtual cluster (modest network, cheap scheduler): the
 /// regime where partition skew dominates the makespan.
-fn cluster(mode: RetileMode, speculate: bool) -> ClusterSpec {
+fn cluster(mode: RetileMode) -> ClusterSpec {
     let mut spec = ClusterSpec::new(WORKERS, 256 << 20).with_retile(mode);
     spec.net_bandwidth = 64.0 * 1024.0 * 1024.0;
     spec.sched_overhead = 1.0e-4;
-    if speculate {
-        spec = spec.with_speculation();
-    }
     spec
 }
 
@@ -53,8 +50,8 @@ const WORKLOADS: [(&str, Runner); 3] = [
     ("lopsided-join", run_lopsided_join::<SimExecutor>),
 ];
 
-fn run(mode: RetileMode, speculate: bool, d: &SkewData, runner: Runner) -> (DataFrame, ExecStats) {
-    let s = Session::new(cfg(), SimExecutor::new(cluster(mode, speculate)));
+fn run(mode: RetileMode, d: &SkewData, runner: Runner) -> (DataFrame, ExecStats) {
+    let s = Session::new(cfg(), SimExecutor::new(cluster(mode)));
     let out = runner(&s, d).expect("skew bench run");
     (out, s.total_stats())
 }
@@ -67,35 +64,22 @@ fn main() {
     for &skew in SKEWS {
         let d = skew_data(ROWS, 400, skew, 0x5E3D).expect("skew data");
         for (name, runner) in WORKLOADS {
-            let (static_out, static_stats) = run(RetileMode::Off, false, &d, runner);
+            let (static_out, static_stats) = run(RetileMode::Off, &d, runner);
             let mut cells = Vec::new();
-            for (label, mode, speculate) in [
-                ("static", RetileMode::Off, false),
-                ("adaptive", RetileMode::Auto, false),
-                ("static+spec", RetileMode::Off, true),
-                ("adaptive+spec", RetileMode::Auto, true),
-            ] {
-                let (out, stats) = run(mode, speculate, &d, runner);
+            for (label, mode) in [("static", RetileMode::Off), ("adaptive", RetileMode::Auto)] {
+                let (out, stats) = run(mode, &d, runner);
                 assert_eq!(
                     out, static_out,
                     "{name} skew {skew} {label}: result differs from static tiling"
                 );
                 println!(
-                    "{name} s={skew} {label}: makespan {:.4}s retiled={} spec_launched={} \
-                     spec_won={}",
-                    stats.makespan,
-                    stats.retiled_partitions,
-                    stats.speculative_launched,
-                    stats.speculative_won
+                    "{name} s={skew} {label}: makespan {:.4}s retiled={}",
+                    stats.makespan, stats.retiled_partitions
                 );
                 cells.push(format!(
                     "      {{\"mode\": \"{label}\", \"makespan_s\": {:.5}, \
-                     \"retiled_partitions\": {}, \"speculative_launched\": {}, \
-                     \"speculative_won\": {}}}",
-                    stats.makespan,
-                    stats.retiled_partitions,
-                    stats.speculative_launched,
-                    stats.speculative_won
+                     \"retiled_partitions\": {}}}",
+                    stats.makespan, stats.retiled_partitions
                 ));
                 if label == "adaptive" && skew == 1.5 {
                     println!("{}", xorbits_core::explain::explain_retile(&stats));

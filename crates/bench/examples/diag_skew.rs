@@ -35,12 +35,11 @@ fn main() {
             let stats = s.total_stats();
             let report = s.last_report().unwrap();
             println!(
-                "{name} {mode:?}: rows={} subtasks={} makespan={:.4} retiled={} spec_launch={} decisions={:?}",
+                "{name} {mode:?}: rows={} subtasks={} makespan={:.4} retiled={} decisions={:?}",
                 out.num_rows(),
                 stats.subtasks,
                 stats.makespan,
                 stats.retiled_partitions,
-                stats.speculative_launched,
                 report.tiling.decisions
             );
         }

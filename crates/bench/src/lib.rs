@@ -10,12 +10,14 @@
 
 use xorbits_runtime::ClusterSpec;
 
+/// The value of env var `name`, when it is set and parses.
+fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
+    std::env::var(name).ok().and_then(|v| v.parse().ok())
+}
+
 /// Reads an `f64` env override (e.g. `XORBITS_BENCH_SCALE`).
 pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_parse(name).unwrap_or(default)
 }
 
 /// Global scale multiplier for bench datasets (default 1.0; lower it for
@@ -92,6 +94,20 @@ pub fn threads_init_from_env() -> usize {
     let t = xorbits_core::threads_from_env();
     xorbits_dataframe::par::set_kernel_threads(t);
     t
+}
+
+/// Tenant count from the `XORBITS_TENANTS` env knob, else `default`, so a
+/// serving-bench fleet-size sweep needs no rebuild.
+pub fn tenants_from_env(default: usize) -> usize {
+    env_parse("XORBITS_TENANTS")
+        .filter(|&n| n > 0)
+        .unwrap_or(default)
+}
+
+/// Result-cache budget in bytes from the `XORBITS_CACHE_BYTES` env knob,
+/// else `default`. `0` disables the cache entirely.
+pub fn cache_bytes_from_env(default: usize) -> usize {
+    env_parse("XORBITS_CACHE_BYTES").unwrap_or(default)
 }
 
 /// Resolves the `XORBITS_ENCODING` knob (`plain` / `auto`, default

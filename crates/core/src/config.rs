@@ -1,5 +1,8 @@
-//! Engine configuration: tiling thresholds and optimizer switches.
+//! Engine configuration: tiling thresholds, optimizer switches, and the
+//! engine's environment knobs (`XORBITS_THREADS`, `XORBITS_RETILE`; the
+//! storage crate reads `XORBITS_ENCODING` itself).
 
+use crate::retile::RetileMode;
 use xorbits_storage::EncodingMode;
 
 /// Configuration of the tiling and optimization pipeline. The boolean
@@ -52,17 +55,15 @@ pub struct XorbitsConfig {
     /// materialised frame the driver holds, as with Modin on Ray's object
     /// store), so nothing is reclaimed mid-run.
     pub eager_memory: bool,
-    /// Worker threads for host execution (the
-    /// [`ParallelExecutor`](crate::parallel::ParallelExecutor) pool and the
-    /// morsel kernels). 0 = resolve from the `XORBITS_THREADS` env knob,
-    /// falling back to the host's available parallelism
-    /// ([`crate::parallel::threads_from_env`]).
+    /// Worker threads the embedding program intends to run host execution
+    /// with. Nothing in the engine reads it: pass it to
+    /// [`ParallelExecutor::with_threads`](crate::parallel::ParallelExecutor::with_threads)
+    /// yourself (executors built without a count use [`threads_from_env`]).
     pub threads: usize,
-    /// Chunk-transport encoding for spill files and the simulator's cost
-    /// model. `None` = resolve from the `XORBITS_ENCODING` env knob
-    /// (`plain` / `auto`, default `auto`), mirroring the
-    /// [`Self::threads`] / `XORBITS_THREADS` pattern so v1-vs-v2 A/B runs
-    /// need no rebuild.
+    /// Chunk-transport encoding the embedding program intends to use.
+    /// Nothing in the engine reads it: `StorageConfig::encoding` and
+    /// `ClusterSpec::with_encoding` are what executors honour (both
+    /// default to the `XORBITS_ENCODING` env knob).
     pub encoding: Option<EncodingMode>,
 }
 
@@ -107,56 +108,43 @@ impl XorbitsConfig {
         self
     }
 
-    /// Pins the host worker-thread count (overriding `XORBITS_THREADS`).
+    /// Records the intended host worker-thread count ([`Self::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// The effective worker-thread count: the explicit [`Self::threads`]
-    /// when nonzero, otherwise the `XORBITS_THREADS` env knob / host
-    /// parallelism via [`crate::parallel::threads_from_env`].
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            crate::parallel::threads_from_env()
-        }
-    }
-
-    /// Pins the chunk-transport encoding (overriding `XORBITS_ENCODING`).
+    /// Records the intended chunk-transport encoding ([`Self::encoding`]).
     pub fn with_encoding(mut self, encoding: EncodingMode) -> Self {
         self.encoding = Some(encoding);
         self
     }
-
-    /// The effective transport encoding: the explicit [`Self::encoding`]
-    /// when set, otherwise the `XORBITS_ENCODING` env knob via
-    /// [`xorbits_storage::encoding_from_env`].
-    pub fn effective_encoding(&self) -> EncodingMode {
-        self.encoding
-            .unwrap_or_else(xorbits_storage::encoding_from_env)
-    }
 }
 
-/// Tenant count from the `XORBITS_TENANTS` env knob, else `default`.
-/// Serving benchmarks and examples call this so a fleet-size sweep needs
-/// no rebuild (mirrors the `XORBITS_THREADS` pattern).
-pub fn tenants_from_env(default: usize) -> usize {
-    std::env::var("XORBITS_TENANTS")
+/// Reads the `XORBITS_THREADS` knob: a positive integer forces that many
+/// workers, anything else (or unset) means the host's available
+/// parallelism. This is the default thread count of
+/// [`ParallelExecutor`](crate::parallel::ParallelExecutor) and of every
+/// `bench_*` target.
+pub fn threads_from_env() -> usize {
+    std::env::var("XORBITS_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0)
-        .unwrap_or(default)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
 }
 
-/// Result-cache budget in bytes from the `XORBITS_CACHE_BYTES` env knob,
-/// else `default`. `0` disables the cache entirely.
-pub fn cache_bytes_from_env(default: usize) -> usize {
-    std::env::var("XORBITS_CACHE_BYTES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(default)
+/// Reads the `XORBITS_RETILE` environment knob (`auto`/`on`/`1` → Auto,
+/// anything else or unset → Off).
+pub fn retile_from_env() -> RetileMode {
+    match std::env::var("XORBITS_RETILE") {
+        Ok(v) if matches!(v.as_str(), "auto" | "on" | "1") => RetileMode::Auto,
+        _ => RetileMode::Off,
+    }
 }
 
 #[cfg(test)]
@@ -173,27 +161,5 @@ mod tests {
             .without_graph_fusion()
             .without_op_fusion();
         assert!(!c.graph_fusion && !c.op_fusion && c.dynamic_tiling);
-    }
-
-    #[test]
-    fn thread_knob_resolution() {
-        assert_eq!(
-            XorbitsConfig::default().with_threads(3).effective_threads(),
-            3
-        );
-        // 0 resolves through the env/host fallback, which is always ≥ 1
-        assert!(XorbitsConfig::default().effective_threads() >= 1);
-    }
-
-    #[test]
-    fn encoding_knob_resolution() {
-        assert_eq!(
-            XorbitsConfig::default()
-                .with_encoding(EncodingMode::Plain)
-                .effective_encoding(),
-            EncodingMode::Plain
-        );
-        // None resolves through the env fallback (plain or auto either way)
-        let _ = XorbitsConfig::default().effective_encoding();
     }
 }

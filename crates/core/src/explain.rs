@@ -158,18 +158,16 @@ pub fn explain_transport(stats: &ExecStats) -> String {
     )
 }
 
-/// Summarises what mid-run skew-aware re-tiling and straggler speculation
-/// did: shuffle partitions split/coalesced after harvesting lopsided
-/// histograms (`XORBITS_RETILE=auto`, threshold = max/mean partition
-/// bytes), and speculative clones launched/won on idle bands.
+/// Summarises what mid-run skew-aware re-tiling did: shuffle partitions
+/// split/coalesced after harvesting lopsided histograms
+/// (`XORBITS_RETILE=auto`, threshold = max/mean partition bytes).
 pub fn explain_retile(stats: &ExecStats) -> String {
-    if stats.retiled_partitions == 0 && stats.speculative_launched == 0 {
+    if stats.retiled_partitions == 0 {
         return "Retile: none (balanced shuffles or static tiling)\n".to_string();
     }
     format!(
-        "Retile: {} shuffle partitions rebalanced mid-run; \
-         {} speculative clones launched, {} won the race\n",
-        stats.retiled_partitions, stats.speculative_launched, stats.speculative_won
+        "Retile: {} shuffle partitions rebalanced mid-run\n",
+        stats.retiled_partitions
     )
 }
 
@@ -433,14 +431,10 @@ mod tests {
         assert!(explain_retile(&idle).contains("none"));
         let stats = ExecStats {
             retiled_partitions: 5,
-            speculative_launched: 2,
-            speculative_won: 1,
             ..ExecStats::default()
         };
         let text = explain_retile(&stats);
         assert!(text.contains("5 shuffle partitions"), "{text}");
-        assert!(text.contains("2 speculative clones"), "{text}");
-        assert!(text.contains("1 won"), "{text}");
     }
 
     #[test]

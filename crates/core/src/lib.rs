@@ -30,10 +30,10 @@ pub mod tiling;
 pub mod trace;
 
 pub use chunk::{ChunkGraph, ChunkKey, ChunkMeta, ChunkNode, ChunkOp, KeyGen, Payload};
-pub use config::XorbitsConfig;
+pub use config::{retile_from_env, threads_from_env, XorbitsConfig};
 pub use error::{FailureKind, XbError, XbResult};
-pub use parallel::{threads_from_env, ParallelExecutor};
-pub use retile::{retile_from_env, RetileMode, RetileParams};
+pub use parallel::ParallelExecutor;
+pub use retile::{RetileMode, RetileParams};
 pub use session::{DfHandle, ExecStats, Executor, RunReport, Session, TensorHandle};
 pub use sql::{run_sql, Catalog, PlanCacheStats, SqlError, SqlFrontend};
 pub use subtask::{Subtask, SubtaskGraph};

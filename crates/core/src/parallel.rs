@@ -42,35 +42,19 @@
 //! bit-identity reference every other executor is compared against.
 
 use crate::chunk::{payload_to_value, value_to_payload, ChunkKey, ChunkMeta, Payload};
+use crate::config::{retile_from_env, threads_from_env};
 use crate::error::{XbError, XbResult};
 use crate::exec::{self, ChunkIo};
-use crate::retile::{self, RetileMode, RetileParams, SynthKeys};
+use crate::retile::{RetileMode, RetileRun};
 use crate::session::{ExecStats, Executor};
 use crate::subtask::SubtaskGraph;
 use crate::tiling::MetaView;
 use crate::trace;
-use std::collections::HashSet;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use xorbits_storage::{SpillConfig, StorageConfig, StorageMetrics, StorageService, Workspaces};
-
-/// Reads the `XORBITS_THREADS` knob: a positive integer forces that many
-/// workers, anything else (or unset) means the host's available
-/// parallelism. This is the default thread count of [`ParallelExecutor`]
-/// and of every `bench_*` target.
-pub fn threads_from_env() -> usize {
-    std::env::var("XORBITS_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
 
 /// Host executor over a thread-safe [`StorageService`] — unbounded,
 /// budgeted (over budget = OOM) or budgeted with a disk tier that spills
@@ -299,14 +283,12 @@ impl ParallelExecutor {
     /// continue. Returns (busy seconds, subtasks run, partitions retiled).
     fn execute_retiled(&self, graph: &SubtaskGraph) -> XbResult<(f64, usize, usize)> {
         let mut g = graph.clone();
-        let params = RetileParams::default();
-        let mut synth = SynthKeys::for_graph(&g.chunks);
-        let mut done: HashSet<Vec<usize>> = HashSet::new();
+        let mut retile = RetileRun::for_graph(&g.chunks);
         let mut busy = 0.0f64;
         let mut retiled = 0usize;
         let mut start = 0usize;
         while start < g.subtasks.len() {
-            let cut = retile::next_wave_head(&g, start, &done).unwrap_or(g.subtasks.len());
+            let cut = retile.next_wave_head(&g, start).unwrap_or(g.subtasks.len());
             busy += self.execute_range(&g, start, cut)?;
             start = cut;
             if start >= g.subtasks.len() {
@@ -320,9 +302,7 @@ impl ParallelExecutor {
                     .map(|m| (m.nbytes as u64, m.rows as u64))
             };
             let peek = |k: ChunkKey| self.payload(k);
-            if let Some(out) =
-                retile::maybe_retile(&mut g, start, &params, &mut synth, &mut done, &info, &peek)
-            {
+            if let Some(out) = retile.maybe_retile(&mut g, start, &info, &peek) {
                 retiled += out.retiled_partitions;
                 if trace::is_enabled() {
                     trace::instant(
@@ -551,7 +531,7 @@ impl Executor for ParallelExecutor {
         let _kernel_threads = xorbits_dataframe::par::scoped_kernel_threads(self.threads);
         let start = Instant::now();
         let before = self.service.metrics();
-        let mode = self.retile.unwrap_or_else(crate::retile::retile_from_env);
+        let mode = self.retile.unwrap_or_else(retile_from_env);
         let (busy_seconds, subtasks, retiled) = if mode == RetileMode::Auto {
             self.execute_retiled(graph)?
         } else {

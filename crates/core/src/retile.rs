@@ -65,15 +65,6 @@ pub enum RetileMode {
     Auto,
 }
 
-/// Reads the `XORBITS_RETILE` environment knob (`auto`/`on`/`1` → Auto,
-/// anything else or unset → Off).
-pub fn retile_from_env() -> RetileMode {
-    match std::env::var("XORBITS_RETILE") {
-        Ok(v) if matches!(v.as_str(), "auto" | "on" | "1") => RetileMode::Auto,
-        _ => RetileMode::Off,
-    }
-}
-
 /// Planner thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetileParams {
@@ -258,14 +249,14 @@ pub fn apply_plan(hist: &[PartStat], plan: &RetilePlan) -> Vec<PartStat> {
 /// another tenant's disjoint serving range (distinct max keys → disjoint
 /// 65536-key windows).
 #[derive(Debug, Clone)]
-pub struct SynthKeys {
+struct SynthKeys {
     next: ChunkKey,
 }
 
 impl SynthKeys {
     /// Carves this graph's synthetic-key window (one per run; allocate
     /// sequentially across every wave of the run).
-    pub fn for_graph(chunks: &ChunkGraph) -> SynthKeys {
+    fn for_graph(chunks: &ChunkGraph) -> SynthKeys {
         let mut maxk: ChunkKey = 0;
         for n in &chunks.nodes {
             for &k in n.inputs.iter().chain(n.outputs.iter()) {
@@ -277,7 +268,7 @@ impl SynthKeys {
     }
 
     /// Next synthetic key.
-    pub fn next_key(&mut self) -> ChunkKey {
+    fn next_key(&mut self) -> ChunkKey {
         let k = self.next;
         self.next += 1;
         k
@@ -510,18 +501,37 @@ fn detect_wave(graph: &SubtaskGraph, next: usize) -> Option<Wave> {
     None
 }
 
-/// First subtask index in `[from, len)` that heads a not-yet-attempted
-/// shuffle wave — the quiesce points a staged executor must stop at before
-/// dispatching further (used by `ParallelExecutor`; the stepwise simulator
-/// simply probes its own dispatch head). Detection is purely structural,
-/// so the answer is stable until the graph is spliced.
-pub fn next_wave_head(
-    graph: &SubtaskGraph,
-    from: usize,
-    done: &HashSet<Vec<usize>>,
-) -> Option<usize> {
-    (from..graph.subtasks.len())
-        .find(|&i| detect_wave(graph, i).is_some_and(|w| !done.contains(&w.id)))
+/// One graph run's re-tiling state, held by whichever executor drives the
+/// run: the planner thresholds, the synthetic-key allocator for spliced
+/// nodes, and the waves already considered (each is harvested and re-tiled
+/// at most once, keyed by its split-node set).
+#[derive(Debug, Clone)]
+pub struct RetileRun {
+    params: RetileParams,
+    synth: SynthKeys,
+    done: HashSet<Vec<usize>>,
+}
+
+impl RetileRun {
+    /// Fresh state for one run over `chunks` (carves its synthetic-key
+    /// window).
+    pub fn for_graph(chunks: &ChunkGraph) -> RetileRun {
+        RetileRun {
+            params: RetileParams::default(),
+            synth: SynthKeys::for_graph(chunks),
+            done: HashSet::new(),
+        }
+    }
+
+    /// First subtask index in `[from, len)` that heads a not-yet-attempted
+    /// shuffle wave — the quiesce points a staged executor must stop at
+    /// before dispatching further (used by `ParallelExecutor`; the stepwise
+    /// simulator simply probes its own dispatch head). Detection is purely
+    /// structural, so the answer is stable until the graph is spliced.
+    pub fn next_wave_head(&self, graph: &SubtaskGraph, from: usize) -> Option<usize> {
+        (from..graph.subtasks.len())
+            .find(|&i| detect_wave(graph, i).is_some_and(|w| !self.done.contains(&w.id)))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -628,168 +638,174 @@ fn merge_subtasks(
     }
 }
 
-/// Quiesce-point entry: detect a shuffle wave at the pending head, harvest
-/// its partition histogram through `info` (`key → (bytes, rows)`), and if
-/// the skew warrants it splice a rebalanced wave into `graph.subtasks`
-/// starting at `next`. `peek` fetches a produced chunk payload so the
-/// groupby split gate can inspect partial-state dtypes. Each wave is
-/// attempted once per run (`done` is keyed by the wave's split-node set).
-///
-/// On success the pending tail of `graph.subtasks` has been rewritten (the
-/// prefix `[0, next)` is untouched) and the caller must refresh anything it
-/// derived from subtask indices (last-consumer refcounts, lineage).
-pub fn maybe_retile(
-    graph: &mut SubtaskGraph,
-    next: usize,
-    params: &RetileParams,
-    synth: &mut SynthKeys,
-    done: &mut HashSet<Vec<usize>>,
-    info: &dyn Fn(ChunkKey) -> Option<(u64, u64)>,
-    peek: &dyn Fn(ChunkKey) -> Option<Arc<Payload>>,
-) -> Option<RetileOutcome> {
-    let wave = detect_wave(graph, next)?;
-    if done.contains(&wave.id) {
-        return None;
-    }
-    done.insert(wave.id.clone());
+impl RetileRun {
+    /// Quiesce-point entry: detect a shuffle wave at the pending head, harvest
+    /// its partition histogram through `info` (`key → (bytes, rows)`), and if
+    /// the skew warrants it splice a rebalanced wave into `graph.subtasks`
+    /// starting at `next`. `peek` fetches a produced chunk payload so the
+    /// groupby split gate can inspect partial-state dtypes. Each wave is
+    /// attempted once per run.
+    ///
+    /// On success the pending tail of `graph.subtasks` has been rewritten (the
+    /// prefix `[0, next)` is untouched) and the caller must refresh anything it
+    /// derived from subtask indices (last-consumer refcounts, lineage).
+    pub fn maybe_retile(
+        &mut self,
+        graph: &mut SubtaskGraph,
+        next: usize,
+        info: &dyn Fn(ChunkKey) -> Option<(u64, u64)>,
+        peek: &dyn Fn(ChunkKey) -> Option<Arc<Payload>>,
+    ) -> Option<RetileOutcome> {
+        let wave = detect_wave(graph, next)?;
+        if !self.done.insert(wave.id.clone()) {
+            return None;
+        }
 
-    // harvest the histogram: partition bytes/rows = sum over its shuffle
-    // inputs (probe + build for joins)
-    let part_inputs = |part: &WavePart| -> Vec<ChunkKey> {
-        match *part {
-            WavePart::Groupby { st } => graph.chunks.nodes[graph.subtasks[st].nodes[0]]
-                .inputs
-                .clone(),
-            WavePart::Join { lcat, rcat, join } => {
-                let mut v = graph.chunks.nodes[graph.subtasks[lcat].nodes[0]]
-                    .inputs
-                    .clone();
-                match rcat {
-                    // pending build concat: sum its shuffle inputs
-                    Some(r) => {
-                        v.extend_from_slice(&graph.chunks.nodes[graph.subtasks[r].nodes[0]].inputs)
-                    }
-                    // materialized build: its one concatenated chunk
-                    None => v.push(graph.chunks.nodes[graph.subtasks[join].nodes[0]].inputs[1]),
-                }
-                v
-            }
-        }
-    };
-    let mut hist = Vec::with_capacity(wave.parts.len());
-    for part in &wave.parts {
-        let mut stat = PartStat::default();
-        for k in part_inputs(part) {
-            let (b, r) = info(k)?;
-            stat.bytes += b;
-            stat.rows += r;
-        }
-        hist.push(stat);
-    }
-
-    let plan = plan_retile(&hist, params);
-    if plan.is_noop() {
-        return None;
-    }
-
-    // index the plan by partition
-    let mut split_ways: HashMap<usize, usize> = HashMap::new();
-    let mut coalesce_runs: Vec<Vec<usize>> = Vec::new();
-    for a in &plan.actions {
-        match a {
-            RetileAction::Split { part, ways } => {
-                split_ways.insert(*part, *ways);
-            }
-            RetileAction::Coalesce { parts } => coalesce_runs.push(parts.clone()),
-        }
-    }
-    let mut run_head: HashMap<usize, usize> = HashMap::new(); // part -> run idx
-    let mut absorbed: HashSet<usize> = HashSet::new();
-    for (ri, run) in coalesce_runs.iter().enumerate() {
-        run_head.insert(run[0], ri);
-        absorbed.extend(run[1..].iter().copied());
-    }
-
-    // pre-splice consumer map (publish decisions for coalesced runs)
-    let mut consumed_by: HashMap<ChunkKey, Vec<usize>> = HashMap::new();
-    for (ci, node) in graph.chunks.nodes.iter().enumerate() {
-        for k in &node.inputs {
-            consumed_by.entry(*k).or_default().push(ci);
-        }
-    }
-
-    // build the replacement sequence, partition by partition
-    let mut seq: Vec<Subtask> = Vec::new();
-    let mut splits_applied = 0usize;
-    let mut retiled = 0usize;
-    for (pi, part) in wave.parts.iter().enumerate() {
-        if let Some(ri) = run_head.get(&pi) {
-            let run = &coalesce_runs[*ri];
-            let mut members: Vec<usize> = Vec::new();
-            for &p in run {
-                members.extend(wave.parts[p].member_sts());
-            }
-            members.sort_unstable();
-            seq.push(merge_subtasks(graph, &consumed_by, &members));
-            retiled += run.len();
-            continue;
-        }
-        if absorbed.contains(&pi) {
-            continue;
-        }
-        let ways = split_ways.get(&pi).copied().unwrap_or(0);
-        let applied = if ways >= 2 {
+        // harvest the histogram: partition bytes/rows = sum over its shuffle
+        // inputs (probe + build for joins)
+        let part_inputs = |part: &WavePart| -> Vec<ChunkKey> {
             match *part {
-                WavePart::Groupby { st } => {
-                    split_groupby(graph, st, ways, synth, info, peek, &mut seq)
-                }
+                WavePart::Groupby { st } => graph.chunks.nodes[graph.subtasks[st].nodes[0]]
+                    .inputs
+                    .clone(),
                 WavePart::Join { lcat, rcat, join } => {
-                    split_join(graph, lcat, rcat, join, ways, synth, info, &mut seq)
+                    let mut v = graph.chunks.nodes[graph.subtasks[lcat].nodes[0]]
+                        .inputs
+                        .clone();
+                    match rcat {
+                        // pending build concat: sum its shuffle inputs
+                        Some(r) => v.extend_from_slice(
+                            &graph.chunks.nodes[graph.subtasks[r].nodes[0]].inputs,
+                        ),
+                        // materialized build: its one concatenated chunk
+                        None => v.push(graph.chunks.nodes[graph.subtasks[join].nodes[0]].inputs[1]),
+                    }
+                    v
                 }
             }
-        } else {
-            false
         };
-        if applied {
-            splits_applied += 1;
-            retiled += 1;
-        } else {
-            // unchanged partition: re-emit its subtasks in original order
-            let mut members = part.member_sts();
-            members.sort_unstable();
-            for sti in members {
-                seq.push(graph.subtasks[sti].clone());
+        let mut hist = Vec::with_capacity(wave.parts.len());
+        for part in &wave.parts {
+            let mut stat = PartStat::default();
+            for k in part_inputs(part) {
+                let (b, r) = info(k)?;
+                stat.bytes += b;
+                stat.rows += r;
+            }
+            hist.push(stat);
+        }
+
+        let plan = plan_retile(&hist, &self.params);
+        if plan.is_noop() {
+            return None;
+        }
+
+        // index the plan by partition
+        let mut split_ways: HashMap<usize, usize> = HashMap::new();
+        let mut coalesce_runs: Vec<Vec<usize>> = Vec::new();
+        for a in &plan.actions {
+            match a {
+                RetileAction::Split { part, ways } => {
+                    split_ways.insert(*part, *ways);
+                }
+                RetileAction::Coalesce { parts } => coalesce_runs.push(parts.clone()),
             }
         }
-    }
-
-    if splits_applied == 0 && coalesce_runs.is_empty() {
-        return None;
-    }
-
-    // splice: prefix unchanged, wave emitted contiguously at `next`, other
-    // pending subtasks keep their relative order after it
-    let member_set: HashSet<usize> = wave.parts.iter().flat_map(|p| p.member_sts()).collect();
-    debug_assert_eq!(member_set.iter().min().copied(), Some(next));
-    let old = std::mem::take(&mut graph.subtasks);
-    let mut rebuilt = Vec::with_capacity(old.len() + seq.len());
-    for (idx, st) in old.into_iter().enumerate() {
-        if idx == next {
-            rebuilt.append(&mut seq);
+        let mut run_head: HashMap<usize, usize> = HashMap::new(); // part -> run idx
+        let mut absorbed: HashSet<usize> = HashSet::new();
+        for (ri, run) in coalesce_runs.iter().enumerate() {
+            run_head.insert(run[0], ri);
+            absorbed.extend(run[1..].iter().copied());
         }
-        if idx >= next && member_set.contains(&idx) {
-            continue;
-        }
-        rebuilt.push(st);
-    }
-    graph.subtasks = rebuilt;
 
-    Some(RetileOutcome {
-        partitions: wave.parts.len(),
-        retiled_partitions: retiled,
-        splits: splits_applied,
-        coalesces: coalesce_runs.len(),
-    })
+        // pre-splice consumer map (publish decisions for coalesced runs)
+        let mut consumed_by: HashMap<ChunkKey, Vec<usize>> = HashMap::new();
+        for (ci, node) in graph.chunks.nodes.iter().enumerate() {
+            for k in &node.inputs {
+                consumed_by.entry(*k).or_default().push(ci);
+            }
+        }
+
+        // build the replacement sequence, partition by partition
+        let mut seq: Vec<Subtask> = Vec::new();
+        let mut splits_applied = 0usize;
+        let mut retiled = 0usize;
+        for (pi, part) in wave.parts.iter().enumerate() {
+            if let Some(ri) = run_head.get(&pi) {
+                let run = &coalesce_runs[*ri];
+                let mut members: Vec<usize> = Vec::new();
+                for &p in run {
+                    members.extend(wave.parts[p].member_sts());
+                }
+                members.sort_unstable();
+                seq.push(merge_subtasks(graph, &consumed_by, &members));
+                retiled += run.len();
+                continue;
+            }
+            if absorbed.contains(&pi) {
+                continue;
+            }
+            let ways = split_ways.get(&pi).copied().unwrap_or(0);
+            let applied = if ways >= 2 {
+                match *part {
+                    WavePart::Groupby { st } => {
+                        split_groupby(graph, st, ways, &mut self.synth, info, peek, &mut seq)
+                    }
+                    WavePart::Join { lcat, rcat, join } => split_join(
+                        graph,
+                        lcat,
+                        rcat,
+                        join,
+                        ways,
+                        &mut self.synth,
+                        info,
+                        &mut seq,
+                    ),
+                }
+            } else {
+                false
+            };
+            if applied {
+                splits_applied += 1;
+                retiled += 1;
+            } else {
+                // unchanged partition: re-emit its subtasks in original order
+                let mut members = part.member_sts();
+                members.sort_unstable();
+                for sti in members {
+                    seq.push(graph.subtasks[sti].clone());
+                }
+            }
+        }
+
+        if splits_applied == 0 && coalesce_runs.is_empty() {
+            return None;
+        }
+
+        // splice: prefix unchanged, wave emitted contiguously at `next`, other
+        // pending subtasks keep their relative order after it
+        let member_set: HashSet<usize> = wave.parts.iter().flat_map(|p| p.member_sts()).collect();
+        debug_assert_eq!(member_set.iter().min().copied(), Some(next));
+        let old = std::mem::take(&mut graph.subtasks);
+        let mut rebuilt = Vec::with_capacity(old.len() + seq.len());
+        for (idx, st) in old.into_iter().enumerate() {
+            if idx == next {
+                rebuilt.append(&mut seq);
+            }
+            if idx >= next && member_set.contains(&idx) {
+                continue;
+            }
+            rebuilt.push(st);
+        }
+        graph.subtasks = rebuilt;
+
+        Some(RetileOutcome {
+            partitions: wave.parts.len(),
+            retiled_partitions: retiled,
+            splits: splits_applied,
+            coalesces: coalesce_runs.len(),
+        })
+    }
 }
 
 /// Splits a hot groupby reduce partition into `ways` contiguous combine

@@ -57,10 +57,6 @@ pub struct ExecStats {
     /// Shuffle partitions split or coalesced by mid-run skew-aware
     /// re-tiling (`XORBITS_RETILE=auto`; always 0 when off).
     pub retiled_partitions: usize,
-    /// Speculative straggler clones launched (simulator only).
-    pub speculative_launched: usize,
-    /// Speculative clones that finished first and cancelled the original.
-    pub speculative_won: usize,
 }
 
 impl ExecStats {
@@ -79,8 +75,6 @@ impl ExecStats {
         self.encoded_raw_bytes += other.encoded_raw_bytes;
         self.encoded_wire_bytes += other.encoded_wire_bytes;
         self.retiled_partitions += other.retiled_partitions;
-        self.speculative_launched += other.speculative_launched;
-        self.speculative_won += other.speculative_won;
     }
 }
 

@@ -83,8 +83,6 @@ pub enum Stage {
     Storage,
     /// Mid-run skew-aware re-tiling of a shuffle wave.
     Retile,
-    /// Speculative re-execution of a straggler subtask.
-    Speculate,
 }
 
 impl Stage {
@@ -106,7 +104,6 @@ impl Stage {
             Stage::Gather => "gather",
             Stage::Storage => "storage",
             Stage::Retile => "retile",
-            Stage::Speculate => "speculate",
         }
     }
 }

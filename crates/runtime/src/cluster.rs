@@ -51,13 +51,6 @@ pub struct ClusterSpec {
     /// Virtual-makespan deadline; exceeding it fails the run with `Hang`,
     /// modelling the paper's hung queries.
     pub deadline_seconds: Option<f64>,
-    /// Retained-vs-logical slack tolerated for published chunks. A chunk
-    /// whose payload is a zero-copy view may pin its parent allocation in
-    /// the storage service; when `retained > logical * compact_slack` the
-    /// payload is materialised (`Payload::compact`) at publish time so a
-    /// thin slice cannot hold a huge buffer hostage. `<= 1.0` compacts
-    /// every partial view; large values never compact.
-    pub compact_slack: f64,
     /// Seeded fault schedule injected into the executor (crashes, chunk
     /// loss, transient failures). `None` ⇒ fault-free; an empty plan
     /// behaves identically to `None`.
@@ -74,20 +67,6 @@ pub struct ClusterSpec {
     /// Mid-run skew-aware re-tiling of shuffle waves (dynamic tiling v2).
     /// `None` defers to the `XORBITS_RETILE` env knob at graph start.
     pub retile: Option<RetileMode>,
-    /// Re-tile trigger: max/mean harvested partition bytes.
-    pub retile_threshold: f64,
-    /// Target bytes per partition after a re-tile; 0 ⇒ histogram mean.
-    pub retile_cap_bytes: u64,
-    /// Speculative re-execution of straggler subtasks on idle bands.
-    pub speculate: bool,
-    /// Speculate when a subtask's external input bytes exceed this factor
-    /// times the median over completed subtasks (a deterministic,
-    /// byte-driven straggler signal — virtual runtimes scale with input
-    /// bytes but embed measured host time, which must never steer
-    /// decisions).
-    pub speculate_factor: f64,
-    /// Completed-subtask samples required before speculation may fire.
-    pub speculate_min_samples: usize,
 }
 
 impl ClusterSpec {
@@ -114,16 +93,10 @@ impl ClusterSpec {
             spill_enabled: true,
             locality_aware: true,
             deadline_seconds: None,
-            compact_slack: 2.0,
             fault_plan: None,
             retry: RetryPolicy::default(),
             encoding: xorbits_storage::encoding_from_env(),
             retile: None,
-            retile_threshold: 2.0,
-            retile_cap_bytes: 0,
-            speculate: false,
-            speculate_factor: 4.0,
-            speculate_min_samples: 3,
         }
     }
 
@@ -143,21 +116,9 @@ impl ClusterSpec {
         self
     }
 
-    /// Disables locality-aware placement (ablation).
-    pub fn without_locality(mut self) -> ClusterSpec {
-        self.locality_aware = false;
-        self
-    }
-
     /// Sets a hang deadline in virtual seconds.
     pub fn with_deadline(mut self, seconds: f64) -> ClusterSpec {
         self.deadline_seconds = Some(seconds);
-        self
-    }
-
-    /// Sets the retained-size slack before publish-time compaction.
-    pub fn with_compact_slack(mut self, slack: f64) -> ClusterSpec {
-        self.compact_slack = slack;
         self
     }
 
@@ -182,12 +143,6 @@ impl ClusterSpec {
     /// Pins the mid-run re-tiling mode (overriding `XORBITS_RETILE`).
     pub fn with_retile(mut self, mode: RetileMode) -> ClusterSpec {
         self.retile = Some(mode);
-        self
-    }
-
-    /// Enables speculative re-execution of stragglers on idle bands.
-    pub fn with_speculation(mut self) -> ClusterSpec {
-        self.speculate = true;
         self
     }
 }

@@ -8,17 +8,10 @@
 //! on every run — which is what lets the fault-recovery test matrix assert
 //! bit-identical results and identical recovery statistics across reruns.
 //!
-//! Two trigger clocks are supported:
-//!
-//! * [`FaultTrigger::Step`] — fires when the executor's *dispatch step*
-//!   (the count of subtasks dispatched since the last `clear()`) reaches
-//!   the given value. Dispatch steps are a purely logical clock, so
-//!   step-triggered schedules are exactly reproducible even though kernel
-//!   durations are measured on the host. All deterministic gates use this.
-//! * [`FaultTrigger::VirtualTime`] — fires when virtual time passes `t`.
-//!   Virtual time incorporates *measured* kernel durations, so this
-//!   trigger is useful for exploratory benchmarking ("kill a worker two
-//!   virtual seconds in") but is not reproducible bit-for-bit.
+//! Events fire on one clock, [`FaultTrigger::Step`]: the executor's
+//! *dispatch step* (the count of subtasks dispatched since the last
+//! `clear()`). Dispatch steps are purely logical, so schedules are exactly
+//! reproducible even though kernel durations are measured on the host.
 //!
 //! Each `clear()` (i.e. each fetch) re-arms the plan: the dispatch-step
 //! clock resets and every event may fire again, so a multi-fetch query
@@ -58,9 +51,6 @@ pub enum FaultTrigger {
     /// Fires just before the `n`-th subtask dispatch (0-based) since the
     /// last `clear()`. Fully deterministic.
     Step(u64),
-    /// Fires at the first dispatch at or after virtual time `t`. Depends
-    /// on measured kernel durations — not reproducible bit-for-bit.
-    VirtualTime(f64),
 }
 
 /// One scheduled fault.
@@ -168,7 +158,7 @@ mod tests {
         let plan = FaultPlan::none(7)
             .with_event(FaultTrigger::Step(3), FaultKind::WorkerCrash { worker: 1 })
             .with_event(
-                FaultTrigger::VirtualTime(2.5),
+                FaultTrigger::Step(5),
                 FaultKind::ChunkLoss { fraction: 0.25 },
             )
             .with_transient_failures(0.1);

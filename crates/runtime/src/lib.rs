@@ -12,8 +12,12 @@
 
 #![warn(missing_docs)]
 
+mod chunks;
 pub mod cluster;
 pub mod fault;
+mod ledger;
+mod placement;
+mod recovery;
 pub mod sim;
 
 pub use cluster::ClusterSpec;

@@ -6,208 +6,63 @@
 //! on top of those measurements. Makespan — the number every benchmark
 //! reports — is the virtual completion time across all bands.
 //!
-//! Scheduling follows §V-B: initial (source) subtasks are placed
-//! breadth-first, filling one worker's bands before moving to the next;
-//! non-initial subtasks are placed locality-aware on the band holding
-//! their largest input.
+//! This file is the event core: the virtual clock (per-band free times,
+//! the central dispatcher, the dispatch-step counter), the resumable
+//! [`GraphRun`], the lineage replay loop and all trace emission. What to
+//! decide at each event belongs to four sibling parts, each owning its own
+//! state and knowing nothing of the others — the core carries values
+//! between them:
 //!
-//! Memory follows §V-C with a refcount lifecycle: every published chunk
-//! charges its worker's ledger and is reclaimed once its last consumer has
-//! run (unless the plan retains it for future tiling or the final gather).
-//! The ledger accounts *retained* bytes, not logical bytes: payloads are
-//! zero-copy views over shared buffers, so each distinct allocation is
-//! charged once per worker no matter how many resident chunks reference
-//! it, and freed only when the last referencing chunk goes away. To stop a
-//! thin view from pinning a huge parent buffer, payloads are compacted
-//! ([`Payload::compact`]) at publish time when retained exceeds logical by
-//! more than [`ClusterSpec::compact_slack`]. A fused subtask additionally
-//! charges its *transient working set* — the peak of its internal
-//! intermediates — because fusion saves storage traffic, not the memory
-//! the computation itself needs. Over budget, spill-capable engines move
-//! the coldest chunks to the virtual disk tier (readers pay
-//! `bytes / disk_bw`); engines without spill die with the paper's OOM.
+//! * [`crate::placement`] — which band a dispatch runs on (§V-B:
+//!   breadth-first sources, locality-aware successors);
+//! * [`crate::ledger`] — per-worker retained-bytes accounting and which
+//!   chunks are evicted under pressure (§V-C);
+//! * [`crate::chunks`] — the chunk table: payloads, placement, tiers, when
+//!   a wire size is measured and what moving a chunk costs;
+//! * [`crate::recovery`] — fault schedule state, lineage, and the minimal
+//!   replay closure.
+//!
+//! A fused subtask charges, besides its published outputs, its *transient
+//! working set* — the peak of its internal intermediates — because fusion
+//! saves storage traffic, not the memory the computation itself needs.
 
+use crate::chunks::{Chunks, InputCost, ReadBack};
 use crate::cluster::ClusterSpec;
-use crate::fault::{FaultEvent, FaultKind, FaultTrigger};
+use crate::fault::FaultKind;
+use crate::ledger::{Charged, Ledger};
+use crate::placement::{self, Bands, Placement};
+use crate::recovery::Recovery;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-use xorbits_array::prng::Xoshiro256;
-use xorbits_core::chunk::{payload_to_value, ChunkGraph, ChunkKey, ChunkMeta, ChunkNode, Payload};
+use xorbits_core::chunk::{ChunkKey, ChunkMeta, Payload};
+use xorbits_core::config::retile_from_env;
 use xorbits_core::error::{PendingSubtask, XbError, XbResult};
-use xorbits_core::exec::{self, ChunkIo};
-use xorbits_core::retile::{self, RetileMode, RetileParams, SynthKeys};
+use xorbits_core::exec;
+use xorbits_core::retile::{RetileMode, RetileRun};
 use xorbits_core::session::{ExecStats, Executor};
 use xorbits_core::subtask::SubtaskGraph;
 use xorbits_core::tiling::MetaView;
 use xorbits_core::trace::{self, Stage, Track};
 
-#[derive(Debug, Clone, Copy)]
-struct ChunkState {
-    band: usize,
-    finish: f64,
-    /// Logical (viewed) bytes — what network and storage transfers cost.
-    /// Memory charges use the retained-allocation ledger instead.
-    nbytes: usize,
-    /// *Measured* wire bytes of the chunk's envelope under the spec's
-    /// transport encoding ([`xorbits_storage::EncodeWorkspace::measure`])
-    /// — what network transfers, spill writes and read-backs all cost, so
-    /// the cost model matches the real storage service byte-for-byte.
-    /// Measured exactly once, when the `ChunkState` is created.
-    enc_bytes: usize,
-    resident: bool,
-    spilled: bool,
-    /// Spilled chunk whose owning worker has since crashed: the disk copy
-    /// survives, and its first read-back counts as spill-tier recovery.
-    disk_orphan: bool,
-}
-
-/// How one chunk node was produced — recorded for every node executed in
-/// the current fetch so lost chunks can be recomputed from lineage. The
-/// record is shared (`Arc`) by all of the node's output keys.
-struct LineageNode {
-    /// Global production order across all graphs in the fetch: monotone in
-    /// execution order, hence a valid topological order for replay.
-    seq: u64,
-    node: ChunkNode,
-}
-
-/// What bringing a dispatch's inputs to its worker costs.
-#[derive(Default)]
-struct InputCost {
-    /// Latest producer finish time.
-    arrival: f64,
-    /// Encoded bytes crossing to this worker for the first time.
-    recv_bytes: usize,
-    /// Disk-tier seconds spent reading spilled inputs back.
-    disk_io: f64,
-    /// Logical bytes read off the storage service.
-    read_bytes: usize,
-}
-
-/// How [`SimExecutor::charge_inputs`] treats spilled inputs.
-#[derive(Clone, Copy)]
-enum ReadBack {
-    /// Paid, and traced on the band that produced the chunk (dispatch).
-    OnProducerBand,
-    /// Paid, and traced on this band (lineage replay).
-    OnBand(usize),
-    /// Not paid: a speculative clone's disk read rides the primary's.
-    NotCharged,
-}
-
-/// The simulator as a running subtask's chunk source and sink: inputs come
-/// straight from the payload map; published outputs are compacted and held
-/// back until the dispatch's virtual-time bookkeeping has placed them.
-struct SimIo<'a> {
-    storage: &'a HashMap<ChunkKey, Arc<Payload>>,
-    compact_slack: f64,
-    published: Vec<(ChunkKey, Arc<Payload>)>,
-}
-
-impl ChunkIo for SimIo<'_> {
-    fn load(&mut self, keys: &[ChunkKey]) -> XbResult<Vec<Arc<Payload>>> {
-        keys.iter()
-            .map(|k| {
-                let held = self.published.iter().find(|(pk, _)| pk == k);
-                held.map(|(_, p)| p)
-                    .or_else(|| self.storage.get(k))
-                    .cloned()
-                    .ok_or_else(|| exec::missing_input(*k))
-            })
-            .collect()
-    }
-
-    fn publish(&mut self, key: ChunkKey, mut payload: Payload) -> XbResult<()> {
-        // a view about to outlive its producer must not pin a parent
-        // buffer far larger than what it shows
-        payload.compact(self.compact_slack);
-        self.published.push((key, Arc::new(payload)));
-        Ok(())
-    }
-}
-
 /// The simulator (implements [`Executor`]).
 pub struct SimExecutor {
     spec: ClusterSpec,
-    storage: HashMap<ChunkKey, Arc<Payload>>,
-    metas: HashMap<ChunkKey, ChunkMeta>,
-    states: HashMap<ChunkKey, ChunkState>,
+    /// Virtual time each band is free from.
     band_free: Vec<f64>,
-    worker_live: Vec<usize>,
-    worker_peak: Vec<usize>,
-    /// Per-worker refcounts of distinct buffer allocations (keyed by
-    /// [`Payload::push_allocs`] id). A shared buffer is charged to
-    /// `worker_live` only on the 0→1 transition and freed on 1→0.
-    ledgers: Vec<HashMap<usize, usize>>,
-    /// Allocations `(id, retained_bytes)` each resident chunk references.
-    chunk_allocs: HashMap<ChunkKey, Vec<(usize, usize)>>,
-    source_rr: usize,
-    any_rr: usize,
-    total_net_bytes: usize,
-    total_spilled_bytes: usize,
-    total_read_back_bytes: usize,
-    /// Plain / wire byte totals of every chunk measured at publish — the
-    /// transport compression ratio the stats report.
-    total_encoded_raw: usize,
-    total_encoded_wire: usize,
-    /// Persistent encode workspace backing [`Self::measure_payload`]: the
-    /// per-chunk size probe runs the real chooser without re-allocating
-    /// its dictionary table and staging per chunk.
-    enc_ws: xorbits_storage::EncodeWorkspace,
-    /// Chunks already fetched to a worker: remote reads are paid once per
-    /// worker and cached (how a broadcast stays cheap in real clusters).
-    arrived: std::collections::HashSet<(ChunkKey, usize)>,
     /// Virtual time of the central scheduler thread (when enabled).
     sched_clock: f64,
-    /// Bands killed by fault events this fetch (never scheduled again).
-    band_dead: Vec<bool>,
-    /// Dispatches placed on each band since `clear()` — the deterministic
-    /// load signal speculation uses to pick a clone band (virtual times
-    /// embed measured host CPU and must never steer decisions).
-    band_dispatches: Vec<u64>,
     /// Subtasks dispatched since the last `clear()` — the deterministic
-    /// logical clock [`FaultTrigger::Step`] fires on.
+    /// logical clock [`crate::fault::FaultTrigger::Step`] fires on.
     dispatch_step: u64,
-    /// Plan RNG for this fetch (re-seeded on `clear()`), present only when
-    /// the spec carries a non-trivial fault plan.
-    fault_rng: Option<Xoshiro256>,
-    /// Which plan events already fired this fetch.
-    events_fired: Vec<bool>,
-    /// Producing record of every chunk node executed this fetch (only
-    /// recorded while a fault plan is active).
-    lineage: HashMap<ChunkKey, Arc<LineageNode>>,
-    lineage_seq: u64,
-    total_retries: usize,
-    total_recomputed: usize,
-    total_recovered_spill: usize,
-    /// First output key of every lineage node replayed this fetch, in
-    /// replay order (test introspection).
-    recovery_log: Vec<ChunkKey>,
-    /// Keys destroyed by a fault and not yet rematerialised. Distinguishes
-    /// fault loss from the session's legitimate between-graph releases —
-    /// only fault-lost retained keys are recovered at end of graph.
-    lost: HashSet<ChunkKey>,
+    placement: Placement,
+    ledger: Ledger,
+    chunks: Chunks,
+    recovery: Recovery,
     /// When set, every dispatched subtask also appears on the tenant's
     /// trace lane ([`Track::tenant`]) — the serving coordinator points this
     /// at whichever tenant owns the subtask it is about to dispatch.
     tenant_track: Option<u32>,
-}
-
-/// Snapshot of the executor's monotone counters, used to attribute the
-/// traffic of a single dispatch to the graph run that caused it (under
-/// multi-tenant interleaving, end-minus-begin deltas would charge one run
-/// for every tenant's traffic).
-#[derive(Debug, Clone, Copy, Default)]
-struct CounterSnap {
-    net: usize,
-    spill: usize,
-    read_back: usize,
-    retries: usize,
-    recomputed: usize,
-    recovered: usize,
-    enc_raw: usize,
-    enc_wire: usize,
 }
 
 /// An in-flight subtask graph: the resumable state of one [`Executor::
@@ -221,37 +76,21 @@ pub struct GraphRun {
     next: usize,
     /// Virtual submission time.
     t0: f64,
-    /// What [`SimExecutor::end_graph`] reports: the executor-wide counters
-    /// enter as per-dispatch deltas, makespan and peak are filled at the end.
+    /// What [`SimExecutor::end_graph`] reports. Every counter is bumped
+    /// where it happens, on the run whose dispatch caused it (under
+    /// multi-tenant interleaving, executor-wide deltas would charge one run
+    /// for every tenant's traffic); makespan and peak are filled at the end.
     stats: ExecStats,
     /// Latest virtual finish time over this run's dispatched subtasks.
     last_finish: f64,
-    faults_on: bool,
-    events: Vec<FaultEvent>,
-    transient_p: f64,
-    retry: crate::fault::RetryPolicy,
     /// Last consuming subtask per key within this graph.
     last_consumer: HashMap<ChunkKey, usize>,
-    /// Mid-run re-tiling mode, resolved at submission (spec override or
-    /// the `XORBITS_RETILE` env knob).
-    retile: RetileMode,
-    retile_params: RetileParams,
-    /// Collision-free key allocator for spliced subgraph nodes.
-    synth: SynthKeys,
-    /// Shuffle waves already considered (by wave id): each wave is
-    /// harvested and re-tiled at most once.
-    done_waves: HashSet<Vec<usize>>,
-    /// External-input bytes of completed dispatches — the median baseline
-    /// the speculation trigger compares against.
-    ext_bytes_seen: Vec<u64>,
+    /// Mid-run re-tiling state; `None` when the mode (spec override or the
+    /// `XORBITS_RETILE` env knob, resolved at submission) is off.
+    retile: Option<RetileRun>,
 }
 
 impl GraphRun {
-    /// Subtasks not yet dispatched.
-    pub fn remaining(&self) -> usize {
-        self.graph.subtasks.len() - self.next
-    }
-
     /// True once every subtask has been dispatched.
     pub fn is_done(&self) -> bool {
         self.next >= self.graph.subtasks.len()
@@ -262,66 +101,22 @@ impl GraphRun {
     pub fn last_finish(&self) -> f64 {
         self.last_finish
     }
-
-    /// Virtual time the run was submitted.
-    pub fn submitted_at(&self) -> f64 {
-        self.t0
-    }
-
-    fn absorb(&mut self, before: CounterSnap, after: CounterSnap) {
-        let s = &mut self.stats;
-        s.net_bytes += after.net - before.net;
-        s.spilled_bytes += after.spill - before.spill;
-        s.read_back_bytes += after.read_back - before.read_back;
-        s.retries += after.retries - before.retries;
-        s.recomputed_subtasks += after.recomputed - before.recomputed;
-        s.recovered_from_spill_bytes += after.recovered - before.recovered;
-        s.encoded_raw_bytes += after.enc_raw - before.enc_raw;
-        s.encoded_wire_bytes += after.enc_wire - before.enc_wire;
-    }
 }
 
 impl SimExecutor {
     /// Creates an executor over a virtual cluster.
     pub fn new(spec: ClusterSpec) -> SimExecutor {
-        let bands = spec.n_bands();
-        let workers = spec.workers;
-        let mut ex = SimExecutor {
-            spec,
-            storage: HashMap::new(),
-            metas: HashMap::new(),
-            states: HashMap::new(),
-            band_free: vec![0.0; bands],
-            worker_live: vec![0; workers],
-            worker_peak: vec![0; workers],
-            ledgers: vec![HashMap::new(); workers],
-            chunk_allocs: HashMap::new(),
-            source_rr: 0,
-            any_rr: 0,
-            total_net_bytes: 0,
-            total_spilled_bytes: 0,
-            total_read_back_bytes: 0,
-            total_encoded_raw: 0,
-            total_encoded_wire: 0,
-            enc_ws: xorbits_storage::EncodeWorkspace::new(),
-            arrived: std::collections::HashSet::new(),
+        SimExecutor {
+            band_free: vec![0.0; spec.n_bands()],
             sched_clock: 0.0,
-            band_dead: vec![false; bands],
-            band_dispatches: vec![0; bands],
             dispatch_step: 0,
-            fault_rng: None,
-            events_fired: Vec::new(),
-            lineage: HashMap::new(),
-            lineage_seq: 0,
-            total_retries: 0,
-            total_recomputed: 0,
-            total_recovered_spill: 0,
-            recovery_log: Vec::new(),
-            lost: HashSet::new(),
+            placement: Placement::default(),
+            ledger: Ledger::new(spec.workers, spec.worker_memory_bytes, spec.spill_enabled),
+            chunks: Chunks::new(spec.encoding),
+            recovery: Recovery::new(spec.n_bands(), spec.fault_plan.clone()),
             tenant_track: None,
-        };
-        ex.arm_faults();
-        ex
+            spec,
+        }
     }
 
     /// Points subsequent dispatches at a tenant's trace lane (`None` turns
@@ -330,364 +125,36 @@ impl SimExecutor {
         self.tenant_track = tenant;
     }
 
-    /// Re-arms the fault schedule for a fresh fetch: resets the dispatch
-    /// clock, revives every band, re-seeds the plan RNG and marks every
-    /// event unfired, so each fetch replays the same schedule.
-    fn arm_faults(&mut self) {
-        self.band_dead.iter_mut().for_each(|d| *d = false);
-        self.dispatch_step = 0;
-        self.lineage.clear();
-        self.lineage_seq = 0;
-        self.recovery_log.clear();
-        self.lost.clear();
-        match &self.spec.fault_plan {
-            Some(plan) if !plan.is_trivial() => {
-                self.fault_rng = Some(plan.rng());
-                self.events_fired = vec![false; plan.events.len()];
-            }
-            _ => {
-                self.fault_rng = None;
-                self.events_fired = Vec::new();
-            }
-        }
-    }
-
-    /// Whether a non-trivial fault plan is active.
-    fn faults_on(&self) -> bool {
-        self.fault_rng.is_some()
-    }
-
-    /// The cluster spec.
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
-    }
-
     /// Current virtual frontier (max band-free time).
     pub fn virtual_now(&self) -> f64 {
         self.band_free.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Peak live bytes per worker so far.
-    pub fn worker_peaks(&self) -> &[usize] {
-        &self.worker_peak
-    }
-
     /// Current live bytes per worker (test introspection).
     pub fn live_worker_bytes(&self) -> &[usize] {
-        &self.worker_live
+        self.ledger.live()
     }
 
     /// First output key of every lineage node replayed so far this fetch,
     /// in replay order (test introspection).
     pub fn recovery_log(&self) -> &[ChunkKey] {
-        &self.recovery_log
+        &self.recovery.log
     }
 
     /// `(key, worker, resident, spilled)` for every chunk the simulator
     /// tracks, sorted by key (test introspection).
     pub fn chunk_placements(&self) -> Vec<(ChunkKey, usize, bool, bool)> {
-        let mut out: Vec<(ChunkKey, usize, bool, bool)> = self
-            .states
-            .iter()
-            .map(|(k, st)| (*k, self.spec.worker_of(st.band), st.resident, st.spilled))
-            .collect();
-        out.sort_unstable_by_key(|e| e.0);
-        out
+        self.chunks.placements(&self.spec)
     }
 
-    /// Checks the memory-ledger invariant: on every worker, the refcount
-    /// of each allocation equals the number of resident chunks referencing
+    /// Checks the memory-ledger invariant: the ledger and the chunk table
+    /// agree on what is resident where, on every worker the refcount of
+    /// each allocation equals the number of resident chunks referencing
     /// it, and live bytes equal the sum of distinct referenced allocation
     /// sizes. Recovery must keep this exact even as chunks vanish and
     /// reappear mid-flight.
     pub fn ledger_balanced(&self) -> bool {
-        for w in 0..self.spec.workers {
-            // expected refcounts from the resident chunks on this worker
-            let mut refs: HashMap<usize, (usize, usize)> = HashMap::new(); // id -> (count, bytes)
-            for (k, st) in &self.states {
-                if st.resident && self.spec.worker_of(st.band) == w {
-                    if let Some(allocs) = self.chunk_allocs.get(k) {
-                        for &(id, bytes) in allocs {
-                            refs.entry(id).or_insert((0, bytes)).0 += 1;
-                        }
-                    }
-                }
-            }
-            if refs.len() != self.ledgers[w].len() {
-                return false;
-            }
-            let mut expected_bytes = 0usize;
-            for (id, (count, bytes)) in &refs {
-                if self.ledgers[w].get(id) != Some(count) {
-                    return false;
-                }
-                expected_bytes += bytes;
-            }
-            if self.worker_live[w] != expected_bytes {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Whether any band of `worker` is still alive.
-    fn worker_alive(&self, worker: usize) -> bool {
-        let base = worker * self.spec.bands_per_worker;
-        (base..base + self.spec.bands_per_worker).any(|b| !self.band_dead[b])
-    }
-
-    fn pick_band(&mut self, external_inputs: &[ChunkKey]) -> usize {
-        let nbands = self.spec.n_bands();
-        if external_inputs.is_empty() {
-            // breadth-first: fill worker 0's bands, then worker 1, …
-            // (skipping dead bands; with none dead this is one iteration,
-            // identical to the fault-free scheduler)
-            loop {
-                let b = self.source_rr % nbands;
-                self.source_rr += 1;
-                if !self.band_dead[b] {
-                    return b;
-                }
-            }
-        }
-        if self.spec.locality_aware {
-            // band of the largest input (minimises transfer, §V-B) —
-            // unless that worker is close to its memory budget or the band
-            // is dead, in which case trade locality for the least-loaded
-            // surviving worker
-            let mut best: Option<(usize, usize)> = None; // (nbytes, band)
-            for k in external_inputs {
-                if let Some(st) = self.states.get(k) {
-                    if best.is_none_or(|(nb, _)| st.nbytes > nb) {
-                        best = Some((st.nbytes, st.band));
-                    }
-                }
-            }
-            if let Some((_, band)) = best {
-                let w = self.spec.worker_of(band);
-                if !self.band_dead[band]
-                    && self.worker_live[w] * 10 <= self.spec.worker_memory_bytes * 8
-                {
-                    return band;
-                }
-                // memory pressure (or dead locality target): pick the
-                // least-loaded live worker's earliest live band
-                let coolest = (0..self.spec.workers)
-                    .filter(|&cw| self.worker_alive(cw))
-                    .min_by_key(|&cw| self.worker_live[cw])
-                    .unwrap_or(w);
-                let base = coolest * self.spec.bands_per_worker;
-                let mut best_band: Option<usize> = None;
-                for b in base..base + self.spec.bands_per_worker {
-                    if self.band_dead[b] {
-                        continue;
-                    }
-                    if best_band.is_none_or(|bb| self.band_free[b] < self.band_free[bb]) {
-                        best_band = Some(b);
-                    }
-                }
-                if let Some(b) = best_band {
-                    return b;
-                }
-            }
-        }
-        loop {
-            let b = self.any_rr % nbands;
-            self.any_rr += 1;
-            if !self.band_dead[b] {
-                return b;
-            }
-        }
-    }
-
-    /// Charges `nbytes` to `worker`; spills coldest chunks or reports OOM.
-    ///
-    /// Spilling a chunk frees only the retained bytes its departure
-    /// actually releases — a victim whose buffers are still referenced by
-    /// other resident chunks frees nothing but still drops a refcount, so
-    /// the loop makes progress until the last sharer leaves.
-    fn charge(&mut self, worker: usize, nbytes: usize) -> XbResult<()> {
-        self.worker_live[worker] += nbytes;
-        self.worker_peak[worker] = self.worker_peak[worker].max(self.worker_live[worker]);
-        while self.worker_live[worker] > self.spec.worker_memory_bytes {
-            if !self.spec.spill_enabled {
-                return Err(XbError::Oom {
-                    worker,
-                    needed: self.worker_live[worker],
-                    budget: self.spec.worker_memory_bytes,
-                });
-            }
-            // spill the coldest resident chunk on this worker
-            let victim = self
-                .states
-                .iter()
-                .filter(|(_, st)| {
-                    st.resident && !st.spilled && self.spec.worker_of(st.band) == worker
-                })
-                .min_by(|a, b| a.1.finish.total_cmp(&b.1.finish))
-                .map(|(k, st)| (*k, st.enc_bytes, st.band));
-            match victim {
-                Some((k, encoded, band)) => {
-                    let st = self.states.get_mut(&k).expect("victim exists");
-                    st.spilled = true;
-                    st.resident = false;
-                    let freed = self.release_allocs(worker, k);
-                    self.worker_live[worker] = self.worker_live[worker].saturating_sub(freed);
-                    // the disk tier receives the chunk's *encoded envelope*,
-                    // not its logical view — reconciled with the measured
-                    // sizes the real storage service writes
-                    self.total_spilled_bytes += encoded;
-                    if trace::is_enabled() {
-                        trace::instant_at(
-                            Stage::Spill,
-                            "spill",
-                            Track::band(band),
-                            self.virtual_now(),
-                            &[
-                                ("chunk", k),
-                                ("bytes", encoded as u64),
-                                ("worker", worker as u64),
-                            ],
-                        );
-                        trace::counter_add("sim.spilled_bytes", encoded as u64);
-                        trace::observe_bytes("sim.spill.bytes", encoded as u64);
-                    }
-                }
-                None => {
-                    // nothing left to spill: even the disk tier can't save us
-                    return Err(XbError::Oom {
-                        worker,
-                        needed: self.worker_live[worker],
-                        budget: self.spec.worker_memory_bytes,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Measures one payload's transport sizes (plain vs wire under the
-    /// spec's encoding) through the persistent workspace, accumulating the
-    /// compression-ratio totals. Called exactly once per published chunk —
-    /// every later network/spill/read-back charge reuses the stored
-    /// `enc_bytes`.
-    fn measure_payload(&mut self, payload: &Payload) -> usize {
-        let sz = self
-            .enc_ws
-            .measure(&payload_to_value(payload), self.spec.encoding);
-        self.total_encoded_raw += sz.raw;
-        self.total_encoded_wire += sz.wire;
-        sz.wire
-    }
-
-    /// Charges one published chunk's *retained* footprint: each distinct
-    /// allocation is charged only on its 0→1 refcount transition, so a
-    /// buffer shared by several resident chunks costs its bytes once.
-    fn charge_chunk(&mut self, worker: usize, key: ChunkKey, payload: &Payload) -> XbResult<()> {
-        let mut allocs = Vec::new();
-        payload.push_allocs(&mut allocs);
-        allocs.sort_unstable();
-        allocs.dedup_by_key(|&mut (id, _)| id);
-        let mut delta = 0usize;
-        for &(id, bytes) in &allocs {
-            let refs = self.ledgers[worker].entry(id).or_insert(0);
-            if *refs == 0 {
-                delta += bytes;
-            }
-            *refs += 1;
-        }
-        self.chunk_allocs.insert(key, allocs);
-        self.charge(worker, delta)
-    }
-
-    /// Drops one chunk's allocation refcounts on `worker`, returning the
-    /// retained bytes whose last reference just went away.
-    fn release_allocs(&mut self, worker: usize, key: ChunkKey) -> usize {
-        let mut freed = 0usize;
-        if let Some(allocs) = self.chunk_allocs.remove(&key) {
-            for (id, bytes) in allocs {
-                if let Some(refs) = self.ledgers[worker].get_mut(&id) {
-                    *refs -= 1;
-                    if *refs == 0 {
-                        self.ledgers[worker].remove(&id);
-                        freed += bytes;
-                    }
-                }
-            }
-        }
-        freed
-    }
-
-    /// Reclaims one chunk's memory (and its real payload).
-    fn free_chunk(&mut self, key: ChunkKey) {
-        if let Some(st) = self.states.get_mut(&key) {
-            if st.resident {
-                st.resident = false;
-                let w = self.spec.worker_of(st.band);
-                let freed = self.release_allocs(w, key);
-                self.worker_live[w] = self.worker_live[w].saturating_sub(freed);
-            } else {
-                // spilled chunks already released their ledger entries
-                self.chunk_allocs.remove(&key);
-            }
-        }
-        self.storage.remove(&key);
-    }
-
-    /// Charges `keys` as the inputs of a dispatch on `worker`: producers
-    /// must have finished, and the receiving worker's NIC serialises all
-    /// cross-worker bytes (flows into one consumer do not overlap for
-    /// free) — paid once per worker, then cached. Spilled inputs
-    /// additionally pay the disk tier, and a disk copy that outlived its
-    /// crashed worker counts as recovered without recompute.
-    fn charge_inputs(
-        &mut self,
-        keys: &[ChunkKey],
-        worker: usize,
-        read_back: ReadBack,
-    ) -> XbResult<InputCost> {
-        let mut cost = InputCost::default();
-        for k in keys {
-            let Some(&cs) = self.states.get(k) else {
-                return Err(XbError::Plan(format!(
-                    "input chunk {k} has no simulation state"
-                )));
-            };
-            cost.arrival = cost.arrival.max(cs.finish);
-            if self.spec.worker_of(cs.band) != worker && self.arrived.insert((*k, worker)) {
-                // the wire carries the encoded envelope, not the view
-                cost.recv_bytes += cs.enc_bytes;
-                self.total_net_bytes += cs.enc_bytes;
-            }
-            cost.read_bytes += cs.nbytes;
-            let track = match read_back {
-                ReadBack::OnProducerBand => Track::band(cs.band),
-                ReadBack::OnBand(band) => Track::band(band),
-                ReadBack::NotCharged => continue,
-            };
-            if !cs.spilled {
-                continue;
-            }
-            // read-back pays the encoded envelope off the disk tier
-            let enc = cs.enc_bytes as u64;
-            let args = [("chunk", *k), ("bytes", enc)];
-            cost.disk_io += cs.enc_bytes as f64 / self.spec.disk_bandwidth;
-            self.total_read_back_bytes += cs.enc_bytes;
-            if trace::is_enabled() {
-                trace::instant_at(Stage::ReadBack, "read_back", track, cs.finish, &args);
-                trace::counter_add("sim.read_back_bytes", enc);
-            }
-            if cs.disk_orphan {
-                self.total_recovered_spill += cs.enc_bytes;
-                self.states.get_mut(k).expect("checked").disk_orphan = false;
-                if trace::is_enabled() {
-                    let at = cs.finish;
-                    trace::instant_at(Stage::Recovery, "recovered_from_spill", track, at, &args);
-                    trace::counter_add("sim.recovered_from_spill_bytes", enc);
-                }
-            }
-        }
-        Ok(cost)
+        self.ledger.balanced(&self.chunks.resident(&self.spec))
     }
 
     /// Virtual start of a dispatch whose band and inputs are ready at
@@ -704,11 +171,55 @@ impl SimExecutor {
         }
     }
 
-    /// Places one published chunk on `band` at virtual time `finish`:
-    /// records its meta and state, charges its retained footprint to the
-    /// worker's ledger and stores the payload. A chunk is measured once, at
-    /// its first publish; a `republish` (lineage replay) reuses the stored
-    /// sizes, since the state survives loss.
+    /// Where lineage recomputation (and end-of-graph read-back) runs.
+    fn recovery_band(&self) -> XbResult<usize> {
+        let bands = bands(&self.spec, &self.recovery, &self.band_free, &self.ledger);
+        placement::recovery_band(&bands)
+    }
+
+    /// Moves the chunks a ledger charge evicted to the disk tier, then
+    /// reports whether the charge fit.
+    fn settle(&mut self, charged: Charged, stats: &mut ExecStats) -> XbResult<()> {
+        for k in charged.evicted {
+            let Some((bytes, band)) = self.chunks.spill(k, stats) else {
+                continue;
+            };
+            if trace::is_enabled() {
+                let args = [
+                    ("chunk", k),
+                    ("bytes", bytes as u64),
+                    ("worker", self.spec.worker_of(band) as u64),
+                ];
+                let now = self.virtual_now();
+                trace::instant_at(Stage::Spill, "spill", Track::band(band), now, &args);
+                trace::counter_add("sim.spilled_bytes", bytes as u64);
+                trace::observe_bytes("sim.spill.bytes", bytes as u64);
+            }
+        }
+        charged.fits
+    }
+
+    /// Charges `keys` as the inputs of a dispatch on `worker`; read-backs
+    /// are traced on `read_on` (lineage replay) or, without one, on the
+    /// band that produced the chunk.
+    fn charge_inputs(
+        &mut self,
+        keys: &[ChunkKey],
+        worker: usize,
+        read_on: Option<usize>,
+        stats: &mut ExecStats,
+    ) -> XbResult<InputCost> {
+        let cost = self.chunks.charge_inputs(keys, worker, &self.spec, stats)?;
+        if trace::is_enabled() {
+            for rb in &cost.read_backs {
+                trace_read_back(rb, read_on.unwrap_or(rb.band), rb.at);
+            }
+        }
+        Ok(cost)
+    }
+
+    /// Places one published chunk on `band` at virtual time `finish` and
+    /// charges its retained footprint to the worker's ledger.
     fn publish_chunk(
         &mut self,
         key: ChunkKey,
@@ -716,257 +227,98 @@ impl SimExecutor {
         band: usize,
         finish: f64,
         republish: bool,
+        stats: &mut ExecStats,
     ) -> XbResult<()> {
-        let nbytes = payload.nbytes();
-        let enc_bytes = match self.states.get(&key) {
-            Some(st) if republish => st.enc_bytes,
-            _ => self.measure_payload(&payload),
-        };
-        self.metas.insert(
-            key,
-            ChunkMeta {
-                nbytes,
-                rows: payload.rows(),
-                index: (0, 0), // authoritative (r,c) lives in the plan layout
-            },
-        );
-        self.states.insert(
-            key,
-            ChunkState {
-                band,
-                finish,
-                nbytes,
-                enc_bytes,
-                resident: true,
-                spilled: false,
-                disk_orphan: false,
-            },
-        );
-        self.charge_chunk(self.spec.worker_of(band), key, &payload)?;
         if !republish && trace::is_enabled() {
-            trace::observe_bytes("sim.chunk.bytes", nbytes as u64);
+            trace::observe_bytes("sim.chunk.bytes", payload.nbytes() as u64);
         }
-        self.storage.insert(key, payload);
-        Ok(())
+        let worker = self.spec.worker_of(band);
+        let charged = self.ledger.admit(worker, key, finish, &payload);
+        self.chunks
+            .publish(key, payload, band, finish, republish, stats);
+        self.settle(charged, stats)
     }
 
-    /// Records how every node of `chunks` is produced, so lost chunks can
-    /// be recomputed; `seq` is monotone in execution order across all
-    /// graphs of the fetch, hence topological.
-    fn record_lineage(&mut self, chunks: &ChunkGraph) {
-        for node in &chunks.nodes {
-            let rec = Arc::new(LineageNode {
-                seq: self.lineage_seq,
-                node: node.clone(),
-            });
-            self.lineage_seq += 1;
-            for k in &node.outputs {
-                self.lineage.insert(*k, Arc::clone(&rec));
-            }
-        }
+    /// Reclaims one chunk's memory (and its real payload).
+    fn free_chunk(&mut self, key: ChunkKey) {
+        self.chunks.free(key);
+        self.ledger.release(key);
     }
 
     // ---- fault injection + lineage recovery --------------------------------
 
-    /// Fires every not-yet-fired plan event whose trigger is due.
-    fn fire_due_faults(&mut self, events: &[FaultEvent]) {
-        for (i, ev) in events.iter().enumerate() {
-            if self.events_fired.get(i).copied().unwrap_or(true) {
-                continue;
-            }
-            let due = match ev.at {
-                FaultTrigger::Step(s) => self.dispatch_step >= s,
-                FaultTrigger::VirtualTime(t) => self.virtual_now() >= t,
-            };
-            if due {
-                self.events_fired[i] = true;
-                self.fire_fault(ev.kind);
-            }
-        }
-    }
-
-    /// Destroys one chunk: the payload vanishes, the ledger releases its
-    /// allocations, the state records it as neither resident nor spilled.
-    /// Lineage (and any surviving spilled copy) is what recovery uses.
+    /// Destroys one resident chunk: the payload vanishes and the ledger
+    /// releases its allocations. Lineage (and any surviving spilled copy)
+    /// is what recovery uses.
     fn lose_chunk(&mut self, key: ChunkKey) {
-        let Some(st) = self.states.get(&key) else {
+        let Some(band) = self.chunks.lose(key) else {
             return;
         };
-        if st.resident {
-            let band = st.band;
-            let w = self.spec.worker_of(band);
-            self.states.get_mut(&key).expect("checked").resident = false;
-            let freed = self.release_allocs(w, key);
-            self.worker_live[w] = self.worker_live[w].saturating_sub(freed);
-            self.storage.remove(&key);
-            self.lost.insert(key);
-            if trace::is_enabled() {
-                trace::instant_at(
-                    Stage::Fault,
-                    "chunk_lost",
-                    Track::band(band),
-                    self.virtual_now(),
-                    &[("chunk", key), ("worker", w as u64)],
-                );
-                trace::counter_add("fault.chunks_lost", 1);
-            }
+        self.ledger.release(key);
+        self.recovery.lost.insert(key);
+        if trace::is_enabled() {
+            let args = [("chunk", key), ("worker", self.spec.worker_of(band) as u64)];
+            let now = self.virtual_now();
+            trace::instant_at(Stage::Fault, "chunk_lost", Track::band(band), now, &args);
+            trace::counter_add("fault.chunks_lost", 1);
         }
     }
 
     fn fire_fault(&mut self, kind: FaultKind) {
+        let (now, step) = (self.virtual_now(), self.dispatch_step);
         match kind {
-            FaultKind::WorkerCrash { worker } => {
-                if worker >= self.spec.workers {
-                    return;
-                }
+            FaultKind::WorkerCrash { worker } if worker < self.spec.workers => {
                 let base = worker * self.spec.bands_per_worker;
-                for b in base..base + self.spec.bands_per_worker {
-                    self.band_dead[b] = true;
-                }
+                self.recovery.band_dead[base..base + self.spec.bands_per_worker].fill(true);
                 if trace::is_enabled() {
-                    trace::instant_at(
-                        Stage::Fault,
-                        "worker_crash",
-                        Track::band(base),
-                        self.virtual_now(),
-                        &[("worker", worker as u64), ("step", self.dispatch_step)],
-                    );
+                    let args = [("worker", worker as u64), ("step", step)];
+                    trace::instant_at(Stage::Fault, "worker_crash", Track::band(base), now, &args);
                     trace::counter_add("fault.worker_crashes", 1);
                 }
-                // resident unspilled chunks die with the worker's memory;
-                // spilled chunks survive on the disk tier and become the
-                // fast recovery path. Keys are sorted so the victim order
-                // is independent of hash-map iteration.
-                let mut victims: Vec<ChunkKey> = self
-                    .states
-                    .iter()
-                    .filter(|(_, st)| self.spec.worker_of(st.band) == worker)
-                    .map(|(k, _)| *k)
-                    .collect();
-                victims.sort_unstable();
-                for k in victims {
-                    let st = *self.states.get(&k).expect("victim exists");
-                    if st.resident {
-                        self.lose_chunk(k);
-                    } else if st.spilled {
-                        self.states.get_mut(&k).expect("victim exists").disk_orphan = true;
-                    }
-                }
-            }
-            FaultKind::BandCrash { band } => {
-                // an execution slot dies; the worker's memory survives
-                if band < self.band_dead.len() {
-                    self.band_dead[band] = true;
-                    if trace::is_enabled() {
-                        trace::instant_at(
-                            Stage::Fault,
-                            "band_crash",
-                            Track::band(band),
-                            self.virtual_now(),
-                            &[("band", band as u64), ("step", self.dispatch_step)],
-                        );
-                        trace::counter_add("fault.band_crashes", 1);
-                    }
-                }
-            }
-            FaultKind::ChunkLoss { fraction } => {
-                let mut keys: Vec<ChunkKey> = self
-                    .states
-                    .iter()
-                    .filter(|(_, st)| st.resident && !st.spilled)
-                    .map(|(k, _)| *k)
-                    .collect();
-                keys.sort_unstable();
-                let n = ((keys.len() as f64) * fraction.clamp(0.0, 1.0)).round() as usize;
-                let n = n.min(keys.len());
-                // partial Fisher-Yates over the sorted key set with the
-                // plan RNG: a deterministic victim sample
-                if let Some(rng) = self.fault_rng.as_mut() {
-                    for i in 0..n {
-                        let j = i + rng.next_bounded((keys.len() - i) as u64) as usize;
-                        keys.swap(i, j);
-                    }
-                }
-                if trace::is_enabled() && n > 0 {
-                    trace::instant_at(
-                        Stage::Fault,
-                        "chunk_loss",
-                        Track::band(0),
-                        self.virtual_now(),
-                        &[("victims", n as u64), ("step", self.dispatch_step)],
-                    );
-                }
-                for &k in &keys[..n] {
+                // resident chunks die with the worker's memory; spilled
+                // ones survive on the disk tier as the fast recovery path
+                for k in self.chunks.crash_worker(worker, &self.spec) {
                     self.lose_chunk(k);
                 }
             }
+            // an execution slot dies; the worker's memory survives
+            FaultKind::BandCrash { band } if band < self.band_free.len() => {
+                self.recovery.band_dead[band] = true;
+                if trace::is_enabled() {
+                    let args = [("band", band as u64), ("step", step)];
+                    trace::instant_at(Stage::Fault, "band_crash", Track::band(band), now, &args);
+                    trace::counter_add("fault.band_crashes", 1);
+                }
+            }
+            FaultKind::ChunkLoss { fraction } => {
+                let resident = self.chunks.resident(&self.spec);
+                let keys = resident.into_iter().map(|(k, _)| k).collect();
+                let victims = self.recovery.sample_victims(keys, fraction);
+                if trace::is_enabled() && !victims.is_empty() {
+                    let args = [("victims", victims.len() as u64), ("step", step)];
+                    trace::instant_at(Stage::Fault, "chunk_loss", Track::band(0), now, &args);
+                }
+                for k in victims {
+                    self.lose_chunk(k);
+                }
+            }
+            // a crash aimed outside the cluster hits nothing
+            FaultKind::WorkerCrash { .. } | FaultKind::BandCrash { .. } => {}
         }
     }
 
-    /// Makes every key in `needed` readable again, recomputing lost ones
-    /// from lineage. No-op when nothing is missing.
-    fn ensure_inputs(&mut self, needed: &[ChunkKey], real_cpu: &mut f64) -> XbResult<()> {
-        let mut missing: Vec<ChunkKey> = needed
-            .iter()
-            .copied()
-            .filter(|k| !self.storage.contains_key(k))
-            .collect();
-        if missing.is_empty() {
+    /// Lineage-based recovery: makes every key of `targets` readable again
+    /// by replaying the minimal ancestor closure in production order on
+    /// one surviving band, paying scheduling, transfer, disk and *measured*
+    /// kernel costs in virtual time. Chunks that were published before
+    /// being lost are republished (and recharged to the ledger); purely
+    /// internal ancestors stay scratch-only. No-op without targets.
+    fn recover(&mut self, targets: &[ChunkKey], stats: &mut ExecStats) -> XbResult<()> {
+        if targets.is_empty() {
             return Ok(());
         }
-        missing.sort_unstable();
-        self.recover(&missing, real_cpu)
-    }
-
-    /// Least-loaded surviving worker's first live band — where lineage
-    /// recomputation runs.
-    fn recovery_band(&self) -> XbResult<usize> {
-        let mut best: Option<(usize, usize)> = None; // (live_bytes, band)
-        for w in 0..self.spec.workers {
-            let base = w * self.spec.bands_per_worker;
-            let Some(b) = (base..base + self.spec.bands_per_worker).find(|&b| !self.band_dead[b])
-            else {
-                continue;
-            };
-            if best.is_none_or(|(lv, _)| self.worker_live[w] < lv) {
-                best = Some((self.worker_live[w], b));
-            }
-        }
-        best.map(|(_, b)| b)
-            .ok_or_else(|| XbError::Plan("no surviving band to recover on".into()))
-    }
-
-    /// Lineage-based recovery: walks producer records back through every
-    /// unavailable input to find the minimal ancestor closure, then
-    /// replays it in production order on one surviving band, paying
-    /// scheduling, transfer, disk and *measured* kernel costs in virtual
-    /// time. Chunks that were published before being lost are republished
-    /// (and recharged to the ledger); purely internal ancestors stay
-    /// scratch-only.
-    fn recover(&mut self, targets: &[ChunkKey], real_cpu: &mut f64) -> XbResult<()> {
-        // 1. minimal closure over lineage
-        let mut nodes: Vec<Arc<LineageNode>> = Vec::new();
-        let mut seen_nodes: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut planned: std::collections::HashSet<ChunkKey> = std::collections::HashSet::new();
-        let mut stack: Vec<ChunkKey> = targets.to_vec();
-        while let Some(k) = stack.pop() {
-            if self.storage.contains_key(&k) || planned.contains(&k) {
-                continue;
-            }
-            let Some(rec) = self.lineage.get(&k) else {
-                return Err(XbError::Plan(format!(
-                    "chunk {k} was lost and has no lineage to recover from"
-                )));
-            };
-            let rec = Arc::clone(rec);
-            if seen_nodes.insert(rec.seq) {
-                planned.extend(rec.node.outputs.iter().copied());
-                stack.extend(rec.node.inputs.iter().copied());
-                nodes.push(rec);
-            }
-        }
-        nodes.sort_by_key(|n| n.seq);
-
+        let chunks = &self.chunks;
+        let nodes = self.recovery.closure(targets, &|k| chunks.readable(k))?;
         let band = self.recovery_band()?;
         let worker = self.spec.worker_of(band);
         let mut clock = self.band_free[band];
@@ -974,7 +326,7 @@ impl SimExecutor {
         let mut transient_bytes = 0usize;
         let want: HashSet<ChunkKey> = targets.iter().copied().collect();
 
-        // 2. replay in production order (seq is topological)
+        // seq is topological
         for rec in &nodes {
             let stored: Vec<ChunkKey> = rec
                 .node
@@ -983,43 +335,34 @@ impl SimExecutor {
                 .copied()
                 .filter(|k| !scratch.contains_key(k))
                 .collect();
-            let cost = self.charge_inputs(&stored, worker, ReadBack::OnBand(band))?;
-            let (arrival, disk_io) = (cost.arrival, cost.disk_io);
-            let net_io = cost.recv_bytes as f64 / self.spec.net_bandwidth;
-            let mut storage_io = cost.read_bytes as f64 / self.spec.storage_bandwidth;
+            let cost = self.charge_inputs(&stored, worker, Some(band), stats)?;
 
             // republish only what the fault destroyed (or what the caller
             // demands): ancestors that already had their last read —
             // refcount-freed or fused-internal — stay scratch, so recovery
             // never resurrects memory nobody will read
             let timer = Instant::now();
-            let mut io = SimIo {
-                storage: &self.storage,
-                compact_slack: self.spec.compact_slack,
-                published: Vec::new(),
-            };
-            let lost = &self.lost;
+            let mut io = self.chunks.io();
+            let lost = &self.recovery.lost;
             let publishes = |k| lost.contains(&k) || want.contains(&k);
             let out_bytes = exec::run_node(&rec.node, &mut scratch, publishes, &mut io)?;
             let published = io.published;
             let measured = timer.elapsed().as_secs_f64();
-            *real_cpu += measured;
+            stats.real_cpu_seconds += measured;
 
             let published_bytes: usize = published.iter().map(|(_, p)| p.nbytes()).sum();
             transient_bytes += out_bytes - published_bytes;
-            storage_io += published_bytes as f64 / self.spec.storage_bandwidth;
 
             // recompute dispatches pay the scheduler like any other subtask
-            clock = self.dispatch_start(clock.max(arrival));
-            let replay_start = clock;
-            clock += net_io + storage_io + measured + disk_io;
+            let start = self.dispatch_start(clock.max(cost.arrival));
+            clock = start + cost.io_seconds(&self.spec, published_bytes) + measured;
             if trace::is_enabled() {
                 trace::span_at(
                     Stage::Recovery,
                     format!("recompute {}", rec.node.op.name()),
                     Track::band(band),
-                    replay_start,
-                    clock - replay_start,
+                    start,
+                    clock - start,
                     &[("seq", rec.seq), ("worker", worker as u64)],
                 );
                 trace::counter_add("sim.recomputed_subtasks", 1);
@@ -1028,38 +371,16 @@ impl SimExecutor {
             for (key, payload) in published {
                 // later replay nodes read it like any other replayed output
                 scratch.insert(key, Arc::clone(&payload));
-                self.publish_chunk(key, payload, band, clock, true)?;
+                self.publish_chunk(key, payload, band, clock, true, stats)?;
             }
-
-            self.total_recomputed += 1;
-            for key in &rec.node.outputs {
-                self.lost.remove(key);
-            }
-            if let Some(first) = rec.node.outputs.first() {
-                self.recovery_log.push(*first);
-            }
+            stats.recomputed_subtasks += 1;
+            self.recovery.replayed(&rec.node);
         }
         self.band_free[band] = clock;
 
         // unpublished scratch was the recompute's transient working set
-        if transient_bytes > 0 {
-            self.charge(worker, transient_bytes)?;
-            self.worker_live[worker] = self.worker_live[worker].saturating_sub(transient_bytes);
-        }
-        Ok(())
-    }
-
-    fn snap(&self) -> CounterSnap {
-        CounterSnap {
-            net: self.total_net_bytes,
-            spill: self.total_spilled_bytes,
-            read_back: self.total_read_back_bytes,
-            retries: self.total_retries,
-            recomputed: self.total_recomputed,
-            recovered: self.total_recovered_spill,
-            enc_raw: self.total_encoded_raw,
-            enc_wire: self.total_encoded_wire,
-        }
+        let charged = self.ledger.transient(worker, transient_bytes);
+        self.settle(charged, stats)
     }
 
     /// Admits a subtask graph for stepwise execution. The returned
@@ -1084,70 +405,36 @@ impl SimExecutor {
         }
         // the dispatcher starts working through this graph at submission
         self.sched_clock = self.sched_clock.max(t0);
-
-        // fault schedule for this graph (armed per fetch, shared across
-        // the fetch's partial executions)
-        let faults_on = self.faults_on();
-        let (events, transient_p) = match (&self.spec.fault_plan, faults_on) {
-            (Some(plan), true) => (plan.events.clone(), plan.transient_failure_p),
-            _ => (Vec::new(), 0.0),
-        };
-        if faults_on {
-            self.record_lineage(&graph.chunks);
+        // lineage is kept per fetch, shared across its partial executions
+        if self.recovery.on() {
+            self.recovery.record_lineage(&graph.chunks);
         }
-        let last_consumer = last_consumers(&graph);
-
-        let retile = self.spec.retile.unwrap_or_else(retile::retile_from_env);
-        let retile_params = RetileParams {
-            threshold: self.spec.retile_threshold,
-            cap_bytes: self.spec.retile_cap_bytes,
-        };
-        let synth = SynthKeys::for_graph(&graph.chunks);
-
+        let mode = self.spec.retile.unwrap_or_else(retile_from_env);
         GraphRun {
-            graph,
             next: 0,
             t0,
             stats: ExecStats::default(),
             last_finish: t0,
-            faults_on,
-            events,
-            transient_p,
-            retry: self.spec.retry,
-            last_consumer,
-            retile,
-            retile_params,
-            synth,
-            done_waves: HashSet::new(),
-            ext_bytes_seen: Vec::new(),
+            last_consumer: last_consumers(&graph),
+            retile: (mode == RetileMode::Auto).then(|| RetileRun::for_graph(&graph.chunks)),
+            graph,
         }
     }
 
     /// Attempts a skew-aware re-tile splice at the run's dispatch head
     /// (dynamic tiling v2): when the head is a shuffle wave whose harvested
-    /// partition histogram is imbalanced past the spec's threshold,
+    /// partition histogram is imbalanced past the planner's threshold,
     /// Algorithm 1 is re-applied to the wave and the pending tail of the
     /// graph is rewritten in place. All index-derived bookkeeping
     /// (lineage, last-consumer refcounts) is refreshed after a splice.
     fn maybe_retile_run(&mut self, run: &mut GraphRun) {
-        let states = &self.states;
-        let metas = &self.metas;
-        let storage = &self.storage;
-        let info = |k: ChunkKey| -> Option<(u64, u64)> {
-            let st = states.get(&k)?;
-            let rows = metas.get(&k).map(|m| m.rows as u64).unwrap_or(0);
-            Some((st.nbytes as u64, rows))
+        let Some(retile) = run.retile.as_mut() else {
+            return;
         };
-        let peek = |k: ChunkKey| -> Option<Arc<Payload>> { storage.get(&k).cloned() };
-        let Some(out) = retile::maybe_retile(
-            &mut run.graph,
-            run.next,
-            &run.retile_params,
-            &mut run.synth,
-            &mut run.done_waves,
-            &info,
-            &peek,
-        ) else {
+        let chunks = &self.chunks;
+        let size_of = |k| chunks.meta(k).map(|m| (m.nbytes as u64, m.rows as u64));
+        let peek = |k| chunks.payload(k);
+        let Some(out) = retile.maybe_retile(&mut run.graph, run.next, &size_of, &peek) else {
             return;
         };
         run.stats.retiled_partitions += out.retiled_partitions;
@@ -1156,8 +443,8 @@ impl SimExecutor {
         // from node or subtask indices. Lineage records for the whole
         // graph are re-registered with fresh (still topological) seqs so
         // recovery replays the spliced shape, not the pre-splice one.
-        if run.faults_on {
-            self.record_lineage(&run.graph.chunks);
+        if self.recovery.on() {
+            self.recovery.record_lineage(&run.graph.chunks);
         }
         run.last_consumer = last_consumers(&run.graph);
         if trace::is_enabled() {
@@ -1177,23 +464,6 @@ impl SimExecutor {
         }
     }
 
-    /// Clone placement for a speculated dispatch: the surviving band with
-    /// the fewest dispatches so far (primary band excluded, ties to the
-    /// lowest index) — a deterministic idleness proxy.
-    fn clone_band_for(&self, primary: usize) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for b in 0..self.spec.n_bands() {
-            if b == primary || self.band_dead[b] {
-                continue;
-            }
-            let d = self.band_dispatches[b];
-            if best.is_none_or(|(bd, _)| d < bd) {
-                best = Some((d, b));
-            }
-        }
-        best.map(|(_, b)| b)
-    }
-
     /// Dispatches the run's next subtask; returns `Ok(true)` while more
     /// remain. One call = one dispatch on the virtual cluster, so a
     /// coordinator interleaving several runs shares the bands at subtask
@@ -1202,237 +472,71 @@ impl SimExecutor {
         if run.is_done() {
             return Ok(false);
         }
-        let before = self.snap();
-        let si = run.next;
         // skew-aware re-tiling happens at the quiesce point right before a
         // shuffle wave's first reduce-side dispatch: every map-side partial
         // has been produced, so the wave's partition histogram is complete
-        if run.retile == RetileMode::Auto {
-            self.maybe_retile_run(run);
-        }
+        self.maybe_retile_run(run);
+        let si = run.next;
         run.stats.subtasks += 1;
-        if run.faults_on {
-            self.fire_due_faults(&run.events);
-            if self.band_dead.iter().all(|d| *d) {
-                return Err(XbError::Plan(format!(
-                    "fault plan killed every band; subtask {si} has no survivor to run on"
-                )));
+        if self.recovery.on() {
+            for kind in self.recovery.take_due(self.dispatch_step) {
+                self.fire_fault(kind);
             }
             // lineage recovery: rematerialise lost inputs before
             // placement so locality sees the recovered chunks
-            let needed = run.graph.subtasks[si].external_inputs.clone();
-            self.ensure_inputs(&needed, &mut run.stats.real_cpu_seconds)?;
+            let missing = self.chunks.missing(&run.graph.subtasks[si].external_inputs);
+            self.recover(&missing, &mut run.stats)?;
         }
-        let st = &run.graph.subtasks[si];
+        let inputs = &run.graph.subtasks[si].external_inputs;
         self.dispatch_step += 1;
-        let band = self.pick_band(&st.external_inputs);
+        let home = self.chunks.largest_band(inputs);
+        let bands = bands(&self.spec, &self.recovery, &self.band_free, &self.ledger);
+        let band = self.placement.pick(&bands, inputs.is_empty(), home)?;
         let worker = self.spec.worker_of(band);
-        self.band_dispatches[band] += 1;
-
-        let cost = self.charge_inputs(&st.external_inputs, worker, ReadBack::OnProducerBand)?;
-        let (arrival, disk_io) = (cost.arrival, cost.disk_io);
-        let net_io = cost.recv_bytes as f64 / self.spec.net_bandwidth;
-        // storage-service traffic: reading external inputs from the
-        // shared tier (publishing is charged when outputs are stored)
-        let ext_read_bytes = cost.read_bytes;
-        let mut storage_io = ext_read_bytes as f64 / self.spec.storage_bandwidth;
+        let cost = self.charge_inputs(inputs, worker, None, &mut run.stats)?;
 
         // real execution, measured; its peak transient working set is
-        // charged below (fusion saves storage traffic, not the memory the
-        // computation itself needs)
+        // charged below
         let timer = Instant::now();
-        let mut io = SimIo {
-            storage: &self.storage,
-            compact_slack: self.spec.compact_slack,
-            published: Vec::new(),
-        };
+        let mut io = self.chunks.io();
         let peak_extra = exec::run_subtask(&run.graph, si, &mut io)?;
         let produced = io.published;
         let measured = timer.elapsed().as_secs_f64();
         run.stats.real_cpu_seconds += measured;
 
-        // speculation trigger: a dispatch whose external input bytes dwarf
-        // the median over this run's completed dispatches is a predicted
-        // straggler — clone it onto the least-dispatched surviving band.
-        // The signal is bytes, never virtual time (which embeds measured
-        // host CPU and would make the decision nondeterministic).
-        let clone_band = if self.spec.speculate
-            && run.ext_bytes_seen.len() >= self.spec.speculate_min_samples
-        {
-            let mut sorted = run.ext_bytes_seen.clone();
-            sorted.sort_unstable();
-            let median = sorted[sorted.len() / 2];
-            if median > 0 && ext_read_bytes as f64 > self.spec.speculate_factor * median as f64 {
-                self.clone_band_for(band)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-
-        // transient fault injection: each attempt fails independently with
-        // probability p (one seeded draw per attempt); every failed attempt
-        // burns the measured kernel time plus an exponential backoff in
-        // virtual time. The kernel itself ran once above — a speculated
-        // clone is an independent *attempt stream*, drawn off the plan RNG
-        // right after the primary's (a fixed order), and the race winner is
-        // the copy with fewer failed attempts: ties favour the primary, an
-        // exhausted copy loses to a surviving one, and both exhausting the
-        // retry budget fails the run exactly like the unspeculated path.
-        let mut primary = (0usize, 0.0f64, false);
-        let mut clone_draw = None;
-        if run.transient_p > 0.0 {
-            let rng = self.fault_rng.as_mut().expect("rng armed when p > 0");
-            primary = draw_attempts(rng, run.transient_p, run.retry, measured);
-            if clone_band.is_some() {
-                clone_draw = Some(draw_attempts(rng, run.transient_p, run.retry, measured));
-            }
-        } else if clone_band.is_some() {
-            clone_draw = Some((0usize, 0.0f64, false));
-        }
-        let (transient_failures, attempt_overhead, primary_exhausted) = primary;
-        let clone_wins = match clone_draw {
-            Some((cf, _, cex)) => {
-                if primary_exhausted && cex {
-                    return Err(XbError::Fault {
-                        subtask: si,
-                        attempts: transient_failures,
-                    });
-                }
-                primary_exhausted || (!cex && cf < transient_failures)
-            }
-            None => {
-                if primary_exhausted {
-                    return Err(XbError::Fault {
-                        subtask: si,
-                        attempts: transient_failures,
-                    });
-                }
-                false
-            }
-        };
+        // transient fault injection; the kernel itself ran once above
+        let (failures, attempt_overhead) = self
+            .recovery
+            .draw_attempts(self.spec.retry, measured)
+            .map_err(|attempts| XbError::Fault {
+            subtask: si,
+            attempts,
+        })?;
+        run.stats.retries += failures;
 
         // virtual bookkeeping
-        // publishing outputs pays the storage tier too
         let published_bytes: usize = produced.iter().map(|(_, p)| p.nbytes()).sum();
-        storage_io += published_bytes as f64 / self.spec.storage_bandwidth;
-
-        let start = self.dispatch_start(self.band_free[band].max(arrival));
-        let primary_finish = start + net_io + storage_io + measured + disk_io + attempt_overhead;
-
-        // race the clone in virtual time: both copies occupy their bands
-        // until the (counter-predetermined) winner lands, at which point
-        // the loser is cancelled and its band reclaimed
-        let (band, worker, start, finish, winner_failures) =
-            if let (Some(cb), Some((cf, coh, _))) = (clone_band, clone_draw) {
-                run.stats.speculative_launched += 1;
-                self.band_dispatches[cb] += 1;
-                let cw = self.spec.worker_of(cb);
-                // the clone's worker fetches remote inputs it has not cached
-                let clone_recv = self
-                    .charge_inputs(&st.external_inputs, cw, ReadBack::NotCharged)?
-                    .recv_bytes;
-                let clone_start = self.dispatch_start(self.band_free[cb].max(arrival));
-                let clone_finish = clone_start
-                    + clone_recv as f64 / self.spec.net_bandwidth
-                    + storage_io
-                    + measured
-                    + coh;
-                if trace::is_enabled() {
-                    trace::instant_at(
-                        Stage::Speculate,
-                        "speculate",
-                        Track::band(cb),
-                        clone_start,
-                        &[
-                            ("subtask", si as u64),
-                            ("primary_band", band as u64),
-                            ("clone_won", clone_wins as u64),
-                        ],
-                    );
-                    trace::counter_add("sim.speculative_launched", 1);
-                    if clone_wins {
-                        trace::counter_add("sim.speculative_won", 1);
-                    }
-                }
-                let (wb, ws, wf, wfail, lb, lf) = if clone_wins {
-                    run.stats.speculative_won += 1;
-                    (cb, clone_start, clone_finish, cf, band, primary_finish)
-                } else {
-                    (
-                        band,
-                        start,
-                        primary_finish,
-                        transient_failures,
-                        cb,
-                        clone_finish,
-                    )
-                };
-                // the loser's band frees when the winner lands (never rewound
-                // below what the band had already committed to)
-                self.band_free[lb] = self.band_free[lb].max(lf.min(wf));
-                (wb, self.spec.worker_of(wb), ws, wf, wfail)
-            } else {
-                (band, worker, start, primary_finish, transient_failures)
-            };
-        if run.transient_p > 0.0 {
-            self.total_retries += winner_failures;
-        }
+        let start = self.dispatch_start(self.band_free[band].max(cost.arrival));
+        let finish =
+            start + cost.io_seconds(&self.spec, published_bytes) + measured + attempt_overhead;
         self.band_free[band] = finish;
         run.last_finish = run.last_finish.max(finish);
         if trace::is_enabled() {
-            let name = run.graph.subtask_label(si);
-            if let Some(t) = self.tenant_track {
-                // mirror the dispatch on the tenant's lane so Chrome
-                // renders per-tenant occupancy alongside the band lanes
-                trace::span_at(
-                    Stage::Execute,
-                    name.clone(),
-                    Track::tenant(t),
-                    start,
-                    finish - start,
-                    &[("subtask", si as u64), ("band", band as u64)],
-                );
-            }
-            trace::span_at(
-                Stage::Execute,
-                name,
-                Track::band(band),
-                start,
-                finish - start,
-                &[
-                    ("subtask", si as u64),
-                    ("worker", worker as u64),
-                    ("step", self.dispatch_step),
-                ],
-            );
-            trace::observe_seconds("sim.kernel.seconds", measured);
-            if winner_failures > 0 {
-                trace::instant_at(
-                    Stage::Retry,
-                    "transient_retries",
-                    Track::band(band),
-                    start,
-                    &[("subtask", si as u64), ("attempts", winner_failures as u64)],
-                );
-                trace::counter_add("sim.retries", winner_failures as u64);
-            }
+            self.trace_dispatch(run, band, start, finish, measured, failures);
         }
 
         // the transient working set is held only while the subtask runs
-        self.charge(worker, peak_extra)?;
-        self.worker_live[worker] = self.worker_live[worker].saturating_sub(peak_extra);
-
+        let charged = self.ledger.transient(worker, peak_extra);
+        self.settle(charged, &mut run.stats)?;
         for (key, payload) in produced {
-            self.publish_chunk(key, payload, band, finish, false)?;
+            self.publish_chunk(key, payload, band, finish, false, &mut run.stats)?;
         }
         if trace::is_enabled() {
             trace::counter_at(
                 format!("worker {worker} live_bytes"),
                 Track::band(band),
                 finish,
-                self.worker_live[worker] as f64,
+                self.ledger.live()[worker] as f64,
             );
         }
 
@@ -1447,10 +551,7 @@ impl SimExecutor {
         for k in released {
             self.free_chunk(k);
         }
-
-        run.ext_bytes_seen.push(ext_read_bytes as u64);
         run.next += 1;
-        run.absorb(before, self.snap());
 
         // a run past its deadline fails *at* the straggling subtask,
         // carrying the not-yet-dispatched work and its missing inputs
@@ -1467,13 +568,62 @@ impl SimExecutor {
         Ok(!run.is_done())
     }
 
+    /// The dispatch of `run`'s next subtask as trace events: its span on
+    /// the band (mirrored on the tenant's lane so Chrome renders per-tenant
+    /// occupancy alongside), the kernel time and any retries.
+    fn trace_dispatch(
+        &self,
+        run: &GraphRun,
+        band: usize,
+        start: f64,
+        finish: f64,
+        measured: f64,
+        failures: usize,
+    ) {
+        let si = run.next as u64;
+        let name = run.graph.subtask_label(run.next);
+        if let Some(t) = self.tenant_track {
+            trace::span_at(
+                Stage::Execute,
+                name.clone(),
+                Track::tenant(t),
+                start,
+                finish - start,
+                &[("subtask", si), ("band", band as u64)],
+            );
+        }
+        trace::span_at(
+            Stage::Execute,
+            name,
+            Track::band(band),
+            start,
+            finish - start,
+            &[
+                ("subtask", si),
+                ("worker", self.spec.worker_of(band) as u64),
+                ("step", self.dispatch_step),
+            ],
+        );
+        trace::observe_seconds("sim.kernel.seconds", measured);
+        if failures > 0 {
+            let args = [("subtask", si), ("attempts", failures as u64)];
+            trace::instant_at(
+                Stage::Retry,
+                "transient_retries",
+                Track::band(band),
+                start,
+                &args,
+            );
+            trace::counter_add("sim.retries", failures as u64);
+        }
+    }
+
     /// Settles a fully-stepped run: frees orphaned outputs, recovers
     /// fault-lost retained chunks, enforces the deadline and returns the
     /// run's statistics (bit-identical to what the one-shot
     /// [`Executor::execute`] path reports).
     pub fn end_graph(&mut self, mut run: GraphRun) -> XbResult<ExecStats> {
         debug_assert!(run.is_done(), "end_graph on a run with subtasks pending");
-        let before = self.snap();
 
         // published-but-never-consumed, unretained chunks die with the graph
         let orphans: Vec<ChunkKey> = run
@@ -1487,56 +637,27 @@ impl SimExecutor {
             self.free_chunk(k);
         }
 
-        if run.faults_on {
+        if self.recovery.on() {
             // retained keys must outlive this graph (future tiling or the
             // final gather reads them): rematerialise any that a fault
             // destroyed after their producing subtask ran
-            let mut lost_retained: Vec<ChunkKey> = run
-                .graph
-                .retained
-                .iter()
-                .copied()
-                .filter(|k| self.lost.contains(k))
-                .collect();
-            if !lost_retained.is_empty() {
-                lost_retained.sort_unstable();
-                self.recover(&lost_retained, &mut run.stats.real_cpu_seconds)?;
-            }
+            let retained = &run.graph.retained;
+            let mut lost: Vec<ChunkKey> = (retained & &self.recovery.lost).into_iter().collect();
+            lost.sort_unstable();
+            self.recover(&lost, &mut run.stats)?;
             // retained chunks whose memory copy died with a crashed worker
             // but whose spilled copy survived: the gather reads them off
             // the disk tier — pay the read-back now, on a surviving band
-            let mut orphan_retained: Vec<ChunkKey> = run
-                .graph
-                .retained
-                .iter()
-                .copied()
-                .filter(|k| self.states.get(k).is_some_and(|st| st.disk_orphan))
-                .collect();
-            if !orphan_retained.is_empty() {
-                orphan_retained.sort_unstable();
+            let read_backs = self.chunks.read_back_orphans(retained, &mut run.stats);
+            if !read_backs.is_empty() {
                 let band = self.recovery_band()?;
-                let mut disk_io = 0.0;
-                for k in &orphan_retained {
-                    let st = self.states.get_mut(k).expect("filtered on state");
-                    st.disk_orphan = false;
-                    disk_io += st.enc_bytes as f64 / self.spec.disk_bandwidth;
-                    self.total_read_back_bytes += st.enc_bytes;
-                    self.total_recovered_spill += st.enc_bytes;
-                    let enc = st.enc_bytes as u64;
+                let at = self.band_free[band];
+                for rb in &read_backs {
+                    self.band_free[band] += rb.bytes as f64 / self.spec.disk_bandwidth;
                     if trace::is_enabled() {
-                        let ts = self.band_free[band];
-                        trace::instant_at(
-                            Stage::Recovery,
-                            "recovered_from_spill",
-                            Track::band(band),
-                            ts,
-                            &[("chunk", *k), ("bytes", enc)],
-                        );
-                        trace::counter_add("sim.recovered_from_spill_bytes", enc);
-                        trace::counter_add("sim.read_back_bytes", enc);
+                        trace_read_back(rb, band, at);
                     }
                 }
-                self.band_free[band] += disk_io;
             }
         }
 
@@ -1550,7 +671,6 @@ impl SimExecutor {
                 });
             }
         }
-        run.absorb(before, self.snap());
         if trace::is_enabled() {
             trace::counter_add("sim.encoded_raw_bytes", run.stats.encoded_raw_bytes as u64);
             trace::counter_add(
@@ -1560,7 +680,7 @@ impl SimExecutor {
         }
         Ok(ExecStats {
             makespan: makespan_total - run.t0,
-            peak_worker_bytes: self.worker_peak.iter().copied().max().unwrap_or(0),
+            peak_worker_bytes: self.ledger.peak(),
             ..run.stats
         })
     }
@@ -1572,15 +692,11 @@ impl SimExecutor {
     /// when a tenant's fetch retires so recycled key ranges never alias
     /// stale placement data.
     pub fn forget_chunks(&mut self, keys: &[ChunkKey]) {
-        let dropped: HashSet<ChunkKey> = keys.iter().copied().collect();
         for k in keys {
-            self.free_chunk(*k);
-            self.states.remove(k);
-            self.metas.remove(k);
-            self.lost.remove(k);
-            self.chunk_allocs.remove(k);
+            self.ledger.release(*k);
+            self.recovery.lost.remove(k);
         }
-        self.arrived.retain(|(k, _)| !dropped.contains(k));
+        self.chunks.forget(keys);
     }
 
     /// Subtasks after `si` that have not run, with the inputs they are
@@ -1593,14 +709,25 @@ impl SimExecutor {
             .skip(si + 1)
             .map(|(i, st)| PendingSubtask {
                 subtask: i,
-                missing_inputs: st
-                    .external_inputs
-                    .iter()
-                    .copied()
-                    .filter(|k| !self.storage.contains_key(k))
-                    .collect(),
+                missing_inputs: self.chunks.missing(&st.external_inputs),
             })
             .collect()
+    }
+}
+
+/// The cluster as placement sees it. A free function over the fields, so
+/// the view can be held while `placement` itself is borrowed mutably.
+fn bands<'a>(
+    spec: &'a ClusterSpec,
+    recovery: &'a Recovery,
+    band_free: &'a [f64],
+    ledger: &'a Ledger,
+) -> Bands<'a> {
+    Bands {
+        spec,
+        dead: &recovery.band_dead,
+        free_at: band_free,
+        live_bytes: ledger.live(),
     }
 }
 
@@ -1617,34 +744,21 @@ fn last_consumers(graph: &SubtaskGraph) -> HashMap<ChunkKey, usize> {
     last
 }
 
-/// Draws one copy's transient-failure attempts off the plan RNG: returns
-/// `(failures, virtual_overhead, exhausted)`. Stops at the first
-/// successful attempt or at the draw that exceeds the retry budget —
-/// exactly the stream the unspeculated path consumed before speculation
-/// existed, so fault plans replay bit-identically with speculation off.
-fn draw_attempts(
-    rng: &mut Xoshiro256,
-    p: f64,
-    retry: crate::fault::RetryPolicy,
-    measured: f64,
-) -> (usize, f64, bool) {
-    let mut failures = 0usize;
-    let mut overhead = 0.0f64;
-    let mut backoff = retry.backoff_base;
-    while rng.gen_bool(p) {
-        failures += 1;
-        if failures > retry.max_retries {
-            return (failures, overhead, true);
-        }
-        overhead += measured + backoff;
-        backoff *= retry.backoff_factor;
+/// One disk-tier read as trace events, on `band` at virtual time `at`.
+fn trace_read_back(rb: &ReadBack, band: usize, at: f64) {
+    let args = [("chunk", rb.key), ("bytes", rb.bytes as u64)];
+    trace::instant_at(Stage::ReadBack, "read_back", Track::band(band), at, &args);
+    trace::counter_add("sim.read_back_bytes", rb.bytes as u64);
+    if rb.recovered {
+        let name = "recovered_from_spill";
+        trace::instant_at(Stage::Recovery, name, Track::band(band), at, &args);
+        trace::counter_add("sim.recovered_from_spill_bytes", rb.bytes as u64);
     }
-    (failures, overhead, false)
 }
 
 impl MetaView for SimExecutor {
     fn meta(&self, key: ChunkKey) -> Option<ChunkMeta> {
-        self.metas.get(&key).copied()
+        self.chunks.meta(key)
     }
 }
 
@@ -1656,23 +770,17 @@ impl Executor for SimExecutor {
     }
 
     fn payload(&self, key: ChunkKey) -> Option<Arc<Payload>> {
-        self.storage.get(&key).cloned()
+        self.chunks.payload(key)
     }
 
     fn clear(&mut self) {
-        self.storage.clear();
-        self.metas.clear();
-        self.states.clear();
+        self.chunks.clear();
+        self.ledger.clear();
+        self.placement = Placement::default();
         self.band_free.iter_mut().for_each(|b| *b = 0.0);
-        self.worker_live.iter_mut().for_each(|w| *w = 0);
-        self.ledgers.iter_mut().for_each(|l| l.clear());
-        self.chunk_allocs.clear();
-        self.source_rr = 0;
-        self.any_rr = 0;
-        self.arrived.clear();
         self.sched_clock = 0.0;
-        self.band_dispatches.iter_mut().for_each(|d| *d = 0);
-        self.arm_faults();
+        self.dispatch_step = 0;
+        self.recovery.arm();
     }
 
     fn release(&mut self, keys: &[ChunkKey]) {
@@ -1881,42 +989,13 @@ mod tests {
         );
     }
 
-    #[test]
-    fn shared_buffer_charged_once_and_freed_last() {
-        // four zero-copy views over one parent: the ledger must charge the
-        // parent's buffers once, keep them charged while any view is
-        // resident, and free them when the last view goes away
-        let spec = ClusterSpec::new(1, 1 << 30);
-        let mut ex = SimExecutor::new(spec);
-        let parent = sample_df(10_000);
-        let retained = parent.retained_nbytes();
-        let parts = xorbits_dataframe::partition::split_even(&parent, 4);
-        for (i, p) in parts.iter().enumerate() {
-            let key = i as ChunkKey + 1;
-            ex.states.insert(
-                key,
-                ChunkState {
-                    band: 0,
-                    finish: 0.0,
-                    nbytes: p.nbytes(),
-                    enc_bytes: xorbits_storage::encoded_size(&payload_to_value(&Payload::Df(
-                        p.clone(),
-                    ))),
-                    resident: true,
-                    spilled: false,
-                    disk_orphan: false,
-                },
-            );
-            ex.charge_chunk(0, key, &Payload::Df(p.clone())).unwrap();
-        }
-        assert_eq!(ex.worker_live[0], retained, "shared parent charged once");
-        for key in 1..4 {
-            ex.free_chunk(key);
-            assert_eq!(ex.worker_live[0], retained, "parent pinned by live views");
-        }
-        ex.free_chunk(4);
-        assert_eq!(ex.worker_live[0], 0);
-        assert!(ex.ledgers[0].is_empty());
+    /// Publishes `df` as chunk `key` on band 0 at virtual time `finish`.
+    fn publish(ex: &mut SimExecutor, key: ChunkKey, df: &DataFrame, finish: f64) -> ExecStats {
+        let mut stats = ExecStats::default();
+        let payload = Arc::new(Payload::Df(df.clone()));
+        ex.publish_chunk(key, payload, 0, finish, false, &mut stats)
+            .unwrap();
+        stats
     }
 
     #[test]
@@ -1928,55 +1007,55 @@ mod tests {
         let parent = sample_df(1000);
         let retained = parent.retained_nbytes();
         let parts = xorbits_dataframe::partition::split_even(&parent, 2);
-        let spec = ClusterSpec::new(1, retained + retained / 2);
+        let spec = ClusterSpec::new(1, retained + retained / 2)
+            .with_encoding(xorbits_storage::EncodingMode::Plain);
         let mut ex = SimExecutor::new(spec);
         for (i, p) in parts.iter().enumerate() {
-            let key = i as ChunkKey + 1;
-            ex.states.insert(
-                key,
-                ChunkState {
-                    band: 0,
-                    finish: i as f64,
-                    nbytes: p.nbytes(),
-                    enc_bytes: xorbits_storage::encoded_size(&payload_to_value(&Payload::Df(
-                        p.clone(),
-                    ))),
-                    resident: true,
-                    spilled: false,
-                    disk_orphan: false,
-                },
-            );
-            ex.charge_chunk(0, key, &Payload::Df(p.clone())).unwrap();
+            publish(&mut ex, i as ChunkKey + 1, p, i as f64);
         }
-        assert_eq!(ex.worker_live[0], retained);
+        assert_eq!(ex.live_worker_bytes()[0], retained);
         let fresh = sample_df(1000);
-        ex.states.insert(
-            9,
-            ChunkState {
-                band: 0,
-                finish: 9.0,
-                nbytes: fresh.nbytes(),
-                enc_bytes: xorbits_storage::encoded_size(&payload_to_value(&Payload::Df(
-                    fresh.clone(),
-                ))),
-                resident: true,
-                spilled: false,
-                disk_orphan: false,
-            },
+        let stats = publish(&mut ex, 9, &fresh, 9.0);
+        assert_eq!(
+            ex.chunk_placements(),
+            [
+                (1, 0, false, true),
+                (2, 0, false, true),
+                (9, 0, true, false)
+            ],
+            "coldest sharer spilled first, and freeing 0 bytes must not satisfy the loop"
         );
-        ex.charge_chunk(0, 9, &Payload::Df(fresh.clone())).unwrap();
-        assert!(ex.states[&1].spilled, "coldest sharer spilled first");
-        assert!(
-            ex.states[&2].spilled,
-            "freeing 0 bytes must not satisfy the loop"
-        );
-        assert_eq!(ex.worker_live[0], fresh.retained_nbytes());
+        assert_eq!(ex.live_worker_bytes()[0], fresh.retained_nbytes());
+        assert!(ex.ledger_balanced());
         // the disk tier is charged the *measured* encoded envelopes, which
         // differ from the logical view bytes (header/offsets overhead)
         let enc = |df: &DataFrame| {
-            xorbits_storage::encoded_size(&payload_to_value(&Payload::Df(df.clone())))
+            xorbits_storage::encoded_size(&xorbits_core::chunk::payload_to_value(&Payload::Df(
+                df.clone(),
+            )))
         };
-        assert_eq!(ex.total_spilled_bytes, enc(&parts[0]) + enc(&parts[1]));
+        assert_eq!(stats.spilled_bytes, enc(&parts[0]) + enc(&parts[1]));
+    }
+
+    #[test]
+    fn spill_victim_among_equally_cold_chunks_is_deterministic() {
+        // every output of one subtask is published at the same (band,
+        // finish); which of them spills must not depend on a hash seed
+        let chunks: Vec<DataFrame> = (5..9).map(|i| sample_df(i * 100)).collect();
+        let outcome = || {
+            let mut ex = SimExecutor::new(ClusterSpec::new(1, 40 << 10));
+            let mut spilled_bytes = 0;
+            for (i, df) in chunks.iter().enumerate() {
+                spilled_bytes += publish(&mut ex, i as ChunkKey + 1, df, 1.0).spilled_bytes;
+            }
+            assert!(ex.ledger_balanced());
+            (ex.chunk_placements(), spilled_bytes)
+        };
+        let first = outcome();
+        assert!(first.1 > 0, "the budget must force a spill");
+        for _ in 0..40 {
+            assert_eq!(outcome(), first);
+        }
     }
 
     #[test]
@@ -2002,8 +1081,7 @@ mod tests {
 
     // ---- fault injection + lineage recovery ----
 
-    use crate::fault::{FaultPlan, RetryPolicy};
-    use xorbits_core::session::ExecStats;
+    use crate::fault::{FaultPlan, FaultTrigger, RetryPolicy};
 
     /// Runs the canonical groupby workload on `spec` and returns the
     /// fetched result plus the session's aggregated stats.

@@ -713,7 +713,7 @@ impl ServingRuntime {
     }
 
     /// Enables the lineage-keyed result cache with this byte budget
-    /// (0 keeps it off; see [`xorbits_core::config::cache_bytes_from_env`]).
+    /// (0 keeps it off).
     pub fn with_cache_bytes(mut self, bytes: usize) -> ServingRuntime {
         self.cache_bytes = bytes;
         self

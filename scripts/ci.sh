@@ -32,6 +32,17 @@ if [[ "$(echo "$callers" | wc -l)" -ne 1 || "$callers" != crates/core/src/exec.r
   exit 1
 fi
 
+# Structural gate (hard): environment knobs are read in three places — the
+# engine's in core/src/config.rs, the chunk format's in
+# storage/src/chunkfmt.rs, the bench harness's in bench/src/lib.rs. A new
+# `env::var` anywhere else under crates/*/src is a knob outside the loaders.
+echo "==> env knobs are read only by the three loaders"
+readers=$(grep -rl 'env::var' crates/*/src | sort | tr '\n' ' ')
+if [[ "$readers" != "crates/bench/src/lib.rs crates/core/src/config.rs crates/storage/src/chunkfmt.rs " ]]; then
+  echo "env::var may appear only in core/src/config.rs, storage/src/chunkfmt.rs and bench/src/lib.rs; found: $readers"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -86,7 +97,7 @@ cargo test -q --release -p xorbits-runtime --test recovery_props
 
 # Dynamic tiling v2 gates (hard): the Zipf skew family must be bit-identical
 # between static tiling, mid-run adaptive re-tiling and the LocalExecutor
-# oracle, replay its retile/speculation counters exactly, and beat the static
+# oracle, replay its retile counters exactly, and beat the static
 # virtual makespan on the Zipf(1.5) skewed shuffles; all 22 TPC-H queries are
 # re-run auto-vs-off. The property suite drives the pure planner with seeded
 # random histograms (conservation, cap compliance, no-op on balance, purity).
@@ -100,9 +111,10 @@ cargo test -q --release -p xorbits-core --test retile_props
 # ParallelExecutor at 1/2/4/8 worker threads must be bit-identical to the
 # LocalExecutor oracle, and a randomized DAG re-runs 10x at 8 threads
 # asserting identical results plus balanced storage accounting
-# (unbalanced_unpins == 0, ledger drained after every fetch).
-echo "==> parallel-equivalence matrix (work stealing at 4 threads, 1/2/4/8-thread sweep)"
-XORBITS_THREADS=4 cargo test -q --release --test parallel_equivalence
+# (unbalanced_unpins == 0, ledger drained after every fetch). Every
+# executor in the binary is built with an explicit thread count.
+echo "==> parallel-equivalence matrix (work stealing, 1/2/4/8-thread sweep)"
+cargo test -q --release --test parallel_equivalence
 
 # Tracing gates (hard): same-seed fault runs must replay to byte-identical
 # trace logs (virtual-clock content only — host timestamps are excluded by
@@ -178,8 +190,8 @@ if [[ "${XORBITS_CI_BENCH:-0}" == "1" ]]; then
 
   # Skew smoke: the bench's own asserts gate bit-identical results in every
   # mode and an adaptive-beats-static makespan on the Zipf(1.5) skewed
-  # shuffles (emits BENCH_skew.json: skew 1.1/1.5/2.0, speculation on/off).
-  echo "==> skew re-tiling smoke (static vs adaptive, speculation on/off)"
+  # shuffles (emits BENCH_skew.json: skew 1.1/1.5/2.0, static vs adaptive).
+  echo "==> skew re-tiling smoke (static vs adaptive)"
   cargo run --release -p xorbits-bench --example bench_skew
 fi
 

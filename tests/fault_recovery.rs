@@ -159,14 +159,12 @@ fn fault_matrix_q16_to_q22() {
     run_matrix(16..=22);
 }
 
-/// Speculative re-execution (PR 9) × fault injection. The skew family's
-/// nunique groupby has one straggler reduce partition that reliably trips
-/// the speculation heuristic, so these schedules pin the three interesting
-/// outcomes: the original wins, the speculated clone wins, and the
-/// winner's worker crashes right after the race. Determinism is judged on
-/// result bits and counters only — never on virtual times, which embed
-/// measured host CPU.
-mod speculation {
+/// Mid-run re-tiling × fault injection. The skew family's nunique groupby
+/// has one hot reduce partition that `RetileMode::Auto` splits, so a worker
+/// crash after the splice makes lineage recovery replay the *spliced*
+/// graph. Determinism is judged on result bits and counters only — never
+/// on virtual times, which embed measured host CPU.
+mod retile_crash {
     use super::*;
     use xorbits::core::retile::RetileMode;
     use xorbits::workloads::skew::{run_groupby_nunique, skew_data, SkewData};
@@ -182,134 +180,59 @@ mod speculation {
         }
     }
 
-    fn sdata() -> SkewData {
-        skew_data(120_000, 400, 1.5, 0x5E3D).expect("skew data")
-    }
-
-    fn spec_oracle(d: &SkewData) -> DataFrame {
-        let s = Session::new(skew_cfg(), LocalExecutor::new());
-        run_groupby_nunique(&s, d).expect("local oracle")
-    }
-
-    fn run_spec(spec: ClusterSpec, d: &SkewData) -> (DataFrame, ExecStats) {
+    fn run_skew(spec: ClusterSpec, d: &SkewData) -> (DataFrame, ExecStats) {
         let s = Session::new(skew_cfg(), SimExecutor::new(spec));
-        let out = run_groupby_nunique(&s, d).expect("speculative run");
+        let out = run_groupby_nunique(&s, d).expect("simulated skew run");
         (out, s.total_stats())
     }
 
-    /// Replay-identical fields, speculation counters included.
-    fn sdet(stats: &ExecStats) -> (usize, usize, usize, usize, usize, usize) {
+    /// Replay-identical fields, the retile counter included.
+    fn rdet(stats: &ExecStats) -> (usize, usize, usize, usize, usize) {
         (
             stats.subtasks,
             stats.net_bytes,
             stats.retries,
             stats.recomputed_subtasks,
-            stats.speculative_launched,
-            stats.speculative_won,
+            stats.retiled_partitions,
         )
     }
 
-    /// Asserts `spec` reproduces the fault-free oracle bit-for-bit and
-    /// replays its counters exactly, then hands the stats back.
-    fn check(spec: ClusterSpec, d: &SkewData, expect: &DataFrame, label: &str) -> ExecStats {
-        let (out, stats) = run_spec(spec.clone(), d);
-        assert_eq!(&out, expect, "{label}: differs from the fault-free oracle");
-        let (out2, stats2) = run_spec(spec, d);
-        assert_eq!(out, out2, "{label}: nondeterministic result on rerun");
-        assert_eq!(
-            sdet(&stats),
-            sdet(&stats2),
-            "{label}: nondeterministic speculation counters on rerun"
-        );
-        stats
-    }
-
-    /// No faults: the straggler launches a clone, but with zero transient
-    /// failures the tie goes to the original — the clone must never win
-    /// and must never perturb the result.
+    /// A worker crashes at step 20 — after the hot partition was re-tiled
+    /// under `Auto`: lineage recovery must replay the graph as it then is
+    /// back to the oracle bits, static and spliced alike.
     #[test]
-    fn original_wins_without_faults() {
-        let d = sdata();
-        let expect = spec_oracle(&d);
-        let stats = check(cluster().with_speculation(), &d, &expect, "original-wins");
-        assert!(
-            stats.speculative_launched > 0,
-            "straggler must trip the heuristic, stats: {stats:?}"
-        );
-        assert_eq!(stats.speculative_won, 0, "ties go to the original");
-        assert_eq!(stats.retries, 0);
-    }
-
-    /// A pinned transient storm in which the clone's seeded retry draw
-    /// beats the original's: the speculated copy wins the race and its
-    /// output is the one the downstream graph consumes.
-    #[test]
-    fn speculated_copy_wins_under_transient_storm() {
-        let d = sdata();
-        let expect = spec_oracle(&d);
-        let spec = cluster()
-            .with_speculation()
-            .with_fault_plan(FaultPlan::transient_storm(0xB02, 0.25))
-            .with_retry(RetryPolicy {
-                max_retries: 8,
-                ..Default::default()
-            });
-        let stats = check(spec, &d, &expect, "clone-wins");
-        assert!(
-            stats.speculative_won >= 1,
-            "seed 0xB02 must hand the clone at least one win, stats: {stats:?}"
-        );
-        assert!(stats.retries > 0, "the storm must cost the loser retries");
-    }
-
-    /// The winner's worker crashes right after the speculation race (and
-    /// mid-retile, with `RetileMode::Auto` composed in): lineage recovery
-    /// must replay the spliced, post-race graph back to the oracle bits.
-    #[test]
-    fn winner_band_crash_after_speculation_recovers() {
-        let d = sdata();
-        let expect = spec_oracle(&d);
-        for (label, mode, step) in [
-            ("crash-static", RetileMode::Off, 20),
-            ("crash-retiled", RetileMode::Auto, 20),
+    fn worker_crash_after_retile_recovers() {
+        let d = skew_data(120_000, 400, 1.5, 0x5E3D).expect("skew data");
+        let expect = {
+            let s = Session::new(skew_cfg(), LocalExecutor::new());
+            run_groupby_nunique(&s, &d).expect("local oracle")
+        };
+        for (label, mode) in [
+            ("crash-static", RetileMode::Off),
+            ("crash-retiled", RetileMode::Auto),
         ] {
             let spec = cluster()
-                .with_speculation()
                 .with_retile(mode)
-                .with_fault_plan(FaultPlan::worker_crash_at_step(0xFA05, 0, step));
-            let stats = check(spec, &d, &expect, label);
-            assert!(
-                stats.speculative_launched > 0,
-                "{label}: the race must have happened, stats: {stats:?}"
+                .with_fault_plan(FaultPlan::worker_crash_at_step(0xFA05, 0, 20));
+            let (out, stats) = run_skew(spec.clone(), &d);
+            assert_eq!(out, expect, "{label}: differs from the fault-free oracle");
+            let (out2, stats2) = run_skew(spec, &d);
+            assert_eq!(out, out2, "{label}: nondeterministic result on rerun");
+            assert_eq!(
+                rdet(&stats),
+                rdet(&stats2),
+                "{label}: nondeterministic counters on rerun"
             );
             assert!(
                 stats.recomputed_subtasks > 0,
                 "{label}: the crash must force lineage recomputation, stats: {stats:?}"
             );
-            if mode == RetileMode::Auto {
-                assert!(
-                    stats.retiled_partitions > 0,
-                    "{label}: the hot partition must have been re-tiled, stats: {stats:?}"
-                );
-            }
+            assert_eq!(
+                stats.retiled_partitions > 0,
+                mode == RetileMode::Auto,
+                "{label}: the hot partition is re-tiled exactly under Auto, stats: {stats:?}"
+            );
         }
-    }
-
-    /// Speculation disabled is the pre-PR baseline: zero launches and the
-    /// counters stay zero through a fault schedule.
-    #[test]
-    fn speculation_off_is_inert() {
-        let d = sdata();
-        let expect = spec_oracle(&d);
-        let spec = cluster()
-            .with_fault_plan(FaultPlan::transient_storm(0xB02, 0.25))
-            .with_retry(RetryPolicy {
-                max_retries: 8,
-                ..Default::default()
-            });
-        let stats = check(spec, &d, &expect, "speculation-off");
-        assert_eq!(stats.speculative_launched, 0);
-        assert_eq!(stats.speculative_won, 0);
     }
 }
 

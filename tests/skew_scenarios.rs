@@ -6,7 +6,7 @@
 //! **bit-identical** to the static one and to the single-process
 //! [`LocalExecutor`] oracle. Re-tiling is also a pure function of the
 //! harvested histograms, so re-running the adaptive configuration must
-//! reproduce the retile/speculation counters exactly. Determinism is
+//! reproduce the retile counters exactly. Determinism is
 //! always judged on result bits and counters — never on virtual times,
 //! which embed measured host CPU.
 
@@ -68,13 +68,12 @@ fn run_sim(mode: RetileMode, d: &SkewData, run: Runner) -> (DataFrame, ExecStats
 
 /// Stats that must replay identically for the same configuration (virtual
 /// makespan and measured CPU excluded by construction).
-fn det(stats: &ExecStats) -> (usize, usize, usize, usize, usize) {
+fn det(stats: &ExecStats) -> (usize, usize, usize, usize) {
     (
         stats.subtasks,
         stats.net_bytes,
         stats.retries,
         stats.retiled_partitions,
-        stats.speculative_launched,
     )
 }
 
