@@ -2,8 +2,8 @@
 //!
 //! Circles in the paper's Figure 3 are operators ([`ChunkOp`]); squares are
 //! data placeholders, identified here by [`ChunkKey`]s that index into the
-//! runtime's storage service. Each chunk carries the distributed index
-//! `(r, c)` of Figure 4 in its [`ChunkMeta`].
+//! runtime's storage service. A chunk's distributed index (Figure 4) is its
+//! position in the planner's `Layout`.
 
 use crate::error::{XbError, XbResult};
 use std::fmt;
@@ -114,9 +114,6 @@ pub struct ChunkMeta {
     pub nbytes: usize,
     /// Leading-dimension length.
     pub rows: usize,
-    /// Distributed index `(r, c)`: vertical / horizontal position of the
-    /// chunk within the complete tileable (Fig 4).
-    pub index: (usize, usize),
 }
 
 /// One fused elementwise dataframe step (the unit of operator-level fusion).
@@ -291,17 +288,8 @@ pub enum ChunkOp {
     ArrBinary(ElemOp),
     /// Matrix product of inputs `[a, b]`.
     MatMul,
-    /// 2-D transpose.
-    Transpose,
     /// Local reduced QR; outputs `[Q, R]` (TSQR building block).
     QrLocal,
-    /// Rows `[start, end)` of the input array.
-    ArrSliceRows {
-        /// Start row.
-        start: usize,
-        /// End row (exclusive).
-        end: usize,
-    },
     /// Block `i` of `k` equal row blocks of the input array — used by TSQR
     /// to slice the stacked-R Q factor when the block height is only known
     /// at execution time.
@@ -361,9 +349,7 @@ impl ChunkOp {
             ChunkOp::ArrMap(_) => "ArrMap",
             ChunkOp::ArrBinary(_) => "ArrBinary",
             ChunkOp::MatMul => "MatMul",
-            ChunkOp::Transpose => "Transpose",
             ChunkOp::QrLocal => "TensorQR",
-            ChunkOp::ArrSliceRows { .. } => "ArrSlice",
             ChunkOp::ArrSliceBlock { .. } => "ArrSliceBlock",
             ChunkOp::XtX => "XtX",
             ChunkOp::XtY => "XtY",

@@ -273,18 +273,10 @@ pub fn execute_chunk(op: &ChunkOp, inputs: &[Arc<Payload>]) -> XbResult<Vec<Payl
             let b = inputs[1].as_arr()?;
             Ok(vec![Payload::Arr(linalg::matmul(a, b)?)])
         }
-        ChunkOp::Transpose => {
-            let a = inputs[0].as_arr()?;
-            Ok(vec![Payload::Arr(a.transpose()?)])
-        }
         ChunkOp::QrLocal => {
             let a = inputs[0].as_arr()?;
             let (q, r) = linalg::qr(a)?;
             Ok(vec![Payload::Arr(q), Payload::Arr(r)])
-        }
-        ChunkOp::ArrSliceRows { start, end } => {
-            let a = inputs[0].as_arr()?;
-            Ok(vec![Payload::Arr(a.slice_rows(*start, *end)?)])
         }
         ChunkOp::ArrSliceBlock { block, nblocks } => {
             let a = inputs[0].as_arr()?;

@@ -87,6 +87,7 @@ fn op_name(op: &TileableOp) -> String {
         TileableOp::TensorBinary { op, .. } => format!("TensorBinary({op:?})"),
         TileableOp::TensorMatMul { .. } => "TensorMatMul".into(),
         TileableOp::TensorQr { .. } => "TensorQR".into(),
+        TileableOp::TensorSlot { slot, .. } => format!("TensorSlot({slot})"),
         TileableOp::TensorReduce { kind, .. } => format!("TensorReduce({kind:?})"),
         TileableOp::TensorLstsq { .. } => "TensorLstsq".into(),
     }

@@ -396,7 +396,6 @@ impl ChunkIo for HostIo<'_> {
         let meta = ChunkMeta {
             nbytes: payload.nbytes(),
             rows: payload.rows(),
-            index: (0, 0), // authoritative (r,c) lives in the plan layout
         };
         self.exec
             .service

@@ -137,25 +137,21 @@ struct RunState<E: Executor> {
     cache: Option<Arc<Mutex<dyn ResultCache>>>,
 }
 
-impl<E: Executor> RunState<E> {
-    /// Fuses and executes one chunk-graph fragment, keeping `protected`
-    /// keys published, then releases the chunks whose last consumers ran.
-    fn run_fragment(
-        &mut self,
-        cfg: &XorbitsConfig,
-        g: ChunkGraph,
-        protected: &HashSet<ChunkKey>,
-        tiler: &mut Tiler,
-    ) -> XbResult<ExecStats> {
-        let sg = trace::timed(trace::Stage::Build, "build_subtasks", || {
-            optimizer::build_subtask_graph(g, cfg, protected)
-        });
-        let stats = trace::timed(trace::Stage::Execute, "execute", || {
-            self.executor.execute(&sg)
-        })?;
-        self.executor.release(&tiler.take_releasable());
-        Ok(stats)
-    }
+/// Fuses and executes one chunk-graph fragment, keeping `protected` keys
+/// published, then releases the chunks whose last consumers ran.
+fn run_fragment<E: Executor>(
+    executor: &mut E,
+    cfg: &XorbitsConfig,
+    g: ChunkGraph,
+    protected: &HashSet<ChunkKey>,
+    tiler: &mut Tiler,
+) -> XbResult<ExecStats> {
+    let sg = trace::timed(trace::Stage::Build, "build_subtasks", || {
+        optimizer::build_subtask_graph(g, cfg, protected)
+    });
+    let stats = trace::timed(trace::Stage::Execute, "execute", || executor.execute(&sg))?;
+    executor.release(&tiler.take_releasable());
+    Ok(stats)
 }
 
 struct SessInner<E: Executor> {
@@ -259,7 +255,6 @@ impl<E: Executor> Session<E> {
                 seed,
                 normal: false,
             })?,
-            slot: 0,
         })
     }
 
@@ -272,7 +267,6 @@ impl<E: Executor> Session<E> {
                 seed,
                 normal: true,
             })?,
-            slot: 0,
         })
     }
 
@@ -281,7 +275,6 @@ impl<E: Executor> Session<E> {
         Ok(TensorHandle {
             sess: self.clone(),
             id: self.push(TileableOp::TensorFromArr(Arc::new(arr)))?,
-            slot: 0,
         })
     }
 
@@ -309,7 +302,7 @@ impl<E: Executor> Session<E> {
     /// target, so a fetch costs what its target touches — not what the
     /// session has built — and keeps every column of the target whatever
     /// was built on top of it.
-    fn fetch_payloads(&self, id: TileableId, slot: usize) -> XbResult<Vec<Arc<Payload>>> {
+    fn fetch_payloads(&self, id: TileableId) -> XbResult<Vec<Arc<Payload>>> {
         let cfg = &self.inner.cfg;
         let (closure, graph_nodes) = trace::timed(trace::Stage::Prune, "closure", || {
             let graph = self.graph();
@@ -334,7 +327,7 @@ impl<E: Executor> Session<E> {
         let cached = run
             .cache
             .clone()
-            .map(|cache| (cache, crate::tileable::cache_key(&closure, slot)));
+            .map(|cache| (cache, crate::tileable::cache_key(&closure)));
         if let Some((cache, (key, _))) = &cached {
             if let Some(payloads) = cache.lock().unwrap().lookup(*key) {
                 if trace::is_enabled() {
@@ -358,21 +351,22 @@ impl<E: Executor> Session<E> {
         };
         let target = pgraph.len() - 1;
 
-        let mut tiler = Tiler::new(&pgraph, cfg.clone());
+        let mut tiler = Tiler::new(&pgraph, cfg.clone(), &mut run.keygen);
         let mut stats = ExecStats::default();
         let final_keys = loop {
             let step = trace::timed(trace::Stage::Tile, "tile_step", || {
-                tiler.step(&mut run.keygen, &run.executor)
+                tiler.step(&run.executor)
             })?;
             match step {
                 TileStep::Execute(g) => {
                     // every layout key may be consumed by later tiling:
                     // protect them all from fusion elimination
                     let protected = tiler.live_keys();
-                    stats.merge(&run.run_fragment(cfg, g, &protected, &mut tiler)?);
+                    let ran = run_fragment(&mut run.executor, cfg, g, &protected, &mut tiler)?;
+                    stats.merge(&ran);
                 }
                 TileStep::Done(g) => {
-                    let final_keys = tiler.layout(target, slot)?.keys();
+                    let final_keys = tiler.layout(target)?.keys();
                     if !g.is_empty() {
                         // after the final fragment only the gathered result
                         // must survive; everything else is reclaimable as
@@ -388,7 +382,8 @@ impl<E: Executor> Session<E> {
                         } else {
                             final_keys.iter().copied().collect()
                         };
-                        stats.merge(&run.run_fragment(cfg, g, &protected, &mut tiler)?);
+                        let ran = run_fragment(&mut run.executor, cfg, g, &protected, &mut tiler)?;
+                        stats.merge(&ran);
                     }
                     break final_keys;
                 }
@@ -582,7 +577,7 @@ impl<E: Executor> DfHandle<E> {
 
     /// Materialises the result — triggers the tiling/execution loop.
     pub fn fetch(&self) -> XbResult<DataFrame> {
-        let payloads = self.sess.fetch_payloads(self.id, 0)?;
+        let payloads = self.sess.fetch_payloads(self.id)?;
         let dfs: Vec<&DataFrame> = payloads
             .iter()
             .map(|p| p.as_df())
@@ -620,7 +615,6 @@ impl<E: Executor> std::fmt::Display for DfHandle<E> {
 pub struct TensorHandle<E: Executor> {
     sess: Session<E>,
     id: TileableId,
-    slot: usize,
 }
 
 impl<E: Executor> Clone for TensorHandle<E> {
@@ -628,7 +622,6 @@ impl<E: Executor> Clone for TensorHandle<E> {
         TensorHandle {
             sess: self.sess.clone(),
             id: self.id,
-            slot: self.slot,
         }
     }
 }
@@ -642,7 +635,6 @@ impl<E: Executor> TensorHandle<E> {
                 input: self.id,
                 steps: vec![crate::chunk::ArrStep { op, operand }],
             })?,
-            slot: 0,
         })
     }
 
@@ -659,7 +651,6 @@ impl<E: Executor> TensorHandle<E> {
                 b: other.id,
                 op,
             })?,
-            slot: 0,
         })
     }
 
@@ -671,25 +662,20 @@ impl<E: Executor> TensorHandle<E> {
                 a: self.id,
                 b: other.id,
             })?,
-            slot: 0,
         })
     }
 
     /// `np.linalg.qr(a)` — returns `(Q, R)` handles (Fig 3a).
     pub fn qr(&self) -> XbResult<(TensorHandle<E>, TensorHandle<E>)> {
-        let id = self.sess.push(TileableOp::TensorQr { input: self.id })?;
-        Ok((
-            TensorHandle {
-                sess: self.sess.clone(),
-                id,
-                slot: 0,
-            },
-            TensorHandle {
-                sess: self.sess.clone(),
-                id,
-                slot: 1,
-            },
-        ))
+        let q = self.sess.push(TileableOp::TensorQr { input: self.id })?;
+        let r = self
+            .sess
+            .push(TileableOp::TensorSlot { input: q, slot: 1 })?;
+        let handle = |id| TensorHandle {
+            sess: self.sess.clone(),
+            id,
+        };
+        Ok((handle(q), handle(r)))
     }
 
     /// Full reduction to one element.
@@ -700,7 +686,6 @@ impl<E: Executor> TensorHandle<E> {
                 input: self.id,
                 kind,
             })?,
-            slot: 0,
         })
     }
 
@@ -712,13 +697,12 @@ impl<E: Executor> TensorHandle<E> {
                 x: self.id,
                 y: y.id,
             })?,
-            slot: 0,
         })
     }
 
     /// Materialises the tensor.
     pub fn fetch(&self) -> XbResult<NdArray> {
-        let payloads = self.sess.fetch_payloads(self.id, self.slot)?;
+        let payloads = self.sess.fetch_payloads(self.id)?;
         let arrs: Vec<&NdArray> = payloads
             .iter()
             .map(|p| p.as_arr())

@@ -267,10 +267,19 @@ pub enum TileableOp {
         /// Right tensor.
         b: TileableId,
     },
-    /// Reduced QR; output slot 0 = Q (row-chunked), slot 1 = R.
+    /// Reduced QR; output slot 0 = Q (row-chunked), slot 1 = R. Consumers
+    /// read slot 0; R is reached through a [`TileableOp::TensorSlot`].
     TensorQr {
         /// Input tensor (tall-and-skinny after auto rechunk).
         input: TileableId,
+    },
+    /// Projection of one output slot of a multi-output tileable (QR's R).
+    /// Tiles to no chunk operator: it aliases the slot's chunks.
+    TensorSlot {
+        /// The multi-output tileable.
+        input: TileableId,
+        /// Which of its outputs.
+        slot: usize,
     },
     /// Full reduction to a 1-element tensor.
     TensorReduce {
@@ -310,6 +319,7 @@ impl TileableOp {
             | TileableOp::PivotTable { input, .. }
             | TileableOp::TensorMapChain { input, .. }
             | TileableOp::TensorQr { input }
+            | TileableOp::TensorSlot { input, .. }
             | TileableOp::TensorReduce { input, .. } => vec![*input],
             TileableOp::Merge { left, right, .. } => vec![*left, *right],
             TileableOp::ConcatDf { inputs } => inputs.clone(),
@@ -341,6 +351,7 @@ impl TileableOp {
             | TileableOp::PivotTable { input, .. }
             | TileableOp::TensorMapChain { input, .. }
             | TileableOp::TensorQr { input }
+            | TileableOp::TensorSlot { input, .. }
             | TileableOp::TensorReduce { input, .. } => r(input),
             TileableOp::Merge { left, right, .. } => {
                 r(left);
@@ -729,6 +740,11 @@ fn op_param_hash(op: &TileableOp, source_fp: Option<u64>) -> u64 {
         }
         TileableOp::TensorMatMul { .. } => Digest::new("matmul").finish(),
         TileableOp::TensorQr { .. } => Digest::new("qr").finish(),
+        TileableOp::TensorSlot { slot, .. } => {
+            let mut d = Digest::new("slot");
+            d.word(*slot as u64);
+            d.finish()
+        }
         TileableOp::TensorReduce { kind, .. } => {
             let mut d = Digest::new("reduce");
             d.param(kind);
@@ -740,15 +756,15 @@ fn op_param_hash(op: &TileableOp, source_fp: Option<u64>) -> u64 {
 
 /// Result-cache identity of a fetch, from one pass over the fetch's
 /// [`TileableGraph::closure`] (whose last node is the target): the
-/// canonical structural hash of the sub-DAG producing output slot `slot`,
-/// and the fingerprints of every source feeding it, sorted and deduped.
+/// canonical structural hash of the sub-DAG producing the target, and the
+/// fingerprints of every source feeding it, sorted and deduped.
 ///
 /// The hash is invariant under tileable-id renaming and session replay and
 /// sensitive to every op parameter, constant, source content and input
 /// order. The fingerprints are the lineage key set a cached result depends
 /// on: losing or changing any of these sources must invalidate the entry.
 /// Each source is fingerprinted exactly once.
-pub fn cache_key(closure: &TileableGraph, slot: usize) -> (u64, Vec<u64>) {
+pub fn cache_key(closure: &TileableGraph) -> (u64, Vec<u64>) {
     // inputs precede their consumers, so one ascending pass computes every
     // digest bottom-up
     let mut digests: Vec<u64> = Vec::with_capacity(closure.len());
@@ -769,7 +785,6 @@ pub fn cache_key(closure: &TileableGraph, slot: usize) -> (u64, Vec<u64>) {
     sources.dedup();
     let mut d = Digest::new("fetch");
     d.word(digests.last().copied().unwrap_or(0));
-    d.word(slot as u64);
     (d.finish(), sources)
 }
 
@@ -823,12 +838,12 @@ mod tests {
         assert!(!g.is_static_shape());
     }
 
-    fn canonical_hash(g: &TileableGraph, target: TileableId, slot: usize) -> u64 {
-        cache_key(&g.closure(target), slot).0
+    fn canonical_hash(g: &TileableGraph, target: TileableId) -> u64 {
+        cache_key(&g.closure(target)).0
     }
 
     fn lineage_sources(g: &TileableGraph, target: TileableId) -> Vec<u64> {
-        cache_key(&g.closure(target), 0).1
+        cache_key(&g.closure(target)).1
     }
 
     /// Ancestors of `target` by a descending scan of `0..=target` — the
@@ -849,11 +864,7 @@ mod tests {
 
     /// The pre-closure two-function cache identity (hash, then lineage),
     /// each redoing the reach walk and the source fingerprints.
-    fn reference_cache_key(
-        graph: &TileableGraph,
-        target: TileableId,
-        slot: usize,
-    ) -> (u64, Vec<u64>) {
+    fn reference_cache_key(graph: &TileableGraph, target: TileableId) -> (u64, Vec<u64>) {
         let reach = reference_reach(graph, target);
         let mut digests = vec![0u64; graph.len()];
         for id in (0..=target).filter(|&id| reach[id]) {
@@ -869,7 +880,6 @@ mod tests {
         }
         let mut d = Digest::new("fetch");
         d.word(digests[target]);
-        d.word(slot as u64);
         let mut fps: Vec<u64> = (0..=target)
             .filter(|&id| reach[id])
             .filter_map(|id| source_fingerprint(graph.op(id)))
@@ -892,7 +902,7 @@ mod tests {
             let pick = |rng: &mut xorbits_array::prng::Xoshiro256| {
                 rng.next_bounded(id as u64) as TileableId
             };
-            let kind = if id < 2 { 0 } else { rng.next_bounded(9) };
+            let kind = if id < 2 { 0 } else { rng.next_bounded(10) };
             let op = match kind {
                 0 => {
                     // few distinct contents: equal sources dedupe in lineage
@@ -928,7 +938,11 @@ mod tests {
                     a: pick(&mut rng),
                     b: pick(&mut rng),
                 },
-                7 => TileableOp::ConcatDf {
+                7 => TileableOp::TensorSlot {
+                    input: pick(&mut rng),
+                    slot: rng.next_bounded(2) as usize,
+                },
+                8 => TileableOp::ConcatDf {
                     inputs: (0..1 + rng.next_bounded(3))
                         .map(|_| pick(&mut rng))
                         .collect(),
@@ -973,19 +987,13 @@ mod tests {
                 }
                 // the cache identity survives the renaming, and the one-pass
                 // (key, sources) equals the old two-walk result
-                for slot in 0..2 {
-                    let reference = reference_cache_key(&g, target, slot);
-                    assert_eq!(
-                        reference_cache_key(&c, c.len() - 1, slot),
-                        reference,
-                        "seed {seed} target {target}"
-                    );
-                    assert_eq!(
-                        cache_key(&c, slot),
-                        reference,
-                        "seed {seed} target {target}"
-                    );
-                }
+                let reference = reference_cache_key(&g, target);
+                assert_eq!(
+                    reference_cache_key(&c, c.len() - 1),
+                    reference,
+                    "seed {seed} target {target}"
+                );
+                assert_eq!(cache_key(&c), reference, "seed {seed} target {target}");
             }
         }
     }
@@ -1017,16 +1025,29 @@ mod tests {
     fn canonical_hash_rename_invariant() {
         let (g0, t0) = demo_graph(0, 0);
         let (g5, t5) = demo_graph(0, 5);
-        assert_eq!(canonical_hash(&g0, t0, 0), canonical_hash(&g5, t5, 0));
+        assert_eq!(canonical_hash(&g0, t0), canonical_hash(&g5, t5));
     }
 
     #[test]
     fn canonical_hash_param_sensitive() {
         let (g0, t0) = demo_graph(0, 0);
         let (g1, t1) = demo_graph(1, 0);
-        assert_ne!(canonical_hash(&g0, t0, 0), canonical_hash(&g1, t1, 0));
-        // slot participates
-        assert_ne!(canonical_hash(&g0, t0, 0), canonical_hash(&g0, t0, 1));
+        assert_ne!(canonical_hash(&g0, t0), canonical_hash(&g1, t1));
+        // QR's outputs key differently: Q is the node, R a projection of it
+        let mut g = TileableGraph::new();
+        let a = g
+            .push(TileableOp::TensorRandom {
+                shape: vec![8, 2],
+                seed: 1,
+                normal: false,
+            })
+            .unwrap();
+        let q = g.push(TileableOp::TensorQr { input: a }).unwrap();
+        let mut slot = |slot| g.push(TileableOp::TensorSlot { input: q, slot }).unwrap();
+        let (r, r_again, q_slot) = (slot(1), slot(1), slot(0));
+        assert_ne!(canonical_hash(&g, q), canonical_hash(&g, r));
+        assert_ne!(canonical_hash(&g, q_slot), canonical_hash(&g, r));
+        assert_eq!(canonical_hash(&g, r), canonical_hash(&g, r_again));
     }
 
     #[test]
@@ -1038,7 +1059,7 @@ mod tests {
                 .push(TileableOp::DfSource(DfSource::materialized(df)))
                 .unwrap();
             let h = g.push(TileableOp::Head { input: src, n: 1 }).unwrap();
-            canonical_hash(&g, h, 0)
+            canonical_hash(&g, h)
         };
         assert_eq!(mk(vec![1, 2]), mk(vec![1, 2]));
         assert_ne!(mk(vec![1, 2]), mk(vec![1, 3]));

@@ -8,6 +8,20 @@
 //! The session loop around it (`crate::session`) plays the role of the task
 //! service in Fig 5a, and the executor's meta store plays the meta service.
 //!
+//! Every tile rule is a short composition of five building blocks — the
+//! §III-C map-combine-reduce stages plus a shuffle — and nothing else
+//! constructs a chunk node:
+//!
+//! * `emit` / `emit_n` — allocate the output keys and push one node; the
+//!   single emission point of the file.
+//! * `map` — one node per chunk (the *map* stage).
+//! * `tree` — fan-in combine down to one chunk, singletons passing through
+//!   (the *combine* stage); `gather` is `tree` of `Concat`.
+//! * `shuffle` — a `ShuffleSplit` per chunk, the pieces regrouped per
+//!   partition in chunk order; `partitions` is its one fan-out rule.
+//! * `concat_group` — merge consecutive chunks into one (auto merge and
+//!   QR's auto rechunk).
+//!
 //! Dynamic decisions implemented here, each driven by *measured* metadata:
 //!
 //! * **Auto reduce selection** (Fig 6a): a probe runs `GroupbyAgg::map` on
@@ -33,9 +47,10 @@ use crate::error::{XbError, XbResult};
 use crate::rechunk;
 use crate::tileable::{DfSource, TileableGraph, TileableId, TileableOp};
 use std::collections::{HashMap, HashSet};
+use std::iter::repeat;
 use std::sync::Arc;
 use xorbits_dataframe::groupby::is_decomposable;
-use xorbits_dataframe::{AggFunc, JoinType};
+use xorbits_dataframe::{AggSpec, JoinType};
 
 /// Estimated (or, after execution, observed) size of one planned chunk.
 #[derive(Debug, Clone, Copy)]
@@ -49,14 +64,13 @@ pub struct ChunkEst {
 }
 
 /// One planned chunk: its storage key plus the planner's size estimate.
+/// Its position in the [`Layout`] is its distributed row index (Fig 4).
 #[derive(Debug, Clone)]
 pub struct ChunkRef {
     /// Storage key.
     pub key: ChunkKey,
     /// Planner estimate.
     pub est: ChunkEst,
-    /// Distributed index (r, c) of Fig 4.
-    pub index: (usize, usize),
 }
 
 /// The chunk layout of one tileable output slot.
@@ -81,6 +95,19 @@ impl Layout {
     pub fn keys(&self) -> Vec<ChunkKey> {
         self.chunks.iter().map(|c| c.key).collect()
     }
+
+    /// A single-chunk layout.
+    fn one(key: ChunkKey, bytes: usize, rows: usize, exact: bool) -> Layout {
+        Layout::zip(vec![key], [ChunkEst { bytes, rows, exact }])
+    }
+
+    /// `keys` paired with their estimates, in order.
+    fn zip(keys: Vec<ChunkKey>, ests: impl IntoIterator<Item = ChunkEst>) -> Layout {
+        let chunks = keys.into_iter().zip(ests);
+        Layout {
+            chunks: chunks.map(|(key, est)| ChunkRef { key, est }).collect(),
+        }
+    }
 }
 
 /// Read access to executed-chunk metadata — the meta service of Fig 5a.
@@ -93,6 +120,31 @@ impl MetaView for HashMap<ChunkKey, ChunkMeta> {
     fn meta(&self, key: ChunkKey) -> Option<ChunkMeta> {
         self.get(&key).copied()
     }
+}
+
+/// Best available size of a chunk: measured when executed, the estimate
+/// otherwise.
+fn best(meta: &dyn MetaView, c: &ChunkRef) -> ChunkEst {
+    meta.meta(c.key).map_or(c.est, |m| ChunkEst {
+        bytes: m.nbytes,
+        rows: m.rows,
+        exact: true,
+    })
+}
+
+/// Best available size of a layout.
+fn best_bytes(meta: &dyn MetaView, layout: &Layout) -> usize {
+    layout.chunks.iter().map(|c| best(meta, c).bytes).sum()
+}
+
+/// True when every chunk of the layout has executed metadata.
+fn all_known(meta: &dyn MetaView, layout: &Layout) -> bool {
+    layout.chunks.iter().all(|c| meta.meta(c.key).is_some())
+}
+
+/// True when every chunk's length is known: measured, or exact by lineage.
+fn rows_known(meta: &dyn MetaView, layout: &Layout) -> bool {
+    layout.chunks.iter().all(|c| best(meta, c).exact)
 }
 
 /// Result of one tiler step.
@@ -117,8 +169,8 @@ pub struct TilingStats {
     pub decisions: Vec<String>,
 }
 
-/// Per-groupby/distinct probe bookkeeping.
-#[derive(Debug, Clone)]
+/// Per-groupby probe bookkeeping.
+#[derive(Debug, Clone, Copy)]
 struct ProbeState {
     /// Key of the probe output (the first chunk's map result).
     out_key: ChunkKey,
@@ -126,14 +178,14 @@ struct ProbeState {
     in_key: ChunkKey,
 }
 
-/// The resumable tiler.
+/// The resumable tiler. Borrows the session's [`KeyGen`] for its lifetime.
 pub struct Tiler<'g> {
     graph: &'g TileableGraph,
     cfg: XorbitsConfig,
+    keygen: &'g mut KeyGen,
     layouts: HashMap<(TileableId, usize), Layout>,
     cursor: usize,
     pending: ChunkGraph,
-    pending_keys: HashSet<ChunkKey>,
     probes: HashMap<TileableId, ProbeState>,
     /// Sort tileables absorbed into a following `Head` as a top-k.
     topk_peephole: HashSet<TileableId>,
@@ -151,15 +203,15 @@ impl<'g> Tiler<'g> {
     /// Creates a tiler over a fetch's closure
     /// ([`TileableGraph::closure`], pruned or not): every node is tiled,
     /// and the chunks of sinks — the fetched target — are never reclaimed.
-    pub fn new(graph: &'g TileableGraph, cfg: XorbitsConfig) -> Tiler<'g> {
+    pub fn new(graph: &'g TileableGraph, cfg: XorbitsConfig, keygen: &'g mut KeyGen) -> Tiler<'g> {
         let consumer_counts = graph.consumer_counts();
         Tiler {
             graph,
             cfg,
+            keygen,
             layouts: HashMap::new(),
             cursor: 0,
             pending: ChunkGraph::new(),
-            pending_keys: HashSet::new(),
             probes: HashMap::new(),
             topk_peephole: HashSet::new(),
             remaining_consumers: consumer_counts.clone(),
@@ -169,11 +221,11 @@ impl<'g> Tiler<'g> {
         }
     }
 
-    /// Final layout of a tileable output slot (valid once tiling passed it).
-    pub fn layout(&self, id: TileableId, slot: usize) -> XbResult<&Layout> {
+    /// Final layout of a tileable (valid once tiling passed it).
+    pub fn layout(&self, id: TileableId) -> XbResult<&Layout> {
         self.layouts
-            .get(&(id, slot))
-            .ok_or_else(|| XbError::Plan(format!("tileable {id}:{slot} not tiled yet")))
+            .get(&(id, 0))
+            .ok_or_else(|| XbError::Plan(format!("tileable {id} not tiled yet")))
     }
 
     /// Decrements remaining-consumer counts of `id`'s inputs; inputs whose
@@ -238,251 +290,205 @@ impl<'g> Tiler<'g> {
 
     /// Advances tiling until the next execution is required or everything is
     /// tiled.
-    pub fn step(&mut self, keygen: &mut KeyGen, meta: &dyn MetaView) -> XbResult<TileStep> {
+    pub fn step(&mut self, meta: &dyn MetaView) -> XbResult<TileStep> {
         while self.cursor < self.graph.len() {
             let id = self.cursor;
-            if self.tile_one(id, keygen, meta)? {
-                self.cursor += 1;
-                self.mark_consumed(id);
-            } else {
-                // flush requested: hand the pending prefix to the runtime
-                let g = std::mem::take(&mut self.pending);
-                self.pending_keys.clear();
-                self.stats.yields += 1;
-                return Ok(TileStep::Execute(g));
+            match self.tile_one(id, meta)? {
+                Some(layout) => {
+                    self.layouts.insert((id, 0), layout);
+                    self.cursor += 1;
+                    self.mark_consumed(id);
+                }
+                None => {
+                    // flush requested: hand the pending prefix to the runtime
+                    self.stats.yields += 1;
+                    return Ok(TileStep::Execute(std::mem::take(&mut self.pending)));
+                }
             }
         }
-        let g = std::mem::take(&mut self.pending);
-        self.pending_keys.clear();
-        Ok(TileStep::Done(g))
+        Ok(TileStep::Done(std::mem::take(&mut self.pending)))
     }
 
-    // ---- helpers ------------------------------------------------------------
+    // ---- the building blocks ------------------------------------------------
 
-    fn push_node(&mut self, node: ChunkNode) {
-        for &k in &node.outputs {
-            self.pending_keys.insert(k);
-        }
-        self.pending.push(node);
+    /// Allocates `n` output keys and pushes the node producing them — the
+    /// one place a chunk node is made.
+    fn emit_n(&mut self, op: ChunkOp, inputs: Vec<ChunkKey>, n: usize) -> Vec<ChunkKey> {
+        let outputs = self.keygen.next_keys(n);
+        self.pending.push(ChunkNode {
+            op,
+            inputs,
+            outputs: outputs.clone(),
+        });
+        outputs
     }
 
-    /// Actual metadata if executed, else `None`.
-    fn actual(&self, meta: &dyn MetaView, key: ChunkKey) -> Option<ChunkMeta> {
-        meta.meta(key)
+    /// [`Self::emit_n`] for the usual single-output node.
+    fn emit(&mut self, op: ChunkOp, inputs: Vec<ChunkKey>) -> ChunkKey {
+        self.emit_n(op, inputs, 1)[0]
     }
 
-    /// True when every chunk of the layout has executed metadata.
-    fn all_known(&self, meta: &dyn MetaView, layout: &Layout) -> bool {
-        layout.chunks.iter().all(|c| meta.meta(c.key).is_some())
+    /// Map stage: one `op()` node per chunk.
+    fn map(&mut self, keys: &[ChunkKey], op: impl Fn() -> ChunkOp) -> Vec<ChunkKey> {
+        keys.iter().map(|&k| self.emit(op(), vec![k])).collect()
     }
 
-    /// Best available size of a layout: measured when known, estimate
-    /// otherwise.
-    fn best_bytes(&self, meta: &dyn MetaView, layout: &Layout) -> usize {
-        layout
-            .chunks
-            .iter()
-            .map(|c| meta.meta(c.key).map(|m| m.nbytes).unwrap_or(c.est.bytes))
-            .sum()
-    }
-
-    fn best_rows_of(&self, meta: &dyn MetaView, c: &ChunkRef) -> (usize, bool) {
-        match meta.meta(c.key) {
-            Some(m) => (m.rows, true),
-            None => (c.est.rows, c.est.exact),
-        }
-    }
-
-    /// Tree-combines `keys` down to a single chunk using `make_op` nodes
-    /// with the configured fan-in. Returns the final key.
-    fn tree_combine(
-        &mut self,
-        keygen: &mut KeyGen,
-        mut keys: Vec<ChunkKey>,
-        make_op: &dyn Fn() -> ChunkOp,
-        level_est: ChunkEst,
-    ) -> ChunkKey {
+    /// Combine stage: tree-combines `keys` down to a single chunk using
+    /// `op()` nodes with the configured fan-in. A key alone in its batch
+    /// passes through to the next level.
+    fn tree(&mut self, mut keys: Vec<ChunkKey>, op: impl Fn() -> ChunkOp) -> ChunkKey {
         let fanin = self.cfg.combine_fanin.max(2);
         while keys.len() > 1 {
-            let mut next = Vec::with_capacity(keys.len().div_ceil(fanin));
-            for batch in keys.chunks(fanin) {
-                if batch.len() == 1 {
-                    next.push(batch[0]);
-                    continue;
-                }
-                let out = keygen.next_key();
-                self.push_node(ChunkNode {
-                    op: make_op(),
-                    inputs: batch.to_vec(),
-                    outputs: vec![out],
-                });
-                next.push(out);
-            }
-            keys = next;
+            keys = keys
+                .chunks(fanin)
+                .map(|batch| match batch {
+                    [only] => *only,
+                    _ => self.emit(op(), batch.to_vec()),
+                })
+                .collect();
         }
-        let _ = level_est;
         keys[0]
     }
 
-    /// Concatenates a group of chunks into one; passthrough for singletons.
-    fn concat_group(&mut self, keygen: &mut KeyGen, group: &[ChunkRef], index: usize) -> ChunkRef {
-        if group.len() == 1 {
-            let mut c = group[0].clone();
-            c.index = (index, 0);
-            return c;
+    /// Funnels a whole layout into one chunk.
+    fn gather(&mut self, layout: &Layout) -> ChunkKey {
+        self.tree(layout.keys(), || ChunkOp::Concat)
+    }
+
+    /// Hash-partitions every chunk into `p` pieces by `on`; returns, per
+    /// partition, its pieces in chunk order.
+    fn shuffle(&mut self, keys: Vec<ChunkKey>, on: &[String], p: usize) -> Vec<Vec<ChunkKey>> {
+        let mut parts: Vec<Vec<ChunkKey>> = vec![Vec::new(); p];
+        for k in keys {
+            let split = ChunkOp::ShuffleSplit {
+                keys: on.to_vec(),
+                n: p,
+            };
+            for (part, piece) in parts.iter_mut().zip(self.emit_n(split, vec![k], p)) {
+                part.push(piece);
+            }
         }
-        let key = keygen.next_key();
-        self.push_node(ChunkNode {
-            op: ChunkOp::Concat,
-            inputs: group.iter().map(|c| c.key).collect(),
-            outputs: vec![key],
-        });
-        ChunkRef {
-            key,
-            est: ChunkEst {
-                bytes: group.iter().map(|c| c.est.bytes).sum(),
-                rows: group.iter().map(|c| c.est.rows).sum(),
-                exact: group.iter().all(|c| c.est.exact),
-            },
-            index: (index, 0),
+        parts
+    }
+
+    /// Shuffle fan-out: from measured (dynamic) or configured (static)
+    /// sizes. Dynamic tiling never fans out below the cluster's parallelism
+    /// (bounded by the available input chunks).
+    fn partitions(&self, bytes: usize, nchunks: usize) -> usize {
+        if !self.cfg.dynamic_tiling {
+            return self.cfg.shuffle_partitions.max(1);
         }
+        let by_size = bytes.div_ceil(self.cfg.chunk_limit_bytes).clamp(1, 64);
+        by_size.max(self.cfg.cluster_parallelism.min(nchunks))
+    }
+
+    /// Concatenates a group of chunks into one sized by the sum of
+    /// `size_of`; passthrough for singletons.
+    fn concat_group(
+        &mut self,
+        group: &[ChunkRef],
+        size_of: impl Fn(&ChunkRef) -> ChunkEst,
+    ) -> ChunkRef {
+        if let [only] = group {
+            return only.clone();
+        }
+        let key = self.emit(ChunkOp::Concat, group.iter().map(|c| c.key).collect());
+        let mut est = ChunkEst {
+            bytes: 0,
+            rows: 0,
+            exact: true,
+        };
+        for size in group.iter().map(size_of) {
+            est.bytes += size.bytes;
+            est.rows += size.rows;
+            est.exact &= size.exact;
+        }
+        ChunkRef { key, est }
     }
 
     /// Auto merge (Fig 6b): when measured chunks shrank far below the chunk
     /// limit, concatenate consecutive chunks back up to it.
-    fn auto_merge(&mut self, keygen: &mut KeyGen, meta: &dyn MetaView, layout: &Layout) -> Layout {
-        if !self.cfg.dynamic_tiling || layout.chunks.len() <= 1 {
-            return layout.clone();
-        }
+    fn auto_merge(&mut self, meta: &dyn MetaView, layout: &Layout) -> Layout {
+        let n = layout.chunks.len();
         // only merge when sizes are actually known
-        if !self.all_known(meta, layout) {
+        if !self.cfg.dynamic_tiling || n <= 1 || !all_known(meta, layout) {
             return layout.clone();
         }
         let limit = self.cfg.chunk_limit_bytes;
         // engage only for genuinely small chunks (Fig 6b's "numerous small
         // chunks"); re-concatenating healthy chunks is a pure copy cost
-        let total: usize = layout
-            .chunks
-            .iter()
-            .map(|c| meta.meta(c.key).map(|m| m.nbytes).unwrap_or(c.est.bytes))
-            .sum();
-        if total / layout.chunks.len().max(1) >= limit / 4 {
+        if best_bytes(meta, layout) / n >= limit / 4 {
             return layout.clone();
         }
         let fanin = self.cfg.combine_fanin.max(2);
-        let mut groups: Vec<Vec<&ChunkRef>> = Vec::new();
-        let mut cur: Vec<&ChunkRef> = Vec::new();
-        let mut cur_bytes = 0usize;
+        let mut groups: Vec<Vec<ChunkRef>> = Vec::new();
+        let mut group_bytes = 0usize;
         for c in &layout.chunks {
-            let b = meta.meta(c.key).map(|m| m.nbytes).unwrap_or(c.est.bytes);
-            if !cur.is_empty() && (cur_bytes + b > limit || cur.len() >= fanin) {
-                groups.push(std::mem::take(&mut cur));
-                cur_bytes = 0;
+            let b = best(meta, c).bytes;
+            match groups.last_mut() {
+                Some(g) if group_bytes + b <= limit && g.len() < fanin => {
+                    g.push(c.clone());
+                    group_bytes += b;
+                }
+                _ => {
+                    groups.push(vec![c.clone()]);
+                    group_bytes = b;
+                }
             }
-            cur.push(c);
-            cur_bytes += b;
         }
-        if !cur.is_empty() {
-            groups.push(cur);
-        }
-        if groups.len() == layout.chunks.len() {
+        if groups.len() == n {
             return layout.clone(); // nothing to merge
         }
-        let mut out = Layout::default();
-        let mut merged_any = false;
-        for (r, g) in groups.iter().enumerate() {
-            if g.len() == 1 {
-                let mut c = g[0].clone();
-                c.index = (r, 0);
-                out.chunks.push(c);
-                continue;
-            }
-            merged_any = true;
-            let key = keygen.next_key();
-            let bytes: usize = g
-                .iter()
-                .map(|c| meta.meta(c.key).map(|m| m.nbytes).unwrap_or(c.est.bytes))
-                .sum();
-            let rows: usize = g
-                .iter()
-                .map(|c| meta.meta(c.key).map(|m| m.rows).unwrap_or(c.est.rows))
-                .sum();
-            self.push_node(ChunkNode {
-                op: ChunkOp::Concat,
-                inputs: g.iter().map(|c| c.key).collect(),
-                outputs: vec![key],
-            });
-            out.chunks.push(ChunkRef {
-                key,
-                est: ChunkEst {
-                    bytes,
-                    rows,
-                    exact: true,
-                },
-                index: (r, 0),
-            });
-        }
-        if merged_any {
-            self.stats.decisions.push(format!(
-                "auto-merge: {} chunks -> {}",
-                layout.chunks.len(),
-                out.chunks.len()
-            ));
-        }
-        out
+        let chunks: Vec<ChunkRef> = groups
+            .iter()
+            .map(|g| self.concat_group(g, |c| best(meta, c)))
+            .collect();
+        self.stats
+            .decisions
+            .push(format!("auto-merge: {n} chunks -> {}", chunks.len()));
+        Layout { chunks }
+    }
+
+    /// Layout of an input tileable (inputs are tiled before their consumers).
+    fn input(&self, id: TileableId) -> XbResult<Layout> {
+        self.layout(id).cloned()
     }
 
     // ---- the per-op tile dispatch ---------------------------------------------
     //
-    // Returns Ok(true) when the tileable is fully tiled, Ok(false) when the
+    // Returns the tileable's layout once it is fully tiled, `None` when the
     // pending graph must be flushed first (the `yield`).
 
-    fn tile_one(
-        &mut self,
-        id: TileableId,
-        keygen: &mut KeyGen,
-        meta: &dyn MetaView,
-    ) -> XbResult<bool> {
-        let op = self.graph.op(id).clone();
-        match op {
-            TileableOp::DfSource(src) => {
-                self.tile_df_source(id, keygen, &src);
-                Ok(true)
-            }
+    fn tile_one(&mut self, id: TileableId, meta: &dyn MetaView) -> XbResult<Option<Layout>> {
+        let layout = match self.graph.op(id).clone() {
+            TileableOp::DfSource(src) => self.tile_df_source(&src),
+            // filters/dropna invalidate exactness: the classic unknown-shape
+            // operators of §IV-A
             TileableOp::Filter { input, predicate } => {
-                self.tile_df_map(id, input, keygen, DfStep::Filter(predicate), false);
-                Ok(true)
+                self.tile_df_map(input, DfStep::Filter(predicate), false)?
+            }
+            TileableOp::Dropna { input, subset } => {
+                self.tile_df_map(input, DfStep::Dropna(subset), false)?
             }
             TileableOp::Project { input, columns } => {
-                self.tile_df_map(id, input, keygen, DfStep::Project(columns), true);
-                Ok(true)
+                self.tile_df_map(input, DfStep::Project(columns), true)?
             }
             TileableOp::PruneColumns { input, columns } => {
-                self.tile_df_map(id, input, keygen, DfStep::PruneTo(columns), true);
-                Ok(true)
+                self.tile_df_map(input, DfStep::PruneTo(columns), true)?
             }
             TileableOp::Assign { input, exprs } => {
-                self.tile_df_map(id, input, keygen, DfStep::Assign(exprs), true);
-                Ok(true)
+                self.tile_df_map(input, DfStep::Assign(exprs), true)?
             }
             TileableOp::Fillna {
                 input,
                 column,
                 value,
-            } => {
-                self.tile_df_map(id, input, keygen, DfStep::Fillna(column, value), true);
-                Ok(true)
-            }
-            TileableOp::Dropna { input, subset } => {
-                self.tile_df_map(id, input, keygen, DfStep::Dropna(subset), false);
-                Ok(true)
-            }
+            } => self.tile_df_map(input, DfStep::Fillna(column, value), true)?,
             TileableOp::Rename { input, pairs } => {
-                self.tile_df_map(id, input, keygen, DfStep::Rename(pairs), true);
-                Ok(true)
+                self.tile_df_map(input, DfStep::Rename(pairs), true)?
             }
             TileableOp::GroupbyAgg { input, keys, specs } => {
-                self.tile_groupby(id, input, keygen, meta, keys, specs)
+                return self.tile_groupby(id, input, meta, keys, specs)
             }
             TileableOp::Merge {
                 left,
@@ -491,28 +497,27 @@ impl<'g> Tiler<'g> {
                 right_on,
                 how,
                 suffixes,
-            } => self.tile_merge(
-                id, keygen, meta, left, right, left_on, right_on, how, suffixes,
-            ),
-            TileableOp::SortValues { input, keys } => {
-                self.tile_sort(id, input, keygen, keys);
-                Ok(true)
+            } => {
+                let join = || ChunkOp::Join {
+                    left_on: left_on.clone(),
+                    right_on: right_on.clone(),
+                    how,
+                    suffixes: suffixes.clone(),
+                };
+                return self.tile_merge(meta, (left, &left_on), (right, &right_on), how, join);
             }
-            TileableOp::Head { input, n } => self.tile_head(id, input, keygen, meta, n),
-            TileableOp::ILocRow { input, row } => self.tile_iloc(id, input, keygen, meta, row),
+            TileableOp::SortValues { input, keys } => self.tile_sort(id, input, keys)?,
+            TileableOp::Head { input, n } => return self.tile_head(input, meta, n),
+            TileableOp::ILocRow { input, row } => return self.tile_iloc(input, meta, row),
             TileableOp::DropDuplicates { input, subset } => {
-                self.tile_distinct(id, input, keygen, meta, subset)
+                return self.tile_distinct(input, meta, subset)
             }
             TileableOp::ConcatDf { inputs } => {
                 let mut chunks = Vec::new();
-                for i in &inputs {
-                    chunks.extend(self.layout(*i, 0)?.chunks.clone());
+                for i in inputs {
+                    chunks.extend(self.input(i)?.chunks);
                 }
-                for (r, c) in chunks.iter_mut().enumerate() {
-                    c.index = (r, 0);
-                }
-                self.layouts.insert((id, 0), Layout { chunks });
-                Ok(true)
+                Layout { chunks }
             }
             TileableOp::PivotTable {
                 input,
@@ -521,81 +526,35 @@ impl<'g> Tiler<'g> {
                 values,
                 agg,
             } => {
-                let keys = self.layout(input, 0)?.keys();
-                let est = self.layout(input, 0)?.est_bytes();
-                let out = keygen.next_key();
-                self.push_node(ChunkNode {
-                    op: ChunkOp::PivotLocal {
-                        index,
-                        columns,
-                        values,
-                        agg,
-                    },
-                    inputs: keys,
-                    outputs: vec![out],
-                });
-                self.layouts
-                    .insert((id, 0), single_chunk_layout(out, est / 2, 0, false));
-                Ok(true)
+                let layout = self.input(input)?;
+                let pivot = ChunkOp::PivotLocal {
+                    index,
+                    columns,
+                    values,
+                    agg,
+                };
+                let out = self.emit(pivot, layout.keys());
+                Layout::one(out, layout.est_bytes() / 2, 0, false)
             }
             TileableOp::TensorRandom {
                 shape,
                 seed,
                 normal,
-            } => {
-                self.tile_tensor_random(id, keygen, &shape, seed, normal);
-                Ok(true)
-            }
+            } => self.tile_tensor_random(&shape, seed, normal),
             TileableOp::TensorFromArr(a) => {
-                let out = keygen.next_key();
-                let bytes = a.nbytes();
-                let rows = a.shape().first().copied().unwrap_or(0);
-                self.push_node(ChunkNode {
-                    op: ChunkOp::ArrLiteral(a),
-                    inputs: vec![],
-                    outputs: vec![out],
-                });
-                self.layouts
-                    .insert((id, 0), single_chunk_layout(out, bytes, rows, true));
-                Ok(true)
+                let (bytes, rows) = (a.nbytes(), a.shape().first().copied().unwrap_or(0));
+                let out = self.emit(ChunkOp::ArrLiteral(a), vec![]);
+                Layout::one(out, bytes, rows, true)
             }
             TileableOp::TensorMapChain { input, steps } => {
-                let layout = self.layout(input, 0)?.clone();
-                let mut chunks = Vec::with_capacity(layout.chunks.len());
-                for (r, c) in layout.chunks.iter().enumerate() {
-                    let out = keygen.next_key();
-                    self.push_node(ChunkNode {
-                        op: ChunkOp::ArrMap(steps.clone()),
-                        inputs: vec![c.key],
-                        outputs: vec![out],
-                    });
-                    chunks.push(ChunkRef {
-                        key: out,
-                        est: c.est,
-                        index: (r, 0),
-                    });
-                }
-                self.layouts.insert((id, 0), Layout { chunks });
-                Ok(true)
+                let layout = self.input(input)?;
+                let outs = self.map(&layout.keys(), || ChunkOp::ArrMap(steps.clone()));
+                Layout::zip(outs, layout.chunks.iter().map(|c| c.est))
             }
             TileableOp::TensorBinary { a, b, op } => {
-                let la = self.layout(a, 0)?.clone();
-                let lb = self.layout(b, 0)?.clone();
-                let mut chunks = Vec::new();
-                if lb.chunks.len() == 1 {
-                    for (r, c) in la.chunks.iter().enumerate() {
-                        let out = keygen.next_key();
-                        self.push_node(ChunkNode {
-                            op: ChunkOp::ArrBinary(op),
-                            inputs: vec![c.key, lb.chunks[0].key],
-                            outputs: vec![out],
-                        });
-                        chunks.push(ChunkRef {
-                            key: out,
-                            est: c.est,
-                            index: (r, 0),
-                        });
-                    }
+                let (la, lb) = (self.input(a)?, self.input(b)?);
+                let rhs: Vec<ChunkKey> = if let [single] = &lb.chunks[..] {
+                    vec![single.key; la.chunks.len()]
                 } else if la.chunks.len() == lb.chunks.len()
                     && la
                         .chunks
@@ -603,91 +562,55 @@ impl<'g> Tiler<'g> {
                         .zip(&lb.chunks)
                         .all(|(x, y)| x.est.rows == y.est.rows)
                 {
-                    for (r, (ca, cb)) in la.chunks.iter().zip(&lb.chunks).enumerate() {
-                        let out = keygen.next_key();
-                        self.push_node(ChunkNode {
-                            op: ChunkOp::ArrBinary(op),
-                            inputs: vec![ca.key, cb.key],
-                            outputs: vec![out],
-                        });
-                        chunks.push(ChunkRef {
-                            key: out,
-                            est: ca.est,
-                            index: (r, 0),
-                        });
-                    }
+                    lb.keys()
                 } else {
                     return Err(XbError::Unsupported(
                         "tensor binary op on incompatible chunkings (rechunk required)".into(),
                     ));
-                }
-                self.layouts.insert((id, 0), Layout { chunks });
-                Ok(true)
+                };
+                let pairs = la.chunks.iter().zip(rhs);
+                let outs = pairs
+                    .map(|(c, r)| self.emit(ChunkOp::ArrBinary(op), vec![c.key, r]))
+                    .collect();
+                Layout::zip(outs, la.chunks.iter().map(|c| c.est))
             }
             TileableOp::TensorMatMul { a, b } => {
-                let la = self.layout(a, 0)?.clone();
-                let lb = self.layout(b, 0)?.clone();
-                if lb.chunks.len() != 1 {
+                let (la, lb) = (self.input(a)?, self.input(b)?);
+                let [rhs] = &lb.chunks[..] else {
                     return Err(XbError::Unsupported(
                         "matmul requires a single-chunk right operand (rechunk required)".into(),
                     ));
-                }
-                let mut chunks = Vec::new();
-                for (r, c) in la.chunks.iter().enumerate() {
-                    let out = keygen.next_key();
-                    self.push_node(ChunkNode {
-                        op: ChunkOp::MatMul,
-                        inputs: vec![c.key, lb.chunks[0].key],
-                        outputs: vec![out],
-                    });
-                    chunks.push(ChunkRef {
-                        key: out,
-                        est: ChunkEst {
-                            bytes: c.est.rows.max(1) * 8,
-                            rows: c.est.rows,
-                            exact: c.est.exact,
-                        },
-                        index: (r, 0),
-                    });
-                }
-                self.layouts.insert((id, 0), Layout { chunks });
-                Ok(true)
-            }
-            TileableOp::TensorQr { input } => self.tile_qr(id, input, keygen),
-            TileableOp::TensorReduce { input, kind } => {
-                let layout = self.layout(input, 0)?.clone();
-                let mut partials = Vec::new();
-                for c in &layout.chunks {
-                    let out = keygen.next_key();
-                    self.push_node(ChunkNode {
-                        op: ChunkOp::ReducePartial { kind },
-                        inputs: vec![c.key],
-                        outputs: vec![out],
-                    });
-                    partials.push(out);
-                }
-                let combined = self.tree_combine(
-                    keygen,
-                    partials,
-                    &|| ChunkOp::ReduceCombine { kind },
-                    ChunkEst {
-                        bytes: 16,
-                        rows: 1,
-                        exact: true,
+                };
+                let products = la.chunks.iter().map(|c| ChunkRef {
+                    key: self.emit(ChunkOp::MatMul, vec![c.key, rhs.key]),
+                    est: ChunkEst {
+                        bytes: c.est.rows.max(1) * 8,
+                        ..c.est
                     },
-                );
-                let out = keygen.next_key();
-                self.push_node(ChunkNode {
-                    op: ChunkOp::ReduceFinal { kind },
-                    inputs: vec![combined],
-                    outputs: vec![out],
                 });
-                self.layouts
-                    .insert((id, 0), single_chunk_layout(out, 8, 1, true));
-                Ok(true)
+                Layout {
+                    chunks: products.collect(),
+                }
             }
-            TileableOp::TensorLstsq { x, y } => self.tile_lstsq(id, x, y, keygen),
-        }
+            TileableOp::TensorQr { input } => self.tile_qr(id, input)?,
+            // a projection of a multi-output tileable emits nothing: it
+            // aliases the slot's layout
+            TileableOp::TensorSlot { input, slot } => {
+                let layout = self.layouts.get(&(input, slot)).cloned();
+                layout.ok_or_else(|| {
+                    XbError::Plan(format!("tileable {input} has no output slot {slot}"))
+                })?
+            }
+            TileableOp::TensorReduce { input, kind } => {
+                let keys = self.input(input)?.keys();
+                let partials = self.map(&keys, || ChunkOp::ReducePartial { kind });
+                let combined = self.tree(partials, || ChunkOp::ReduceCombine { kind });
+                let out = self.emit(ChunkOp::ReduceFinal { kind }, vec![combined]);
+                Layout::one(out, 8, 1, true)
+            }
+            TileableOp::TensorLstsq { x, y } => self.tile_lstsq(x, y)?,
+        };
+        Ok(Some(layout))
     }
 
     // ---- dataframe ops -----------------------------------------------------
@@ -709,17 +632,16 @@ impl<'g> Tiler<'g> {
             .min(balance_target.max(MIN_CHUNK.min(self.cfg.chunk_limit_bytes)))
     }
 
-    fn tile_df_source(&mut self, id: TileableId, keygen: &mut KeyGen, src: &DfSource) {
+    fn tile_df_source(&mut self, src: &DfSource) -> Layout {
         let rows = src.rows();
         let bytes = src.est_bytes().max(1);
         let bytes_per_row = (bytes / rows.max(1)).max(1);
         let chunk_rows = (self.effective_chunk_limit(bytes) / bytes_per_row).max(1);
         let nchunks = rows.div_ceil(chunk_rows).max(1);
         let mut chunks = Vec::with_capacity(nchunks);
-        let mut start = 0usize;
         for r in 0..nchunks {
+            let start = r * chunk_rows;
             let len = chunk_rows.min(rows - start);
-            let key = keygen.next_key();
             let op = match src {
                 DfSource::Materialized(df) => {
                     let df = Arc::clone(df);
@@ -736,68 +658,51 @@ impl<'g> Tiler<'g> {
                     }
                 }
             };
-            self.push_node(ChunkNode {
-                op,
-                inputs: vec![],
-                outputs: vec![key],
-            });
+            let est = ChunkEst {
+                bytes: len * bytes_per_row,
+                rows: len,
+                exact: true,
+            };
             chunks.push(ChunkRef {
-                key,
-                est: ChunkEst {
-                    bytes: len * bytes_per_row,
-                    rows: len,
-                    exact: true,
-                },
-                index: (r, 0),
+                key: self.emit(op, vec![]),
+                est,
             });
-            start += len;
         }
-        self.layouts.insert((id, 0), Layout { chunks });
+        Layout { chunks }
     }
 
     fn tile_df_map(
         &mut self,
-        id: TileableId,
         input: TileableId,
-        keygen: &mut KeyGen,
         step: DfStep,
         shape_preserving: bool,
-    ) {
-        let layout = self.layouts[&(input, 0)].clone();
-        let mut chunks = Vec::with_capacity(layout.chunks.len());
-        for (r, c) in layout.chunks.iter().enumerate() {
-            let out = keygen.next_key();
-            self.push_node(ChunkNode {
-                op: ChunkOp::DfMap(vec![step.clone()]),
-                inputs: vec![c.key],
-                outputs: vec![out],
-            });
-            chunks.push(ChunkRef {
-                key: out,
-                est: ChunkEst {
-                    bytes: c.est.bytes,
-                    rows: c.est.rows,
-                    // filters/dropna invalidate exactness: the classic
-                    // unknown-shape operator of §IV-A
-                    exact: c.est.exact && shape_preserving,
-                },
-                index: (r, 0),
-            });
-        }
-        self.layouts.insert((id, 0), Layout { chunks });
+    ) -> XbResult<Layout> {
+        let layout = self.input(input)?;
+        let outs = self.map(&layout.keys(), || ChunkOp::DfMap(vec![step.clone()]));
+        let ests = layout.chunks.iter().map(|c| ChunkEst {
+            exact: c.est.exact && shape_preserving,
+            ..c.est
+        });
+        Ok(Layout::zip(outs, ests))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn tile_groupby(
         &mut self,
         id: TileableId,
         input: TileableId,
-        keygen: &mut KeyGen,
         meta: &dyn MetaView,
         keys: Vec<String>,
-        specs: Vec<xorbits_dataframe::AggSpec>,
-    ) -> XbResult<bool> {
-        let layout = self.layouts[&(input, 0)].clone();
+        specs: Vec<AggSpec>,
+    ) -> XbResult<Option<Layout>> {
+        let layout = self.input(input)?;
+        // the four stages all carry the group keys and the agg specs
+        let stage =
+            |make: fn(Vec<String>, Vec<AggSpec>) -> ChunkOp| make(keys.clone(), specs.clone());
+        let direct = || stage(|keys, specs| ChunkOp::GroupbyDirect { keys, specs });
+        let map = || stage(|keys, specs| ChunkOp::GroupbyMap { keys, specs });
+        let combine = || stage(|keys, specs| ChunkOp::GroupbyCombine { keys, specs });
+        let finalize = || stage(|keys, specs| ChunkOp::GroupbyFinalize { keys, specs });
+        let half = layout.est_bytes() / 2;
 
         // nunique (not column-decomposable): every group's rows must meet in
         // one place, so shuffle by key and aggregate each partition
@@ -806,147 +711,62 @@ impl<'g> Tiler<'g> {
         if !is_decomposable(&specs) {
             if keys.is_empty() || layout.chunks.len() == 1 {
                 // whole-frame agg or single chunk: direct
-                let gathered = self.tree_combine(
-                    keygen,
-                    layout.keys(),
-                    &|| ChunkOp::Concat,
-                    ChunkEst {
-                        bytes: layout.est_bytes(),
-                        rows: layout.est_rows(),
-                        exact: false,
-                    },
-                );
-                let out = keygen.next_key();
-                self.push_node(ChunkNode {
-                    op: ChunkOp::GroupbyDirect {
-                        keys: keys.clone(),
-                        specs,
-                    },
-                    inputs: vec![gathered],
-                    outputs: vec![out],
-                });
-                self.layouts.insert(
-                    (id, 0),
-                    single_chunk_layout(out, layout.est_bytes() / 2, 0, false),
-                );
-                return Ok(true);
+                let gathered = self.gather(&layout);
+                let out = self.emit(direct(), vec![gathered]);
+                return Ok(Some(Layout::one(out, half, 0, false)));
             }
-            let total = self.best_bytes(meta, &layout);
-            let p = if self.cfg.dynamic_tiling {
-                let by_size = total.div_ceil(self.cfg.chunk_limit_bytes).clamp(1, 64);
-                by_size.max(self.cfg.cluster_parallelism.min(layout.chunks.len()))
-            } else {
-                self.cfg.shuffle_partitions.max(1)
-            };
+            let total = best_bytes(meta, &layout);
+            let p = self.partitions(total, layout.chunks.len());
             self.stats.decisions.push(format!(
                 "groupby: nunique -> shuffle+direct ({p} partitions)"
             ));
-            let mut part_inputs: Vec<Vec<ChunkKey>> = vec![Vec::new(); p];
-            for c in &layout.chunks {
-                let outs = keygen.next_keys(p);
-                self.push_node(ChunkNode {
-                    op: ChunkOp::ShuffleSplit {
-                        keys: keys.clone(),
-                        n: p,
-                    },
-                    inputs: vec![c.key],
-                    outputs: outs.clone(),
-                });
-                for (pi, o) in outs.into_iter().enumerate() {
-                    part_inputs[pi].push(o);
-                }
-            }
-            let mut chunks = Vec::with_capacity(p);
-            for (pi, inputs) in part_inputs.into_iter().enumerate() {
-                let out = keygen.next_key();
-                self.push_node(ChunkNode {
-                    op: ChunkOp::GroupbyDirect {
-                        keys: keys.clone(),
-                        specs: specs.clone(),
-                    },
-                    inputs,
-                    outputs: vec![out],
-                });
-                chunks.push(ChunkRef {
-                    key: out,
-                    est: ChunkEst {
-                        bytes: total / (2 * p),
-                        rows: 0,
-                        exact: false,
-                    },
-                    index: (pi, 0),
-                });
-            }
-            self.layouts.insert((id, 0), Layout { chunks });
-            return Ok(true);
+            let parts = self.shuffle(layout.keys(), &keys, p);
+            let outs = parts.into_iter().map(|part| self.emit(direct(), part));
+            let est = ChunkEst {
+                bytes: total / (2 * p),
+                rows: 0,
+                exact: false,
+            };
+            return Ok(Some(Layout::zip(outs.collect(), repeat(est))));
         }
 
         // Single chunk: trivial map+finalize.
-        if layout.chunks.len() == 1 {
-            let mapped = keygen.next_key();
-            self.push_node(ChunkNode {
-                op: ChunkOp::GroupbyMap {
-                    keys: keys.clone(),
-                    specs: specs.clone(),
-                },
-                inputs: vec![layout.chunks[0].key],
-                outputs: vec![mapped],
-            });
-            let out = keygen.next_key();
-            self.push_node(ChunkNode {
-                op: ChunkOp::GroupbyFinalize { keys, specs },
-                inputs: vec![mapped],
-                outputs: vec![out],
-            });
-            self.layouts.insert(
-                (id, 0),
-                single_chunk_layout(out, layout.est_bytes() / 2, 0, false),
-            );
-            return Ok(true);
+        if let [only] = &layout.chunks[..] {
+            let mapped = self.emit(map(), vec![only.key]);
+            let out = self.emit(finalize(), vec![mapped]);
+            return Ok(Some(Layout::one(out, half, 0, false)));
         }
 
         let dynamic = self.cfg.dynamic_tiling && !keys.is_empty();
 
         // Dynamic path: probe the first chunk's map output to measure the
         // aggregation ratio (Fig 6a).
-        let (est_total_agg, probe_map_key) = if dynamic {
-            match self.probes.get(&id).cloned() {
-                None => {
-                    let in_key = layout.chunks[0].key;
-                    // input chunk itself must be executed first
-                    if self.actual(meta, in_key).is_none() {
-                        if self.pending_keys.contains(&in_key) || !self.pending.is_empty() {
-                            return Ok(false); // flush, then retry
-                        }
-                        return Err(XbError::Plan(format!(
-                            "probe input chunk {in_key} missing from meta service"
-                        )));
+        let (est_total_agg, probe) = if dynamic {
+            let Some(probe) = self.probes.get(&id).copied() else {
+                let in_key = layout.chunks[0].key;
+                // input chunk itself must be executed first
+                if meta.meta(in_key).is_none() {
+                    if !self.pending.is_empty() {
+                        return Ok(None); // flush, then retry
                     }
-                    let out_key = keygen.next_key();
-                    self.push_node(ChunkNode {
-                        op: ChunkOp::GroupbyMap {
-                            keys: keys.clone(),
-                            specs: specs.clone(),
-                        },
-                        inputs: vec![in_key],
-                        outputs: vec![out_key],
-                    });
-                    self.probes.insert(id, ProbeState { out_key, in_key });
-                    self.stats.probes += 1;
-                    return Ok(false); // flush to run the probe
+                    return Err(XbError::Plan(format!(
+                        "probe input chunk {in_key} missing from meta service"
+                    )));
                 }
-                Some(p) => {
-                    let probe_out = self.actual(meta, p.out_key).ok_or_else(|| {
-                        XbError::Plan("probe output missing from meta service".into())
-                    })?;
-                    let probe_in = self.actual(meta, p.in_key).ok_or_else(|| {
-                        XbError::Plan("probe input missing from meta service".into())
-                    })?;
-                    let ratio = probe_out.nbytes as f64 / probe_in.nbytes.max(1) as f64;
-                    let total_in = self.best_bytes(meta, &layout) as f64;
-                    ((ratio * total_in) as usize, Some(p.out_key))
-                }
-            }
+                let out_key = self.emit(map(), vec![in_key]);
+                self.probes.insert(id, ProbeState { out_key, in_key });
+                self.stats.probes += 1;
+                return Ok(None); // flush to run the probe
+            };
+            let measured = |key, what: &str| {
+                meta.meta(key)
+                    .ok_or_else(|| XbError::Plan(format!("probe {what} missing from meta service")))
+            };
+            let probe_out = measured(probe.out_key, "output")?;
+            let probe_in = measured(probe.in_key, "input")?;
+            let ratio = probe_out.nbytes as f64 / probe_in.nbytes.max(1) as f64;
+            let total_in = best_bytes(meta, &layout) as f64;
+            ((ratio * total_in) as usize, Some(probe))
         } else {
             // static estimate: aggregated size assumed proportional to input
             (layout.est_bytes(), None)
@@ -954,151 +774,62 @@ impl<'g> Tiler<'g> {
 
         // auto-merge small input chunks before the map stage
         let layout = if dynamic {
-            self.auto_merge(keygen, meta, &layout)
+            self.auto_merge(meta, &layout)
         } else {
             layout
         };
 
         // Map stage over every chunk; the probe's output is reused for the
-        // probed chunk ("tile the remaining chunks with metadata").
-        let mut map_keys = Vec::with_capacity(layout.chunks.len());
-        for (i, c) in layout.chunks.iter().enumerate() {
-            if i == 0 {
-                if let Some(pk) = probe_map_key {
-                    // reuse only if auto-merge kept chunk 0 intact
-                    if self.probes.get(&id).map(|p| p.in_key) == Some(c.key) {
-                        map_keys.push(pk);
-                        continue;
-                    }
-                }
-            }
-            let out = keygen.next_key();
-            self.push_node(ChunkNode {
-                op: ChunkOp::GroupbyMap {
-                    keys: keys.clone(),
-                    specs: specs.clone(),
-                },
-                inputs: vec![c.key],
-                outputs: vec![out],
-            });
-            map_keys.push(out);
-        }
+        // probed chunk ("tile the remaining chunks with metadata") — only
+        // if auto-merge kept chunk 0 intact.
+        let reused = probe.filter(|p| p.in_key == layout.chunks[0].key);
+        let mut map_keys: Vec<ChunkKey> = reused.iter().map(|p| p.out_key).collect();
+        map_keys.extend(self.map(&layout.keys()[map_keys.len()..], map));
 
-        let use_tree =
-            keys.is_empty() || (dynamic && est_total_agg <= self.cfg.tree_reduce_threshold_bytes);
-
-        if use_tree {
+        let threshold = self.cfg.tree_reduce_threshold_bytes;
+        if keys.is_empty() || (dynamic && est_total_agg <= threshold) {
             self.stats.decisions.push(format!(
-                "groupby: tree-reduce (est agg {est_total_agg} B <= {} B)",
-                self.cfg.tree_reduce_threshold_bytes
+                "groupby: tree-reduce (est agg {est_total_agg} B <= {threshold} B)"
             ));
-            let combined = self.tree_combine(
-                keygen,
-                map_keys,
-                &|| ChunkOp::GroupbyCombine {
-                    keys: keys.clone(),
-                    specs: specs.clone(),
-                },
-                ChunkEst {
-                    bytes: est_total_agg,
-                    rows: 0,
-                    exact: false,
-                },
-            );
-            let out = keygen.next_key();
-            self.push_node(ChunkNode {
-                op: ChunkOp::GroupbyFinalize { keys, specs },
-                inputs: vec![combined],
-                outputs: vec![out],
-            });
-            self.layouts
-                .insert((id, 0), single_chunk_layout(out, est_total_agg, 0, false));
-        } else {
-            // shuffle-reduce: partition count from measured (dynamic) or
-            // configured (static) sizes
-            let p = if dynamic {
-                let by_size = est_total_agg
-                    .div_ceil(self.cfg.chunk_limit_bytes)
-                    .clamp(1, 64);
-                // never fan out below the cluster's parallelism (bounded by
-                // the available map outputs)
-                by_size.max(self.cfg.cluster_parallelism.min(layout.chunks.len()))
-            } else {
-                self.cfg.shuffle_partitions.max(1)
-            };
-            self.stats.decisions.push(format!(
-                "groupby: shuffle-reduce with {p} partitions (est agg {est_total_agg} B)"
-            ));
-            let mut part_inputs: Vec<Vec<ChunkKey>> = vec![Vec::new(); p];
-            for mk in map_keys {
-                let outs = keygen.next_keys(p);
-                self.push_node(ChunkNode {
-                    op: ChunkOp::ShuffleSplit {
-                        keys: keys.clone(),
-                        n: p,
-                    },
-                    inputs: vec![mk],
-                    outputs: outs.clone(),
-                });
-                for (pi, o) in outs.into_iter().enumerate() {
-                    part_inputs[pi].push(o);
-                }
-            }
-            let mut chunks = Vec::with_capacity(p);
-            for (pi, inputs) in part_inputs.into_iter().enumerate() {
-                let out = keygen.next_key();
-                self.push_node(ChunkNode {
-                    op: ChunkOp::GroupbyFinalize {
-                        keys: keys.clone(),
-                        specs: specs.clone(),
-                    },
-                    inputs,
-                    outputs: vec![out],
-                });
-                chunks.push(ChunkRef {
-                    key: out,
-                    est: ChunkEst {
-                        bytes: est_total_agg / p,
-                        rows: 0,
-                        exact: false,
-                    },
-                    index: (pi, 0),
-                });
-            }
-            self.layouts.insert((id, 0), Layout { chunks });
+            let combined = self.tree(map_keys, combine);
+            let out = self.emit(finalize(), vec![combined]);
+            return Ok(Some(Layout::one(out, est_total_agg, 0, false)));
         }
-        Ok(true)
+        // shuffle-reduce
+        let p = self.partitions(est_total_agg, layout.chunks.len());
+        self.stats.decisions.push(format!(
+            "groupby: shuffle-reduce with {p} partitions (est agg {est_total_agg} B)"
+        ));
+        let parts = self.shuffle(map_keys, &keys, p);
+        let outs = parts.into_iter().map(|part| self.emit(finalize(), part));
+        let est = ChunkEst {
+            bytes: est_total_agg / p,
+            rows: 0,
+            exact: false,
+        };
+        Ok(Some(Layout::zip(outs.collect(), repeat(est))))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn tile_merge(
         &mut self,
-        id: TileableId,
-        keygen: &mut KeyGen,
         meta: &dyn MetaView,
-        left: TileableId,
-        right: TileableId,
-        left_on: Vec<String>,
-        right_on: Vec<String>,
+        (left, left_on): (TileableId, &[String]),
+        (right, right_on): (TileableId, &[String]),
         how: JoinType,
-        suffixes: (String, String),
-    ) -> XbResult<bool> {
-        let llayout = self.layouts[&(left, 0)].clone();
-        let rlayout = self.layouts[&(right, 0)].clone();
-
+        join: impl Fn() -> ChunkOp,
+    ) -> XbResult<Option<Layout>> {
+        let (llayout, rlayout) = (self.input(left)?, self.input(right)?);
         let dynamic = self.cfg.dynamic_tiling;
-        if dynamic {
-            // dynamic tiling wants *measured* sizes of both sides: flush if
-            // anything upstream is still unexecuted
-            if (!self.all_known(meta, &llayout) || !self.all_known(meta, &rlayout))
-                && !self.pending.is_empty()
-            {
-                return Ok(false);
-            }
+        // dynamic tiling wants *measured* sizes of both sides: flush if
+        // anything upstream is still unexecuted
+        if dynamic
+            && !(all_known(meta, &llayout) && all_known(meta, &rlayout))
+            && !self.pending.is_empty()
+        {
+            return Ok(None);
         }
-
-        let lbytes = self.best_bytes(meta, &llayout);
-        let rbytes = self.best_bytes(meta, &rlayout);
+        let lbytes = best_bytes(meta, &llayout);
+        let rbytes = best_bytes(meta, &rlayout);
 
         // Broadcast decision: with dynamic tiling the sizes are *measured*;
         // `broadcast_from_estimates` engines (Spark-like) decide from
@@ -1116,324 +847,164 @@ impl<'g> Tiler<'g> {
             // a broadcast join rebuilds the small side's hash table once
             // per big chunk; it only beats a shuffle when that total work
             // stays below the bytes a shuffle would move
-            let cheap = |small: usize, big_chunks: usize| {
-                small.saturating_mul(big_chunks) <= lbytes + rbytes
+            let pays = |small: usize, big: &Layout| {
+                small <= self.cfg.broadcast_threshold_bytes
+                    && small.saturating_mul(big.chunks.len()) <= lbytes + rbytes
+                    && (tiny || big.chunks.len() >= min_big_chunks)
             };
-            let broadcast_right = rbytes <= self.cfg.broadcast_threshold_bytes
-                && cheap(rbytes, llayout.chunks.len())
-                && (tiny || llayout.chunks.len() >= min_big_chunks);
-            let broadcast_left = how == JoinType::Inner
-                && lbytes <= self.cfg.broadcast_threshold_bytes
-                && cheap(lbytes, rlayout.chunks.len())
-                && (tiny || rlayout.chunks.len() >= min_big_chunks);
+            let broadcast_right = pays(rbytes, &llayout);
+            let broadcast_left = how == JoinType::Inner && pays(lbytes, &rlayout);
             if broadcast_right || broadcast_left {
-                let (small, big, small_is_right) =
-                    if broadcast_right && (rbytes <= lbytes || !broadcast_left) {
-                        (&rlayout, &llayout, true)
-                    } else {
-                        (&llayout, &rlayout, false)
-                    };
+                let small_is_right = broadcast_right && (rbytes <= lbytes || !broadcast_left);
+                let (small, big, side, small_bytes) = if small_is_right {
+                    (&rlayout, &llayout, "right", rbytes)
+                } else {
+                    (&llayout, &rlayout, "left", lbytes)
+                };
                 self.stats.decisions.push(format!(
-                    "merge: broadcast {} side ({} B) against {} chunks",
-                    if small_is_right { "right" } else { "left" },
-                    if small_is_right { rbytes } else { lbytes },
+                    "merge: broadcast {side} side ({small_bytes} B) against {} chunks",
                     big.chunks.len()
                 ));
-                let small_key = self.tree_combine(
-                    keygen,
-                    small.keys(),
-                    &|| ChunkOp::Concat,
-                    ChunkEst {
-                        bytes: small.est_bytes(),
-                        rows: small.est_rows(),
-                        exact: false,
-                    },
-                );
-                let big = self.auto_merge(keygen, meta, big);
-                let mut chunks = Vec::with_capacity(big.chunks.len());
-                for (r, c) in big.chunks.iter().enumerate() {
-                    let out = keygen.next_key();
-                    let inputs = if small_is_right {
-                        vec![c.key, small_key]
-                    } else {
-                        vec![small_key, c.key]
-                    };
-                    self.push_node(ChunkNode {
-                        op: ChunkOp::Join {
-                            left_on: left_on.clone(),
-                            right_on: right_on.clone(),
-                            how,
-                            suffixes: suffixes.clone(),
-                        },
-                        inputs,
-                        outputs: vec![out],
-                    });
-                    chunks.push(ChunkRef {
-                        key: out,
-                        est: ChunkEst {
-                            bytes: c.est.bytes,
-                            rows: c.est.rows,
-                            exact: false,
-                        },
-                        index: (r, 0),
-                    });
-                }
-                self.layouts.insert((id, 0), Layout { chunks });
-                return Ok(true);
+                let small_key = self.gather(small);
+                let big = self.auto_merge(meta, big);
+                let sides = big.chunks.iter().map(|c| match small_is_right {
+                    true => vec![c.key, small_key],
+                    false => vec![small_key, c.key],
+                });
+                let outs = sides.map(|inputs| self.emit(join(), inputs)).collect();
+                let ests = big.chunks.iter().map(|c| ChunkEst {
+                    exact: false,
+                    ..c.est
+                });
+                return Ok(Some(Layout::zip(outs, ests)));
             }
         }
 
         // Shuffle join.
-        let p = if dynamic {
-            let nchunks = llayout.chunks.len().max(rlayout.chunks.len());
-            let by_size = (lbytes + rbytes)
-                .div_ceil(self.cfg.chunk_limit_bytes)
-                .clamp(1, 64);
-            by_size.max(self.cfg.cluster_parallelism.min(nchunks))
-        } else {
-            self.cfg.shuffle_partitions.max(1)
-        };
+        let nchunks = llayout.chunks.len().max(rlayout.chunks.len());
+        let p = self.partitions(lbytes + rbytes, nchunks);
         self.stats
             .decisions
             .push(format!("merge: shuffle join with {p} partitions"));
-        let split = |tiler: &mut Self, keygen: &mut KeyGen, layout: &Layout, on: &[String]| {
-            let mut parts: Vec<Vec<ChunkKey>> = vec![Vec::new(); p];
-            for c in &layout.chunks {
-                let outs = keygen.next_keys(p);
-                tiler.push_node(ChunkNode {
-                    op: ChunkOp::ShuffleSplit {
-                        keys: on.to_vec(),
-                        n: p,
-                    },
-                    inputs: vec![c.key],
-                    outputs: outs.clone(),
-                });
-                for (pi, o) in outs.into_iter().enumerate() {
-                    parts[pi].push(o);
-                }
-            }
-            parts
+        let lparts = self.shuffle(llayout.keys(), left_on, p);
+        let rparts = self.shuffle(rlayout.keys(), right_on, p);
+        let outs = lparts.into_iter().zip(rparts).map(|(lpart, rpart)| {
+            let lcat = self.emit(ChunkOp::Concat, lpart);
+            let rcat = self.emit(ChunkOp::Concat, rpart);
+            self.emit(join(), vec![lcat, rcat])
+        });
+        let est = ChunkEst {
+            bytes: (lbytes + rbytes) / p,
+            rows: (llayout.est_rows() + rlayout.est_rows()) / p,
+            exact: false,
         };
-        let lparts = split(self, keygen, &llayout, &left_on);
-        let rparts = split(self, keygen, &rlayout, &right_on);
-        let mut chunks = Vec::with_capacity(p);
-        for pi in 0..p {
-            let lcat = keygen.next_key();
-            self.push_node(ChunkNode {
-                op: ChunkOp::Concat,
-                inputs: lparts[pi].clone(),
-                outputs: vec![lcat],
-            });
-            let rcat = keygen.next_key();
-            self.push_node(ChunkNode {
-                op: ChunkOp::Concat,
-                inputs: rparts[pi].clone(),
-                outputs: vec![rcat],
-            });
-            let out = keygen.next_key();
-            self.push_node(ChunkNode {
-                op: ChunkOp::Join {
-                    left_on: left_on.clone(),
-                    right_on: right_on.clone(),
-                    how,
-                    suffixes: suffixes.clone(),
-                },
-                inputs: vec![lcat, rcat],
-                outputs: vec![out],
-            });
-            chunks.push(ChunkRef {
-                key: out,
-                est: ChunkEst {
-                    bytes: (lbytes + rbytes) / p,
-                    rows: (llayout.est_rows() + rlayout.est_rows()) / p,
-                    exact: false,
-                },
-                index: (pi, 0),
-            });
-        }
-        self.layouts.insert((id, 0), Layout { chunks });
-        Ok(true)
+        Ok(Some(Layout::zip(outs.collect(), repeat(est))))
     }
 
     fn tile_sort(
         &mut self,
         id: TileableId,
         input: TileableId,
-        keygen: &mut KeyGen,
         keys: Vec<(String, bool)>,
-    ) {
+    ) -> XbResult<Layout> {
+        let layout = self.input(input)?;
         // Peephole: a sort whose only consumer is Head(n) becomes a
         // distributed top-k (per-chunk top-k, tree-combined).
         if self.consumer_counts[id] == 1 {
-            let consumer = self
-                .graph
-                .nodes
-                .iter()
-                .find(|op| op.inputs().contains(&id))
-                .cloned();
-            if let Some(TileableOp::Head { input: hi, n }) = consumer {
-                if hi == id {
-                    let layout = self.layouts[&(input, 0)].clone();
-                    let mut partials = Vec::new();
-                    for c in &layout.chunks {
-                        let out = keygen.next_key();
-                        self.push_node(ChunkNode {
-                            op: ChunkOp::TopKLocal {
-                                keys: keys.clone(),
-                                n,
-                            },
-                            inputs: vec![c.key],
-                            outputs: vec![out],
-                        });
-                        partials.push(out);
-                    }
-                    let final_key = self.tree_combine(
-                        keygen,
-                        partials,
-                        &|| ChunkOp::TopKLocal {
-                            keys: keys.clone(),
-                            n,
-                        },
-                        ChunkEst {
-                            bytes: 0,
-                            rows: n,
-                            exact: false,
-                        },
-                    );
-                    self.stats
-                        .decisions
-                        .push(format!("sort+head -> distributed top-{n}"));
-                    self.topk_peephole.insert(id);
-                    self.layouts
-                        .insert((id, 0), single_chunk_layout(final_key, 0, n, false));
-                    return;
-                }
+            let consumer = self.graph.nodes.iter().find(|op| op.inputs().contains(&id));
+            if let Some(&TileableOp::Head { n, .. }) = consumer {
+                let topk = || ChunkOp::TopKLocal {
+                    keys: keys.clone(),
+                    n,
+                };
+                let partials = self.map(&layout.keys(), topk);
+                let out = self.tree(partials, topk);
+                self.stats
+                    .decisions
+                    .push(format!("sort+head -> distributed top-{n}"));
+                self.topk_peephole.insert(id);
+                return Ok(Layout::one(out, 0, n, false));
             }
         }
         // General path: gather then sort locally.
-        let layout = self.layouts[&(input, 0)].clone();
-        let gathered = self.tree_combine(
-            keygen,
-            layout.keys(),
-            &|| ChunkOp::Concat,
-            ChunkEst {
-                bytes: layout.est_bytes(),
-                rows: layout.est_rows(),
-                exact: false,
-            },
-        );
-        let out = keygen.next_key();
-        self.push_node(ChunkNode {
-            op: ChunkOp::SortLocal { keys },
-            inputs: vec![gathered],
-            outputs: vec![out],
-        });
-        self.layouts.insert(
-            (id, 0),
-            single_chunk_layout(out, layout.est_bytes(), layout.est_rows(), false),
-        );
+        let gathered = self.gather(&layout);
+        let out = self.emit(ChunkOp::SortLocal { keys }, vec![gathered]);
+        Ok(Layout::one(
+            out,
+            layout.est_bytes(),
+            layout.est_rows(),
+            false,
+        ))
     }
 
     fn tile_head(
         &mut self,
-        id: TileableId,
         input: TileableId,
-        keygen: &mut KeyGen,
         meta: &dyn MetaView,
         n: usize,
-    ) -> XbResult<bool> {
+    ) -> XbResult<Option<Layout>> {
+        let layout = self.input(input)?;
         // absorbed into the top-k peephole
         if self.topk_peephole.contains(&input) {
-            let layout = self.layouts[&(input, 0)].clone();
-            self.layouts.insert((id, 0), layout);
-            return Ok(true);
+            return Ok(Some(layout));
         }
-        let layout = self.layouts[&(input, 0)].clone();
         // iterative tiling: need actual lengths unless estimates are exact
-        let need_flush = layout.chunks.iter().any(|c| {
-            let (_, exact) = self.best_rows_of(meta, c);
-            !exact
-        });
-        if need_flush && !self.pending.is_empty() {
-            return Ok(false);
+        if !rows_known(meta, &layout) && !self.pending.is_empty() {
+            return Ok(None);
         }
         let mut chunks = Vec::new();
         let mut remaining = n;
         for c in &layout.chunks {
+            let rows = best(meta, c).rows;
             if remaining == 0 {
                 break;
-            }
-            let (rows, _) = self.best_rows_of(meta, c);
-            if rows == 0 {
+            } else if rows == 0 {
                 continue;
-            }
-            if rows <= remaining {
+            } else if rows <= remaining {
                 chunks.push(c.clone());
                 remaining -= rows;
             } else {
-                let out = keygen.next_key();
-                self.push_node(ChunkNode {
-                    op: ChunkOp::HeadLocal { n: remaining },
-                    inputs: vec![c.key],
-                    outputs: vec![out],
-                });
+                let est = ChunkEst {
+                    bytes: c.est.bytes * remaining / rows,
+                    rows: remaining,
+                    exact: true,
+                };
                 chunks.push(ChunkRef {
-                    key: out,
-                    est: ChunkEst {
-                        bytes: c.est.bytes * remaining / rows.max(1),
-                        rows: remaining,
-                        exact: true,
-                    },
-                    index: (0, 0),
+                    key: self.emit(ChunkOp::HeadLocal { n: remaining }, vec![c.key]),
+                    est,
                 });
                 remaining = 0;
             }
         }
-        for (r, c) in chunks.iter_mut().enumerate() {
-            c.index = (r, 0);
+        if chunks.is_empty() {
+            // no row selected: one empty chunk that carries the schema
+            let key = self.emit(ChunkOp::HeadLocal { n: 0 }, vec![layout.chunks[0].key]);
+            return Ok(Some(Layout::one(key, 0, 0, true)));
         }
-        self.layouts.insert((id, 0), Layout { chunks });
-        Ok(true)
+        Ok(Some(Layout { chunks }))
     }
 
     fn tile_iloc(
         &mut self,
-        id: TileableId,
         input: TileableId,
-        keygen: &mut KeyGen,
         meta: &dyn MetaView,
         row: usize,
-    ) -> XbResult<bool> {
-        let layout = self.layouts[&(input, 0)].clone();
+    ) -> XbResult<Option<Layout>> {
+        let layout = self.input(input)?;
         // the Fig 3c scenario: chunk lengths must be known
-        let need_flush = layout.chunks.iter().any(|c| {
-            let (_, exact) = self.best_rows_of(meta, c);
-            !exact
-        });
-        if need_flush && !self.pending.is_empty() {
-            return Ok(false);
+        if !rows_known(meta, &layout) && !self.pending.is_empty() {
+            return Ok(None);
         }
         let mut cum = 0usize;
-        for c in &layout.chunks {
-            let (rows, _) = self.best_rows_of(meta, c);
+        for (r, c) in layout.chunks.iter().enumerate() {
+            let rows = best(meta, c).rows;
             if row < cum + rows {
-                let out = keygen.next_key();
-                self.push_node(ChunkNode {
-                    op: ChunkOp::SliceLocal {
-                        offset: row - cum,
-                        len: 1,
-                    },
-                    inputs: vec![c.key],
-                    outputs: vec![out],
-                });
-                self.stats.decisions.push(format!(
-                    "iloc[{row}] -> chunk {} offset {}",
-                    c.index.0,
-                    row - cum
-                ));
-                self.layouts
-                    .insert((id, 0), single_chunk_layout(out, 64, 1, true));
-                return Ok(true);
+                let offset = row - cum;
+                let out = self.emit(ChunkOp::SliceLocal { offset, len: 1 }, vec![c.key]);
+                self.stats
+                    .decisions
+                    .push(format!("iloc[{row}] -> chunk {r} offset {offset}"));
+                return Ok(Some(Layout::one(out, 64, 1, true)));
             }
             cum += rows;
         }
@@ -1444,235 +1015,130 @@ impl<'g> Tiler<'g> {
 
     fn tile_distinct(
         &mut self,
-        id: TileableId,
         input: TileableId,
-        keygen: &mut KeyGen,
         meta: &dyn MetaView,
         subset: Option<Vec<String>>,
-    ) -> XbResult<bool> {
-        let layout = self.layouts[&(input, 0)].clone();
+    ) -> XbResult<Option<Layout>> {
+        let layout = self.input(input)?;
         // dynamic tiling wants measured chunk sizes (for auto merge):
         // flush pending work first
         if self.cfg.dynamic_tiling
             && layout.chunks.len() > 1
-            && !self.all_known(meta, &layout)
+            && !all_known(meta, &layout)
             && !self.pending.is_empty()
         {
-            return Ok(false);
+            return Ok(None);
         }
-        let layout = self.auto_merge(keygen, meta, &layout);
-        let mut partials = Vec::new();
-        for c in &layout.chunks {
-            let out = keygen.next_key();
-            self.push_node(ChunkNode {
-                op: ChunkOp::DistinctLocal {
-                    subset: subset.clone(),
-                },
-                inputs: vec![c.key],
-                outputs: vec![out],
-            });
-            partials.push(out);
-        }
-        let final_key = self.tree_combine(
-            keygen,
-            partials,
-            &|| ChunkOp::DistinctLocal {
-                subset: subset.clone(),
-            },
-            ChunkEst {
-                bytes: layout.est_bytes() / 2,
-                rows: layout.est_rows() / 2,
-                exact: false,
-            },
-        );
-        self.layouts.insert(
-            (id, 0),
-            single_chunk_layout(final_key, layout.est_bytes() / 2, 0, false),
-        );
-        Ok(true)
+        let layout = self.auto_merge(meta, &layout);
+        let distinct = || ChunkOp::DistinctLocal {
+            subset: subset.clone(),
+        };
+        let partials = self.map(&layout.keys(), distinct);
+        let out = self.tree(partials, distinct);
+        Ok(Some(Layout::one(out, layout.est_bytes() / 2, 0, false)))
     }
 
     // ---- tensor ops -----------------------------------------------------------
 
-    fn tile_tensor_random(
-        &mut self,
-        id: TileableId,
-        keygen: &mut KeyGen,
-        shape: &[usize],
-        seed: u64,
-        normal: bool,
-    ) {
+    fn tile_tensor_random(&mut self, shape: &[usize], seed: u64, normal: bool) -> Layout {
         let total_bytes = shape.iter().product::<usize>() * 8;
         let splits = rechunk::row_splits(shape, 8, self.effective_chunk_limit(total_bytes));
         let row_bytes: usize = shape[1..].iter().product::<usize>().max(1) * 8;
-        let mut chunks = Vec::with_capacity(splits.len());
-        let mut _start = 0usize;
+        let mut keys = Vec::with_capacity(splits.len());
         for (r, &len) in splits.iter().enumerate() {
-            let key = keygen.next_key();
             let mut cshape = shape.to_vec();
             cshape[0] = len;
-            self.push_node(ChunkNode {
-                op: ChunkOp::ArrRandom {
-                    shape: cshape,
-                    seed: xorbits_array::random::chunk_seed(seed, r as u64),
-                    normal,
-                },
-                inputs: vec![],
-                outputs: vec![key],
-            });
-            chunks.push(ChunkRef {
-                key,
-                est: ChunkEst {
-                    bytes: len * row_bytes,
-                    rows: len,
-                    exact: true,
-                },
-                index: (r, 0),
-            });
-            _start += len;
+            let random = ChunkOp::ArrRandom {
+                shape: cshape,
+                seed: xorbits_array::random::chunk_seed(seed, r as u64),
+                normal,
+            };
+            keys.push(self.emit(random, vec![]));
         }
-        self.layouts.insert((id, 0), Layout { chunks });
+        let ests = splits.iter().map(|&len| ChunkEst {
+            bytes: len * row_bytes,
+            rows: len,
+            exact: true,
+        });
+        Layout::zip(keys, ests)
     }
 
     /// TSQR (Benson et al.): local QR per tall-skinny block, stack the Rs,
-    /// QR the stack, back-multiply the Q factors.
-    fn tile_qr(
-        &mut self,
-        id: TileableId,
-        input: TileableId,
-        keygen: &mut KeyGen,
-    ) -> XbResult<bool> {
-        let mut layout = self.layouts[&(input, 0)].clone();
+    /// QR the stack, back-multiply the Q factors. Returns Q's layout and
+    /// records R's as output slot 1.
+    fn tile_qr(&mut self, id: TileableId, input: TileableId) -> XbResult<Layout> {
+        let mut layout = self.input(input)?;
         // Auto rechunk (§V-D): each block must be tall-and-skinny
         // (rows ≥ cols). Infer the column count from the estimates and merge
         // consecutive blocks until the rule holds — this is what frees users
         // from Listing 1's manual `rechunk` calls.
-        let cols = layout
-            .chunks
-            .first()
-            .map(|c| {
-                (c.est.bytes / 8)
-                    .checked_div(c.est.rows.max(1))
-                    .unwrap_or(1)
-            })
-            .unwrap_or(1)
-            .max(1);
+        let first = layout.chunks.first().map(|c| c.est);
+        let cols = first.map_or(1, |e| e.bytes / 8 / e.rows.max(1)).max(1);
         if layout.chunks.iter().any(|c| c.est.rows < cols) {
-            let mut merged = Layout::default();
+            let mut merged: Vec<ChunkRef> = Vec::new();
             let mut group: Vec<ChunkRef> = Vec::new();
             let mut group_rows = 0usize;
             for c in &layout.chunks {
-                group_rows += c.est.rows;
                 group.push(c.clone());
+                group_rows += c.est.rows;
                 if group_rows >= cols {
-                    merged
-                        .chunks
-                        .push(self.concat_group(keygen, &group, merged.chunks.len()));
-                    group.clear();
+                    merged.push(self.concat_group(&std::mem::take(&mut group), |c| c.est));
                     group_rows = 0;
                 }
             }
             if !group.is_empty() {
-                // fold the remainder into the last block to preserve m ≥ n
-                if let Some(last) = merged.chunks.pop() {
-                    let mut all = vec![last];
-                    all.extend(group);
-                    let idx = merged.chunks.len();
-                    merged.chunks.push(self.concat_group(keygen, &all, idx));
-                } else {
-                    merged.chunks.push(self.concat_group(keygen, &group, 0));
-                }
+                // fold the remainder into the last (already emitted) block
+                // to preserve m ≥ n
+                group.splice(0..0, merged.pop());
+                merged.push(self.concat_group(&group, |c| c.est));
             }
             self.stats.decisions.push(format!(
                 "qr: auto-rechunked {} blocks -> {} tall-skinny blocks",
                 layout.chunks.len(),
-                merged.chunks.len()
+                merged.len()
             ));
-            layout = merged;
+            layout = Layout { chunks: merged };
         }
         let k = layout.chunks.len();
         let mut q_parts = Vec::with_capacity(k);
         let mut r_parts = Vec::with_capacity(k);
         for c in &layout.chunks {
-            let (qk, rk) = (keygen.next_key(), keygen.next_key());
-            self.push_node(ChunkNode {
-                op: ChunkOp::QrLocal,
-                inputs: vec![c.key],
-                outputs: vec![qk, rk],
-            });
-            q_parts.push((qk, c.est));
-            r_parts.push(rk);
+            let qr = self.emit_n(ChunkOp::QrLocal, vec![c.key], 2);
+            q_parts.push(qr[0]);
+            r_parts.push(qr[1]);
         }
         if k == 1 {
-            let (qk, _) = q_parts[0];
-            self.layouts.insert(
-                (id, 0),
-                single_chunk_layout(qk, layout.est_bytes(), layout.est_rows(), true),
-            );
             self.layouts
-                .insert((id, 1), single_chunk_layout(r_parts[0], 0, 0, true));
-            return Ok(true);
+                .insert((id, 1), Layout::one(r_parts[0], 0, 0, true));
+            return Ok(Layout::one(
+                q_parts[0],
+                layout.est_bytes(),
+                layout.est_rows(),
+                true,
+            ));
         }
         // Stack the k R factors (k·n x n) and QR the stack.
-        let stacked = keygen.next_key();
-        self.push_node(ChunkNode {
-            op: ChunkOp::Concat,
-            inputs: r_parts,
-            outputs: vec![stacked],
-        });
-        let (q2, r_final) = (keygen.next_key(), keygen.next_key());
-        self.push_node(ChunkNode {
-            op: ChunkOp::QrLocal,
-            inputs: vec![stacked],
-            outputs: vec![q2, r_final],
-        });
-        // Q_i_final = Q_i @ Q2[i*n:(i+1)*n, :]; n is unknown statically, so
-        // the slice uses block index arithmetic at execution time via
-        // ArrSliceRows with rows divided evenly by construction: each R_i is
-        // n x n, so block i occupies rows [i*n, (i+1)*n). We don't know n
-        // here, but the runtime does — encode the block index and count and
-        // resolve at execution using the input's shape.
-        let mut q_chunks = Vec::with_capacity(k);
-        for (r, (qk, est)) in q_parts.iter().enumerate() {
-            let sliced = keygen.next_key();
-            self.push_node(ChunkNode {
-                op: ChunkOp::ArrSliceBlock {
-                    block: r,
-                    nblocks: k,
-                },
-                inputs: vec![q2],
-                outputs: vec![sliced],
-            });
-            let out = keygen.next_key();
-            self.push_node(ChunkNode {
-                op: ChunkOp::MatMul,
-                inputs: vec![*qk, sliced],
-                outputs: vec![out],
-            });
-            q_chunks.push(ChunkRef {
-                key: out,
-                est: *est,
-                index: (r, 0),
-            });
+        let stacked = self.emit(ChunkOp::Concat, r_parts);
+        let qr = self.emit_n(ChunkOp::QrLocal, vec![stacked], 2);
+        // Q_i_final = Q_i @ Q2[i*n:(i+1)*n, :]. Each R_i is n x n, so block
+        // i of the stack's Q occupies rows [i*n, (i+1)*n); n is unknown
+        // statically, so the slice carries the block index and count and
+        // resolves against the input's shape at execution time.
+        let mut q_keys = Vec::with_capacity(k);
+        for (block, qk) in q_parts.into_iter().enumerate() {
+            let slice = ChunkOp::ArrSliceBlock { block, nblocks: k };
+            let sliced = self.emit(slice, vec![qr[0]]);
+            q_keys.push(self.emit(ChunkOp::MatMul, vec![qk, sliced]));
         }
         self.stats
             .decisions
             .push(format!("qr: TSQR over {k} tall-skinny blocks"));
-        self.layouts.insert((id, 0), Layout { chunks: q_chunks });
-        self.layouts
-            .insert((id, 1), single_chunk_layout(r_final, 0, 0, true));
-        Ok(true)
+        self.layouts.insert((id, 1), Layout::one(qr[1], 0, 0, true));
+        Ok(Layout::zip(q_keys, layout.chunks.iter().map(|c| c.est)))
     }
 
-    fn tile_lstsq(
-        &mut self,
-        id: TileableId,
-        x: TileableId,
-        y: TileableId,
-        keygen: &mut KeyGen,
-    ) -> XbResult<bool> {
-        let lx = self.layouts[&(x, 0)].clone();
-        let ly = self.layouts[&(y, 0)].clone();
+    fn tile_lstsq(&mut self, x: TileableId, y: TileableId) -> XbResult<Layout> {
+        let (lx, ly) = (self.input(x)?, self.input(y)?);
         if lx.chunks.len() != ly.chunks.len() {
             return Err(XbError::Unsupported(
                 "lstsq requires x and y with aligned chunking (rechunk required)".into(),
@@ -1681,52 +1147,236 @@ impl<'g> Tiler<'g> {
         let mut xtx_parts = Vec::new();
         let mut xty_parts = Vec::new();
         for (cx, cy) in lx.chunks.iter().zip(&ly.chunks) {
-            let xtx = keygen.next_key();
-            self.push_node(ChunkNode {
-                op: ChunkOp::XtX,
-                inputs: vec![cx.key],
-                outputs: vec![xtx],
-            });
-            xtx_parts.push(xtx);
-            let xty = keygen.next_key();
-            self.push_node(ChunkNode {
-                op: ChunkOp::XtY,
-                inputs: vec![cx.key, cy.key],
-                outputs: vec![xty],
-            });
-            xty_parts.push(xty);
+            xtx_parts.push(self.emit(ChunkOp::XtX, vec![cx.key]));
+            xty_parts.push(self.emit(ChunkOp::XtY, vec![cx.key, cy.key]));
         }
-        let small = ChunkEst {
-            bytes: 1024,
+        let xtx = self.tree(xtx_parts, || ChunkOp::AddN);
+        let xty = self.tree(xty_parts, || ChunkOp::AddN);
+        let out = self.emit(ChunkOp::SolveNe, vec![xtx, xty]);
+        Ok(Layout::one(out, 1024, 0, true))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xorbits_dataframe::{AggFunc, Column, DataFrame};
+
+    fn cfg() -> XorbitsConfig {
+        XorbitsConfig {
+            chunk_limit_bytes: 1000,
+            combine_fanin: 4,
+            cluster_parallelism: 8,
+            ..Default::default()
+        }
+    }
+
+    /// Runs `f` on a tiler over `graph`.
+    fn with_tiler<R>(
+        graph: &TileableGraph,
+        cfg: XorbitsConfig,
+        f: impl FnOnce(&mut Tiler) -> R,
+    ) -> R {
+        let mut keygen = KeyGen::new();
+        f(&mut Tiler::new(graph, cfg, &mut keygen))
+    }
+
+    /// Runs `f` on a tiler over no tileables: the blocks need none.
+    fn with_blocks<R>(cfg: XorbitsConfig, f: impl FnOnce(&mut Tiler) -> R) -> R {
+        with_tiler(&TileableGraph::new(), cfg, f)
+    }
+
+    fn layout_of(sizes: &[usize]) -> (Layout, HashMap<ChunkKey, ChunkMeta>) {
+        let keys: Vec<ChunkKey> = (500..500 + sizes.len() as u64).collect();
+        let unknown = ChunkEst {
+            bytes: 0,
             rows: 0,
-            exact: true,
+            exact: false,
         };
-        let xtx = self.tree_combine(keygen, xtx_parts, &|| ChunkOp::AddN, small);
-        let xty = self.tree_combine(keygen, xty_parts, &|| ChunkOp::AddN, small);
-        let out = keygen.next_key();
-        self.push_node(ChunkNode {
-            op: ChunkOp::SolveNe,
-            inputs: vec![xtx, xty],
-            outputs: vec![out],
+        let metas = keys.iter().zip(sizes).map(|(&k, &nbytes)| {
+            let rows = nbytes / 10;
+            (k, ChunkMeta { nbytes, rows })
         });
-        self.layouts
-            .insert((id, 0), single_chunk_layout(out, 1024, 0, true));
-        Ok(true)
+        (Layout::zip(keys.clone(), repeat(unknown)), metas.collect())
     }
-}
 
-fn single_chunk_layout(key: ChunkKey, bytes: usize, rows: usize, exact: bool) -> Layout {
-    Layout {
-        chunks: vec![ChunkRef {
-            key,
-            est: ChunkEst { bytes, rows, exact },
-            index: (0, 0),
-        }],
+    #[test]
+    fn tree_combines_at_the_fan_in_and_passes_singletons_through() {
+        for (n, nodes) in [(1u64, 0), (4, 1), (5, 2), (17, 6)] {
+            with_blocks(cfg(), |t| {
+                let keys: Vec<ChunkKey> = (100..100 + n).collect();
+                let root = t.tree(keys.clone(), || ChunkOp::AddN);
+                assert_eq!(t.pending.len(), nodes, "{n} keys");
+                let Some(last) = t.pending.nodes.last() else {
+                    // one key: no node, the key itself
+                    return assert_eq!(root, keys[0]);
+                };
+                assert_eq!(last.outputs, [root]);
+                assert!(t.pending.validate_topological().is_ok());
+                // every leaf and every intermediate is combined exactly once
+                let mut consumed: Vec<ChunkKey> = t
+                    .pending
+                    .nodes
+                    .iter()
+                    .flat_map(|node| {
+                        assert!((2..=4).contains(&node.inputs.len()), "{n} keys");
+                        node.inputs.clone()
+                    })
+                    .collect();
+                consumed.sort_unstable();
+                let mut expected = keys.clone();
+                expected.extend(t.pending.nodes.iter().flat_map(|node| &node.outputs));
+                expected.retain(|&k| k != root);
+                expected.sort_unstable();
+                assert_eq!(consumed, expected, "{n} keys");
+            });
+        }
+        // five keys: the fifth is alone in its batch and skips a level
+        with_blocks(cfg(), |t| {
+            t.tree((100..105).collect(), || ChunkOp::AddN);
+            let first_out = t.pending.nodes[0].outputs[0];
+            assert_eq!(t.pending.nodes[0].inputs, [100, 101, 102, 103]);
+            assert_eq!(t.pending.nodes[1].inputs, [first_out, 104]);
+        });
     }
-}
 
-/// Lowers `nunique` specs plus regular specs — helper shared with engines
-/// that pre-validate agg support.
-pub fn has_nunique(specs: &[xorbits_dataframe::AggSpec]) -> bool {
-    specs.iter().any(|s| s.func == AggFunc::Nunique)
+    #[test]
+    fn shuffle_regroups_one_piece_per_chunk_in_chunk_order() {
+        with_blocks(cfg(), |t| {
+            let parts = t.shuffle(vec![10, 11, 12], &["k".to_string()], 4);
+            assert_eq!(parts.len(), 4);
+            assert_eq!(t.pending.len(), 3, "one split per input chunk");
+            for (ci, node) in t.pending.nodes.iter().enumerate() {
+                assert_eq!(node.op.name(), "ShuffleSplit");
+                assert_eq!(node.inputs, [10 + ci as ChunkKey]);
+                // a split's keys are allocated together, before the next split
+                let base = 1 + 4 * ci as ChunkKey;
+                assert_eq!(node.outputs, (base..base + 4).collect::<Vec<_>>());
+                for (pi, part) in parts.iter().enumerate() {
+                    assert_eq!(part.len(), 3);
+                    assert_eq!(part[ci], node.outputs[pi]);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn partitions_at_its_edges() {
+        let fixed = |shuffle_partitions| XorbitsConfig {
+            shuffle_partitions,
+            ..cfg().without_dynamic_tiling()
+        };
+        // static tiling: the configured count whatever the sizes, at least 1
+        with_blocks(fixed(8), |t| assert_eq!(t.partitions(1 << 40, 1000), 8));
+        with_blocks(fixed(0), |t| assert_eq!(t.partitions(1, 1), 1));
+        with_blocks(cfg(), |t| {
+            // by size: bytes over the 1000-byte chunk limit, rounded up
+            assert_eq!(t.partitions(20_500, 2), 21);
+            // clamped to 64
+            assert_eq!(t.partitions(1 << 40, 2), 64);
+            // floored at min(cluster_parallelism, nchunks)
+            assert_eq!(t.partitions(1, 3), 3);
+            assert_eq!(t.partitions(1, 100), 8);
+            assert_eq!(t.partitions(0, 0), 1);
+        });
+    }
+
+    #[test]
+    fn auto_merge_groups_only_known_tiny_chunks() {
+        let untouched = |cfg: XorbitsConfig, layout: &Layout, meta: &HashMap<_, _>| {
+            with_blocks(cfg, |t| {
+                assert_eq!(t.auto_merge(meta, layout).keys(), layout.keys());
+                assert!(t.pending.is_empty() && t.stats.decisions.is_empty());
+            })
+        };
+        let (tiny, tiny_meta) = layout_of(&[100; 10]);
+        untouched(cfg(), &tiny, &HashMap::new()); // sizes unknown
+        untouched(cfg().without_dynamic_tiling(), &tiny, &tiny_meta);
+        let (single, single_meta) = layout_of(&[10]);
+        untouched(cfg(), &single, &single_meta);
+        // healthy: the mean is a quarter of the limit
+        let (healthy, healthy_meta) = layout_of(&[100, 300, 300, 300]);
+        untouched(cfg(), &healthy, &healthy_meta);
+
+        // ten tiny chunks fit the byte limit together; the fan-in caps a group
+        with_blocks(cfg(), |t| {
+            let merged = t.auto_merge(&tiny_meta, &tiny);
+            let sizes: Vec<_> = merged.chunks.iter().map(|c| c.est.bytes).collect();
+            assert_eq!(sizes, [400, 400, 200]);
+            assert_eq!(merged.est_rows(), 100);
+            assert!(merged.chunks.iter().all(|c| c.est.exact));
+            let fan_ins: Vec<_> = t.pending.nodes.iter().map(|n| n.inputs.len()).collect();
+            assert_eq!(fan_ins, [4, 4, 2]);
+            assert_eq!(t.stats.decisions, ["auto-merge: 10 chunks -> 3"]);
+        });
+        // the byte limit closes a group; a chunk left alone passes through
+        with_blocks(cfg(), |t| {
+            let (layout, meta) = layout_of(&[100, 100, 900, 50, 50, 50]);
+            let merged = t.auto_merge(&meta, &layout);
+            let inputs: Vec<_> = t.pending.nodes.iter().map(|n| n.inputs.clone()).collect();
+            assert_eq!(inputs, [vec![500, 501], vec![502, 503, 504]]);
+            assert_eq!(merged.chunks.len(), 3);
+            assert_eq!(merged.chunks[2].key, 505);
+            assert_eq!(t.stats.decisions, ["auto-merge: 6 chunks -> 3"]);
+        });
+    }
+
+    /// Publishes what an executor would after running `g`: `nbytes` per
+    /// output chunk.
+    fn run(meta: &mut HashMap<ChunkKey, ChunkMeta>, g: &ChunkGraph, nbytes: usize) {
+        for k in g.nodes.iter().flat_map(|n| &n.outputs) {
+            meta.insert(*k, ChunkMeta { nbytes, rows: 1 });
+        }
+    }
+
+    /// The Fig 5a round trips of a keyed group-by over a hand-built graph:
+    /// yield for the input's metadata, yield for the probe, then tile the
+    /// rest — reusing the probe's output as the first map output.
+    #[test]
+    fn groupby_probes_then_tiles_the_rest() {
+        let df = DataFrame::new(vec![("k", Column::from_i64((0..400).collect()))]).unwrap();
+        let mut graph = TileableGraph::new();
+        let src = graph
+            .push(TileableOp::DfSource(DfSource::materialized(df)))
+            .unwrap();
+        graph
+            .push(TileableOp::GroupbyAgg {
+                input: src,
+                keys: vec!["k".into()],
+                specs: vec![AggSpec::new("k", AggFunc::Count, "n")],
+            })
+            .unwrap();
+        let names = |g: &ChunkGraph| g.nodes.iter().map(|n| n.op.name()).collect::<Vec<_>>();
+        with_tiler(&graph, cfg(), |t| {
+            let mut meta = HashMap::new();
+            let TileStep::Execute(scan) = t.step(&meta).unwrap() else {
+                panic!("the probe's input is not executed yet");
+            };
+            assert_eq!(names(&scan), ["DfGen"; 4]);
+            run(&mut meta, &scan, 800);
+            let TileStep::Execute(probe) = t.step(&meta).unwrap() else {
+                panic!("the probe must run before the reduce is chosen");
+            };
+            assert_eq!(names(&probe), ["GroupbyAgg::map"]);
+            assert_eq!(probe.nodes[0].inputs, scan.nodes[0].outputs);
+            run(&mut meta, &probe, 80);
+            let TileStep::Done(rest) = t.step(&meta).unwrap() else {
+                panic!("nothing else needs metadata");
+            };
+            // est agg = 80/800 x 3200 B: under the tree threshold
+            assert_eq!(
+                names(&rest),
+                [
+                    "GroupbyAgg::map",
+                    "GroupbyAgg::map",
+                    "GroupbyAgg::map",
+                    "GroupbyAgg::combine",
+                    "GroupbyAgg::agg"
+                ]
+            );
+            assert_eq!(rest.nodes[3].inputs[0], probe.nodes[0].outputs[0]);
+            assert_eq!((t.stats.yields, t.stats.probes), (2, 1));
+            assert_eq!(t.layout(1).unwrap().keys(), rest.nodes[4].outputs);
+        });
+    }
 }

@@ -56,6 +56,30 @@ fn head_larger_than_frame() {
     assert_eq!(out.num_rows(), 10);
 }
 
+/// A head that selects no row is an empty frame with the input's schema,
+/// exactly as the single-node kernel returns it — not a layout without
+/// chunks.
+#[test]
+fn head_selecting_no_rows_keeps_the_schema() {
+    let s = sess(256);
+    let df = s.from_df(frame(500)).unwrap();
+    let out = df.head(0).unwrap().fetch().unwrap();
+    assert_eq!(out, frame(500).head(0));
+    assert_eq!(out.schema().names(), vec!["k", "v"]);
+
+    let nothing = col("v").lt(lit(-1.0));
+    let out = df
+        .filter(nothing.clone())
+        .unwrap()
+        .head(3)
+        .unwrap()
+        .fetch()
+        .unwrap();
+    let mask = xorbits_dataframe::eval::eval_mask(&frame(500), &nothing).unwrap();
+    assert_eq!(out, frame(500).filter(&mask).unwrap().head(3));
+    assert_eq!((out.num_rows(), out.num_columns()), (0, 2));
+}
+
 #[test]
 fn fillna_dropna_rename_distributed() {
     let s = sess(256);

@@ -144,7 +144,6 @@ impl Chunks {
         self.states.get(&key).map(|st| ChunkMeta {
             nbytes: st.nbytes,
             rows: st.rows,
-            index: (0, 0), // authoritative (r,c) lives in the plan layout
         })
     }
 

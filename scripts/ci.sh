@@ -32,6 +32,25 @@ if [[ "$(echo "$callers" | wc -l)" -ne 1 || "$callers" != crates/core/src/exec.r
   exit 1
 fi
 
+# Structural gate (hard): tiling has one emission point. Every tile rule in
+# core/src/tiling.rs composes the building blocks over `emit_n`, so before
+# the file's `#[cfg(test)]` there is exactly one `ChunkNode {` literal and
+# chunk keys are allocated nowhere but inside `emit_n`.
+echo "==> one tiling emission point (single ChunkNode literal, keys allocated in emit_n)"
+strays=$(awk '
+  /^#\[cfg\(test\)\]/ { exit }
+  /^[[:space:]]*\/\// { next }
+  /fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); current = substr($0, RSTART + 3, RLENGTH - 3) }
+  /ChunkNode \{/ { literals++; if (current != "emit_n") print "ChunkNode literal in " current " (line " FNR ")" }
+  /keygen\.next_key/ && current != "emit_n" { print "keygen.next_key in " current " (line " FNR ")" }
+  END { if (literals != 1) print literals + 0 " ChunkNode literals" }
+' crates/core/src/tiling.rs)
+if [[ -n "$strays" ]]; then
+  echo "crates/core/src/tiling.rs must build chunk nodes and allocate keys only in emit_n; found:"
+  echo "$strays"
+  exit 1
+fi
+
 # Structural gate (hard): environment knobs are read in three places — the
 # engine's in core/src/config.rs, the chunk format's in
 # storage/src/chunkfmt.rs, the bench harness's in bench/src/lib.rs. A new
@@ -161,6 +180,15 @@ cargo test -q --release --test sql_props
 echo "==> session-aging gate (aged session == fresh session, 3 executors)"
 cargo test -q --release --test session_aging
 cargo test -q --release -p xorbits-core --test session_fetch
+
+# Golden tiling gate (hard): the chunk graphs handed to the executor for the
+# 22 TPC-H texts under five planner configs, a dataframe script and a tensor
+# script are pinned node for node (graphs, nodes, FNV-1a of the graphs'
+# Debug form). A failure means tiling output changed: a refactor must not;
+# a change that intends it re-pins the constants the failing run prints and
+# says so in CHANGES.md.
+echo "==> golden tiling gate (120 pinned chunk-graph fingerprints)"
+cargo test -q --release --test tiling_golden
 
 # Opt-in kernel bench smoke: 1e4-row run of the shuffle/join/groupby kernel
 # suite, failing if any kernel is >2x slower than the checked-in reference

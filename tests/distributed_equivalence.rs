@@ -199,3 +199,56 @@ fn run_pipeline(e: &Engine, df: DataFrame) -> DataFrame {
         .fetch()
         .unwrap()
 }
+
+/// A handle built on `qr()`'s R reads R, not Q: `r * 1`, `r @ w` and
+/// `sum(r)` through the session equal the same kernels applied to the
+/// fetched R — one-block QR, multi-block TSQR and the auto-rechunk path,
+/// on every executor.
+#[test]
+fn handles_built_on_qr_r_read_r() {
+    use xorbits::array::reduce::reduce_all;
+    use xorbits::array::{linalg, ElemOp, NdArray, Reduction};
+    use xorbits::core::local::LocalExecutor;
+    use xorbits::core::parallel::ParallelExecutor;
+    use xorbits::core::session::Executor;
+
+    fn check<E: Executor>(what: &str, mk: impl Fn() -> E) {
+        // 8 KiB chunks: [6, 3] is one block, [1200, 4] is five, and
+        // [300, 200] starts as 5-row blocks that auto-rechunk merges
+        for shape in [[6, 3], [1200, 4], [300, 200]] {
+            let cfg = XorbitsConfig {
+                chunk_limit_bytes: 8 << 10,
+                ..Default::default()
+            };
+            let s = Session::new(cfg, mk());
+            let (q, r) = s.random(&shape, 7).unwrap().qr().unwrap();
+            let n = shape[1];
+            let r_arr = r.fetch().unwrap();
+            assert_eq!(r_arr.shape(), &[n, n], "{what} {shape:?}: R is n x n");
+            assert_eq!(q.fetch().unwrap().shape(), &shape, "{what} {shape:?}");
+
+            let scaled = r.map_scalar(ElemOp::Mul, 1.0).unwrap().fetch().unwrap();
+            assert_eq!(scaled, r_arr, "{what} {shape:?}: r * 1");
+
+            let w =
+                NdArray::from_vec((0..n).map(|i| i as f64 - 1.5).collect(), vec![n, 1]).unwrap();
+            let product = r.matmul(&s.tensor(w.clone()).unwrap()).unwrap();
+            assert_eq!(
+                product.fetch().unwrap(),
+                linalg::matmul(&r_arr, &w).unwrap(),
+                "{what} {shape:?}: r @ w"
+            );
+
+            let total = r.reduce(Reduction::Sum).unwrap().fetch_scalar().unwrap();
+            assert_eq!(
+                total,
+                reduce_all(Reduction::Sum, &r_arr),
+                "{what} {shape:?}: sum(r)"
+            );
+        }
+    }
+
+    check("local", LocalExecutor::new);
+    check("parallel(4)", || ParallelExecutor::with_threads(4));
+    check("sim", || SimExecutor::new(ClusterSpec::new(4, 256 << 20)));
+}

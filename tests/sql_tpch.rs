@@ -95,6 +95,33 @@ fn sql_matrix_q16_to_q22() {
     run_matrix(16..=22);
 }
 
+/// `LIMIT` over nothing — a predicate no row passes, or `LIMIT 0` — is an
+/// empty frame with the select list's schema, as the same text without
+/// `LIMIT` and the single-node kernels return it.
+#[test]
+fn limit_selecting_no_rows_is_an_empty_frame() {
+    let data = TpchData::new(SF).expect("tpch data");
+    let fe = SqlFrontend::new(
+        Session::new(cfg(), LocalExecutor::new()),
+        tpch_catalog(&data).expect("catalog"),
+    );
+    let unlimited = fe
+        .query("select l_orderkey from lineitem where l_quantity < 0")
+        .expect("no LIMIT");
+    assert_eq!((unlimited.num_rows(), unlimited.num_columns()), (0, 1));
+    let limited = fe
+        .query("select l_orderkey from lineitem where l_quantity < 0 limit 5")
+        .expect("LIMIT over an empty selection");
+    assert_eq!(limited, unlimited.head(5));
+
+    let all = fe.query("select l_orderkey from lineitem").expect("scan");
+    let none = fe
+        .query("select l_orderkey from lineitem limit 0")
+        .expect("LIMIT 0");
+    assert_eq!(none, all.head(0));
+    assert_eq!(none.schema().names(), vec!["l_orderkey"]);
+}
+
 /// Plan-cache keying: text-level hits skip parse+plan, AST-level hits
 /// survive alias renaming, literal changes miss.
 #[test]
