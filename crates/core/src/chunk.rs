@@ -138,6 +138,31 @@ pub enum DfStep {
     Rename(Vec<(String, String)>),
 }
 
+impl DfStep {
+    /// Whether every input row comes out, so an exact row count stays
+    /// exact. Filters and null-row removal do not: the classic
+    /// unknown-shape operators of §IV-A.
+    pub fn keeps_rows(&self) -> bool {
+        !matches!(self, DfStep::Filter(_) | DfStep::Dropna(_))
+    }
+
+    /// One-line rendering for logical plans (expressions elided).
+    pub fn label(&self) -> String {
+        match self {
+            DfStep::Filter(_) => "Filter".into(),
+            DfStep::Project(columns) => format!("Project{columns:?}"),
+            DfStep::PruneTo(columns) => format!("PruneColumns{columns:?}"),
+            DfStep::Assign(exprs) => {
+                let names: Vec<&str> = exprs.iter().map(|(n, _)| n.as_str()).collect();
+                format!("Assign[{}]", names.join(", "))
+            }
+            DfStep::Fillna(column, _) => format!("Fillna({column})"),
+            DfStep::Dropna(_) => "Dropna".into(),
+            DfStep::Rename(_) => "Rename".into(),
+        }
+    }
+}
+
 /// One fused elementwise array step: `x ↦ op(x, operand)`.
 #[derive(Debug, Clone, Copy)]
 pub struct ArrStep {

@@ -7,90 +7,33 @@
 use crate::chunk::ChunkGraph;
 use crate::session::ExecStats;
 use crate::subtask::SubtaskGraph;
-use crate::tileable::{TileableGraph, TileableOp};
+use crate::tileable::TileableGraph;
 use crate::trace::{MetricsSnapshot, TraceLog};
 
 /// Renders the logical plan, one line per tileable.
 pub fn explain_tileable(graph: &TileableGraph) -> String {
     let mut out = String::from("TileableGraph (logical plan)\n");
-    for (id, op) in graph.nodes.iter().enumerate() {
-        let inputs = op.inputs();
-        let deps = if inputs.is_empty() {
+    for (id, node) in graph.nodes.iter().enumerate() {
+        let deps = if node.inputs.is_empty() {
             String::new()
         } else {
             format!(
                 " <- {}",
-                inputs
+                node.inputs
                     .iter()
                     .map(|i| format!("#{i}"))
                     .collect::<Vec<_>>()
                     .join(", ")
             )
         };
-        let shape = if op.is_static_shape() {
+        let shape = if node.op.is_static_shape() {
             "static"
         } else {
             "non-static" // the §IV-A unknown-shape operators
         };
-        out.push_str(&format!("  #{id} {}{deps}  [{shape}]\n", op_name(op)));
+        out.push_str(&format!("  #{id} {}{deps}  [{shape}]\n", node.op.name()));
     }
     out
-}
-
-fn op_name(op: &TileableOp) -> String {
-    match op {
-        TileableOp::DfSource(s) => format!("DfSource({})", s.label()),
-        TileableOp::Filter { .. } => "Filter".into(),
-        TileableOp::Project { columns, .. } => format!("Project{columns:?}"),
-        TileableOp::PruneColumns { columns, .. } => format!("PruneColumns{columns:?}"),
-        TileableOp::Assign { exprs, .. } => format!(
-            "Assign[{}]",
-            exprs
-                .iter()
-                .map(|(n, _)| n.as_str())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-        TileableOp::Fillna { column, .. } => format!("Fillna({column})"),
-        TileableOp::Dropna { .. } => "Dropna".into(),
-        TileableOp::Rename { .. } => "Rename".into(),
-        TileableOp::GroupbyAgg { keys, specs, .. } => format!(
-            "GroupbyAgg(keys={keys:?}, aggs=[{}])",
-            specs
-                .iter()
-                .map(|s| format!("{}({})", s.func.name(), s.column))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-        TileableOp::Merge {
-            left_on,
-            right_on,
-            how,
-            ..
-        } => format!("Merge({left_on:?}={right_on:?}, {how:?})"),
-        TileableOp::SortValues { keys, .. } => format!("SortValues{keys:?}"),
-        TileableOp::Head { n, .. } => format!("Head({n})"),
-        TileableOp::ILocRow { row, .. } => format!("ILoc[{row}]"),
-        TileableOp::DropDuplicates { .. } => "DropDuplicates".into(),
-        TileableOp::ConcatDf { .. } => "Concat".into(),
-        TileableOp::PivotTable {
-            index,
-            columns,
-            values,
-            ..
-        } => {
-            format!("PivotTable(index={index}, columns={columns}, values={values})")
-        }
-        TileableOp::TensorRandom { shape, .. } => format!("TensorRandom{shape:?}"),
-        TileableOp::TensorFromArr(_) => "TensorLiteral".into(),
-        TileableOp::TensorMapChain { steps, .. } => format!("TensorMap[{} steps]", steps.len()),
-        TileableOp::TensorBinary { op, .. } => format!("TensorBinary({op:?})"),
-        TileableOp::TensorMatMul { .. } => "TensorMatMul".into(),
-        TileableOp::TensorQr { .. } => "TensorQR".into(),
-        TileableOp::TensorSlot { slot, .. } => format!("TensorSlot({slot})"),
-        TileableOp::TensorReduce { kind, .. } => format!("TensorReduce({kind:?})"),
-        TileableOp::TensorLstsq { .. } => "TensorLstsq".into(),
-    }
 }
 
 /// Summarises a chunk graph: operator histogram and edge count.
@@ -368,7 +311,8 @@ pub fn explain_utilization(log: &TraceLog) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tileable::DfSource;
+    use crate::chunk::DfStep;
+    use crate::tileable::{DfSource, TileableOp};
     use xorbits_dataframe::{col, lit, AggFunc, AggSpec, Column, DataFrame};
 
     #[test]
@@ -376,20 +320,15 @@ mod tests {
         let mut g = TileableGraph::new();
         let df = DataFrame::new(vec![("a", Column::from_i64(vec![1]))]).unwrap();
         let s = g
-            .push(TileableOp::DfSource(DfSource::materialized(df)))
+            .push(TileableOp::DfSource(DfSource::materialized(df)), vec![])
             .unwrap();
-        let f = g
-            .push(TileableOp::Filter {
-                input: s,
-                predicate: col("a").gt(lit(0i64)),
-            })
-            .unwrap();
-        g.push(TileableOp::GroupbyAgg {
-            input: f,
+        let positive = DfStep::Filter(col("a").gt(lit(0i64)));
+        let f = g.push(TileableOp::DfMap(positive), vec![s]).unwrap();
+        let count = TileableOp::GroupbyAgg {
             keys: vec!["a".into()],
             specs: vec![AggSpec::new("a", AggFunc::Count, "c")],
-        })
-        .unwrap();
+        };
+        g.push(count, vec![f]).unwrap();
         let text = explain_tileable(&g);
         assert!(text.contains("#1 Filter <- #0  [non-static]"), "{text}");
         assert!(text.contains("GroupbyAgg"), "{text}");

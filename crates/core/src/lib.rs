@@ -37,5 +37,5 @@ pub use retile::{RetileMode, RetileParams};
 pub use session::{DfHandle, ExecStats, Executor, RunReport, Session, TensorHandle};
 pub use sql::{run_sql, Catalog, PlanCacheStats, SqlError, SqlFrontend};
 pub use subtask::{Subtask, SubtaskGraph};
-pub use tileable::{DfSource, TileableGraph, TileableId, TileableOp};
+pub use tileable::{DfSource, TileableGraph, TileableId, TileableNode, TileableOp};
 pub use tiling::{MetaView, TileStep, Tiler, TilingStats};

@@ -7,6 +7,7 @@
 //! fusion later glues the projection into the scan subtask, so unpruned
 //! data never reaches the storage service or the network.
 
+use crate::chunk::DfStep;
 use crate::tileable::{TileableGraph, TileableId, TileableOp};
 use std::collections::BTreeSet;
 
@@ -23,6 +24,61 @@ fn mark_all(a: &mut Req) {
     *a = None;
 }
 
+impl DfStep {
+    /// The step's column rule: given what consumers need of its output,
+    /// what it needs of its input — `(carried, extra)` in the terms of
+    /// [`propagate`].
+    fn input_columns(&self, out_req: &Req) -> (Req, BTreeSet<String>) {
+        let needed = |name: &String| out_req.as_ref().is_none_or(|set| set.contains(name));
+        let mut extra = BTreeSet::new();
+        let carried = match self {
+            DfStep::Filter(predicate) => {
+                predicate.required_columns(&mut extra);
+                out_req.clone()
+            }
+            // projection caps what upstream needs regardless of out_req
+            DfStep::Project(columns) | DfStep::PruneTo(columns) => {
+                extra.extend(columns.iter().filter(|c| needed(c)).cloned());
+                Some(BTreeSet::new())
+            }
+            DfStep::Assign(exprs) => {
+                for (_, e) in exprs.iter().filter(|(name, _)| needed(name)) {
+                    e.required_columns(&mut extra);
+                }
+                // pass through out_req minus assigned names
+                out_req.clone().map(|mut set| {
+                    for (name, _) in exprs {
+                        set.remove(name);
+                    }
+                    set
+                })
+            }
+            DfStep::Fillna(column, _) => {
+                extra.insert(column.clone());
+                out_req.clone()
+            }
+            DfStep::Dropna(Some(cols)) => {
+                extra.extend(cols.iter().cloned());
+                out_req.clone()
+            }
+            DfStep::Dropna(None) => None,
+            // map required new names back to old names
+            DfStep::Rename(pairs) => out_req.clone().map(|set| {
+                set.into_iter()
+                    .map(|name| {
+                        pairs
+                            .iter()
+                            .find(|(_, new)| *new == name)
+                            .map(|(old, _)| old.clone())
+                            .unwrap_or(name)
+                    })
+                    .collect()
+            }),
+        };
+        (carried, extra)
+    }
+}
+
 /// Computes the columns each tileable of a fetch's closure
 /// ([`TileableGraph::closure`]) must expose, walking backward from the
 /// sink — the last node, i.e. the fetched target, which keeps everything.
@@ -34,134 +90,51 @@ pub fn required_columns(graph: &TileableGraph) -> Vec<Req> {
         *sink = None;
     }
 
-    for id in (0..n).rev() {
+    for (id, node) in graph.nodes.iter().enumerate().rev() {
         let out_req = req[id].clone();
-        match graph.op(id) {
+        // `TileableGraph::push` checked the input count against the operator
+        let ins = &node.inputs[..];
+        match &node.op {
             TileableOp::DfSource(_) => {}
-            TileableOp::Filter { input, predicate } => {
-                let mut cols = BTreeSet::new();
-                predicate.required_columns(&mut cols);
-                propagate(&mut req, *input, &out_req, cols);
+            TileableOp::DfMap(step) => {
+                let (carried, extra) = step.input_columns(&out_req);
+                propagate(&mut req, ins[0], &carried, extra);
             }
-            TileableOp::PruneColumns { input, columns }
-            | TileableOp::Project { input, columns } => {
-                // projection caps what upstream needs regardless of out_req
-                let need: BTreeSet<String> = match &out_req {
-                    None => columns.iter().cloned().collect(),
-                    Some(set) => columns
-                        .iter()
-                        .filter(|c| set.contains(*c))
-                        .cloned()
-                        .collect(),
-                };
-                propagate(&mut req, *input, &Some(BTreeSet::new()), need);
-            }
-            TileableOp::Assign { input, exprs } => {
-                let mut extra = BTreeSet::new();
-                for (name, e) in exprs {
-                    let needed = match &out_req {
-                        None => true,
-                        Some(set) => set.contains(name),
-                    };
-                    if needed {
-                        e.required_columns(&mut extra);
-                    }
-                }
-                // pass through out_req minus assigned names
-                let passthrough = out_req.clone().map(|mut set| {
-                    for (name, _) in exprs {
-                        set.remove(name);
-                    }
-                    set
-                });
-                propagate(&mut req, *input, &passthrough, extra);
-            }
-            TileableOp::Fillna { input, column, .. } => {
-                propagate(&mut req, *input, &out_req, [column.clone()]);
-            }
-            TileableOp::Dropna { input, subset } => match subset {
-                Some(cols) => propagate(&mut req, *input, &out_req, cols.clone()),
-                None => mark_all(&mut req[*input]),
-            },
-            TileableOp::Rename { input, pairs } => {
-                // map required new names back to old names
-                let mapped = out_req.clone().map(|set| {
-                    set.into_iter()
-                        .map(|name| {
-                            pairs
-                                .iter()
-                                .find(|(_, new)| *new == name)
-                                .map(|(old, _)| old.clone())
-                                .unwrap_or(name)
-                        })
-                        .collect()
-                });
-                propagate(&mut req, *input, &mapped, []);
-            }
-            TileableOp::GroupbyAgg { input, keys, specs } => {
+            TileableOp::GroupbyAgg { keys, specs } => {
                 let mut cols: BTreeSet<String> = keys.iter().cloned().collect();
                 cols.extend(specs.iter().map(|s| s.column.clone()));
-                propagate(&mut req, *input, &Some(BTreeSet::new()), cols);
+                propagate(&mut req, ins[0], &Some(BTreeSet::new()), cols);
             }
+            // conservative: suffixing makes precise back-mapping fiddly, so
+            // require out_req columns on both sides plus keys; "all"
+            // propagates as "all".
             TileableOp::Merge {
-                left,
-                right,
-                left_on,
-                right_on,
-                ..
+                left_on, right_on, ..
             } => {
-                // conservative: suffixing makes precise back-mapping fiddly,
-                // so require out_req columns on both sides plus keys; "all"
-                // propagates as "all".
-                match &out_req {
-                    None => {
-                        mark_all(&mut req[*left]);
-                        mark_all(&mut req[*right]);
-                    }
-                    Some(set) => {
-                        propagate(&mut req, *left, &Some(set.clone()), left_on.iter().cloned());
-                        propagate(
-                            &mut req,
-                            *right,
-                            &Some(set.clone()),
-                            right_on.iter().cloned(),
-                        );
-                    }
-                }
+                propagate(&mut req, ins[0], &out_req, left_on.iter().cloned());
+                propagate(&mut req, ins[1], &out_req, right_on.iter().cloned());
             }
-            TileableOp::SortValues { input, keys } => {
-                propagate(
-                    &mut req,
-                    *input,
-                    &out_req,
-                    keys.iter().map(|(k, _)| k.clone()),
-                );
+            TileableOp::SortValues { keys } => {
+                let cols = keys.iter().map(|(k, _)| k.clone());
+                propagate(&mut req, ins[0], &out_req, cols);
             }
-            TileableOp::Head { input, .. } | TileableOp::ILocRow { input, .. } => {
-                propagate(&mut req, *input, &out_req, []);
-            }
-            TileableOp::DropDuplicates { input, subset } => match subset {
-                Some(cols) => propagate(&mut req, *input, &out_req, cols.clone()),
-                None => mark_all(&mut req[*input]),
+            TileableOp::DropDuplicates { subset } => match subset {
+                Some(cols) => propagate(&mut req, ins[0], &out_req, cols.clone()),
+                None => mark_all(&mut req[ins[0]]),
             },
-            TileableOp::ConcatDf { inputs } => {
-                for i in inputs {
-                    propagate(&mut req, *i, &out_req, []);
+            TileableOp::Head { .. } | TileableOp::ILocRow { .. } | TileableOp::ConcatDf => {
+                for &i in ins {
+                    propagate(&mut req, i, &out_req, []);
                 }
             }
             TileableOp::PivotTable {
-                input,
                 index,
                 columns,
                 values,
                 ..
             } => {
-                propagate(
-                    &mut req,
-                    *input,
-                    &Some(BTreeSet::new()),
-                    [index.clone(), columns.clone(), values.clone()],
-                );
+                let cols = [index.clone(), columns.clone(), values.clone()];
+                propagate(&mut req, ins[0], &Some(BTreeSet::new()), cols);
             }
             // tensor ops carry no column structure
             _ => {}
@@ -194,17 +167,17 @@ pub fn prune_columns(graph: TileableGraph) -> TileableGraph {
     let mut out = TileableGraph::new();
     // old tileable id -> new id
     let mut remap: Vec<TileableId> = Vec::with_capacity(graph.len());
-    for (mut op, req) in graph.nodes.into_iter().zip(req) {
-        op.map_inputs(|i| remap[i]);
-        let is_source = matches!(op, TileableOp::DfSource(_));
-        let mut new_id = out.push(op).expect("remapped inputs are valid");
+    for (node, req) in graph.nodes.into_iter().zip(req) {
+        let inputs = node.inputs.iter().map(|&i| remap[i]).collect();
+        let is_source = matches!(node.op, TileableOp::DfSource(_));
+        let mut new_id = out
+            .push(node.op, inputs)
+            .expect("remapped inputs are valid");
         // insert projection after prunable sources
         if let Some(cols) = req.filter(|cols| is_source && !cols.is_empty()) {
+            let prune = DfStep::PruneTo(cols.into_iter().collect());
             new_id = out
-                .push(TileableOp::PruneColumns {
-                    input: new_id,
-                    columns: cols.into_iter().collect(),
-                })
+                .push(TileableOp::DfMap(prune), vec![new_id])
                 .expect("projection input valid");
         }
         remap.push(new_id);
@@ -218,27 +191,36 @@ mod tests {
     use crate::tileable::DfSource;
     use xorbits_dataframe::{col, lit, AggFunc, AggSpec, Column, DataFrame};
 
-    fn source() -> TileableOp {
+    /// A graph over one three-column source; returns the source's id.
+    fn source_graph() -> (TileableGraph, TileableId) {
         let df = DataFrame::new(vec![
             ("a", Column::from_i64(vec![1])),
             ("b", Column::from_i64(vec![2])),
             ("c", Column::from_i64(vec![3])),
         ])
         .unwrap();
-        TileableOp::DfSource(DfSource::materialized(df))
+        let mut g = TileableGraph::new();
+        let s = g
+            .push(TileableOp::DfSource(DfSource::materialized(df)), vec![])
+            .unwrap();
+        (g, s)
+    }
+
+    fn step(g: &mut TileableGraph, step: DfStep, input: TileableId) -> TileableId {
+        g.push(TileableOp::DfMap(step), vec![input]).unwrap()
+    }
+
+    fn sum_b_by_a() -> TileableOp {
+        TileableOp::GroupbyAgg {
+            keys: vec!["a".into()],
+            specs: vec![AggSpec::new("b", AggFunc::Sum, "s")],
+        }
     }
 
     #[test]
     fn groupby_prunes_to_keys_and_aggs() {
-        let mut g = TileableGraph::new();
-        let s = g.push(source()).unwrap();
-        let _agg = g
-            .push(TileableOp::GroupbyAgg {
-                input: s,
-                keys: vec!["a".into()],
-                specs: vec![AggSpec::new("b", AggFunc::Sum, "s")],
-            })
-            .unwrap();
+        let (mut g, s) = source_graph();
+        g.push(sum_b_by_a(), vec![s]).unwrap();
         let req = required_columns(&g);
         assert_eq!(
             req[s].as_ref().unwrap().iter().cloned().collect::<Vec<_>>(),
@@ -249,30 +231,18 @@ mod tests {
         assert_eq!(pruned.len(), 3);
         assert!(matches!(
             pruned.op(s + 1),
-            TileableOp::PruneColumns { columns, .. } if columns == &vec!["a".to_string(), "b".to_string()]
+            TileableOp::DfMap(DfStep::PruneTo(columns)) if columns == &vec!["a".to_string(), "b".to_string()]
         ));
-        assert!(matches!(
-            pruned.op(2),
-            TileableOp::GroupbyAgg { input: 1, .. }
-        ));
+        assert_eq!(pruned.nodes[s + 1].inputs, [s]);
+        assert!(matches!(pruned.op(2), TileableOp::GroupbyAgg { .. }));
+        assert_eq!(pruned.nodes[2].inputs, [1]);
     }
 
     #[test]
     fn filter_adds_predicate_columns() {
-        let mut g = TileableGraph::new();
-        let s = g.push(source()).unwrap();
-        let f = g
-            .push(TileableOp::Filter {
-                input: s,
-                predicate: col("c").gt(lit(0i64)),
-            })
-            .unwrap();
-        let _p = g
-            .push(TileableOp::Project {
-                input: f,
-                columns: vec!["a".into()],
-            })
-            .unwrap();
+        let (mut g, s) = source_graph();
+        let f = step(&mut g, DfStep::Filter(col("c").gt(lit(0i64))), s);
+        step(&mut g, DfStep::Project(vec!["a".into()]), f);
         let req = required_columns(&g);
         let cols: Vec<_> = req[s].as_ref().unwrap().iter().cloned().collect();
         assert_eq!(cols, vec!["a".to_string(), "c".to_string()]);
@@ -280,8 +250,7 @@ mod tests {
 
     #[test]
     fn sink_requires_all() {
-        let mut g = TileableGraph::new();
-        let s = g.push(source()).unwrap();
+        let (g, s) = source_graph();
         let req = required_columns(&g);
         assert!(req[s].is_none());
         // no projection inserted when everything is needed
@@ -290,21 +259,9 @@ mod tests {
 
     #[test]
     fn fetched_target_keeps_all_columns_whatever_consumes_it() {
-        let mut g = TileableGraph::new();
-        let s = g.push(source()).unwrap();
-        let f = g
-            .push(TileableOp::Filter {
-                input: s,
-                predicate: col("c").gt(lit(0i64)),
-            })
-            .unwrap();
-        let _agg = g
-            .push(TileableOp::GroupbyAgg {
-                input: f,
-                keys: vec!["a".into()],
-                specs: vec![AggSpec::new("b", AggFunc::Sum, "s")],
-            })
-            .unwrap();
+        let (mut g, s) = source_graph();
+        let f = step(&mut g, DfStep::Filter(col("c").gt(lit(0i64))), s);
+        g.push(sum_b_by_a(), vec![f]).unwrap();
         // fetching the filter: the groupby on top of it is not in its
         // closure and cannot narrow what it must expose
         let req = required_columns(&g.closure(f));
@@ -313,20 +270,9 @@ mod tests {
 
     #[test]
     fn dropna_all_blocks_pruning() {
-        let mut g = TileableGraph::new();
-        let s = g.push(source()).unwrap();
-        let d = g
-            .push(TileableOp::Dropna {
-                input: s,
-                subset: None,
-            })
-            .unwrap();
-        let _p = g
-            .push(TileableOp::Project {
-                input: d,
-                columns: vec!["a".into()],
-            })
-            .unwrap();
+        let (mut g, s) = source_graph();
+        let d = step(&mut g, DfStep::Dropna(None), s);
+        step(&mut g, DfStep::Project(vec!["a".into()]), d);
         let req = required_columns(&g);
         assert!(req[s].is_none());
     }

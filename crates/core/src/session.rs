@@ -7,7 +7,7 @@
 //! drives the loop: prune → tile (possibly yielding into execution for
 //! metadata) → optimize → execute → gather.
 
-use crate::chunk::{ChunkGraph, ChunkKey, KeyGen, Payload};
+use crate::chunk::{ArrStep, ChunkGraph, ChunkKey, DfStep, KeyGen, Payload};
 use crate::config::XorbitsConfig;
 use crate::error::{XbError, XbResult};
 use crate::optimizer;
@@ -154,6 +154,16 @@ fn run_fragment<E: Executor>(
     Ok(stats)
 }
 
+/// The shared result cache, or a typed error when a panic elsewhere (another
+/// session's fetch, the cache itself) poisoned it.
+fn lock_cache(
+    cache: &Arc<Mutex<dyn ResultCache>>,
+) -> XbResult<MutexGuard<'_, dyn ResultCache + 'static>> {
+    cache
+        .lock()
+        .map_err(|_| XbError::Plan("the result cache was poisoned by a panic".into()))
+}
+
 struct SessInner<E: Executor> {
     cfg: XorbitsConfig,
     /// Locked only to push a node or to extract a fetch's closure, so
@@ -211,11 +221,16 @@ impl<E: Executor> Session<E> {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The run state, for everything but fetching. Poison-tolerant: the
+    /// report, the totals and the cache slot are written only after a fetch
+    /// succeeded, so they are whole even when an executor panicked
+    /// mid-fetch. The executor itself may be torn, which is why
+    /// [`Self::fetch_payloads`] takes the lock the strict way.
     fn run(&self) -> MutexGuard<'_, RunState<E>> {
         self.inner
             .run
             .lock()
-            .expect("an executor panicked inside an earlier fetch of this session")
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Attaches a result cache consulted (and filled) by every fetch.
@@ -223,8 +238,11 @@ impl<E: Executor> Session<E> {
         self.run().cache = Some(cache);
     }
 
-    fn push(&self, op: TileableOp) -> XbResult<TileableId> {
-        self.graph().push(op)
+    /// Adds `op` over `inputs` to the graph and hands back a handle to the
+    /// new tileable — how every builder method below describes its operator.
+    fn derive<H: Handle<E>>(&self, op: TileableOp, inputs: Vec<TileableId>) -> XbResult<H> {
+        let id = self.graph().push(op, inputs)?;
+        Ok(H::new(self.clone(), id))
     }
 
     /// Runs `f` against the session's executor (e.g. to read executor-side
@@ -235,10 +253,7 @@ impl<E: Executor> Session<E> {
 
     /// Registers a dataframe source — `xorbits.pandas.read_*`.
     pub fn read_df(&self, src: DfSource) -> XbResult<DfHandle<E>> {
-        Ok(DfHandle {
-            sess: self.clone(),
-            id: self.push(TileableOp::DfSource(src))?,
-        })
+        self.derive(TileableOp::DfSource(src), vec![])
     }
 
     /// Wraps a client-side dataframe.
@@ -248,34 +263,26 @@ impl<E: Executor> Session<E> {
 
     /// `xorbits.numpy.random.rand(shape)` (seeded).
     pub fn random(&self, shape: &[usize], seed: u64) -> XbResult<TensorHandle<E>> {
-        Ok(TensorHandle {
-            sess: self.clone(),
-            id: self.push(TileableOp::TensorRandom {
-                shape: shape.to_vec(),
-                seed,
-                normal: false,
-            })?,
-        })
+        self.random_tensor(shape, seed, false)
     }
 
     /// `xorbits.numpy.random.randn(shape)` (seeded).
     pub fn randn(&self, shape: &[usize], seed: u64) -> XbResult<TensorHandle<E>> {
-        Ok(TensorHandle {
-            sess: self.clone(),
-            id: self.push(TileableOp::TensorRandom {
-                shape: shape.to_vec(),
-                seed,
-                normal: true,
-            })?,
-        })
+        self.random_tensor(shape, seed, true)
+    }
+
+    fn random_tensor(&self, shape: &[usize], seed: u64, normal: bool) -> XbResult<TensorHandle<E>> {
+        let random = TileableOp::TensorRandom {
+            shape: shape.to_vec(),
+            seed,
+            normal,
+        };
+        self.derive(random, vec![])
     }
 
     /// Wraps a client-side array (single chunk).
     pub fn tensor(&self, arr: NdArray) -> XbResult<TensorHandle<E>> {
-        Ok(TensorHandle {
-            sess: self.clone(),
-            id: self.push(TileableOp::TensorFromArr(Arc::new(arr)))?,
-        })
+        self.derive(TileableOp::TensorFromArr(Arc::new(arr)), vec![])
     }
 
     /// Report of the most recent fetch.
@@ -318,7 +325,13 @@ impl<E: Executor> Session<E> {
             trace::counter_add("session.closure_nodes", closure_nodes);
             trace::counter_add("session.graph_nodes", graph_nodes);
         }
-        let mut run = self.run();
+        let mut run = self.inner.run.lock().map_err(|_| {
+            XbError::Plan(
+                "an executor panicked inside an earlier fetch of this session; \
+                 create a new session"
+                    .into(),
+            )
+        })?;
         let run = &mut *run;
 
         // result cache: key the fetch by the canonical structural hash of
@@ -329,7 +342,7 @@ impl<E: Executor> Session<E> {
             .clone()
             .map(|cache| (cache, crate::tileable::cache_key(&closure)));
         if let Some((cache, (key, _))) = &cached {
-            if let Some(payloads) = cache.lock().unwrap().lookup(*key) {
+            if let Some(payloads) = lock_cache(cache)?.lookup(*key) {
                 if trace::is_enabled() {
                     trace::instant(trace::Stage::Gather, "result_cache_hit", &[]);
                 }
@@ -416,7 +429,7 @@ impl<E: Executor> Session<E> {
             cache_hit: false,
         });
         if let Some((cache, (key, sources))) = &cached {
-            cache.lock().unwrap().insert(*key, sources, &payloads);
+            lock_cache(cache)?.insert(*key, sources, &payloads);
         }
         run.executor.clear();
         Ok(payloads)
@@ -438,17 +451,15 @@ impl<E: Executor> Clone for DfHandle<E> {
     }
 }
 
-macro_rules! df_unary {
-    ($(#[$doc:meta])* $name:ident ( $($arg:ident : $ty:ty),* ) => $op:expr) => {
-        $(#[$doc])*
-        pub fn $name(&self, $($arg: $ty),*) -> XbResult<DfHandle<E>> {
-            let input = self.id;
-            Ok(DfHandle {
-                sess: self.sess.clone(),
-                id: self.sess.push($op(input))?,
-            })
-        }
-    };
+/// A lazy handle: a session and the tileable it names.
+trait Handle<E: Executor> {
+    fn new(sess: Session<E>, id: TileableId) -> Self;
+}
+
+impl<E: Executor> Handle<E> for DfHandle<E> {
+    fn new(sess: Session<E>, id: TileableId) -> Self {
+        DfHandle { sess, id }
+    }
 }
 
 impl<E: Executor> DfHandle<E> {
@@ -457,52 +468,68 @@ impl<E: Executor> DfHandle<E> {
         self.id
     }
 
-    df_unary!(
-        /// `df[mask]` — boolean filtering.
-        filter(predicate: Expr) => |input| TileableOp::Filter { input, predicate }
-    );
-    df_unary!(
-        /// `df[[cols]]` — projection.
-        select(columns: Vec<String>) => |input| TileableOp::Project { input, columns }
-    );
-    df_unary!(
-        /// `df.assign(...)` — derived columns.
-        assign(exprs: Vec<(String, Expr)>) => |input| TileableOp::Assign { input, exprs }
-    );
-    df_unary!(
-        /// `df[col].fillna(value)`.
-        fillna(column: String, value: Scalar) => |input| TileableOp::Fillna { input, column, value }
-    );
-    df_unary!(
-        /// `df.dropna(subset=...)`.
-        dropna(subset: Option<Vec<String>>) => |input| TileableOp::Dropna { input, subset }
-    );
-    df_unary!(
-        /// `df.rename(columns=...)`.
-        rename(pairs: Vec<(String, String)>) => |input| TileableOp::Rename { input, pairs }
-    );
-    df_unary!(
-        /// `df.groupby(keys).agg(...)` (empty keys ⇒ whole-frame agg).
-        groupby_agg(keys: Vec<String>, specs: Vec<AggSpec>) =>
-            |input| TileableOp::GroupbyAgg { input, keys, specs }
-    );
-    df_unary!(
-        /// `df.sort_values(keys)`.
-        sort_values(keys: Vec<(String, bool)>) => |input| TileableOp::SortValues { input, keys }
-    );
-    df_unary!(
-        /// `df.head(n)`.
-        head(n: usize) => |input| TileableOp::Head { input, n }
-    );
-    df_unary!(
-        /// `df.iloc[row]` (kept as a 1-row frame).
-        iloc_row(row: usize) => |input| TileableOp::ILocRow { input, row }
-    );
-    df_unary!(
-        /// `df.drop_duplicates(subset=...)`.
-        drop_duplicates(subset: Option<Vec<String>>) =>
-            |input| TileableOp::DropDuplicates { input, subset }
-    );
+    /// One elementwise step over this frame.
+    fn step(&self, step: DfStep) -> XbResult<DfHandle<E>> {
+        self.sess.derive(TileableOp::DfMap(step), vec![self.id])
+    }
+
+    /// `df[mask]` — boolean filtering.
+    pub fn filter(&self, predicate: Expr) -> XbResult<DfHandle<E>> {
+        self.step(DfStep::Filter(predicate))
+    }
+
+    /// `df[[cols]]` — projection.
+    pub fn select(&self, columns: Vec<String>) -> XbResult<DfHandle<E>> {
+        self.step(DfStep::Project(columns))
+    }
+
+    /// `df.assign(...)` — derived columns.
+    pub fn assign(&self, exprs: Vec<(String, Expr)>) -> XbResult<DfHandle<E>> {
+        self.step(DfStep::Assign(exprs))
+    }
+
+    /// `df[col].fillna(value)`.
+    pub fn fillna(&self, column: String, value: Scalar) -> XbResult<DfHandle<E>> {
+        self.step(DfStep::Fillna(column, value))
+    }
+
+    /// `df.dropna(subset=...)`.
+    pub fn dropna(&self, subset: Option<Vec<String>>) -> XbResult<DfHandle<E>> {
+        self.step(DfStep::Dropna(subset))
+    }
+
+    /// `df.rename(columns=...)`.
+    pub fn rename(&self, pairs: Vec<(String, String)>) -> XbResult<DfHandle<E>> {
+        self.step(DfStep::Rename(pairs))
+    }
+
+    /// `df.groupby(keys).agg(...)` (empty keys ⇒ whole-frame agg).
+    pub fn groupby_agg(&self, keys: Vec<String>, specs: Vec<AggSpec>) -> XbResult<DfHandle<E>> {
+        self.sess
+            .derive(TileableOp::GroupbyAgg { keys, specs }, vec![self.id])
+    }
+
+    /// `df.sort_values(keys)`.
+    pub fn sort_values(&self, keys: Vec<(String, bool)>) -> XbResult<DfHandle<E>> {
+        self.sess
+            .derive(TileableOp::SortValues { keys }, vec![self.id])
+    }
+
+    /// `df.head(n)`.
+    pub fn head(&self, n: usize) -> XbResult<DfHandle<E>> {
+        self.sess.derive(TileableOp::Head { n }, vec![self.id])
+    }
+
+    /// `df.iloc[row]` (kept as a 1-row frame).
+    pub fn iloc_row(&self, row: usize) -> XbResult<DfHandle<E>> {
+        self.sess.derive(TileableOp::ILocRow { row }, vec![self.id])
+    }
+
+    /// `df.drop_duplicates(subset=...)`.
+    pub fn drop_duplicates(&self, subset: Option<Vec<String>>) -> XbResult<DfHandle<E>> {
+        self.sess
+            .derive(TileableOp::DropDuplicates { subset }, vec![self.id])
+    }
 
     /// `df[col].value_counts()` — distinct values of `column` with their
     /// occurrence counts, sorted descending (sugar over groupby + sort).
@@ -526,17 +553,13 @@ impl<E: Executor> DfHandle<E> {
         right_on: Vec<String>,
         how: JoinType,
     ) -> XbResult<DfHandle<E>> {
-        Ok(DfHandle {
-            sess: self.sess.clone(),
-            id: self.sess.push(TileableOp::Merge {
-                left: self.id,
-                right: other.id,
-                left_on,
-                right_on,
-                how,
-                suffixes: ("_x".into(), "_y".into()),
-            })?,
-        })
+        let merge = TileableOp::Merge {
+            left_on,
+            right_on,
+            how,
+            suffixes: ("_x".into(), "_y".into()),
+        };
+        self.sess.derive(merge, vec![self.id, other.id])
     }
 
     /// Inner merge on same-named keys.
@@ -549,10 +572,7 @@ impl<E: Executor> DfHandle<E> {
     pub fn concat(&self, others: &[&DfHandle<E>]) -> XbResult<DfHandle<E>> {
         let mut inputs = vec![self.id];
         inputs.extend(others.iter().map(|h| h.id));
-        Ok(DfHandle {
-            sess: self.sess.clone(),
-            id: self.sess.push(TileableOp::ConcatDf { inputs })?,
-        })
+        self.sess.derive(TileableOp::ConcatDf, inputs)
     }
 
     /// `df.pivot_table(...)`.
@@ -563,16 +583,13 @@ impl<E: Executor> DfHandle<E> {
         values: &str,
         agg: xorbits_dataframe::AggFunc,
     ) -> XbResult<DfHandle<E>> {
-        Ok(DfHandle {
-            sess: self.sess.clone(),
-            id: self.sess.push(TileableOp::PivotTable {
-                input: self.id,
-                index: index.into(),
-                columns: columns.into(),
-                values: values.into(),
-                agg,
-            })?,
-        })
+        let pivot = TileableOp::PivotTable {
+            index: index.into(),
+            columns: columns.into(),
+            values: values.into(),
+            agg,
+        };
+        self.sess.derive(pivot, vec![self.id])
     }
 
     /// Materialises the result — triggers the tiling/execution loop.
@@ -626,16 +643,18 @@ impl<E: Executor> Clone for TensorHandle<E> {
     }
 }
 
+impl<E: Executor> Handle<E> for TensorHandle<E> {
+    fn new(sess: Session<E>, id: TileableId) -> Self {
+        TensorHandle { sess, id }
+    }
+}
+
 impl<E: Executor> TensorHandle<E> {
     /// Applies `x ↦ op(x, operand)` elementwise.
     pub fn map_scalar(&self, op: xorbits_array::ElemOp, operand: f64) -> XbResult<TensorHandle<E>> {
-        Ok(TensorHandle {
-            sess: self.sess.clone(),
-            id: self.sess.push(TileableOp::TensorMapChain {
-                input: self.id,
-                steps: vec![crate::chunk::ArrStep { op, operand }],
-            })?,
-        })
+        let steps = vec![ArrStep { op, operand }];
+        self.sess
+            .derive(TileableOp::TensorMapChain { steps }, vec![self.id])
     }
 
     /// Elementwise binary op with another tensor.
@@ -644,60 +663,35 @@ impl<E: Executor> TensorHandle<E> {
         other: &TensorHandle<E>,
         op: xorbits_array::ElemOp,
     ) -> XbResult<TensorHandle<E>> {
-        Ok(TensorHandle {
-            sess: self.sess.clone(),
-            id: self.sess.push(TileableOp::TensorBinary {
-                a: self.id,
-                b: other.id,
-                op,
-            })?,
-        })
+        self.sess
+            .derive(TileableOp::TensorBinary { op }, vec![self.id, other.id])
     }
 
     /// `a @ b` (b must be a small single-chunk matrix).
     pub fn matmul(&self, other: &TensorHandle<E>) -> XbResult<TensorHandle<E>> {
-        Ok(TensorHandle {
-            sess: self.sess.clone(),
-            id: self.sess.push(TileableOp::TensorMatMul {
-                a: self.id,
-                b: other.id,
-            })?,
-        })
+        self.sess
+            .derive(TileableOp::TensorMatMul, vec![self.id, other.id])
     }
 
     /// `np.linalg.qr(a)` — returns `(Q, R)` handles (Fig 3a).
     pub fn qr(&self) -> XbResult<(TensorHandle<E>, TensorHandle<E>)> {
-        let q = self.sess.push(TileableOp::TensorQr { input: self.id })?;
+        let q: TensorHandle<E> = self.sess.derive(TileableOp::TensorQr, vec![self.id])?;
         let r = self
             .sess
-            .push(TileableOp::TensorSlot { input: q, slot: 1 })?;
-        let handle = |id| TensorHandle {
-            sess: self.sess.clone(),
-            id,
-        };
-        Ok((handle(q), handle(r)))
+            .derive(TileableOp::TensorSlot { slot: 1 }, vec![q.id])?;
+        Ok((q, r))
     }
 
     /// Full reduction to one element.
     pub fn reduce(&self, kind: Reduction) -> XbResult<TensorHandle<E>> {
-        Ok(TensorHandle {
-            sess: self.sess.clone(),
-            id: self.sess.push(TileableOp::TensorReduce {
-                input: self.id,
-                kind,
-            })?,
-        })
+        self.sess
+            .derive(TileableOp::TensorReduce { kind }, vec![self.id])
     }
 
     /// Distributed least squares against targets `y`.
     pub fn lstsq(&self, y: &TensorHandle<E>) -> XbResult<TensorHandle<E>> {
-        Ok(TensorHandle {
-            sess: self.sess.clone(),
-            id: self.sess.push(TileableOp::TensorLstsq {
-                x: self.id,
-                y: y.id,
-            })?,
-        })
+        self.sess
+            .derive(TileableOp::TensorLstsq, vec![self.id, y.id])
     }
 
     /// Materialises the tensor.

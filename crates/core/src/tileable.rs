@@ -5,11 +5,11 @@
 //! [`crate::tiling::Tiler`] lowers them to chunk graphs, consulting runtime
 //! metadata where needed (dynamic tiling, §IV).
 
-use crate::chunk::ArrStep;
+use crate::chunk::{ArrStep, DfStep};
 use crate::error::{XbError, XbResult};
 use std::sync::Arc;
 use xorbits_array::{ElemOp, NdArray, Reduction};
-use xorbits_dataframe::{AggSpec, DataFrame, Expr, JoinType, Scalar};
+use xorbits_dataframe::{AggSpec, DataFrame, JoinType, Scalar};
 
 /// Identifier of a tileable node within its graph.
 pub type TileableId = usize;
@@ -101,80 +101,29 @@ impl std::fmt::Debug for DfSource {
     }
 }
 
-/// A logical operator — one node of the tileable graph.
+/// A logical operator: what to compute, never what to compute it from.
+/// Variants hold parameters only; the tileables an operator reads are the
+/// [`TileableNode::inputs`] of the node that carries it, in the positional
+/// order given per variant.
 #[derive(Debug, Clone)]
 pub enum TileableOp {
     // ---- dataframe --------------------------------------------------------
     /// Data source.
     DfSource(DfSource),
-    /// Row filter by predicate (output shape unknown until execution — a
-    /// *non-static* operator in the paper's terms).
-    Filter {
-        /// Input tileable.
-        input: TileableId,
-        /// Predicate.
-        predicate: Expr,
-    },
-    /// Column projection.
-    Project {
-        /// Input tileable.
-        input: TileableId,
-        /// Columns to keep.
-        columns: Vec<String>,
-    },
-    /// Tolerant projection inserted by column pruning: keeps the requested
-    /// columns that exist, silently dropping absent names.
-    PruneColumns {
-        /// Input tileable.
-        input: TileableId,
-        /// Columns to keep where present.
-        columns: Vec<String>,
-    },
-    /// Derived-column assignment.
-    Assign {
-        /// Input tileable.
-        input: TileableId,
-        /// `(name, expression)` pairs evaluated in order.
-        exprs: Vec<(String, Expr)>,
-    },
-    /// Null replacement in one column.
-    Fillna {
-        /// Input tileable.
-        input: TileableId,
-        /// Target column.
-        column: String,
-        /// Replacement value.
-        value: Scalar,
-    },
-    /// Null-row removal.
-    Dropna {
-        /// Input tileable.
-        input: TileableId,
-        /// Columns to inspect (`None` ⇒ all).
-        subset: Option<Vec<String>>,
-    },
-    /// Column renaming.
-    Rename {
-        /// Input tileable.
-        input: TileableId,
-        /// `(old, new)` pairs.
-        pairs: Vec<(String, String)>,
-    },
-    /// Group-by aggregation (non-static; the flagship dynamic-tiling op).
+    /// One elementwise step over input `[df]` — filter, projection, derived
+    /// columns, null handling, renaming. Row-dropping steps have an output
+    /// shape unknown until execution: *non-static* in the paper's terms.
+    DfMap(DfStep),
+    /// Group-by aggregation of input `[df]` (non-static; the flagship
+    /// dynamic-tiling op).
     GroupbyAgg {
-        /// Input tileable.
-        input: TileableId,
         /// Group keys (empty ⇒ whole-frame aggregation).
         keys: Vec<String>,
         /// Aggregations.
         specs: Vec<AggSpec>,
     },
-    /// Join (non-static).
+    /// Join of inputs `[left, right]` (non-static).
     Merge {
-        /// Left input.
-        left: TileableId,
-        /// Right input.
-        right: TileableId,
         /// Left key columns.
         left_on: Vec<String>,
         /// Right key columns.
@@ -184,44 +133,32 @@ pub enum TileableOp {
         /// Suffixes for overlapping columns.
         suffixes: (String, String),
     },
-    /// Global sort.
+    /// Global sort of input `[df]`.
     SortValues {
-        /// Input tileable.
-        input: TileableId,
         /// `(column, ascending)` keys.
         keys: Vec<(String, bool)>,
     },
-    /// First `n` rows of the global order.
+    /// First `n` rows of the global order of input `[df]`.
     Head {
-        /// Input tileable.
-        input: TileableId,
         /// Row count.
         n: usize,
     },
-    /// Positional single-row lookup (Listing 2's `iloc[10]`; requires
-    /// iterative tiling when upstream shapes are unknown).
+    /// Positional single-row lookup in input `[df]` (Listing 2's
+    /// `iloc[10]`; requires iterative tiling when upstream shapes are
+    /// unknown).
     ILocRow {
-        /// Input tileable.
-        input: TileableId,
         /// Global row position.
         row: usize,
     },
-    /// Global deduplication.
+    /// Global deduplication of input `[df]`.
     DropDuplicates {
-        /// Input tileable.
-        input: TileableId,
         /// Key subset (`None` ⇒ all columns).
         subset: Option<Vec<String>>,
     },
-    /// Vertical concatenation.
-    ConcatDf {
-        /// Input tileables (same schema).
-        inputs: Vec<TileableId>,
-    },
-    /// Pivot table.
+    /// Vertical concatenation of any number of same-schema inputs.
+    ConcatDf,
+    /// Pivot table of input `[df]`.
     PivotTable {
-        /// Input tileable.
-        input: TileableId,
         /// Row index column.
         index: String,
         /// Header column.
@@ -244,135 +181,61 @@ pub enum TileableOp {
     },
     /// Client-provided tensor (single chunk).
     TensorFromArr(Arc<NdArray>),
-    /// Fused scalar-operand chain.
+    /// Fused scalar-operand chain over input `[tensor]`.
     TensorMapChain {
-        /// Input tensor.
-        input: TileableId,
         /// Steps applied in order.
         steps: Vec<ArrStep>,
     },
-    /// Elementwise binary op (broadcast when `b` is a single chunk).
+    /// Elementwise binary op of inputs `[a, b]` (broadcast when `b` is a
+    /// single chunk).
     TensorBinary {
-        /// Left tensor.
-        a: TileableId,
-        /// Right tensor.
-        b: TileableId,
         /// Operator.
         op: ElemOp,
     },
-    /// Matrix product (`a` row-chunked, `b` single chunk).
-    TensorMatMul {
-        /// Left tensor.
-        a: TileableId,
-        /// Right tensor.
-        b: TileableId,
-    },
-    /// Reduced QR; output slot 0 = Q (row-chunked), slot 1 = R. Consumers
-    /// read slot 0; R is reached through a [`TileableOp::TensorSlot`].
-    TensorQr {
-        /// Input tensor (tall-and-skinny after auto rechunk).
-        input: TileableId,
-    },
-    /// Projection of one output slot of a multi-output tileable (QR's R).
+    /// Matrix product of inputs `[a, b]` (`a` row-chunked, `b` single
+    /// chunk).
+    TensorMatMul,
+    /// Reduced QR of input `[tensor]` (tall-and-skinny after auto rechunk);
+    /// output slot 0 = Q (row-chunked), slot 1 = R. Consumers read slot 0;
+    /// R is reached through a [`TileableOp::TensorSlot`].
+    TensorQr,
+    /// Projection of one output slot of a multi-output input (QR's R).
     /// Tiles to no chunk operator: it aliases the slot's chunks.
     TensorSlot {
-        /// The multi-output tileable.
-        input: TileableId,
-        /// Which of its outputs.
+        /// Which of the input's outputs.
         slot: usize,
     },
-    /// Full reduction to a 1-element tensor.
+    /// Full reduction of input `[tensor]` to a 1-element tensor.
     TensorReduce {
-        /// Input tensor.
-        input: TileableId,
         /// Reduction kind.
         kind: Reduction,
     },
-    /// Distributed least squares via partial normal equations.
-    TensorLstsq {
-        /// Design matrix (row-chunked `m × n`).
-        x: TileableId,
-        /// Targets (row-chunked `m`, same splits as `x`).
-        y: TileableId,
-    },
+    /// Distributed least squares via partial normal equations over inputs
+    /// `[x, y]`: the row-chunked `m × n` design matrix and the targets
+    /// (row-chunked `m`, same splits as `x`).
+    TensorLstsq,
 }
 
 impl TileableOp {
-    /// Ids of input tileables.
-    pub fn inputs(&self) -> Vec<TileableId> {
+    /// How many inputs the operator reads (`None`: any number).
+    fn arity(&self) -> Option<usize> {
         match self {
             TileableOp::DfSource(_)
             | TileableOp::TensorRandom { .. }
-            | TileableOp::TensorFromArr(_) => vec![],
-            TileableOp::Filter { input, .. }
-            | TileableOp::Project { input, .. }
-            | TileableOp::PruneColumns { input, .. }
-            | TileableOp::Assign { input, .. }
-            | TileableOp::Fillna { input, .. }
-            | TileableOp::Dropna { input, .. }
-            | TileableOp::Rename { input, .. }
-            | TileableOp::GroupbyAgg { input, .. }
-            | TileableOp::SortValues { input, .. }
-            | TileableOp::Head { input, .. }
-            | TileableOp::ILocRow { input, .. }
-            | TileableOp::DropDuplicates { input, .. }
-            | TileableOp::PivotTable { input, .. }
-            | TileableOp::TensorMapChain { input, .. }
-            | TileableOp::TensorQr { input }
-            | TileableOp::TensorSlot { input, .. }
-            | TileableOp::TensorReduce { input, .. } => vec![*input],
-            TileableOp::Merge { left, right, .. } => vec![*left, *right],
-            TileableOp::ConcatDf { inputs } => inputs.clone(),
-            TileableOp::TensorBinary { a, b, .. } => vec![*a, *b],
-            TileableOp::TensorMatMul { a, b } => vec![*a, *b],
-            TileableOp::TensorLstsq { x, y } => vec![*x, *y],
-        }
-    }
-
-    /// Rewrites every input id through `f` (closure extraction, pruning).
-    pub(crate) fn map_inputs(&mut self, mut f: impl FnMut(TileableId) -> TileableId) {
-        let mut r = |i: &mut TileableId| *i = f(*i);
-        match self {
-            TileableOp::DfSource(_)
-            | TileableOp::TensorRandom { .. }
-            | TileableOp::TensorFromArr(_) => {}
-            TileableOp::Filter { input, .. }
-            | TileableOp::Project { input, .. }
-            | TileableOp::PruneColumns { input, .. }
-            | TileableOp::Assign { input, .. }
-            | TileableOp::Fillna { input, .. }
-            | TileableOp::Dropna { input, .. }
-            | TileableOp::Rename { input, .. }
-            | TileableOp::GroupbyAgg { input, .. }
-            | TileableOp::SortValues { input, .. }
-            | TileableOp::Head { input, .. }
-            | TileableOp::ILocRow { input, .. }
-            | TileableOp::DropDuplicates { input, .. }
-            | TileableOp::PivotTable { input, .. }
-            | TileableOp::TensorMapChain { input, .. }
-            | TileableOp::TensorQr { input }
-            | TileableOp::TensorSlot { input, .. }
-            | TileableOp::TensorReduce { input, .. } => r(input),
-            TileableOp::Merge { left, right, .. } => {
-                r(left);
-                r(right);
-            }
-            TileableOp::ConcatDf { inputs } => inputs.iter_mut().for_each(r),
-            TileableOp::TensorBinary { a, b, .. } | TileableOp::TensorMatMul { a, b } => {
-                r(a);
-                r(b);
-            }
-            TileableOp::TensorLstsq { x, y } => {
-                r(x);
-                r(y);
-            }
+            | TileableOp::TensorFromArr(_) => Some(0),
+            TileableOp::Merge { .. }
+            | TileableOp::TensorBinary { .. }
+            | TileableOp::TensorMatMul
+            | TileableOp::TensorLstsq => Some(2),
+            TileableOp::ConcatDf => None,
+            _ => Some(1),
         }
     }
 
     /// Number of output slots (only QR has two: Q and R).
     pub fn n_outputs(&self) -> usize {
         match self {
-            TileableOp::TensorQr { .. } => 2,
+            TileableOp::TensorQr => 2,
             _ => 1,
         }
     }
@@ -380,22 +243,44 @@ impl TileableOp {
     /// Whether the output shape can be computed from input shapes alone —
     /// the paper's static/non-static operator distinction (§IV-A).
     pub fn is_static_shape(&self) -> bool {
-        !matches!(
-            self,
-            TileableOp::Filter { .. }
-                | TileableOp::Dropna { .. }
-                | TileableOp::GroupbyAgg { .. }
-                | TileableOp::Merge { .. }
-                | TileableOp::DropDuplicates { .. }
-        )
+        match self {
+            TileableOp::DfMap(step) => step.keeps_rows(),
+            TileableOp::GroupbyAgg { .. }
+            | TileableOp::Merge { .. }
+            | TileableOp::DropDuplicates { .. } => false,
+            _ => true,
+        }
     }
+
+    /// One-line rendering for logical plans. The operator holds parameters
+    /// only, so its derived `Debug` is the description; the arms elide what
+    /// would not fit a line — source data, expressions, literal arrays.
+    pub fn name(&self) -> String {
+        match self {
+            TileableOp::DfSource(src) => format!("DfSource({})", src.label()),
+            TileableOp::DfMap(step) => step.label(),
+            TileableOp::TensorFromArr(arr) => format!("TensorLiteral{:?}", arr.shape()),
+            _ => format!("{self:?}"),
+        }
+    }
+}
+
+/// One node of the tileable graph — the shape of a
+/// [`crate::chunk::ChunkNode`], one layer up.
+#[derive(Debug, Clone)]
+pub struct TileableNode {
+    /// The operator.
+    pub op: TileableOp,
+    /// The tileables it reads, in the operator's positional order.
+    pub inputs: Vec<TileableId>,
 }
 
 /// The logical plan: tileables in construction (= topological) order.
 #[derive(Debug, Clone, Default)]
 pub struct TileableGraph {
-    /// Nodes; a node's inputs always have smaller ids.
-    pub nodes: Vec<TileableOp>,
+    /// Nodes; a node's inputs always have smaller ids and are as many as
+    /// its operator reads ([`TileableGraph::push`] checks both).
+    pub nodes: Vec<TileableNode>,
 }
 
 impl TileableGraph {
@@ -404,22 +289,28 @@ impl TileableGraph {
         TileableGraph::default()
     }
 
-    /// Adds a node; returns its id. Inputs must already exist.
-    pub fn push(&mut self, op: TileableOp) -> XbResult<TileableId> {
-        for i in op.inputs() {
-            if i >= self.nodes.len() {
-                return Err(XbError::Plan(format!(
-                    "tileable references unknown input {i}"
-                )));
-            }
+    /// Adds a node; returns its id. Inputs must already exist and be as
+    /// many as the operator reads.
+    pub fn push(&mut self, op: TileableOp, inputs: Vec<TileableId>) -> XbResult<TileableId> {
+        if op.arity().is_some_and(|n| n != inputs.len()) {
+            return Err(XbError::Plan(format!(
+                "{} given {} inputs",
+                op.name(),
+                inputs.len()
+            )));
         }
-        self.nodes.push(op);
+        if let Some(i) = inputs.iter().find(|&&i| i >= self.nodes.len()) {
+            return Err(XbError::Plan(format!(
+                "tileable references unknown input {i}"
+            )));
+        }
+        self.nodes.push(TileableNode { op, inputs });
         Ok(self.nodes.len() - 1)
     }
 
-    /// Node accessor.
+    /// Operator of a node.
     pub fn op(&self, id: TileableId) -> &TileableOp {
-        &self.nodes[id]
+        &self.nodes[id].op
     }
 
     /// Node count.
@@ -436,10 +327,8 @@ impl TileableGraph {
     /// peepholes like sort+head → top-k).
     pub fn consumer_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.nodes.len()];
-        for op in &self.nodes {
-            for i in op.inputs() {
-                counts[i] += 1;
-            }
+        for &i in self.nodes.iter().flat_map(|node| &node.inputs) {
+            counts[i] += 1;
         }
         counts
     }
@@ -458,16 +347,16 @@ impl TileableGraph {
         while let Some(id) = heap.pop() {
             if ids.last() != Some(&id) {
                 ids.push(id);
-                heap.extend(self.op(id).inputs());
+                heap.extend(&self.nodes[id].inputs);
             }
         }
         ids.reverse();
+        let dense = |i: &TileableId| ids.binary_search(i).expect("input is an ancestor");
         let nodes = ids
             .iter()
-            .map(|&id| {
-                let mut op = self.nodes[id].clone();
-                op.map_inputs(|i| ids.binary_search(&i).expect("input is an ancestor"));
-                op
+            .map(|&id| TileableNode {
+                op: self.nodes[id].op.clone(),
+                inputs: self.nodes[id].inputs.iter().map(dense).collect(),
             })
             .collect();
         TileableGraph { nodes }
@@ -508,25 +397,10 @@ impl Digest {
         self.word(b.len() as u64);
     }
 
-    /// Debug formatting of a parameter value. Safe for every parameter type
-    /// used by [`TileableOp`] (expressions, scalars, agg specs, join types,
-    /// array steps): their Debug output is deterministic and contains no
-    /// graph ids or addresses.
-    fn param<T: std::fmt::Debug>(&mut self, v: &T) {
-        self.bytes(format!("{v:?}").as_bytes());
-    }
-
     fn finish(self) -> u64 {
         // final avalanche so single-word differences diffuse everywhere
         xorbits_array::prng::mix(self.h)
     }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Calls to [`df_fingerprint`] on this thread (each one hashes every
-    /// value of a table, so tests pin how many a fetch makes).
-    pub(crate) static DF_FINGERPRINTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Content fingerprint of a materialized dataframe: schema plus every value.
@@ -624,133 +498,25 @@ fn source_fingerprint(op: &TileableOp) -> Option<u64> {
     }
 }
 
-/// Hashes one node's tag and parameters (inputs are mixed in separately via
-/// their canonical digests, never via raw ids). `source_fp` is the node's
-/// [`source_fingerprint`], computed once by the caller.
+/// Hashes one node's operator through the derived `Debug` of the
+/// parameter-only [`TileableOp`]: it names the variant and every field, is
+/// deterministic for every parameter type (expressions, scalars, agg specs,
+/// join types, array steps) and holds no graph id or address — inputs are
+/// mixed in separately via their canonical digests. A source reduces to
+/// `source_fp` — its [`source_fingerprint`], computed once by the caller —
+/// so content changes propagate and its data is never formatted.
 fn op_param_hash(op: &TileableOp, source_fp: Option<u64>) -> u64 {
-    match op {
-        // Sources reduce to their fingerprint so content changes propagate.
-        TileableOp::DfSource(_)
-        | TileableOp::TensorRandom { .. }
-        | TileableOp::TensorFromArr(_) => {
+    match source_fp {
+        Some(fp) => {
             let mut d = Digest::new("source");
-            d.word(source_fp.unwrap_or(0));
+            d.word(fp);
             d.finish()
         }
-        TileableOp::Filter { predicate, .. } => {
-            let mut d = Digest::new("filter");
-            d.param(predicate);
+        None => {
+            let mut d = Digest::new("op");
+            d.bytes(format!("{op:?}").as_bytes());
             d.finish()
         }
-        TileableOp::Project { columns, .. } => {
-            let mut d = Digest::new("project");
-            d.param(columns);
-            d.finish()
-        }
-        TileableOp::PruneColumns { columns, .. } => {
-            let mut d = Digest::new("prune");
-            d.param(columns);
-            d.finish()
-        }
-        TileableOp::Assign { exprs, .. } => {
-            let mut d = Digest::new("assign");
-            d.param(exprs);
-            d.finish()
-        }
-        TileableOp::Fillna { column, value, .. } => {
-            let mut d = Digest::new("fillna");
-            d.param(column);
-            d.param(value);
-            d.finish()
-        }
-        TileableOp::Dropna { subset, .. } => {
-            let mut d = Digest::new("dropna");
-            d.param(subset);
-            d.finish()
-        }
-        TileableOp::Rename { pairs, .. } => {
-            let mut d = Digest::new("rename");
-            d.param(pairs);
-            d.finish()
-        }
-        TileableOp::GroupbyAgg { keys, specs, .. } => {
-            let mut d = Digest::new("groupby");
-            d.param(keys);
-            d.param(specs);
-            d.finish()
-        }
-        TileableOp::Merge {
-            left_on,
-            right_on,
-            how,
-            suffixes,
-            ..
-        } => {
-            let mut d = Digest::new("merge");
-            d.param(left_on);
-            d.param(right_on);
-            d.param(how);
-            d.param(suffixes);
-            d.finish()
-        }
-        TileableOp::SortValues { keys, .. } => {
-            let mut d = Digest::new("sort");
-            d.param(keys);
-            d.finish()
-        }
-        TileableOp::Head { n, .. } => {
-            let mut d = Digest::new("head");
-            d.word(*n as u64);
-            d.finish()
-        }
-        TileableOp::ILocRow { row, .. } => {
-            let mut d = Digest::new("iloc");
-            d.word(*row as u64);
-            d.finish()
-        }
-        TileableOp::DropDuplicates { subset, .. } => {
-            let mut d = Digest::new("dropdup");
-            d.param(subset);
-            d.finish()
-        }
-        TileableOp::ConcatDf { .. } => Digest::new("concat").finish(),
-        TileableOp::PivotTable {
-            index,
-            columns,
-            values,
-            agg,
-            ..
-        } => {
-            let mut d = Digest::new("pivot");
-            d.param(index);
-            d.param(columns);
-            d.param(values);
-            d.param(agg);
-            d.finish()
-        }
-        TileableOp::TensorMapChain { steps, .. } => {
-            let mut d = Digest::new("mapchain");
-            d.param(steps);
-            d.finish()
-        }
-        TileableOp::TensorBinary { op, .. } => {
-            let mut d = Digest::new("binary");
-            d.param(op);
-            d.finish()
-        }
-        TileableOp::TensorMatMul { .. } => Digest::new("matmul").finish(),
-        TileableOp::TensorQr { .. } => Digest::new("qr").finish(),
-        TileableOp::TensorSlot { slot, .. } => {
-            let mut d = Digest::new("slot");
-            d.word(*slot as u64);
-            d.finish()
-        }
-        TileableOp::TensorReduce { kind, .. } => {
-            let mut d = Digest::new("reduce");
-            d.param(kind);
-            d.finish()
-        }
-        TileableOp::TensorLstsq { .. } => Digest::new("lstsq").finish(),
     }
 }
 
@@ -769,16 +535,15 @@ pub fn cache_key(closure: &TileableGraph) -> (u64, Vec<u64>) {
     // digest bottom-up
     let mut digests: Vec<u64> = Vec::with_capacity(closure.len());
     let mut sources = Vec::new();
-    for op in &closure.nodes {
-        let source_fp = source_fingerprint(op);
+    for node in &closure.nodes {
+        let source_fp = source_fingerprint(&node.op);
         sources.extend(source_fp);
         let mut d = Digest::new("node");
-        d.word(op_param_hash(op, source_fp));
-        let inputs = op.inputs();
-        for i in &inputs {
-            d.word(digests[*i]);
+        d.word(op_param_hash(&node.op, source_fp));
+        for &i in &node.inputs {
+            d.word(digests[i]);
         }
-        d.word(inputs.len() as u64);
+        d.word(node.inputs.len() as u64);
         digests.push(d.finish());
     }
     sources.sort_unstable();
@@ -789,32 +554,41 @@ pub fn cache_key(closure: &TileableGraph) -> (u64, Vec<u64>) {
 }
 
 #[cfg(test)]
+thread_local! {
+    /// Calls to [`df_fingerprint`] on this thread (each one hashes every
+    /// value of a table, so tests pin how many a fetch makes).
+    pub(crate) static DF_FINGERPRINTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use xorbits_dataframe::{col, lit, Column};
+    use xorbits_dataframe::{col, lit, AggFunc, Column, Expr};
+
+    fn materialized(vals: Vec<i64>) -> TileableOp {
+        let df = DataFrame::new(vec![("a", Column::from_i64(vals))]).unwrap();
+        TileableOp::DfSource(DfSource::materialized(df))
+    }
+
+    fn filter(predicate: Expr) -> TileableOp {
+        TileableOp::DfMap(DfStep::Filter(predicate))
+    }
 
     #[test]
     fn graph_construction_and_inputs() {
         let mut g = TileableGraph::new();
-        let df = DataFrame::new(vec![("a", Column::from_i64(vec![1]))]).unwrap();
-        let src = g
-            .push(TileableOp::DfSource(DfSource::materialized(df)))
-            .unwrap();
-        let filt = g
-            .push(TileableOp::Filter {
-                input: src,
-                predicate: col("a").gt(lit(0i64)),
-            })
-            .unwrap();
-        assert_eq!(g.op(filt).inputs(), vec![src]);
+        let src = g.push(materialized(vec![1]), vec![]).unwrap();
+        let filt = g.push(filter(col("a").gt(lit(0i64))), vec![src]).unwrap();
+        assert_eq!(g.nodes[filt].inputs, vec![src]);
         assert_eq!(g.consumer_counts(), vec![1, 0]);
         // forward reference rejected
-        assert!(g
-            .push(TileableOp::Filter {
-                input: 99,
-                predicate: col("a").gt(lit(0i64)),
-            })
-            .is_err());
+        assert!(g.push(filter(col("a").gt(lit(0i64))), vec![99]).is_err());
+        // so is an input count the operator does not read
+        assert!(g.push(TileableOp::Head { n: 1 }, vec![]).is_err());
+        assert!(g.push(TileableOp::TensorMatMul, vec![src]).is_err());
+        assert!(g.push(materialized(vec![1]), vec![src]).is_err());
+        assert!(g.push(TileableOp::ConcatDf, vec![src, filt, src]).is_ok());
+        assert_eq!(g.len(), 3);
     }
 
     #[test]
@@ -825,13 +599,10 @@ mod tests {
             normal: false,
         };
         assert!(src.is_static_shape());
-        let f = TileableOp::Filter {
-            input: 0,
-            predicate: col("a").gt(lit(0i64)),
-        };
-        assert!(!f.is_static_shape());
+        assert!(!filter(col("a").gt(lit(0i64))).is_static_shape());
+        assert!(!TileableOp::DfMap(DfStep::Dropna(None)).is_static_shape());
+        assert!(TileableOp::DfMap(DfStep::Project(vec![])).is_static_shape());
         let g = TileableOp::GroupbyAgg {
-            input: 0,
             keys: vec![],
             specs: vec![],
         };
@@ -854,7 +625,7 @@ mod tests {
         reach[target] = true;
         for id in (0..=target).rev() {
             if reach[id] {
-                for i in graph.op(id).inputs() {
+                for &i in &graph.nodes[id].inputs {
                     reach[i] = true;
                 }
             }
@@ -868,14 +639,13 @@ mod tests {
         let reach = reference_reach(graph, target);
         let mut digests = vec![0u64; graph.len()];
         for id in (0..=target).filter(|&id| reach[id]) {
-            let op = graph.op(id);
+            let node = &graph.nodes[id];
             let mut d = Digest::new("node");
-            d.word(op_param_hash(op, source_fingerprint(op)));
-            let inputs = op.inputs();
-            for i in &inputs {
-                d.word(digests[*i]);
+            d.word(op_param_hash(&node.op, source_fingerprint(&node.op)));
+            for &i in &node.inputs {
+                d.word(digests[i]);
             }
-            d.word(inputs.len() as u64);
+            d.word(node.inputs.len() as u64);
             digests[id] = d.finish();
         }
         let mut d = Digest::new("fetch");
@@ -899,60 +669,46 @@ mod tests {
         let mut g = TileableGraph::new();
         let n = 3 + rng.next_bounded(38) as usize;
         for id in 0..n {
-            let pick = |rng: &mut xorbits_array::prng::Xoshiro256| {
-                rng.next_bounded(id as u64) as TileableId
-            };
             let kind = if id < 2 { 0 } else { rng.next_bounded(10) };
-            let op = match kind {
+            let (op, arity) = match kind {
+                // few distinct contents: equal sources dedupe in lineage
                 0 => {
-                    // few distinct contents: equal sources dedupe in lineage
                     let v = rng.next_bounded(3) as i64;
-                    let df = DataFrame::new(vec![("a", Column::from_i64(vec![v, v + 1]))]).unwrap();
-                    TileableOp::DfSource(DfSource::materialized(df))
+                    (materialized(vec![v, v + 1]), 0)
                 }
-                1 => TileableOp::TensorRandom {
-                    shape: vec![4, 2],
-                    seed: rng.next_bounded(3),
-                    normal: false,
-                },
-                2 => TileableOp::Filter {
-                    input: pick(&mut rng),
-                    predicate: col("a").gt(lit(rng.next_bounded(4) as i64)),
-                },
-                3 => TileableOp::Head {
-                    input: pick(&mut rng),
-                    n: 1 + rng.next_bounded(3) as usize,
-                },
-                4 => TileableOp::TensorQr {
-                    input: pick(&mut rng),
-                },
-                5 => TileableOp::Merge {
-                    left: pick(&mut rng),
-                    right: pick(&mut rng),
-                    left_on: vec!["a".into()],
-                    right_on: vec!["a".into()],
-                    how: JoinType::Inner,
-                    suffixes: ("_x".into(), "_y".into()),
-                },
-                6 => TileableOp::TensorMatMul {
-                    a: pick(&mut rng),
-                    b: pick(&mut rng),
-                },
-                7 => TileableOp::TensorSlot {
-                    input: pick(&mut rng),
-                    slot: rng.next_bounded(2) as usize,
-                },
-                8 => TileableOp::ConcatDf {
-                    inputs: (0..1 + rng.next_bounded(3))
-                        .map(|_| pick(&mut rng))
-                        .collect(),
-                },
-                _ => TileableOp::TensorLstsq {
-                    x: pick(&mut rng),
-                    y: pick(&mut rng),
-                },
+                1 => {
+                    let random = TileableOp::TensorRandom {
+                        shape: vec![4, 2],
+                        seed: rng.next_bounded(3),
+                        normal: false,
+                    };
+                    (random, 0)
+                }
+                2 => (filter(col("a").gt(lit(rng.next_bounded(4) as i64))), 1),
+                3 => {
+                    let n = 1 + rng.next_bounded(3) as usize;
+                    (TileableOp::Head { n }, 1)
+                }
+                4 => (TileableOp::TensorQr, 1),
+                5 => {
+                    let merge = TileableOp::Merge {
+                        left_on: vec!["a".into()],
+                        right_on: vec!["a".into()],
+                        how: JoinType::Inner,
+                        suffixes: ("_x".into(), "_y".into()),
+                    };
+                    (merge, 2)
+                }
+                6 => (TileableOp::TensorMatMul, 2),
+                7 => {
+                    let slot = rng.next_bounded(2) as usize;
+                    (TileableOp::TensorSlot { slot }, 1)
+                }
+                8 => (TileableOp::ConcatDf, 1 + rng.next_bounded(3)),
+                _ => (TileableOp::TensorLstsq, 2),
             };
-            g.push(op).unwrap();
+            let inputs = (0..arity).map(|_| rng.next_bounded(id as u64) as TileableId);
+            g.push(op, inputs.collect()).unwrap();
         }
         g
     }
@@ -969,18 +725,16 @@ mod tests {
                 assert_eq!(c.len(), ancestors.len(), "seed {seed} target {target}");
                 assert_eq!(ancestors.last(), Some(&target));
                 for (new_id, &old_id) in ancestors.iter().enumerate() {
-                    let (new_op, old_op) = (c.op(new_id), g.op(old_id));
+                    let (new, old) = (&c.nodes[new_id], &g.nodes[old_id]);
                     assert_eq!(
-                        op_param_hash(new_op, source_fingerprint(new_op)),
-                        op_param_hash(old_op, source_fingerprint(old_op)),
+                        op_param_hash(&new.op, source_fingerprint(&new.op)),
+                        op_param_hash(&old.op, source_fingerprint(&old.op)),
                         "seed {seed}: node {old_id} changed on the way into the closure"
                     );
                     // dense remap: every input precedes its consumer and
                     // names the same original node, position by position
-                    let old_inputs = old_op.inputs();
-                    let new_inputs = new_op.inputs();
-                    assert_eq!(new_inputs.len(), old_inputs.len());
-                    for (ni, oi) in new_inputs.iter().zip(&old_inputs) {
+                    assert_eq!(new.inputs.len(), old.inputs.len());
+                    for (ni, oi) in new.inputs.iter().zip(&old.inputs) {
                         assert!(*ni < new_id, "seed {seed}: forward edge in closure");
                         assert_eq!(ancestors[*ni], *oi);
                     }
@@ -1004,20 +758,14 @@ mod tests {
         let mut g = TileableGraph::new();
         for _ in 0..pad {
             let df = DataFrame::new(vec![("pad", Column::from_i64(vec![0]))]).unwrap();
-            g.push(TileableOp::DfSource(DfSource::materialized(df)))
+            g.push(TileableOp::DfSource(DfSource::materialized(df)), vec![])
                 .unwrap();
         }
-        let df = DataFrame::new(vec![("a", Column::from_i64(vec![1, 2, 3]))]).unwrap();
-        let src = g
-            .push(TileableOp::DfSource(DfSource::materialized(df)))
-            .unwrap();
+        let src = g.push(materialized(vec![1, 2, 3]), vec![]).unwrap();
         let filt = g
-            .push(TileableOp::Filter {
-                input: src,
-                predicate: col("a").gt(lit(pred_lit)),
-            })
+            .push(filter(col("a").gt(lit(pred_lit))), vec![src])
             .unwrap();
-        let head = g.push(TileableOp::Head { input: filt, n: 2 }).unwrap();
+        let head = g.push(TileableOp::Head { n: 2 }, vec![filt]).unwrap();
         (g, head)
     }
 
@@ -1028,22 +776,267 @@ mod tests {
         assert_eq!(canonical_hash(&g0, t0), canonical_hash(&g5, t5));
     }
 
+    /// Every [`TileableOp`] variant (each [`DfStep`] is one), as a family:
+    /// a base operator, then copies of it with exactly one parameter
+    /// changed. Sources count their content and declared identity as
+    /// parameters.
+    fn families() -> Vec<Vec<TileableOp>> {
+        use TileableOp::*;
+        let s = |x: &str| x.to_string();
+        let map = |steps: Vec<DfStep>| steps.into_iter().map(DfMap).collect::<Vec<_>>();
+        let generator = |label: &str, rows, bytes_per_row| {
+            DfSource(super::DfSource::Generator {
+                rows,
+                bytes_per_row,
+                gen: Arc::new(|_, _| Err(XbError::Plan("never read".into()))),
+                label: label.into(),
+            })
+        };
+        let groupby = |key: &str, column: &str, func, output: &str| GroupbyAgg {
+            keys: vec![s(key)],
+            specs: vec![AggSpec::new(column, func, output)],
+        };
+        let merge = |left: &str, right: &str, how, (l, r): (&str, &str)| Merge {
+            left_on: vec![s(left)],
+            right_on: vec![s(right)],
+            how,
+            suffixes: (s(l), s(r)),
+        };
+        let pivot = |index: &str, columns: &str, values: &str, agg| PivotTable {
+            index: s(index),
+            columns: s(columns),
+            values: s(values),
+            agg,
+        };
+        let random = |shape: &[usize], seed, normal| TensorRandom {
+            shape: shape.to_vec(),
+            seed,
+            normal,
+        };
+        let literal = |data: Vec<f64>, shape: &[usize]| {
+            TensorFromArr(Arc::new(NdArray::from_vec(data, shape.to_vec()).unwrap()))
+        };
+        let chain = |steps: &[(ElemOp, f64)]| TensorMapChain {
+            steps: steps
+                .iter()
+                .map(|&(op, operand)| ArrStep { op, operand })
+                .collect(),
+        };
+        vec![
+            vec![
+                materialized(vec![1, 2]),
+                materialized(vec![1, 3]),
+                materialized(vec![1, 2, 2]),
+            ],
+            vec![
+                generator("t", 8, 8),
+                generator("u", 8, 8),
+                generator("t", 9, 8),
+                generator("t", 8, 9),
+            ],
+            map(vec![
+                DfStep::Filter(col("a").gt(lit(0i64))),
+                DfStep::Filter(col("a").gt(lit(1i64))),
+                DfStep::Filter(col("b").gt(lit(0i64))),
+                DfStep::Filter(col("a").lt(lit(0i64))),
+            ]),
+            map(vec![
+                DfStep::Project(vec![s("a")]),
+                DfStep::Project(vec![s("b")]),
+                DfStep::Project(vec![s("a"), s("b")]),
+            ]),
+            map(vec![
+                DfStep::PruneTo(vec![s("a")]),
+                DfStep::PruneTo(vec![s("b")]),
+            ]),
+            map(vec![
+                DfStep::Assign(vec![(s("c"), col("a"))]),
+                DfStep::Assign(vec![(s("d"), col("a"))]),
+                DfStep::Assign(vec![(s("c"), col("b"))]),
+            ]),
+            map(vec![
+                DfStep::Fillna(s("a"), Scalar::Int(0)),
+                DfStep::Fillna(s("b"), Scalar::Int(0)),
+                DfStep::Fillna(s("a"), Scalar::Int(1)),
+                DfStep::Fillna(s("a"), Scalar::Float(0.0)),
+            ]),
+            map(vec![
+                DfStep::Dropna(None),
+                DfStep::Dropna(Some(vec![s("a")])),
+                DfStep::Dropna(Some(vec![s("b")])),
+            ]),
+            map(vec![
+                DfStep::Rename(vec![(s("a"), s("b"))]),
+                DfStep::Rename(vec![(s("c"), s("b"))]),
+                DfStep::Rename(vec![(s("a"), s("c"))]),
+            ]),
+            vec![
+                groupby("a", "b", AggFunc::Sum, "s"),
+                groupby("k", "b", AggFunc::Sum, "s"),
+                groupby("a", "c", AggFunc::Sum, "s"),
+                groupby("a", "b", AggFunc::Mean, "s"),
+                groupby("a", "b", AggFunc::Sum, "t"),
+            ],
+            vec![
+                merge("a", "a", JoinType::Inner, ("_x", "_y")),
+                merge("b", "a", JoinType::Inner, ("_x", "_y")),
+                merge("a", "b", JoinType::Inner, ("_x", "_y")),
+                merge("a", "a", JoinType::Left, ("_x", "_y")),
+                merge("a", "a", JoinType::Inner, ("_l", "_y")),
+                merge("a", "a", JoinType::Inner, ("_x", "_r")),
+            ],
+            vec![
+                SortValues {
+                    keys: vec![(s("a"), true)],
+                },
+                SortValues {
+                    keys: vec![(s("a"), false)],
+                },
+                SortValues {
+                    keys: vec![(s("b"), true)],
+                },
+            ],
+            vec![Head { n: 1 }, Head { n: 2 }],
+            vec![ILocRow { row: 1 }, ILocRow { row: 2 }],
+            vec![
+                DropDuplicates { subset: None },
+                DropDuplicates {
+                    subset: Some(vec![s("a")]),
+                },
+                DropDuplicates {
+                    subset: Some(vec![s("b")]),
+                },
+            ],
+            vec![ConcatDf],
+            vec![
+                pivot("i", "c", "v", AggFunc::Sum),
+                pivot("x", "c", "v", AggFunc::Sum),
+                pivot("i", "x", "v", AggFunc::Sum),
+                pivot("i", "c", "x", AggFunc::Sum),
+                pivot("i", "c", "v", AggFunc::Max),
+            ],
+            vec![
+                random(&[4, 2], 1, false),
+                random(&[2, 4], 1, false),
+                random(&[4, 2], 2, false),
+                random(&[4, 2], 1, true),
+            ],
+            vec![
+                literal(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]),
+                literal(vec![1.0, 2.0, 3.0, 5.0], &[2, 2]),
+                literal(vec![1.0, 2.0, 3.0, 4.0], &[4, 1]),
+            ],
+            vec![
+                chain(&[(ElemOp::Add, 1.0)]),
+                chain(&[(ElemOp::Mul, 1.0)]),
+                chain(&[(ElemOp::Add, 2.0)]),
+                chain(&[(ElemOp::Add, 1.0), (ElemOp::Add, 1.0)]),
+            ],
+            vec![
+                TensorBinary { op: ElemOp::Add },
+                TensorBinary { op: ElemOp::Sub },
+            ],
+            vec![TensorMatMul],
+            vec![TensorQr],
+            vec![TensorSlot { slot: 0 }, TensorSlot { slot: 1 }],
+            vec![
+                TensorReduce {
+                    kind: Reduction::Sum,
+                },
+                TensorReduce {
+                    kind: Reduction::Mean,
+                },
+            ],
+            vec![TensorLstsq],
+        ]
+    }
+
+    /// Position of an operator's family in [`families`]. Exhaustive on
+    /// purpose: a new variant or step does not compile until it is listed
+    /// here, and the test below fails until the table has its family.
+    fn family_of(op: &TileableOp) -> usize {
+        match op {
+            TileableOp::DfSource(DfSource::Materialized(_)) => 0,
+            TileableOp::DfSource(DfSource::Generator { .. }) => 1,
+            TileableOp::DfMap(DfStep::Filter(_)) => 2,
+            TileableOp::DfMap(DfStep::Project(_)) => 3,
+            TileableOp::DfMap(DfStep::PruneTo(_)) => 4,
+            TileableOp::DfMap(DfStep::Assign(_)) => 5,
+            TileableOp::DfMap(DfStep::Fillna(..)) => 6,
+            TileableOp::DfMap(DfStep::Dropna(_)) => 7,
+            TileableOp::DfMap(DfStep::Rename(_)) => 8,
+            TileableOp::GroupbyAgg { .. } => 9,
+            TileableOp::Merge { .. } => 10,
+            TileableOp::SortValues { .. } => 11,
+            TileableOp::Head { .. } => 12,
+            TileableOp::ILocRow { .. } => 13,
+            TileableOp::DropDuplicates { .. } => 14,
+            TileableOp::ConcatDf => 15,
+            TileableOp::PivotTable { .. } => 16,
+            TileableOp::TensorRandom { .. } => 17,
+            TileableOp::TensorFromArr(_) => 18,
+            TileableOp::TensorMapChain { .. } => 19,
+            TileableOp::TensorBinary { .. } => 20,
+            TileableOp::TensorMatMul => 21,
+            TileableOp::TensorQr => 22,
+            TileableOp::TensorSlot { .. } => 23,
+            TileableOp::TensorReduce { .. } => 24,
+            TileableOp::TensorLstsq => 25,
+        }
+    }
+
+    /// Cache key of `op` over as many distinct sources as it reads (two for
+    /// a concat), the last two swapped on request, with `pad` unrelated
+    /// nodes before every node — renumbering every id — and after the
+    /// target.
+    fn key_over_sources(op: &TileableOp, pad: usize, swap: bool) -> u64 {
+        let mut g = TileableGraph::new();
+        let mut push = |op: TileableOp, inputs| {
+            for _ in 0..pad {
+                g.push(materialized(vec![-1]), vec![]).unwrap();
+            }
+            g.push(op, inputs).unwrap()
+        };
+        let mut inputs: Vec<TileableId> = (0..op.arity().unwrap_or(2))
+            .map(|i| push(materialized(vec![i as i64]), vec![]))
+            .collect();
+        if swap {
+            inputs.reverse();
+        }
+        let target = push(op.clone(), inputs);
+        push(TileableOp::Head { n: 1 }, vec![target]);
+        canonical_hash(&g, target)
+    }
+
     #[test]
-    fn canonical_hash_param_sensitive() {
-        let (g0, t0) = demo_graph(0, 0);
-        let (g1, t1) = demo_graph(1, 0);
-        assert_ne!(canonical_hash(&g0, t0), canonical_hash(&g1, t1));
+    fn cache_key_pins_every_parameter_of_every_variant() {
+        let families = families();
+        let mut seen: Vec<(u64, String)> = Vec::new();
+        for (fi, family) in families.iter().enumerate() {
+            for op in family {
+                assert_eq!(family_of(op), fi, "{op:?} sits in the wrong family");
+                let key = key_over_sources(op, 0, false);
+                // any one parameter changed — or another variant over the
+                // same inputs — is another key
+                for (other, what) in &seen {
+                    assert_ne!(key, *other, "{op:?} keys like {what}");
+                }
+                seen.push((key, format!("{op:?}")));
+                // renumbering ids and unrelated nodes in the session: same key
+                assert_eq!(key, key_over_sources(op, 3, false), "{op:?}");
+                // input order is part of the identity
+                if op.arity() != Some(0) && op.arity() != Some(1) {
+                    assert_ne!(key, key_over_sources(op, 0, true), "{op:?}");
+                    assert_ne!(key, key_over_sources(op, 2, true), "{op:?}");
+                }
+            }
+        }
+        assert_eq!(families.len(), 26, "one family per variant and step");
         // QR's outputs key differently: Q is the node, R a projection of it
         let mut g = TileableGraph::new();
-        let a = g
-            .push(TileableOp::TensorRandom {
-                shape: vec![8, 2],
-                seed: 1,
-                normal: false,
-            })
-            .unwrap();
-        let q = g.push(TileableOp::TensorQr { input: a }).unwrap();
-        let mut slot = |slot| g.push(TileableOp::TensorSlot { input: q, slot }).unwrap();
+        let a = g.push(families[17][0].clone(), vec![]).unwrap();
+        let q = g.push(TileableOp::TensorQr, vec![a]).unwrap();
+        let mut slot = |slot| g.push(TileableOp::TensorSlot { slot }, vec![q]).unwrap();
         let (r, r_again, q_slot) = (slot(1), slot(1), slot(0));
         assert_ne!(canonical_hash(&g, q), canonical_hash(&g, r));
         assert_ne!(canonical_hash(&g, q_slot), canonical_hash(&g, r));
@@ -1054,11 +1047,8 @@ mod tests {
     fn canonical_hash_source_content_sensitive() {
         let mk = |vals: Vec<i64>| {
             let mut g = TileableGraph::new();
-            let df = DataFrame::new(vec![("a", Column::from_i64(vals))]).unwrap();
-            let src = g
-                .push(TileableOp::DfSource(DfSource::materialized(df)))
-                .unwrap();
-            let h = g.push(TileableOp::Head { input: src, n: 1 }).unwrap();
+            let src = g.push(materialized(vals), vec![]).unwrap();
+            let h = g.push(TileableOp::Head { n: 1 }, vec![src]).unwrap();
             canonical_hash(&g, h)
         };
         assert_eq!(mk(vec![1, 2]), mk(vec![1, 2]));
@@ -1078,15 +1068,7 @@ mod tests {
 
     #[test]
     fn qr_has_two_outputs() {
-        assert_eq!(TileableOp::TensorQr { input: 0 }.n_outputs(), 2);
-        assert_eq!(
-            TileableOp::TensorRandom {
-                shape: vec![2],
-                seed: 0,
-                normal: false
-            }
-            .n_outputs(),
-            1
-        );
+        assert_eq!(TileableOp::TensorQr.n_outputs(), 2);
+        assert_eq!(TileableOp::TensorLstsq.n_outputs(), 1);
     }
 }

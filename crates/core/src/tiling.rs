@@ -234,7 +234,7 @@ impl<'g> Tiler<'g> {
     /// pass-through chunks of `head`/`concat`).
     fn mark_consumed(&mut self, id: TileableId) {
         let mut newly_dead = Vec::new();
-        for t in self.graph.op(id).inputs() {
+        for &t in &self.graph.nodes[id].inputs {
             self.remaining_consumers[t] -= 1;
             if self.remaining_consumers[t] == 0 {
                 newly_dead.push(t);
@@ -460,39 +460,17 @@ impl<'g> Tiler<'g> {
     // pending graph must be flushed first (the `yield`).
 
     fn tile_one(&mut self, id: TileableId, meta: &dyn MetaView) -> XbResult<Option<Layout>> {
-        let layout = match self.graph.op(id).clone() {
+        // `TileableGraph::push` checked that the operator has the inputs it
+        // reads, so the positional indexing below cannot miss
+        let node = self.graph.nodes[id].clone();
+        let ins = &node.inputs[..];
+        let layout = match node.op {
             TileableOp::DfSource(src) => self.tile_df_source(&src),
-            // filters/dropna invalidate exactness: the classic unknown-shape
-            // operators of §IV-A
-            TileableOp::Filter { input, predicate } => {
-                self.tile_df_map(input, DfStep::Filter(predicate), false)?
-            }
-            TileableOp::Dropna { input, subset } => {
-                self.tile_df_map(input, DfStep::Dropna(subset), false)?
-            }
-            TileableOp::Project { input, columns } => {
-                self.tile_df_map(input, DfStep::Project(columns), true)?
-            }
-            TileableOp::PruneColumns { input, columns } => {
-                self.tile_df_map(input, DfStep::PruneTo(columns), true)?
-            }
-            TileableOp::Assign { input, exprs } => {
-                self.tile_df_map(input, DfStep::Assign(exprs), true)?
-            }
-            TileableOp::Fillna {
-                input,
-                column,
-                value,
-            } => self.tile_df_map(input, DfStep::Fillna(column, value), true)?,
-            TileableOp::Rename { input, pairs } => {
-                self.tile_df_map(input, DfStep::Rename(pairs), true)?
-            }
-            TileableOp::GroupbyAgg { input, keys, specs } => {
-                return self.tile_groupby(id, input, meta, keys, specs)
+            TileableOp::DfMap(step) => self.tile_df_map(ins[0], step)?,
+            TileableOp::GroupbyAgg { keys, specs } => {
+                return self.tile_groupby(id, ins[0], meta, keys, specs)
             }
             TileableOp::Merge {
-                left,
-                right,
                 left_on,
                 right_on,
                 how,
@@ -504,29 +482,29 @@ impl<'g> Tiler<'g> {
                     how,
                     suffixes: suffixes.clone(),
                 };
-                return self.tile_merge(meta, (left, &left_on), (right, &right_on), how, join);
+                let (left, right) = ((ins[0], &left_on[..]), (ins[1], &right_on[..]));
+                return self.tile_merge(meta, left, right, how, join);
             }
-            TileableOp::SortValues { input, keys } => self.tile_sort(id, input, keys)?,
-            TileableOp::Head { input, n } => return self.tile_head(input, meta, n),
-            TileableOp::ILocRow { input, row } => return self.tile_iloc(input, meta, row),
-            TileableOp::DropDuplicates { input, subset } => {
-                return self.tile_distinct(input, meta, subset)
+            TileableOp::SortValues { keys } => self.tile_sort(id, ins[0], keys)?,
+            TileableOp::Head { n } => return self.tile_head(ins[0], meta, n),
+            TileableOp::ILocRow { row } => return self.tile_iloc(ins[0], meta, row),
+            TileableOp::DropDuplicates { subset } => {
+                return self.tile_distinct(ins[0], meta, subset)
             }
-            TileableOp::ConcatDf { inputs } => {
+            TileableOp::ConcatDf => {
                 let mut chunks = Vec::new();
-                for i in inputs {
+                for &i in ins {
                     chunks.extend(self.input(i)?.chunks);
                 }
                 Layout { chunks }
             }
             TileableOp::PivotTable {
-                input,
                 index,
                 columns,
                 values,
                 agg,
             } => {
-                let layout = self.input(input)?;
+                let layout = self.input(ins[0])?;
                 let pivot = ChunkOp::PivotLocal {
                     index,
                     columns,
@@ -546,13 +524,13 @@ impl<'g> Tiler<'g> {
                 let out = self.emit(ChunkOp::ArrLiteral(a), vec![]);
                 Layout::one(out, bytes, rows, true)
             }
-            TileableOp::TensorMapChain { input, steps } => {
-                let layout = self.input(input)?;
+            TileableOp::TensorMapChain { steps } => {
+                let layout = self.input(ins[0])?;
                 let outs = self.map(&layout.keys(), || ChunkOp::ArrMap(steps.clone()));
                 Layout::zip(outs, layout.chunks.iter().map(|c| c.est))
             }
-            TileableOp::TensorBinary { a, b, op } => {
-                let (la, lb) = (self.input(a)?, self.input(b)?);
+            TileableOp::TensorBinary { op } => {
+                let (la, lb) = (self.input(ins[0])?, self.input(ins[1])?);
                 let rhs: Vec<ChunkKey> = if let [single] = &lb.chunks[..] {
                     vec![single.key; la.chunks.len()]
                 } else if la.chunks.len() == lb.chunks.len()
@@ -574,8 +552,8 @@ impl<'g> Tiler<'g> {
                     .collect();
                 Layout::zip(outs, la.chunks.iter().map(|c| c.est))
             }
-            TileableOp::TensorMatMul { a, b } => {
-                let (la, lb) = (self.input(a)?, self.input(b)?);
+            TileableOp::TensorMatMul => {
+                let (la, lb) = (self.input(ins[0])?, self.input(ins[1])?);
                 let [rhs] = &lb.chunks[..] else {
                     return Err(XbError::Unsupported(
                         "matmul requires a single-chunk right operand (rechunk required)".into(),
@@ -592,23 +570,24 @@ impl<'g> Tiler<'g> {
                     chunks: products.collect(),
                 }
             }
-            TileableOp::TensorQr { input } => self.tile_qr(id, input)?,
+            TileableOp::TensorQr => self.tile_qr(id, ins[0])?,
             // a projection of a multi-output tileable emits nothing: it
             // aliases the slot's layout
-            TileableOp::TensorSlot { input, slot } => {
+            TileableOp::TensorSlot { slot } => {
+                let input = ins[0];
                 let layout = self.layouts.get(&(input, slot)).cloned();
                 layout.ok_or_else(|| {
                     XbError::Plan(format!("tileable {input} has no output slot {slot}"))
                 })?
             }
-            TileableOp::TensorReduce { input, kind } => {
-                let keys = self.input(input)?.keys();
+            TileableOp::TensorReduce { kind } => {
+                let keys = self.input(ins[0])?.keys();
                 let partials = self.map(&keys, || ChunkOp::ReducePartial { kind });
                 let combined = self.tree(partials, || ChunkOp::ReduceCombine { kind });
                 let out = self.emit(ChunkOp::ReduceFinal { kind }, vec![combined]);
                 Layout::one(out, 8, 1, true)
             }
-            TileableOp::TensorLstsq { x, y } => self.tile_lstsq(x, y)?,
+            TileableOp::TensorLstsq => self.tile_lstsq(ins[0], ins[1])?,
         };
         Ok(Some(layout))
     }
@@ -671,16 +650,11 @@ impl<'g> Tiler<'g> {
         Layout { chunks }
     }
 
-    fn tile_df_map(
-        &mut self,
-        input: TileableId,
-        step: DfStep,
-        shape_preserving: bool,
-    ) -> XbResult<Layout> {
+    fn tile_df_map(&mut self, input: TileableId, step: DfStep) -> XbResult<Layout> {
         let layout = self.input(input)?;
         let outs = self.map(&layout.keys(), || ChunkOp::DfMap(vec![step.clone()]));
         let ests = layout.chunks.iter().map(|c| ChunkEst {
-            exact: c.est.exact && shape_preserving,
+            exact: c.est.exact && step.keeps_rows(),
             ..c.est
         });
         Ok(Layout::zip(outs, ests))
@@ -911,8 +885,8 @@ impl<'g> Tiler<'g> {
         // Peephole: a sort whose only consumer is Head(n) becomes a
         // distributed top-k (per-chunk top-k, tree-combined).
         if self.consumer_counts[id] == 1 {
-            let consumer = self.graph.nodes.iter().find(|op| op.inputs().contains(&id));
-            if let Some(&TileableOp::Head { n, .. }) = consumer {
+            let consumer = self.graph.nodes.iter().find(|c| c.inputs.contains(&id));
+            if let Some(&TileableOp::Head { n }) = consumer.map(|c| &c.op) {
                 let topk = || ChunkOp::TopKLocal {
                     keys: keys.clone(),
                     n,
@@ -1337,15 +1311,13 @@ mod tests {
         let df = DataFrame::new(vec![("k", Column::from_i64((0..400).collect()))]).unwrap();
         let mut graph = TileableGraph::new();
         let src = graph
-            .push(TileableOp::DfSource(DfSource::materialized(df)))
+            .push(TileableOp::DfSource(DfSource::materialized(df)), vec![])
             .unwrap();
-        graph
-            .push(TileableOp::GroupbyAgg {
-                input: src,
-                keys: vec!["k".into()],
-                specs: vec![AggSpec::new("k", AggFunc::Count, "n")],
-            })
-            .unwrap();
+        let count = TileableOp::GroupbyAgg {
+            keys: vec!["k".into()],
+            specs: vec![AggSpec::new("k", AggFunc::Count, "n")],
+        };
+        graph.push(count, vec![src]).unwrap();
         let names = |g: &ChunkGraph| g.nodes.iter().map(|n| n.op.name()).collect::<Vec<_>>();
         with_tiler(&graph, cfg(), |t| {
             let mut meta = HashMap::new();

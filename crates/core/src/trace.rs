@@ -658,13 +658,6 @@ pub fn counter_add(name: &str, delta: u64) {
     });
 }
 
-/// Sets a registry gauge to `value`.
-pub fn gauge_set(name: &str, value: f64) {
-    with_meta(|meta| {
-        meta.metrics.gauges.insert(name.to_string(), value);
-    });
-}
-
 /// Adds `delta` to a registry gauge.
 pub fn gauge_add(name: &str, delta: f64) {
     with_meta(|meta| {
@@ -1022,7 +1015,7 @@ mod tests {
         enable(16);
         counter_add("exec.retries", 2);
         counter_add("exec.retries", 3);
-        gauge_set("g", 1.5);
+        gauge_add("g", 1.5);
         gauge_add("g", 0.5);
         gauge_max("peak", 10.0);
         gauge_max("peak", 4.0);

@@ -4,17 +4,19 @@
 //! unique sink, so (1) whatever was built *on top of* a handle cannot take
 //! columns or chunks away from it, and (2) the graph is locked only to
 //! extract that closure — handles keep building on other threads while an
-//! executor runs, and an executor that panics cannot poison graph building.
+//! executor runs, and an executor that panics cannot poison graph building:
+//! it costs the session its executor (later fetches are typed errors), not
+//! its graph or its reports.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use xorbits_array::NdArray;
 use xorbits_core::chunk::{ChunkKey, ChunkMeta, Payload};
 use xorbits_core::config::XorbitsConfig;
 use xorbits_core::error::XbResult;
 use xorbits_core::local::LocalExecutor;
-use xorbits_core::session::{ExecStats, Executor, Session};
+use xorbits_core::session::{ExecStats, Executor, ResultCache, Session};
 use xorbits_core::subtask::SubtaskGraph;
 use xorbits_core::tiling::MetaView;
 use xorbits_dataframe::{col, lit, AggFunc, AggSpec, Column, DataFrame};
@@ -178,4 +180,45 @@ fn a_panicking_executor_leaves_the_session_able_to_build() {
         "graph building must survive: {:?}",
         fresh.err()
     );
+
+    // the executor may be torn mid-run: fetching on it again is a typed
+    // error that says what to do, not a second panic
+    for handle in [&doomed, &fresh.unwrap()] {
+        let refused = handle.fetch().expect_err("the executor is gone");
+        assert!(refused.to_string().contains("new session"), "{refused}");
+    }
+    // what earlier fetches reported is still readable
+    assert_eq!(s.total_stats(), ExecStats::default());
+    assert!(s.last_report().is_none());
+    s.reset_stats();
+}
+
+/// A cache that panics while locked, as a buggy cache (or another session's
+/// panicking fetch holding it) would.
+struct PanickingCache;
+
+impl ResultCache for PanickingCache {
+    fn lookup(&mut self, _key: u64) -> Option<Vec<Arc<Payload>>> {
+        panic!("cache fault")
+    }
+    fn insert(&mut self, _key: u64, _sources: &[u64], _payloads: &[Arc<Payload>]) {}
+}
+
+#[test]
+fn a_poisoned_result_cache_is_a_typed_error() {
+    let cache: Arc<Mutex<dyn ResultCache>> = Arc::new(Mutex::new(PanickingCache));
+    let poisoner = Session::new(cfg(), LocalExecutor::new());
+    poisoner.set_result_cache(cache.clone());
+    let doomed = poisoner.from_df(frame(8)).unwrap();
+    let died = std::thread::scope(|scope| scope.spawn(|| doomed.fetch()).join());
+    assert!(
+        died.is_err(),
+        "the cache's panic reaches the fetching thread"
+    );
+
+    // another session sharing the cache gets an error, not the panic
+    let s = Session::new(cfg(), LocalExecutor::new());
+    s.set_result_cache(cache);
+    let refused = s.from_df(frame(8)).unwrap().fetch().expect_err("poisoned");
+    assert!(refused.to_string().contains("result cache"), "{refused}");
 }

@@ -103,11 +103,6 @@ impl<T> Buffer<T> {
         Arc::as_ptr(&self.data) as usize
     }
 
-    /// True when this view shares its allocation with other live buffers.
-    pub fn is_shared(&self) -> bool {
-        Arc::strong_count(&self.data) > 1
-    }
-
     /// True when the view covers the entire allocation.
     pub fn is_full_view(&self) -> bool {
         self.offset == 0 && self.len == self.data.len()

@@ -140,13 +140,6 @@ pub fn write_csv<W: Write>(df: &DataFrame, writer: &mut W) -> DfResult<()> {
     Ok(())
 }
 
-/// Writes a dataframe to a CSV file.
-pub fn write_csv_path(df: &DataFrame, path: &Path) -> DfResult<()> {
-    let mut file = std::fs::File::create(path)
-        .map_err(|e| DfError::Parse(format!("create {}: {e}", path.display())))?;
-    write_csv(df, &mut file)
-}
-
 fn split_line(line: &str, delim: u8) -> Vec<&str> {
     line.split(delim as char).collect()
 }

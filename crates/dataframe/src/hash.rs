@@ -71,14 +71,6 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with the fast hasher.
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
-/// Hashes one `u64` value directly (used for combining row hashes).
-#[inline]
-pub fn hash_u64(v: u64) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(v);
-    h.finish()
-}
-
 /// Combines an existing row hash with a new column-value hash.
 ///
 /// Order-dependent so that key tuples `(a, b)` and `(b, a)` differ.

@@ -26,8 +26,3 @@ pub use sim::{GraphRun, SimExecutor};
 
 /// A session running on the simulator (the common type in benches/tests).
 pub type SimSession = xorbits_core::session::Session<SimExecutor>;
-
-/// Convenience constructor: a session over a fresh simulated cluster.
-pub fn sim_session(cfg: xorbits_core::config::XorbitsConfig, spec: ClusterSpec) -> SimSession {
-    xorbits_core::session::Session::new(cfg, SimExecutor::new(spec))
-}

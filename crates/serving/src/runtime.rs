@@ -633,6 +633,14 @@ impl Coordinator {
         reply.send(result).ok();
     }
 
+    /// Every tenant chunk freed, per-worker live bytes zero and allocation
+    /// refcounts balanced.
+    fn ledger_drained(&self) -> bool {
+        self.sim.ledger_balanced()
+            && self.sim.live_worker_bytes().iter().all(|&b| b == 0)
+            && self.sim.chunk_placements().is_empty()
+    }
+
     fn serve(&mut self, rx: Receiver<Msg>) -> XbResult<()> {
         let result = self.serve_inner(&rx);
         if result.is_err() {
@@ -721,7 +729,9 @@ impl ServingRuntime {
 
     /// Runs every tenant's query stream to completion and returns results
     /// plus statistics. Deterministic: same spec/config/streams ⇒
-    /// bit-identical results and identical statistics.
+    /// bit-identical results and identical statistics. A query that
+    /// errors or panics ends its tenant's stream only: the other tenants
+    /// run to the end, then the run fails naming the tenant and the query.
     pub fn run(&self, streams: Vec<TenantStream>) -> XbResult<ServingOutcome> {
         if streams.is_empty() {
             return Err(XbError::Plan("serving needs at least one tenant".into()));
@@ -741,29 +751,43 @@ impl ServingRuntime {
         };
         let (tx, rx) = channel();
         let cache_on = self.cache_bytes > 0;
-        let (served, logs) = std::thread::scope(|scope| {
+        // the logs live out here so that what a tenant finished survives a
+        // panic of its driver
+        let mut logs: Vec<DriverLog> = streams.iter().map(|_| DriverLog::default()).collect();
+        let (served, panics) = std::thread::scope(|scope| {
             let handles: Vec<_> = streams
                 .into_iter()
+                .zip(&mut logs)
                 .enumerate()
-                .map(|(t, stream)| {
+                .map(|(t, (stream, log))| {
                     let tx = tx.clone();
                     let cfg = self.cfg.clone();
-                    scope.spawn(move || drive_tenant(t as u32, stream, cfg, tx, cache_on))
+                    scope.spawn(move || drive_tenant(t as u32, stream, cfg, tx, cache_on, log))
                 })
                 .collect();
             drop(tx);
             let served = coord.serve(rx);
-            let logs: Vec<DriverLog> = handles
+            let panics: Vec<Option<String>> = handles
                 .into_iter()
-                .map(|h| h.join().expect("tenant driver panicked"))
+                .map(|h| h.join().err().map(panic_message))
                 .collect();
-            (served, logs)
+            (served, panics)
         });
         served?;
-        for log in &logs {
-            if let Some(e) = &log.error {
-                return Err(XbError::Plan(format!("tenant query failed: {e}")));
+        let mut tenants = logs.iter().zip(panics).enumerate();
+        let failure = tenants.find_map(|(t, (log, panic))| {
+            let what = match panic {
+                Some(panic) => format!("panicked: {panic}"),
+                None => format!("failed: {}", log.error.as_ref()?),
+            };
+            // queries run in order: the first without a result is the culprit
+            Some(format!("tenant {t} query {} {what}", log.results.len()))
+        });
+        if let Some(mut failure) = failure {
+            if !coord.ledger_drained() {
+                failure.push_str("; the execution ledger did not drain");
             }
+            return Err(XbError::Plan(failure));
         }
         Ok(self.outcome(coord, logs))
     }
@@ -802,9 +826,7 @@ impl ServingRuntime {
             latencies.push(lat);
             waits.push(wat);
         }
-        let ledger_drained = coord.sim.ledger_balanced()
-            && coord.sim.live_worker_bytes().iter().all(|&b| b == 0)
-            && coord.sim.chunk_placements().is_empty();
+        let ledger_drained = coord.ledger_drained();
         let stats = ServingStats {
             tenants,
             cache_hits: cache.hits,
@@ -834,14 +856,42 @@ struct DriverLog {
     error: Option<XbError>,
 }
 
+/// Tells the coordinator a driver is finished when it goes out of scope —
+/// also when a query panicked and the driver is unwinding. Without it the
+/// coordinator would wait on that tenant forever, the healthy tenants
+/// keeping the channel open.
+struct DoneOnDrop {
+    tenant: u32,
+    tx: Sender<Msg>,
+}
+
+impl Drop for DoneOnDrop {
+    fn drop(&mut self) {
+        let tenant = self.tenant;
+        self.tx.send(Msg::TenantDone { tenant }).ok();
+    }
+}
+
+/// The message of a panic caught at a driver's `join`.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+    text.or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "(non-string panic payload)".into())
+}
+
 fn drive_tenant(
     tenant: u32,
     stream: TenantStream,
     cfg: XorbitsConfig,
     tx: Sender<Msg>,
     cache_on: bool,
-) -> DriverLog {
-    let mut log = DriverLog::default();
+    log: &mut DriverLog,
+) {
+    // declared first, dropped last: nothing of this tenant follows it
+    let _done = DoneOnDrop {
+        tenant,
+        tx: tx.clone(),
+    };
     for (qi, query) in stream.queries.into_iter().enumerate() {
         let executor = TenantExecutor {
             tenant,
@@ -869,8 +919,6 @@ fn drive_tenant(
             }
         }
     }
-    tx.send(Msg::TenantDone { tenant }).ok();
-    log
 }
 
 fn mean(xs: &[f64]) -> f64 {

@@ -1,8 +1,10 @@
 //! End-to-end serving-runtime tests: correctness vs solo execution,
 //! barrier determinism, cache hits, admission queueing, lineage
-//! invalidation and weighted fairness.
+//! invalidation, weighted fairness and a tenant whose query panics.
 
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use xorbits_array::prng::{Xoshiro256, Zipf};
 use xorbits_baselines::EngineKind;
 use xorbits_core::config::XorbitsConfig;
@@ -246,4 +248,48 @@ fn lineage_invalidation_is_never_stale() {
     );
     assert_eq!(fresh, recomputed);
     assert_eq!(cache.lock().unwrap().stats().invalidations, 1);
+}
+
+/// A tenant query that panicked used to leave its driver `Running` in the
+/// coordinator's eyes forever, and `run` never returned. The run sits on a
+/// watched thread so a relapse fails here instead of hanging the suite.
+#[test]
+fn a_panicking_tenant_query_is_an_error_naming_it_not_a_hang() {
+    let data = data();
+    let answered = Arc::new(Mutex::new(Vec::new()));
+    let mut healthy = TenantStream::new(1);
+    for q in [6, 1] {
+        let (query, answered) = (tpch_query(&data, q), Arc::clone(&answered));
+        healthy.push(move |s| {
+            let df = query(s)?;
+            answered.lock().unwrap().push(df.clone());
+            Ok(df)
+        });
+    }
+    let mut faulty = TenantStream::new(1);
+    faulty.push(tpch_query(&data, 6));
+    faulty.push(|_| panic!("query fault"));
+    faulty.push(tpch_query(&data, 1));
+
+    let (done_tx, done_rx) = channel();
+    std::thread::spawn(move || {
+        let rt = ServingRuntime::new(ClusterSpec::new(4, 256 << 20), cfg());
+        let outcome = rt.run(vec![healthy, faulty]);
+        done_tx.send(outcome.map(|_| ())).ok();
+    });
+    let outcome = done_rx
+        .recv_timeout(Duration::from_secs(300))
+        .expect("ServingRuntime::run hangs when a tenant query panics");
+
+    let err = outcome
+        .expect_err("a panicked query fails the run")
+        .to_string();
+    assert!(
+        err.contains("tenant 1 query 1 panicked: query fault"),
+        "{err}"
+    );
+    // the healthy tenant ran to the end, correctly, and everything that
+    // executed was released
+    assert_eq!(*answered.lock().unwrap(), [solo(&data, 6), solo(&data, 1)]);
+    assert!(!err.contains("ledger"), "{err}");
 }

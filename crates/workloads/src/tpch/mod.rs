@@ -140,19 +140,3 @@ pub fn run_query_on<E: Executor>(
         ))),
     }
 }
-
-/// Number of `merge` operators each query issues (the paper cites Q2 with
-/// four merges and Q7 with nine as dynamic-tiling showcases; counts here
-/// reflect this port).
-pub fn merge_count(q: u32) -> usize {
-    match q {
-        1 | 6 => 0,
-        4 | 13 | 14 | 15 | 17 | 18 | 19 => 2,
-        3 | 11 | 12 | 22 => 2,
-        10 | 16 | 20 => 4,
-        2 => 5,
-        5 | 9 => 6,
-        7 | 8 | 21 => 7,
-        _ => 0,
-    }
-}

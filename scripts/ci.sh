@@ -51,6 +51,35 @@ if [[ -n "$strays" ]]; then
   exit 1
 fi
 
+# Structural gate (hard): a logical operator is described once. Inputs are a
+# field of `TileableNode` and parameters hash through the op's derived Debug,
+# so outside test modules only four places enumerate `TileableOp` variants:
+# the one `impl TileableOp` block (name, arity, static-shape), the tile rules
+# (`tile_one`), the column rules (`required_columns`) and
+# `source_fingerprint`. A match arm anywhere else — a revived `fn inputs`,
+# `fn map_inputs` or per-variant `op_param_hash` included — is a fifth place
+# every new operator would have to be spelled out in. (An arm is a line that
+# leads with a variant and is no call argument, or has `=>` after one.)
+echo "==> a logical operator is described once (TileableOp arms only in the allow-list)"
+strays=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_tests = 0; in_impl = 0; current = "" }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  /^impl TileableOp \{/ { in_impl = 1; impls++ }
+  /^\}/ { in_impl = 0 }
+  /fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); current = substr($0, RSTART + 3, RLENGTH - 3) }
+  /fn (inputs|map_inputs)\(/ && FILENAME ~ /tileable\.rs$/ { print FILENAME ":" FNR ": fn " current }
+  (/^[[:space:]]*(\| )?TileableOp::[A-Z]/ && !/,$/) || /TileableOp::[A-Z][A-Za-z]*[^=]*=>/ {
+    if (!in_impl && current != "tile_one" && current != "required_columns" && current != "source_fingerprint")
+      print FILENAME ":" FNR ": TileableOp arm in " current
+  }
+  END { if (impls != 1) print impls + 0 " `impl TileableOp` blocks" }')
+if [[ -n "$strays" ]]; then
+  echo "TileableOp variants may be matched only in impl TileableOp, tile_one, required_columns and source_fingerprint; found:"
+  echo "$strays"
+  exit 1
+fi
+
 # Structural gate (hard): environment knobs are read in three places — the
 # engine's in core/src/config.rs, the chunk format's in
 # storage/src/chunkfmt.rs, the bench harness's in bench/src/lib.rs. A new
