@@ -292,32 +292,6 @@ impl NdArray {
         Ok(NdArray::from_owned(data, shape))
     }
 
-    /// Horizontal concatenation (axis 1) of 2-D arrays.
-    pub fn concat_cols(parts: &[&NdArray]) -> ArrResult<NdArray> {
-        let first = parts
-            .first()
-            .ok_or_else(|| ArrError::Unsupported("concat of zero arrays".into()))?;
-        let m = first.shape[0];
-        let mut total_cols = 0;
-        for p in parts {
-            if p.ndim() != 2 || p.shape[0] != m {
-                return Err(ArrError::ShapeMismatch {
-                    expected: first.shape.clone(),
-                    found: p.shape.clone(),
-                });
-            }
-            total_cols += p.shape[1];
-        }
-        let mut data = Vec::with_capacity(m * total_cols);
-        for i in 0..m {
-            for p in parts {
-                let n = p.shape[1];
-                data.extend_from_slice(&p.data()[i * n..(i + 1) * n]);
-            }
-        }
-        NdArray::from_vec(data, vec![m, total_cols])
-    }
-
     /// Applies a function elementwise.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> NdArray {
         NdArray::from_owned(
@@ -423,9 +397,6 @@ mod tests {
         let v = NdArray::concat_rows(&[&a, &b]).unwrap();
         assert_eq!(v.shape(), &[3, 3]);
         assert_eq!(v.at(2, 0), 0.0);
-        let h = NdArray::concat_cols(&[&a, &NdArray::zeros(&[2, 1])]).unwrap();
-        assert_eq!(h.shape(), &[2, 4]);
-        assert_eq!(h.at(0, 3), 0.0);
         // shape mismatch
         assert!(NdArray::concat_rows(&[&a, &NdArray::zeros(&[1, 2])]).is_err());
     }

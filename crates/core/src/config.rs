@@ -42,9 +42,6 @@ pub struct XorbitsConfig {
     /// chosen. With dynamic tiling, this is recomputed from measured sizes;
     /// without, it is used as-is (the static baselines' behaviour).
     pub shuffle_partitions: usize,
-    /// Sample size for dynamic-tiling probes: how many chunks to execute
-    /// ahead of tiling ("runs the operator on the first few chunks").
-    pub probe_chunks: usize,
     /// Total execution slots (bands) of the cluster the session runs on.
     /// Dynamic tiling sizes shuffle fan-outs to at least this parallelism
     /// (a few bytes per partition is no reason to idle the cluster and
@@ -80,7 +77,6 @@ impl Default for XorbitsConfig {
             broadcast_from_estimates: false,
             combine_fanin: 4,
             shuffle_partitions: 8,
-            probe_chunks: 1,
             cluster_parallelism: 8,
             eager_memory: false,
             threads: 0,

@@ -1,106 +1,8 @@
-//! Plan rendering — `EXPLAIN` for the three computation graphs.
-//!
-//! Renders the logical (tileable) plan and, after tiling, the chunk/subtask
-//! structure summary, so examples and users can see what dynamic tiling and
-//! the optimizer decided.
+//! Run reports — what a run did, rendered from its statistics: re-tiling,
+//! serving, the per-stage time breakdown and band utilization.
 
-use crate::chunk::ChunkGraph;
 use crate::session::ExecStats;
-use crate::subtask::SubtaskGraph;
-use crate::tileable::TileableGraph;
 use crate::trace::{MetricsSnapshot, TraceLog};
-
-/// Renders the logical plan, one line per tileable.
-pub fn explain_tileable(graph: &TileableGraph) -> String {
-    let mut out = String::from("TileableGraph (logical plan)\n");
-    for (id, node) in graph.nodes.iter().enumerate() {
-        let deps = if node.inputs.is_empty() {
-            String::new()
-        } else {
-            format!(
-                " <- {}",
-                node.inputs
-                    .iter()
-                    .map(|i| format!("#{i}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        };
-        let shape = if node.op.is_static_shape() {
-            "static"
-        } else {
-            "non-static" // the §IV-A unknown-shape operators
-        };
-        out.push_str(&format!("  #{id} {}{deps}  [{shape}]\n", node.op.name()));
-    }
-    out
-}
-
-/// Summarises a chunk graph: operator histogram and edge count.
-pub fn explain_chunks(graph: &ChunkGraph) -> String {
-    let mut counts: std::collections::BTreeMap<&'static str, usize> =
-        std::collections::BTreeMap::new();
-    for n in &graph.nodes {
-        *counts.entry(n.op.name()).or_default() += 1;
-    }
-    let mut out = format!(
-        "ChunkGraph: {} operators, {} edges\n",
-        graph.len(),
-        graph.edges().len()
-    );
-    for (name, c) in counts {
-        out.push_str(&format!("  {c:5} x {name}\n"));
-    }
-    out
-}
-
-/// Summarises a subtask graph: fusion ratio and internal-traffic savings.
-pub fn explain_subtasks(graph: &SubtaskGraph) -> String {
-    let internal: usize = graph.subtasks.iter().map(|s| s.internal_keys.len()).sum();
-    let published: usize = graph
-        .subtasks
-        .iter()
-        .map(|s| s.published_outputs.len())
-        .sum();
-    format!(
-        "SubtaskGraph: {} chunk ops fused into {} subtasks \
-         ({} chunks internalised, {} published)\n",
-        graph.chunks.len(),
-        graph.len(),
-        internal,
-        published
-    )
-}
-
-/// Summarises the fault-recovery work a run performed: retried attempts,
-/// lineage recomputations and bytes rescued from the disk tier.
-pub fn explain_recovery(stats: &ExecStats) -> String {
-    if stats.retries == 0 && stats.recomputed_subtasks == 0 && stats.recovered_from_spill_bytes == 0
-    {
-        return "Recovery: none (fault-free run)\n".to_string();
-    }
-    format!(
-        "Recovery: {} transient retries, {} subtasks recomputed from lineage, \
-         {} bytes recovered from the spill tier\n",
-        stats.retries, stats.recomputed_subtasks, stats.recovered_from_spill_bytes
-    )
-}
-
-/// Summarises the chunk-transport compression a run achieved: plain
-/// (version-1) envelope bytes of everything that went through the encoder
-/// vs the wire bytes actually charged/written under the chosen per-column
-/// encodings (chunkfmt v2). The ratio is what `XORBITS_ENCODING=auto`
-/// bought over `plain` for this workload.
-pub fn explain_transport(stats: &ExecStats) -> String {
-    if stats.encoded_raw_bytes == 0 {
-        return "Transport: no chunks went through the encoder\n".to_string();
-    }
-    let ratio = stats.encoded_raw_bytes as f64 / stats.encoded_wire_bytes.max(1) as f64;
-    format!(
-        "Transport: {} raw bytes -> {} wire bytes ({ratio:.2}x compression)\n",
-        stats.encoded_raw_bytes, stats.encoded_wire_bytes
-    )
-}
 
 /// Summarises what mid-run skew-aware re-tiling did: shuffle partitions
 /// split/coalesced after harvesting lopsided histograms
@@ -311,59 +213,6 @@ pub fn explain_utilization(log: &TraceLog) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::DfStep;
-    use crate::tileable::{DfSource, TileableOp};
-    use xorbits_dataframe::{col, lit, AggFunc, AggSpec, Column, DataFrame};
-
-    #[test]
-    fn logical_plan_render() {
-        let mut g = TileableGraph::new();
-        let df = DataFrame::new(vec![("a", Column::from_i64(vec![1]))]).unwrap();
-        let s = g
-            .push(TileableOp::DfSource(DfSource::materialized(df)), vec![])
-            .unwrap();
-        let positive = DfStep::Filter(col("a").gt(lit(0i64)));
-        let f = g.push(TileableOp::DfMap(positive), vec![s]).unwrap();
-        let count = TileableOp::GroupbyAgg {
-            keys: vec!["a".into()],
-            specs: vec![AggSpec::new("a", AggFunc::Count, "c")],
-        };
-        g.push(count, vec![f]).unwrap();
-        let text = explain_tileable(&g);
-        assert!(text.contains("#1 Filter <- #0  [non-static]"), "{text}");
-        assert!(text.contains("GroupbyAgg"), "{text}");
-    }
-
-    #[test]
-    fn recovery_render() {
-        let clean = ExecStats::default();
-        assert!(explain_recovery(&clean).contains("fault-free"));
-        let stats = ExecStats {
-            retries: 3,
-            recomputed_subtasks: 7,
-            recovered_from_spill_bytes: 4096,
-            ..ExecStats::default()
-        };
-        let text = explain_recovery(&stats);
-        assert!(text.contains("3 transient retries"), "{text}");
-        assert!(text.contains("7 subtasks recomputed"), "{text}");
-        assert!(text.contains("4096 bytes recovered"), "{text}");
-    }
-
-    #[test]
-    fn transport_render() {
-        let idle = ExecStats::default();
-        assert!(explain_transport(&idle).contains("no chunks"));
-        let stats = ExecStats {
-            encoded_raw_bytes: 4000,
-            encoded_wire_bytes: 1000,
-            ..ExecStats::default()
-        };
-        let text = explain_transport(&stats);
-        assert!(text.contains("4000 raw bytes"), "{text}");
-        assert!(text.contains("1000 wire bytes"), "{text}");
-        assert!(text.contains("4.00x"), "{text}");
-    }
 
     #[test]
     fn retile_render() {
@@ -407,29 +256,5 @@ mod tests {
         assert!(text.contains("50.0%"), "{text}");
         assert!(text.contains("100.0%"), "{text}");
         assert!(explain_utilization(&TraceLog::default()).contains("no virtual-cluster spans"));
-    }
-
-    #[test]
-    fn chunk_and_subtask_render() {
-        use crate::chunk::{ChunkGraph, ChunkNode, ChunkOp, KeyGen};
-        use crate::subtask::SubtaskGraph;
-        let mut kg = KeyGen::new();
-        let (a, b) = (kg.next_key(), kg.next_key());
-        let mut g = ChunkGraph::new();
-        g.push(ChunkNode {
-            op: ChunkOp::Concat,
-            inputs: vec![],
-            outputs: vec![a],
-        });
-        g.push(ChunkNode {
-            op: ChunkOp::Concat,
-            inputs: vec![a],
-            outputs: vec![b],
-        });
-        let text = explain_chunks(&g);
-        assert!(text.contains("2 operators"));
-        let sg = SubtaskGraph::from_groups(g, &[0, 0], &[b].into_iter().collect()).unwrap();
-        let text = explain_subtasks(&sg);
-        assert!(text.contains("2 chunk ops fused into 1 subtasks"), "{text}");
     }
 }

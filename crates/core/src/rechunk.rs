@@ -90,20 +90,6 @@ pub fn auto_rechunk(
     result
 }
 
-/// Convenience: row-block splits for a 2-D array whose second dimension is
-/// constrained to one whole chunk (the tall-and-skinny rule for QR/SVD).
-pub fn tall_skinny_splits(
-    rows: usize,
-    cols: usize,
-    itemsize: usize,
-    max_chunk_size: usize,
-) -> Vec<usize> {
-    let mut constraint = BTreeMap::new();
-    constraint.insert(1usize, cols);
-    let dims = auto_rechunk(&[rows, cols], &constraint, itemsize, max_chunk_size);
-    dims[0].clone()
-}
-
 /// Row splits for an arbitrary-dimension tensor limited by chunk bytes
 /// (no constrained dimensions beyond keeping trailing dims whole).
 pub fn row_splits(shape: &[usize], itemsize: usize, max_chunk_size: usize) -> Vec<usize> {
@@ -177,13 +163,6 @@ mod tests {
         for &s in &splits {
             assert!(s <= 100);
         }
-    }
-
-    #[test]
-    fn tall_skinny_helper() {
-        let s = tall_skinny_splits(500, 10, 8, 10 * 8 * 50);
-        assert_eq!(s.iter().sum::<usize>(), 500);
-        assert!(s.iter().all(|&r| r <= 50));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub struct ExecStats {
     pub encoded_raw_bytes: usize,
     /// Bytes actually written under the chosen per-column encodings
     /// (chunkfmt v2). `encoded_raw_bytes / encoded_wire_bytes` is the
-    /// compression ratio [`crate::explain::explain_transport`] reports.
+    /// transport compression ratio.
     pub encoded_wire_bytes: usize,
     /// Shuffle partitions split or coalesced by mid-run skew-aware
     /// re-tiling (`XORBITS_RETILE=auto`; always 0 when off).

@@ -161,20 +161,6 @@ impl DataFrame {
         DataFrame::new(pairs)
     }
 
-    /// Drops `names`.
-    pub fn drop_columns(&self, names: &[&str]) -> DfResult<DataFrame> {
-        for n in names {
-            self.schema.index_of(n)?;
-        }
-        let keep: Vec<&str> = self
-            .schema
-            .names()
-            .into_iter()
-            .filter(|n| !names.contains(n))
-            .collect();
-        self.select(&keep)
-    }
-
     /// Adds or replaces a column.
     pub fn with_column(&self, name: &str, col: Column) -> DfResult<DataFrame> {
         if !self.columns.is_empty() && col.len() != self.num_rows {
@@ -445,10 +431,9 @@ mod tests {
     }
 
     #[test]
-    fn select_drop_rename() {
+    fn select_rename() {
         let d = df();
         assert_eq!(d.select(&["b"]).unwrap().num_columns(), 1);
-        assert_eq!(d.drop_columns(&["a"]).unwrap().schema().names(), vec!["b"]);
         let r = d.rename(&[("a", "A")]).unwrap();
         assert!(r.schema().contains("A"));
     }

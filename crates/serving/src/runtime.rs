@@ -2,24 +2,42 @@
 //!
 //! N tenant *drivers* run on OS threads, each submitting a stream of
 //! queries against its own [`Session`]. Every session's executor is a
-//! [`TenantExecutor`] stub that forwards executor calls over a channel to
-//! one *coordinator*, which owns the single shared [`SimExecutor`] (the
-//! virtual cluster) and the result cache.
+//! [`TenantExecutor`]; all of them share one `Coordinator` — the single
+//! [`SimExecutor`] (the virtual cluster), the result cache, admission and
+//! fair-share state — behind one lock. There is no message protocol: an
+//! executor call is a method call on the locked coordinator, made on the
+//! caller's own thread.
 //!
-//! # Barrier determinism
+//! # One lock, quiesce points, answer slots
 //!
-//! Thread scheduling must not leak into results or statistics, so the
-//! coordinator only makes scheduling decisions at *quiesce points*: moments
-//! when every unfinished driver is blocked waiting on it (inside
-//! `execute`, a cache lookup, or the admission queue). Between quiesce
-//! points the virtual cluster's state is frozen — metadata queries are
-//! answered read-only, and mutating fire-and-forget calls (chunk releases,
-//! buffered cache inserts) either touch only the sending tenant's disjoint
-//! key space or are deferred to the next quiesce and applied in tenant-id
-//! order. Each service cycle therefore advances every tenant to its next
-//! blocking point in lockstep: same seed + same tenant streams ⇒
-//! bit-identical results, identical cache hit counts, identical virtual
-//! clocks — regardless of how the OS schedules the driver threads.
+//! Thread scheduling must not leak into results or statistics, so whatever
+//! *decides* something — which buffered cache inserts land, what a lookup
+//! finds, who is admitted, whose subtask runs next — happens in
+//! `service_cycle`, and only at a *quiesce point*: a moment when every
+//! unfinished driver is blocked (inside `execute`, a cache lookup or the
+//! admission queue). The thread that called [`ServingRuntime::run`] is the
+//! coordinator: it sleeps until the run is quiesced, runs one cycle under
+//! the lock — tenants in tenant-id order — and wakes the drivers.
+//!
+//! `execute` and the cache `lookup` are the calls that wait: the driver
+//! records what it wants in its tenant's `TState` and sleeps until the
+//! coordinator has put the result in the tenant's *answer slot*. Every
+//! other call returns at once, and that is safe because the coordinator is
+//! asleep while any driver runs, so the cluster state is frozen: `meta` and
+//! `payload` read one value whenever they happen, `release` and `clear`
+//! touch only the calling tenant's key space ([`tenant_key_base`]) and
+//! reservation, and a cache `insert` is only buffered — applied at the
+//! next quiesce point in tenant-id order. Each cycle therefore advances
+//! every tenant to its next blocking point in lockstep: same seed + same
+//! tenant streams ⇒ bit-identical results, identical cache hit counts,
+//! identical virtual clocks — however the OS schedules the drivers.
+//!
+//! A query that returns `Err` or panics drops its executor, which closes
+//! the fetch it had open; its tenant is marked `Done` by a drop guard and
+//! the others run to the end. A panic on the coordinator's side (a kernel
+//! or source generator under `step_graph`) or a deadlock aborts the run:
+//! every sleeping driver is woken with a typed error. Either way `run`
+//! returns an `Err` naming tenant and query, and never hangs.
 //!
 //! # Fair sharing
 //!
@@ -40,8 +58,8 @@
 //! alone (and spilling) instead of deadlocking the queue.
 
 use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::cache::{CacheStats, LineageCache};
 use xorbits_core::chunk::{ChunkKey, ChunkMeta, Payload};
@@ -93,67 +111,73 @@ pub fn tenant_key_base(tenant: u32, query: u32) -> ChunkKey {
 }
 
 // ---------------------------------------------------------------------------
-// driver ↔ coordinator protocol
+// the drivers' side: executor and cache handles on the shared coordinator
 
-enum Msg {
-    Execute {
-        tenant: u32,
-        query: u32,
-        graph: SubtaskGraph,
-        reply: Sender<XbResult<ExecStats>>,
-    },
-    /// End of a fetch (`Executor::clear`): the tenant's chunks of this
-    /// query can be dropped from the simulator.
-    FetchDone {
-        tenant: u32,
-        query: u32,
-        keys: Vec<ChunkKey>,
-    },
-    Release {
-        keys: Vec<ChunkKey>,
-    },
-    Meta {
-        key: ChunkKey,
-        reply: Sender<Option<ChunkMeta>>,
-    },
-    Payload {
-        key: ChunkKey,
-        reply: Sender<Option<Arc<Payload>>>,
-    },
-    CacheLookup {
-        tenant: u32,
-        key: u64,
-        reply: Sender<Option<Vec<Arc<Payload>>>>,
-    },
-    CacheInsert {
-        tenant: u32,
-        key: u64,
-        sources: Vec<u64>,
-        payloads: Vec<Arc<Payload>>,
-    },
-    TenantDone {
-        tenant: u32,
-    },
+/// What the drivers and the coordinator share: the one lock, and the one
+/// condvar every wait in this module is on.
+struct Monitor {
+    coord: Mutex<Coordinator>,
+    changed: Condvar,
 }
 
-/// The per-tenant [`Executor`] stub: forwards every executor call to the
+fn aborted() -> XbError {
+    XbError::Plan("the serving run was aborted".into())
+}
+
+impl Monitor {
+    /// The coordinator, locked for one call from a driver's thread. `None`
+    /// when the lock is poisoned: something panicked under it (a kernel,
+    /// mid-cycle), the run is aborted and its state is not touched again.
+    fn enter(&self) -> Option<MutexGuard<'_, Coordinator>> {
+        self.coord.lock().ok()
+    }
+
+    /// Sleeps the driver of `tenant` — already put in a waiting [`TState`]
+    /// — until the coordinator has filled its answer slot.
+    fn wait<T>(
+        &self,
+        mut c: MutexGuard<'_, Coordinator>,
+        tenant: u32,
+        slot: fn(&mut Tenant) -> &mut Option<T>,
+    ) -> XbResult<T> {
+        // the coordinator sleeps until the last running driver has blocked
+        if c.quiesced() {
+            self.changed.notify_all();
+        }
+        while !c.aborted {
+            if let Some(answer) = slot(&mut c.tenants[tenant as usize]).take() {
+                return Ok(answer);
+            }
+            c = self.changed.wait(c).map_err(|_| aborted())?;
+        }
+        Err(aborted())
+    }
+}
+
+/// The per-tenant [`Executor`]: every call is a method call on the locked
 /// coordinator. `execute` blocks until the coordinator has fair-share
-/// scheduled the whole graph; metadata/payload reads are answered
-/// immediately (the cluster state is frozen while any driver runs).
+/// scheduled the whole graph; everything else returns at once (the cluster
+/// state is frozen while any driver runs).
 pub struct TenantExecutor {
     tenant: u32,
     query: u32,
-    tx: Sender<Msg>,
-    /// Every key this query published to the simulator, reported back on
+    shared: Arc<Monitor>,
+    /// Every key this query published to the simulator, handed over on
     /// `clear` so the coordinator can drop exactly this query's chunks.
     published: Vec<ChunkKey>,
 }
 
+/// A fetch that fails between its graphs — an `Err` or a panic in the query
+/// — never reaches `clear`; the session drops its executor either way.
+impl Drop for TenantExecutor {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
 impl MetaView for TenantExecutor {
     fn meta(&self, key: ChunkKey) -> Option<ChunkMeta> {
-        let (rtx, rrx) = channel();
-        self.tx.send(Msg::Meta { key, reply: rtx }).ok()?;
-        rrx.recv().ok()?
+        self.shared.enter()?.sim.meta(key)
     }
 }
 
@@ -162,77 +186,50 @@ impl Executor for TenantExecutor {
         for st in &graph.subtasks {
             self.published.extend(st.published_outputs.iter().copied());
         }
-        let (rtx, rrx) = channel();
-        self.tx
-            .send(Msg::Execute {
-                tenant: self.tenant,
-                query: self.query,
-                graph: graph.clone(),
-                reply: rtx,
-            })
-            .map_err(|_| XbError::Plan("serving coordinator is gone".into()))?;
-        rrx.recv()
-            .map_err(|_| XbError::Plan("serving coordinator dropped the query".into()))?
+        let graph = graph.clone();
+        let mut c = self.shared.enter().ok_or_else(aborted)?;
+        c.submit(self.tenant, self.query, graph);
+        self.shared.wait(c, self.tenant, |t| &mut t.executed)?
     }
 
     fn payload(&self, key: ChunkKey) -> Option<Arc<Payload>> {
-        let (rtx, rrx) = channel();
-        self.tx.send(Msg::Payload { key, reply: rtx }).ok()?;
-        rrx.recv().ok()?
+        self.shared.enter()?.sim.payload(key)
     }
 
     fn clear(&mut self) {
-        self.tx
-            .send(Msg::FetchDone {
-                tenant: self.tenant,
-                query: self.query,
-                keys: std::mem::take(&mut self.published),
-            })
-            .ok();
+        let keys = std::mem::take(&mut self.published);
+        if let Some(mut c) = self.shared.enter() {
+            c.fetch_done(self.tenant, self.query, &keys);
+        }
     }
 
     fn release(&mut self, keys: &[ChunkKey]) {
-        if !keys.is_empty() {
-            self.tx
-                .send(Msg::Release {
-                    keys: keys.to_vec(),
-                })
-                .ok();
+        if let Some(mut c) = self.shared.enter() {
+            c.sim.release(keys);
         }
     }
 }
 
-/// The [`ResultCache`] stub sessions get: lookups block until the
+/// The [`ResultCache`] sessions get: a lookup blocks until the
 /// coordinator's next quiesce point (so cross-tenant cache races cannot
-/// make hit counts timing-dependent); inserts are fire-and-forget and
-/// applied at the next quiesce in tenant-id order.
+/// make hit counts timing-dependent); an insert is buffered and applied at
+/// the next quiesce in tenant-id order.
 struct CoordCache {
     tenant: u32,
-    tx: Sender<Msg>,
+    shared: Arc<Monitor>,
 }
 
 impl ResultCache for CoordCache {
     fn lookup(&mut self, key: u64) -> Option<Vec<Arc<Payload>>> {
-        let (rtx, rrx) = channel();
-        self.tx
-            .send(Msg::CacheLookup {
-                tenant: self.tenant,
-                key,
-                reply: rtx,
-            })
-            .ok()?;
-        rrx.recv().ok()?
+        let mut c = self.shared.enter()?;
+        c.lookup(self.tenant, key);
+        self.shared.wait(c, self.tenant, |t| &mut t.hit).ok()?
     }
 
     fn insert(&mut self, key: u64, sources: &[u64], payloads: &[Arc<Payload>]) {
-        self.tx
-            .send(Msg::CacheInsert {
-                tenant: self.tenant,
-                key,
-                sources: sources.to_vec(),
-                payloads: payloads.to_vec(),
-            })
-            .ok();
+        if let Some(mut c) = self.shared.enter() {
+            c.buffer_insert(self.tenant, key, sources, payloads);
+        }
     }
 }
 
@@ -240,22 +237,20 @@ impl ResultCache for CoordCache {
 // coordinator
 
 /// What a driver is blocked on (its next pending coordinator action).
+#[derive(Default)]
 enum TState {
     /// Doing host-side work (tiling, gather, building the next query).
+    #[default]
     Running,
-    /// Blocked in a cache lookup; answered at the next quiesce.
-    WaitLookup {
-        key: u64,
-        reply: Sender<Option<Vec<Arc<Payload>>>>,
-    },
+    /// Blocked in a cache lookup; answered into [`Tenant::hit`] at the
+    /// next quiesce.
+    WaitLookup { key: u64 },
     /// Blocked in `execute`. `graph` is `Some` until the fetch is admitted
-    /// and a [`GraphRun`] begun; `reply` unblocks the driver when the run
-    /// completes.
+    /// and a [`GraphRun`] begun; the completed run's result goes into
+    /// [`Tenant::executed`].
     WaitExec {
         query: u32,
         graph: Option<SubtaskGraph>,
-        reply: Sender<XbResult<ExecStats>>,
-        arrived: f64,
     },
     /// Stream finished.
     Done,
@@ -270,9 +265,14 @@ struct QueryRecord {
     queued: bool,
 }
 
+#[derive(Default)]
 struct Tenant {
     weight: u32,
     state: TState,
+    /// Answer slots: filled by the coordinator as it puts the tenant back
+    /// to `Running`, emptied by the driver when it wakes.
+    hit: Option<Option<Vec<Arc<Payload>>>>,
+    executed: Option<XbResult<ExecStats>>,
     run: Option<GraphRun>,
     /// DRR subtask credit.
     deficit: f64,
@@ -293,26 +293,7 @@ struct Tenant {
     records: HashMap<u32, QueryRecord>,
 }
 
-impl Tenant {
-    fn new(weight: u32) -> Tenant {
-        Tenant {
-            weight: weight.max(1),
-            state: TState::Running,
-            run: None,
-            deficit: 0.0,
-            in_fetch: false,
-            fetch_query: 0,
-            fetch_arrival: 0.0,
-            fetch_wait: 0.0,
-            fetch_last_finish: 0.0,
-            reservation: 0,
-            queued: false,
-            records: HashMap::new(),
-        }
-    }
-}
-
-/// A buffered fire-and-forget cache insert awaiting the next quiesce.
+/// A buffered cache insert awaiting the next quiesce.
 struct PendingInsert {
     tenant: u32,
     key: u64,
@@ -324,8 +305,8 @@ struct Coordinator {
     sim: SimExecutor,
     tenants: Vec<Tenant>,
     cache: Option<LineageCache>,
-    /// Buffered fire-and-forget cache inserts, applied at quiesce in
-    /// tenant-id order (stable sort keeps per-tenant arrival order).
+    /// Buffered cache inserts, applied at quiesce in tenant-id order
+    /// (stable sort keeps per-tenant arrival order).
     pending_inserts: Vec<PendingInsert>,
     /// FIFO of tenants waiting for admission.
     admission_queue: Vec<u32>,
@@ -338,6 +319,12 @@ struct Coordinator {
     /// Monotone DRR pass counter; rotates which tenant a pass starts at so
     /// low tenant ids hold no standing claim on the earliest virtual band.
     pass: u64,
+    /// The tenant whose subtask is being stepped, for the error message
+    /// should the step panic.
+    stepping: Option<usize>,
+    /// The service loop ended early (deadlock, panic): nothing answers a
+    /// waiting driver any more.
+    aborted: bool,
 }
 
 impl Coordinator {
@@ -356,69 +343,49 @@ impl Coordinator {
             .all(|t| !matches!(t.state, TState::Running))
     }
 
-    fn handle(&mut self, msg: Msg) {
-        match msg {
-            Msg::Execute {
-                tenant,
-                query,
-                graph,
-                reply,
-            } => {
-                let arrived = self.sim.virtual_now();
-                self.tenants[tenant as usize].state = TState::WaitExec {
-                    query,
-                    graph: Some(graph),
-                    reply,
-                    arrived,
-                };
-            }
-            Msg::FetchDone {
-                tenant,
-                query,
-                keys,
-            } => {
-                self.sim.forget_chunks(&keys);
-                let t = &mut self.tenants[tenant as usize];
-                if t.in_fetch && t.fetch_query == query {
-                    let rec = t.records.entry(query).or_default();
-                    rec.latency += t.fetch_last_finish.max(t.fetch_arrival) - t.fetch_arrival;
-                    rec.wait += t.fetch_wait;
-                    self.wait_total += t.fetch_wait;
-                    t.in_fetch = false;
-                    t.reservation = 0;
-                    t.fetch_wait = 0.0;
-                }
-            }
-            Msg::Release { keys } => self.sim.release(&keys),
-            Msg::Meta { key, reply } => {
-                reply.send(self.sim.meta(key)).ok();
-            }
-            Msg::Payload { key, reply } => {
-                reply.send(self.sim.payload(key)).ok();
-            }
-            Msg::CacheLookup { tenant, key, reply } => {
-                self.tenants[tenant as usize].state = TState::WaitLookup { key, reply };
-            }
-            Msg::CacheInsert {
-                tenant,
-                key,
-                sources,
-                payloads,
-            } => self.pending_inserts.push(PendingInsert {
-                tenant,
-                key,
-                sources,
-                payloads,
-            }),
-            Msg::TenantDone { tenant } => {
-                self.tenants[tenant as usize].state = TState::Done;
-            }
+    /// The driver of `tenant` blocks in `execute` on `graph`.
+    fn submit(&mut self, tenant: u32, query: u32, graph: SubtaskGraph) {
+        let graph = Some(graph);
+        self.tenants[tenant as usize].state = TState::WaitExec { query, graph };
+    }
+
+    /// End of a fetch (`clear`, or the executor dropped mid-fetch): the
+    /// query's chunks leave the simulator, its reservation the budget.
+    fn fetch_done(&mut self, tenant: u32, query: u32, keys: &[ChunkKey]) {
+        self.sim.forget_chunks(keys);
+        let t = &mut self.tenants[tenant as usize];
+        if t.in_fetch && t.fetch_query == query {
+            let rec = t.records.entry(query).or_default();
+            rec.latency += t.fetch_last_finish.max(t.fetch_arrival) - t.fetch_arrival;
+            rec.wait += t.fetch_wait;
+            self.wait_total += t.fetch_wait;
+            t.in_fetch = false;
+            t.reservation = 0;
+            t.fetch_wait = 0.0;
         }
+    }
+
+    /// The driver of `tenant` blocks in a cache lookup of `key`.
+    fn lookup(&mut self, tenant: u32, key: u64) {
+        self.tenants[tenant as usize].state = TState::WaitLookup { key };
+    }
+
+    fn buffer_insert(&mut self, tenant: u32, key: u64, sources: &[u64], payloads: &[Arc<Payload>]) {
+        self.pending_inserts.push(PendingInsert {
+            tenant,
+            key,
+            sources: sources.to_vec(),
+            payloads: payloads.to_vec(),
+        });
+    }
+
+    fn tenant_done(&mut self, tenant: u32) {
+        self.tenants[tenant as usize].state = TState::Done;
     }
 
     /// One quiesce-point service cycle. Returns whether anything advanced
     /// (nothing advancing while fully quiesced would be a deadlock).
-    fn service_cycle(&mut self) -> XbResult<bool> {
+    fn service_cycle(&mut self) -> bool {
         let mut progressed = false;
 
         // 1. apply buffered cache inserts in tenant-id order
@@ -435,14 +402,10 @@ impl Coordinator {
 
         // 2. answer cache lookups in tenant-id order
         for i in 0..self.tenants.len() {
-            if matches!(self.tenants[i].state, TState::WaitLookup { .. }) {
-                let TState::WaitLookup { key, reply } =
-                    std::mem::replace(&mut self.tenants[i].state, TState::Running)
-                else {
-                    unreachable!()
-                };
+            if let TState::WaitLookup { key } = self.tenants[i].state {
                 let hit = self.cache.as_mut().and_then(|c| c.lookup(key));
-                reply.send(hit).ok();
+                self.tenants[i].hit = Some(hit);
+                self.tenants[i].state = TState::Running;
                 progressed = true;
             }
         }
@@ -451,9 +414,8 @@ impl Coordinator {
         progressed |= self.admit();
 
         // 4. fair-share dispatch of all admitted runs
-        progressed |= self.dispatch_round()?;
-
-        Ok(progressed)
+        progressed |= self.dispatch_round();
+        progressed
     }
 
     /// Source-chunk working-set estimate of a fetch's first graph.
@@ -506,12 +468,12 @@ impl Coordinator {
             let TState::WaitExec {
                 query,
                 graph: Some(g),
-                ..
             } = &ten.state
             else {
                 continue;
             };
-            if ten.in_fetch && ten.fetch_query == *query {
+            let query = *query;
+            if ten.in_fetch && ten.fetch_query == query {
                 // later graph of an already admitted fetch
                 self.begin_run(i);
                 progressed = true;
@@ -519,10 +481,9 @@ impl Coordinator {
             }
             let est = self.estimate(g);
             let reserved = self.reserved();
-            let (query, arrived) = match &self.tenants[i].state {
-                TState::WaitExec { query, arrived, .. } => (*query, *arrived),
-                _ => unreachable!(),
-            };
+            // the clock stands still between quiesce points: the graph
+            // arrived at the virtual time it is first seen here
+            let arrived = self.sim.virtual_now();
             let ten = &mut self.tenants[i];
             ten.in_fetch = false;
             ten.fetch_query = query;
@@ -566,7 +527,7 @@ impl Coordinator {
     /// until every run begun in this cycle has completed. Completions
     /// unblock their drivers immediately; newly submitted graphs wait for
     /// the next quiesce.
-    fn dispatch_round(&mut self) -> XbResult<bool> {
+    fn dispatch_round(&mut self) -> bool {
         let mut progressed = false;
         let n = self.tenants.len();
         loop {
@@ -590,9 +551,11 @@ impl Coordinator {
                     self.tenants[i].deficit -= 1.0;
                     progressed = true;
                     self.sim.set_tenant_track(Some(i as u32));
+                    self.stepping = Some(i);
                     let stepped = self
                         .sim
                         .step_graph(self.tenants[i].run.as_mut().expect("run checked"));
+                    self.stepping = None;
                     self.sim.set_tenant_track(None);
                     match stepped {
                         Ok(true) => {}
@@ -606,7 +569,7 @@ impl Coordinator {
                 }
             }
         }
-        Ok(progressed)
+        progressed
     }
 
     /// Ends tenant `i`'s run (or aborts it with `err`) and unblocks the
@@ -625,12 +588,10 @@ impl Coordinator {
                 self.sim.end_graph(run)
             }
         };
-        let TState::WaitExec { reply, .. } =
-            std::mem::replace(&mut self.tenants[i].state, TState::Running)
-        else {
-            unreachable!("finish_run on a non-blocked tenant")
-        };
-        reply.send(result).ok();
+        let ten = &mut self.tenants[i];
+        debug_assert!(matches!(ten.state, TState::WaitExec { .. }));
+        ten.state = TState::Running;
+        ten.executed = Some(result);
     }
 
     /// Every tenant chunk freed, per-worker live bytes zero and allocation
@@ -640,38 +601,53 @@ impl Coordinator {
             && self.sim.live_worker_bytes().iter().all(|&b| b == 0)
             && self.sim.chunk_placements().is_empty()
     }
+}
 
-    fn serve(&mut self, rx: Receiver<Msg>) -> XbResult<()> {
-        let result = self.serve_inner(&rx);
-        if result.is_err() {
-            // drop every held reply sender so blocked drivers unwind
-            // instead of waiting forever
-            for t in &mut self.tenants {
-                t.state = TState::Done;
-                t.run = None;
-            }
-        }
-        result
-    }
+/// What a poisoned lock means to the coordinator's own thread: only a
+/// driver can have panicked while holding it.
+fn driver_poisoned<T>(_: PoisonError<T>) -> XbError {
+    XbError::Plan("a tenant driver panicked inside a coordinator call".into())
+}
 
-    fn serve_inner(&mut self, rx: &Receiver<Msg>) -> XbResult<()> {
-        while !self.all_done() {
-            let msg = rx
-                .recv()
-                .map_err(|_| XbError::Plan("all tenant drivers disconnected".into()))?;
-            self.handle(msg);
-            while let Ok(m) = rx.try_recv() {
-                self.handle(m);
-            }
-            while self.quiesced() && !self.all_done() {
-                if !self.service_cycle()? {
+impl Monitor {
+    /// The coordinator's loop, on the thread that called `run`: sleep until
+    /// the run is quiesced, run one service cycle, wake the drivers. However
+    /// it ends early — a deadlock, a panic under `step_graph` — the run is
+    /// marked aborted and every sleeping driver woken before this returns.
+    fn serve(&self) -> XbResult<()> {
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            let mut c = self.coord.lock().map_err(driver_poisoned)?;
+            loop {
+                let busy = |c: &mut Coordinator| !c.quiesced();
+                c = self.changed.wait_while(c, busy).map_err(driver_poisoned)?;
+                if c.all_done() {
+                    return Ok(());
+                }
+                if !c.service_cycle() {
                     return Err(XbError::Plan(
                         "serving deadlock: all tenants blocked with nothing to do".into(),
                     ));
                 }
+                self.changed.notify_all();
             }
-        }
-        Ok(())
+        }));
+        // this thread's own panic poisons the lock; the fields read and
+        // written here are whole whatever `step_graph` left half-done
+        let mut c = self.coord.lock().unwrap_or_else(PoisonError::into_inner);
+        let err = match served {
+            Ok(Ok(())) => return Ok(()),
+            Ok(Err(e)) => e,
+            Err(panic) => {
+                let whose = c.stepping.map_or(String::new(), |i| {
+                    format!(" running tenant {i} query {}", c.tenants[i].fetch_query)
+                });
+                let what = panic_message(panic);
+                XbError::Plan(format!("serving coordinator panicked{whose}: {what}"))
+            }
+        };
+        c.aborted = true;
+        self.changed.notify_all();
+        Err(err)
     }
 }
 
@@ -736,10 +712,13 @@ impl ServingRuntime {
         if streams.is_empty() {
             return Err(XbError::Plan("serving needs at least one tenant".into()));
         }
-        let weights: Vec<u32> = streams.iter().map(|s| s.weight.max(1)).collect();
-        let mut coord = Coordinator {
+        let tenant = |s: &TenantStream| Tenant {
+            weight: s.weight.max(1),
+            ..Tenant::default()
+        };
+        let coord = Coordinator {
             sim: SimExecutor::new(self.spec.clone()),
-            tenants: weights.iter().map(|&w| Tenant::new(w)).collect(),
+            tenants: streams.iter().map(tenant).collect(),
             cache: (self.cache_bytes > 0).then(|| LineageCache::new(self.cache_bytes)),
             pending_inserts: Vec::new(),
             admission_queue: Vec::new(),
@@ -748,8 +727,13 @@ impl ServingRuntime {
             queued_total: 0,
             wait_total: 0.0,
             pass: 0,
+            stepping: None,
+            aborted: false,
         };
-        let (tx, rx) = channel();
+        let shared = Arc::new(Monitor {
+            coord: Mutex::new(coord),
+            changed: Condvar::new(),
+        });
         let cache_on = self.cache_bytes > 0;
         // the logs live out here so that what a tenant finished survives a
         // panic of its driver
@@ -760,13 +744,11 @@ impl ServingRuntime {
                 .zip(&mut logs)
                 .enumerate()
                 .map(|(t, (stream, log))| {
-                    let tx = tx.clone();
-                    let cfg = self.cfg.clone();
-                    scope.spawn(move || drive_tenant(t as u32, stream, cfg, tx, cache_on, log))
+                    let (cfg, shared) = (self.cfg.clone(), Arc::clone(&shared));
+                    scope.spawn(move || drive_tenant(t as u32, stream, cfg, shared, cache_on, log))
                 })
                 .collect();
-            drop(tx);
-            let served = coord.serve(rx);
+            let served = shared.serve();
             let panics: Vec<Option<String>> = handles
                 .into_iter()
                 .map(|h| h.join().err().map(panic_message))
@@ -774,6 +756,7 @@ impl ServingRuntime {
             (served, panics)
         });
         served?;
+        let coord = shared.coord.lock().map_err(driver_poisoned)?;
         let mut tenants = logs.iter().zip(panics).enumerate();
         let failure = tenants.find_map(|(t, (log, panic))| {
             let what = match panic {
@@ -789,10 +772,10 @@ impl ServingRuntime {
             }
             return Err(XbError::Plan(failure));
         }
-        Ok(self.outcome(coord, logs))
+        Ok(self.outcome(&coord, logs))
     }
 
-    fn outcome(&self, coord: Coordinator, logs: Vec<DriverLog>) -> ServingOutcome {
+    fn outcome(&self, coord: &Coordinator, logs: Vec<DriverLog>) -> ServingOutcome {
         let cache = coord.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
         let mut results = Vec::with_capacity(logs.len());
         let mut hits = Vec::with_capacity(logs.len());
@@ -856,23 +839,26 @@ struct DriverLog {
     error: Option<XbError>,
 }
 
-/// Tells the coordinator a driver is finished when it goes out of scope —
-/// also when a query panicked and the driver is unwinding. Without it the
-/// coordinator would wait on that tenant forever, the healthy tenants
-/// keeping the channel open.
+/// Marks a tenant `Done` when its driver goes out of scope — also when a
+/// query panicked and the driver is unwinding. Without it the coordinator
+/// would wait for that tenant to block forever.
 struct DoneOnDrop {
     tenant: u32,
-    tx: Sender<Msg>,
+    shared: Arc<Monitor>,
 }
 
 impl Drop for DoneOnDrop {
     fn drop(&mut self) {
-        let tenant = self.tenant;
-        self.tx.send(Msg::TenantDone { tenant }).ok();
+        if let Some(mut c) = self.shared.enter() {
+            c.tenant_done(self.tenant);
+        }
+        // whatever the lock's state: this is also how a sleeping
+        // coordinator finds out that a driver poisoned it
+        self.shared.changed.notify_all();
     }
 }
 
-/// The message of a panic caught at a driver's `join`.
+/// The message of a caught panic.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
     text.or_else(|| payload.downcast_ref::<String>().cloned())
@@ -883,20 +869,20 @@ fn drive_tenant(
     tenant: u32,
     stream: TenantStream,
     cfg: XorbitsConfig,
-    tx: Sender<Msg>,
+    shared: Arc<Monitor>,
     cache_on: bool,
     log: &mut DriverLog,
 ) {
     // declared first, dropped last: nothing of this tenant follows it
     let _done = DoneOnDrop {
         tenant,
-        tx: tx.clone(),
+        shared: Arc::clone(&shared),
     };
     for (qi, query) in stream.queries.into_iter().enumerate() {
         let executor = TenantExecutor {
             tenant,
             query: qi as u32,
-            tx: tx.clone(),
+            shared: Arc::clone(&shared),
             published: Vec::new(),
         };
         let session =
@@ -904,7 +890,7 @@ fn drive_tenant(
         if cache_on {
             session.set_result_cache(Arc::new(Mutex::new(CoordCache {
                 tenant,
-                tx: tx.clone(),
+                shared: Arc::clone(&shared),
             })));
         }
         match query(&session) {

@@ -1,6 +1,8 @@
 //! End-to-end serving-runtime tests: correctness vs solo execution,
-//! barrier determinism, cache hits, admission queueing, lineage
-//! invalidation, weighted fairness and a tenant whose query panics.
+//! barrier determinism (with and without injected scheduling jitter),
+//! cache hits, admission queueing, lineage invalidation, weighted
+//! fairness, and the failure paths — a tenant whose query panics, a fetch
+//! that fails after it was admitted, a panic on the coordinator's side.
 
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
@@ -9,7 +11,7 @@ use xorbits_array::prng::{Xoshiro256, Zipf};
 use xorbits_baselines::EngineKind;
 use xorbits_core::config::XorbitsConfig;
 use xorbits_core::session::Session;
-use xorbits_core::tileable::df_fingerprint;
+use xorbits_core::tileable::{df_fingerprint, DfSource};
 use xorbits_dataframe::{col, lit, AggFunc, AggSpec, Column, DataFrame, Scalar};
 use xorbits_runtime::{ClusterSpec, SimExecutor};
 use xorbits_serving::{LineageCache, ServingRuntime, TenantExecutor, TenantStream};
@@ -165,6 +167,18 @@ fn heavier_weight_finishes_sooner() {
     );
 }
 
+/// Four tenants' pinned-seed Zipf(1.1) streams over four TPC-H queries.
+fn zipf_plan() -> Vec<(u32, Vec<u32>)> {
+    let pool = [6u32, 1, 3, 12];
+    let zipf = Zipf::new(pool.len(), 1.1);
+    (0..4)
+        .map(|t| {
+            let mut rng = Xoshiro256::seed_from_u64(0xD15C ^ (t as u64) << 8);
+            (1, (0..6).map(|_| pool[zipf.sample(&mut rng)]).collect())
+        })
+        .collect()
+}
+
 /// The CI multi-tenant determinism gate: four tenants each submit a
 /// pinned-seed Zipf(1.1) TPC-H stream through the shared result cache; the
 /// whole run repeats and must reproduce bit-identical per-tenant results,
@@ -173,14 +187,7 @@ fn heavier_weight_finishes_sooner() {
 #[test]
 fn zipf_stream_is_deterministic() {
     let data = data();
-    let pool = [6u32, 1, 3, 12];
-    let zipf = Zipf::new(pool.len(), 1.1);
-    let plan: Vec<(u32, Vec<u32>)> = (0..4)
-        .map(|t| {
-            let mut rng = Xoshiro256::seed_from_u64(0xD15C ^ (t as u64) << 8);
-            (1, (0..6).map(|_| pool[zipf.sample(&mut rng)]).collect())
-        })
-        .collect();
+    let plan = zipf_plan();
 
     let rt = ServingRuntime::new(ClusterSpec::new(4, 256 << 20), cfg()).with_cache_bytes(64 << 20);
     let a = rt.run(streams(&data, &plan)).expect("first run");
@@ -292,4 +299,146 @@ fn a_panicking_tenant_query_is_an_error_naming_it_not_a_hang() {
     // executed was released
     assert_eq!(*answered.lock().unwrap(), [solo(&data, 6), solo(&data, 1)]);
     assert!(!err.contains("ledger"), "{err}");
+}
+
+/// Barrier determinism against the wait/notify code rather than run-to-run
+/// luck: the Zipf streams again, each query now preceded and followed by a
+/// seeded sleep or yield, so drivers reach their blocking calls in orders
+/// an idle host never produces. Nothing observable may move.
+#[test]
+fn scheduling_jitter_cannot_change_the_outcome() {
+    fn jitter(rng: &mut Xoshiro256) {
+        match rng.next_bounded(3) {
+            0 => {}
+            1 => std::thread::yield_now(),
+            _ => std::thread::sleep(Duration::from_micros(rng.next_bounded(1500))),
+        }
+    }
+    let data = data();
+    let plan = zipf_plan();
+    let rt = ServingRuntime::new(ClusterSpec::new(4, 256 << 20), cfg()).with_cache_bytes(64 << 20);
+    let calm = rt.run(streams(&data, &plan)).expect("un-jittered run");
+
+    for seed in [0x51EE9u64, 0xB0B] {
+        let jittered = plan
+            .iter()
+            .enumerate()
+            .map(|(t, (weight, qs))| {
+                let mut s = TenantStream::new(*weight);
+                for (i, &q) in qs.iter().enumerate() {
+                    let query = tpch_query(&data, q);
+                    let mut rng = Xoshiro256::seed_from_u64(seed ^ ((t * 64 + i) as u64) << 20);
+                    s.push(move |session| {
+                        jitter(&mut rng);
+                        let out = query(session);
+                        jitter(&mut rng);
+                        out
+                    });
+                }
+                s
+            })
+            .collect();
+        let out = rt.run(jittered).expect("jittered run");
+        assert_eq!(out.results, calm.results, "seed {seed:#x}: result frames");
+        assert_eq!(out.cache_hits, calm.cache_hits, "seed {seed:#x}: hit flags");
+        assert_eq!(det(&out), det(&calm), "seed {seed:#x}: counters");
+    }
+}
+
+/// Runs two streams on a watched thread — the failure mode of the tests
+/// below is a hang, not a red assertion — and returns the run's error text
+/// plus what the first (healthy) stream's queries answered, in order.
+fn failing_run(
+    spec: ClusterSpec,
+    cfg: XorbitsConfig,
+    healthy: &[u32],
+    faulty: TenantStream,
+) -> (String, Vec<DataFrame>) {
+    let data = data();
+    let answered = Arc::new(Mutex::new(Vec::new()));
+    let mut stream = TenantStream::new(1);
+    for &q in healthy {
+        let (query, answered) = (tpch_query(&data, q), Arc::clone(&answered));
+        stream.push(move |s| {
+            let df = query(s)?;
+            answered.lock().unwrap().push(df.clone());
+            Ok(df)
+        });
+    }
+    let (done_tx, done_rx) = channel();
+    std::thread::spawn(move || {
+        let outcome = ServingRuntime::new(spec, cfg).run(vec![stream, faulty]);
+        done_tx.send(outcome.map(|_| ())).ok();
+    });
+    let outcome = done_rx
+        .recv_timeout(Duration::from_secs(300))
+        .expect("ServingRuntime::run hangs when a tenant fails");
+    let err = outcome.expect_err("the faulty tenant fails the run");
+    let answered = answered.lock().unwrap().clone();
+    (err.to_string(), answered)
+}
+
+/// A fetch that failed in a graph after its first — admitted, chunks
+/// published — used to return through `?` without ever closing the fetch:
+/// its reservation and chunks stayed. Under a roomy budget the ledger did
+/// not drain; under a tight one the *healthy* tenant's remaining fetches
+/// queued behind the leaked reservation until "serving deadlock".
+#[test]
+fn a_fetch_failing_after_admission_releases_what_it_held() {
+    let data = data();
+    let cfg = XorbitsConfig {
+        chunk_limit_bytes: 256 << 10,
+        ..cfg()
+    };
+    for (spec, healthy) in [
+        (ClusterSpec::new(2, 2 << 20), vec![6, 1]),
+        (ClusterSpec::new(1, 1 << 20), vec![6, 1, 6, 1, 6, 1]),
+    ] {
+        // the group-by's dynamic tiling runs sources + probe as a first
+        // graph; the filter on a column that is not there fails in a later
+        let mut faulty = TenantStream::new(1);
+        faulty.push(|s| {
+            let n = 200_000;
+            let frame = DataFrame::new(vec![
+                ("k", Column::from_i64((0..n).map(|i| i % 7).collect())),
+                ("v", Column::from_i64((0..n).collect())),
+            ])?;
+            s.from_df(frame)?
+                .groupby_agg(vec!["k".into()], vec![AggSpec::new("v", AggFunc::Sum, "s")])?
+                .filter(col("missing").lt(lit(Scalar::Int(1))))?
+                .fetch()
+        });
+        let (err, answered) = failing_run(spec, cfg.clone(), &healthy, faulty);
+        assert!(err.contains("tenant 1 query 0 failed"), "{err}");
+        assert!(err.contains("column not found"), "{err}");
+        assert!(!err.contains("ledger"), "{err}");
+        let solo: Vec<DataFrame> = healthy.iter().map(|&q| solo(&data, q)).collect();
+        assert_eq!(answered, solo, "the healthy tenant's stream ran to the end");
+    }
+}
+
+/// A source generator (or a kernel) that panics does so inside
+/// `step_graph`, on the coordinator's side; every driver was then left
+/// waiting for an answer and `run` never returned.
+#[test]
+fn a_panic_on_the_coordinators_side_is_an_error_naming_the_query_not_a_hang() {
+    let data = data();
+    let mut faulty = TenantStream::new(1);
+    faulty.push(tpch_query(&data, 6));
+    faulty.push(|s| {
+        s.read_df(DfSource::Generator {
+            rows: 1000,
+            bytes_per_row: 16,
+            gen: Arc::new(|_, _| panic!("generator fault")),
+            label: "faulty".into(),
+        })?
+        .fetch()
+    });
+    let (err, answered) = failing_run(ClusterSpec::new(4, 256 << 20), cfg(), &[6, 1], faulty);
+    assert!(
+        err.contains("tenant 1 query 1") && err.contains("generator fault"),
+        "{err}"
+    );
+    // what the healthy tenant had finished by then was recorded
+    assert_eq!(answered, [solo(&data, 6)]);
 }

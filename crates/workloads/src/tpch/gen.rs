@@ -138,18 +138,6 @@ impl TpchScale {
     pub fn supplier(&self) -> usize {
         (self.part() / 10).max(8)
     }
-
-    /// Total estimated dataset bytes across all tables (for budget
-    /// calibration).
-    pub fn est_total_bytes(&self) -> usize {
-        // ~56 B/row lineitem-equivalent measured from the generator
-        self.lineitem() * 110
-            + self.orders() * 90
-            + self.customer() * 90
-            + self.part() * 90
-            + self.partsupp() * 48
-            + self.supplier() * 70
-    }
 }
 
 const T_LINEITEM: u64 = 1;
@@ -604,7 +592,6 @@ mod tests {
         assert_eq!(s.orders(), 7_500);
         assert_eq!(s.customer(), 750);
         assert_eq!(s.partsupp(), s.part() * 4);
-        assert!(s.est_total_bytes() > 0);
     }
 
     #[test]

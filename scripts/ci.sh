@@ -91,6 +91,27 @@ if [[ "$readers" != "crates/bench/src/lib.rs crates/core/src/config.rs crates/st
   exit 1
 fi
 
+# Structural gate (hard): serving has no message protocol. A tenant's
+# executor and cache calls are method calls on the one locked `Coordinator`,
+# and waits are on its condvar, so under crates/serving/src no line outside
+# comments mentions `mpsc`, `channel(`, `Sender<` or `Receiver<`; and threads
+# are made in one place — the `thread::scope` and the per-tenant `spawn`
+# inside it, both in `ServingRuntime::run`.
+echo "==> serving without a message protocol (no channels; threads only in ServingRuntime::run)"
+strays=$(find crates/serving/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { current = "" }
+  /^[[:space:]]*\/\// { next }
+  /fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); current = substr($0, RSTART + 3, RLENGTH - 3) }
+  /mpsc|channel\(|Sender<|Receiver</ { print FILENAME ":" FNR ": channel in " current }
+  /thread::/ { scopes++; if ($0 !~ /thread::scope\(/ || current != "run") print FILENAME ":" FNR ": thread:: in " current }
+  /spawn\(/ { spawns++; if (current != "run") print FILENAME ":" FNR ": spawn( in " current }
+  END { if (scopes != 1 || spawns != 1) print scopes + 0 " thread:: lines and " spawns + 0 " spawn( lines, want one of each" }')
+if [[ -n "$strays" ]]; then
+  echo "crates/serving/src may not use channels, and may touch threads only at the scope + spawn in ServingRuntime::run; found:"
+  echo "$strays"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
