@@ -49,10 +49,13 @@ pub struct ExecStats {
     pub recovered_from_spill_bytes: usize,
     /// Plain (version-1) envelope bytes of every chunk that went through
     /// the encoder — the *raw* side of the transport compression ratio.
+    /// A chunk goes through the encoder when it is transferred or spilled
+    /// (once, however many workers then receive it): both counters are 0
+    /// for a run that moved nothing.
     pub encoded_raw_bytes: usize,
     /// Bytes actually written under the chosen per-column encodings
     /// (chunkfmt v2). `encoded_raw_bytes / encoded_wire_bytes` is the
-    /// transport compression ratio.
+    /// transport compression ratio over the bytes that moved.
     pub encoded_wire_bytes: usize,
     /// Shuffle partitions split or coalesced by mid-run skew-aware
     /// re-tiling (`XORBITS_RETILE=auto`; always 0 when off).

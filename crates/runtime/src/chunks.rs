@@ -1,18 +1,21 @@
 //! The chunk table: every published chunk's payload, meta, placement and
 //! tier, plus what moving it costs.
 //!
-//! This module decides *when a chunk's wire size is measured* (once, at
-//! its first publish, under the spec's transport encoding) and *what a
-//! read costs*: cross-worker bytes are paid once per `(chunk, worker)` and
-//! then cached, spilled inputs additionally pay the disk tier, and a disk
-//! copy that outlived its crashed worker counts as recovered without
-//! recompute the first time it is read back. Network, spill and read-back
-//! all charge the same measured envelope, so the cost model matches the
-//! real storage service byte for byte.
+//! This module decides *when a chunk's wire size is measured* (once, the
+//! first time it leaves its worker's memory — a cross-worker read or a
+//! spill — under the spec's transport encoding; a chunk that never moves
+//! is never encoded) and *what a read costs*: cross-worker bytes are paid
+//! once per `(chunk, worker)` and then cached, spilled inputs additionally
+//! pay the disk tier, and a disk copy that outlived its crashed worker
+//! counts as recovered without recompute the first time it is read back.
+//! Network, spill and read-back all charge the same measured envelope, so
+//! the cost model matches the real storage service byte for byte — and the
+//! host seconds the measuring took are charged to virtual time as codec CPU.
 
 use crate::cluster::ClusterSpec;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 use xorbits_core::chunk::{payload_to_value, ChunkKey, ChunkMeta, Payload};
 use xorbits_core::error::{XbError, XbResult};
 use xorbits_core::exec::{self, ChunkIo};
@@ -34,9 +37,10 @@ struct ChunkState {
     /// charges use the ledger's retained allocations instead.
     nbytes: usize,
     rows: usize,
-    /// *Measured* wire bytes of the chunk's envelope
-    /// ([`EncodeWorkspace::measure`]), taken exactly once.
-    enc_bytes: usize,
+    /// *Measured* wire bytes of the chunk's envelope: a memo
+    /// [`Chunks::wire_bytes`] fills the first time the chunk moves, `None`
+    /// until then.
+    enc_bytes: Option<usize>,
     resident: bool,
     spilled: bool,
     /// Spilled chunk whose owning worker has since crashed: the disk copy
@@ -68,6 +72,9 @@ pub(crate) struct InputCost {
     pub read_bytes: usize,
     /// Spilled inputs read back from the disk tier.
     pub read_backs: Vec<ReadBack>,
+    /// Measured codec CPU: the encoder passes behind these inputs' first
+    /// crossings and behind any spill since the last dispatch was charged.
+    pub codec_seconds: f64,
 }
 
 impl InputCost {
@@ -75,12 +82,13 @@ impl InputCost {
     /// `published_bytes`: the receiving worker's NIC serialises all
     /// cross-worker bytes (flows into one consumer do not overlap for
     /// free), both directions of storage-service traffic pay the shared
-    /// tier, read-backs pay the disk.
+    /// tier, read-backs pay the disk, codec CPU is paid like kernel time.
     pub(crate) fn io_seconds(&self, spec: &ClusterSpec, published_bytes: usize) -> f64 {
         let disk_bytes: usize = self.read_backs.iter().map(|rb| rb.bytes).sum();
         self.recv_bytes as f64 / spec.net_bandwidth
             + (self.read_bytes + published_bytes) as f64 / spec.storage_bandwidth
             + disk_bytes as f64 / spec.disk_bandwidth
+            + self.codec_seconds
     }
 }
 
@@ -123,6 +131,8 @@ pub(crate) struct Chunks {
     /// Persistent encode workspace: the per-chunk size probe runs the real
     /// chooser without re-allocating its dictionary table and staging.
     enc_ws: EncodeWorkspace,
+    /// Host seconds spent in that probe and not yet charged to a dispatch.
+    codec_debt: f64,
 }
 
 impl Chunks {
@@ -133,6 +143,7 @@ impl Chunks {
             arrived: HashSet::new(),
             encoding,
             enc_ws: EncodeWorkspace::new(),
+            codec_debt: 0.0,
         }
     }
 
@@ -200,15 +211,38 @@ impl Chunks {
             cost.arrival = cost.arrival.max(cs.finish);
             if spec.worker_of(cs.band) != worker && self.arrived.insert((*k, worker)) {
                 // the wire carries the encoded envelope, not the view
-                cost.recv_bytes += cs.enc_bytes;
-                stats.net_bytes += cs.enc_bytes;
+                let enc_bytes = self.wire_bytes(*k, stats)?;
+                cost.recv_bytes += enc_bytes;
+                stats.net_bytes += enc_bytes;
             }
             cost.read_bytes += cs.nbytes;
             if cs.spilled {
                 cost.read_backs.extend(self.read_back(*k, stats));
             }
         }
+        cost.codec_seconds = std::mem::take(&mut self.codec_debt);
         Ok(cost)
+    }
+
+    /// `key`'s wire size under the spec's encoding: the real chooser pass
+    /// the first time the chunk moves, the memo after. That first pass
+    /// counts as encoder traffic and its host seconds join `codec_debt`;
+    /// a chunk with no payload left to encode is a `Plan` error.
+    fn wire_bytes(&mut self, key: ChunkKey, stats: &mut ExecStats) -> XbResult<usize> {
+        let gone = || XbError::Plan(format!("chunk {key} moved with no payload left to encode"));
+        let st = self.states.get_mut(&key).ok_or_else(gone)?;
+        if let Some(enc_bytes) = st.enc_bytes {
+            return Ok(enc_bytes);
+        }
+        let payload = self.storage.get(&key).ok_or_else(gone)?;
+        let timer = Instant::now();
+        let value = payload_to_value(payload);
+        let sz = self.enc_ws.measure(&value, self.encoding);
+        self.codec_debt += timer.elapsed().as_secs_f64();
+        stats.encoded_raw_bytes += sz.raw;
+        stats.encoded_wire_bytes += sz.wire;
+        st.enc_bytes = Some(sz.wire);
+        Ok(sz.wire)
     }
 
     /// Reads `key` off the disk tier if that is where it lives: counts the
@@ -216,14 +250,15 @@ impl Chunks {
     /// worker crashed, as recovered from spill.
     fn read_back(&mut self, key: ChunkKey, stats: &mut ExecStats) -> Option<ReadBack> {
         let st = self.states.get_mut(&key).filter(|st| st.spilled)?;
+        let bytes = st.enc_bytes?; // measured when it spilled
         let recovered = std::mem::take(&mut st.disk_orphan);
-        stats.read_back_bytes += st.enc_bytes;
+        stats.read_back_bytes += bytes;
         if recovered {
-            stats.recovered_from_spill_bytes += st.enc_bytes;
+            stats.recovered_from_spill_bytes += bytes;
         }
         Some(ReadBack {
             key,
-            bytes: st.enc_bytes,
+            bytes,
             band: st.band,
             at: st.finish,
             recovered,
@@ -231,9 +266,10 @@ impl Chunks {
     }
 
     /// Records a chunk published on `band` at virtual time `finish` as
-    /// resident. Its wire size is measured here, once; a `republish`
-    /// (lineage replay) reuses the stored size, since the state survives
-    /// loss. The caller charges the ledger.
+    /// resident. Nothing is encoded here: the wire size is measured when
+    /// the chunk first moves. A `republish` (lineage replay) keeps the size
+    /// an earlier move measured, since the state survives loss. The caller
+    /// charges the ledger.
     pub(crate) fn publish(
         &mut self,
         key: ChunkKey,
@@ -241,26 +277,14 @@ impl Chunks {
         band: usize,
         finish: f64,
         republish: bool,
-        stats: &mut ExecStats,
     ) {
-        let nbytes = payload.nbytes();
-        let enc_bytes = match self.states.get(&key) {
-            Some(st) if republish => st.enc_bytes,
-            _ => {
-                let sz = self
-                    .enc_ws
-                    .measure(&payload_to_value(&payload), self.encoding);
-                stats.encoded_raw_bytes += sz.raw;
-                stats.encoded_wire_bytes += sz.wire;
-                sz.wire
-            }
-        };
+        let memo = self.states.get(&key).filter(|_| republish);
         let state = ChunkState {
             band,
             finish,
-            nbytes,
+            nbytes: payload.nbytes(),
             rows: payload.rows(),
-            enc_bytes,
+            enc_bytes: memo.and_then(|st| st.enc_bytes),
             resident: true,
             spilled: false,
             disk_orphan: false,
@@ -270,14 +294,15 @@ impl Chunks {
     }
 
     /// Moves an evicted chunk to the disk tier: the tier receives the
-    /// chunk's *encoded envelope*, not its logical view. Returns
-    /// `(encoded bytes, band)`.
+    /// chunk's *encoded envelope*, not its logical view — measured now if
+    /// the chunk never moved before. Returns `(encoded bytes, band)`.
     pub(crate) fn spill(&mut self, key: ChunkKey, stats: &mut ExecStats) -> Option<(usize, usize)> {
+        let bytes = self.wire_bytes(key, stats).ok()?;
         let st = self.states.get_mut(&key)?;
         st.spilled = true;
         st.resident = false;
-        stats.spilled_bytes += st.enc_bytes;
-        Some((st.enc_bytes, st.band))
+        stats.spilled_bytes += bytes;
+        Some((bytes, st.band))
     }
 
     /// Drops `key`'s payload; its state stays, so late readers still see
@@ -377,45 +402,117 @@ mod tests {
         Arc::new(Payload::Df(df))
     }
 
-    fn publish(t: &mut Chunks, key: ChunkKey, band: usize, stats: &mut ExecStats) {
-        t.publish(key, chunk(100), band, 1.0, false, stats);
+    fn publish(t: &mut Chunks, key: ChunkKey, band: usize) {
+        t.publish(key, chunk(100), band, 1.0, false);
     }
 
     #[test]
-    fn cross_worker_bytes_are_paid_once_per_key_and_worker() {
+    fn wire_size_is_measured_at_the_first_crossing_and_paid_once_per_worker() {
         let spec = ClusterSpec::new(3, 1 << 20); // 2 bands per worker
         let (mut t, mut stats) = (Chunks::new(EncodingMode::Plain), ExecStats::default());
-        publish(&mut t, 1, 0, &mut stats);
-        let enc = stats.encoded_wire_bytes;
-        assert!(enc > 0, "measured at publish");
-
-        // same worker (band 1 is worker 0): nothing crosses
+        publish(&mut t, 1, 0);
+        // same worker (band 1 is worker 0): nothing crosses, nothing is
+        // encoded, and the IO charge carries no codec time
         let cost = t.charge_inputs(&[1], 0, &spec, &mut stats).unwrap();
         assert_eq!((cost.recv_bytes, cost.arrival), (0, 1.0));
-        // first read from worker 1 pays the envelope, the second is cached
+        assert_eq!((stats.encoded_raw_bytes, stats.encoded_wire_bytes), (0, 0));
+        assert_eq!(cost.codec_seconds, 0.0);
+        assert_eq!(cost.io_seconds(&spec, 0), 800.0 / spec.storage_bandwidth);
+
+        // the first read from worker 1 measures and pays the envelope, and
+        // the measuring's host seconds ride on that dispatch's IO
         let cost = t.charge_inputs(&[1], 1, &spec, &mut stats).unwrap();
-        assert_eq!(cost.recv_bytes, enc);
+        let enc = stats.encoded_wire_bytes;
+        assert!(enc > 0 && cost.recv_bytes == enc, "measured on the move");
+        assert!(cost.codec_seconds > 0.0);
+        let wire_and_storage = enc as f64 / spec.net_bandwidth + 800.0 / spec.storage_bandwidth;
+        assert_eq!(
+            cost.io_seconds(&spec, 0),
+            wire_and_storage + cost.codec_seconds
+        );
+        // the second is cached
         let cost = t.charge_inputs(&[1], 1, &spec, &mut stats).unwrap();
         assert_eq!((cost.recv_bytes, cost.read_bytes), (0, 800));
-        // another worker pays for itself
+        // another worker pays for itself, from the memo
         let cost = t.charge_inputs(&[1], 2, &spec, &mut stats).unwrap();
-        assert_eq!(cost.recv_bytes, enc);
-        assert_eq!(stats.net_bytes, 2 * enc);
-        // a republish keeps the first measurement
-        t.publish(1, chunk(100), 2, 2.0, true, &mut stats);
-        assert_eq!(stats.encoded_wire_bytes, enc);
+        assert_eq!((cost.recv_bytes, cost.codec_seconds), (enc, 0.0));
+        assert_eq!((stats.net_bytes, stats.encoded_wire_bytes), (2 * enc, enc));
 
         let err = t.charge_inputs(&[9], 0, &spec, &mut stats).err();
         assert!(matches!(err, Some(XbError::Plan(_))), "unknown input");
     }
 
     #[test]
+    fn a_republish_keeps_a_measured_size_and_leaves_an_unmeasured_one_open() {
+        let spec = ClusterSpec::new(3, 1 << 20);
+        let (mut t, mut stats) = (Chunks::new(EncodingMode::Plain), ExecStats::default());
+        publish(&mut t, 1, 0); // crosses before it is lost
+        publish(&mut t, 2, 0); // lost before it ever moved
+        t.charge_inputs(&[1], 1, &spec, &mut stats).unwrap();
+        let enc = stats.encoded_wire_bytes;
+        assert_eq!((t.lose(1), t.lose(2)), (Some(0), Some(0)));
+
+        // replayed on worker 1 with (say) more rows: worker 2's read is
+        // charged the first measurement, and nothing is encoded again
+        t.publish(1, chunk(200), 2, 2.0, true);
+        let cost = t.charge_inputs(&[1], 2, &spec, &mut stats).unwrap();
+        assert_eq!((cost.recv_bytes, stats.encoded_wire_bytes), (enc, enc));
+        // the never-measured one is measured on its later crossing
+        t.publish(2, chunk(100), 2, 2.0, true);
+        assert_eq!(stats.encoded_wire_bytes, enc, "republish encodes nothing");
+        let cost = t.charge_inputs(&[2], 0, &spec, &mut stats).unwrap();
+        assert_eq!((cost.recv_bytes, stats.encoded_wire_bytes), (enc, 2 * enc));
+    }
+
+    #[test]
+    fn a_spill_measures_a_chunk_that_never_moved() {
+        let spec = ClusterSpec::new(2, 1 << 20);
+        let (mut t, mut stats) = (Chunks::new(EncodingMode::Plain), ExecStats::default());
+        publish(&mut t, 1, 0);
+        publish(&mut t, 2, 0);
+        let (enc, _) = t.spill(1, &mut stats).unwrap();
+        assert!(enc > 0);
+        assert_eq!((stats.spilled_bytes, stats.encoded_wire_bytes), (enc, enc));
+        // the next charged dispatch pays for the spill's encoder pass, even
+        // though its own input crosses nothing; the one after owes nothing
+        let cost = t.charge_inputs(&[2], 0, &spec, &mut stats).unwrap();
+        assert!(cost.recv_bytes == 0 && cost.codec_seconds > 0.0);
+        // reading the spilled chunk from the other worker reuses the memo
+        let cost = t.charge_inputs(&[1], 1, &spec, &mut stats).unwrap();
+        assert_eq!((cost.recv_bytes, cost.read_backs[0].bytes), (enc, enc));
+        assert_eq!((cost.codec_seconds, stats.encoded_wire_bytes), (0.0, enc));
+    }
+
+    #[test]
+    fn a_chunk_with_no_payload_left_is_a_typed_error_not_a_panic() {
+        let spec = ClusterSpec::new(2, 1 << 20);
+        let (mut t, mut stats) = (Chunks::new(EncodingMode::Plain), ExecStats::default());
+        publish(&mut t, 1, 0);
+        publish(&mut t, 2, 0);
+        t.free(1); // freed: the state stays, the payload is gone
+        t.lose(2); // lost, and not yet republished
+        for key in [1, 2] {
+            let err = t.charge_inputs(&[key], 1, &spec, &mut stats).err();
+            let Some(XbError::Plan(msg)) = err else {
+                panic!("chunk {key}: expected a plan error, got {err:?}");
+            };
+            assert!(msg.contains(&format!("chunk {key} ")), "{msg}");
+            // a same-worker read needs no wire size and still succeeds
+            assert!(t.charge_inputs(&[key], 0, &spec, &mut stats).is_ok());
+            assert_eq!(t.spill(key, &mut stats), None);
+            assert_eq!(t.read_back(key, &mut stats), None);
+        }
+        assert_eq!((stats.net_bytes, stats.spilled_bytes), (0, 0));
+        assert_eq!(stats.encoded_raw_bytes, 0);
+    }
+
+    #[test]
     fn disk_orphan_read_back_counts_as_recovered_exactly_once() {
         let spec = ClusterSpec::new(2, 1 << 20);
         let (mut t, mut stats) = (Chunks::new(EncodingMode::Plain), ExecStats::default());
-        publish(&mut t, 1, 0, &mut stats); // spilled, then orphaned
-        publish(&mut t, 2, 0, &mut stats); // resident when the worker dies
-        publish(&mut t, 3, 2, &mut stats); // other worker
+        publish(&mut t, 1, 0); // spilled, then orphaned
+        publish(&mut t, 2, 0); // resident when the worker dies
+        publish(&mut t, 3, 2); // other worker
         let (enc, band) = t.spill(1, &mut stats).unwrap();
         assert_eq!((stats.spilled_bytes, band), (enc, 0));
 

@@ -24,8 +24,9 @@ pub struct ClusterSpec {
     pub net_bandwidth: f64,
     /// Disk bandwidth for the spill tier, bytes/second. Spill and
     /// read-back traffic is costed on the chunk's *measured* encoded
-    /// envelope (`xorbits_storage::encoded_size`) — the bytes the real
-    /// storage service writes — not its logical in-memory size.
+    /// envelope — the bytes the real storage service writes, sized by the
+    /// real encoder when the chunk spills (unless an earlier cross-worker
+    /// read already sized it) — not its logical in-memory size.
     pub disk_bandwidth: f64,
     /// Storage-service bandwidth, bytes/second: the cost of publishing a
     /// chunk to / reading a chunk from the shared-memory storage tier
@@ -61,8 +62,11 @@ pub struct ClusterSpec {
     /// traffic is costed on each chunk's *measured* wire bytes under this
     /// mode (chunkfmt v2 per-column compression under
     /// [`EncodingMode::Auto`], plain version-1 envelopes under
-    /// [`EncodingMode::Plain`]). Defaults to the `XORBITS_ENCODING` env
-    /// knob so v1-vs-v2 A/B runs need no rebuild.
+    /// [`EncodingMode::Plain`]). A chunk is measured the first time it
+    /// crosses workers or spills, never before, and the host seconds that
+    /// pass takes are charged to virtual time as the mode's codec CPU.
+    /// Defaults to the `XORBITS_ENCODING` env knob so v1-vs-v2 A/B runs
+    /// need no rebuild.
     pub encoding: EncodingMode,
     /// Mid-run skew-aware re-tiling of shuffle waves (dynamic tiling v2).
     /// `None` defers to the `XORBITS_RETILE` env knob at graph start.

@@ -214,6 +214,9 @@ impl SimExecutor {
             for rb in &cost.read_backs {
                 trace_read_back(rb, read_on.unwrap_or(rb.band), rb.at);
             }
+            if cost.codec_seconds > 0.0 {
+                trace::observe_seconds("sim.codec.seconds", cost.codec_seconds);
+            }
         }
         Ok(cost)
     }
@@ -234,8 +237,7 @@ impl SimExecutor {
         }
         let worker = self.spec.worker_of(band);
         let charged = self.ledger.admit(worker, key, finish, &payload);
-        self.chunks
-            .publish(key, payload, band, finish, republish, stats);
+        self.chunks.publish(key, payload, band, finish, republish);
         self.settle(charged, stats)
     }
 
@@ -310,8 +312,8 @@ impl SimExecutor {
     /// Lineage-based recovery: makes every key of `targets` readable again
     /// by replaying the minimal ancestor closure in production order on
     /// one surviving band, paying scheduling, transfer, disk and *measured*
-    /// kernel costs in virtual time. Chunks that were published before
-    /// being lost are republished (and recharged to the ledger); purely
+    /// kernel and codec costs in virtual time. Chunks that were published
+    /// before being lost are republished (and recharged to the ledger); purely
     /// internal ancestors stay scratch-only. No-op without targets.
     fn recover(&mut self, targets: &[ChunkKey], stats: &mut ExecStats) -> XbResult<()> {
         if targets.is_empty() {

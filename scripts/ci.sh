@@ -112,6 +112,25 @@ if [[ -n "$strays" ]]; then
   exit 1
 fi
 
+# Structural gate (hard): the simulator encodes only bytes that move. A
+# chunk's wire size is measured by the one memoising helper that transfers
+# and spills go through (`Chunks::wire_bytes`), so outside test modules
+# `.measure(` appears exactly once under crates/runtime/src — and never in a
+# `fn publish`, where it would again run over every chunk produced.
+echo "==> the simulator measures only bytes that move (single non-test .measure( site, not in publish)"
+strays=$(find crates/runtime/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_tests = 0; current = "" }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  /fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); current = substr($0, RSTART + 3, RLENGTH - 3) }
+  /\.measure\(/ { sites++; if (current ~ /^publish/) print FILENAME ":" FNR ": .measure( in " current }
+  END { if (sites != 1) print sites + 0 " non-test .measure( sites, want one" }')
+if [[ -n "$strays" ]]; then
+  echo "crates/runtime/src must call .measure( at one non-test site, outside fn publish; found:"
+  echo "$strays"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -239,6 +258,26 @@ cargo test -q --release -p xorbits-core --test session_fetch
 # says so in CHANGES.md.
 echo "==> golden tiling gate (120 pinned chunk-graph fingerprints)"
 cargo test -q --release --test tiling_golden
+
+# Benchmark gate (hard): the repo's end-to-end benchmark still builds and
+# runs — every workload at SF 1, two passes, every op checked against the
+# oracle, every metric of BENCHMARK.json present, the count-based layer
+# checks holding. About a second. One of `--quick`'s checks compares two
+# wall-clock shares (`session.overhead_share`, session_aged vs tpch_local)
+# that sit within noise of each other at SF 1 — it fails about one run in
+# three on a 2-core host, at any commit — so that line alone is tolerated
+# here until the benchmark re-bases it (ROADMAP item 7(a)); any other
+# problem, or a run that never reaches its summary, fails the gate.
+echo "==> bench_e2e --quick (every workload runs, every metric present)"
+quick_out=$(cargo run --release -p xorbits-bench --example bench_e2e -- --quick) || true
+echo "$quick_out"
+quick_noise="quick: layer separation: session.overhead_share on session_aged exceeds tpch_local's"
+quick_bad=$(grep '^quick: ' <<<"$quick_out" | grep -v -e ' in total$' -e '^quick: ok$' -e "^$quick_noise\$" || true)
+if ! grep -q '^quick: .* in total$' <<<"$quick_out" || [[ -n "$quick_bad" ]]; then
+  echo "bench_e2e --quick failed:"
+  echo "$quick_bad"
+  exit 1
+fi
 
 # Opt-in kernel bench smoke: 1e4-row run of the shuffle/join/groupby kernel
 # suite, failing if any kernel is >2x slower than the checked-in reference

@@ -252,3 +252,79 @@ fn handles_built_on_qr_r_read_r() {
     check("parallel(4)", || ParallelExecutor::with_threads(4));
     check("sim", || SimExecutor::new(ClusterSpec::new(4, 256 << 20)));
 }
+
+/// Per-worker budget under which the TPC-H suite (8 KiB chunks, SF 1 of
+/// the synthetic generator) completes only by spilling.
+const TIGHT_WORKER_BYTES: usize = 48 << 10;
+
+/// The encoder runs only for bytes that move: for all 22 TPC-H queries on
+/// a 4-worker simulator — plain and auto transport encodings with a roomy
+/// budget, plus a tight budget that spills — the bytes encoded are bounded
+/// by the bytes sent or spilled (each envelope is encoded once, however
+/// many workers receive it) and are zero when nothing moved; results equal
+/// the `LocalExecutor` oracle; a second run replays every counter.
+#[test]
+fn encoder_traffic_is_bounded_by_the_bytes_that_move() {
+    use xorbits::core::local::LocalExecutor;
+    use xorbits::core::session::ExecStats;
+    use xorbits::workloads::tpch::{run_query_on, TpchData};
+    use xorbits_storage::EncodingMode;
+
+    let cfg = || XorbitsConfig {
+        chunk_limit_bytes: 8 << 10,
+        cluster_parallelism: 8,
+        ..Default::default()
+    };
+    let caps = EngineKind::Xorbits.profile().caps;
+    let roomy = |mode| ClusterSpec::new(4, 256 << 20).with_encoding(mode);
+    // one band per worker: which chunk spills then never depends on
+    // measured kernel time, so the spill counters replay exactly
+    let mut tight = roomy(EncodingMode::Auto);
+    (tight.worker_memory_bytes, tight.bands_per_worker) = (TIGHT_WORKER_BYTES, 1);
+    let specs = [
+        ("plain", roomy(EncodingMode::Plain)),
+        ("auto", roomy(EncodingMode::Auto)),
+        ("tight", tight),
+    ];
+
+    let data = TpchData::new(1.0).expect("tpch data");
+    let mut spilling_queries = 0;
+    for q in 1..=22u32 {
+        let oracle = Session::new(cfg(), LocalExecutor::new());
+        let expect = run_query_on(&oracle, &caps, "oracle", &data, q).unwrap();
+        for (name, spec) in &specs {
+            let run = || {
+                let s = Session::new(cfg(), SimExecutor::new(spec.clone()));
+                let out = run_query_on(&s, &caps, "xorbits", &data, q)
+                    .unwrap_or_else(|e| panic!("Q{q} {name}: {e}"));
+                (out, s.total_stats())
+            };
+            let (out, st) = run();
+            assert_eq!(out, expect, "Q{q} {name}: result differs from the oracle");
+            let moved = st.net_bytes + st.spilled_bytes;
+            let (raw, wire) = (st.encoded_raw_bytes, st.encoded_wire_bytes);
+            if moved == 0 {
+                assert_eq!((raw, wire), (0, 0), "Q{q} {name}: encoded, moved nothing");
+            } else {
+                assert!(
+                    0 < wire && wire <= moved && wire <= raw,
+                    "Q{q} {name}: wire {wire}, raw {raw}, moved {moved}"
+                );
+            }
+            spilling_queries += usize::from(*name == "tight" && st.spilled_bytes > 0);
+
+            let counters = |st: &ExecStats| {
+                let moved = (st.net_bytes, st.spilled_bytes, st.read_back_bytes);
+                let encoded = (st.encoded_raw_bytes, st.encoded_wire_bytes);
+                (st.subtasks, st.peak_worker_bytes, moved, encoded)
+            };
+            let (out2, st2) = run();
+            assert_eq!(out2, expect, "Q{q} {name}: rerun result");
+            assert_eq!(counters(&st), counters(&st2), "Q{q} {name}: rerun counters");
+        }
+    }
+    assert!(
+        spilling_queries >= 10,
+        "the tight budget spilled in {spilling_queries} queries"
+    );
+}
