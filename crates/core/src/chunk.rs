@@ -14,106 +14,37 @@ use xorbits_dataframe::{AggSpec, DataFrame, Expr, JoinType, Scalar};
 /// Globally unique identifier of one data chunk (a storage-service key).
 pub type ChunkKey = u64;
 
-/// The data held by one chunk.
-#[derive(Debug, Clone)]
-pub enum Payload {
-    /// A dataframe chunk (pandas backend).
-    Df(DataFrame),
-    /// An array chunk (NumPy backend).
-    Arr(NdArray),
+/// Metadata of an executed (or planned) chunk — what the paper's meta
+/// service stores and dynamic tiling consumes.
+pub use xorbits_storage::ChunkMeta;
+/// The data held by one chunk: the storage crate's chunk value, which is
+/// defined there because it is the lowest crate that knows both backends.
+/// The store holds these behind `Arc`s and hands the same `Arc`s back.
+pub use xorbits_storage::ChunkValue as Payload;
+
+/// The typed views of a [`Payload`] — a trait only because the error type
+/// lives in this crate and the enum one below it.
+pub trait PayloadKind {
+    /// Dataframe view.
+    fn as_df(&self) -> XbResult<&DataFrame>;
+    /// Array view.
+    fn as_arr(&self) -> XbResult<&NdArray>;
 }
 
-impl Payload {
-    /// Approximate *logical* heap bytes of the viewed data (the unit for
-    /// transfer costs and chunk metadata).
-    pub fn nbytes(&self) -> usize {
-        match self {
-            Payload::Df(df) => df.nbytes(),
-            Payload::Arr(a) => a.nbytes(),
-        }
-    }
-
-    /// Bytes of all distinct allocations this payload keeps alive (what the
-    /// storage service actually charges). Allocations shared *within* the
-    /// payload are counted once; sharing *across* payloads is deduplicated
-    /// by the storage service via [`Payload::push_allocs`].
-    pub fn retained_nbytes(&self) -> usize {
-        match self {
-            Payload::Df(df) => df.retained_nbytes(),
-            Payload::Arr(a) => a.retained_nbytes(),
-        }
-    }
-
-    /// Appends `(alloc_id, retained_bytes)` for every buffer backing this
-    /// payload.
-    pub fn push_allocs(&self, out: &mut Vec<(usize, usize)>) {
-        match self {
-            Payload::Df(df) => df.push_allocs(out),
-            Payload::Arr(a) => out.push((a.alloc_id(), a.retained_nbytes())),
-        }
-    }
-
-    /// Materializes any backing buffer whose retained allocation exceeds
-    /// `slack ×` its logical size (a small view pinning a large parent).
-    /// Returns true if a copy happened.
-    pub fn compact(&mut self, slack: f64) -> bool {
-        match self {
-            Payload::Df(df) => df.compact(slack),
-            Payload::Arr(a) => a.compact(slack),
-        }
-    }
-
-    /// Leading-dimension length (dataframe rows or array axis-0).
-    pub fn rows(&self) -> usize {
-        match self {
-            Payload::Df(df) => df.num_rows(),
-            Payload::Arr(a) => a.shape().first().copied().unwrap_or(0),
-        }
-    }
-
-    /// Dataframe view.
-    pub fn as_df(&self) -> XbResult<&DataFrame> {
+impl PayloadKind for Payload {
+    fn as_df(&self) -> XbResult<&DataFrame> {
         match self {
             Payload::Df(df) => Ok(df),
             Payload::Arr(_) => Err(XbError::Kernel("expected dataframe chunk".into())),
         }
     }
 
-    /// Array view.
-    pub fn as_arr(&self) -> XbResult<&NdArray> {
+    fn as_arr(&self) -> XbResult<&NdArray> {
         match self {
             Payload::Arr(a) => Ok(a),
             Payload::Df(_) => Err(XbError::Kernel("expected array chunk".into())),
         }
     }
-}
-
-/// Converts a payload into the storage crate's chunk value. O(1): both
-/// sides share the same Arc'd buffers (`xorbits-storage` sits below this
-/// crate and mirrors the enum rather than depending on it).
-pub fn payload_to_value(p: &Payload) -> xorbits_storage::ChunkValue {
-    match p {
-        Payload::Df(df) => xorbits_storage::ChunkValue::Df(df.clone()),
-        Payload::Arr(a) => xorbits_storage::ChunkValue::Arr(a.clone()),
-    }
-}
-
-/// Converts a stored chunk value back into an executor payload. O(1).
-pub fn value_to_payload(v: &xorbits_storage::ChunkValue) -> Payload {
-    match v {
-        xorbits_storage::ChunkValue::Df(df) => Payload::Df(df.clone()),
-        xorbits_storage::ChunkValue::Arr(a) => Payload::Arr(a.clone()),
-    }
-}
-
-/// Metadata of an executed (or planned) chunk — what the paper's meta
-/// service stores and dynamic tiling consumes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChunkMeta {
-    /// Heap bytes.
-    pub nbytes: usize,
-    /// Leading-dimension length.
-    pub rows: usize,
 }
 
 /// One fused elementwise dataframe step (the unit of operator-level fusion).
@@ -466,21 +397,6 @@ impl ChunkGraph {
         map
     }
 
-    /// Edges as `(producer node, consumer node)` pairs (external inputs are
-    /// not edges).
-    pub fn edges(&self) -> Vec<(usize, usize)> {
-        let producers = self.producers();
-        let mut out = Vec::new();
-        for (ci, n) in self.nodes.iter().enumerate() {
-            for k in &n.inputs {
-                if let Some(&pi) = producers.get(k) {
-                    out.push((pi, ci));
-                }
-            }
-        }
-        out
-    }
-
     /// Asserts the insertion order is topological (every producer precedes
     /// its consumers). Used by tests and debug builds.
     pub fn validate_topological(&self) -> XbResult<()> {
@@ -575,7 +491,6 @@ mod tests {
             inputs: vec![k1, k2],
             outputs: vec![k3],
         });
-        assert_eq!(g.edges(), vec![(0, 1), (0, 2), (1, 2)]);
         assert!(g.validate_topological().is_ok());
         // break topology
         let mut bad = ChunkGraph::new();

@@ -10,7 +10,7 @@
 //! is a subtask's nodes in order. Every executor — host or simulated,
 //! first run or lineage replay — supplies only the [`ChunkIo`].
 
-use crate::chunk::{ArrStep, ChunkKey, ChunkNode, ChunkOp, DfStep, Payload};
+use crate::chunk::{ArrStep, ChunkKey, ChunkNode, ChunkOp, DfStep, Payload, PayloadKind};
 use crate::error::{XbError, XbResult};
 use crate::subtask::SubtaskGraph;
 use std::collections::HashMap;

@@ -29,7 +29,9 @@ pub mod tileable;
 pub mod tiling;
 pub mod trace;
 
-pub use chunk::{ChunkGraph, ChunkKey, ChunkMeta, ChunkNode, ChunkOp, KeyGen, Payload};
+pub use chunk::{
+    ChunkGraph, ChunkKey, ChunkMeta, ChunkNode, ChunkOp, KeyGen, Payload, PayloadKind,
+};
 pub use config::{retile_from_env, threads_from_env, XorbitsConfig};
 pub use error::{FailureKind, XbError, XbResult};
 pub use parallel::ParallelExecutor;

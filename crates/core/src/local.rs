@@ -1,7 +1,7 @@
 //! The sequential host executor: [`ParallelExecutor`] pinned to one thread.
 //! Subtasks run in graph order on the calling thread with sequential
-//! kernels and no mid-run re-tiling — the schedule every other executor's
-//! results are compared against bit for bit. Used by unit tests and by the
+//! kernels — the schedule every other executor's results are compared
+//! against bit for bit. Used by unit tests and by the
 //! single-node ("pandas-like") baseline engine, whose makespan is simply
 //! its single-threaded kernel time.
 //!
@@ -15,7 +15,6 @@
 use crate::chunk::{ChunkKey, ChunkMeta, Payload};
 use crate::error::XbResult;
 use crate::parallel::ParallelExecutor;
-use crate::retile::RetileMode;
 use crate::session::{ExecStats, Executor};
 use crate::subtask::SubtaskGraph;
 use crate::tiling::MetaView;
@@ -35,7 +34,7 @@ impl Default for LocalExecutor {
 impl LocalExecutor {
     /// Unbounded executor.
     pub fn new() -> LocalExecutor {
-        LocalExecutor::sequential(ParallelExecutor::with_threads(1))
+        LocalExecutor(ParallelExecutor::with_threads(1))
     }
 
     /// Executor with a single-node memory budget and **no** disk tier:
@@ -62,12 +61,7 @@ impl LocalExecutor {
 
     /// Executor over an arbitrary storage configuration.
     pub fn with_storage(config: StorageConfig) -> XbResult<LocalExecutor> {
-        ParallelExecutor::with_storage_and_threads(config, 1).map(LocalExecutor::sequential)
-    }
-
-    /// The reference schedule never re-tiles, whatever `XORBITS_RETILE` says.
-    fn sequential(inner: ParallelExecutor) -> LocalExecutor {
-        LocalExecutor(inner.with_retile(RetileMode::Off))
+        ParallelExecutor::with_storage_and_threads(config, 1).map(LocalExecutor)
     }
 
     /// Peak resident bytes observed so far.
@@ -114,7 +108,6 @@ mod tests {
     use crate::exec::ChunkIo;
     use crate::session::Session;
     use xorbits_dataframe::{col, lit, AggFunc, AggSpec, Column, DataFrame, Scalar};
-    use xorbits_storage::Workspaces;
 
     fn small_cfg() -> XorbitsConfig {
         // tiny chunk limit so even small frames split into several chunks
@@ -132,8 +125,7 @@ mod tests {
 
     /// Publishes one chunk the way a running subtask does.
     fn store(ex: &LocalExecutor, key: ChunkKey, payload: Payload) {
-        let mut ws = Workspaces::default();
-        ex.0.io(&mut ws).publish(key, payload).unwrap();
+        ex.0.io().publish(key, payload).unwrap();
     }
 
     fn sample_df(n: usize) -> DataFrame {

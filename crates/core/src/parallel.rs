@@ -2,25 +2,29 @@
 //! a [`StorageService`]. With one thread it is the in-order sequential
 //! schedule ([`LocalExecutor`](crate::local::LocalExecutor) is exactly that
 //! case); with more it runs a graph's independent subtasks concurrently on
-//! a work-stealing pool of scoped threads, with results **bit-identical**
-//! to the one-thread schedule regardless of thread count or steal order.
+//! a pool of scoped threads, with results **bit-identical** to the
+//! one-thread schedule regardless of thread count or completion order.
 //! Either way a subtask is one [`exec::run_subtask`] call.
 //!
 //! # Topology
 //!
-//! One global injector queue seeds the initially-ready subtasks; each
-//! worker owns a deque. A worker pops its own deque from the back (LIFO —
-//! newly-unblocked successors are hot in cache), refills from the injector,
-//! and otherwise steals from sibling deques from the front (FIFO — takes
-//! the oldest, likely-largest piece of a sibling's backlog). Everything is
-//! std `Mutex`/`Condvar`/atomics; no external crates.
+//! One ready queue under one mutex, one condvar. A subtask's indegree
+//! counts its distinct producer subtasks inside the graph; the queue
+//! starts with the subtasks whose indegree is zero, and the worker that
+//! completes a subtask's last outstanding producer pushes it. Workers pop
+//! the queue front and wait on the condvar when it is empty; the predicate
+//! and the wait share the lock, so a wakeup cannot be lost and nothing
+//! polls. A graph is 8 subtasks on average (TPC-H, DESIGN.md §13), so the
+//! lock is taken a few dozen times per graph: an injector, per-worker
+//! deques and stealing measured no faster. A worker that fails — an `Err`
+//! from its subtask, or a panic — records that under the same lock from a
+//! drop guard; its siblings stop taking work, and `execute` returns the
+//! first error or resumes the panic exactly as the one-thread schedule
+//! would have raised it.
 //!
-//! Readiness is ready-count driven: each subtask's atomic indegree counts
-//! its distinct producer subtasks inside the graph, and the worker that
-//! completes the last outstanding producer pushes the successor onto its
-//! own deque. Parked workers are woken through a signal-counter + condvar
-//! pair (with a `wait_timeout` belt-and-braces so a lost race never
-//! deadlocks the pool).
+//! The thread budget is spent once: pool workers run their kernels
+//! sequentially, and the no-pool path below gives the whole budget to the
+//! morsel kernels of `xorbits_dataframe::par`.
 //!
 //! # Determinism
 //!
@@ -36,40 +40,30 @@
 //! gates this with all 22 TPC-H queries at 1/2/4/8 threads against the
 //! `LocalExecutor` oracle.
 //!
-//! With `threads == 1` (or a one-subtask range) the executor skips the
+//! With `threads == 1` (or a one-subtask graph) the executor skips the
 //! pool entirely and runs subtasks in graph order on the calling thread —
-//! no queues, no parking, no atomics on the hot path. That schedule is the
-//! bit-identity reference every other executor is compared against.
+//! no queue, no parking. That schedule is the bit-identity reference every
+//! other executor is compared against.
 
-use crate::chunk::{payload_to_value, value_to_payload, ChunkKey, ChunkMeta, Payload};
-use crate::config::{retile_from_env, threads_from_env};
+use crate::chunk::{ChunkKey, ChunkMeta, Payload};
+use crate::config::threads_from_env;
 use crate::error::{XbError, XbResult};
 use crate::exec::{self, ChunkIo};
-use crate::retile::{RetileMode, RetileRun};
 use crate::session::{ExecStats, Executor};
 use crate::subtask::SubtaskGraph;
 use crate::tiling::MetaView;
 use crate::trace;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-use xorbits_storage::{SpillConfig, StorageConfig, StorageMetrics, StorageService, Workspaces};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
+use xorbits_storage::{SpillConfig, StorageConfig, StorageError, StorageMetrics, StorageService};
 
 /// Host executor over a thread-safe [`StorageService`] — unbounded,
 /// budgeted (over budget = OOM) or budgeted with a disk tier that spills
 /// cold chunks and reads them back transparently.
 pub struct ParallelExecutor {
     service: StorageService,
-    metas: Mutex<HashMap<ChunkKey, ChunkMeta>>,
     threads: usize,
-    /// One reusable encode/decode workspace per pool worker (index =
-    /// worker id; the sequential fast path uses slot 0). Persisted across
-    /// `execute` calls so steady-state spill and read-back run through
-    /// warm chunkfmt-v2 buffers instead of allocating per chunk.
-    worker_ws: Vec<Mutex<Workspaces>>,
-    /// Mid-run skew-aware re-tiling; `None` defers to `XORBITS_RETILE`.
-    retile: Option<RetileMode>,
 }
 
 impl Default for ParallelExecutor {
@@ -128,22 +122,10 @@ impl ParallelExecutor {
     }
 
     fn build(service: StorageService, threads: usize) -> ParallelExecutor {
-        let threads = threads.max(1);
         ParallelExecutor {
             service,
-            metas: Mutex::new(HashMap::new()),
-            threads,
-            worker_ws: (0..threads)
-                .map(|_| Mutex::new(Workspaces::default()))
-                .collect(),
-            retile: None,
+            threads: threads.max(1),
         }
-    }
-
-    /// Forces the re-tiling mode instead of reading `XORBITS_RETILE`.
-    pub fn with_retile(mut self, mode: RetileMode) -> ParallelExecutor {
-        self.retile = Some(mode);
-        self
     }
 
     /// The worker count this executor runs with.
@@ -161,20 +143,17 @@ impl ParallelExecutor {
         self.service.metrics()
     }
 
-    /// This executor as one worker's chunk source and sink; `ws` is the
-    /// worker's own encode/decode scratch, so spill and read-back on its
-    /// chunks reuse warmed buffers.
-    pub(crate) fn io<'a>(&'a self, ws: &'a mut Workspaces) -> HostIo<'a> {
+    /// This executor as one worker's chunk source and sink.
+    pub(crate) fn io(&self) -> HostIo<'_> {
         HostIo {
-            exec: self,
-            ws,
+            service: &self.service,
             pinned: Vec::new(),
         }
     }
 
     /// Runs one subtask, shared by the sequential path and every pool
     /// worker.
-    fn run_subtask(&self, graph: &SubtaskGraph, sti: usize, ws: &mut Workspaces) -> XbResult<()> {
+    fn run_subtask(&self, graph: &SubtaskGraph, sti: usize) -> XbResult<()> {
         let _st_span = if trace::is_enabled() {
             trace::span_on(
                 trace::Stage::Execute,
@@ -184,31 +163,25 @@ impl ParallelExecutor {
         } else {
             trace::SpanGuard::disabled()
         };
-        exec::run_subtask(graph, sti, &mut self.io(ws)).map(drop)
+        exec::run_subtask(graph, sti, &mut self.io()).map(drop)
     }
 
-    /// Dispatches subtasks `lo..hi` over the worker pool (producers below
-    /// `lo` have already published to storage). Returns the summed
-    /// per-subtask busy nanoseconds.
-    fn execute_pool(&self, graph: &SubtaskGraph, lo: usize, hi: usize) -> XbResult<u64> {
-        let n = hi - lo;
-        // producer subtask of every chunk key published inside the range
+    /// Dispatches every subtask of `graph` over the worker pool. Returns
+    /// the summed per-subtask busy nanoseconds.
+    fn execute_pool(&self, graph: &SubtaskGraph) -> XbResult<u64> {
+        let n = graph.subtasks.len();
+        // producer subtask of every chunk key published inside the graph
         let mut producer_of: HashMap<ChunkKey, usize> = HashMap::new();
-        for (i, st) in graph.subtasks[lo..hi].iter().enumerate() {
+        for (i, st) in graph.subtasks.iter().enumerate() {
             for &k in &st.published_outputs {
-                producer_of.insert(k, lo + i);
+                producer_of.insert(k, i);
             }
         }
-        // indegree = distinct in-range producers; successor adjacency
-        // (indexed by absolute subtask id)
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); graph.subtasks.len()];
-        let mut indeg: Vec<AtomicUsize> = (0..graph.subtasks.len())
-            .map(|_| AtomicUsize::new(0))
-            .collect();
-        let mut initially_ready: Vec<usize> = Vec::new();
-        #[allow(clippy::needless_range_loop)] // `indeg`/`succs` are full-graph, the range is not
-        for i in lo..hi {
-            let st = &graph.subtasks[i];
+        // indegree = distinct producers; successor adjacency
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut indeg: Vec<usize> = vec![0; n];
+        let mut ready: VecDeque<usize> = VecDeque::new();
+        for (i, st) in graph.subtasks.iter().enumerate() {
             let mut deps: Vec<usize> = st
                 .external_inputs
                 .iter()
@@ -220,104 +193,51 @@ impl ParallelExecutor {
             for &p in &deps {
                 succs[p].push(i);
             }
-            indeg[i] = AtomicUsize::new(deps.len());
+            indeg[i] = deps.len();
             if deps.is_empty() {
-                initially_ready.push(i);
+                ready.push_back(i);
             }
         }
 
-        let workers = self.threads.min(n.max(1));
         let pool = Pool {
-            injector: Mutex::new(initially_ready.into_iter().collect()),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            signal: Mutex::new(0),
-            parked: Condvar::new(),
-            remaining: AtomicUsize::new(n),
-            abort: AtomicBool::new(false),
-            error: Mutex::new(None),
-            busy_nanos: AtomicU64::new(0),
+            state: Mutex::new(PoolState {
+                ready,
+                indeg,
+                remaining: n,
+                failed: false,
+                error: None,
+                busy_nanos: 0,
+            }),
+            work: Condvar::new(),
         };
         let handle = trace::handle();
-        let (succs, indeg) = (&succs, &indeg);
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let pool = &pool;
-                let handle = handle.clone();
-                scope.spawn(move || {
-                    let _kernel_threads =
-                        xorbits_dataframe::par::scoped_kernel_threads(self.threads);
-                    if let Some(h) = &handle {
-                        trace::adopt(h);
-                    }
-                    pool.worker(w, self, graph, succs, indeg);
-                });
-            }
-        });
-        match pool.error.into_inner().unwrap() {
-            Some(err) => Err(err),
-            None => Ok(pool.busy_nanos.into_inner()),
-        }
-    }
-
-    /// Runs subtasks `lo..hi`, through the pool when it pays off.
-    fn execute_range(&self, graph: &SubtaskGraph, lo: usize, hi: usize) -> XbResult<f64> {
-        if hi <= lo {
-            return Ok(0.0);
-        }
-        if self.threads <= 1 || hi - lo <= 1 {
-            // sequential fast path: graph order on this thread, no pool
-            let start = Instant::now();
-            let mut ws = self.worker_ws[0].lock().unwrap();
-            for sti in lo..hi {
-                self.run_subtask(graph, sti, &mut ws)?;
-            }
-            Ok(start.elapsed().as_secs_f64())
-        } else {
-            Ok(self.execute_pool(graph, lo, hi)? as f64 * 1e-9)
-        }
-    }
-
-    /// Staged execution with mid-run re-tiling: run up to each shuffle
-    /// wave head (a quiesce point — every partition's size is harvested in
-    /// `self.metas`), splice the pending tail if the histogram is skewed,
-    /// continue. Returns (busy seconds, subtasks run, partitions retiled).
-    fn execute_retiled(&self, graph: &SubtaskGraph) -> XbResult<(f64, usize, usize)> {
-        let mut g = graph.clone();
-        let mut retile = RetileRun::for_graph(&g.chunks);
-        let mut busy = 0.0f64;
-        let mut retiled = 0usize;
-        let mut start = 0usize;
-        while start < g.subtasks.len() {
-            let cut = retile.next_wave_head(&g, start).unwrap_or(g.subtasks.len());
-            busy += self.execute_range(&g, start, cut)?;
-            start = cut;
-            if start >= g.subtasks.len() {
-                break;
-            }
-            let info = |k: ChunkKey| {
-                self.metas
-                    .lock()
-                    .unwrap()
-                    .get(&k)
-                    .map(|m| (m.nbytes as u64, m.rows as u64))
-            };
-            let peek = |k: ChunkKey| self.payload(k);
-            if let Some(out) = retile.maybe_retile(&mut g, start, &info, &peek) {
-                retiled += out.retiled_partitions;
-                if trace::is_enabled() {
-                    trace::instant(
-                        trace::Stage::Retile,
-                        "retile",
-                        &[
-                            ("partitions", out.partitions as u64),
-                            ("splits", out.splits as u64),
-                            ("coalesces", out.coalesces as u64),
-                        ],
-                    );
+            let workers: Vec<_> = (0..self.threads.min(n))
+                .map(|_| {
+                    let (pool, succs, handle) = (&pool, &succs, handle.clone());
+                    scope.spawn(move || {
+                        // the thread budget is already spent on this pool
+                        let _kernel_threads = xorbits_dataframe::par::scoped_kernel_threads(1);
+                        if let Some(h) = &handle {
+                            trace::adopt(h);
+                        }
+                        pool.worker(self, graph, succs);
+                    })
+                })
+                .collect();
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    // a subtask's panic reaches the caller as it would at
+                    // one thread; the scope joins the siblings first
+                    std::panic::resume_unwind(panic);
                 }
             }
+        });
+        let state = pool.state.into_inner().unwrap_or_else(|p| p.into_inner());
+        match state.error {
+            Some(err) => Err(err),
+            None => Ok(state.busy_nanos),
         }
-        Ok((busy, g.subtasks.len(), retiled))
     }
 
     fn exec_stats(
@@ -325,7 +245,6 @@ impl ParallelExecutor {
         elapsed: f64,
         busy_seconds: f64,
         subtasks: usize,
-        retiled: usize,
         before: &StorageMetrics,
     ) -> ExecStats {
         let after = self.service.metrics();
@@ -359,158 +278,120 @@ impl ParallelExecutor {
             real_cpu_seconds: busy_seconds,
             encoded_raw_bytes: enc_raw as usize,
             encoded_wire_bytes: enc_wire as usize,
-            retiled_partitions: retiled,
             ..Default::default()
         }
     }
 }
 
-/// One worker's handle on a [`ParallelExecutor`] while it runs a subtask.
+/// One worker's handle on the executor's store while it runs a subtask.
 pub(crate) struct HostIo<'a> {
-    exec: &'a ParallelExecutor,
-    ws: &'a mut Workspaces,
+    service: &'a StorageService,
     /// Inputs of the node in flight, unpinned when it is done.
     pinned: Vec<ChunkKey>,
 }
 
 impl ChunkIo for HostIo<'_> {
     fn load(&mut self, keys: &[ChunkKey]) -> XbResult<Vec<Arc<Payload>>> {
-        let service = &self.exec.service;
-        // pin every stored input before reading the first, so neither a
-        // read-back nor storing this node's outputs can evict (and
-        // re-read) a chunk the kernel is consuming
-        self.pinned
-            .extend(keys.iter().filter(|&&k| service.pin(k).is_ok()));
-        keys.iter()
-            .map(|&k| {
-                if !service.contains(k) {
-                    return Err(exec::missing_input(k));
-                }
-                let v = service.get_with(k, self.ws)?;
-                Ok(Arc::new(value_to_payload(&v)))
-            })
-            .collect()
+        // pinned until `node_done`, so storing this node's outputs cannot
+        // evict (and re-read) a chunk the kernel is consuming
+        let loaded = self.service.load(keys).map_err(|e| match e {
+            StorageError::Missing(k) => exec::missing_input(k),
+            other => other.into(),
+        })?;
+        self.pinned.extend_from_slice(keys);
+        Ok(loaded)
     }
 
     fn publish(&mut self, key: ChunkKey, payload: Payload) -> XbResult<()> {
-        let meta = ChunkMeta {
-            nbytes: payload.nbytes(),
-            rows: payload.rows(),
-        };
-        self.exec
-            .service
-            .put_with(key, payload_to_value(&payload), self.ws)?;
-        self.exec.metas.lock().unwrap().insert(key, meta);
-        Ok(())
+        Ok(self.service.put(key, payload)?)
     }
 
     fn node_done(&mut self) {
         for k in self.pinned.drain(..) {
-            self.exec.service.unpin(k);
+            self.service.unpin(k);
         }
     }
 }
 
-/// Shared pool state for one `execute` call.
+/// What the pool's lock guards, for one `execute` call.
+struct PoolState {
+    /// Subtasks whose producers have all completed, oldest first.
+    ready: VecDeque<usize>,
+    /// Producers each subtask still waits for.
+    indeg: Vec<usize>,
+    /// Subtasks not yet completed; 0 ends the pool.
+    remaining: usize,
+    /// A worker returned an error or unwound: nobody takes more work.
+    failed: bool,
+    /// The first error returned.
+    error: Option<XbError>,
+    /// Summed per-subtask run time across all workers.
+    busy_nanos: u64,
+}
+
+/// The worker pool of one `execute` call.
 struct Pool {
-    /// Global injector seeded with the initially-ready subtasks.
-    injector: Mutex<VecDeque<usize>>,
-    /// One deque per worker: owner pops the back, thieves pop the front.
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    /// Bumped on every push so parked workers can detect missed work.
-    signal: Mutex<u64>,
-    parked: Condvar,
-    /// Subtasks not yet completed; 0 terminates the pool.
-    remaining: AtomicUsize,
-    /// Set on the first error; drains the pool without running more work.
-    abort: AtomicBool,
-    error: Mutex<Option<XbError>>,
-    /// Summed per-subtask kernel time across all workers.
-    busy_nanos: AtomicU64,
+    state: Mutex<PoolState>,
+    /// Signalled when `ready` grows and when the pool ends.
+    work: Condvar,
+}
+
+/// Fails the pool when its worker unwinds out of a subtask, so the
+/// siblings stop instead of waiting for work that will never be pushed.
+struct FailOnUnwind<'a>(&'a Pool);
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // no subtask runs under the lock, so the panic being reported
+            // did not poison it; recover it all the same
+            let mut state = self.0.state.lock().unwrap_or_else(|p| p.into_inner());
+            state.failed = true;
+            drop(state);
+            self.0.work.notify_all();
+        }
+    }
 }
 
 impl Pool {
-    fn push(&self, worker: usize, task: usize) {
-        self.deques[worker].lock().unwrap().push_back(task);
-        *self.signal.lock().unwrap() += 1;
-        self.parked.notify_all();
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state
+            .lock()
+            .expect("no subtask runs under the pool lock")
     }
 
-    fn wake_all(&self) {
-        *self.signal.lock().unwrap() += 1;
-        self.parked.notify_all();
-    }
-
-    /// Own deque back → injector front → steal sibling fronts.
-    fn find_task(&self, worker: usize) -> Option<usize> {
-        if let Some(t) = self.deques[worker].lock().unwrap().pop_back() {
-            return Some(t);
-        }
-        if let Some(t) = self.injector.lock().unwrap().pop_front() {
-            return Some(t);
-        }
-        let k = self.deques.len();
-        for off in 1..k {
-            let victim = (worker + off) % k;
-            if let Some(t) = self.deques[victim].lock().unwrap().pop_front() {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn worker(
-        &self,
-        w: usize,
-        exec: &ParallelExecutor,
-        graph: &SubtaskGraph,
-        succs: &[Vec<usize>],
-        indeg: &[AtomicUsize],
-    ) {
-        // this worker's persistent encode/decode scratch (one lock for the
-        // whole run: worker w is the slot's only contender)
-        let mut ws = exec.worker_ws[w].lock().unwrap();
-        let mut seen = *self.signal.lock().unwrap();
-        while self.remaining.load(Ordering::Acquire) > 0 && !self.abort.load(Ordering::Acquire) {
-            let Some(task) = self.find_task(w) else {
-                // park until a push bumps the signal counter; the timeout is
-                // a belt-and-braces against a wakeup lost between our failed
-                // scan and the lock (re-scan loop catches it via `seen`)
-                let guard = self.signal.lock().unwrap();
-                if *guard != seen {
-                    seen = *guard;
-                    continue;
-                }
-                let (guard, _) = self
-                    .parked
-                    .wait_timeout(guard, Duration::from_millis(10))
-                    .unwrap();
-                seen = *guard;
+    fn worker(&self, exec: &ParallelExecutor, graph: &SubtaskGraph, succs: &[Vec<usize>]) {
+        let _guard = FailOnUnwind(self);
+        let mut state = self.lock();
+        while !state.failed && state.remaining > 0 {
+            let Some(task) = state.ready.pop_front() else {
+                state = self.work.wait(state).expect("as in `lock`");
                 continue;
             };
+            drop(state);
             let t0 = Instant::now();
-            match exec.run_subtask(graph, task, &mut ws) {
+            let ran = exec.run_subtask(graph, task);
+            let nanos = t0.elapsed().as_nanos() as u64;
+            state = self.lock();
+            match ran {
                 Ok(()) => {
-                    self.busy_nanos
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    state.busy_nanos += nanos;
+                    state.remaining -= 1;
+                    let queued = state.ready.len();
                     for &s in &succs[task] {
-                        if indeg[s].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            self.push(w, s);
+                        state.indeg[s] -= 1;
+                        if state.indeg[s] == 0 {
+                            state.ready.push_back(s);
                         }
                     }
-                    if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        self.wake_all(); // last subtask: release parked workers
+                    if state.ready.len() > queued || state.remaining == 0 {
+                        self.work.notify_all();
                     }
                 }
                 Err(err) => {
-                    let mut slot = self.error.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(err);
-                    }
-                    drop(slot);
-                    self.abort.store(true, Ordering::Release);
-                    self.wake_all();
-                    return;
+                    state.error.get_or_insert(err);
+                    state.failed = true;
+                    self.work.notify_all();
                 }
             }
         }
@@ -519,46 +400,46 @@ impl Pool {
 
 impl MetaView for ParallelExecutor {
     fn meta(&self, key: ChunkKey) -> Option<ChunkMeta> {
-        self.metas.lock().unwrap().get(&key).copied()
+        self.service.meta(key)
     }
 }
 
 impl Executor for ParallelExecutor {
     fn execute(&mut self, graph: &SubtaskGraph) -> XbResult<ExecStats> {
-        // morsel kernels share the worker budget (one knob, see par docs),
-        // for this run only
-        let _kernel_threads = xorbits_dataframe::par::scoped_kernel_threads(self.threads);
         let start = Instant::now();
         let before = self.service.metrics();
-        let mode = self.retile.unwrap_or_else(retile_from_env);
-        let (busy_seconds, subtasks, retiled) = if mode == RetileMode::Auto {
-            self.execute_retiled(graph)?
+        let n = graph.subtasks.len();
+        let busy_seconds = if self.threads <= 1 || n <= 1 {
+            // no pool: graph order on this thread, and the whole thread
+            // budget goes to the morsel kernels (one knob, see par docs),
+            // for this run only
+            let _kernel_threads = xorbits_dataframe::par::scoped_kernel_threads(self.threads);
+            let start = Instant::now();
+            for sti in 0..n {
+                self.run_subtask(graph, sti)?;
+            }
+            start.elapsed().as_secs_f64()
         } else {
-            let n = graph.subtasks.len();
-            (self.execute_range(graph, 0, n)?, n, 0)
+            self.execute_pool(graph)? as f64 * 1e-9
         };
         let elapsed = start.elapsed().as_secs_f64();
-        Ok(self.exec_stats(elapsed, busy_seconds, subtasks, retiled, &before))
+        Ok(self.exec_stats(elapsed, busy_seconds, n, &before))
     }
 
     fn payload(&self, key: ChunkKey) -> Option<Arc<Payload>> {
-        let v = self.service.get(key).ok()?;
-        Some(Arc::new(value_to_payload(&v)))
+        self.service.get(key).ok()
     }
 
     fn clear(&mut self) {
         self.service.clear();
-        self.metas.lock().unwrap().clear();
     }
 
     fn release(&mut self, keys: &[ChunkKey]) {
         // reclaim mid-fetch: drop the chunk from every storage tier
         // (including its spill file) instead of letting released chunks —
         // and their disk footprint — accumulate until the fetch ends
-        let mut metas = self.metas.lock().unwrap();
         for k in keys {
             self.service.remove(*k);
-            metas.remove(k);
         }
     }
 }
@@ -569,6 +450,9 @@ mod tests {
     use crate::config::XorbitsConfig;
     use crate::local::LocalExecutor;
     use crate::session::Session;
+    use crate::tileable::DfSource;
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::time::Duration;
     use xorbits_dataframe::{col, lit, AggFunc, AggSpec, Column, DataFrame};
 
     fn small_cfg() -> XorbitsConfig {
@@ -628,6 +512,93 @@ mod tests {
         assert_eq!(pipeline_result(ParallelExecutor::with_threads(4)), oracle);
         assert_eq!(xorbits_dataframe::par::kernel_threads(), 1);
         assert_eq!(pipeline_result(LocalExecutor::new()), oracle);
+    }
+
+    /// A 16-byte-per-row generator source over `sample_df`'s columns whose
+    /// partitions first pass through `probe(start_row)`.
+    fn probed_source(rows: usize, probe: impl Fn(usize) + Send + Sync + 'static) -> DfSource {
+        DfSource::Generator {
+            rows,
+            bytes_per_row: 16,
+            gen: Arc::new(move |start, len| {
+                probe(start);
+                Ok(sample_df(start + len).slice(start, len))
+            }),
+            label: "probed".into(),
+        }
+    }
+
+    #[test]
+    fn the_thread_budget_is_spent_once() {
+        // the widths kernels would run at, as seen from inside subtasks
+        let widths = |rows: usize| {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let log = Arc::clone(&seen);
+            let src = probed_source(rows, move |_| {
+                log.lock()
+                    .unwrap()
+                    .push(xorbits_dataframe::par::kernel_threads())
+            });
+            let s = Session::new(small_cfg(), ParallelExecutor::with_threads(4));
+            assert_eq!(s.read_df(src).unwrap().fetch().unwrap().num_rows(), rows);
+            let seen = seen.lock().unwrap().clone();
+            seen
+        };
+        // 63 subtasks share the pool: its 4 workers are the 4 threads
+        let pooled = widths(1000);
+        assert!(
+            pooled.len() > 4 && pooled.iter().all(|&w| w == 1),
+            "{pooled:?}"
+        );
+        // one subtask runs on the caller, whose kernels get all 4
+        assert_eq!(widths(10), [4]);
+    }
+
+    /// A subtask that panics used to kill its worker without telling the
+    /// pool: the siblings re-parked forever and `execute` never returned.
+    /// The fetch runs on a watched thread because that regression is a
+    /// hang, not a red assertion. The panic must come out as it does at
+    /// one thread, the session must refuse to go on, and the process must
+    /// be none the worse for it.
+    #[test]
+    fn a_panicking_subtask_unwinds_the_fetch_instead_of_hanging_it() {
+        for t in [1usize, 2, 4] {
+            let (done_tx, done_rx) = channel();
+            let fetcher = std::thread::spawn(move || {
+                let faulty = probed_source(4000, |start| {
+                    assert!(start != 0, "partition {start} is unreadable");
+                });
+                let s = Session::new(small_cfg(), ParallelExecutor::with_threads(t));
+                let df = s.read_df(faulty).unwrap();
+                let fetch = std::panic::AssertUnwindSafe(|| df.fetch().map(drop));
+                let first = std::panic::catch_unwind(fetch);
+                done_tx.send((first, df.fetch().map(drop))).ok();
+            });
+            let (first, second) = match done_rx.recv_timeout(Duration::from_secs(20)) {
+                Ok(outcome) => outcome,
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("threads={t}: a panicking subtask hangs the pool")
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    panic!("threads={t}: {:?}", fetcher.join().unwrap_err())
+                }
+            };
+            let panic = first.expect_err("the subtask's panic reaches the caller");
+            let msg = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                msg.contains("partition 0 is unreadable"),
+                "threads={t}: {msg}"
+            );
+            let refused = second.unwrap_err().to_string();
+            assert!(
+                refused.contains("executor panicked"),
+                "threads={t}: {refused}"
+            );
+            fetcher.join().unwrap();
+        }
+        // a fresh executor in the same process is unaffected
+        let oracle = pipeline_result(LocalExecutor::new());
+        assert_eq!(pipeline_result(ParallelExecutor::with_threads(4)), oracle);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! retile decisions are deterministic: same seed → same data → same bytes →
 //! same plan, independent of measured wall time.
 
-use crate::chunk::{ChunkGraph, ChunkKey, ChunkNode, ChunkOp, Payload};
+use crate::chunk::{ChunkGraph, ChunkKey, ChunkNode, ChunkOp, Payload, PayloadKind};
 use crate::subtask::{Subtask, SubtaskGraph};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -521,16 +521,6 @@ impl RetileRun {
             synth: SynthKeys::for_graph(chunks),
             done: HashSet::new(),
         }
-    }
-
-    /// First subtask index in `[from, len)` that heads a not-yet-attempted
-    /// shuffle wave — the quiesce points a staged executor must stop at
-    /// before dispatching further (used by `ParallelExecutor`; the stepwise
-    /// simulator simply probes its own dispatch head). Detection is purely
-    /// structural, so the answer is stable until the graph is spliced.
-    pub fn next_wave_head(&self, graph: &SubtaskGraph, from: usize) -> Option<usize> {
-        (from..graph.subtasks.len())
-            .find(|&i| detect_wave(graph, i).is_some_and(|w| !self.done.contains(&w.id)))
     }
 }
 

@@ -7,7 +7,7 @@
 //! drives the loop: prune → tile (possibly yielding into execution for
 //! metadata) → optimize → execute → gather.
 
-use crate::chunk::{ArrStep, ChunkGraph, ChunkKey, DfStep, KeyGen, Payload};
+use crate::chunk::{ArrStep, ChunkGraph, ChunkKey, DfStep, KeyGen, Payload, PayloadKind};
 use crate::config::XorbitsConfig;
 use crate::error::{XbError, XbResult};
 use crate::optimizer;

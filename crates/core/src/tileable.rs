@@ -240,18 +240,6 @@ impl TileableOp {
         }
     }
 
-    /// Whether the output shape can be computed from input shapes alone —
-    /// the paper's static/non-static operator distinction (§IV-A).
-    pub fn is_static_shape(&self) -> bool {
-        match self {
-            TileableOp::DfMap(step) => step.keeps_rows(),
-            TileableOp::GroupbyAgg { .. }
-            | TileableOp::Merge { .. }
-            | TileableOp::DropDuplicates { .. } => false,
-            _ => true,
-        }
-    }
-
     /// One-line rendering for logical plans. The operator holds parameters
     /// only, so its derived `Debug` is the description; the arms elide what
     /// would not fit a line — source data, expressions, literal arrays.
@@ -589,24 +577,6 @@ mod tests {
         assert!(g.push(materialized(vec![1]), vec![src]).is_err());
         assert!(g.push(TileableOp::ConcatDf, vec![src, filt, src]).is_ok());
         assert_eq!(g.len(), 3);
-    }
-
-    #[test]
-    fn static_vs_nonstatic_classification() {
-        let src = TileableOp::TensorRandom {
-            shape: vec![4, 4],
-            seed: 0,
-            normal: false,
-        };
-        assert!(src.is_static_shape());
-        assert!(!filter(col("a").gt(lit(0i64))).is_static_shape());
-        assert!(!TileableOp::DfMap(DfStep::Dropna(None)).is_static_shape());
-        assert!(TileableOp::DfMap(DfStep::Project(vec![])).is_static_shape());
-        let g = TileableOp::GroupbyAgg {
-            keys: vec![],
-            specs: vec![],
-        };
-        assert!(!g.is_static_shape());
     }
 
     fn canonical_hash(g: &TileableGraph, target: TileableId) -> u64 {

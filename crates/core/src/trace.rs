@@ -453,15 +453,6 @@ pub fn adopt(handle: &TraceHandle) {
     });
 }
 
-/// Detaches this thread from its trace context (events it recorded stay in
-/// the shared rings for the final merge). Threads that simply exit need
-/// not call this.
-pub fn unadopt() {
-    CTX.with(|c| {
-        c.borrow_mut().take();
-    });
-}
-
 /// Copies the current merged log without disabling tracing.
 pub fn snapshot() -> Option<TraceLog> {
     CTX.with(|c| c.borrow().as_ref().map(|ctx| ctx.shared.log(false)))
@@ -1098,7 +1089,6 @@ mod tests {
                 adopt(&h);
                 assert!(!is_enabled(), "disable flips the shared atomic flag");
                 instant(Stage::Execute, "late", &[]);
-                unadopt();
             });
         });
         assert!(snapshot().is_none(), "driver context is gone");

@@ -306,20 +306,14 @@ impl Bitmap {
     }
 
     /// The viewed bits as normalized LSB-first words (offset 0, bits past
-    /// `len` zeroed) — the serialization unit of the chunk codec.
-    pub fn to_words(&self) -> Vec<u64> {
-        self.words_iter().collect()
-    }
-
-    /// Streaming form of [`Bitmap::to_words`]: the same normalized words
-    /// without the staging `Vec`, so the chunk encoder can serialize a
-    /// bitmap with zero heap allocation.
+    /// `len` zeroed) — the serialization unit of the chunk codec, streamed
+    /// so the encoder serializes a bitmap with zero heap allocation.
     pub fn words_iter(&self) -> impl Iterator<Item = u64> + '_ {
         (0..self.num_words()).map(|wi| self.word(wi))
     }
 
     /// Rebuilds a bitmap of `len` bits from LSB-first words, the inverse of
-    /// [`Bitmap::to_words`]. Bits past `len` in the last word are masked
+    /// [`Bitmap::words_iter`]. Bits past `len` in the last word are masked
     /// off, so a corrupted tail cannot leak into later word-level ops.
     ///
     /// # Panics

@@ -159,22 +159,6 @@ pub fn hash_partition(df: &DataFrame, keys: &[&str], n: usize) -> DfResult<Vec<D
         .collect())
 }
 
-/// Splits rows into contiguous chunks of at most `chunk_rows` rows.
-pub fn split_rows(df: &DataFrame, chunk_rows: usize) -> Vec<DataFrame> {
-    assert!(chunk_rows > 0, "chunk size must be positive");
-    if df.num_rows() == 0 {
-        return vec![df.clone()];
-    }
-    let mut out = Vec::new();
-    let mut offset = 0;
-    while offset < df.num_rows() {
-        let len = chunk_rows.min(df.num_rows() - offset);
-        out.push(df.slice(offset, len));
-        offset += len;
-    }
-    out
-}
-
 /// Splits rows into exactly `n` near-equal contiguous chunks
 /// (the static baseline's "decide partition count up front").
 pub fn split_even(df: &DataFrame, n: usize) -> Vec<DataFrame> {
@@ -227,13 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn split_rows_sizes() {
-        let parts = split_rows(&df(10), 4);
-        let sizes: Vec<_> = parts.iter().map(|p| p.num_rows()).collect();
-        assert_eq!(sizes, vec![4, 4, 2]);
-    }
-
-    #[test]
     fn split_even_sizes() {
         let parts = split_even(&df(10), 3);
         let sizes: Vec<_> = parts.iter().map(|p| p.num_rows()).collect();
@@ -241,12 +218,5 @@ mod tests {
         // more partitions than rows → empty tails
         let parts = split_even(&df(2), 4);
         assert_eq!(parts.iter().map(|p| p.num_rows()).sum::<usize>(), 2);
-    }
-
-    #[test]
-    fn split_rows_empty_frame() {
-        let parts = split_rows(&df(0), 4);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].num_rows(), 0);
     }
 }

@@ -65,36 +65,6 @@ pub fn describe(df: &DataFrame) -> DfResult<Vec<ColumnSummary>> {
     Ok(out)
 }
 
-/// Pearson correlation of two numeric columns (rows where either side is
-/// null are skipped, like pandas `corr`).
-pub fn correlation(df: &DataFrame, a: &str, b: &str) -> DfResult<f64> {
-    let ca = df.column(a)?;
-    let cb = df.column(b)?;
-    let pairs: Vec<(f64, f64)> = (0..df.num_rows())
-        .filter_map(|i| match (ca.get(i).as_f64(), cb.get(i).as_f64()) {
-            (Some(x), Some(y)) => Some((x, y)),
-            _ => None,
-        })
-        .collect();
-    if pairs.len() < 2 {
-        return Ok(f64::NAN);
-    }
-    let n = pairs.len() as f64;
-    let (mx, my) = (
-        pairs.iter().map(|p| p.0).sum::<f64>() / n,
-        pairs.iter().map(|p| p.1).sum::<f64>() / n,
-    );
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in &pairs {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    Ok(cov / (vx.sqrt() * vy.sqrt()))
-}
-
 impl ColumnSummary {
     /// Combinable partial state for distributed describe: the map stage
     /// summarises each chunk, combine merges states, exactly like the
@@ -192,12 +162,5 @@ mod tests {
             assert_eq!(merged.min, w.min);
             assert_eq!(merged.max, w.max);
         }
-    }
-
-    #[test]
-    fn correlation_perfect_linear() {
-        let c = correlation(&df(), "x", "y").unwrap();
-        // y = 2x where non-null → corr 1
-        assert!((c - 1.0).abs() < 1e-12);
     }
 }

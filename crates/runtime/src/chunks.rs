@@ -16,7 +16,7 @@ use crate::cluster::ClusterSpec;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-use xorbits_core::chunk::{payload_to_value, ChunkKey, ChunkMeta, Payload};
+use xorbits_core::chunk::{ChunkKey, ChunkMeta, Payload};
 use xorbits_core::error::{XbError, XbResult};
 use xorbits_core::exec::{self, ChunkIo};
 use xorbits_core::session::ExecStats;
@@ -236,8 +236,7 @@ impl Chunks {
         }
         let payload = self.storage.get(&key).ok_or_else(gone)?;
         let timer = Instant::now();
-        let value = payload_to_value(payload);
-        let sz = self.enc_ws.measure(&value, self.encoding);
+        let sz = self.enc_ws.measure(payload, self.encoding);
         self.codec_debt += timer.elapsed().as_secs_f64();
         stats.encoded_raw_bytes += sz.raw;
         stats.encoded_wire_bytes += sz.wire;

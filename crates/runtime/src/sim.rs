@@ -1031,11 +1031,7 @@ mod tests {
         assert!(ex.ledger_balanced());
         // the disk tier is charged the *measured* encoded envelopes, which
         // differ from the logical view bytes (header/offsets overhead)
-        let enc = |df: &DataFrame| {
-            xorbits_storage::encoded_size(&xorbits_core::chunk::payload_to_value(&Payload::Df(
-                df.clone(),
-            )))
-        };
+        let enc = |df: &DataFrame| xorbits_storage::encoded_size(&Payload::Df(df.clone()));
         assert_eq!(stats.spilled_bytes, enc(&parts[0]) + enc(&parts[1]));
     }
 

@@ -12,7 +12,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use xorbits_array::prng::Xoshiro256;
-use xorbits_core::chunk::{ChunkGraph, ChunkKey, ChunkNode, ChunkOp, KeyGen};
+use xorbits_core::chunk::{ChunkGraph, ChunkKey, ChunkNode, ChunkOp, KeyGen, PayloadKind};
 use xorbits_core::session::Executor;
 use xorbits_core::subtask::SubtaskGraph;
 use xorbits_dataframe::{Column, DataFrame};

@@ -5,8 +5,9 @@
 //! result was derived from (both computed in one pass by
 //! [`xorbits_core::tileable::cache_key`]). Residency is charged to a
 //! dedicated [`StorageService`] ledger — cached chunks are stored as
-//! ordinary [`ChunkValue`]s, so the same accounting that meters executor
-//! storage meters the cache — while admission/eviction policy stays up
+//! the executors' own payloads (the `Arc` that was fetched is the `Arc`
+//! a hit returns), so the same accounting that meters executor storage
+//! meters the cache — while admission/eviction policy stays up
 //! here: the cache holds recomputable results, so going over budget drops
 //! the least-recently-used entry instead of spilling it to disk.
 //!
@@ -16,7 +17,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use xorbits_core::chunk::{payload_to_value, value_to_payload, Payload};
+use xorbits_core::chunk::Payload;
 use xorbits_core::session::ResultCache;
 use xorbits_storage::StorageService;
 
@@ -159,7 +160,7 @@ impl ResultCache for LineageCache {
         let mut payloads = Vec::with_capacity(slots.len());
         for slot in slots {
             match self.store.get(slot) {
-                Ok(v) => payloads.push(Arc::new(value_to_payload(&v))),
+                Ok(p) => payloads.push(p),
                 Err(_) => {
                     // residency lost under us — treat as a miss and drop
                     // the now-unservable entry
@@ -187,7 +188,7 @@ impl ResultCache for LineageCache {
             let slot = self.next_slot;
             self.next_slot += 1;
             self.store
-                .put(slot, payload_to_value(p))
+                .put(slot, Arc::clone(p))
                 .expect("cache residency store is unbounded");
             slots.push(slot);
         }
@@ -211,6 +212,7 @@ impl ResultCache for LineageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xorbits_core::chunk::PayloadKind;
     use xorbits_dataframe::{Column, DataFrame};
 
     fn payload(tag: i64, rows: usize) -> Arc<Payload> {

@@ -629,7 +629,7 @@ fn delta_varint_size(vals: &[i64]) -> usize {
     }
 }
 
-/// Writes a bitmap's normalized words without the `to_words` staging `Vec`.
+/// Writes a bitmap's normalized words without a staging `Vec`.
 fn put_words(out: &mut Vec<u8>, v: &Bitmap) {
     for w in v.words_iter() {
         w.write_le(out);

@@ -26,34 +26,29 @@
 //!
 //! # Concurrency
 //!
-//! The service is `Sync` and built for many executor threads hammering it
-//! at once (the work-stealing [`ParallelExecutor`] in `xorbits-core` runs
-//! every subtask's pin → get → put → unpin cycle concurrently):
-//!
-//! * the entry map is **sharded** across [`SHARD_COUNT`] mutexes keyed by
-//!   chunk hash, so puts/gets/pins of different chunks rarely contend (and
-//!   spill-file IO for one chunk only blocks its own shard);
-//! * byte accounting (`resident_bytes`, its peak) and all cumulative
-//!   counters are lock-free atomics;
-//! * the clock ring stays **global** behind its own small mutex — the sweep
-//!   is a pure queue of keys, and one global ring preserves the exact
-//!   single-thread eviction order of the unsharded implementation.
-//!
-//! Lock order: a shard mutex may acquire the ring mutex (put/promote push,
-//! sweep re-push), never the reverse — the sweep pops a candidate from the
-//! ring and *releases it* before touching the candidate's shard. No path
-//! holds two shards.
+//! The service is `Sync` behind **one** mutex: the entry table, the clock
+//! ring, the byte ledger, every counter and the codec scratch are one
+//! state, so no operation can observe another half-done and there is no
+//! lock order to get wrong. Spill-file IO and the encode/decode that goes
+//! with it run *under* that lock. That is a decision, not an accident: a
+//! host pass over the 22 TPC-H queries makes some 10⁴ store calls in
+//! ≈ 350 ms against an uncontended-lock cost of tens of nanoseconds, the
+//! sharded store this one replaced measured the same wall time with all
+//! entries forced onto one shard (DESIGN.md §13), and no benchmark
+//! workload spills with more than one executor thread. A multi-key
+//! [`StorageService::load`] pins and reads a node's inputs in one
+//! critical section.
 
 use crate::chunkfmt::{
     decode_chunk_with, encoded_size, encoding_from_env, DecodeWorkspace, EncodeWorkspace,
     EncodingMode,
 };
 use crate::error::{StorageError, StorageResult};
-use crate::ChunkValue;
+use crate::{ChunkMeta, ChunkValue};
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Where evicted chunks go.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -129,8 +124,8 @@ pub struct StorageMetrics {
 struct Entry {
     /// Present while the chunk is resident in the memory tier.
     value: Option<Arc<ChunkValue>>,
-    /// Logical bytes charged while resident.
-    nbytes: usize,
+    /// Logical bytes (charged while resident) and leading-dimension length.
+    meta: ChunkMeta,
     /// Spill file, once the chunk has been written to the disk tier (kept
     /// after promotion — chunks are immutable, so the envelope stays valid).
     file: Option<PathBuf>,
@@ -140,54 +135,31 @@ struct Entry {
     ref_bit: bool,
 }
 
-/// Number of entry-map shards. Plenty for the worker counts the parallel
-/// executor runs (≤ a few dozen) while keeping idle-shard overhead tiny.
-const SHARD_COUNT: usize = 16;
-
 /// Process-wide counter making concurrent temp spill dirs unique.
 static TEMP_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Caller-owned encode/decode scratch, threaded through
-/// [`StorageService::put_with`]/[`StorageService::get_with`] so a worker
-/// thread spills and reads back through its *own* warmed buffers instead
-/// of contending on (and cold-starting) the shard's. Each storage shard
-/// also owns one for the plain `put`/`get` paths.
+/// Everything the service's lock guards.
 #[derive(Default)]
-pub struct Workspaces {
-    /// Encoder state (output buffer, dict table, varint staging).
-    pub enc: EncodeWorkspace,
-    /// Decoder scratch (dictionary offset staging).
-    pub dec: DecodeWorkspace,
-}
-
-/// One entry-map shard plus the shard-resident codec workspaces used when
-/// the caller did not bring its own.
-#[derive(Default)]
-struct Shard {
+struct State {
     entries: HashMap<u64, Entry>,
-    ws: Workspaces,
+    /// Clock ring of candidate keys (may hold stale keys; the sweep skips
+    /// and drops them).
+    ring: VecDeque<u64>,
+    /// The ledger and the counters, kept in the shape they are reported in.
+    metrics: StorageMetrics,
+    /// Codec scratch, warm across calls: a steady-state spill or read-back
+    /// allocates nothing for the envelope.
+    enc: EncodeWorkspace,
+    dec: DecodeWorkspace,
 }
 
 /// The multi-level chunk store. See the module docs for the design.
 pub struct StorageService {
     config: StorageConfig,
-    shards: Vec<Mutex<Shard>>,
-    /// Global clock ring of candidate keys (may hold stale keys; the sweep
-    /// skips and drops them).
-    ring: Mutex<VecDeque<u64>>,
-    resident_bytes: AtomicUsize,
-    peak_resident_bytes: AtomicUsize,
-    evictions: AtomicU64,
-    spilled_bytes: AtomicU64,
-    read_back_bytes: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    unbalanced_unpins: AtomicU64,
-    encoded_raw_bytes: AtomicU64,
-    encoded_wire_bytes: AtomicU64,
     spill_dir: Option<PathBuf>,
     /// Whether the service created `spill_dir` and must remove it on drop.
     owns_dir: bool,
+    state: Mutex<State>,
 }
 
 impl StorageService {
@@ -214,22 +186,9 @@ impl StorageService {
         };
         Ok(StorageService {
             config,
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-            ring: Mutex::new(VecDeque::new()),
-            resident_bytes: AtomicUsize::new(0),
-            peak_resident_bytes: AtomicUsize::new(0),
-            evictions: AtomicU64::new(0),
-            spilled_bytes: AtomicU64::new(0),
-            read_back_bytes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            unbalanced_unpins: AtomicU64::new(0),
-            encoded_raw_bytes: AtomicU64::new(0),
-            encoded_wire_bytes: AtomicU64::new(0),
             spill_dir,
             owns_dir,
+            state: Mutex::new(State::default()),
         })
     }
 
@@ -243,139 +202,85 @@ impl StorageService {
         &self.config
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        // multiply-shift so sequential chunk ids spread over the shards
-        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(h >> 32) as usize % SHARD_COUNT]
-    }
-
-    /// Charges `n` resident bytes and maintains the peak high-water mark.
-    fn charge(&self, n: usize) {
-        let now = self.resident_bytes.fetch_add(n, Ordering::AcqRel) + n;
-        self.peak_resident_bytes.fetch_max(now, Ordering::AcqRel);
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .expect("a thread panicked while it held the store lock")
     }
 
     /// Stores a chunk, replacing (and releasing) any previous value under
     /// the key, then shrinks the memory tier back under budget — possibly
     /// spilling the chunk just stored.
-    pub fn put(&self, key: u64, value: ChunkValue) -> StorageResult<()> {
-        self.put_impl(key, value, None)
-    }
-
-    /// [`Self::put`] with caller-owned codec workspaces: any spill the
-    /// insert triggers encodes through `ws` instead of the victim shard's.
-    pub fn put_with(&self, key: u64, value: ChunkValue, ws: &mut Workspaces) -> StorageResult<()> {
-        self.put_impl(key, value, Some(ws))
-    }
-
-    fn put_impl(
-        &self,
-        key: u64,
-        value: ChunkValue,
-        ws: Option<&mut Workspaces>,
-    ) -> StorageResult<()> {
-        let nbytes = value.nbytes();
-        {
-            let mut shard = self.shard(key).lock().unwrap();
-            Self::release_in_shard(&mut shard.entries, key, &self.resident_bytes);
-            shard.entries.insert(
-                key,
-                Entry {
-                    value: Some(Arc::new(value)),
-                    nbytes,
-                    file: None,
-                    pins: 0,
-                    ref_bit: true,
-                },
-            );
-            self.ring.lock().unwrap().push_back(key);
-            self.charge(nbytes);
-        }
-        self.shrink_to_budget(ws)
+    pub fn put(&self, key: u64, value: impl Into<Arc<ChunkValue>>) -> StorageResult<()> {
+        let value = value.into();
+        let meta = ChunkMeta {
+            nbytes: value.nbytes(),
+            rows: value.rows(),
+        };
+        let mut state = self.lock();
+        state.release(key);
+        state.entries.insert(
+            key,
+            Entry {
+                value: Some(value),
+                meta,
+                file: None,
+                pins: 0,
+                ref_bit: true,
+            },
+        );
+        state.admit(key, meta.nbytes);
+        state.shrink_to_budget(self)
     }
 
     /// Fetches a chunk: from the memory tier if resident, otherwise by
     /// reading its envelope back from the disk tier (counted as a miss and
     /// promoted best-effort).
     pub fn get(&self, key: u64) -> StorageResult<Arc<ChunkValue>> {
-        self.get_impl(key, None)
+        self.lock().read(key, self)
     }
 
-    /// [`Self::get`] with caller-owned codec workspaces: a disk-tier read
-    /// decodes through `ws`, and any promotion-driven spill encodes
-    /// through it too.
-    pub fn get_with(&self, key: u64, ws: &mut Workspaces) -> StorageResult<Arc<ChunkValue>> {
-        self.get_impl(key, Some(ws))
-    }
-
-    fn get_impl(
-        &self,
-        key: u64,
-        mut ws: Option<&mut Workspaces>,
-    ) -> StorageResult<Arc<ChunkValue>> {
-        let (value, nbytes) = {
-            let mut guard = self.shard(key).lock().unwrap();
-            let shard = &mut *guard;
-            let entry = shard
-                .entries
-                .get_mut(&key)
-                .ok_or(StorageError::Missing(key))?;
-            entry.ref_bit = true;
-            if let Some(v) = &entry.value {
-                let v = Arc::clone(v);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(v);
-            }
-            let path = entry.file.clone().ok_or_else(|| {
-                StorageError::Io(format!("chunk {key:#x} has no value and no file"))
-            })?;
-            // IO under the shard lock: only same-shard keys wait for it
-            let bytes = std::fs::read(&path)
-                .map_err(|e| StorageError::Io(format!("read {}: {e}", path.display())))?;
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.read_back_bytes
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            let dec = match ws.as_deref_mut() {
-                Some(w) => &mut w.dec,
-                None => &mut shard.ws.dec,
-            };
-            let value = Arc::new(decode_chunk_with(bytes, dec)?);
-            // Promote: make the chunk resident again, evicting colder chunks
-            // if needed. Best-effort — a failure to make room (everything
-            // else pinned) leaves the chunk non-resident but still returns
-            // it.
-            let entry = shard.entries.get_mut(&key).expect("entry checked above");
-            let nbytes = entry.nbytes;
-            entry.value = Some(Arc::clone(&value));
-            entry.pins += 1; // shield from the shrink sweep below
-            self.ring.lock().unwrap().push_back(key);
-            self.charge(nbytes);
-            (value, nbytes)
-        };
-        let shrunk = self.shrink_to_budget(ws);
-        let mut shard = self.shard(key).lock().unwrap();
-        if let Some(entry) = shard.entries.get_mut(&key) {
-            entry.pins -= 1;
-            if shrunk.is_err() && entry.value.is_some() {
-                // demote in place: the caller keeps the Arc, the tier stays
-                // under control (the file is already on disk)
-                entry.value = None;
-                self.resident_bytes.fetch_sub(nbytes, Ordering::AcqRel);
+    /// Pins every key, then reads them in order — one critical section, so
+    /// neither a read-back among them nor a concurrent store can evict a
+    /// chunk the caller is about to consume. On success each key holds one
+    /// more pin for the caller to [`unpin`](Self::unpin); on error (a key
+    /// the store does not hold is [`StorageError::Missing`]) nothing stays
+    /// pinned.
+    pub fn load(&self, keys: &[u64]) -> StorageResult<Vec<Arc<ChunkValue>>> {
+        if keys.is_empty() {
+            return Ok(Vec::new()); // a source node: nothing to lock for
+        }
+        let mut state = self.lock();
+        if let Some(&missing) = keys.iter().find(|k| !state.entries.contains_key(k)) {
+            return Err(StorageError::Missing(missing));
+        }
+        for k in keys {
+            state.entries.get_mut(k).expect("checked above").pins += 1;
+        }
+        let loaded: StorageResult<Vec<_>> = keys.iter().map(|&k| state.read(k, self)).collect();
+        if loaded.is_err() {
+            for k in keys {
+                state.entries.get_mut(k).expect("nothing removed").pins -= 1;
             }
         }
-        Ok(value)
+        loaded
+    }
+
+    /// Bytes and rows of a chunk the store holds, resident or spilled.
+    pub fn meta(&self, key: u64) -> Option<ChunkMeta> {
+        self.lock().entries.get(&key).map(|e| e.meta)
     }
 
     /// True when the key is known (resident or spilled).
     pub fn contains(&self, key: u64) -> bool {
-        self.shard(key).lock().unwrap().entries.contains_key(&key)
+        self.lock().entries.contains_key(&key)
     }
 
     /// Pins a chunk: while the pin count is nonzero the chunk is never
     /// evicted. Executors pin every input of a subtask before running it.
     pub fn pin(&self, key: u64) -> StorageResult<()> {
-        let mut shard = self.shard(key).lock().unwrap();
-        let entry = shard
+        let mut state = self.lock();
+        let entry = state
             .entries
             .get_mut(&key)
             .ok_or(StorageError::Missing(key))?;
@@ -390,20 +295,20 @@ impl StorageService {
     /// [`StorageMetrics::unbalanced_unpins`] in release builds so the
     /// trace layer can report it.
     pub fn unpin(&self, key: u64) {
-        let mut shard = self.shard(key).lock().unwrap();
-        let balanced = match shard.entries.get_mut(&key) {
+        let mut state = self.lock();
+        let balanced = match state.entries.get_mut(&key) {
             Some(entry) if entry.pins > 0 => {
                 entry.pins -= 1;
                 true
             }
             _ => {
-                self.unbalanced_unpins.fetch_add(1, Ordering::Relaxed);
+                state.metrics.unbalanced_unpins += 1;
                 false
             }
         };
         // release the lock before asserting so a debug-build panic can't
-        // poison the shard mutex mid-unwind
-        drop(shard);
+        // poison the store mid-unwind
+        drop(state);
         debug_assert!(
             balanced,
             "unbalanced unpin of chunk {key:#x}: not pinned or not present"
@@ -412,175 +317,171 @@ impl StorageService {
 
     /// Drops a chunk from both tiers.
     pub fn remove(&self, key: u64) {
-        let mut shard = self.shard(key).lock().unwrap();
-        Self::release_in_shard(&mut shard.entries, key, &self.resident_bytes);
+        self.lock().release(key);
     }
 
     /// Drops every chunk from both tiers. Cumulative metrics survive;
-    /// snapshot fields reset. Callers quiesce their workers first (the
-    /// executors call this from `&mut self` contexts).
+    /// snapshot fields reset.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap();
-            let keys: Vec<u64> = shard.entries.keys().copied().collect();
-            for key in keys {
-                Self::release_in_shard(&mut shard.entries, key, &self.resident_bytes);
-            }
+        let mut state = self.lock();
+        let keys: Vec<u64> = state.entries.keys().copied().collect();
+        for key in keys {
+            state.release(key);
         }
-        self.ring.lock().unwrap().clear();
-        debug_assert_eq!(
-            self.resident_bytes.load(Ordering::Acquire),
-            0,
-            "ledger drifted"
-        );
-        self.resident_bytes.store(0, Ordering::Release);
+        state.ring.clear();
+        let drift = std::mem::take(&mut state.metrics.resident_bytes);
+        drop(state);
+        debug_assert_eq!(drift, 0, "ledger drifted");
     }
 
     /// Resident logical bytes right now.
     pub fn resident_bytes(&self) -> usize {
-        self.resident_bytes.load(Ordering::Acquire)
+        self.lock().metrics.resident_bytes
     }
 
     /// A metrics snapshot (cumulative counters + current tier state).
     pub fn metrics(&self) -> StorageMetrics {
-        StorageMetrics {
-            evictions: self.evictions.load(Ordering::Relaxed),
-            spilled_bytes: self.spilled_bytes.load(Ordering::Relaxed),
-            read_back_bytes: self.read_back_bytes.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            peak_resident_bytes: self.peak_resident_bytes.load(Ordering::Relaxed),
-            resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
-            spill_files: self
-                .shards
-                .iter()
-                .map(|s| {
-                    s.lock()
-                        .unwrap()
-                        .entries
-                        .values()
-                        .filter(|e| e.file.is_some())
-                        .count()
-                })
-                .sum(),
-            unbalanced_unpins: self.unbalanced_unpins.load(Ordering::Relaxed),
-            encoded_raw_bytes: self.encoded_raw_bytes.load(Ordering::Relaxed),
-            encoded_wire_bytes: self.encoded_wire_bytes.load(Ordering::Relaxed),
-        }
+        self.lock().metrics
     }
+}
 
-    // ---- internals ---------------------------------------------------------
+fn spill_path(dir: &Path, key: u64) -> PathBuf {
+    dir.join(format!("chunk-{key:016x}.xbc"))
+}
 
-    fn spill_path(dir: &std::path::Path, key: u64) -> PathBuf {
-        dir.join(format!("chunk-{key:016x}.xbc"))
+impl State {
+    /// Makes `key` a resident clock candidate charged `nbytes`, and
+    /// maintains the peak high-water mark.
+    fn admit(&mut self, key: u64, nbytes: usize) {
+        self.ring.push_back(key);
+        let m = &mut self.metrics;
+        m.resident_bytes += nbytes;
+        m.peak_resident_bytes = m.peak_resident_bytes.max(m.resident_bytes);
     }
 
     /// Removes `key` entirely: uncharges it if resident and deletes its
     /// spill file. Stale ring slots are left behind; the sweep drops them.
-    fn release_in_shard(shard: &mut HashMap<u64, Entry>, key: u64, resident: &AtomicUsize) {
-        if let Some(entry) = shard.remove(&key) {
+    fn release(&mut self, key: u64) {
+        if let Some(entry) = self.entries.remove(&key) {
             if entry.value.is_some() {
-                resident.fetch_sub(entry.nbytes, Ordering::AcqRel);
+                self.metrics.resident_bytes -= entry.meta.nbytes;
             }
             if let Some(path) = entry.file {
+                self.metrics.spill_files -= 1;
                 let _ = std::fs::remove_file(path);
             }
         }
+    }
+
+    /// [`StorageService::get`] under the lock.
+    fn read(&mut self, key: u64, service: &StorageService) -> StorageResult<Arc<ChunkValue>> {
+        let entry = self
+            .entries
+            .get_mut(&key)
+            .ok_or(StorageError::Missing(key))?;
+        entry.ref_bit = true;
+        if let Some(v) = &entry.value {
+            self.metrics.hits += 1;
+            return Ok(Arc::clone(v));
+        }
+        let path = entry
+            .file
+            .as_ref()
+            .ok_or_else(|| StorageError::Io(format!("chunk {key:#x} has no value and no file")))?;
+        let bytes = std::fs::read(path)
+            .map_err(|e| StorageError::Io(format!("read {}: {e}", path.display())))?;
+        self.metrics.misses += 1;
+        self.metrics.read_back_bytes += bytes.len() as u64;
+        let value = Arc::new(decode_chunk_with(bytes, &mut self.dec)?);
+        // Promote: make the chunk resident again, evicting colder chunks
+        // if needed. Best-effort — a failure to make room (everything
+        // else pinned) leaves the chunk non-resident but still returns it.
+        let nbytes = entry.meta.nbytes;
+        entry.value = Some(Arc::clone(&value));
+        entry.pins += 1; // shield from the sweep below
+        self.admit(key, nbytes);
+        let shrunk = self.shrink_to_budget(service);
+        let entry = self
+            .entries
+            .get_mut(&key)
+            .expect("the sweep removes nothing");
+        entry.pins -= 1;
+        if shrunk.is_err() {
+            // demote in place: the caller keeps the Arc, the tier stays
+            // under control (the file is already on disk)
+            entry.value = None;
+            self.metrics.resident_bytes -= nbytes;
+        }
+        Ok(value)
     }
 
     /// Clock sweep: evicts second-chance victims until the memory tier is
     /// back under budget. With spilling disabled any needed eviction is an
     /// [`StorageError::Oom`]; with every candidate pinned the sweep gives
     /// up (bounded by two laps) and also reports OOM.
-    ///
-    /// Concurrent sweeps cooperate: each pops its own candidates from the
-    /// shared ring, so two threads shrink twice as fast and the clock order
-    /// is still consumed exactly once.
-    fn shrink_to_budget(&self, mut ws: Option<&mut Workspaces>) -> StorageResult<()> {
-        let Some(budget) = self.config.memory_budget else {
+    fn shrink_to_budget(&mut self, service: &StorageService) -> StorageResult<()> {
+        let Some(budget) = service.config.memory_budget else {
             return Ok(());
         };
         let mut scanned = 0usize;
-        while self.resident_bytes.load(Ordering::Acquire) > budget {
-            let needed = self.resident_bytes.load(Ordering::Acquire);
-            if self.spill_dir.is_none() {
-                return Err(StorageError::Oom { needed, budget });
-            }
-            let (guard, key) = {
-                let mut ring = self.ring.lock().unwrap();
-                let guard = 2 * ring.len() + 1;
-                (guard, ring.pop_front())
+        while self.metrics.resident_bytes > budget {
+            let oom = StorageError::Oom {
+                needed: self.metrics.resident_bytes,
+                budget,
             };
-            let Some(key) = key else {
-                return Err(StorageError::Oom { needed, budget });
+            let Some(dir) = &service.spill_dir else {
+                return Err(oom);
             };
-            let mut locked = self.shard(key).lock().unwrap();
-            let shard = &mut *locked;
-            let Some(entry) = shard.entries.get_mut(&key) else {
+            let laps = 2 * self.ring.len() + 1;
+            let Some(key) = self.ring.pop_front() else {
+                return Err(oom);
+            };
+            let Some(entry) = self.entries.get_mut(&key) else {
                 continue; // stale slot of a removed chunk
             };
-            if entry.value.is_none() {
+            let Some(value) = &entry.value else {
                 continue; // stale slot of an already-evicted chunk
-            }
+            };
             scanned += 1;
             if entry.pins > 0 || entry.ref_bit {
                 entry.ref_bit = false;
-                self.ring.lock().unwrap().push_back(key);
-                if scanned >= guard {
-                    return Err(StorageError::Oom { needed, budget });
+                self.ring.push_back(key);
+                if scanned >= laps {
+                    return Err(oom);
                 }
                 continue;
             }
-            let enc = match ws.as_deref_mut() {
-                Some(w) => &mut w.enc,
-                None => &mut shard.ws.enc,
-            };
-            self.evict_entry(entry, key, enc)?;
+            // Evict: write the envelope to the disk tier (unless a valid
+            // spill file already exists from a previous eviction) and drop
+            // the resident value.
+            let m = &mut self.metrics;
+            if entry.file.is_none() {
+                let path = spill_path(dir, key);
+                let bytes = self.enc.encode(value, service.config.encoding);
+                std::fs::write(&path, bytes)
+                    .map_err(|e| StorageError::Io(format!("write {}: {e}", path.display())))?;
+                entry.file = Some(path);
+                m.spill_files += 1;
+                m.spilled_bytes += bytes.len() as u64;
+                m.encoded_raw_bytes += encoded_size(value) as u64;
+                m.encoded_wire_bytes += bytes.len() as u64;
+            }
+            entry.value = None;
+            m.evictions += 1;
+            m.resident_bytes -= entry.meta.nbytes;
             scanned = 0; // fresh laps for the next victim
         }
-        Ok(())
-    }
-
-    /// Writes the chunk's envelope to the disk tier (unless a valid spill
-    /// file already exists from a previous eviction) and drops the resident
-    /// value. The caller holds the entry's shard lock and has checked
-    /// residency; the encode reuses `enc` (the caller's workspace or the
-    /// victim shard's), so a warmed spill path allocates nothing.
-    fn evict_entry(
-        &self,
-        entry: &mut Entry,
-        key: u64,
-        enc: &mut EncodeWorkspace,
-    ) -> StorageResult<()> {
-        let dir = self.spill_dir.as_ref().expect("caller checked spill_dir");
-        let value = entry.value.take().expect("caller checked residency");
-        if entry.file.is_none() {
-            let path = Self::spill_path(dir, key);
-            let bytes = enc.encode(&value, self.config.encoding);
-            std::fs::write(&path, bytes)
-                .map_err(|e| StorageError::Io(format!("write {}: {e}", path.display())))?;
-            entry.file = Some(path);
-            self.spilled_bytes
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            self.encoded_raw_bytes
-                .fetch_add(encoded_size(&value) as u64, Ordering::Relaxed);
-            self.encoded_wire_bytes
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        }
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        self.resident_bytes
-            .fetch_sub(entry.nbytes, Ordering::AcqRel);
         Ok(())
     }
 }
 
 impl Drop for StorageService {
     fn drop(&mut self) {
-        for shard in &mut self.shards {
-            for entry in shard.get_mut().unwrap().entries.values() {
-                if let Some(path) = &entry.file {
-                    let _ = std::fs::remove_file(path);
-                }
+        // the files are removed whatever state a panicking thread left
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for entry in state.entries.values() {
+            if let Some(path) = &entry.file {
+                let _ = std::fs::remove_file(path);
             }
         }
         if self.owns_dir {
@@ -593,10 +494,9 @@ impl Drop for StorageService {
 
 impl std::fmt::Debug for StorageService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let m = self.metrics();
         f.debug_struct("StorageService")
             .field("config", &self.config)
-            .field("metrics", &m)
+            .field("metrics", &self.metrics())
             .finish()
     }
 }
@@ -792,29 +692,108 @@ mod tests {
         assert_eq!(s.get(1).unwrap().rows(), 10);
     }
 
-    /// Many threads hammering disjoint and overlapping keys: the ledger
-    /// must balance exactly afterwards (resident == Σ resident entry
-    /// sizes), pins must net to zero, and no unbalanced unpin may fire.
+    #[test]
+    fn meta_follows_a_chunk_through_both_tiers() {
+        let s = bounded(1000);
+        s.put(1, df_chunk(1, 100)).unwrap();
+        s.put(2, df_chunk(2, 50)).unwrap(); // spills 1
+        assert_eq!(s.metrics().evictions, 1);
+        let of = |rows| ChunkMeta {
+            nbytes: rows * 8,
+            rows,
+        };
+        assert_eq!(s.meta(1), Some(of(100)), "spilled");
+        assert_eq!(s.meta(2), Some(of(50)), "resident");
+        assert_eq!(s.meta(3), None, "never stored");
+        s.put(2, df_chunk(2, 10)).unwrap();
+        assert_eq!(s.meta(2), Some(of(10)), "re-put replaces it");
+        s.remove(1);
+        assert_eq!(s.meta(1), None, "removed");
+        s.clear();
+        assert_eq!(s.meta(2), None, "cleared");
+        // reading metadata is not an access: no hit, no miss, no read-back
+        let m = s.metrics();
+        assert_eq!((m.hits, m.misses, m.read_back_bytes), (0, 0, 0));
+    }
+
+    #[test]
+    fn load_pins_every_key_before_the_first_read() {
+        // 1, 2 and 3 are 400 bytes each under a budget of 1000: two fit
+        let s = bounded(1000);
+        for k in 1..=3 {
+            s.put(k, df_chunk(k as i64, 50)).unwrap();
+        }
+        assert_eq!(s.metrics().evictions, 1, "1 spilled");
+        // reading 1 back promotes it and must evict something. Were 2 not
+        // pinned yet it would be the victim (3 is younger) and its own
+        // read a second miss; pinned first, 3 goes and 2 is a hit.
+        let got = s.load(&[1, 2]).unwrap();
+        assert_eq!(got[0].rows() + got[1].rows(), 100);
+        let m = s.metrics();
+        assert_eq!((m.misses, m.hits, m.evictions), (1, 1, 2));
+        // both stay pinned until the caller lets go: a further store
+        // spills itself, never 1 or 2
+        s.put(4, df_chunk(4, 50)).unwrap();
+        assert_eq!(s.load(&[1, 2]).unwrap().len(), 2);
+        assert_eq!(s.metrics().misses, 1, "the loaded chunks never left");
+        for _ in 0..2 {
+            s.unpin(1);
+            s.unpin(2);
+        }
+        assert_eq!(s.metrics().unbalanced_unpins, 0);
+    }
+
+    #[test]
+    fn load_of_a_missing_key_pins_nothing() {
+        let s = StorageService::unbounded();
+        s.put(1, df_chunk(1, 10)).unwrap();
+        assert_eq!(s.load(&[1, 9]).unwrap_err(), StorageError::Missing(9));
+        assert_eq!(s.load(&[]).unwrap().len(), 0);
+        // 1 was not left pinned by the failed load
+        if !cfg!(debug_assertions) {
+            s.unpin(1);
+            assert_eq!(s.metrics().unbalanced_unpins, 1);
+        }
+        assert_eq!(s.lock().entries[&1].pins, 0);
+    }
+
+    /// Eight threads put, load, unpin and remove under a budget that holds
+    /// about three chunks, reading each other's keys while they do: every
+    /// value read must be the value put, pins must net to zero, and the
+    /// ledger must agree with a walk of the table and end at zero.
     #[test]
     fn concurrent_access_keeps_ledger_balanced() {
-        let s = bounded(64 << 10);
-        const THREADS: usize = 8;
+        let s = bounded(2048);
+        const THREADS: u64 = 8;
         const KEYS_PER_THREAD: u64 = 24;
+        let check = |key: u64, v: &ChunkValue| match v {
+            ChunkValue::Df(df) => {
+                assert_eq!(df.num_rows(), 64);
+                let first = xorbits_dataframe::Scalar::Int(key as i64 * 1_000_000);
+                assert_eq!(df.column("v").unwrap().get(0), first, "chunk {key}");
+            }
+            ChunkValue::Arr(_) => panic!("kind flipped"),
+        };
         std::thread::scope(|scope| {
-            for t in 0..THREADS as u64 {
+            for t in 0..THREADS {
                 let s = &s;
                 scope.spawn(move || {
                     for i in 0..KEYS_PER_THREAD {
                         let key = t * KEYS_PER_THREAD + i;
                         s.put(key, df_chunk(key as i64, 64)).unwrap();
-                        s.pin(key).unwrap();
-                        let v = s.get(key).unwrap();
-                        assert_eq!(v.rows(), 64);
-                        s.unpin(key);
-                        // overlap: also read a neighbour thread's early keys
-                        let other = ((t + 1) % THREADS as u64) * KEYS_PER_THREAD;
-                        if s.contains(other) {
-                            let _ = s.get(other);
+                        // a two-key load: this one and the thread's first,
+                        // which is never removed (and is the same key twice
+                        // when i == 0)
+                        let keys = [key, t * KEYS_PER_THREAD];
+                        for (k, v) in keys.iter().zip(s.load(&keys).unwrap()) {
+                            check(*k, &v);
+                        }
+                        keys.iter().for_each(|&k| s.unpin(k));
+                        // overlap: a neighbour's first key, which it never
+                        // removes before the end
+                        let other = (t + 1) % THREADS * KEYS_PER_THREAD;
+                        if let Ok(v) = s.get(other) {
+                            check(other, &v);
                         }
                         if i % 5 == 4 {
                             s.remove(key);
@@ -825,23 +804,24 @@ mod tests {
         });
         let m = s.metrics();
         assert_eq!(m.unbalanced_unpins, 0);
-        // the ledger must agree with a full walk of the shards
-        let walked: usize = s
-            .shards
-            .iter()
-            .map(|sh| {
-                sh.lock()
-                    .unwrap()
-                    .entries
-                    .values()
-                    .filter(|e| e.value.is_some())
-                    .map(|e| e.nbytes)
-                    .sum::<usize>()
-            })
+        assert!(m.evictions > 0 && m.misses > 0, "the budget must bite");
+        let state = s.lock();
+        let walked: usize = state
+            .entries
+            .values()
+            .filter(|e| e.value.is_some())
+            .map(|e| e.meta.nbytes)
             .sum();
-        assert_eq!(s.resident_bytes(), walked, "atomic ledger drifted");
+        assert!(state.entries.values().all(|e| e.pins == 0), "leaked pin");
+        let on_disk = state.entries.values().filter(|e| e.file.is_some()).count();
+        drop(state);
+        assert_eq!(s.resident_bytes(), walked, "ledger drifted");
+        assert_eq!(m.spill_files, on_disk, "spill-file count drifted");
         assert!(m.peak_resident_bytes >= s.resident_bytes());
-        s.clear();
+        for key in 0..THREADS * KEYS_PER_THREAD {
+            s.remove(key);
+        }
         assert_eq!(s.resident_bytes(), 0);
+        assert_eq!(s.metrics().spill_files, 0);
     }
 }

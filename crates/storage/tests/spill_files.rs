@@ -9,8 +9,8 @@
 //! spilled chunk until the whole fetch ended.
 
 use std::path::{Path, PathBuf};
-use xorbits_dataframe::{Column, DataFrame};
-use xorbits_storage::{ChunkValue, SpillConfig, StorageConfig, StorageService};
+use xorbits_dataframe::{Column, DataFrame, Scalar};
+use xorbits_storage::{ChunkValue, EncodingMode, SpillConfig, StorageConfig, StorageService};
 
 fn df_chunk(tag: i64, rows: usize) -> ChunkValue {
     ChunkValue::Df(
@@ -150,5 +150,103 @@ fn drop_cleans_files_but_keeps_caller_dir() {
         Vec::<String>::new(),
         "drop leaked spill files"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pins the single-thread behaviour of the memory tier: a fixed script of
+/// puts, touches, pins, a promoting `get`, a `remove` and a re-`put` under
+/// a live key must evict the same keys at the same steps and move every
+/// counter by the same amount, whatever the store's locking looks like
+/// (expectations recorded at commit 6e15a4c, the sharded store).
+/// Key `k` holds `5 << k` rows = `40 << k` logical bytes, so
+/// `resident_bytes / 40` is the bitmask of resident keys; a step's victims
+/// are the keys that left the mask, and the running eviction count also
+/// catches a chunk that was stored and spilled within one step.
+#[test]
+fn single_thread_eviction_order_and_counters_are_pinned() {
+    let dir = test_dir("pinned-order");
+    let s = StorageService::new(StorageConfig {
+        memory_budget: Some(1000),
+        spill: SpillConfig::Dir(dir.clone()),
+        encoding: EncodingMode::Auto,
+    })
+    .unwrap();
+    let sized = |k: u64, tag: i64| df_chunk(tag, 5 << k);
+    let first = |k: u64| match &*s.get(k).unwrap() {
+        ChunkValue::Df(df) => df.column("v").unwrap().get(0),
+        ChunkValue::Arr(_) => panic!("kind flipped"),
+    };
+    let mut resident = 0usize;
+    let mut log: Vec<(&str, Vec<u64>, u64)> = Vec::new();
+    let mut step = |name: &'static str| {
+        assert_eq!(s.resident_bytes() % 40, 0, "{name}: not a key mask");
+        let now = s.resident_bytes() / 40;
+        let left = (0..8)
+            .filter(|k| resident >> k & 1 == 1 && now >> k & 1 == 0)
+            .collect();
+        log.push((name, left, s.metrics().evictions));
+        resident = now;
+    };
+
+    for k in 0..4 {
+        s.put(k, sized(k, 0)).unwrap();
+    }
+    step("put 0..4");
+    s.put(4, sized(4, 0)).unwrap(); // 1240 > 1000
+    step("put 4");
+    s.pin(3).unwrap();
+    assert_eq!(first(1), Scalar::Int(0)); // read back and promoted
+    step("get 1");
+    assert_eq!(first(3), Scalar::Int(0)); // touch
+    assert_eq!(first(2), Scalar::Int(0)); // read back and promoted
+    step("get 3, 2");
+    s.put(5, sized(5, 0)).unwrap(); // 1280 bytes: over the budget on its own
+    step("put 5");
+    s.unpin(3);
+    assert_eq!(first(0), Scalar::Int(0));
+    step("get 0");
+    s.remove(1);
+    step("remove 1");
+    s.put(4, sized(4, 7)).unwrap(); // re-put under a live key
+    step("re-put 4");
+    assert_eq!(first(4), Scalar::Int(7_000_000));
+    assert_eq!(first(5), Scalar::Int(0)); // never fits: demoted in place
+    step("get 4, 5");
+    s.put(1, sized(1, 0)).unwrap();
+    step("put 1");
+    assert_eq!(first(2), Scalar::Int(0));
+    step("get 2");
+
+    assert_eq!(
+        log,
+        vec![
+            ("put 0..4", vec![], 0),
+            ("put 4", vec![0, 1, 2], 3),
+            ("get 1", vec![4], 4),
+            ("get 3, 2", vec![], 4),
+            ("put 5", vec![1, 2], 7), // and 5 itself; 3 is pinned
+            ("get 0", vec![], 7),
+            ("remove 1", vec![], 7),
+            ("re-put 4", vec![], 7),
+            ("get 4, 5", vec![0, 3, 4], 10),
+            ("put 1", vec![], 10),
+            ("get 2", vec![], 10),
+        ]
+    );
+    assert_eq!(resident, 0b110, "keys 1 and 2 end resident");
+    let m = s.metrics();
+    assert_eq!(
+        (m.evictions, m.spilled_bytes, m.read_back_bytes),
+        (10, 759, 475)
+    );
+    assert_eq!((m.hits, m.misses, m.spill_files), (2, 5, 5));
+    assert_eq!((m.peak_resident_bytes, m.resident_bytes), (2280, 240));
+    assert_eq!(m.unbalanced_unpins, 0);
+    let on_disk: Vec<String> = [0u64, 2, 3, 4, 5]
+        .iter()
+        .map(|k| format!("chunk-{k:016x}.xbc"))
+        .collect();
+    assert_eq!(files_on_disk(&dir), on_disk);
+    drop(s);
     let _ = std::fs::remove_dir_all(&dir);
 }

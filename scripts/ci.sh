@@ -54,7 +54,7 @@ fi
 # Structural gate (hard): a logical operator is described once. Inputs are a
 # field of `TileableNode` and parameters hash through the op's derived Debug,
 # so outside test modules only four places enumerate `TileableOp` variants:
-# the one `impl TileableOp` block (name, arity, static-shape), the tile rules
+# the one `impl TileableOp` block (name, arity, outputs), the tile rules
 # (`tile_one`), the column rules (`required_columns`) and
 # `source_fingerprint`. A match arm anywhere else — a revived `fn inputs`,
 # `fn map_inputs` or per-variant `op_param_hash` included — is a fifth place
@@ -131,6 +131,39 @@ if [[ -n "$strays" ]]; then
   exit 1
 fi
 
+# Structural gate (hard): the host runtime is described once. (i) The chunk
+# payload is one enum — `ChunkValue` in xorbits-storage, re-exported as
+# `xorbits_core::chunk::Payload` — so there is nothing to convert between.
+# (ii) The store and the pool are each one mutex-guarded state: `struct
+# StorageService` and `struct Pool` declare exactly one `Mutex<` and no
+# atomic field (the process-wide `TEMP_DIR_SEQ` static that names temp spill
+# dirs is no field), and nothing in either file polls with `wait_timeout`.
+# (iii) `ParallelExecutor` is a store and a thread count: no re-tiling mode,
+# no second chunk table, no per-worker scratch.
+echo "==> one payload enum, one store lock, one pool lock, one host schedule"
+strays=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_tests = 0; in_struct = "" }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  /payload_to_value|value_to_payload/ { print FILENAME ":" FNR ": payload conversion" }
+  in_tests || /^[[:space:]]*\/\// { next }
+  /enum (Payload|ChunkValue)( |$)/ { enums++; if (FILENAME != "crates/storage/src/lib.rs") print FILENAME ":" FNR ": payload enum" }
+  /wait_timeout/ && FILENAME ~ /(core\/src\/parallel|storage\/src\/service)\.rs$/ { print FILENAME ":" FNR ": wait_timeout" }
+  /^(pub )?struct (StorageService|Pool|ParallelExecutor) \{/ { in_struct = $(NF - 1); next }
+  /^\}/ { in_struct = "" }
+  in_struct == "ParallelExecutor" && /^[[:space:]]*(pub )?(retile|metas|worker_ws):/ { print FILENAME ":" FNR ": ParallelExecutor field" }
+  (in_struct == "StorageService" || in_struct == "Pool") && /Atomic/ { print FILENAME ":" FNR ": atomic field in " in_struct }
+  (in_struct == "StorageService" || in_struct == "Pool") && /Mutex</ { mutexes[in_struct]++ }
+  END {
+    if (enums != 1) print enums + 0 " payload enum definitions, want one"
+    if (mutexes["StorageService"] != 1) print mutexes["StorageService"] + 0 " Mutex< fields in StorageService, want one"
+    if (mutexes["Pool"] != 1) print mutexes["Pool"] + 0 " Mutex< fields in Pool, want one"
+  }')
+if [[ -n "$strays" ]]; then
+  echo "the host runtime must keep one payload enum, one lock per structure and no polling; found:"
+  echo "$strays"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -195,13 +228,13 @@ cargo test -q --release --test skew_scenarios
 echo "==> retile planner property suite (random histograms)"
 cargo test -q --release -p xorbits-core --test retile_props
 
-# Parallel-executor gate (hard): all 22 TPC-H queries on the work-stealing
+# Parallel-executor gate (hard): all 22 TPC-H queries on the pooled
 # ParallelExecutor at 1/2/4/8 worker threads must be bit-identical to the
 # LocalExecutor oracle, and a randomized DAG re-runs 10x at 8 threads
 # asserting identical results plus balanced storage accounting
 # (unbalanced_unpins == 0, ledger drained after every fetch). Every
 # executor in the binary is built with an explicit thread count.
-echo "==> parallel-equivalence matrix (work stealing, 1/2/4/8-thread sweep)"
+echo "==> parallel-equivalence matrix (one ready queue, 1/2/4/8-thread sweep)"
 cargo test -q --release --test parallel_equivalence
 
 # Tracing gates (hard): same-seed fault runs must replay to byte-identical
