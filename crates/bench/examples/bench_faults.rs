@@ -67,7 +67,6 @@ fn det(stats: &ExecStats) -> (usize, usize, usize, usize, usize) {
 
 fn main() {
     xorbits_bench::trace_init_from_env();
-    xorbits_bench::threads_init_from_env();
     let encoding = xorbits_bench::encoding_init_from_env();
     println!("encoding: {encoding:?}");
     let data = TpchData::new(SF).expect("tpch data");

@@ -482,7 +482,6 @@ fn reexec_with_pooled_malloc() {}
 fn main() {
     reexec_with_pooled_malloc();
     xorbits_bench::trace_init_from_env();
-    xorbits_bench::threads_init_from_env();
     let encoding = xorbits_bench::encoding_init_from_env();
     println!("encoding: {encoding:?}");
     let rows = env_f64("XORBITS_BENCH_ROWS", 1e6) as usize;

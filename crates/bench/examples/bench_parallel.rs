@@ -1,6 +1,5 @@
-//! Multi-core scaling curve for the work-stealing [`ParallelExecutor`]:
-//! the full 22-query TPC-H suite plus the two hottest morsel kernels
-//! (`hash_partition`, `groupby_agg`) at 1/2/4/8 worker threads. Emits
+//! Multi-core scaling curve for the [`ParallelExecutor`]'s subtask pool:
+//! the full 22-query TPC-H suite at 1/2/4/8 worker threads. Emits
 //! `BENCH_parallel.json` for the driver and asserts along the way that
 //! every thread count produces results bit-identical to 1 thread.
 //!
@@ -19,9 +18,7 @@ use xorbits_bench::env_f64;
 use xorbits_core::config::XorbitsConfig;
 use xorbits_core::parallel::ParallelExecutor;
 use xorbits_core::session::Session;
-use xorbits_dataframe::groupby::groupby_agg;
-use xorbits_dataframe::partition::hash_partition;
-use xorbits_dataframe::{AggFunc, AggSpec, Column, DataFrame};
+use xorbits_dataframe::DataFrame;
 use xorbits_workloads::tpch::{run_query_on, TpchData};
 
 fn cfg() -> XorbitsConfig {
@@ -47,53 +44,8 @@ fn tpch_suite(threads: usize, data: &TpchData) -> (f64, Vec<DataFrame>) {
     (t.elapsed().as_secs_f64(), outs)
 }
 
-fn kernel_frame(rows: usize) -> DataFrame {
-    DataFrame::new(vec![
-        (
-            "k",
-            Column::from_i64(
-                (0..rows as i64)
-                    .map(|i| i.wrapping_mul(2654435761) % 997)
-                    .collect(),
-            ),
-        ),
-        (
-            "v",
-            Column::from_f64((0..rows).map(|i| (i as f64).sin()).collect()),
-        ),
-    ])
-    .unwrap()
-}
-
-/// Times the two parallelized kernels at the given morsel thread count.
-fn kernel_suite(threads: usize, df: &DataFrame) -> (f64, f64) {
-    xorbits_dataframe::par::set_kernel_threads(threads);
-    let t = Instant::now();
-    let parts = hash_partition(df, &["k"], 16).unwrap();
-    let partition_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        parts.iter().map(|p| p.num_rows()).sum::<usize>(),
-        df.num_rows()
-    );
-    let t = Instant::now();
-    let agg = groupby_agg(
-        df,
-        &["k"],
-        &[
-            AggSpec::new("v", AggFunc::Sum, "s"),
-            AggSpec::new("v", AggFunc::Mean, "m"),
-        ],
-    )
-    .unwrap();
-    let groupby_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert!(agg.num_rows() > 0);
-    xorbits_dataframe::par::set_kernel_threads(1);
-    (partition_ms, groupby_ms)
-}
-
 fn main() {
     xorbits_bench::trace_init_from_env();
-    xorbits_bench::threads_init_from_env();
     let encoding = xorbits_bench::encoding_init_from_env();
     println!("encoding: {encoding:?}");
     let sf = env_f64("XORBITS_TPCH_SF", 1.0);
@@ -109,9 +61,8 @@ fn main() {
         .unwrap_or(1);
 
     let data = TpchData::new(sf).expect("tpch data");
-    let kdf = kernel_frame(1 << 20);
 
-    println!("threads\ttpch_total_s\thash_partition_ms\tgroupby_ms");
+    println!("threads\ttpch_total_s");
     let mut rows = Vec::new();
     let mut oracle: Option<Vec<DataFrame>> = None;
     let mut total_1t = f64::NAN;
@@ -126,15 +77,14 @@ fn main() {
                 }
             }
         }
-        let (pms, gms) = kernel_suite(t, &kdf);
         if t == 1 {
             total_1t = total;
         }
         if t == 4 {
             total_4t = total;
         }
-        println!("{t}\t{total:.4}\t{pms:.3}\t{gms:.3}");
-        rows.push((t, total, pms, gms));
+        println!("{t}\t{total:.4}");
+        rows.push((t, total));
     }
 
     let speedup_4t = total_1t / total_4t;
@@ -142,10 +92,9 @@ fn main() {
     json.push_str(&format!("  \"sf\": {sf},\n"));
     json.push_str(&format!("  \"host_available_parallelism\": {host},\n"));
     json.push_str("  \"curve\": [\n");
-    for (i, (t, total, pms, gms)) in rows.iter().enumerate() {
+    for (i, (t, total)) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"threads\": {t}, \"tpch_total_s\": {total:.4}, \
-             \"hash_partition_ms\": {pms:.3}, \"groupby_ms\": {gms:.3} }}{}\n",
+            "    {{ \"threads\": {t}, \"tpch_total_s\": {total:.4} }}{}\n",
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }

@@ -82,7 +82,7 @@ fn mean(xs: &[f64]) -> f64 {
 
 fn main() {
     xorbits_bench::trace_init_from_env();
-    let threads = xorbits_bench::threads_init_from_env();
+    let threads = xorbits_core::threads_from_env();
 
     let tenants = tenants_from_env(4);
     let cache_bytes = cache_bytes_from_env(256 << 20);
@@ -95,7 +95,7 @@ fn main() {
         "== serving: {tenants} tenants x {QUERIES_PER_TENANT} Zipf({ZIPF_S}) TPC-H queries =="
     );
     println!(
-        "   pool {POOL:?}, cache budget {} MiB, {threads} kernel threads",
+        "   pool {POOL:?}, cache budget {} MiB, {threads} host threads",
         cache_bytes >> 20
     );
     for (t, qs) in plan.iter().enumerate() {
@@ -207,7 +207,7 @@ fn main() {
             "  \"zipf_s\": {},\n",
             "  \"pool\": {:?},\n",
             "  \"cache_budget_bytes\": {},\n",
-            "  \"kernel_threads\": {},\n",
+            "  \"host_threads\": {},\n",
             "  \"mean_latency_off_s\": {:.6},\n",
             "  \"mean_latency_on_s\": {:.6},\n",
             "  \"improvement_x\": {:.4},\n",

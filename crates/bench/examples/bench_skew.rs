@@ -58,7 +58,6 @@ fn run(mode: RetileMode, d: &SkewData, runner: Runner) -> (DataFrame, ExecStats)
 
 fn main() {
     xorbits_bench::trace_init_from_env();
-    xorbits_bench::threads_init_from_env();
     let mut rows_json = Vec::new();
 
     for &skew in SKEWS {

@@ -144,7 +144,6 @@ const TIGHT_BUDGET: usize = 24 << 10;
 
 fn main() {
     xorbits_bench::trace_init_from_env();
-    xorbits_bench::threads_init_from_env();
     let encoding = xorbits_bench::encoding_init_from_env();
     println!("encoding: {encoding:?}");
     // ---- codec throughput ---------------------------------------------------

@@ -16,7 +16,6 @@ use xorbits_workloads::tpch::TpchData;
 
 fn main() {
     xorbits_bench::trace_init_from_env();
-    xorbits_bench::threads_init_from_env();
     let encoding = xorbits_bench::encoding_init_from_env();
     println!("encoding: {encoding:?}");
     let sf = env_f64("XORBITS_TPCH_SF", 10.0);

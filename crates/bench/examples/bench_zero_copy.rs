@@ -94,7 +94,6 @@ struct Row {
 
 fn main() {
     xorbits_bench::trace_init_from_env();
-    xorbits_bench::threads_init_from_env();
     let encoding = xorbits_bench::encoding_init_from_env();
     println!("encoding: {encoding:?}");
     let df = frame(ROWS);

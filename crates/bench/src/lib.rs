@@ -10,9 +10,28 @@
 
 use xorbits_runtime::ClusterSpec;
 
-/// The value of env var `name`, when it is set and parses.
+/// A knob's value from its raw text: `Ok(None)` when unset, the parsed
+/// value when set, and a message naming the variable, the value and the
+/// expected type when set to something that does not parse.
+fn parse_knob<T: std::str::FromStr>(name: &str, raw: Option<&str>) -> Result<Option<T>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    raw.parse().map(Some).map_err(|_| {
+        // the type's name without its module path: `f64`, `NonZero<usize>`
+        let form = std::any::type_name::<T>();
+        let form = form.rsplit_once("::").map_or(form, |(_, short)| short);
+        format!("{name}={raw:?} does not parse: expected a value of type {form}")
+    })
+}
+
+/// The value of env var `name`, `None` when it is unset. A value that is
+/// set and does not parse ends the process (exit code 2): a mistyped scale
+/// must not silently run the full-size suite.
 fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, raw.as_deref()).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
 }
 
 /// Reads an `f64` env override (e.g. `XORBITS_BENCH_SCALE`).
@@ -82,26 +101,10 @@ pub fn trace_init_from_env() {
     }
 }
 
-/// Applies the `XORBITS_THREADS` knob process-wide and returns the
-/// resolved worker count (default: available parallelism). Morsel kernels
-/// (`xorbits_dataframe::par`) run that wide wherever no executor overrides
-/// it — under `SimExecutor`, and in direct kernel calls; the host
-/// executors run kernels at their own thread count (`LocalExecutor`: 1).
-/// Pass the returned count to [`xorbits_core::ParallelExecutor::with_threads`]
-/// (or set `XorbitsConfig::threads`) for subtask-level parallelism. Call at
-/// the top of every bench `main`, mirroring [`trace_init_from_env`].
-pub fn threads_init_from_env() -> usize {
-    let t = xorbits_core::threads_from_env();
-    xorbits_dataframe::par::set_kernel_threads(t);
-    t
-}
-
 /// Tenant count from the `XORBITS_TENANTS` env knob, else `default`, so a
 /// serving-bench fleet-size sweep needs no rebuild.
 pub fn tenants_from_env(default: usize) -> usize {
-    env_parse("XORBITS_TENANTS")
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
+    env_parse::<std::num::NonZeroUsize>("XORBITS_TENANTS").map_or(default, |n| n.get())
 }
 
 /// Result-cache budget in bytes from the `XORBITS_CACHE_BYTES` env knob,
@@ -116,7 +119,7 @@ pub fn cache_bytes_from_env(default: usize) -> usize {
 /// [`xorbits_runtime::ClusterSpec`] already read the same knob at
 /// construction time, so nothing needs the returned value to behave
 /// correctly — call this at the top of every bench `main` (mirroring
-/// [`threads_init_from_env`]) to surface the mode in the run's output so
+/// [`trace_init_from_env`]) to surface the mode in the run's output so
 /// v1-vs-v2 A/B results are labelled.
 pub fn encoding_init_from_env() -> xorbits_storage::EncodingMode {
     xorbits_storage::encoding_from_env()
@@ -145,5 +148,39 @@ pub fn trace_dump_from_env() {
             path.to_string_lossy()
         ),
         Err(e) => eprintln!("trace: failed to write {}: {e}", path.to_string_lossy()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_knob;
+
+    #[test]
+    fn a_knob_is_unset_valid_or_an_error_naming_it() {
+        assert_eq!(parse_knob::<f64>("XORBITS_BENCH_SCALE", None), Ok(None));
+        assert_eq!(
+            parse_knob::<f64>("XORBITS_BENCH_SCALE", Some("0.1")),
+            Ok(Some(0.1))
+        );
+        assert_eq!(
+            parse_knob::<usize>("XORBITS_CACHE_BYTES", Some("0")),
+            Ok(Some(0))
+        );
+        for raw in ["0,1", ""] {
+            let msg = parse_knob::<f64>("XORBITS_BENCH_SCALE", Some(raw)).unwrap_err();
+            assert!(
+                msg.contains("XORBITS_BENCH_SCALE") && msg.contains("f64"),
+                "{msg}"
+            );
+            assert!(msg.contains(&format!("{raw:?}")), "{msg}");
+        }
+        let msg = parse_knob::<usize>("XORBITS_CACHE_BYTES", Some("512M")).unwrap_err();
+        assert!(msg.contains("XORBITS_CACHE_BYTES=\"512M\""), "{msg}");
+        for raw in ["four", "0", "-1"] {
+            assert!(
+                parse_knob::<std::num::NonZeroUsize>("XORBITS_TENANTS", Some(raw)).is_err(),
+                "{raw}"
+            );
+        }
     }
 }

@@ -55,7 +55,8 @@ pub struct XorbitsConfig {
     /// Worker threads the embedding program intends to run host execution
     /// with. Nothing in the engine reads it: pass it to
     /// [`ParallelExecutor::with_threads`](crate::parallel::ParallelExecutor::with_threads)
-    /// yourself (executors built without a count use [`threads_from_env`]).
+    /// yourself (executors built without a count use [`threads_from_env`]);
+    /// that pool is the one consumer of a thread count.
     pub threads: usize,
     /// Chunk-transport encoding the embedding program intends to use.
     /// Nothing in the engine reads it: `StorageConfig::encoding` and
@@ -119,9 +120,9 @@ impl XorbitsConfig {
 
 /// Reads the `XORBITS_THREADS` knob: a positive integer forces that many
 /// workers, anything else (or unset) means the host's available
-/// parallelism. This is the default thread count of
-/// [`ParallelExecutor`](crate::parallel::ParallelExecutor) and of every
-/// `bench_*` target.
+/// parallelism. This is the default size of
+/// [`ParallelExecutor`](crate::parallel::ParallelExecutor)'s subtask pool,
+/// which is the only thing the count sizes: kernels are sequential.
 pub fn threads_from_env() -> usize {
     std::env::var("XORBITS_THREADS")
         .ok()

@@ -22,9 +22,8 @@
 //! first error or resumes the panic exactly as the one-thread schedule
 //! would have raised it.
 //!
-//! The thread budget is spent once: pool workers run their kernels
-//! sequentially, and the no-pool path below gives the whole budget to the
-//! morsel kernels of `xorbits_dataframe::par`.
+//! This pool is the only consumer of the thread count: a kernel is a
+//! sequential function of its input chunks, whichever thread runs it.
 //!
 //! # Determinism
 //!
@@ -32,13 +31,11 @@
 //! kernels are pure, every chunk key has exactly one producer, the
 //! dependency graph forces producers to complete before consumers read
 //! them, and a subtask reads its inputs by *key list order*, never by
-//! completion order. Intra-kernel (morsel) parallelism is restricted to
-//! the exactly-order-preserving decompositions in `xorbits_dataframe::par`
-//! — so floating-point reductions keep their sequential fold order. The
-//! only thing schedule order can change is *placement* (which chunks spill
-//! first under a budget), never a value. `tests/parallel_equivalence.rs`
-//! gates this with all 22 TPC-H queries at 1/2/4/8 threads against the
-//! `LocalExecutor` oracle.
+//! completion order. Kernels are sequential, so a floating-point
+//! reduction has one fold order. The only thing schedule order can change
+//! is *placement* (which chunks spill first under a budget), never a
+//! value. `tests/parallel_equivalence.rs` gates this with all 22 TPC-H
+//! queries at 1/2/4/8 threads against the `LocalExecutor` oracle.
 //!
 //! With `threads == 1` (or a one-subtask graph) the executor skips the
 //! pool entirely and runs subtasks in graph order on the calling thread —
@@ -216,8 +213,6 @@ impl ParallelExecutor {
                 .map(|_| {
                     let (pool, succs, handle) = (&pool, &succs, handle.clone());
                     scope.spawn(move || {
-                        // the thread budget is already spent on this pool
-                        let _kernel_threads = xorbits_dataframe::par::scoped_kernel_threads(1);
                         if let Some(h) = &handle {
                             trace::adopt(h);
                         }
@@ -410,10 +405,7 @@ impl Executor for ParallelExecutor {
         let before = self.service.metrics();
         let n = graph.subtasks.len();
         let busy_seconds = if self.threads <= 1 || n <= 1 {
-            // no pool: graph order on this thread, and the whole thread
-            // budget goes to the morsel kernels (one knob, see par docs),
-            // for this run only
-            let _kernel_threads = xorbits_dataframe::par::scoped_kernel_threads(self.threads);
+            // no pool: graph order on this thread
             let start = Instant::now();
             for sti in 0..n {
                 self.run_subtask(graph, sti)?;
@@ -503,17 +495,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kernel_thread_budget_ends_with_execute() {
-        // regression: `execute` used to leave its thread count in the
-        // process-wide kernel knob, so every later executor in the process
-        // ran its kernels that wide
-        let oracle = pipeline_result(LocalExecutor::new());
-        assert_eq!(pipeline_result(ParallelExecutor::with_threads(4)), oracle);
-        assert_eq!(xorbits_dataframe::par::kernel_threads(), 1);
-        assert_eq!(pipeline_result(LocalExecutor::new()), oracle);
-    }
-
     /// A 16-byte-per-row generator source over `sample_df`'s columns whose
     /// partitions first pass through `probe(start_row)`.
     fn probed_source(rows: usize, probe: impl Fn(usize) + Send + Sync + 'static) -> DfSource {
@@ -526,32 +507,6 @@ mod tests {
             }),
             label: "probed".into(),
         }
-    }
-
-    #[test]
-    fn the_thread_budget_is_spent_once() {
-        // the widths kernels would run at, as seen from inside subtasks
-        let widths = |rows: usize| {
-            let seen = Arc::new(Mutex::new(Vec::new()));
-            let log = Arc::clone(&seen);
-            let src = probed_source(rows, move |_| {
-                log.lock()
-                    .unwrap()
-                    .push(xorbits_dataframe::par::kernel_threads())
-            });
-            let s = Session::new(small_cfg(), ParallelExecutor::with_threads(4));
-            assert_eq!(s.read_df(src).unwrap().fetch().unwrap().num_rows(), rows);
-            let seen = seen.lock().unwrap().clone();
-            seen
-        };
-        // 63 subtasks share the pool: its 4 workers are the 4 threads
-        let pooled = widths(1000);
-        assert!(
-            pooled.len() > 4 && pooled.iter().all(|&w| w == 1),
-            "{pooled:?}"
-        );
-        // one subtask runs on the caller, whose kernels get all 4
-        assert_eq!(widths(10), [4]);
     }
 
     /// A subtask that panics used to kill its worker without telling the

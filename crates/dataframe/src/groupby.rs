@@ -124,16 +124,10 @@ fn build_groups(df: &DataFrame, keys: &[&str], dicts: &DictCache) -> DfResult<Gr
         return Ok(groups);
     }
 
-    // Row hashes are range-parallel: each row's hash is a pure function of
-    // its key values, so disjoint windows reproduce the sequential pass
-    // bit-for-bit (the table build below stays sequential — group ids are
-    // assigned in first-occurrence order).
     let mut hashes = vec![0u64; n];
-    crate::par::par_fill(&mut hashes, |range, window| {
-        for c in &key_cols {
-            c.slice(range.start, range.len()).hash_combine(window);
-        }
-    });
+    for c in &key_cols {
+        c.hash_combine(&mut hashes);
+    }
     let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
     let mut repr_rows = Vec::new();
     let mut row_gids: Vec<u32> = Vec::with_capacity(n);
@@ -666,16 +660,8 @@ fn groupby_agg_raw(df: &DataFrame, keys: &[&str], specs: &[AggSpec]) -> DfResult
 
     // Accumulator-major: one tight pass over `row_gids` per accumulator
     // (re-reading the 4-byte gid stream is cheaper than per-row dispatch).
-    // Accumulators are independent of each other, so they fan out over
-    // kernel threads as whole units — every accumulator still folds its
-    // rows in sequential order, which keeps non-associative float sums
-    // bit-identical to the single-thread pass.
-    if accs.len() > 1 && df.num_rows() >= crate::par::PAR_ROW_THRESHOLD {
-        crate::par::par_each_mut(&mut accs, |acc| acc.accumulate(&groups.row_gids));
-    } else {
-        for acc in &mut accs {
-            acc.accumulate(&groups.row_gids);
-        }
+    for acc in &mut accs {
+        acc.accumulate(&groups.row_gids);
     }
 
     let mut pairs: Vec<(String, Column)> = Vec::with_capacity(keys.len() + specs.len());

@@ -10,12 +10,8 @@ use crate::hash::combine;
 /// common shuffle shape): row hashes stay in registers instead of being
 /// materialized into a `Vec<u64>` and re-read. Produces exactly the same
 /// ids as the `hash_rows` path (`combine(0, value)` is the row hash of a
-/// single key column). Returns false when the key doesn't qualify.
-///
-/// Writes ids for the `col`-sized window into `pids` (same length) so the
-/// pass can run per row-range under [`crate::par`]: each row's id is a pure
-/// function of its key value, so disjoint windows compose into exactly the
-/// sequential result.
+/// single key column). Returns false, having written nothing, when the key
+/// doesn't qualify.
 fn fused_pids(col: &Column, n: usize, pids: &mut [u32], counts: &mut [usize]) -> bool {
     if !n.is_power_of_two() {
         return false;
@@ -46,21 +42,9 @@ fn fused_pids(col: &Column, n: usize, pids: &mut [u32], counts: &mut [usize]) ->
     true
 }
 
-/// Whether the single-key fused pass applies (the check is cheap and must
-/// agree between the sequential and per-range paths).
-fn fused_applies(col: &Column, n: usize) -> bool {
-    n.is_power_of_two()
-        && match col {
-            Column::Int64(a) => a.validity.is_none(),
-            Column::Date(a) => a.validity.is_none(),
-            Column::Float64(a) => a.validity.is_none(),
-            _ => false,
-        }
-}
-
-/// Maps row hashes to partition ids for one row window, counting per
-/// partition. `% n` is a mask when `n` is a power of two (it almost always
-/// is — partition counts come from doubling heuristics).
+/// Maps row hashes to partition ids, counting per partition. `% n` is a
+/// mask when `n` is a power of two (it almost always is — partition counts
+/// come from doubling heuristics).
 fn pids_from_hashes(hashes: &[u64], n: usize, pids: &mut [u32], counts: &mut [usize]) {
     if n.is_power_of_two() {
         let mask = n as u64 - 1;
@@ -86,69 +70,24 @@ fn pids_from_hashes(hashes: &[u64], n: usize, pids: &mut [u32], counts: &mut [us
 /// sizes are counted, and every column writes straight into pre-sized typed
 /// per-partition builders ([`crate::column::Column::scatter`]). No
 /// `Vec<Vec<usize>>` index buckets and no per-partition `take` re-walk.
-///
-/// With [`crate::par::kernel_threads`] > 1 the two passes go wide without
-/// changing a single output bit: the pid pass is row-range-parallel (each
-/// row's id is a pure function of its key; per-range counts sum exactly),
-/// and the scatter is column-parallel (each column's scatter is an
-/// independent sequential kernel).
 pub fn hash_partition(df: &DataFrame, keys: &[&str], n: usize) -> DfResult<Vec<DataFrame>> {
     assert!(n > 0, "partition count must be positive");
     let nrows = df.num_rows();
     let mut pids: Vec<u32> = vec![0; nrows];
     crate::mem::advise_huge(pids.as_ptr(), nrows);
-    let fused_key = match keys {
-        [k] => {
-            let col = df.column(k)?;
-            fused_applies(col, n).then_some(col)
-        }
-        _ => None,
-    };
-    // resolve key columns up front so the per-range closures cannot fail
-    for k in keys {
-        df.column(k)?;
-    }
-    let mut range_counts: Vec<(usize, Vec<usize>)> = Vec::new();
-    {
-        let range_counts = std::sync::Mutex::new(&mut range_counts);
-        crate::par::par_fill(&mut pids, |range, window| {
-            let mut counts = vec![0usize; n];
-            match fused_key {
-                Some(col) => {
-                    let ok =
-                        fused_pids(&col.slice(range.start, range.len()), n, window, &mut counts);
-                    debug_assert!(ok, "fused_applies pre-checked the key");
-                }
-                None => {
-                    let hashes = df
-                        .slice(range.start, range.len())
-                        .hash_rows(keys)
-                        .expect("key columns resolved above");
-                    pids_from_hashes(&hashes, n, window, &mut counts);
-                }
-            }
-            range_counts.lock().unwrap().push((range.start, counts));
-        });
-    }
-    // exact merge: per-partition counts are disjoint row tallies, and
-    // integer addition is associative — summing in any order is exact
-    // (sorting just keeps the reduction canonical).
-    range_counts.sort_unstable_by_key(|(start, _)| *start);
     let mut counts = vec![0usize; n];
-    for (_, rc) in &range_counts {
-        for (total, c) in counts.iter_mut().zip(rc) {
-            *total += c;
-        }
+    let fused = match keys {
+        [k] => fused_pids(df.column(k)?, n, &mut pids, &mut counts),
+        _ => false,
+    };
+    if !fused {
+        pids_from_hashes(&df.hash_rows(keys)?, n, &mut pids, &mut counts);
     }
-    let names = df.schema().names();
-    let scattered: Vec<Vec<Column>> = crate::par::par_map(names.len(), |ci| {
-        df.column(names[ci])
-            .expect("schema name resolves")
-            .scatter(&pids, &counts)
-    });
-    let mut part_cols: Vec<Vec<Column>> = (0..n).map(|_| Vec::with_capacity(names.len())).collect();
-    for cols in scattered {
-        for (p, out) in cols.into_iter().zip(&mut part_cols) {
+    let mut part_cols: Vec<Vec<Column>> = (0..n)
+        .map(|_| Vec::with_capacity(df.num_columns()))
+        .collect();
+    for col in df.columns() {
+        for (p, out) in col.scatter(&pids, &counts).into_iter().zip(&mut part_cols) {
             out.push(p);
         }
     }

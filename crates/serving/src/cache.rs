@@ -3,13 +3,11 @@
 //! Entries are keyed by the canonical structural hash of the fetched
 //! tileable sub-DAG and carry the lineage fingerprints of every source the
 //! result was derived from (both computed in one pass by
-//! [`xorbits_core::tileable::cache_key`]). Residency is charged to a
-//! dedicated [`StorageService`] ledger — cached chunks are stored as
-//! the executors' own payloads (the `Arc` that was fetched is the `Arc`
-//! a hit returns), so the same accounting that meters executor storage
-//! meters the cache — while admission/eviction policy stays up
-//! here: the cache holds recomputable results, so going over budget drops
-//! the least-recently-used entry instead of spilling it to disk.
+//! [`xorbits_core::tileable::cache_key`]). An entry holds the executors'
+//! own payloads — the `Arc` that was fetched is the `Arc` a hit returns —
+//! and is charged their logical bytes. The cache holds recomputable
+//! results, so going over budget drops the least-recently-used entry
+//! instead of spilling it to disk.
 //!
 //! Invalidation is lineage-driven: [`LineageCache::invalidate_source`]
 //! drops every entry whose lineage contains the given source fingerprint,
@@ -19,7 +17,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use xorbits_core::chunk::Payload;
 use xorbits_core::session::ResultCache;
-use xorbits_storage::StorageService;
 
 /// Counters of one cache's lifetime (all monotone).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,8 +36,8 @@ pub struct CacheStats {
 }
 
 struct Entry {
-    /// Keys of the entry's chunks in the residency store, in result order.
-    slots: Vec<u64>,
+    /// The entry's chunks, in result order.
+    payloads: Vec<Arc<Payload>>,
     /// Lineage fingerprints this entry depends on.
     sources: Vec<u64>,
     /// Logical bytes of all chunks.
@@ -53,14 +50,12 @@ struct Entry {
 /// invalidation. Not internally synchronised — the serving coordinator
 /// owns it and serialises access at deterministic points.
 pub struct LineageCache {
-    store: StorageService,
     budget: usize,
     entries: HashMap<u64, Entry>,
     /// Source fingerprint → entry keys that list it in their lineage.
     /// May hold keys of since-evicted entries; consumers re-check.
     by_source: HashMap<u64, Vec<u64>>,
     clock: u64,
-    next_slot: u64,
     resident: usize,
     hits: usize,
     misses: usize,
@@ -72,12 +67,10 @@ impl LineageCache {
     /// A cache holding at most `budget_bytes` of logical result bytes.
     pub fn new(budget_bytes: usize) -> LineageCache {
         LineageCache {
-            store: StorageService::unbounded(),
             budget: budget_bytes,
             entries: HashMap::new(),
             by_source: HashMap::new(),
             clock: 0,
-            next_slot: 1,
             resident: 0,
             hits: 0,
             misses: 0,
@@ -125,9 +118,6 @@ impl LineageCache {
 
     fn drop_entry(&mut self, key: u64) {
         if let Some(e) = self.entries.remove(&key) {
-            for slot in &e.slots {
-                self.store.remove(*slot);
-            }
             self.resident -= e.nbytes;
         }
     }
@@ -150,28 +140,13 @@ impl LineageCache {
 impl ResultCache for LineageCache {
     fn lookup(&mut self, key: u64) -> Option<Vec<Arc<Payload>>> {
         self.clock += 1;
-        let clock = self.clock;
         let Some(entry) = self.entries.get_mut(&key) else {
             self.misses += 1;
             return None;
         };
-        entry.last_use = clock;
-        let slots = entry.slots.clone();
-        let mut payloads = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match self.store.get(slot) {
-                Ok(p) => payloads.push(p),
-                Err(_) => {
-                    // residency lost under us — treat as a miss and drop
-                    // the now-unservable entry
-                    self.drop_entry(key);
-                    self.misses += 1;
-                    return None;
-                }
-            }
-        }
+        entry.last_use = self.clock;
         self.hits += 1;
-        Some(payloads)
+        Some(entry.payloads.clone())
     }
 
     fn insert(&mut self, key: u64, sources: &[u64], payloads: &[Arc<Payload>]) {
@@ -183,15 +158,6 @@ impl ResultCache for LineageCache {
             return; // never cacheable under this budget
         }
         self.make_room(nbytes);
-        let mut slots = Vec::with_capacity(payloads.len());
-        for p in payloads {
-            let slot = self.next_slot;
-            self.next_slot += 1;
-            self.store
-                .put(slot, Arc::clone(p))
-                .expect("cache residency store is unbounded");
-            slots.push(slot);
-        }
         for src in sources {
             self.by_source.entry(*src).or_default().push(key);
         }
@@ -199,7 +165,7 @@ impl ResultCache for LineageCache {
         self.entries.insert(
             key,
             Entry {
-                slots,
+                payloads: payloads.to_vec(),
                 sources: sources.to_vec(),
                 nbytes,
                 last_use: self.clock,
@@ -236,6 +202,7 @@ mod tests {
             p.as_df().unwrap(),
             "cached payload must be bit-identical"
         );
+        assert!(Arc::ptr_eq(&got[0], &p), "a hit returns the inserted Arc");
         assert!(c.lookup(999).is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));

@@ -164,6 +164,38 @@ if [[ -n "$strays" ]]; then
   exit 1
 fi
 
+# Structural gates (hard): one kind of parallelism. (i) A kernel is a
+# sequential, stateless function of its input chunks: outside test modules
+# nothing under crates/dataframe/src or crates/array/src mentions `thread::`,
+# `thread_local!`, `Atomic*`, `Mutex` or `Condvar`, or declares a `static`
+# item (`&'static str` is no item). (ii) Threads are made by the host
+# executor's subtask pool and by serving's tenant drivers and nowhere else:
+# outside test modules `thread::scope` / `.spawn(` appear under crates/*/src
+# only in core/src/parallel.rs and serving/src/runtime.rs.
+echo "==> kernels are sequential and stateless (no threads, statics, atomics or locks in dataframe/array)"
+strays=$(find crates/dataframe/src crates/array/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_tests = 0 }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  /thread::|thread_local!|^[[:space:]]*(pub(\([a-z]+\))? )?static |Atomic|Mutex|Condvar/ { print FILENAME ":" FNR ": " $0 }')
+if [[ -n "$strays" ]]; then
+  echo "crates/dataframe/src and crates/array/src may hold no thread, static item, atomic or lock; found:"
+  echo "$strays"
+  exit 1
+fi
+
+echo "==> threads are made only by the subtask pool and serving's tenant drivers"
+strays=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_tests = 0 }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  /thread::scope|\.spawn\(/ && FILENAME !~ /^crates\/(core\/src\/parallel|serving\/src\/runtime)\.rs$/ { print FILENAME ":" FNR ": " $0 }')
+if [[ -n "$strays" ]]; then
+  echo "thread::scope / .spawn( may appear only in core/src/parallel.rs and serving/src/runtime.rs; found:"
+  echo "$strays"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
