@@ -4,15 +4,15 @@
 use crate::session::ExecStats;
 use crate::trace::{MetricsSnapshot, TraceLog};
 
-/// Summarises what mid-run skew-aware re-tiling did: shuffle partitions
-/// split/coalesced after harvesting lopsided histograms
-/// (`XORBITS_RETILE=auto`, threshold = max/mean partition bytes).
+/// Summarises what mid-run skew-aware re-tiling did: hot shuffle
+/// partitions split after harvesting lopsided histograms
+/// (`XORBITS_RETILE=auto`).
 pub fn explain_retile(stats: &ExecStats) -> String {
     if stats.retiled_partitions == 0 {
         return "Retile: none (balanced shuffles or static tiling)\n".to_string();
     }
     format!(
-        "Retile: {} shuffle partitions rebalanced mid-run\n",
+        "Retile: {} shuffle partitions split mid-run\n",
         stats.retiled_partitions
     )
 }

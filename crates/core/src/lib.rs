@@ -35,7 +35,7 @@ pub use chunk::{
 pub use config::{retile_from_env, threads_from_env, XorbitsConfig};
 pub use error::{FailureKind, XbError, XbResult};
 pub use parallel::ParallelExecutor;
-pub use retile::{RetileMode, RetileParams};
+pub use retile::RetileMode;
 pub use session::{DfHandle, ExecStats, Executor, RunReport, Session, TensorHandle};
 pub use sql::{run_sql, Catalog, PlanCacheStats, SqlError, SqlFrontend};
 pub use subtask::{Subtask, SubtaskGraph};

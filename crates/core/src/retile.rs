@@ -1,30 +1,20 @@
-//! Mid-run skew-aware re-tiling (dynamic tiling v2, paper Algorithm 1
-//! applied *continuously*).
+//! Mid-run skew-aware re-tiling: sizes in, splits out.
 //!
 //! Static tiling picks shuffle partition counts from estimated sizes; under
-//! skewed keys (Zipf group keys, lopsided join fan-out) the harvested
-//! partition histogram is lopsided and one band ends up with most of the
-//! work. This module re-applies the paper's harvest-then-retile loop at the
-//! *shuffle barrier*: when the executor reaches the first consumer of a
-//! completed shuffle (a quiesce point — every partition's real size is now
-//! known), it measures the per-partition byte histogram, and if the
-//! imbalance `max/mean` exceeds a threshold it rewrites the still-pending
-//! tail of the [`SubtaskGraph`] in place:
+//! skewed keys (Zipf group keys, lopsided join fan-out) the real partitions
+//! are lopsided and one band ends up with most of the work. When the
+//! executor reaches the first consumer of a completed shuffle (a quiesce
+//! point — every partition's real size is now known) it hands this module
+//! the sizes of the wave's shuffle pieces. [`plan_retile`] turns that byte
+//! histogram into splits, and the splice fans each hot partition's reducer
+//! out into contiguous byte-balanced sub-reducers plus a final merge,
+//! rewriting the still-pending tail of the [`SubtaskGraph`] in place.
 //!
-//! * **split** — a hot partition's reducer is fanned out into contiguous
-//!   byte-balanced sub-reducers plus a final merge;
-//! * **coalesce** — runs of tiny partitions are fused into one subtask so
-//!   they stop paying per-subtask scheduling overhead.
+//! Nothing here reads a chunk: every decision derives from result bytes, so
+//! same seed → same data → same bytes → same plan, independent of measured
+//! wall time. A split is applied only where the operator's shape alone
+//! makes it bit-identical to the static plan:
 //!
-//! Everything stays bit-identical to the static plan. Splits are only
-//! applied where the operator algebra makes them exact:
-//!
-//! * `GroupbyFinalize` → per-run `GroupbyCombine` + final finalize. The
-//!   combine stage is documented idempotent over arbitrary trees, and
-//!   contiguous runs preserve first-seen group order; integer/date sums
-//!   wrap deterministically, but `f64` sums are not associative, so any
-//!   Float64 sum state vetoes the split
-//!   (`xorbits_dataframe::groupby::combine_split_exact`).
 //! * `GroupbyDirect` (the `nunique` lowering) → per-run `DistinctLocal`
 //!   over the group keys plus every aggregated column, then the original
 //!   direct aggregation over the deduplicated runs. Dedup preserves the
@@ -37,23 +27,14 @@
 //!   probe-order rows derived from the left side only (no unmatched-right
 //!   emission), so run-concatenation is exact unconditionally.
 //!
-//! Coalescing never touches operators — it only merges subtasks — and is
-//! therefore always exact.
-//!
-//! The planner ([`plan_retile`]) is a pure function of the histogram, so
-//! retile decisions are deterministic: same seed → same data → same bytes →
-//! same plan, independent of measured wall time.
+//! Decomposable group-bys (`GroupbyFinalize` waves) are left alone by
+//! design: map-side pre-aggregation has already made their partials
+//! proportional to distinct groups, not rows (DESIGN §16).
 
-use crate::chunk::{ChunkGraph, ChunkKey, ChunkNode, ChunkOp, Payload, PayloadKind};
+use crate::chunk::{ChunkGraph, ChunkKey, ChunkNode, ChunkOp};
 use crate::subtask::{Subtask, SubtaskGraph};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
-use xorbits_dataframe::groupby::{combine_split_exact, is_decomposable};
 use xorbits_dataframe::{AggFunc, AggSpec};
-
-// ---------------------------------------------------------------------------
-// knobs
-// ---------------------------------------------------------------------------
 
 /// Whether the runtime re-tiles mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,178 +46,39 @@ pub enum RetileMode {
     Auto,
 }
 
-/// Planner thresholds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetileParams {
-    /// Trigger when `max partition bytes / mean partition bytes` reaches
-    /// this value.
-    pub threshold: f64,
-    /// Target bytes per partition after re-tiling; `0` means "use the mean
-    /// of the harvested histogram".
-    pub cap_bytes: u64,
-}
-
-impl Default for RetileParams {
-    fn default() -> RetileParams {
-        RetileParams {
-            threshold: 2.0,
-            cap_bytes: 0,
-        }
-    }
-}
-
 /// Most sub-partitions a single hot partition may be split into.
 pub const MAX_SPLIT_WAYS: usize = 64;
+
+/// A wave is re-tiled when its largest partition holds at least this many
+/// times the mean partition's bytes.
+const SKEW_FACTOR: u128 = 2;
 
 // ---------------------------------------------------------------------------
 // the pure planner
 // ---------------------------------------------------------------------------
 
-/// One harvested shuffle partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PartStat {
-    /// Total bytes across the partition's input chunks.
-    pub bytes: u64,
-    /// Total rows across the partition's input chunks.
-    pub rows: u64,
-}
-
-/// One rebalancing decision.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RetileAction {
-    /// Fan partition `part` out into `ways` byte-balanced sub-partitions.
-    Split {
-        /// Partition index in the histogram.
-        part: usize,
-        /// Fan-out degree (≥ 2, ≤ [`MAX_SPLIT_WAYS`]).
-        ways: usize,
-    },
-    /// Fuse a run of consecutive tiny partitions into one.
-    Coalesce {
-        /// Ascending, consecutive partition indices (≥ 2 of them).
-        parts: Vec<usize>,
-    },
-}
-
-/// The planner's output: a pure function of the histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RetilePlan {
-    /// Resolved per-partition byte cap the actions aim for.
-    pub cap_bytes: u64,
-    /// Splits first (ascending by partition), then coalesces (ascending by
-    /// first member). A partition appears in at most one action.
-    pub actions: Vec<RetileAction>,
-}
-
-impl RetilePlan {
-    /// True when the plan changes nothing.
-    pub fn is_noop(&self) -> bool {
-        self.actions.is_empty()
+/// The whole re-tiling policy: from a wave's harvested histogram (bytes per
+/// shuffle partition) to `(partition, ways)` splits, ascending by
+/// partition. A skewed wave (see `SKEW_FACTOR`) fans every partition above
+/// the mean out to mean-sized sub-partitions, `ways` in
+/// `2..=`[`MAX_SPLIT_WAYS`]; any other wave gets no split. Deterministic
+/// and side-effect free.
+pub fn plan_retile(hist: &[u64]) -> Vec<(usize, usize)> {
+    let n = hist.len() as u128;
+    let total: u128 = hist.iter().map(|&b| b as u128).sum();
+    let hottest = hist.iter().copied().max().unwrap_or(0) as u128;
+    if n < 2 || total == 0 || hottest * n < SKEW_FACTOR * total {
+        return Vec::new();
     }
-}
-
-/// Algorithm 1 over a harvested partition histogram: decide which hot
-/// partitions to split and which runs of tiny partitions to coalesce.
-/// Deterministic and side-effect free — calling it twice on the same
-/// histogram yields the same plan.
-pub fn plan_retile(hist: &[PartStat], params: &RetileParams) -> RetilePlan {
-    let n = hist.len();
-    let total: u64 = hist.iter().map(|p| p.bytes).sum();
-    if n < 2 || total == 0 {
-        return RetilePlan::default();
-    }
-    let mean = total as f64 / n as f64;
-    let maxb = hist.iter().map(|p| p.bytes).max().unwrap_or(0);
-    let cap = if params.cap_bytes > 0 {
-        params.cap_bytes
-    } else {
-        (mean.ceil() as u64).max(1)
-    };
-    if (maxb as f64) < params.threshold * mean {
-        return RetilePlan {
-            cap_bytes: cap,
-            actions: Vec::new(),
-        };
-    }
-
-    let mut actions = Vec::new();
-    // Hot partitions: fan out to ~cap-sized sub-partitions.
-    for (i, p) in hist.iter().enumerate() {
-        if p.bytes > cap {
-            let ways = (p.bytes.div_ceil(cap) as usize).clamp(2, MAX_SPLIT_WAYS);
-            actions.push(RetileAction::Split { part: i, ways });
-        }
-    }
-    // Tiny partitions (< cap/4): greedy runs of consecutive tiny parts
-    // whose combined bytes stay under the cap.
-    let tiny = |p: &PartStat| p.bytes.saturating_mul(4) <= cap;
-    let mut i = 0;
-    while i < n {
-        if !tiny(&hist[i]) {
-            i += 1;
-            continue;
-        }
-        let mut run = vec![i];
-        let mut run_bytes = hist[i].bytes;
-        let mut j = i + 1;
-        while j < n && tiny(&hist[j]) && run_bytes + hist[j].bytes <= cap {
-            run_bytes += hist[j].bytes;
-            run.push(j);
-            j += 1;
-        }
-        if run.len() >= 2 {
-            actions.push(RetileAction::Coalesce { parts: run });
-        }
-        i = j;
-    }
-    RetilePlan {
-        cap_bytes: cap,
-        actions,
-    }
-}
-
-/// Applies a plan to a histogram, returning the rebalanced histogram (used
-/// by the property tests to check conservation and cap compliance; the
-/// runtime splice balances by real chunk bytes instead).
-pub fn apply_plan(hist: &[PartStat], plan: &RetilePlan) -> Vec<PartStat> {
-    let mut split: HashMap<usize, usize> = HashMap::new();
-    let mut head: HashMap<usize, &[usize]> = HashMap::new();
-    let mut absorbed: HashSet<usize> = HashSet::new();
-    for a in &plan.actions {
-        match a {
-            RetileAction::Split { part, ways } => {
-                split.insert(*part, *ways);
-            }
-            RetileAction::Coalesce { parts } => {
-                head.insert(parts[0], parts);
-                absorbed.extend(parts[1..].iter().copied());
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(hist.len());
-    for (i, p) in hist.iter().enumerate() {
-        if absorbed.contains(&i) {
-            continue;
-        }
-        if let Some(&ways) = split.get(&i) {
-            let w = ways as u64;
-            for j in 0..w {
-                // near-equal integer split that conserves totals exactly
-                let part_of = |v: u64| v / w + u64::from(j < v % w);
-                out.push(PartStat {
-                    bytes: part_of(p.bytes),
-                    rows: part_of(p.rows),
-                });
-            }
-        } else if let Some(parts) = head.get(&i) {
-            let bytes = parts.iter().map(|&k| hist[k].bytes).sum();
-            let rows = parts.iter().map(|&k| hist[k].rows).sum();
-            out.push(PartStat { bytes, rows });
-        } else {
-            out.push(*p);
-        }
-    }
-    out
+    let cap = total.div_ceil(n) as u64;
+    hist.iter()
+        .enumerate()
+        .filter(|&(_, &bytes)| bytes > cap)
+        .map(|(part, &bytes)| {
+            let ways = (bytes.div_ceil(cap) as usize).clamp(2, MAX_SPLIT_WAYS);
+            (part, ways)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -282,7 +124,7 @@ impl SynthKeys {
 /// One reduce partition of a detected shuffle wave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WavePart {
-    /// Singleton `GroupbyFinalize`/`GroupbyDirect` subtask.
+    /// Singleton `GroupbyDirect` subtask.
     Groupby { st: usize },
     /// Shuffle-join partition: probe-concat and join subtasks, plus the
     /// build-concat subtask when it is still pending (`None` when the
@@ -296,20 +138,14 @@ enum WavePart {
 }
 
 impl WavePart {
-    fn min_st(&self) -> usize {
-        match *self {
-            WavePart::Groupby { st } => st,
-            WavePart::Join { lcat, rcat, join } => lcat.min(rcat.unwrap_or(usize::MAX)).min(join),
-        }
-    }
-
+    /// The partition's subtasks, in dispatch order.
     fn member_sts(&self) -> Vec<usize> {
         match *self {
             WavePart::Groupby { st } => vec![st],
             WavePart::Join { lcat, rcat, join } => {
-                let mut v = vec![lcat];
+                let mut v = vec![lcat, join];
                 v.extend(rcat);
-                v.push(join);
+                v.sort_unstable();
                 v
             }
         }
@@ -365,7 +201,7 @@ fn classify(
     let ni = st.nodes[0];
     let node = &graph.chunks.nodes[ni];
     match &node.op {
-        ChunkOp::GroupbyFinalize { .. } | ChunkOp::GroupbyDirect { .. } => {
+        ChunkOp::GroupbyDirect { .. } => {
             if node.inputs.len() < 2 {
                 return None;
             }
@@ -455,10 +291,7 @@ fn detect_wave(graph: &SubtaskGraph, next: usize) -> Option<Wave> {
     }
     if !matches!(
         graph.chunks.nodes[head.nodes[0]].op,
-        ChunkOp::GroupbyFinalize { .. }
-            | ChunkOp::GroupbyDirect { .. }
-            | ChunkOp::Join { .. }
-            | ChunkOp::Concat
+        ChunkOp::GroupbyDirect { .. } | ChunkOp::Join { .. } | ChunkOp::Concat
     ) {
         return None;
     }
@@ -491,10 +324,10 @@ fn detect_wave(graph: &SubtaskGraph, next: usize) -> Option<Wave> {
         if parts.len() < 2 {
             continue;
         }
-        let first = parts.iter().map(|p| p.min_st()).min().unwrap_or(usize::MAX);
-        if first == next {
+        let first = parts.iter().map(|p| p.member_sts()[0]).min();
+        if first == Some(next) {
             let mut parts = parts;
-            parts.sort_by_key(|p| p.min_st());
+            parts.sort_by_key(|p| p.member_sts()[0]);
             return Some(Wave { id, parts });
         }
     }
@@ -502,12 +335,11 @@ fn detect_wave(graph: &SubtaskGraph, next: usize) -> Option<Wave> {
 }
 
 /// One graph run's re-tiling state, held by whichever executor drives the
-/// run: the planner thresholds, the synthetic-key allocator for spliced
-/// nodes, and the waves already considered (each is harvested and re-tiled
-/// at most once, keyed by its split-node set).
+/// run: the synthetic-key allocator for spliced nodes, and the waves
+/// already considered (each is harvested and re-tiled at most once, keyed
+/// by its split-node set).
 #[derive(Debug, Clone)]
 pub struct RetileRun {
-    params: RetileParams,
     synth: SynthKeys,
     done: HashSet<Vec<usize>>,
 }
@@ -517,7 +349,6 @@ impl RetileRun {
     /// window).
     pub fn for_graph(chunks: &ChunkGraph) -> RetileRun {
         RetileRun {
-            params: RetileParams::default(),
             synth: SynthKeys::for_graph(chunks),
             done: HashSet::new(),
         }
@@ -533,12 +364,8 @@ impl RetileRun {
 pub struct RetileOutcome {
     /// Partitions in the detected wave.
     pub partitions: usize,
-    /// Partitions that were split or absorbed into a coalesced run.
-    pub retiled_partitions: usize,
-    /// Hot-partition splits applied.
+    /// Hot partitions that were split.
     pub splits: usize,
-    /// Coalesced runs applied.
-    pub coalesces: usize,
 }
 
 /// Contiguous byte-balanced runs: partitions `bytes` into exactly `ways`
@@ -582,59 +409,11 @@ fn nunique_subset(keys: &[String], specs: &[AggSpec]) -> Vec<String> {
     out
 }
 
-/// Merges the member subtasks of a coalesced run into one subtask.
-/// `consumed_by` maps each key to the chunk nodes reading it (pre-splice;
-/// coalesced partitions are disjoint from split partitions, so the map
-/// stays valid for them).
-fn merge_subtasks(
-    graph: &SubtaskGraph,
-    consumed_by: &HashMap<ChunkKey, Vec<usize>>,
-    members: &[usize],
-) -> Subtask {
-    let mut nodes = Vec::new();
-    for &sti in members {
-        nodes.extend(graph.subtasks[sti].nodes.iter().copied());
-    }
-    let node_set: HashSet<usize> = nodes.iter().copied().collect();
-    let producers = graph.chunks.producers();
-    let mut external = Vec::new();
-    let mut published = Vec::new();
-    let mut internal = Vec::new();
-    let mut seen = HashSet::new();
-    for &ni in &nodes {
-        for k in &graph.chunks.nodes[ni].inputs {
-            let internal_producer = producers.get(k).is_some_and(|pi| node_set.contains(pi));
-            if !internal_producer && seen.insert(*k) {
-                external.push(*k);
-            }
-        }
-        for k in &graph.chunks.nodes[ni].outputs {
-            let all_internal = consumed_by
-                .get(k)
-                .map(|cs| cs.iter().all(|c| node_set.contains(c)))
-                .unwrap_or(false);
-            if graph.retained.contains(k) || !all_internal {
-                published.push(*k);
-            } else {
-                internal.push(*k);
-            }
-        }
-    }
-    Subtask {
-        nodes,
-        external_inputs: external,
-        published_outputs: published,
-        internal_keys: internal,
-    }
-}
-
 impl RetileRun {
     /// Quiesce-point entry: detect a shuffle wave at the pending head, harvest
-    /// its partition histogram through `info` (`key → (bytes, rows)`), and if
-    /// the skew warrants it splice a rebalanced wave into `graph.subtasks`
-    /// starting at `next`. `peek` fetches a produced chunk payload so the
-    /// groupby split gate can inspect partial-state dtypes. Each wave is
-    /// attempted once per run.
+    /// its partition histogram through `size_of` (a produced chunk's bytes),
+    /// and splice the splits [`plan_retile`] asks for into `graph.subtasks`
+    /// starting at `next`. Each wave is attempted once per run.
     ///
     /// On success the pending tail of `graph.subtasks` has been rewritten (the
     /// prefix `[0, next)` is untouched) and the caller must refresh anything it
@@ -643,132 +422,63 @@ impl RetileRun {
         &mut self,
         graph: &mut SubtaskGraph,
         next: usize,
-        info: &dyn Fn(ChunkKey) -> Option<(u64, u64)>,
-        peek: &dyn Fn(ChunkKey) -> Option<Arc<Payload>>,
+        size_of: &dyn Fn(ChunkKey) -> Option<u64>,
     ) -> Option<RetileOutcome> {
         let wave = detect_wave(graph, next)?;
         if !self.done.insert(wave.id.clone()) {
             return None;
         }
 
-        // harvest the histogram: partition bytes/rows = sum over its shuffle
+        // harvest the histogram: partition bytes = sum over its shuffle
         // inputs (probe + build for joins)
-        let part_inputs = |part: &WavePart| -> Vec<ChunkKey> {
-            match *part {
-                WavePart::Groupby { st } => graph.chunks.nodes[graph.subtasks[st].nodes[0]]
-                    .inputs
-                    .clone(),
+        let inputs_of = |st: usize| &graph.chunks.nodes[graph.subtasks[st].nodes[0]].inputs;
+        let mut hist = Vec::with_capacity(wave.parts.len());
+        for part in &wave.parts {
+            let pieces: Vec<ChunkKey> = match *part {
+                WavePart::Groupby { st } => inputs_of(st).clone(),
                 WavePart::Join { lcat, rcat, join } => {
-                    let mut v = graph.chunks.nodes[graph.subtasks[lcat].nodes[0]]
-                        .inputs
-                        .clone();
+                    let mut v = inputs_of(lcat).clone();
                     match rcat {
                         // pending build concat: sum its shuffle inputs
-                        Some(r) => v.extend_from_slice(
-                            &graph.chunks.nodes[graph.subtasks[r].nodes[0]].inputs,
-                        ),
+                        Some(r) => v.extend_from_slice(inputs_of(r)),
                         // materialized build: its one concatenated chunk
-                        None => v.push(graph.chunks.nodes[graph.subtasks[join].nodes[0]].inputs[1]),
+                        None => v.push(inputs_of(join)[1]),
                     }
                     v
                 }
+            };
+            let mut bytes = 0u64;
+            for k in pieces {
+                bytes += size_of(k)?;
             }
-        };
-        let mut hist = Vec::with_capacity(wave.parts.len());
-        for part in &wave.parts {
-            let mut stat = PartStat::default();
-            for k in part_inputs(part) {
-                let (b, r) = info(k)?;
-                stat.bytes += b;
-                stat.rows += r;
-            }
-            hist.push(stat);
-        }
-
-        let plan = plan_retile(&hist, &self.params);
-        if plan.is_noop() {
-            return None;
-        }
-
-        // index the plan by partition
-        let mut split_ways: HashMap<usize, usize> = HashMap::new();
-        let mut coalesce_runs: Vec<Vec<usize>> = Vec::new();
-        for a in &plan.actions {
-            match a {
-                RetileAction::Split { part, ways } => {
-                    split_ways.insert(*part, *ways);
-                }
-                RetileAction::Coalesce { parts } => coalesce_runs.push(parts.clone()),
-            }
-        }
-        let mut run_head: HashMap<usize, usize> = HashMap::new(); // part -> run idx
-        let mut absorbed: HashSet<usize> = HashSet::new();
-        for (ri, run) in coalesce_runs.iter().enumerate() {
-            run_head.insert(run[0], ri);
-            absorbed.extend(run[1..].iter().copied());
-        }
-
-        // pre-splice consumer map (publish decisions for coalesced runs)
-        let mut consumed_by: HashMap<ChunkKey, Vec<usize>> = HashMap::new();
-        for (ci, node) in graph.chunks.nodes.iter().enumerate() {
-            for k in &node.inputs {
-                consumed_by.entry(*k).or_default().push(ci);
-            }
+            hist.push(bytes);
         }
 
         // build the replacement sequence, partition by partition
+        let ways_of: HashMap<usize, usize> = plan_retile(&hist).into_iter().collect();
         let mut seq: Vec<Subtask> = Vec::new();
-        let mut splits_applied = 0usize;
-        let mut retiled = 0usize;
+        let mut splits = 0usize;
         for (pi, part) in wave.parts.iter().enumerate() {
-            if let Some(ri) = run_head.get(&pi) {
-                let run = &coalesce_runs[*ri];
-                let mut members: Vec<usize> = Vec::new();
-                for &p in run {
-                    members.extend(wave.parts[p].member_sts());
+            let applied = match (ways_of.get(&pi), *part) {
+                (None, _) => false,
+                (Some(&ways), WavePart::Groupby { st }) => {
+                    split_groupby(graph, st, ways, &mut self.synth, size_of, &mut seq)
                 }
-                members.sort_unstable();
-                seq.push(merge_subtasks(graph, &consumed_by, &members));
-                retiled += run.len();
-                continue;
-            }
-            if absorbed.contains(&pi) {
-                continue;
-            }
-            let ways = split_ways.get(&pi).copied().unwrap_or(0);
-            let applied = if ways >= 2 {
-                match *part {
-                    WavePart::Groupby { st } => {
-                        split_groupby(graph, st, ways, &mut self.synth, info, peek, &mut seq)
-                    }
-                    WavePart::Join { lcat, rcat, join } => split_join(
-                        graph,
-                        lcat,
-                        rcat,
-                        join,
-                        ways,
-                        &mut self.synth,
-                        info,
-                        &mut seq,
-                    ),
+                (Some(&ways), WavePart::Join { lcat, rcat, join }) => {
+                    let sts = (lcat, rcat, join);
+                    split_join(graph, sts, ways, &mut self.synth, size_of, &mut seq)
                 }
-            } else {
-                false
             };
             if applied {
-                splits_applied += 1;
-                retiled += 1;
+                splits += 1;
             } else {
                 // unchanged partition: re-emit its subtasks in original order
-                let mut members = part.member_sts();
-                members.sort_unstable();
-                for sti in members {
+                for sti in part.member_sts() {
                     seq.push(graph.subtasks[sti].clone());
                 }
             }
         }
-
-        if splits_applied == 0 && coalesce_runs.is_empty() {
+        if splits == 0 {
             return None;
         }
 
@@ -791,78 +501,44 @@ impl RetileRun {
 
         Some(RetileOutcome {
             partitions: wave.parts.len(),
-            retiled_partitions: retiled,
-            splits: splits_applied,
-            coalesces: coalesce_runs.len(),
+            splits,
         })
     }
 }
 
-/// Splits a hot groupby reduce partition into `ways` contiguous combine
-/// runs plus a final finalize. Returns `false` (leaving the graph
-/// untouched) when the operator algebra can't guarantee bit-exactness.
-#[allow(clippy::too_many_arguments)]
+/// Splits a hot `GroupbyDirect` reduce partition into `ways` contiguous
+/// `DistinctLocal` runs plus the original direct aggregation over them.
+/// Returns `false` (leaving the graph untouched) when the aggregation is
+/// not all-`Nunique`: dedup preserves distinct sets and first-seen order
+/// but destroys sums, counts and means.
 fn split_groupby(
     graph: &mut SubtaskGraph,
     st: usize,
     ways: usize,
     synth: &mut SynthKeys,
-    info: &dyn Fn(ChunkKey) -> Option<(u64, u64)>,
-    peek: &dyn Fn(ChunkKey) -> Option<Arc<Payload>>,
+    size_of: &dyn Fn(ChunkKey) -> Option<u64>,
     seq: &mut Vec<Subtask>,
 ) -> bool {
     let ni = graph.subtasks[st].nodes[0];
-    let ins = graph.chunks.nodes[ni].inputs.clone();
-    let ways = ways.min(ins.len());
-    if ways < 2 {
+    let node = &graph.chunks.nodes[ni];
+    let ways = ways.min(node.inputs.len());
+    let ChunkOp::GroupbyDirect { keys, specs } = &node.op else {
+        return false;
+    };
+    if ways < 2 || !specs.iter().all(|s| s.func == AggFunc::Nunique) {
         return false;
     }
-    // exactness gates (see module docs)
-    let sub_op = match &graph.chunks.nodes[ni].op {
-        ChunkOp::GroupbyFinalize { keys, specs } => {
-            if !is_decomposable(specs) {
-                return false;
-            }
-            // peek one non-empty partial for the Float64-sum-state veto
-            let mut exact = None;
-            for k in &ins {
-                if let Some(p) = peek(*k) {
-                    if let Ok(df) = p.as_df() {
-                        if df.num_rows() > 0 {
-                            exact = Some(combine_split_exact(df, specs));
-                            break;
-                        }
-                    }
-                }
-            }
-            if exact != Some(true) {
-                return false;
-            }
-            ChunkOp::GroupbyCombine {
-                keys: keys.clone(),
-                specs: specs.clone(),
-            }
-        }
-        ChunkOp::GroupbyDirect { keys, specs } => {
-            // exact only for the nunique lowering: dedup preserves distinct
-            // sets and first-seen order but destroys sums/counts/means
-            if !specs.iter().all(|s| s.func == AggFunc::Nunique) {
-                return false;
-            }
-            ChunkOp::DistinctLocal {
-                subset: Some(nunique_subset(keys, specs)),
-            }
-        }
-        _ => return false,
+    let sub_op = ChunkOp::DistinctLocal {
+        subset: Some(nunique_subset(keys, specs)),
     };
+    let ChunkNode {
+        op: fin_op,
+        inputs: ins,
+        outputs: orig_outputs,
+    } = node.clone();
 
-    let in_bytes: Vec<u64> = ins
-        .iter()
-        .map(|k| info(*k).map(|(b, _)| b).unwrap_or(0))
-        .collect();
+    let in_bytes: Vec<u64> = ins.iter().map(|k| size_of(*k).unwrap_or(0)).collect();
     let runs = balanced_runs(&in_bytes, ways);
-    let fin_op = graph.chunks.nodes[ni].op.clone();
-    let orig_outputs = graph.chunks.nodes[ni].outputs.clone();
     let orig_published = graph.subtasks[st].published_outputs.clone();
 
     let mut partial_keys = Vec::with_capacity(ways);
@@ -903,21 +579,19 @@ fn split_groupby(
     true
 }
 
-/// Splits a hot shuffle-join partition by fanning the probe (left) side
-/// into contiguous runs, each joined against the full build side, then
+/// Splits a hot shuffle-join partition — `(lcat, rcat, join)`, the
+/// [`WavePart::Join`] subtasks — by fanning the probe (left) side into
+/// contiguous runs, each joined against the full build side, then
 /// concatenating in run order. Exact for every join type in this engine
 /// (all emit probe-order, left-derived rows only). `rcat` is `None` when
 /// the build side is already materialized — the runs then read its chunk
 /// directly and no build subtask is re-emitted.
-#[allow(clippy::too_many_arguments)]
 fn split_join(
     graph: &mut SubtaskGraph,
-    lcat: usize,
-    rcat: Option<usize>,
-    join: usize,
+    (lcat, rcat, join): (usize, Option<usize>, usize),
     ways: usize,
     synth: &mut SynthKeys,
-    info: &dyn Fn(ChunkKey) -> Option<(u64, u64)>,
+    size_of: &dyn Fn(ChunkKey) -> Option<u64>,
     seq: &mut Vec<Subtask>,
 ) -> bool {
     let lni = graph.subtasks[lcat].nodes[0];
@@ -937,10 +611,7 @@ fn split_join(
         seq.push(graph.subtasks[rcat].clone());
     }
 
-    let l_bytes: Vec<u64> = l_ins
-        .iter()
-        .map(|k| info(*k).map(|(b, _)| b).unwrap_or(0))
-        .collect();
+    let l_bytes: Vec<u64> = l_ins.iter().map(|k| size_of(*k).unwrap_or(0)).collect();
     let runs = balanced_runs(&l_bytes, ways);
     let mut jkeys = Vec::with_capacity(ways);
     for (ri, &(s, e)) in runs.iter().enumerate() {
@@ -998,53 +669,21 @@ mod tests {
     use super::*;
     use crate::chunk::KeyGen;
 
-    fn hist(bytes: &[u64]) -> Vec<PartStat> {
-        bytes
-            .iter()
-            .map(|&b| PartStat {
-                bytes: b,
-                rows: b / 8,
-            })
-            .collect()
-    }
-
     #[test]
     fn balanced_histogram_is_noop() {
-        let h = hist(&[100, 110, 95, 105]);
-        let plan = plan_retile(&h, &RetileParams::default());
-        assert!(plan.is_noop());
+        assert!(plan_retile(&[100, 110, 95, 105]).is_empty());
     }
 
     #[test]
-    fn hot_partition_splits_tiny_runs_coalesce() {
-        let h = hist(&[1000, 10, 10, 10, 100]);
-        let plan = plan_retile(&h, &RetileParams::default());
-        assert!(!plan.is_noop());
-        assert!(plan
-            .actions
-            .iter()
-            .any(|a| matches!(a, RetileAction::Split { part: 0, .. })));
-        assert!(plan
-            .actions
-            .iter()
-            .any(|a| matches!(a, RetileAction::Coalesce { parts } if parts == &vec![1, 2, 3])));
-        // conservation
-        let out = apply_plan(&h, &plan);
-        assert_eq!(
-            out.iter().map(|p| p.bytes).sum::<u64>(),
-            h.iter().map(|p| p.bytes).sum::<u64>()
-        );
-        assert_eq!(
-            out.iter().map(|p| p.rows).sum::<u64>(),
-            h.iter().map(|p| p.rows).sum::<u64>()
-        );
+    fn hot_partition_splits_to_mean_sized_runs() {
+        // mean 226: only partition 0 is above it, ceil(1000 / 226) = 5 ways
+        assert_eq!(plan_retile(&[1000, 10, 10, 10, 100]), vec![(0, 5)]);
     }
 
     #[test]
     fn plan_is_pure() {
-        let h = hist(&[999, 3, 14, 2000, 7, 7, 7, 120]);
-        let p = RetileParams::default();
-        assert_eq!(plan_retile(&h, &p), plan_retile(&h, &p));
+        let h = [999, 3, 14, 2000, 7, 7, 7, 120];
+        assert_eq!(plan_retile(&h), plan_retile(&h));
     }
 
     #[test]

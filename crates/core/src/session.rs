@@ -57,8 +57,8 @@ pub struct ExecStats {
     /// (chunkfmt v2). `encoded_raw_bytes / encoded_wire_bytes` is the
     /// transport compression ratio over the bytes that moved.
     pub encoded_wire_bytes: usize,
-    /// Shuffle partitions split or coalesced by mid-run skew-aware
-    /// re-tiling (`XORBITS_RETILE=auto`; always 0 when off).
+    /// Hot shuffle partitions split by mid-run skew-aware re-tiling
+    /// (`XORBITS_RETILE=auto`; always 0 when off).
     pub retiled_partitions: usize,
 }
 

@@ -715,23 +715,6 @@ pub fn is_decomposable(specs: &[AggSpec]) -> bool {
     specs.iter().all(|s| s.func != AggFunc::Nunique)
 }
 
-/// True when combining this decomposition's partial states over an
-/// *arbitrary* split into contiguous sub-ranges is bit-exact. Integer and
-/// date sums wrap deterministically and min/max/count/first take the same
-/// winner over any contiguous-run tree, but `f64` addition is not
-/// associative — a Float64 sum state must be folded in one fixed order, so
-/// any spec whose summed state column is Float64 vetoes re-tiling splits.
-/// `partial` is one map-stage output chunk (inspected for dtypes only).
-pub fn combine_split_exact(partial: &DataFrame, specs: &[AggSpec]) -> bool {
-    specs.iter().all(|s| match s.func {
-        AggFunc::Sum | AggFunc::Mean => partial
-            .column(&format!("{}{SUM_SUFFIX}", s.output))
-            .map(|c| c.data_type() != DataType::Float64)
-            .unwrap_or(false),
-        _ => true,
-    })
-}
-
 /// Map stage: per-chunk partial aggregation, emitting state columns.
 pub fn groupby_map(df: &DataFrame, keys: &[&str], specs: &[AggSpec]) -> DfResult<DataFrame> {
     let mut map_specs = Vec::new();

@@ -158,6 +158,11 @@ impl Chunks {
         })
     }
 
+    /// Logical bytes of `key` and the virtual time it was published.
+    pub(crate) fn size_and_finish(&self, key: ChunkKey) -> Option<(usize, f64)> {
+        self.states.get(&key).map(|st| (st.nbytes, st.finish))
+    }
+
     /// Whether `key`'s payload is readable (in memory or on the disk tier).
     pub(crate) fn readable(&self, key: ChunkKey) -> bool {
         self.storage.contains_key(&key)

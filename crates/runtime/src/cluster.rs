@@ -69,8 +69,8 @@ pub struct ClusterSpec {
     /// need no rebuild.
     pub encoding: EncodingMode,
     /// Mid-run skew-aware re-tiling of shuffle waves (dynamic tiling v2).
-    /// `None` defers to the `XORBITS_RETILE` env knob at graph start.
-    pub retile: Option<RetileMode>,
+    /// Defaults to the `XORBITS_RETILE` env knob.
+    pub retile: RetileMode,
 }
 
 impl ClusterSpec {
@@ -100,7 +100,7 @@ impl ClusterSpec {
             fault_plan: None,
             retry: RetryPolicy::default(),
             encoding: xorbits_storage::encoding_from_env(),
-            retile: None,
+            retile: xorbits_core::config::retile_from_env(),
         }
     }
 
@@ -146,7 +146,7 @@ impl ClusterSpec {
 
     /// Pins the mid-run re-tiling mode (overriding `XORBITS_RETILE`).
     pub fn with_retile(mut self, mode: RetileMode) -> ClusterSpec {
-        self.retile = Some(mode);
+        self.retile = mode;
         self
     }
 }

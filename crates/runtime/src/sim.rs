@@ -32,11 +32,11 @@ use crate::fault::FaultKind;
 use crate::ledger::{Charged, Ledger};
 use crate::placement::{self, Bands, Placement};
 use crate::recovery::Recovery;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 use xorbits_core::chunk::{ChunkKey, ChunkMeta, Payload};
-use xorbits_core::config::retile_from_env;
 use xorbits_core::error::{PendingSubtask, XbError, XbResult};
 use xorbits_core::exec;
 use xorbits_core::retile::{RetileMode, RetileRun};
@@ -85,8 +85,7 @@ pub struct GraphRun {
     last_finish: f64,
     /// Last consuming subtask per key within this graph.
     last_consumer: HashMap<ChunkKey, usize>,
-    /// Mid-run re-tiling state; `None` when the mode (spec override or the
-    /// `XORBITS_RETILE` env knob, resolved at submission) is off.
+    /// Mid-run re-tiling state; `None` when the spec's mode is off.
     retile: Option<RetileRun>,
 }
 
@@ -411,35 +410,45 @@ impl SimExecutor {
         if self.recovery.on() {
             self.recovery.record_lineage(&graph.chunks);
         }
-        let mode = self.spec.retile.unwrap_or_else(retile_from_env);
         GraphRun {
             next: 0,
             t0,
             stats: ExecStats::default(),
             last_finish: t0,
             last_consumer: last_consumers(&graph),
-            retile: (mode == RetileMode::Auto).then(|| RetileRun::for_graph(&graph.chunks)),
+            retile: (self.spec.retile == RetileMode::Auto)
+                .then(|| RetileRun::for_graph(&graph.chunks)),
             graph,
         }
     }
 
     /// Attempts a skew-aware re-tile splice at the run's dispatch head
     /// (dynamic tiling v2): when the head is a shuffle wave whose harvested
-    /// partition histogram is imbalanced past the planner's threshold,
-    /// Algorithm 1 is re-applied to the wave and the pending tail of the
-    /// graph is rewritten in place. All index-derived bookkeeping
-    /// (lineage, last-consumer refcounts) is refreshed after a splice.
+    /// byte histogram the planner finds skewed, its hot partitions are
+    /// split and the pending tail of the graph is rewritten in place. All
+    /// index-derived bookkeeping (lineage, last-consumer refcounts) is
+    /// refreshed after a splice.
     fn maybe_retile_run(&mut self, run: &mut GraphRun) {
         let Some(retile) = run.retile.as_mut() else {
             return;
         };
         let chunks = &self.chunks;
-        let size_of = |k| chunks.meta(k).map(|m| (m.nbytes as u64, m.rows as u64));
-        let peek = |k| chunks.payload(k);
-        let Some(out) = retile.maybe_retile(&mut run.graph, run.next, &size_of, &peek) else {
+        // virtual time the last harvested piece was published: the
+        // histogram the plan is made from does not exist before it
+        let harvested_at = Cell::new(0.0_f64);
+        let size_of = |k| {
+            let (nbytes, finish) = chunks.size_and_finish(k)?;
+            harvested_at.set(harvested_at.get().max(finish));
+            Some(nbytes as u64)
+        };
+        let Some(out) = retile.maybe_retile(&mut run.graph, run.next, &size_of) else {
             return;
         };
-        run.stats.retiled_partitions += out.retiled_partitions;
+        run.stats.retiled_partitions += out.splits;
+        // the dispatcher plans the splice, then dispatches it: no spliced
+        // subtask gets a dispatch slot from before its histogram existed
+        // (without a central scheduler a dispatch already waits on its inputs)
+        self.sched_clock = self.sched_clock.max(harvested_at.get());
 
         // the splice rewrote the pending tail: refresh everything derived
         // from node or subtask indices. Lineage records for the whole
@@ -457,12 +466,10 @@ impl SimExecutor {
                 self.virtual_now(),
                 &[
                     ("partitions", out.partitions as u64),
-                    ("rebalanced", out.retiled_partitions as u64),
                     ("splits", out.splits as u64),
-                    ("coalesces", out.coalesces as u64),
                 ],
             );
-            trace::counter_add("sim.retiled_partitions", out.retiled_partitions as u64);
+            trace::counter_add("sim.retiled_partitions", out.splits as u64);
         }
     }
 

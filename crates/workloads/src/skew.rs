@@ -13,9 +13,13 @@
 //!   `DistinctLocal` runs that dedup in parallel before one cheap final
 //!   `GroupbyDirect`.
 //! * [`run_groupby_sum`] — the decomposable control: map-side
-//!   pre-aggregation makes the shuffled partials proportional to *distinct
-//!   groups* per chunk (uniform under hashing), so row skew never reaches
-//!   the reduce side and re-tiling must recognise the wave as balanced.
+//!   pre-aggregation makes the partials proportional to *distinct groups*
+//!   per chunk (uniform under hashing), so row skew never reaches the
+//!   reduce side. Under the skew family's planner configuration the
+//!   aggregated estimate is small enough that the plan tree-reduces and
+//!   never shuffles; forced onto shuffle-reduce
+//!   (`tree_reduce_threshold_bytes: 0`) its `GroupbyFinalize` wave is one
+//!   re-tiling leaves alone by design.
 //! * [`run_lopsided_join`] — a fact table with Zipf foreign keys joined to
 //!   a small dimension table under a forced shuffle join (broadcast
 //!   disabled). The hot head key is an orphan reference (no dimension
@@ -122,8 +126,8 @@ pub fn run_groupby_nunique<E: Executor>(s: &Session<E>, data: &SkewData) -> XbRe
 }
 
 /// Decomposable control: `groupby(g).agg(sum(v))` — map-side partials are
-/// one row per distinct group, so the shuffled histogram is balanced and a
-/// correct re-tiler must leave this wave alone.
+/// one row per distinct group, so row skew never reaches the reduce side
+/// (tree-reduce by default; a shuffle-reduce wave is not re-tiled).
 pub fn run_groupby_sum<E: Executor>(s: &Session<E>, data: &SkewData) -> XbResult<DataFrame> {
     s.read_df(data.fact.clone())?
         .groupby_agg(

@@ -51,6 +51,47 @@ if [[ -n "$strays" ]]; then
   exit 1
 fi
 
+# Structural gate (hard): the one-emission-point family, stated for the whole
+# workspace. Outside test modules a `ChunkNode {` or `Subtask {` literal under
+# crates/*/src appears only where graphs are built — `tiling.rs::emit_n`,
+# `subtask.rs::from_groups` — and where the re-tiling splice rewrites them,
+# `retile.rs::{split_groupby, split_join}`. The day re-tiling becomes a tile
+# rule (ROADMAP item 8) the allow-list loses its last two entries.
+echo "==> chunk nodes and subtasks are built only by emit_n, from_groups and the two re-tiling splits"
+strays=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_tests = 0; current = "" }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  /fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); current = substr($0, RSTART + 3, RLENGTH - 3) }
+  /(^|[^A-Za-z_])(ChunkNode|Subtask) \{/ && !/(struct|->) (ChunkNode|Subtask) \{/ {
+    where = FILENAME "::" current
+    if (where != "crates/core/src/tiling.rs::emit_n" && where != "crates/core/src/subtask.rs::from_groups" &&
+        where != "crates/core/src/retile.rs::split_groupby" && where != "crates/core/src/retile.rs::split_join")
+      print FILENAME ":" FNR ": literal in " current
+  }')
+if [[ -n "$strays" ]]; then
+  echo "ChunkNode / Subtask literals may appear only in emit_n, from_groups, split_groupby and split_join; found:"
+  echo "$strays"
+  exit 1
+fi
+
+# Structural gate (hard): re-tiling decides from sizes. `core::retile` is
+# handed the bytes of a wave's shuffle pieces and nothing else, so outside its
+# test module it names no payload type, reads no chunk (`as_df`, `peek`) and
+# calls no group-by kernel helper: "decisions derive from result bytes only"
+# is the signature, not a convention.
+echo "==> re-tiling decides from sizes (no payload, peek or group-by kernel path in core/src/retile.rs)"
+strays=$(awk '
+  /^#\[cfg\(test\)\]/ { exit }
+  /^[[:space:]]*\/\// { next }
+  /Payload|as_df|peek|xorbits_dataframe::groupby::/ { print FILENAME ":" FNR ": " $0 }
+' crates/core/src/retile.rs)
+if [[ -n "$strays" ]]; then
+  echo "crates/core/src/retile.rs must plan from chunk sizes alone; found:"
+  echo "$strays"
+  exit 1
+fi
+
 # Structural gate (hard): a logical operator is described once. Inputs are a
 # field of `TileableNode` and parameters hash through the op's derived Debug,
 # so outside test modules only four places enumerate `TileableOp` variants:

@@ -15,6 +15,7 @@ use xorbits::core::config::XorbitsConfig;
 use xorbits::core::local::LocalExecutor;
 use xorbits::core::retile::RetileMode;
 use xorbits::core::session::{ExecStats, Session};
+use xorbits::core::trace::{self, EventKind, Stage, TraceEvent};
 use xorbits::dataframe::DataFrame;
 use xorbits::runtime::{ClusterSpec, SimExecutor};
 use xorbits::workloads::skew::{
@@ -145,6 +146,81 @@ fn skew_makespan_improves_on_zipf_15() {
              adaptive {:.4}s vs static {:.4}s",
             auto.makespan,
             off.makespan
+        );
+    }
+}
+
+/// The decomposable group-by forced onto the shuffle-reduce plan
+/// (`tree_reduce_threshold_bytes: 0`): its `GroupbyFinalize` wave is left
+/// alone by design — map-side pre-aggregation already made the partials
+/// proportional to distinct groups, not rows — so the adaptive run must not
+/// re-tile, and stays bit-identical to static tiling and the oracle.
+#[test]
+fn shuffled_decomposable_groupby_is_left_alone() {
+    let d = data(1.5);
+    let cfg = XorbitsConfig {
+        tree_reduce_threshold_bytes: 0,
+        ..skew_cfg()
+    };
+    let oracle = run_groupby_sum(&Session::new(cfg.clone(), LocalExecutor::new()), &d)
+        .expect("local oracle");
+    for mode in [RetileMode::Off, RetileMode::Auto] {
+        let s = Session::new(cfg.clone(), SimExecutor::new(cluster().with_retile(mode)));
+        let out = run_groupby_sum(&s, &d).expect("simulated shuffle-reduce");
+        let decisions = &s.last_report().expect("report").tiling.decisions;
+        assert!(
+            decisions.iter().any(|d| d.contains("shuffle-reduce")),
+            "{mode:?}: the plan must really shuffle, decisions: {decisions:?}"
+        );
+        assert_eq!(out, oracle, "{mode:?}: differs from the oracle");
+        assert_eq!(
+            s.total_stats().retiled_partitions,
+            0,
+            "{mode:?}: a finalize wave must not be re-tiled"
+        );
+    }
+}
+
+/// The splice pays for its own dispatch: under the central scheduler no
+/// subtask of the spliced tail may start before the histogram it was
+/// planned from existed — the latest finish among the wave's shuffle
+/// pieces — plus the one `sched_overhead` every dispatch costs.
+#[test]
+fn spliced_subtasks_are_dispatched_after_their_histogram_existed() {
+    let d = data(1.5);
+    let spec = cluster().with_retile(RetileMode::Auto);
+    let overhead = spec.sched_overhead;
+    trace::enable_default();
+    let s = Session::new(skew_cfg(), SimExecutor::new(spec));
+    run_groupby_nunique(&s, &d).expect("traced nunique run");
+    let log = trace::disable().expect("trace log");
+
+    // events are recorded in dispatch order: band spans before the retile
+    // instant are the prefix, the ones after it the spliced tail
+    let on_band = |e: &&TraceEvent| e.track.pid == 1 && e.stage == Stage::Execute;
+    let at = log
+        .events
+        .iter()
+        .position(|e| e.stage == Stage::Retile)
+        .expect("Zipf(1.5) nunique must re-tile");
+    let harvested = log.events[..at]
+        .iter()
+        .filter(on_band)
+        .filter(|e| e.name.contains("ShuffleSplit"))
+        .filter_map(|e| match e.kind {
+            EventKind::Span { dur } => Some(e.ts + dur),
+            _ => None,
+        })
+        .fold(0.0, f64::max);
+    assert!(harvested > 0.0, "no shuffle piece before the splice");
+    let tail: Vec<&TraceEvent> = log.events[at..].iter().filter(on_band).collect();
+    assert!(!tail.is_empty(), "no spliced tail");
+    for e in tail {
+        assert!(
+            e.ts >= harvested + overhead - 1e-12,
+            "{} starts at {:.6}s, before the histogram ({harvested:.6}s) plus one dispatch",
+            e.name,
+            e.ts
         );
     }
 }
