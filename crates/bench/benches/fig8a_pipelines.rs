@@ -9,7 +9,7 @@
 //! Run: `cargo bench --bench fig8a_pipelines`
 
 use xorbits_baselines::{Engine, EngineKind};
-use xorbits_bench::{bench_scale, fmt_rel, fmt_time, print_table};
+use xorbits_bench::{bench_scale, cluster, fmt_rel, fmt_time, print_table};
 use xorbits_core::error::XbResult;
 use xorbits_runtime::ClusterSpec;
 use xorbits_workloads::pipelines::{census_data, plasticc_data, run_census, run_plasticc};
@@ -36,8 +36,8 @@ fn main() {
     let uc10 = uc10_data((1_000_000.0 * s) as usize, 2_000, 1.5).expect("uc10 data");
     let census = census_data((800_000.0 * s) as usize);
     let plasticc = plasticc_data((800_000.0 * s) as usize, 2_000);
-    let two = ClusterSpec::new(2, 256 << 20);
-    let one = ClusterSpec::new(1, 512 << 20);
+    let two = cluster(2, 256 << 20);
+    let one = cluster(1, 512 << 20);
 
     let engines = [
         EngineKind::Xorbits,

@@ -6,12 +6,11 @@
 //! Run: `cargo bench --bench table5_api_coverage`
 
 use xorbits_baselines::EngineKind;
-use xorbits_bench::print_table;
-use xorbits_runtime::ClusterSpec;
+use xorbits_bench::{cluster, print_table};
 use xorbits_workloads::api_coverage::coverage;
 
 fn main() {
-    let cluster = ClusterSpec::new(2, 256 << 20);
+    let cluster = cluster(2, 256 << 20);
     let paper = [
         (EngineKind::Xorbits, 96.7),
         (EngineKind::Modin, 96.7),

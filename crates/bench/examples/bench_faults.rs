@@ -30,7 +30,7 @@ fn cfg() -> XorbitsConfig {
 }
 
 fn cluster() -> ClusterSpec {
-    ClusterSpec::new(WORKERS, 256 << 20)
+    xorbits_bench::cluster(WORKERS, 256 << 20)
 }
 
 /// Sums the per-query virtual makespans and recovery counters of the
@@ -67,8 +67,7 @@ fn det(stats: &ExecStats) -> (usize, usize, usize, usize, usize) {
 
 fn main() {
     xorbits_bench::trace_init_from_env();
-    let encoding = xorbits_bench::encoding_init_from_env();
-    println!("encoding: {encoding:?}");
+    println!("encoding: {:?}", cluster().encoding);
     let data = TpchData::new(SF).expect("tpch data");
 
     // ---- fault-free baseline + zero-fault-plan parity gate ------------------

@@ -482,8 +482,6 @@ fn reexec_with_pooled_malloc() {}
 fn main() {
     reexec_with_pooled_malloc();
     xorbits_bench::trace_init_from_env();
-    let encoding = xorbits_bench::encoding_init_from_env();
-    println!("encoding: {encoding:?}");
     let rows = env_f64("XORBITS_BENCH_ROWS", 1e6) as usize;
     let out_path =
         std::env::var("XORBITS_BENCH_OUT").unwrap_or_else(|_| "BENCH_kernels.json".into());

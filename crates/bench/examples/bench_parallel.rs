@@ -46,8 +46,6 @@ fn tpch_suite(threads: usize, data: &TpchData) -> (f64, Vec<DataFrame>) {
 
 fn main() {
     xorbits_bench::trace_init_from_env();
-    let encoding = xorbits_bench::encoding_init_from_env();
-    println!("encoding: {encoding:?}");
     let sf = env_f64("XORBITS_TPCH_SF", 1.0);
     let out_path =
         std::env::var("XORBITS_BENCH_OUT").unwrap_or_else(|_| "BENCH_parallel.json".into());

@@ -27,7 +27,6 @@ use xorbits_baselines::EngineKind;
 use xorbits_bench::{cache_bytes_from_env, tenants_from_env};
 use xorbits_core::config::XorbitsConfig;
 use xorbits_core::explain::explain_serving;
-use xorbits_runtime::ClusterSpec;
 use xorbits_serving::{percentile, ServingOutcome, ServingRuntime, TenantStream};
 use xorbits_workloads::tpch::{run_query_on, TpchData};
 
@@ -82,11 +81,11 @@ fn mean(xs: &[f64]) -> f64 {
 
 fn main() {
     xorbits_bench::trace_init_from_env();
-    let threads = xorbits_core::threads_from_env();
+    let threads = xorbits_bench::threads_from_env();
 
     let tenants = tenants_from_env(4);
     let cache_bytes = cache_bytes_from_env(256 << 20);
-    let spec = ClusterSpec::new(4, 64 << 20);
+    let spec = xorbits_bench::cluster(4, 64 << 20);
     let cfg = XorbitsConfig::default();
     let data = Arc::new(TpchData::new(0.1).expect("tpch data"));
     let plan = draw_plan(tenants);

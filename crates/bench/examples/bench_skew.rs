@@ -43,7 +43,7 @@ fn cfg() -> XorbitsConfig {
 
 /// Virtual cluster with a modest network; `sched_overhead` picks the regime.
 fn cluster(mode: RetileMode, sched_overhead: f64) -> ClusterSpec {
-    let mut spec = ClusterSpec::new(WORKERS, 256 << 20).with_retile(mode);
+    let mut spec = xorbits_bench::cluster(WORKERS, 256 << 20).with_retile(mode);
     spec.net_bandwidth = 64.0 * 1024.0 * 1024.0;
     spec.sched_overhead = sched_overhead;
     spec

@@ -12,7 +12,9 @@ use xorbits_core::config::XorbitsConfig;
 use xorbits_core::local::LocalExecutor;
 use xorbits_core::session::Session;
 use xorbits_dataframe::{col, dates, lit, AggFunc::*, AggSpec, Column, DataFrame, Scalar};
-use xorbits_storage::{decode_chunk, encode_chunk, ChunkValue};
+use xorbits_storage::{
+    decode_chunk, encode_chunk, ChunkValue, EncodingMode, SpillConfig, StorageConfig,
+};
 use xorbits_workloads::tpch::TpchData;
 
 /// Median seconds per call of `f` over `samples` timed runs.
@@ -142,9 +144,19 @@ fn tpch_cfg() -> XorbitsConfig {
 const TPCH_SF: f64 = 0.1;
 const TIGHT_BUDGET: usize = 24 << 10;
 
+/// A `TIGHT_BUDGET` executor spilling to a temp dir under `encoding`.
+fn spilling(encoding: EncodingMode) -> LocalExecutor {
+    LocalExecutor::with_storage(StorageConfig {
+        memory_budget: Some(TIGHT_BUDGET),
+        spill: SpillConfig::TempDir,
+        encoding,
+    })
+    .expect("spill dir")
+}
+
 fn main() {
     xorbits_bench::trace_init_from_env();
-    let encoding = xorbits_bench::encoding_init_from_env();
+    let encoding = xorbits_bench::encoding_from_env();
     println!("encoding: {encoding:?}");
     // ---- codec throughput ---------------------------------------------------
     let mut codec_rows = Vec::new();
@@ -194,10 +206,7 @@ fn main() {
     let mut spilled_bytes = 0u64;
     let mut read_back_bytes = 0u64;
     let spill_s = time_it(5, || {
-        let s = Session::new(
-            tpch_cfg(),
-            LocalExecutor::with_budget_and_spill(TIGHT_BUDGET).expect("spill dir"),
-        );
+        let s = Session::new(tpch_cfg(), spilling(encoding));
         let out = q1(&s, &data);
         let stats = s.last_report().expect("report").stats;
         spilled_bytes = stats.spilled_bytes as u64;
@@ -206,10 +215,7 @@ fn main() {
     });
     {
         // equality gate: the spilled run answers exactly like the unbounded
-        let s = Session::new(
-            tpch_cfg(),
-            LocalExecutor::with_budget_and_spill(TIGHT_BUDGET).expect("spill dir"),
-        );
+        let s = Session::new(tpch_cfg(), spilling(encoding));
         assert_eq!(q1(&s, &data), reference, "spilled Q1 diverged");
     }
     assert!(spilled_bytes > 0, "tight budget must force spilling");

@@ -16,11 +16,10 @@ use xorbits_workloads::tpch::TpchData;
 
 fn main() {
     xorbits_bench::trace_init_from_env();
-    let encoding = xorbits_bench::encoding_init_from_env();
-    println!("encoding: {encoding:?}");
+    let cluster = paper_cluster(16);
+    println!("encoding: {:?}", cluster.encoding);
     let sf = env_f64("XORBITS_TPCH_SF", 10.0);
     let data = TpchData::new(sf).expect("tpch data");
-    let cluster = paper_cluster(16);
     let mut total_wall = 0.0;
     let mut total_makespan = 0.0;
     println!("query\twall_ms\tmakespan_s");

@@ -137,9 +137,6 @@ const MAKESPAN_SAMPLES: usize = 3;
 
 fn main() {
     xorbits_bench::trace_init_from_env();
-    let encoding = xorbits_bench::encoding_init_from_env();
-    println!("encoding knob: {encoding:?} (bench runs both modes explicitly)");
-
     let mut ws = EncodeWorkspace::default();
     let mut dws = DecodeWorkspace::default();
 

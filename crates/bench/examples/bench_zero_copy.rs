@@ -94,7 +94,7 @@ struct Row {
 
 fn main() {
     xorbits_bench::trace_init_from_env();
-    let encoding = xorbits_bench::encoding_init_from_env();
+    let encoding = xorbits_bench::encoding_from_env();
     println!("encoding: {encoding:?}");
     let df = frame(ROWS);
     let mut rows: Vec<Row> = Vec::new();
@@ -138,7 +138,7 @@ fn main() {
     let zc = time_it(3, || {
         let s = Session::new(
             XorbitsConfig::default(),
-            SimExecutor::new(ClusterSpec::new(4, 4 << 30)),
+            SimExecutor::new(ClusterSpec::new(4, 4 << 30).with_encoding(encoding)),
         );
         s.from_df(df.clone()).unwrap().fetch().unwrap()
     });

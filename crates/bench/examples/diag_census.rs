@@ -1,10 +1,9 @@
 //! Planner diagnostic: census pipeline per engine on one worker.
 use xorbits_baselines::{Engine, EngineKind};
-use xorbits_runtime::ClusterSpec;
 use xorbits_workloads::pipelines::{census_data, run_census};
 fn main() {
     let data = census_data(800_000);
-    let one = ClusterSpec::new(1, 512 << 20);
+    let one = xorbits_bench::cluster(1, 512 << 20);
     for kind in [
         EngineKind::Dask,
         EngineKind::Xorbits,

@@ -1,11 +1,10 @@
 //! Planner diagnostic: linear-regression weak scaling per worker count.
 use xorbits_baselines::EngineKind;
-use xorbits_runtime::ClusterSpec;
 use xorbits_workloads::arrays::{array_engine, run_linreg};
 
 fn main() {
     for w in [1usize, 2, 4] {
-        let cluster = ClusterSpec::new(w, 1 << 30);
+        let cluster = xorbits_bench::cluster(w, 1 << 30);
         let e = array_engine(EngineKind::Xorbits, &cluster, 0).unwrap();
         let rows = 150_000 * w * 2;
         // reset not needed; run_linreg resets at end

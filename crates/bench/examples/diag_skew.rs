@@ -3,7 +3,7 @@
 use xorbits_core::config::XorbitsConfig;
 use xorbits_core::retile::RetileMode;
 use xorbits_core::session::Session;
-use xorbits_runtime::{ClusterSpec, SimExecutor};
+use xorbits_runtime::SimExecutor;
 use xorbits_workloads::skew::{run_groupby_nunique, run_groupby_sum, run_lopsided_join, skew_data};
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
         ),
     ] {
         for mode in [RetileMode::Off, RetileMode::Auto] {
-            let mut spec = ClusterSpec::new(3, 256 << 20).with_retile(mode);
+            let mut spec = xorbits_bench::cluster(3, 256 << 20).with_retile(mode);
             spec.net_bandwidth = 64.0 * 1024.0 * 1024.0;
             spec.sched_overhead = 1.0e-4;
             let s = Session::new(cfg.clone(), SimExecutor::new(spec));

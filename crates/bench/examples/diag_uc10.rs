@@ -1,12 +1,11 @@
 //! Planner diagnostic: the TPCx-AI UC10 skewed join across engines
 //! (duplicated engine entries warm the kernel caches before measuring).
 use xorbits_baselines::{Engine, EngineKind};
-use xorbits_runtime::ClusterSpec;
 use xorbits_workloads::tpcxai::{run_uc10, uc10_data};
 
 fn main() {
     let data = uc10_data(1_000_000, 2_000, 1.5).expect("uc10 data");
-    let cluster = ClusterSpec::new(2, 256 << 20);
+    let cluster = xorbits_bench::cluster(2, 256 << 20);
     for kind in [
         EngineKind::PySpark,
         EngineKind::Xorbits,

@@ -1,5 +1,7 @@
 //! Shared helpers for the benchmark targets: paper-style table printing
-//! and environment-variable scale overrides.
+//! and the environment knobs of the `bench_*` targets. No other library
+//! crate of the workspace reads the environment: they take every knob by
+//! constructor.
 //!
 //! Every bench target regenerates one table or figure of the paper's
 //! evaluation; see DESIGN.md §3 for the full index. Bench output pairs the
@@ -9,29 +11,45 @@
 #![warn(missing_docs)]
 
 use xorbits_runtime::ClusterSpec;
+use xorbits_storage::EncodingMode;
 
-/// A knob's value from its raw text: `Ok(None)` when unset, the parsed
+/// A knob's value from its raw text: `Ok(None)` when unset, `parse`'s
 /// value when set, and a message naming the variable, the value and the
-/// expected type when set to something that does not parse.
-fn parse_knob<T: std::str::FromStr>(name: &str, raw: Option<&str>) -> Result<Option<T>, String> {
+/// expected `form` when `parse` rejects it.
+fn parse_knob<T>(
+    name: &str,
+    raw: Option<&str>,
+    form: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
     let Some(raw) = raw else { return Ok(None) };
-    raw.parse().map(Some).map_err(|_| {
-        // the type's name without its module path: `f64`, `NonZero<usize>`
-        let form = std::any::type_name::<T>();
-        let form = form.rsplit_once("::").map_or(form, |(_, short)| short);
-        format!("{name}={raw:?} does not parse: expected a value of type {form}")
-    })
+    parse(raw)
+        .map(Some)
+        .ok_or_else(|| format!("{name}={raw:?} does not parse: expected {form}"))
 }
 
 /// The value of env var `name`, `None` when it is unset. A value that is
 /// set and does not parse ends the process (exit code 2): a mistyped scale
 /// must not silently run the full-size suite.
-fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
+fn env_knob<T>(name: &str, form: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
     let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_knob(name, raw.as_deref()).unwrap_or_else(|msg| {
+    parse_knob(name, raw.as_deref(), form, parse).unwrap_or_else(|msg| {
         eprintln!("{msg}");
         std::process::exit(2)
     })
+}
+
+/// The expected form of a [`FromStr`](std::str::FromStr) knob: its type
+/// without the module path (`f64`, `NonZero<usize>`).
+fn type_form<T>() -> String {
+    let form = std::any::type_name::<T>();
+    let form = form.rsplit_once("::").map_or(form, |(_, short)| short);
+    format!("a value of type {form}")
+}
+
+/// [`env_knob`] for any [`FromStr`](std::str::FromStr) type.
+fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
+    env_knob(name, &type_form::<T>(), |s| s.parse().ok())
 }
 
 /// Reads an `f64` env override (e.g. `XORBITS_BENCH_SCALE`).
@@ -56,7 +74,14 @@ pub fn sf(label: u32) -> f64 {
 /// "SF10", struggles at "SF100" and cannot hold "SF1000" — the same
 /// head-room ratios as the paper's 256 GB nodes.
 pub fn paper_cluster(workers: usize) -> ClusterSpec {
-    ClusterSpec::new(workers, (36. * bench_scale() * (1 << 20) as f64) as usize)
+    cluster(workers, (36. * bench_scale() * (1 << 20) as f64) as usize)
+}
+
+/// `ClusterSpec::new` with the `XORBITS_ENCODING` knob applied
+/// ([`encoding_from_env`]): the bench targets build their clusters here
+/// so every one of them honours the knob.
+pub fn cluster(workers: usize, worker_bytes: usize) -> ClusterSpec {
+    ClusterSpec::new(workers, worker_bytes).with_encoding(encoding_from_env())
 }
 
 /// Prints a markdown-style table.
@@ -113,16 +138,29 @@ pub fn cache_bytes_from_env(default: usize) -> usize {
     env_parse("XORBITS_CACHE_BYTES").unwrap_or(default)
 }
 
-/// Resolves the `XORBITS_ENCODING` knob (`plain` / `auto`, default
-/// `auto`) and returns the chunk-transport mode this process will use.
-/// [`xorbits_storage::StorageConfig`] and
-/// [`xorbits_runtime::ClusterSpec`] already read the same knob at
-/// construction time, so nothing needs the returned value to behave
-/// correctly — call this at the top of every bench `main` (mirroring
-/// [`trace_init_from_env`]) to surface the mode in the run's output so
-/// v1-vs-v2 A/B results are labelled.
-pub fn encoding_init_from_env() -> xorbits_storage::EncodingMode {
-    xorbits_storage::encoding_from_env()
+/// Chunk-transport encoding from the `XORBITS_ENCODING` knob: `plain` or
+/// `auto` (the default when unset). A bench applies it to the
+/// `ClusterSpec` / `StorageConfig` it builds, so v1-vs-v2 A/B runs need
+/// no rebuild.
+pub fn encoding_from_env() -> EncodingMode {
+    env_knob("XORBITS_ENCODING", "`plain` or `auto`", parse_encoding).unwrap_or(EncodingMode::Auto)
+}
+
+fn parse_encoding(raw: &str) -> Option<EncodingMode> {
+    match raw {
+        "plain" => Some(EncodingMode::Plain),
+        "auto" => Some(EncodingMode::Auto),
+        _ => None,
+    }
+}
+
+/// Host worker threads from the `XORBITS_THREADS` knob (a positive
+/// integer), else the host's available parallelism.
+pub fn threads_from_env() -> usize {
+    env_parse::<std::num::NonZeroUsize>("XORBITS_THREADS").map_or_else(
+        || std::thread::available_parallelism().map_or(1, |n| n.get()),
+        |n| n.get(),
+    )
 }
 
 /// If `XORBITS_TRACE_OUT` is set, drains the trace recorder, writes the
@@ -153,33 +191,62 @@ pub fn trace_dump_from_env() {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_knob;
+    use super::{parse_encoding, parse_knob, type_form, EncodingMode};
+
+    /// What [`super::env_parse`] does with the raw text, minus the exit.
+    fn typed<T: std::str::FromStr>(name: &str, raw: Option<&str>) -> Result<Option<T>, String> {
+        parse_knob(name, raw, &type_form::<T>(), |s| s.parse().ok())
+    }
 
     #[test]
     fn a_knob_is_unset_valid_or_an_error_naming_it() {
-        assert_eq!(parse_knob::<f64>("XORBITS_BENCH_SCALE", None), Ok(None));
+        assert_eq!(typed::<f64>("XORBITS_BENCH_SCALE", None), Ok(None));
         assert_eq!(
-            parse_knob::<f64>("XORBITS_BENCH_SCALE", Some("0.1")),
+            typed::<f64>("XORBITS_BENCH_SCALE", Some("0.1")),
             Ok(Some(0.1))
         );
         assert_eq!(
-            parse_knob::<usize>("XORBITS_CACHE_BYTES", Some("0")),
+            typed::<usize>("XORBITS_CACHE_BYTES", Some("0")),
             Ok(Some(0))
         );
         for raw in ["0,1", ""] {
-            let msg = parse_knob::<f64>("XORBITS_BENCH_SCALE", Some(raw)).unwrap_err();
+            let msg = typed::<f64>("XORBITS_BENCH_SCALE", Some(raw)).unwrap_err();
             assert!(
                 msg.contains("XORBITS_BENCH_SCALE") && msg.contains("f64"),
                 "{msg}"
             );
             assert!(msg.contains(&format!("{raw:?}")), "{msg}");
         }
-        let msg = parse_knob::<usize>("XORBITS_CACHE_BYTES", Some("512M")).unwrap_err();
+        let msg = typed::<usize>("XORBITS_CACHE_BYTES", Some("512M")).unwrap_err();
         assert!(msg.contains("XORBITS_CACHE_BYTES=\"512M\""), "{msg}");
+        assert!(msg.contains("a value of type usize"), "{msg}");
         for raw in ["four", "0", "-1"] {
+            let msg = typed::<std::num::NonZeroUsize>("XORBITS_THREADS", Some(raw)).unwrap_err();
             assert!(
-                parse_knob::<std::num::NonZeroUsize>("XORBITS_TENANTS", Some(raw)).is_err(),
-                "{raw}"
+                msg.contains("XORBITS_THREADS") && msg.contains("NonZero<usize>"),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn encoding_accepts_plain_and_auto_only() {
+        let enc = |raw| {
+            parse_knob(
+                "XORBITS_ENCODING",
+                Some(raw),
+                "`plain` or `auto`",
+                parse_encoding,
+            )
+        };
+        assert_eq!(enc("plain"), Ok(Some(EncodingMode::Plain)));
+        assert_eq!(enc("auto"), Ok(Some(EncodingMode::Auto)));
+        for raw in ["zstd", "PLAIN", ""] {
+            let msg = enc(raw).unwrap_err();
+            assert!(
+                msg.contains(&format!("XORBITS_ENCODING={raw:?}"))
+                    && msg.contains("`plain` or `auto`"),
+                "{msg}"
             );
         }
     }

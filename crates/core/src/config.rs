@@ -1,8 +1,6 @@
-//! Engine configuration: tiling thresholds, optimizer switches, and the
-//! engine's environment knobs (`XORBITS_THREADS`, `XORBITS_RETILE`; the
-//! storage crate reads `XORBITS_ENCODING` itself).
+//! Engine configuration: tiling thresholds and optimizer switches. The
+//! engine reads no environment; every knob is passed by constructor.
 
-use crate::retile::RetileMode;
 use xorbits_storage::EncodingMode;
 
 /// Configuration of the tiling and optimization pipeline. The boolean
@@ -55,13 +53,13 @@ pub struct XorbitsConfig {
     /// Worker threads the embedding program intends to run host execution
     /// with. Nothing in the engine reads it: pass it to
     /// [`ParallelExecutor::with_threads`](crate::parallel::ParallelExecutor::with_threads)
-    /// yourself (executors built without a count use [`threads_from_env`]);
-    /// that pool is the one consumer of a thread count.
+    /// yourself (executors built without a count use the host's available
+    /// parallelism); that pool is the one consumer of a thread count.
     pub threads: usize,
     /// Chunk-transport encoding the embedding program intends to use.
     /// Nothing in the engine reads it: `StorageConfig::encoding` and
     /// `ClusterSpec::with_encoding` are what executors honour (both
-    /// default to the `XORBITS_ENCODING` env knob).
+    /// default to `EncodingMode::Auto`).
     pub encoding: Option<EncodingMode>,
 }
 
@@ -115,32 +113,6 @@ impl XorbitsConfig {
     pub fn with_encoding(mut self, encoding: EncodingMode) -> Self {
         self.encoding = Some(encoding);
         self
-    }
-}
-
-/// Reads the `XORBITS_THREADS` knob: a positive integer forces that many
-/// workers, anything else (or unset) means the host's available
-/// parallelism. This is the default size of
-/// [`ParallelExecutor`](crate::parallel::ParallelExecutor)'s subtask pool,
-/// which is the only thing the count sizes: kernels are sequential.
-pub fn threads_from_env() -> usize {
-    std::env::var("XORBITS_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// Reads the `XORBITS_RETILE` environment knob (`auto`/`on`/`1` → Auto,
-/// anything else or unset → Off).
-pub fn retile_from_env() -> RetileMode {
-    match std::env::var("XORBITS_RETILE") {
-        Ok(v) if matches!(v.as_str(), "auto" | "on" | "1") => RetileMode::Auto,
-        _ => RetileMode::Off,
     }
 }
 

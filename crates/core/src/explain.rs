@@ -6,7 +6,7 @@ use crate::trace::{MetricsSnapshot, TraceLog};
 
 /// Summarises what mid-run skew-aware re-tiling did: hot shuffle
 /// partitions split after harvesting lopsided histograms
-/// (`XORBITS_RETILE=auto`).
+/// (`ClusterSpec::with_retile(RetileMode::Auto)`).
 pub fn explain_retile(stats: &ExecStats) -> String {
     if stats.retiled_partitions == 0 {
         return "Retile: none (balanced shuffles or static tiling)\n".to_string();

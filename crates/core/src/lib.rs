@@ -32,7 +32,7 @@ pub mod trace;
 pub use chunk::{
     ChunkGraph, ChunkKey, ChunkMeta, ChunkNode, ChunkOp, KeyGen, Payload, PayloadKind,
 };
-pub use config::{retile_from_env, threads_from_env, XorbitsConfig};
+pub use config::XorbitsConfig;
 pub use error::{FailureKind, XbError, XbResult};
 pub use parallel::ParallelExecutor;
 pub use retile::RetileMode;

@@ -43,7 +43,6 @@
 //! other executor is compared against.
 
 use crate::chunk::{ChunkKey, ChunkMeta, Payload};
-use crate::config::threads_from_env;
 use crate::error::{XbError, XbResult};
 use crate::exec::{self, ChunkIo};
 use crate::session::{ExecStats, Executor};
@@ -69,10 +68,15 @@ impl Default for ParallelExecutor {
     }
 }
 
+/// The pool size of an executor built without a thread count.
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 impl ParallelExecutor {
-    /// Unbounded executor with [`threads_from_env`] workers.
+    /// Unbounded executor with one worker per available core.
     pub fn new() -> ParallelExecutor {
-        ParallelExecutor::with_threads(threads_from_env())
+        ParallelExecutor::with_threads(host_threads())
     }
 
     /// Unbounded executor with an explicit worker count (≥ 1).
@@ -81,7 +85,7 @@ impl ParallelExecutor {
     }
 
     /// Budgeted executor with **no** disk tier (over budget = OOM), with
-    /// [`threads_from_env`] workers.
+    /// one worker per available core.
     pub fn with_budget(bytes: usize) -> ParallelExecutor {
         ParallelExecutor::with_storage(StorageConfig {
             memory_budget: Some(bytes),
@@ -91,8 +95,8 @@ impl ParallelExecutor {
         .expect("no io in a memory-only config")
     }
 
-    /// Budgeted executor with a temp-dir disk tier, with
-    /// [`threads_from_env`] workers.
+    /// Budgeted executor with a temp-dir disk tier, with one worker per
+    /// available core.
     pub fn with_budget_and_spill(bytes: usize) -> XbResult<ParallelExecutor> {
         ParallelExecutor::with_storage(StorageConfig {
             memory_budget: Some(bytes),
@@ -101,10 +105,10 @@ impl ParallelExecutor {
         })
     }
 
-    /// Executor over an arbitrary storage configuration, with
-    /// [`threads_from_env`] workers.
+    /// Executor over an arbitrary storage configuration, with one worker
+    /// per available core.
     pub fn with_storage(config: StorageConfig) -> XbResult<ParallelExecutor> {
-        ParallelExecutor::with_storage_and_threads(config, threads_from_env())
+        ParallelExecutor::with_storage_and_threads(config, host_threads())
     }
 
     /// Executor over an arbitrary storage configuration and worker count.
@@ -602,11 +606,9 @@ mod tests {
     }
 
     #[test]
-    fn threads_env_knob_parses() {
-        // no env manipulation (tests run in parallel); exercise the parse
-        // contract through with_threads clamping instead
+    fn thread_counts_are_clamped_and_default_to_the_host() {
         assert_eq!(ParallelExecutor::with_threads(0).threads(), 1);
         assert_eq!(ParallelExecutor::with_threads(6).threads(), 6);
-        assert!(threads_from_env() >= 1);
+        assert_eq!(ParallelExecutor::new().threads(), host_threads());
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! Since PR 9 the same algorithm is also re-applied *continuously* at run
 //! time: [`crate::retile`] harvests real shuffle-partition histograms at
-//! quiesce points and re-tiles skewed waves mid-run (`XORBITS_RETILE`).
+//! quiesce points and re-tiles skewed waves mid-run (`RetileMode::Auto`).
 //! This module remains the estimate-driven first cut those refinements
 //! start from.
 

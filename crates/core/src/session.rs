@@ -58,7 +58,7 @@ pub struct ExecStats {
     /// transport compression ratio over the bytes that moved.
     pub encoded_wire_bytes: usize,
     /// Hot shuffle partitions split by mid-run skew-aware re-tiling
-    /// (`XORBITS_RETILE=auto`; always 0 when off).
+    /// (`RetileMode::Auto`; always 0 when off).
     pub retiled_partitions: usize,
 }
 
@@ -781,5 +781,64 @@ mod tests {
         let cache = cache.lock().unwrap();
         assert_eq!(cache.inserted.len(), 1);
         assert_eq!(cache.inserted[0].1.len(), 2, "lineage = the two sources");
+    }
+
+    /// A cache that never hits and records every key it is asked for.
+    #[derive(Default)]
+    struct KeyLog(Vec<u64>);
+
+    impl ResultCache for KeyLog {
+        fn lookup(&mut self, key: u64) -> Option<Vec<Arc<Payload>>> {
+            self.0.push(key);
+            None
+        }
+        fn insert(&mut self, _key: u64, _sources: &[u64], _payloads: &[Arc<Payload>]) {}
+    }
+
+    /// Alias-insensitive reuse lives in the result-cache key: texts that
+    /// differ only in table aliases and a CTE name are two plan-cache
+    /// misses whose fetches ask the result cache for one key.
+    #[test]
+    fn alias_renamed_sql_reaches_the_same_result_cache_key() {
+        use crate::sql::{Catalog, SqlFrontend};
+        use crate::tileable::DfSource;
+        let frame = |cols: Vec<(&str, Vec<i64>)>| {
+            let cols = cols
+                .into_iter()
+                .map(|(n, v)| (n, Column::from_i64(v)))
+                .collect();
+            DfSource::materialized(DataFrame::new(cols).unwrap())
+        };
+        let mut catalog = Catalog::new();
+        catalog
+            .add(
+                "t",
+                frame(vec![("k", vec![1, 2, 3]), ("v", vec![10, 20, 30])]),
+            )
+            .unwrap();
+        catalog
+            .add("u", frame(vec![("uk", vec![1, 3]), ("w", vec![7, 9])]))
+            .unwrap();
+        let s = Session::new(XorbitsConfig::default(), LocalExecutor::new());
+        let keys = Arc::new(Mutex::new(KeyLog::default()));
+        s.set_result_cache(keys.clone());
+        let fe = SqlFrontend::new(s, catalog);
+
+        let base = "WITH big AS (SELECT k, v FROM t WHERE v > 15) \
+                    SELECT a.v, b.w FROM big a JOIN u b ON a.k = b.uk";
+        let renamed = "WITH wide AS (SELECT k, v FROM t WHERE v > 15) \
+                       SELECT x.v, y.w FROM wide x JOIN u y ON x.k = y.uk";
+        let literal = "WITH big AS (SELECT k, v FROM t WHERE v > 5) \
+                       SELECT a.v, b.w FROM big a JOIN u b ON a.k = b.uk";
+        let first = fe.query(base).unwrap();
+        assert_eq!(first.num_rows(), 1);
+        assert_eq!(fe.query(renamed).unwrap(), first);
+        fe.query(literal).unwrap();
+        let stats = fe.cache_stats();
+        assert_eq!((stats.text_hits, stats.misses), (0, 3));
+        let keys = &keys.lock().unwrap().0;
+        assert_eq!(keys.len(), 3, "one lookup per fetch");
+        assert_eq!(keys[0], keys[1], "alias renaming must not change the key");
+        assert_ne!(keys[0], keys[2], "a literal change must");
     }
 }

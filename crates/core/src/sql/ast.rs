@@ -1,15 +1,6 @@
-//! SQL abstract syntax tree and its canonical pretty-printer.
-//!
-//! The printer serves three purposes: `EXPLAIN`-style display, the
-//! round-trip property (`parse(print(q))` prints identically), and the
-//! level-2 plan-cache key — [`canonicalize`] renames every table/CTE alias
-//! positionally (`t0…`, `c0…`) so alias-renamed queries print, and
-//! therefore hash, identically while literal changes do not.
+//! SQL abstract syntax tree: what the parser builds and the binder lowers.
+//! Byte offsets (`at`) are kept for positioned errors.
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-use xorbits_dataframe::dates;
 use xorbits_dataframe::expr::BinOp;
 
 /// A literal value in SQL source.
@@ -54,23 +45,6 @@ pub enum FuncName {
     Round,
 }
 
-impl FuncName {
-    fn as_str(self) -> &'static str {
-        match self {
-            FuncName::Year => "YEAR",
-            FuncName::Month => "MONTH",
-            FuncName::Day => "DAY",
-            FuncName::Substr => "SUBSTR",
-            FuncName::Length => "LENGTH",
-            FuncName::Lower => "LOWER",
-            FuncName::Upper => "UPPER",
-            FuncName::Trim => "TRIM",
-            FuncName::Abs => "ABS",
-            FuncName::Round => "ROUND",
-        }
-    }
-}
-
 /// Aggregate function names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggName {
@@ -84,18 +58,6 @@ pub enum AggName {
     Max,
     /// `COUNT(x)` (non-null count) or `COUNT(DISTINCT x)`.
     Count,
-}
-
-impl AggName {
-    fn as_str(self) -> &'static str {
-        match self {
-            AggName::Sum => "SUM",
-            AggName::Avg => "AVG",
-            AggName::Min => "MIN",
-            AggName::Max => "MAX",
-            AggName::Count => "COUNT",
-        }
-    }
 }
 
 /// A scalar SQL expression.
@@ -208,17 +170,6 @@ pub enum JoinKind {
     Anti,
 }
 
-impl JoinKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            JoinKind::Inner => "JOIN",
-            JoinKind::Left => "LEFT JOIN",
-            JoinKind::Semi => "SEMI JOIN",
-            JoinKind::Anti => "ANTI JOIN",
-        }
-    }
-}
-
 /// A FROM-clause relation tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FromNode {
@@ -282,318 +233,4 @@ pub struct Statement {
     pub ctes: Vec<(String, Select)>,
     /// The main query.
     pub body: Select,
-}
-
-// ---------------------------------------------------------------------------
-// Pretty-printer
-// ---------------------------------------------------------------------------
-
-fn fmt_value(v: &Value, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    match v {
-        Value::Int(n) => write!(f, "{n}"),
-        Value::Float(x) => write!(f, "{x:?}"),
-        Value::Str(s) => write!(f, "'{s}'"),
-        Value::Date(d) => write!(
-            f,
-            "DATE '{:04}-{:02}-{:02}'",
-            dates::year(*d),
-            dates::month(*d),
-            dates::day(*d)
-        ),
-        Value::Bool(true) => f.write_str("TRUE"),
-        Value::Bool(false) => f.write_str("FALSE"),
-        Value::Null => f.write_str("NULL"),
-    }
-}
-
-fn op_str(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "+",
-        BinOp::Sub => "-",
-        BinOp::Mul => "*",
-        BinOp::Div => "/",
-        BinOp::Eq => "=",
-        BinOp::Ne => "<>",
-        BinOp::Lt => "<",
-        BinOp::Le => "<=",
-        BinOp::Gt => ">",
-        BinOp::Ge => ">=",
-        BinOp::And => "AND",
-        BinOp::Or => "OR",
-    }
-}
-
-impl fmt::Display for SqlExpr {
-    /// Fully parenthesized form: every compound operand is wrapped, so the
-    /// printed text reparses to exactly this tree regardless of precedence.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SqlExpr::Col { qual, name, .. } => match qual {
-                Some(q) => write!(f, "{q}.{name}"),
-                None => f.write_str(name),
-            },
-            SqlExpr::Lit(v) => fmt_value(v, f),
-            SqlExpr::Binary { op, lhs, rhs } => {
-                write!(f, "({lhs} {} {rhs})", op_str(*op))
-            }
-            SqlExpr::Not(e) => write!(f, "(NOT {e})"),
-            SqlExpr::Neg(e) => write!(f, "(- {e})"),
-            SqlExpr::IsNull { expr, negated } => {
-                write!(f, "({expr} IS {}NULL)", if *negated { "NOT " } else { "" })
-            }
-            SqlExpr::InList {
-                expr,
-                values,
-                negated,
-            } => {
-                write!(f, "({expr} {}IN (", if *negated { "NOT " } else { "" })?;
-                for (i, v) in values.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    fmt_value(v, f)?;
-                }
-                f.write_str("))")
-            }
-            SqlExpr::Like {
-                expr,
-                pattern,
-                negated,
-                ..
-            } => write!(
-                f,
-                "({expr} {}LIKE '{pattern}')",
-                if *negated { "NOT " } else { "" }
-            ),
-            SqlExpr::Func { name, args, .. } => {
-                write!(f, "{}(", name.as_str())?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                f.write_str(")")
-            }
-            SqlExpr::Agg {
-                func,
-                arg,
-                distinct,
-                ..
-            } => write!(
-                f,
-                "{}({}{arg})",
-                func.as_str(),
-                if *distinct { "DISTINCT " } else { "" }
-            ),
-            SqlExpr::Subquery { query, .. } => write!(f, "({query})"),
-        }
-    }
-}
-
-impl fmt::Display for FromNode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FromNode::Table { name, alias, .. } => match alias {
-                Some(a) => write!(f, "{name} {a}"),
-                None => f.write_str(name),
-            },
-            FromNode::Derived { query, alias, .. } => match alias {
-                Some(a) => write!(f, "({query}) {a}"),
-                None => write!(f, "({query})"),
-            },
-            FromNode::Join {
-                left,
-                right,
-                kind,
-                on,
-                ..
-            } => {
-                // Left-deep chains print flat; a join in right position needs
-                // parens to reparse with the same shape.
-                write!(f, "{left} {} ", kind.as_str())?;
-                if matches!(**right, FromNode::Join { .. }) {
-                    write!(f, "({right})")?;
-                } else {
-                    write!(f, "{right}")?;
-                }
-                write!(f, " ON {on}")
-            }
-        }
-    }
-}
-
-impl fmt::Display for Select {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("SELECT ")?;
-        for (i, item) in self.items.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            match item {
-                SelectItem::Star => f.write_str("*")?,
-                SelectItem::Expr { expr, alias } => match alias {
-                    Some(a) => write!(f, "{expr} AS {a}")?,
-                    None => write!(f, "{expr}")?,
-                },
-            }
-        }
-        write!(f, " FROM {}", self.from)?;
-        if let Some(w) = &self.where_ {
-            write!(f, " WHERE {w}")?;
-        }
-        if !self.group_by.is_empty() {
-            f.write_str(" GROUP BY ")?;
-            for (i, g) in self.group_by.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(", ")?;
-                }
-                write!(f, "{g}")?;
-            }
-        }
-        if let Some(h) = &self.having {
-            write!(f, " HAVING {h}")?;
-        }
-        if !self.order_by.is_empty() {
-            f.write_str(" ORDER BY ")?;
-            for (i, (name, asc, _)) in self.order_by.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(", ")?;
-                }
-                write!(f, "{name} {}", if *asc { "ASC" } else { "DESC" })?;
-            }
-        }
-        if let Some(n) = self.limit {
-            write!(f, " LIMIT {n}")?;
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Display for Statement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.ctes.is_empty() {
-            f.write_str("WITH ")?;
-            for (i, (name, sel)) in self.ctes.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(", ")?;
-                }
-                write!(f, "{name} AS ({sel})")?;
-            }
-            f.write_str(" ")?;
-        }
-        write!(f, "{}", self.body)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Canonicalization (level-2 cache key)
-// ---------------------------------------------------------------------------
-
-/// Returns a copy of `stmt` with CTE names renamed positionally to `c0…`
-/// and every FROM-item alias renamed to `t0…` (numbered per enclosing
-/// SELECT), with qualified column references rewritten to match. Printing
-/// the result yields the alias-insensitive cache key.
-pub fn canonicalize(stmt: &Statement) -> Statement {
-    let mut s = stmt.clone();
-    let cte_map: BTreeMap<String, String> = s
-        .ctes
-        .iter()
-        .enumerate()
-        .map(|(i, (n, _))| (n.clone(), format!("c{i}")))
-        .collect();
-    for (i, (name, sel)) in s.ctes.iter_mut().enumerate() {
-        *name = format!("c{i}");
-        canon_select(sel, &cte_map);
-    }
-    canon_select(&mut s.body, &cte_map);
-    s
-}
-
-fn canon_select(sel: &mut Select, ctes: &BTreeMap<String, String>) {
-    let mut amap: BTreeMap<String, String> = BTreeMap::new();
-    let mut k = 0usize;
-    canon_from(&mut sel.from, ctes, &mut amap, &mut k);
-    for item in &mut sel.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            rewrite_quals(expr, &amap, ctes);
-        }
-    }
-    if let Some(w) = &mut sel.where_ {
-        rewrite_quals(w, &amap, ctes);
-    }
-    for g in &mut sel.group_by {
-        rewrite_quals(g, &amap, ctes);
-    }
-    if let Some(h) = &mut sel.having {
-        rewrite_quals(h, &amap, ctes);
-    }
-}
-
-fn canon_from(
-    node: &mut FromNode,
-    ctes: &BTreeMap<String, String>,
-    amap: &mut BTreeMap<String, String>,
-    k: &mut usize,
-) {
-    match node {
-        FromNode::Table { name, alias, .. } => {
-            let eff = alias.clone().unwrap_or_else(|| name.clone());
-            let fresh = format!("t{k}");
-            *k += 1;
-            amap.insert(eff, fresh.clone());
-            *alias = Some(fresh);
-            if let Some(c) = ctes.get(name) {
-                *name = c.clone();
-            }
-        }
-        FromNode::Derived { query, alias, .. } => {
-            canon_select(query, ctes);
-            let fresh = format!("t{k}");
-            *k += 1;
-            if let Some(a) = alias.clone() {
-                amap.insert(a, fresh.clone());
-            }
-            *alias = Some(fresh);
-        }
-        FromNode::Join {
-            left, right, on, ..
-        } => {
-            canon_from(left, ctes, amap, k);
-            canon_from(right, ctes, amap, k);
-            rewrite_quals(on, amap, ctes);
-        }
-    }
-}
-
-fn rewrite_quals(
-    e: &mut SqlExpr,
-    amap: &BTreeMap<String, String>,
-    ctes: &BTreeMap<String, String>,
-) {
-    match e {
-        SqlExpr::Col { qual: Some(q), .. } => {
-            if let Some(n) = amap.get(q) {
-                *q = n.clone();
-            }
-        }
-        SqlExpr::Col { .. } | SqlExpr::Lit(_) => {}
-        SqlExpr::Binary { lhs, rhs, .. } => {
-            rewrite_quals(lhs, amap, ctes);
-            rewrite_quals(rhs, amap, ctes);
-        }
-        SqlExpr::Not(x) | SqlExpr::Neg(x) => rewrite_quals(x, amap, ctes),
-        SqlExpr::IsNull { expr, .. }
-        | SqlExpr::InList { expr, .. }
-        | SqlExpr::Like { expr, .. }
-        | SqlExpr::Agg { arg: expr, .. } => rewrite_quals(expr, amap, ctes),
-        SqlExpr::Func { args, .. } => {
-            for a in args {
-                rewrite_quals(a, amap, ctes);
-            }
-        }
-        // A subquery is its own scope (no correlated references in this
-        // dialect), so it gets a fresh alias numbering.
-        SqlExpr::Subquery { query, .. } => canon_select(query, ctes),
-    }
 }

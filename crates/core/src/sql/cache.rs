@@ -1,17 +1,10 @@
-//! Two-level plan cache keyed on normalized SQL text.
-//!
-//! Level 1 keys on the whitespace/case-normalized token string — a cheap
-//! lookup that short-circuits both parsing and planning. Level 2 keys on
-//! the printed *canonicalized* AST (table and column aliases renamed
-//! positionally), so queries that differ only in alias spelling share one
-//! plan. Both levels return the cached [`DfHandle`]; re-fetching a cached
-//! handle composes with the serving layer's canonical-hash result cache,
-//! which can then skip execution entirely.
+//! Plan cache keyed on the whitespace/case-normalized token string: a hit
+//! skips parsing and planning, and two different normalized texts never
+//! share a plan. Alias-insensitive reuse of *results* lives one layer
+//! down, in the id-renaming-invariant [`cache_key`](crate::tileable::cache_key)
+//! the session's result cache keys every fetch by (DESIGN.md §17).
 
 use std::collections::HashMap;
-use std::hash::Hasher;
-
-use xorbits_dataframe::hash::FxHasher;
 
 use crate::session::{DfHandle, Executor};
 
@@ -20,18 +13,14 @@ use crate::session::{DfHandle, Executor};
 pub struct PlanCacheStats {
     /// Hits on the normalized-text key (no parse, no plan).
     pub text_hits: u64,
-    /// Hits on the canonical-AST key (parsed, but not re-planned).
-    pub ast_hits: u64,
-    /// Full misses that required planning.
+    /// Misses that required parsing and planning.
     pub misses: u64,
 }
 
 /// Internal cache state guarded by the frontend's mutex.
 pub(crate) struct CacheState<E: Executor> {
-    /// Normalized token text -> canonical plan key.
-    by_text: HashMap<String, u64>,
-    /// Canonical plan key -> cached lazy handle.
-    plans: HashMap<u64, DfHandle<E>>,
+    /// Normalized token text -> cached lazy handle.
+    plans: HashMap<String, DfHandle<E>>,
     /// Counters.
     pub stats: PlanCacheStats,
 }
@@ -39,7 +28,6 @@ pub(crate) struct CacheState<E: Executor> {
 impl<E: Executor> Default for CacheState<E> {
     fn default() -> Self {
         CacheState {
-            by_text: HashMap::new(),
             plans: HashMap::new(),
             stats: PlanCacheStats::default(),
         }
@@ -47,34 +35,16 @@ impl<E: Executor> Default for CacheState<E> {
 }
 
 impl<E: Executor> CacheState<E> {
-    /// Level-1 lookup by normalized text; counts a text hit on success.
-    pub fn lookup_text(&mut self, norm: &str) -> Option<DfHandle<E>> {
-        let key = *self.by_text.get(norm)?;
-        let h = self.plans.get(&key)?.clone();
+    /// Looks `norm` up; counts a hit on success.
+    pub fn lookup(&mut self, norm: &str) -> Option<DfHandle<E>> {
+        let h = self.plans.get(norm)?.clone();
         self.stats.text_hits += 1;
         Some(h)
     }
 
-    /// Level-2 lookup by canonical-AST key; remembers the text alias and
-    /// counts an AST hit on success.
-    pub fn lookup_ast(&mut self, norm: &str, key: u64) -> Option<DfHandle<E>> {
-        let h = self.plans.get(&key)?.clone();
-        self.by_text.insert(norm.to_string(), key);
-        self.stats.ast_hits += 1;
-        Some(h)
-    }
-
     /// Records a freshly planned statement and counts a miss.
-    pub fn insert(&mut self, norm: &str, key: u64, handle: DfHandle<E>) {
-        self.by_text.insert(norm.to_string(), key);
-        self.plans.insert(key, handle);
+    pub fn insert(&mut self, norm: String, handle: DfHandle<E>) {
+        self.plans.insert(norm, handle);
         self.stats.misses += 1;
     }
-}
-
-/// Hashes the printed canonical AST into the level-2 key.
-pub(crate) fn ast_key(printed: &str) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(printed.as_bytes());
-    h.finish()
 }

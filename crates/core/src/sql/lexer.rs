@@ -176,7 +176,7 @@ pub fn lex(text: &str) -> Result<Vec<Token>, RawError> {
 }
 
 /// Renders the token stream as a whitespace/case-normalized string: the
-/// level-1 plan-cache key. Two texts that differ only in whitespace, the
+/// plan-cache key. Two texts that differ only in whitespace, the
 /// case of keywords/identifiers, or comments normalize identically; string
 /// literal contents are preserved.
 pub fn normalized_text(tokens: &[Token]) -> String {

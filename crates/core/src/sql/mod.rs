@@ -12,10 +12,11 @@
 //! tiling, and every executor apply unchanged — and results are
 //! bit-identical to the equivalent hand-built plan.
 //!
-//! [`SqlFrontend`] adds a two-level plan cache: normalized token text
-//! (whitespace/case-insensitive) short-circuits parse + plan, and a
-//! canonicalized-AST key (alias-insensitive) shares plans across alias
-//! renamings. See `DESIGN.md` §17.
+//! [`SqlFrontend`] adds a plan cache keyed on the normalized token text
+//! (whitespace/case-insensitive): a hit short-circuits parse + plan.
+//! Alias-renamed texts are different keys; their results meet again in
+//! the session's result cache, whose key is alias-blind. See `DESIGN.md`
+//! §17.
 
 pub mod ast;
 mod cache;
@@ -72,12 +73,6 @@ pub fn line_col(text: &str, offset: usize) -> (usize, usize) {
     (line, col)
 }
 
-/// Formats a positioned message the way every SQL-layer error reads.
-pub(crate) fn fmt_at(text: &str, at: usize, msg: &str) -> String {
-    let (line, column) = line_col(text, at);
-    format!("SQL error at line {line}, column {column}: {msg}")
-}
-
 /// A positioned SQL parse/bind error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SqlError {
@@ -121,11 +116,13 @@ impl From<SqlError> for XbError {
 
 /// Parses `text` into a [`Statement`](ast::Statement) without planning it.
 pub fn parse(text: &str) -> Result<ast::Statement, SqlError> {
-    parser::parse(text).map_err(|r| SqlError::from_raw(r, text))
+    lexer::lex(text)
+        .and_then(|toks| parser::parse(&toks, text.len()))
+        .map_err(|r| SqlError::from_raw(r, text))
 }
 
 /// Returns the whitespace/case-normalized token rendering of `text` — the
-/// level-1 plan-cache key.
+/// plan-cache key.
 pub fn normalize(text: &str) -> Result<String, SqlError> {
     let toks = lexer::lex(text).map_err(|r| SqlError::from_raw(r, text))?;
     Ok(lexer::normalized_text(&toks))
@@ -202,15 +199,15 @@ pub fn plan_sql<E: Executor>(
     plan::plan_statement(session, catalog, text, &stmt)
 }
 
-/// A session-scoped SQL entry point with a two-level plan cache.
+/// A session-scoped SQL entry point with a plan cache.
 ///
-/// `plan` (and `query`) first probe the normalized-text key — a hit skips
-/// parsing entirely. On a text miss the statement is parsed, its aliases
-/// canonicalized, and the printed canonical form hashed into the level-2
-/// key — a hit there reuses the plan across alias renamings. Only a full
-/// miss lowers onto the tileable graph. Cached plans are lazy handles into
-/// this frontend's [`Session`], so re-fetching them flows through the
-/// session's result cache (serving-layer lineage cache) when one is set.
+/// `plan` (and `query`) lex the text once: its normalized rendering is the
+/// cache key, and a hit returns the cached handle without parsing. A miss
+/// parses the same tokens and lowers them onto the tileable graph. Cached
+/// plans are lazy handles into this frontend's [`Session`], so re-fetching
+/// them flows through the session's result cache (serving-layer lineage
+/// cache) when one is set — which is also where an alias-renamed text,
+/// a plan-cache miss, finds its result.
 pub struct SqlFrontend<E: Executor> {
     session: Session<E>,
     catalog: Catalog,
@@ -239,25 +236,21 @@ impl<E: Executor> SqlFrontend<E> {
 
     /// Parses/plans `text` through the cache, returning the lazy handle.
     pub fn plan(&self, text: &str) -> XbResult<DfHandle<E>> {
-        let toks = lexer::lex(text).map_err(|r| XbError::from(SqlError::from_raw(r, text)))?;
+        let sql_err = |r| XbError::from(SqlError::from_raw(r, text));
+        let toks = lexer::lex(text).map_err(sql_err)?;
         let norm = lexer::normalized_text(&toks);
+        if let Some(h) = self
+            .state
+            .lock()
+            .expect("plan cache poisoned")
+            .lookup(&norm)
         {
-            let mut st = self.state.lock().expect("plan cache poisoned");
-            if let Some(h) = st.lookup_text(&norm) {
-                return Ok(h);
-            }
+            return Ok(h);
         }
-        let stmt = parse(text)?;
-        let key = cache::ast_key(&ast::canonicalize(&stmt).to_string());
-        {
-            let mut st = self.state.lock().expect("plan cache poisoned");
-            if let Some(h) = st.lookup_ast(&norm, key) {
-                return Ok(h);
-            }
-        }
+        let stmt = parser::parse(&toks, text.len()).map_err(sql_err)?;
         let handle = plan::plan_statement(&self.session, &self.catalog, text, &stmt)?;
         let mut st = self.state.lock().expect("plan cache poisoned");
-        st.insert(&norm, key, handle.clone());
+        st.insert(norm, handle.clone());
         Ok(handle)
     }
 

@@ -13,7 +13,7 @@
 use super::ast::{
     AggName, FromNode, FuncName, JoinKind, Select, SelectItem, SqlExpr, Statement, Value,
 };
-use super::lexer::{lex, Tok, Token};
+use super::lexer::{Tok, Token};
 use super::RawError;
 use xorbits_dataframe::dates;
 use xorbits_dataframe::expr::BinOp;
@@ -31,14 +31,13 @@ const RESERVED: &[&str] = &[
 ];
 
 /// Parses one statement (optionally `WITH`-prefixed, optionally
-/// `;`-terminated) from `text`.
-pub fn parse(text: &str) -> Result<Statement, RawError> {
-    let toks = lex(text)?;
+/// `;`-terminated) from the tokens of a text `len` bytes long.
+pub fn parse(toks: &[Token], len: usize) -> Result<Statement, RawError> {
     let mut p = P {
-        toks: &toks,
+        toks,
         i: 0,
         depth: 0,
-        eof_at: text.len(),
+        eof_at: len,
     };
     let stmt = p.statement()?;
     p.eat_sym(";");

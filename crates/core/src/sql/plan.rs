@@ -24,7 +24,7 @@ use xorbits_dataframe::expr::{col, lit, BinOp, Expr, Func};
 use xorbits_dataframe::{AggFunc, AggSpec, JoinType, Scalar};
 
 use super::ast::{AggName, FromNode, FuncName, JoinKind, Select, SelectItem, SqlExpr, Statement};
-use super::Catalog;
+use super::{Catalog, RawError, SqlError};
 use crate::error::{XbError, XbResult};
 use crate::session::{DfHandle, Executor, Session};
 
@@ -86,7 +86,7 @@ struct Planner<'a, E: Executor> {
 
 impl<'a, E: Executor> Planner<'a, E> {
     fn serr(&self, at: usize, msg: impl Into<String>) -> XbError {
-        XbError::Plan(super::fmt_at(self.text, at, &msg.into()))
+        SqlError::from_raw(RawError::new(at, msg), self.text).into()
     }
 
     fn err_expr(&self, e: &SqlExpr, msg: impl Into<String>) -> XbError {

@@ -65,11 +65,10 @@ pub struct ClusterSpec {
     /// [`EncodingMode::Plain`]). A chunk is measured the first time it
     /// crosses workers or spills, never before, and the host seconds that
     /// pass takes are charged to virtual time as the mode's codec CPU.
-    /// Defaults to the `XORBITS_ENCODING` env knob so v1-vs-v2 A/B runs
-    /// need no rebuild.
+    /// Defaults to [`EncodingMode::Auto`].
     pub encoding: EncodingMode,
     /// Mid-run skew-aware re-tiling of shuffle waves (dynamic tiling v2).
-    /// Defaults to the `XORBITS_RETILE` env knob.
+    /// Defaults to [`RetileMode::Off`].
     pub retile: RetileMode,
 }
 
@@ -99,8 +98,8 @@ impl ClusterSpec {
             deadline_seconds: None,
             fault_plan: None,
             retry: RetryPolicy::default(),
-            encoding: xorbits_storage::encoding_from_env(),
-            retile: xorbits_core::config::retile_from_env(),
+            encoding: EncodingMode::Auto,
+            retile: RetileMode::Off,
         }
     }
 
@@ -138,13 +137,13 @@ impl ClusterSpec {
         self
     }
 
-    /// Pins the chunk-transport encoding (overriding `XORBITS_ENCODING`).
+    /// Pins the chunk-transport encoding.
     pub fn with_encoding(mut self, encoding: EncodingMode) -> ClusterSpec {
         self.encoding = encoding;
         self
     }
 
-    /// Pins the mid-run re-tiling mode (overriding `XORBITS_RETILE`).
+    /// Pins the mid-run re-tiling mode.
     pub fn with_retile(mut self, mode: RetileMode) -> ClusterSpec {
         self.retile = mode;
         self

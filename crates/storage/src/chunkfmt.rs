@@ -90,8 +90,9 @@ const ENC_DICT_UTF8: u8 = 1;
 const ENC_DELTA_VARINT_I64: u8 = 2;
 
 /// Whether the encoder may choose compressed per-column encodings.
-/// Resolved once per service/executor from [`encoding_from_env`] unless
-/// pinned explicitly; `Plain` reproduces version-1 envelopes bit for bit.
+/// Chosen once per service/executor (`StorageConfig::encoding`,
+/// `ClusterSpec::with_encoding`); `Plain` reproduces version-1 envelopes
+/// bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EncodingMode {
     /// Always the version-1 plain layout.
@@ -99,16 +100,6 @@ pub enum EncodingMode {
     /// Per-column heuristic: DictUtf8 / DeltaVarintI64 when they win.
     #[default]
     Auto,
-}
-
-/// Reads the `XORBITS_ENCODING` knob: `plain` forces version-1 envelopes,
-/// anything else (or unset) means `auto`. Mirrors `XORBITS_THREADS` so
-/// v1-vs-v2 A/B runs need no rebuild.
-pub fn encoding_from_env() -> EncodingMode {
-    match std::env::var("XORBITS_ENCODING") {
-        Ok(v) if v.eq_ignore_ascii_case("plain") => EncodingMode::Plain,
-        _ => EncodingMode::Auto,
-    }
 }
 
 fn dtype_id(dt: DataType) -> u8 {

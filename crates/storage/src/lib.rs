@@ -37,7 +37,7 @@ pub mod service;
 
 pub use chunkfmt::{
     decode_chunk, decode_chunk_with, encode_chunk, encode_chunk_with_mode, encoded_size,
-    encoding_from_env, DecodeWorkspace, EncodeWorkspace, EncodedSize, EncodingMode,
+    DecodeWorkspace, EncodeWorkspace, EncodedSize, EncodingMode,
 };
 pub use error::{StorageError, StorageResult};
 pub use service::{SpillConfig, StorageConfig, StorageMetrics, StorageService};

@@ -40,8 +40,7 @@
 //! critical section.
 
 use crate::chunkfmt::{
-    decode_chunk_with, encoded_size, encoding_from_env, DecodeWorkspace, EncodeWorkspace,
-    EncodingMode,
+    decode_chunk_with, encoded_size, DecodeWorkspace, EncodeWorkspace, EncodingMode,
 };
 use crate::error::{StorageError, StorageResult};
 use crate::{ChunkMeta, ChunkValue};
@@ -65,8 +64,9 @@ pub enum SpillConfig {
     Dir(PathBuf),
 }
 
-/// Configuration of a [`StorageService`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Configuration of a [`StorageService`]. The default is unbounded, with
+/// no disk tier, under [`EncodingMode::Auto`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StorageConfig {
     /// Byte budget of the memory tier (`None` = unbounded, nothing ever
     /// evicts).
@@ -74,19 +74,8 @@ pub struct StorageConfig {
     /// Disk-tier policy.
     pub spill: SpillConfig,
     /// Spill-file encoding: `Auto` lets the per-column chooser compress,
-    /// `Plain` pins version-1 envelopes. The default resolves the
-    /// `XORBITS_ENCODING` env knob ([`encoding_from_env`]).
+    /// `Plain` pins version-1 envelopes.
     pub encoding: EncodingMode,
-}
-
-impl Default for StorageConfig {
-    fn default() -> StorageConfig {
-        StorageConfig {
-            memory_budget: None,
-            spill: SpillConfig::default(),
-            encoding: encoding_from_env(),
-        }
-    }
 }
 
 /// Cumulative counters plus a point-in-time snapshot of the tier state.

@@ -6,7 +6,8 @@
 //! This pins the fix for a leak where `LocalExecutor::release` only
 //! dropped chunk *metadata*, so a long fetch with mid-flight refcount
 //! releases accumulated one orphaned `chunk-*.xbc` file per released
-//! spilled chunk until the whole fetch ended.
+//! spilled chunk until the whole fetch ended. The retention tests run
+//! under both encodings: the plain path is the compatibility fallback.
 
 use std::path::{Path, PathBuf};
 use xorbits_dataframe::{Column, DataFrame, Scalar};
@@ -44,113 +45,123 @@ fn files_on_disk(dir: &Path) -> Vec<String> {
     out
 }
 
+const ENCODINGS: [EncodingMode; 2] = [EncodingMode::Plain, EncodingMode::Auto];
+
 /// Budget fits one ~800-byte chunk, so every additional put spills one.
-fn service(dir: &Path) -> StorageService {
+fn service(dir: &Path, encoding: EncodingMode) -> StorageService {
     StorageService::new(StorageConfig {
         memory_budget: Some(1000),
         spill: SpillConfig::Dir(dir.to_path_buf()),
-        ..Default::default()
+        encoding,
     })
     .unwrap()
 }
 
 #[test]
 fn remove_deletes_the_spill_file_mid_run() {
-    let dir = test_dir("remove");
-    let s = service(&dir);
-    for k in 0..4u64 {
-        s.put(k, df_chunk(k as i64, 100)).unwrap();
-    }
-    let spilled_before = s.metrics().spill_files;
-    assert!(spilled_before >= 3, "budget must force spilling");
-    assert_eq!(files_on_disk(&dir).len(), spilled_before);
+    for enc in ENCODINGS {
+        let dir = test_dir(&format!("remove-{enc:?}"));
+        let s = service(&dir, enc);
+        for k in 0..4u64 {
+            s.put(k, df_chunk(k as i64, 100)).unwrap();
+        }
+        let spilled_before = s.metrics().spill_files;
+        assert!(spilled_before >= 3, "budget must force spilling");
+        assert_eq!(files_on_disk(&dir).len(), spilled_before);
 
-    // the executor `release` path: refcounts hit zero mid-fetch
-    s.remove(0);
-    s.remove(1);
-    assert_eq!(
-        s.metrics().spill_files,
-        spilled_before - 2,
-        "metric still counts released chunks"
-    );
-    assert_eq!(
-        files_on_disk(&dir).len(),
-        spilled_before - 2,
-        "released chunks leaked their spill files on disk"
-    );
-    assert!(!s.contains(0) && !s.contains(1));
+        // the executor `release` path: refcounts hit zero mid-fetch
+        s.remove(0);
+        s.remove(1);
+        assert_eq!(
+            s.metrics().spill_files,
+            spilled_before - 2,
+            "metric still counts released chunks"
+        );
+        assert_eq!(
+            files_on_disk(&dir).len(),
+            spilled_before - 2,
+            "released chunks leaked their spill files on disk"
+        );
+        assert!(!s.contains(0) && !s.contains(1));
 
-    // the surviving spilled chunks still read back
-    for k in 2..4u64 {
-        assert_eq!(s.get(k).unwrap().rows(), 100, "chunk {k} lost its file");
+        // the surviving spilled chunks still read back
+        for k in 2..4u64 {
+            assert_eq!(s.get(k).unwrap().rows(), 100, "chunk {k} lost its file");
+        }
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    drop(s);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn clear_leaves_the_spill_dir_empty() {
-    let dir = test_dir("clear");
-    let s = service(&dir);
-    for k in 0..6u64 {
-        s.put(k, df_chunk(k as i64, 100)).unwrap();
-    }
-    assert!(s.metrics().spill_files > 0);
-    s.clear();
-    assert_eq!(s.metrics().spill_files, 0);
-    assert_eq!(
-        files_on_disk(&dir),
-        Vec::<String>::new(),
-        "clear() left spill files behind"
-    );
-    assert_eq!(s.resident_bytes(), 0);
+    for enc in ENCODINGS {
+        let dir = test_dir(&format!("clear-{enc:?}"));
+        let s = service(&dir, enc);
+        for k in 0..6u64 {
+            s.put(k, df_chunk(k as i64, 100)).unwrap();
+        }
+        assert!(s.metrics().spill_files > 0);
+        s.clear();
+        assert_eq!(s.metrics().spill_files, 0);
+        assert_eq!(
+            files_on_disk(&dir),
+            Vec::<String>::new(),
+            "clear() left spill files behind"
+        );
+        assert_eq!(s.resident_bytes(), 0);
 
-    // the directory stays usable for the next fetch
-    s.put(9, df_chunk(9, 100)).unwrap();
-    s.put(10, df_chunk(10, 100)).unwrap();
-    assert_eq!(s.metrics().spill_files, files_on_disk(&dir).len());
-    drop(s);
-    let _ = std::fs::remove_dir_all(&dir);
+        // the directory stays usable for the next fetch
+        s.put(9, df_chunk(9, 100)).unwrap();
+        s.put(10, df_chunk(10, 100)).unwrap();
+        assert_eq!(s.metrics().spill_files, files_on_disk(&dir).len());
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
 fn re_store_under_the_same_key_drops_the_stale_file() {
-    let dir = test_dir("restore");
-    let s = service(&dir);
-    s.put(1, df_chunk(1, 100)).unwrap();
-    s.put(2, df_chunk(2, 100)).unwrap(); // one of the two spills
-    assert_eq!(s.metrics().spill_files, 1);
-    // replacing both keys releases the old entries, including whichever
-    // owned the spill file; only files of *current* spilled entries remain
-    s.put(1, df_chunk(3, 100)).unwrap();
-    s.put(2, df_chunk(4, 100)).unwrap();
-    assert_eq!(files_on_disk(&dir).len(), s.metrics().spill_files);
-    assert!(
-        files_on_disk(&dir).len() <= 1,
-        "stale envelope survived re-store"
-    );
-    drop(s);
-    let _ = std::fs::remove_dir_all(&dir);
+    for enc in ENCODINGS {
+        let dir = test_dir(&format!("restore-{enc:?}"));
+        let s = service(&dir, enc);
+        s.put(1, df_chunk(1, 100)).unwrap();
+        s.put(2, df_chunk(2, 100)).unwrap(); // one of the two spills
+        assert_eq!(s.metrics().spill_files, 1);
+        // replacing both keys releases the old entries, including whichever
+        // owned the spill file; only files of *current* spilled entries remain
+        s.put(1, df_chunk(3, 100)).unwrap();
+        s.put(2, df_chunk(4, 100)).unwrap();
+        assert_eq!(files_on_disk(&dir).len(), s.metrics().spill_files);
+        assert!(
+            files_on_disk(&dir).len() <= 1,
+            "stale envelope survived re-store"
+        );
+        drop(s);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Drop with `SpillConfig::Dir` removes its files but not the caller's
 /// directory.
 #[test]
 fn drop_cleans_files_but_keeps_caller_dir() {
-    let dir = test_dir("drop");
-    let s = service(&dir);
-    for k in 0..4u64 {
-        s.put(k, df_chunk(k as i64, 100)).unwrap();
+    for enc in ENCODINGS {
+        let dir = test_dir(&format!("drop-{enc:?}"));
+        let s = service(&dir, enc);
+        for k in 0..4u64 {
+            s.put(k, df_chunk(k as i64, 100)).unwrap();
+        }
+        assert!(!files_on_disk(&dir).is_empty());
+        drop(s);
+        assert!(dir.exists(), "service must not delete a caller-owned dir");
+        assert_eq!(
+            files_on_disk(&dir),
+            Vec::<String>::new(),
+            "drop leaked spill files"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert!(!files_on_disk(&dir).is_empty());
-    drop(s);
-    assert!(dir.exists(), "service must not delete a caller-owned dir");
-    assert_eq!(
-        files_on_disk(&dir),
-        Vec::<String>::new(),
-        "drop leaked spill files"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Pins the single-thread behaviour of the memory tier: a fixed script of

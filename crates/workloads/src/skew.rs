@@ -4,7 +4,7 @@
 //! maximally wrong: group keys and join keys follow a Zipf distribution,
 //! so one shuffle partition receives a large share of the rows while most
 //! partitions stay tiny. They exercise the mid-run skew-aware re-tiling
-//! path (`xorbits_core::retile`, surfaced through `XORBITS_RETILE` /
+//! path (`xorbits_core::retile`, switched on by
 //! [`xorbits_runtime::ClusterSpec::with_retile`]):
 //!
 //! * [`run_groupby_nunique`] — a non-decomposable aggregation, so the

@@ -1,13 +1,15 @@
 //! Acceptance test of the multi-level storage service (the issue's bar):
 //! a TPC-H query pipeline that OOMs on the memory-only budgeted executor
 //! must complete under the *same* budget once the disk tier is enabled,
-//! with results equal to the unbounded run.
+//! with results equal to the unbounded run — under both spill-file
+//! encodings (plain is the compatibility fallback and must not rot).
 
 use xorbits_core::config::XorbitsConfig;
 use xorbits_core::error::{XbError, XbResult};
 use xorbits_core::local::LocalExecutor;
 use xorbits_core::session::Session;
 use xorbits_dataframe::{col, dates, lit, AggFunc::*, AggSpec, DataFrame, Scalar};
+use xorbits_storage::{EncodingMode, SpillConfig, StorageConfig};
 use xorbits_workloads::tpch::TpchData;
 
 /// TPC-H Q1 (pricing summary report) against a local-executor session —
@@ -69,14 +71,25 @@ fn q1_ooms_without_spill_and_completes_with_it() {
     assert!(matches!(err, XbError::Oom { .. }), "got {err}");
 
     // same pipeline, same budget, spill enabled: completes and matches
-    let spill_sess = Session::new(
-        cfg(),
-        LocalExecutor::with_budget_and_spill(TIGHT_BUDGET).expect("spill dir"),
-    );
-    let out = q1(&spill_sess, &data).expect("spill-enabled Q1");
-    assert_eq!(out, expected, "spilled run must equal the unbounded run");
+    for encoding in [EncodingMode::Plain, EncodingMode::Auto] {
+        let exec = LocalExecutor::with_storage(StorageConfig {
+            memory_budget: Some(TIGHT_BUDGET),
+            spill: SpillConfig::TempDir,
+            encoding,
+        })
+        .expect("spill dir");
+        let spill_sess = Session::new(cfg(), exec);
+        let out = q1(&spill_sess, &data).expect("spill-enabled Q1");
+        assert_eq!(
+            out, expected,
+            "{encoding:?}: spilled run must equal the unbounded run"
+        );
 
-    // and the disk tier really was exercised
-    let stats = spill_sess.last_report().expect("report").stats;
-    assert!(stats.spilled_bytes > 0, "expected spill traffic, got none");
+        // and the disk tier really was exercised
+        let stats = spill_sess.last_report().expect("report").stats;
+        assert!(
+            stats.spilled_bytes > 0,
+            "{encoding:?}: expected spill traffic, got none"
+        );
+    }
 }

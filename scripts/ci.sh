@@ -121,14 +121,39 @@ if [[ -n "$strays" ]]; then
   exit 1
 fi
 
-# Structural gate (hard): environment knobs are read in three places — the
-# engine's in core/src/config.rs, the chunk format's in
-# storage/src/chunkfmt.rs, the bench harness's in bench/src/lib.rs. A new
-# `env::var` anywhere else under crates/*/src is a knob outside the loaders.
-echo "==> env knobs are read only by the three loaders"
-readers=$(grep -rl 'env::var' crates/*/src | sort | tr '\n' ' ')
-if [[ "$readers" != "crates/bench/src/lib.rs crates/core/src/config.rs crates/storage/src/chunkfmt.rs " ]]; then
-  echo "env::var may appear only in core/src/config.rs, storage/src/chunkfmt.rs and bench/src/lib.rs; found: $readers"
+# Structural gate (hard): the engine reads no environment. Every knob of a
+# library crate is a constructor argument; the `bench_*` targets' knobs are
+# read, validated, by crates/bench/src/lib.rs. Outside test modules
+# `env::var` / `env::var_os` appear under crates/*/src only there.
+echo "==> the engine reads no environment (env::var only in bench/src/lib.rs)"
+strays=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_tests = 0 }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  /env::var/ && FILENAME != "crates/bench/src/lib.rs" { print FILENAME ":" FNR ": " $0 }')
+if [[ -n "$strays" ]]; then
+  echo "env::var / env::var_os may appear under crates/*/src only in crates/bench/src/lib.rs; found:"
+  echo "$strays"
+  exit 1
+fi
+
+# Structural gate (hard): a SQL text has one canonical form, its normalized
+# token string. Alias-insensitive reuse is the result cache's job
+# (tileable::cache_key), so outside test modules nothing under
+# crates/core/src/sql canonicalizes or prints an AST (`canonicalize`,
+# `ast_key`, `lookup_ast`, `ast_hits`, an `impl fmt::Display for` other than
+# the error type's), and a positioned error is formatted in one place.
+echo "==> one plan-cache key, one error formatter (no AST canonicalizer or printer in core/src/sql)"
+strays=$(find crates/core/src/sql -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_tests = 0 }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  /canonicalize|ast_key|lookup_ast|ast_hits/ || (/impl fmt::Display for/ && !/for SqlError /) { print FILENAME ":" FNR ": " $0 }
+  /SQL error at line/ { formatters++ }
+  END { if (formatters != 1) print formatters + 0 " positioned-error formatters, want one" }')
+if [[ -n "$strays" ]]; then
+  echo "crates/core/src/sql must key plans on normalized text alone and format errors once; found:"
+  echo "$strays"
   exit 1
 fi
 
@@ -263,18 +288,13 @@ cargo test -q --release -p xorbits-storage --test chunkfmt_roundtrip
 echo "==> zero-allocation steady-state encode (counting global allocator)"
 cargo test -q --release -p xorbits-storage --test zero_alloc
 
-echo "==> spill smoke test (tight budget, disk tier, result equality)"
+# Both spill gates run their spill cases under EncodingMode::Plain and Auto:
+# the plain path is the compatibility fallback and must not rot.
+echo "==> spill smoke test (tight budget, disk tier, result equality, both encodings)"
 cargo test -q --release -p xorbits-workloads --test spill_acceptance
 
-echo "==> spill-file retention regression (release/clear delete disk-tier files)"
+echo "==> spill-file retention regression (release/clear delete disk-tier files, both encodings)"
 cargo test -q --release -p xorbits-storage --test spill_files
-
-# Encoding A/B (hard): the same spill gates must hold with the v2
-# encodings forced OFF — the plain path is the compatibility fallback and
-# must never rot behind the default-auto knob.
-echo "==> spill gates under XORBITS_ENCODING=plain (v1 fallback A/B)"
-XORBITS_ENCODING=plain cargo test -q --release -p xorbits-workloads --test spill_acceptance
-XORBITS_ENCODING=plain cargo test -q --release -p xorbits-storage --test spill_files
 
 # Fault-recovery gates (hard): the differential matrix runs all 22 TPC-H
 # queries under three pinned-seed fault schedules (worker kill, transient
@@ -330,13 +350,13 @@ cargo test -q --release -p xorbits-serving
 # SQL text and must be bit-identical to the hand-built tileable-graph
 # programs on the LocalExecutor, the 4-thread ParallelExecutor and the
 # SimExecutor, with plan-cache hit counters pinned across case /
-# whitespace / alias / literal variants. The property suite pins the
-# grammar itself: printing is a fixed point, canonicalization is
-# alias-insensitive and idempotent, malformed input is rejected with
-# consistent line/column positions, truncation never panics, and the
-# level-1 normalization key folds case but preserves string literals.
-# (The plan-cache x lineage-cache composition test rides the
-# xorbits-serving package gate above.)
+# whitespace / alias / literal variants, and a CTE never served the plan of
+# a table that shares its would-be canonical name. The property suite pins
+# the grammar itself: malformed input is rejected with consistent
+# line/column positions, deep nesting hits the recursion limit, truncation
+# never panics, and the plan-cache key folds case but preserves string
+# literals. (The plan-cache x lineage-cache composition test, alias-renamed
+# text included, rides the xorbits-serving package gate above.)
 echo "==> SQL-frontend equivalence matrix (22 TPC-H from SQL text, 3 executors)"
 cargo test -q --release --test sql_tpch
 

@@ -225,7 +225,7 @@ fn spliced_subtasks_are_dispatched_after_their_histogram_existed() {
     }
 }
 
-/// Balanced inputs: TPC-H must be bit-identical between `XORBITS_RETILE`
+/// Balanced inputs: TPC-H must be bit-identical between `RetileMode`
 /// auto and off, and the adaptive configuration must replay its counters
 /// exactly. (Whether any query triggers is the planner's business — the
 /// contract is that results never change and decisions are deterministic.)
@@ -245,7 +245,7 @@ fn tpch_auto_vs_off(queries: std::ops::RangeInclusive<u32>) {
         };
         let (off, _) = run(RetileMode::Off);
         let (auto, auto_stats) = run(RetileMode::Auto);
-        assert_eq!(off, auto, "Q{q}: XORBITS_RETILE=auto changed the result");
+        assert_eq!(off, auto, "Q{q}: RetileMode::Auto changed the result");
         let (auto2, auto2_stats) = run(RetileMode::Auto);
         assert_eq!(auto, auto2, "Q{q}: nondeterministic re-tiled result");
         assert_eq!(

@@ -9,17 +9,19 @@
 //! builds by hand.
 //!
 //! A second gate pins the plan-cache keying: a whitespace/case variant of
-//! a cached query hits the normalized-text level without reparsing, a
-//! table-alias renaming hits the canonical-AST level, and a literal change
-//! misses and replans.
+//! a cached query hits the normalized-text key without reparsing, while a
+//! table-alias renaming or a literal change is a different text that
+//! misses and replans — to the same result in the first case, and never
+//! to another text's plan.
 
 use xorbits::baselines::EngineKind;
 use xorbits::core::config::XorbitsConfig;
 use xorbits::core::local::LocalExecutor;
 use xorbits::core::parallel::ParallelExecutor;
 use xorbits::core::session::Session;
-use xorbits::core::sql::SqlFrontend;
-use xorbits::dataframe::DataFrame;
+use xorbits::core::sql::{run_sql, SqlFrontend};
+use xorbits::core::tileable::DfSource;
+use xorbits::dataframe::{Column, DataFrame};
 use xorbits::runtime::{ClusterSpec, SimExecutor};
 use xorbits::workloads::tpch::{run_query_on, run_query_sql, sql_text, tpch_catalog, TpchData};
 
@@ -122,63 +124,90 @@ fn limit_selecting_no_rows_is_an_empty_frame() {
     assert_eq!(none.schema().names(), vec!["l_orderkey"]);
 }
 
-/// Plan-cache keying: text-level hits skip parse+plan, AST-level hits
-/// survive alias renaming, literal changes miss.
+/// Plan-cache keying: normalized-text hits skip parse+plan; alias renaming
+/// and literal changes are different texts and miss.
 #[test]
 fn plan_cache_normalization_invariance() {
     let data = TpchData::new(SF).expect("tpch data");
     let catalog = tpch_catalog(&data).expect("catalog");
     let fe = SqlFrontend::new(Session::new(cfg(), LocalExecutor::new()), catalog);
+    let counts = || {
+        let stats = fe.cache_stats();
+        (stats.text_hits, stats.misses)
+    };
 
     // Q6 has no string literals, so upper-casing is a pure case change.
     let q6 = sql_text(6).expect("q6 text");
     let first = fe.query(q6).expect("q6");
-    let stats = fe.cache_stats();
-    assert_eq!((stats.text_hits, stats.ast_hits, stats.misses), (0, 0, 1));
+    assert_eq!(counts(), (0, 1));
 
     let shouted = q6.to_uppercase().replace(' ', "  \n ");
     let again = fe.query(&shouted).expect("q6 case/whitespace variant");
     assert_eq!(again, first, "normalized resubmission must reuse the plan");
-    let stats = fe.cache_stats();
     assert_eq!(
-        (stats.text_hits, stats.ast_hits, stats.misses),
-        (1, 0, 1),
-        "case/whitespace variant must hit the normalized-text level"
+        counts(),
+        (1, 1),
+        "case/whitespace variant must hit the normalized-text key"
     );
 
-    // Table-alias renaming changes the text key but canonicalizes to the
-    // same AST: level-2 hit.
+    // Table-alias renaming changes the text: a miss that replans to the
+    // same result.
     let base = "SELECT l_orderkey, l_quantity FROM lineitem big WHERE big.l_quantity < 10.0";
     let renamed = "SELECT l_orderkey, l_quantity FROM lineitem small WHERE small.l_quantity < 10.0";
     let b = fe.query(base).expect("aliased base");
-    let stats = fe.cache_stats();
-    assert_eq!((stats.text_hits, stats.ast_hits, stats.misses), (1, 0, 2));
+    assert_eq!(counts(), (1, 2));
     let r = fe.query(renamed).expect("alias-renamed variant");
     assert_eq!(r, b, "alias renaming must not change the result");
-    let stats = fe.cache_stats();
-    assert_eq!(
-        (stats.text_hits, stats.ast_hits, stats.misses),
-        (1, 1, 2),
-        "alias renaming must hit the canonical-AST level"
-    );
+    assert_eq!(counts(), (1, 3), "alias renaming is a different text");
 
-    // A literal change is a different query: full miss.
+    // A literal change is a different query: miss.
     let changed = "SELECT l_orderkey, l_quantity FROM lineitem big WHERE big.l_quantity < 20.0";
     let c = fe.query(changed).expect("literal-changed variant");
     assert!(
         c.num_rows() >= b.num_rows(),
         "looser predicate keeps at least as many rows"
     );
-    let stats = fe.cache_stats();
-    assert_eq!(
-        (stats.text_hits, stats.ast_hits, stats.misses),
-        (1, 1, 3),
-        "literal change must miss and replan"
-    );
+    assert_eq!(counts(), (1, 4), "literal change must miss and replan");
 
-    // Resubmitting the renamed text verbatim now hits at the text level
-    // (the alias mapping was remembered).
-    fe.query(renamed).expect("renamed resubmission");
+    // Resubmitting the renamed text verbatim hits its own key.
+    assert_eq!(fe.query(renamed).expect("renamed resubmission"), b);
+    assert_eq!(counts(), (2, 4));
+}
+
+/// A CTE and a catalog table are different relations whatever they are
+/// called: the second text below scans the two-row table `c0`, never the
+/// first text's 25-row CTE. (A cache key that renamed CTEs to `c0…`
+/// without looking at the catalog served the first plan to the second.)
+#[test]
+fn a_cte_never_shares_a_plan_with_a_table_of_its_canonical_name() {
+    let data = TpchData::new(SF).expect("tpch data");
+    let catalog = || {
+        let mut c = tpch_catalog(&data).expect("catalog");
+        let c0 = DataFrame::new(vec![("n_nationkey", Column::from_i64(vec![100, 200]))])
+            .expect("c0 frame");
+        c.add("c0", DfSource::materialized(c0))
+            .expect("register c0");
+        c
+    };
+    let fe = SqlFrontend::new(Session::new(cfg(), LocalExecutor::new()), catalog());
+    let cte = fe
+        .query("WITH x AS (SELECT n_nationkey FROM nation) SELECT n_nationkey FROM x")
+        .expect("CTE over nation");
+    assert_eq!(cte.num_rows(), 25);
+
+    let table = "WITH y AS (SELECT n_nationkey FROM nation) SELECT n_nationkey FROM c0";
+    let got = fe.query(table).expect("scan of table c0");
+    let fresh = run_sql(
+        &Session::new(cfg(), LocalExecutor::new()),
+        &catalog(),
+        table,
+    )
+    .expect("fresh session");
+    assert_eq!(fresh.num_rows(), 2);
+    assert_eq!(
+        got, fresh,
+        "the second text must not reuse the first's plan"
+    );
     let stats = fe.cache_stats();
-    assert_eq!((stats.text_hits, stats.ast_hits, stats.misses), (2, 1, 3));
+    assert_eq!((stats.text_hits, stats.misses), (0, 2));
 }
