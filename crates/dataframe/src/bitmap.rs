@@ -82,14 +82,14 @@ impl Bitmap {
 
     /// Number of 64-bit windows covering the view.
     #[inline]
-    fn num_words(&self) -> usize {
+    pub(crate) fn num_words(&self) -> usize {
         self.len.div_ceil(64)
     }
 
     /// Bits `[wi*64, wi*64+64)` of the view, packed LSB-first with any bits
     /// past `len` zeroed — the uniform unit all word-level ops run on.
     #[inline]
-    fn word(&self, wi: usize) -> u64 {
+    pub(crate) fn word(&self, wi: usize) -> u64 {
         let start = self.offset + wi * 64;
         let base = start / 64;
         let shift = start % 64;

@@ -180,10 +180,30 @@ impl<T: Copy + Default> PrimArr<T> {
             .collect()
     }
 
+    /// Compaction a mask word at a time into an exactly sized buffer: an
+    /// all-set word copies its 64 values as one run, an empty one is
+    /// skipped, any other walks its set bits.
     fn filter(&self, mask: &Bitmap) -> Self {
-        let values = mask.set_indices().map(|i| self.values[i]).collect();
+        let vals = self.values.as_slice();
+        let mut values = Vec::with_capacity(mask.count_set());
+        for wi in 0..mask.num_words() {
+            let base = wi * 64;
+            match mask.word(wi) {
+                0 => {}
+                u64::MAX => values.extend_from_slice(&vals[base..base + 64]),
+                mut m => {
+                    while m != 0 {
+                        values.push(vals[base + m.trailing_zeros() as usize]);
+                        m &= m - 1;
+                    }
+                }
+            }
+        }
         let validity = self.validity.as_ref().map(|v| v.filter(mask));
-        PrimArr { values, validity }
+        PrimArr {
+            values: Buffer::from_vec(values),
+            validity,
+        }
     }
 
     /// O(1): both the value buffer and the validity bitmap are views.
@@ -315,13 +335,13 @@ impl StrArr {
 
     /// Gathers rows into a fresh array: bytes are copied range-wise out of
     /// the shared byte buffer, never through `&str`/`String` values.
-    fn gather<I: Iterator<Item = usize>>(&self, indices: I, n_hint: usize) -> Self {
+    fn take(&self, indices: &[usize]) -> Self {
         let mut data = Vec::new();
-        let mut offsets = Vec::with_capacity(n_hint + 1);
+        let mut offsets = Vec::with_capacity(indices.len() + 1);
         offsets.push(0u32);
         match &self.validity {
             None => {
-                for i in indices {
+                for &i in indices {
                     let (s, e) = self.byte_range(i);
                     data.extend_from_slice(&self.data.as_slice()[s..e]);
                     offsets.push(data.len() as u32);
@@ -333,8 +353,8 @@ impl StrArr {
                 }
             }
             Some(v) => {
-                let mut vb = BitmapBuilder::with_capacity(n_hint);
-                for i in indices {
+                let mut vb = BitmapBuilder::with_capacity(indices.len());
+                for &i in indices {
                     if v.get(i) {
                         let (s, e) = self.byte_range(i);
                         data.extend_from_slice(&self.data.as_slice()[s..e]);
@@ -353,12 +373,52 @@ impl StrArr {
         }
     }
 
-    fn take(&self, indices: &[usize]) -> Self {
-        self.gather(indices.iter().copied(), indices.len())
-    }
-
+    /// Compaction a mask word at a time into buffers sized from the kept
+    /// row count and the mean row width. Where the mask word and the
+    /// validity word are both all-set, the 64 rows' bytes move as one copy
+    /// and their offsets shift by one delta; elsewhere rows are copied one
+    /// by one, and a null row keeps no bytes (as in `take`).
     fn filter(&self, mask: &Bitmap) -> Self {
-        self.gather(mask.set_indices(), mask.count_set())
+        let kept = mask.count_set();
+        let src = self.data.as_slice();
+        let offs = self.offsets.as_slice();
+        let mut data = Vec::with_capacity(self.viewed_bytes() * kept / self.len().max(1));
+        let mut offsets = Vec::with_capacity(kept + 1);
+        offsets.push(0u32);
+        for wi in 0..mask.num_words() {
+            let base = wi * 64;
+            let mut m = mask.word(wi);
+            let valid = self.validity.as_ref().map_or(u64::MAX, |v| v.word(wi));
+            if m == u64::MAX && valid == u64::MAX {
+                let (first, last) = (offs[base], offs[base + 64]);
+                let shift = data.len() as u32;
+                data.extend_from_slice(&src[first as usize..last as usize]);
+                offsets.extend(
+                    offs[base + 1..=base + 64]
+                        .iter()
+                        .map(|&o| o - first + shift),
+                );
+                continue;
+            }
+            while m != 0 {
+                let b = m.trailing_zeros() as usize;
+                if (valid >> b) & 1 == 1 {
+                    let i = base + b;
+                    data.extend_from_slice(&src[offs[i] as usize..offs[i + 1] as usize]);
+                }
+                offsets.push(data.len() as u32);
+                m &= m - 1;
+            }
+        }
+        StrArr {
+            data: Buffer::from_vec(data),
+            offsets: Buffer::from_vec(offsets),
+            validity: self
+                .validity
+                .as_ref()
+                .map(|v| v.filter(mask))
+                .filter(|v| v.count_set() < kept),
+        }
     }
 
     /// Gather by optional index; `None` yields a null row.

@@ -1,229 +1,482 @@
-//! Vectorized expression evaluation.
+//! Typed expression evaluation.
 //!
-//! [`eval`] walks an [`Expr`] tree, materialising one intermediate column per
-//! node. [`eval`] is also the body of the engine's fused elementwise
-//! operator: because the whole tree is evaluated inside a single chunk task,
-//! intermediates never hit the storage service — that is precisely the
-//! memory-traffic saving the paper attributes to operator-level fusion.
+//! [`eval`] walks an [`Expr`] tree once per chunk, and every node runs a
+//! kernel on the physical type of its operands: `i64`, `i32` dates, `f64`,
+//! UTF-8 bytes or packed booleans. A literal is a one-row operand and is
+//! never broadcast to the frame's length; a literal on the left flips the
+//! comparison. Predicates pack 64 rows into each `u64` word and combine
+//! validity word-wise, so a filter's intermediates are bitmaps of n/8
+//! bytes. Values are promoted to `f64` only where a numeric pair mixes
+//! `f64` with an integer type, and for division.
+//!
+//! [`eval`] is the body of the engine's fused elementwise step
+//! (`ChunkOp::DfMap` through `core::exec::apply_df_step`): the whole tree
+//! runs inside one chunk task, so no intermediate reaches the storage
+//! service — the memory-traffic saving the paper attributes to
+//! operator-level fusion.
 
 use crate::bitmap::Bitmap;
-use crate::column::{BoolArr, Column, PrimArr};
+use crate::column::{BoolArr, Column, PrimArr, StrArr};
 use crate::dates;
 use crate::error::{DfError, DfResult};
 use crate::expr::{BinOp, Expr, Func, UnOp};
 use crate::frame::DataFrame;
 use crate::hash::FxHashSet;
 use crate::scalar::{DataType, Scalar};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::hash::Hash;
+
+/// An evaluated node.
+enum Val<'a> {
+    /// One value per row of the frame.
+    Col(Cow<'a, Column>),
+    /// A literal, or a node over literals only, held as a one-row column.
+    Const(Column),
+}
+
+impl<'a> Val<'a> {
+    /// Applies a column kernel; a constant stays a constant.
+    fn map(self, f: impl FnOnce(&Column) -> DfResult<Column>) -> DfResult<Val<'a>> {
+        Ok(match self {
+            Val::Col(c) => Val::Col(Cow::Owned(f(&c)?)),
+            Val::Const(k) => Val::Const(f(&k)?),
+        })
+    }
+}
+
+/// Where the right operand of a binary kernel comes from.
+#[derive(Clone, Copy, PartialEq)]
+enum Side {
+    /// A column as long as the left one.
+    Col,
+    /// A one-row constant that stood on the right.
+    Lit,
+    /// A one-row constant that stood on the left.
+    LitLeft,
+}
+
+/// The right operand as a kernel reads it.
+#[derive(Clone, Copy)]
+enum Other<'a, T> {
+    Col(&'a [T]),
+    Lit(T),
+}
+
+impl Side {
+    fn of<T: Copy>(self, values: &[T]) -> Other<'_, T> {
+        match self {
+            Side::Col => Other::Col(values),
+            Side::Lit | Side::LitLeft => Other::Lit(values[0]),
+        }
+    }
+}
 
 /// Evaluates `expr` against `df`, returning a column of `df.num_rows()` rows.
 pub fn eval(df: &DataFrame, expr: &Expr) -> DfResult<Column> {
-    match expr {
-        Expr::Col(name) => Ok(df.column(name)?.clone()),
-        Expr::Lit(s) => {
-            let dtype = s.data_type().unwrap_or(DataType::Float64);
-            Ok(Column::full(df.num_rows(), s, dtype))
-        }
-        Expr::Binary { op, lhs, rhs } => {
-            let l = eval(df, lhs)?;
-            let r = eval(df, rhs)?;
-            eval_binary(*op, &l, &r)
-        }
-        Expr::Unary { op, expr } => {
-            let c = eval(df, expr)?;
-            eval_unary(*op, &c)
-        }
-        Expr::Call { func, expr } => {
-            let c = eval(df, expr)?;
-            eval_func(func, &c)
-        }
-        Expr::IsIn { expr, values } => {
-            let c = eval(df, expr)?;
-            eval_isin(&c, values)
-        }
-    }
+    Ok(match eval_val(df, expr)? {
+        Val::Col(c) => c.into_owned(),
+        // a constant expression's result is its one value on every row
+        Val::Const(k) => Column::full(df.num_rows(), &k.get(0), k.data_type()),
+    })
 }
 
 /// Evaluates a predicate and collapses it to a selection mask
 /// (null ⇒ row excluded, pandas boolean-indexing semantics).
 pub fn eval_mask(df: &DataFrame, expr: &Expr) -> DfResult<Bitmap> {
-    let c = eval(df, expr)?;
-    Ok(c.as_bool()?.to_mask())
+    Ok(match eval_val(df, expr)? {
+        Val::Col(c) => c.as_bool()?.to_mask(),
+        Val::Const(k) => Bitmap::new_set(df.num_rows(), k.as_bool()?.to_mask().get(0)),
+    })
 }
 
-fn eval_binary(op: BinOp, l: &Column, r: &Column) -> DfResult<Column> {
-    match op {
-        BinOp::And | BinOp::Or => eval_logical(op, l, r),
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => eval_arith(op, l, r),
-        _ => eval_compare(op, l, r),
+fn eval_val<'a>(df: &'a DataFrame, expr: &Expr) -> DfResult<Val<'a>> {
+    match expr {
+        Expr::Col(name) => Ok(Val::Col(Cow::Borrowed(df.column(name)?))),
+        Expr::Lit(s) => {
+            let dtype = s.data_type().unwrap_or(DataType::Float64);
+            Ok(Val::Const(Column::from_scalars(
+                std::slice::from_ref(s),
+                dtype,
+            )?))
+        }
+        Expr::Binary { op, lhs, rhs } => {
+            let op = *op;
+            Ok(match (eval_val(df, lhs)?, eval_val(df, rhs)?) {
+                (Val::Col(a), Val::Col(b)) => Val::Col(Cow::Owned(binary(op, &a, &b, Side::Col)?)),
+                (Val::Const(a), Val::Const(b)) => Val::Const(binary(op, &a, &b, Side::Col)?),
+                (Val::Col(c), Val::Const(k)) => {
+                    Val::Col(Cow::Owned(binary(op, &c, &k, Side::Lit)?))
+                }
+                (Val::Const(k), Val::Col(c)) => {
+                    Val::Col(Cow::Owned(binary(op, &c, &k, Side::LitLeft)?))
+                }
+            })
+        }
+        Expr::Unary { op, expr } => eval_val(df, expr)?.map(|c| unary(*op, c)),
+        Expr::Call { func, expr } => eval_val(df, expr)?.map(|c| call(func, c)),
+        Expr::IsIn { expr, values } => eval_val(df, expr)?.map(|c| isin(c, values)),
     }
 }
 
-/// Rejects mismatched operand lengths up front so the zip-based kernels
-/// below can never silently truncate to the shorter side.
-fn check_len(l: &Column, r: &Column) -> DfResult<()> {
-    if l.len() != r.len() {
+/// `l op r`; with a literal `side`, `r` is its one-row column.
+fn binary(op: BinOp, l: &Column, r: &Column, side: Side) -> DfResult<Column> {
+    // rejected up front so the zip-based kernels can never silently
+    // truncate to the shorter side
+    if side == Side::Col && l.len() != r.len() {
         return Err(DfError::LengthMismatch {
             expected: l.len(),
             found: r.len(),
         });
     }
-    Ok(())
+    match op {
+        BinOp::And | BinOp::Or => logical(op, l, r, side),
+        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith(op, l, r, side),
+        _ => compare(op, l, r, side),
+    }
 }
 
-fn eval_logical(op: BinOp, l: &Column, r: &Column) -> DfResult<Column> {
-    check_len(l, r)?;
-    let a = l.as_bool()?;
-    let b = r.as_bool()?;
-    // Null-as-false semantics: collapse to masks first.
-    let (am, bm) = (a.to_mask(), b.to_mask());
-    let out = match op {
-        BinOp::And => am.and(&bm),
-        BinOp::Or => am.or(&bm),
-        other => {
-            return Err(DfError::Unsupported(format!(
-                "{other:?} is not a logical operator"
-            )))
-        }
+/// Null-as-false `and` / `or`: both sides collapse to masks first.
+fn logical(op: BinOp, l: &Column, r: &Column, side: Side) -> DfResult<Column> {
+    let a = l.as_bool()?.to_mask();
+    let b = r.as_bool()?.to_mask();
+    let and = op == BinOp::And;
+    let out = match side {
+        Side::Col if and => a.and(&b),
+        Side::Col => a.or(&b),
+        Side::Lit | Side::LitLeft => match (and, b.get(0)) {
+            (true, true) | (false, false) => a,
+            (true, false) => Bitmap::new_set(a.len(), false),
+            (false, true) => Bitmap::new_set(a.len(), true),
+        },
     };
     Ok(Column::Bool(BoolArr::new(out)))
 }
 
-/// Integer fast path when both sides are Int64 and the op is not Div.
-fn eval_arith(op: BinOp, l: &Column, r: &Column) -> DfResult<Column> {
-    check_len(l, r)?;
-    // Resolve the op to a kernel once, outside the row loops; a
-    // non-arithmetic op is a typed error rather than a per-row panic.
-    let int_op: Option<fn(i64, i64) -> i64> = match op {
-        BinOp::Add => Some(i64::wrapping_add),
-        BinOp::Sub => Some(i64::wrapping_sub),
-        BinOp::Mul => Some(i64::wrapping_mul),
-        BinOp::Div => None, // division always promotes to f64
-        other => {
-            return Err(DfError::Unsupported(format!(
-                "{other:?} is not an arithmetic operator"
-            )))
-        }
-    };
-    if let (Column::Int64(a), Column::Int64(b), Some(f)) = (l, r, int_op) {
-        let values: Vec<i64> = a
-            .values
-            .iter()
-            .zip(&b.values)
-            .map(|(&x, &y)| f(x, y))
-            .collect();
-        let validity = merge_validity(&a.validity, &b.validity);
+/// Arithmetic. `Int64 ⊕ Int64` stays integer (wrapping) except for
+/// division; every other numeric pair promotes to `f64`.
+fn arith(op: BinOp, l: &Column, r: &Column, side: Side) -> DfResult<Column> {
+    let validity = merged_validity(l, r, side);
+    let flipped = side == Side::LitLeft;
+    if let (Column::Int64(a), Column::Int64(b), false) = (l, r, op == BinOp::Div) {
+        let b = side.of(&b.values);
+        let values = match op {
+            BinOp::Add => apply(&a.values, b, flipped, i64::wrapping_add),
+            BinOp::Sub => apply(&a.values, b, flipped, i64::wrapping_sub),
+            _ => apply(&a.values, b, flipped, i64::wrapping_mul),
+        };
         return Ok(Column::Int64(PrimArr {
             values: values.into(),
             validity,
         }));
     }
-    // General numeric path via f64.
-    let float_op: fn(f64, f64) -> f64 = match op {
-        BinOp::Add => |x, y| x + y,
-        BinOp::Sub => |x, y| x - y,
-        BinOp::Mul => |x, y| x * y,
-        _ => |x, y| x / y, // only Div remains after the match above
+    let (a, b) = (promote(l)?, promote(r)?);
+    let b = side.of(&b);
+    let values = match op {
+        BinOp::Add => apply(&a, b, flipped, |x, y| x + y),
+        BinOp::Sub => apply(&a, b, flipped, |x, y| x - y),
+        BinOp::Mul => apply(&a, b, flipped, |x, y| x * y),
+        _ => apply(&a, b, flipped, |x, y| x / y),
     };
-    let a = to_f64(l)?;
-    let b = to_f64(r)?;
-    let values: Vec<f64> = a
-        .values
-        .iter()
-        .zip(&b.values)
-        .map(|(&x, &y)| float_op(x, y))
-        .collect();
-    let validity = merge_validity(&a.validity, &b.validity);
     Ok(Column::Float64(PrimArr {
         values: values.into(),
         validity,
     }))
 }
 
-fn eval_compare(op: BinOp, l: &Column, r: &Column) -> DfResult<Column> {
-    check_len(l, r)?;
-    if !op.is_comparison() {
-        return Err(DfError::Unsupported(format!(
-            "{op:?} is not a comparison operator"
-        )));
+/// `f(a[i], b)` per row, operands in source order.
+fn apply<T: Copy, U>(a: &[T], b: Other<T>, flipped: bool, f: impl Fn(T, T) -> U) -> Vec<U> {
+    match b {
+        Other::Col(b) => a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect(),
+        Other::Lit(k) if flipped => a.iter().map(|&x| f(k, x)).collect(),
+        Other::Lit(k) => a.iter().map(|&x| f(x, k)).collect(),
     }
-    let n = l.len();
-    let mut values = Bitmap::new_set(n, false);
-    let mut validity = Bitmap::new_set(n, true);
-    let mut any_null = false;
-
-    // String comparison path.
-    if let (Column::Utf8(a), Column::Utf8(b)) = (l, r) {
-        for i in 0..n {
-            match (a.get(i), b.get(i)) {
-                (Some(x), Some(y)) => {
-                    let c = x.cmp(y);
-                    values.set(i, cmp_holds(op, c));
-                }
-                _ => {
-                    any_null = true;
-                    validity.set(i, false);
-                }
-            }
-        }
-    } else if l.data_type() == DataType::Bool && r.data_type() == DataType::Bool {
-        let a = l.as_bool()?;
-        let b = r.as_bool()?;
-        for i in 0..n {
-            match (a.get(i), b.get(i)) {
-                (Some(x), Some(y)) => values.set(i, cmp_holds(op, x.cmp(&y))),
-                _ => {
-                    any_null = true;
-                    validity.set(i, false);
-                }
-            }
-        }
-    } else {
-        let a = to_f64(l)?;
-        let b = to_f64(r)?;
-        for i in 0..n {
-            match (a.get(i), b.get(i)) {
-                (Some(x), Some(y)) => values.set(i, cmp_holds(op, x.total_cmp(&y))),
-                _ => {
-                    any_null = true;
-                    validity.set(i, false);
-                }
-            }
-        }
-    }
-    Ok(Column::Bool(BoolArr {
-        values,
-        validity: if any_null { Some(validity) } else { None },
-    }))
 }
 
-/// Maps a comparison op to its ordering predicate. Non-comparison ops were
-/// rejected by `eval_compare` before any row is visited.
-fn cmp_holds(op: BinOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
+/// A numeric column as `f64` — the promotion of mixed-type arithmetic,
+/// division and rounding. Booleans count as 0/1 (pandas semantics, e.g.
+/// `revenue * (name == 'BRAZIL')`).
+fn promote(c: &Column) -> DfResult<Cow<'_, [f64]>> {
+    Ok(match c {
+        Column::Float64(a) => Cow::Borrowed(&a.values),
+        Column::Int64(a) => Cow::Owned(a.values.iter().map(|&v| v as f64).collect()),
+        Column::Date(a) => Cow::Owned(a.values.iter().map(|&v| f64::from(v)).collect()),
+        Column::Bool(a) => Cow::Owned(a.values.iter().map(|b| f64::from(u8::from(b))).collect()),
+        Column::Utf8(_) => return Err(not_numeric(c)),
+    })
+}
+
+fn not_numeric(c: &Column) -> DfError {
+    DfError::TypeMismatch {
+        expected: "numeric".into(),
+        found: c.data_type().to_string(),
+    }
+}
+
+/// Validity of `l op r`: the AND of both sides'; a null literal nulls
+/// every row.
+fn merged_validity(l: &Column, r: &Column, side: Side) -> Option<Bitmap> {
+    let r = match side {
+        Side::Col => r.validity().cloned(),
+        _ if r.is_valid(0) => None,
+        _ => (!l.is_empty()).then(|| Bitmap::new_set(l.len(), false)),
+    };
+    match (l.validity(), r) {
+        (None, r) => r,
+        (Some(v), None) => Some(v.clone()),
+        (Some(v), Some(w)) => Some(v.and(&w)),
+    }
+}
+
+/// A numeric column as the physical type its comparisons run on.
+enum Num<'a> {
+    I64(&'a [i64]),
+    I32(&'a [i32]),
+    F64(&'a [f64]),
+}
+
+fn num(c: &Column) -> DfResult<Num<'_>> {
+    match c {
+        Column::Int64(a) => Ok(Num::I64(&a.values)),
+        Column::Date(a) => Ok(Num::I32(&a.values)),
+        Column::Float64(a) => Ok(Num::F64(&a.values)),
+        other => Err(not_numeric(other)),
+    }
+}
+
+/// Booleans meet numbers as 0/1.
+fn bool_as_int(c: &Column) -> Cow<'_, Column> {
+    match c {
+        Column::Bool(b) => Cow::Owned(Column::Int64(PrimArr {
+            values: b.values.iter().map(i64::from).collect(),
+            validity: b.validity.clone(),
+        })),
+        other => Cow::Borrowed(other),
+    }
+}
+
+/// `f64::total_cmp` as an integer order: keys compare exactly as the
+/// floats do under `total_cmp` (−0.0 before +0.0, NaN after +∞).
+#[inline(always)]
+fn fkey(x: f64) -> i64 {
+    let b = x.to_bits() as i64;
+    b ^ (((b >> 63) as u64) >> 1) as i64
+}
+
+/// The mirror of a comparison: `k op x` ⟺ `x flip(op) k`.
+fn flip(op: BinOp) -> BinOp {
     match op {
-        BinOp::Eq => ord == Equal,
-        BinOp::Ne => ord != Equal,
-        BinOp::Lt => ord == Less,
-        BinOp::Le => ord != Greater,
-        BinOp::Gt => ord == Greater,
-        _ => ord != Less, // BinOp::Ge
+        BinOp::Lt => BinOp::Gt,
+        BinOp::Le => BinOp::Ge,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::Ge => BinOp::Le,
+        other => other,
     }
 }
 
-fn eval_unary(op: UnOp, c: &Column) -> DfResult<Column> {
+/// A comparison as one packed predicate (`==`, `<` or `>`) and whether to
+/// invert its words: `!=`, `>=` and `<=` are complements on a total order.
+fn base_op(op: BinOp) -> (Ordering, bool) {
+    match op {
+        BinOp::Eq => (Ordering::Equal, false),
+        BinOp::Ne => (Ordering::Equal, true),
+        BinOp::Lt => (Ordering::Less, false),
+        BinOp::Ge => (Ordering::Less, true),
+        BinOp::Gt => (Ordering::Greater, false),
+        _ => (Ordering::Greater, true), // BinOp::Le
+    }
+}
+
+/// The six comparisons. Strings compare as bytes, booleans word-wise,
+/// `i64` and dates as integers, and `f64` — alone or against an integer
+/// type — under `total_cmp`.
+fn compare(op: BinOp, l: &Column, r: &Column, side: Side) -> DfResult<Column> {
+    let (op, side) = match side {
+        Side::LitLeft => (flip(op), Side::Lit),
+        other => (op, other),
+    };
+    let words = match (l, r) {
+        (Column::Utf8(a), Column::Utf8(b)) => str_cmp(op, a, b, side),
+        (Column::Bool(a), Column::Bool(b)) => bool_cmp(op, &a.values, &b.values, side),
+        _ => {
+            let (l, r) = (bool_as_int(l), bool_as_int(r));
+            num_cmp(op, num(&l)?, num(&r)?, side)
+        }
+    };
+    Ok(finish(words, l.len(), merged_validity(l, r, side)))
+}
+
+fn num_cmp(op: BinOp, a: Num, b: Num, side: Side) -> Vec<u64> {
+    use std::convert::identity as id;
+    use Num::{F64, I32, I64};
+    match (a, b) {
+        (I32(x), I32(y)) => cmp_words(op, x, side.of(y), id, id),
+        (I64(x), I64(y)) => cmp_words(op, x, side.of(y), id, id),
+        (I64(x), I32(y)) => cmp_words(op, x, side.of(y), id, i64::from),
+        (I32(x), I64(y)) => cmp_words(op, x, side.of(y), i64::from, id),
+        (F64(x), F64(y)) => cmp_words(op, x, side.of(y), fkey, fkey),
+        (F64(x), I64(y)) => cmp_words(op, x, side.of(y), fkey, |v| fkey(v as f64)),
+        (F64(x), I32(y)) => cmp_words(op, x, side.of(y), fkey, |v| fkey(f64::from(v))),
+        (I64(x), F64(y)) => cmp_words(op, x, side.of(y), |v| fkey(v as f64), fkey),
+        (I32(x), F64(y)) => cmp_words(op, x, side.of(y), |v| fkey(f64::from(v)), fkey),
+    }
+}
+
+/// `ka(a[i]) op kb(b)` packed per row: one loop per predicate, picked
+/// outside the rows.
+fn cmp_words<A: Copy, B: Copy, K: Ord + Copy>(
+    op: BinOp,
+    a: &[A],
+    b: Other<B>,
+    ka: impl Fn(A) -> K + Copy,
+    kb: impl Fn(B) -> K + Copy,
+) -> Vec<u64> {
+    let (want, negate) = base_op(op);
+    let mut words = match b {
+        Other::Col(b) => match want {
+            Ordering::Equal => pack2(a, b, |x, y| ka(x) == kb(y)),
+            Ordering::Less => pack2(a, b, |x, y| ka(x) < kb(y)),
+            Ordering::Greater => pack2(a, b, |x, y| ka(x) > kb(y)),
+        },
+        Other::Lit(k) => {
+            let k = kb(k);
+            match want {
+                Ordering::Equal => pack(a, |x| ka(x) == k),
+                Ordering::Less => pack(a, |x| ka(x) < k),
+                Ordering::Greater => pack(a, |x| ka(x) > k),
+            }
+        }
+    };
+    if negate {
+        words.iter_mut().for_each(|w| *w = !*w);
+    }
+    words
+}
+
+/// Row `i`'s bytes, straight out of the shared byte buffer.
+fn rows<'a>(a: &'a StrArr) -> impl Fn(usize) -> &'a [u8] + 'a {
+    let (data, offs) = (a.data_buffer().as_slice(), a.offsets_buffer().as_slice());
+    move |i| &data[offs[i] as usize..offs[i + 1] as usize]
+}
+
+/// Byte-wise comparison, which orders UTF-8 exactly as `str` does; a
+/// literal is compared as the borrowed `&str` it is.
+fn str_cmp(op: BinOp, a: &StrArr, b: &StrArr, side: Side) -> Vec<u64> {
+    let (ra, rb) = (rows(a), rows(b));
+    let (want, negate) = base_op(op);
+    let mut words = match side {
+        Side::Col => pack_idx(a.len(), |i| ra(i).cmp(rb(i)) == want),
+        _ => {
+            let k = rb(0);
+            if want == Ordering::Equal {
+                pack_idx(a.len(), |i| ra(i) == k)
+            } else {
+                pack_idx(a.len(), |i| ra(i).cmp(k) == want)
+            }
+        }
+    };
+    if negate {
+        words.iter_mut().for_each(|w| *w = !*w);
+    }
+    words
+}
+
+/// Booleans compare a word at a time (`false < true`).
+fn bool_cmp(op: BinOp, a: &Bitmap, b: &Bitmap, side: Side) -> Vec<u64> {
+    let f: fn(u64, u64) -> u64 = match op {
+        BinOp::Eq => |x, y| !(x ^ y),
+        BinOp::Ne => |x, y| x ^ y,
+        BinOp::Lt => |x, y| !x & y,
+        BinOp::Le => |x, y| !x | y,
+        BinOp::Gt => |x, y| x & !y,
+        _ => |x, y| x | !y, // BinOp::Ge
+    };
+    let words = 0..a.num_words();
+    match side {
+        Side::Col => words.map(|wi| f(a.word(wi), b.word(wi))).collect(),
+        _ => {
+            let k = if b.get(0) { u64::MAX } else { 0 };
+            words.map(|wi| f(a.word(wi), k)).collect()
+        }
+    }
+}
+
+/// The normal form of a predicate's result: the value bits of null rows
+/// are cleared, and `validity` is `None` when every row is valid.
+fn finish(mut words: Vec<u64>, n: usize, validity: Option<Bitmap>) -> Column {
+    let validity = validity.filter(|v| v.count_set() < n);
+    if let Some(v) = &validity {
+        clear_nulls(&mut words, v);
+    }
+    Column::Bool(BoolArr {
+        values: Bitmap::from_words(words, n),
+        validity,
+    })
+}
+
+fn clear_nulls(words: &mut [u64], validity: &Bitmap) {
+    for (w, v) in words.iter_mut().zip(validity.words_iter()) {
+        *w &= v;
+    }
+}
+
+/// Packs `bit(v)` of every value into LSB-first words, 64 rows a word: a
+/// fixed-length inner loop with no bounds check or branch, which the
+/// compiler vectorizes.
+fn pack<T: Copy>(vals: &[T], bit: impl Fn(T) -> bool) -> Vec<u64> {
+    let full = vals.len() / 64 * 64;
+    let mut words = Vec::with_capacity(vals.len().div_ceil(64));
+    for c in vals[..full].chunks_exact(64) {
+        let c: &[T; 64] = c.try_into().expect("a 64-value chunk");
+        words.push(word(c.iter().map(|&v| bit(v))));
+    }
+    if full < vals.len() {
+        words.push(word(vals[full..].iter().map(|&v| bit(v))));
+    }
+    words
+}
+
+/// [`pack`] over two slices of equal length.
+fn pack2<A: Copy, B: Copy>(a: &[A], b: &[B], bit: impl Fn(A, B) -> bool) -> Vec<u64> {
+    let full = a.len() / 64 * 64;
+    let mut words = Vec::with_capacity(a.len().div_ceil(64));
+    for (x, y) in a[..full].chunks_exact(64).zip(b[..full].chunks_exact(64)) {
+        let x: &[A; 64] = x.try_into().expect("a 64-value chunk");
+        let y: &[B; 64] = y.try_into().expect("a 64-value chunk");
+        words.push(word(x.iter().zip(y).map(|(&p, &q)| bit(p, q))));
+    }
+    if full < a.len() {
+        let tail = a[full..].iter().zip(&b[full..]);
+        words.push(word(tail.map(|(&p, &q)| bit(p, q))));
+    }
+    words
+}
+
+/// [`pack`] over row indices, for rows that are not fixed-width values.
+fn pack_idx(n: usize, mut bit: impl FnMut(usize) -> bool) -> Vec<u64> {
+    (0..n)
+        .step_by(64)
+        .map(|base| word((base..n.min(base + 64)).map(&mut bit)))
+        .collect()
+}
+
+#[inline(always)]
+fn word(bits: impl Iterator<Item = bool>) -> u64 {
+    bits.enumerate()
+        .fold(0, |w, (j, b)| w | (u64::from(b) << j))
+}
+
+fn unary(op: UnOp, c: &Column) -> DfResult<Column> {
     let n = c.len();
     match op {
         UnOp::Not => {
             let b = c.as_bool()?;
-            let values = b.values.not();
-            Ok(Column::Bool(BoolArr {
-                values,
-                validity: b.validity.clone(),
-            }))
+            let words = b.values.words_iter().map(|w| !w).collect();
+            Ok(finish(words, n, b.validity.clone()))
         }
         UnOp::Neg => match c {
             Column::Int64(a) => Ok(Column::Int64(PrimArr {
-                values: a.values.iter().map(|v| -v).collect(),
+                values: a.values.iter().map(|v| v.wrapping_neg()).collect(),
                 validity: a.validity.clone(),
             })),
             Column::Float64(a) => Ok(Column::Float64(PrimArr {
@@ -235,12 +488,18 @@ fn eval_unary(op: UnOp, c: &Column) -> DfResult<Column> {
                 other.data_type()
             ))),
         },
-        UnOp::IsNull => Ok(Column::from_bool((0..n).map(|i| !c.is_valid(i)).collect())),
-        UnOp::NotNull => Ok(Column::from_bool((0..n).map(|i| c.is_valid(i)).collect())),
+        UnOp::IsNull => Ok(Column::Bool(BoolArr::new(
+            c.validity()
+                .map_or_else(|| Bitmap::new_set(n, false), Bitmap::not),
+        ))),
+        UnOp::NotNull => Ok(Column::Bool(BoolArr::new(
+            c.validity()
+                .map_or_else(|| Bitmap::new_set(n, true), Bitmap::clone),
+        ))),
     }
 }
 
-fn eval_func(func: &Func, c: &Column) -> DfResult<Column> {
+fn call(func: &Func, c: &Column) -> DfResult<Column> {
     match func {
         Func::Year | Func::Month | Func::Day => {
             let a = c.as_date()?;
@@ -255,8 +514,8 @@ fn eval_func(func: &Func, c: &Column) -> DfResult<Column> {
                 .collect();
             Ok(Column::from_opt_i64(values))
         }
-        Func::StartsWith(p) => str_pred(c, |s| s.starts_with(p.as_str())),
-        Func::EndsWith(p) => str_pred(c, |s| s.ends_with(p.as_str())),
+        Func::StartsWith(p) => str_pred(c, |s| s.starts_with(p)),
+        Func::EndsWith(p) => str_pred(c, |s| s.ends_with(p)),
         Func::Contains(p) => str_pred(c, |s| s.contains(p.as_str())),
         Func::Substr { start, len } => {
             let a = c.as_utf8()?;
@@ -313,15 +572,13 @@ fn eval_func(func: &Func, c: &Column) -> DfResult<Column> {
             ))),
         },
         Func::Round(nd) => {
-            let a = to_f64(c)?;
             let factor = 10f64.powi(*nd as i32);
             Ok(Column::Float64(PrimArr {
-                values: a
-                    .values
+                values: promote(c)?
                     .iter()
                     .map(|v| (v * factor).round() / factor)
                     .collect(),
-                validity: a.validity,
+                validity: c.validity().cloned(),
             }))
         }
     }
@@ -329,92 +586,84 @@ fn eval_func(func: &Func, c: &Column) -> DfResult<Column> {
 
 fn str_pred(c: &Column, pred: impl Fn(&str) -> bool) -> DfResult<Column> {
     let a = c.as_utf8()?;
-    let n = a.len();
-    let mut values = Bitmap::new_set(n, false);
-    let mut validity = Bitmap::new_set(n, true);
-    let mut any_null = false;
-    for i in 0..n {
-        match a.get(i) {
-            Some(s) => values.set(i, pred(s)),
-            None => {
-                any_null = true;
-                validity.set(i, false);
-            }
-        }
-    }
-    Ok(Column::Bool(BoolArr {
-        values,
-        validity: if any_null { Some(validity) } else { None },
-    }))
+    let words = pack_idx(a.len(), |i| pred(a.value(i)));
+    Ok(finish(words, a.len(), c.validity().cloned()))
 }
 
-fn eval_isin(c: &Column, values: &[Scalar]) -> DfResult<Column> {
-    let n = c.len();
-    match c {
+/// Membership in a literal set. Null rows are not members and the result
+/// has no nulls. A probe matches where `==` against it would: strings
+/// match string probes; integer and date columns match integer, date and
+/// bool probes exactly and float probes in `f64`; float columns match
+/// every numeric probe as `f64`, bit for bit like `total_cmp`.
+fn isin(c: &Column, values: &[Scalar]) -> DfResult<Column> {
+    let mut words = match c {
         Column::Utf8(a) => {
-            let set: FxHashSet<&str> = values.iter().filter_map(|v| v.as_str()).collect();
-            Ok(Column::from_bool(
-                (0..n)
-                    .map(|i| a.get(i).is_some_and(|s| set.contains(s)))
-                    .collect(),
-            ))
-        }
-        // All numeric columns (Int64, Float64, Date) probe one f64 bit-pattern
-        // set built via `Scalar::as_f64`, so cross-type probe literals (int
-        // literal vs float column and vice versa) coerce exactly like
-        // `eval_compare`'s `to_f64` path: membership ⟺ total_cmp == Equal.
-        Column::Int64(_) | Column::Float64(_) | Column::Date(_) => {
-            let set: FxHashSet<u64> = values
+            let probes: Vec<&[u8]> = values
                 .iter()
-                .filter_map(|v| v.as_f64())
+                .filter_map(Scalar::as_str)
+                .map(str::as_bytes)
+                .collect();
+            member(a.len(), rows(a), &probes)
+        }
+        Column::Float64(a) => {
+            let probes: Vec<u64> = values
+                .iter()
+                .filter_map(Scalar::as_f64)
                 .map(f64::to_bits)
                 .collect();
-            let a = to_f64(c)?;
-            Ok(Column::from_bool(
-                (0..n)
-                    .map(|i| a.get(i).is_some_and(|v| set.contains(&v.to_bits())))
-                    .collect(),
-            ))
+            let vals = a.values.as_slice();
+            member(vals.len(), |i| vals[i].to_bits(), &probes)
         }
-        other => Err(DfError::Unsupported(format!(
-            "isin on {}",
-            other.data_type()
-        ))),
+        Column::Int64(a) => int_isin(&a.values, |v| v, values),
+        Column::Date(a) => int_isin(&a.values, i64::from, values),
+        other => {
+            return Err(DfError::Unsupported(format!(
+                "isin on {}",
+                other.data_type()
+            )))
+        }
+    };
+    if let Some(v) = c.validity() {
+        clear_nulls(&mut words, v);
     }
+    Ok(Column::Bool(BoolArr::new(Bitmap::from_words(
+        words,
+        c.len(),
+    ))))
 }
 
-fn to_f64(c: &Column) -> DfResult<PrimArr<f64>> {
-    match c {
-        Column::Float64(a) => Ok(a.clone()),
-        Column::Int64(a) => Ok(PrimArr {
-            values: a.values.iter().map(|&v| v as f64).collect(),
-            validity: a.validity.clone(),
-        }),
-        Column::Date(a) => Ok(PrimArr {
-            values: a.values.iter().map(|&v| v as f64).collect(),
-            validity: a.validity.clone(),
-        }),
-        // pandas semantics: booleans participate in arithmetic as 0/1
-        // (e.g. `revenue * (name == "BRAZIL")` in TPC-H Q8 ports)
-        Column::Bool(a) => Ok(PrimArr {
-            values: (0..a.len())
-                .map(|i| if a.values.get(i) { 1.0 } else { 0.0 })
-                .collect(),
-            validity: a.validity.clone(),
-        }),
-        other => Err(DfError::TypeMismatch {
-            expected: "numeric".into(),
-            found: other.data_type().to_string(),
-        }),
+fn int_isin<T: Copy>(vals: &[T], wide: impl Fn(T) -> i64 + Copy, values: &[Scalar]) -> Vec<u64> {
+    let ints: Vec<i64> = values
+        .iter()
+        .filter_map(|v| match v {
+            Scalar::Int(i) => Some(*i),
+            Scalar::Date(d) => Some(i64::from(*d)),
+            Scalar::Bool(b) => Some(i64::from(*b)),
+            _ => None,
+        })
+        .collect();
+    let floats: Vec<u64> = values
+        .iter()
+        .filter_map(|v| match v {
+            Scalar::Float(f) => Some(f.to_bits()),
+            _ => None,
+        })
+        .collect();
+    let mut words = member(vals.len(), |i| wide(vals[i]), &ints);
+    if !floats.is_empty() {
+        let as_float = member(vals.len(), |i| (wide(vals[i]) as f64).to_bits(), &floats);
+        for (w, f) in words.iter_mut().zip(as_float) {
+            *w |= f;
+        }
     }
+    words
 }
 
-fn merge_validity(a: &Option<Bitmap>, b: &Option<Bitmap>) -> Option<Bitmap> {
-    match (a, b) {
-        (None, None) => None,
-        (Some(v), None) | (None, Some(v)) => Some(v.clone()),
-        (Some(x), Some(y)) => Some(x.and(y)),
-    }
+/// Packs whether `key(i)` is one of `probes`, through a hash set of the
+/// typed keys.
+fn member<K: Copy + Eq + Hash>(n: usize, key: impl Fn(usize) -> K, probes: &[K]) -> Vec<u64> {
+    let set: FxHashSet<K> = probes.iter().copied().collect();
+    pack_idx(n, |i| set.contains(&key(i)))
 }
 
 #[cfg(test)]
@@ -566,41 +815,112 @@ mod tests {
     fn length_mismatch_is_typed_error() {
         let long = Column::from_i64(vec![1, 2, 3]);
         let short = Column::from_i64(vec![1]);
+        let (yes, no) = (
+            Column::from_bool(vec![true, false]),
+            Column::from_bool(vec![true]),
+        );
         for res in [
-            eval_arith(BinOp::Add, &long, &short),
-            eval_compare(BinOp::Lt, &long, &short),
-            eval_logical(
-                BinOp::And,
-                &Column::from_bool(vec![true, false]),
-                &Column::from_bool(vec![true]),
-            ),
+            binary(BinOp::Add, &long, &short, Side::Col),
+            binary(BinOp::Lt, &long, &short, Side::Col),
+            binary(BinOp::And, &yes, &no, Side::Col),
         ] {
-            assert!(matches!(
-                res,
-                Err(DfError::LengthMismatch {
-                    expected: _,
-                    found: _
-                })
-            ));
+            assert!(matches!(res, Err(DfError::LengthMismatch { .. })));
         }
     }
 
     #[test]
-    fn wrong_op_kind_is_typed_error_not_panic() {
-        let c = Column::from_i64(vec![1, 2]);
+    fn wrong_operand_type_is_typed_error_not_panic() {
+        let frame = df();
+        for e in [
+            col("s").add(lit(1i64)),
+            col("s").lt(lit(1i64)),
+            lit(1i64).gt(col("s")),
+            col("a").and(col("a")),
+            col("a").not(),
+        ] {
+            assert!(matches!(
+                eval(&frame, &e),
+                Err(DfError::TypeMismatch { .. })
+            ));
+        }
+        let b = DataFrame::new(vec![("b", Column::from_bool(vec![true]))]).unwrap();
         assert!(matches!(
-            eval_arith(BinOp::Eq, &c, &c),
+            eval(&b, &col("b").is_in([true])),
             Err(DfError::Unsupported(_))
         ));
-        assert!(matches!(
-            eval_compare(BinOp::Add, &c, &c),
-            Err(DfError::Unsupported(_))
-        ));
-        let b = Column::from_bool(vec![true, false]);
-        assert!(matches!(
-            eval_logical(BinOp::Mul, &b, &b),
-            Err(DfError::Unsupported(_))
-        ));
+    }
+
+    #[test]
+    fn literal_on_the_left_flips_the_comparison() {
+        let frame = df();
+        for (l, r) in [
+            (lit(2i64).lt(col("a")), col("a").gt(lit(2i64))),
+            (lit(2i64).le(col("a")), col("a").ge(lit(2i64))),
+            (lit("PROMO Z").gt(col("s")), col("s").lt(lit("PROMO Z"))),
+            (lit(1.5).ge(col("b")), col("b").le(lit(1.5))),
+        ] {
+            assert_eq!(eval(&frame, &l).unwrap(), eval(&frame, &r).unwrap());
+        }
+        // arithmetic keeps operand order
+        let c = eval(&frame, &lit(10i64).sub(col("a"))).unwrap();
+        assert_eq!(c, Column::from_i64(vec![9, 8, 7, 6]));
+        let c = eval(&frame, &lit(1.0).div(col("b"))).unwrap();
+        assert_eq!(c.get(0), Scalar::Float(2.0));
+    }
+
+    #[test]
+    fn constant_expressions_and_null_literals() {
+        let frame = df();
+        // a predicate over literals only selects every row or none
+        assert_eq!(
+            eval_mask(&frame, &lit(1i64).lt(lit(2i64)))
+                .unwrap()
+                .count_set(),
+            4
+        );
+        assert_eq!(
+            eval_mask(&frame, &lit(3i64).lt(lit(2i64)))
+                .unwrap()
+                .count_set(),
+            0
+        );
+        // a constant result column is its value on every row
+        let c = eval(&frame, &lit(2i64).mul(lit(3i64))).unwrap();
+        assert_eq!(c, Column::from_i64(vec![6; 4]));
+        // a null literal nulls every row of a comparison and of arithmetic
+        let c = eval(&frame, &col("a").gt(lit(Scalar::Null))).unwrap();
+        assert_eq!(c.null_count(), 4);
+        assert_eq!(c.as_bool().unwrap().values.count_set(), 0);
+        let c = eval(&frame, &col("a").add(lit(Scalar::Null))).unwrap();
+        assert_eq!(c.null_count(), 4);
+        // `and` with a literal
+        let m = eval_mask(&frame, &col("a").gt(lit(1i64)).and(lit(true))).unwrap();
+        assert_eq!(m.count_set(), 3);
+        let m = eval_mask(&frame, &lit(false).or(col("a").gt(lit(1i64)))).unwrap();
+        assert_eq!(m.count_set(), 3);
+    }
+
+    #[test]
+    fn not_keeps_null_value_bits_cleared() {
+        let d = DataFrame::new(vec![(
+            "x",
+            Column::from_opt_i64(vec![Some(1), None, Some(3)]),
+        )])
+        .unwrap();
+        let c = eval(&d, &col("x").gt(lit(2i64)).not()).unwrap();
+        let b = c.as_bool().unwrap();
+        assert_eq!(b.values, Bitmap::from_iter([true, false, false]));
+        assert_eq!(b.validity, Some(Bitmap::from_iter([true, false, true])));
+    }
+
+    #[test]
+    fn integers_compare_exactly_above_2_pow_53() {
+        let big = 1i64 << 53;
+        let d = DataFrame::new(vec![("x", Column::from_i64(vec![big, big + 1]))]).unwrap();
+        let m = eval_mask(&d, &col("x").eq(lit(big))).unwrap();
+        assert_eq!(m, Bitmap::from_iter([true, false]));
+        let m = eval_mask(&d, &col("x").is_in([big + 1])).unwrap();
+        assert_eq!(m, Bitmap::from_iter([false, true]));
     }
 
     #[test]
@@ -618,13 +938,16 @@ mod tests {
 
     #[test]
     fn isin_coerces_like_compare() {
-        // Membership agrees with eval_compare's Eq for every (cell, probe)
-        // pairing across Int64/Float64/Date columns and mixed literals.
+        // Membership agrees with `==` for every (cell, probe) pairing across
+        // Int64/Float64/Date columns and mixed literals: exact among
+        // integers and dates, `f64` where a float meets an integer.
         let frame = df();
         let probes = [
             Scalar::Int(2),
             Scalar::Float(2.5),
             Scalar::Date(dates::to_days(1994, 1, 1)),
+            Scalar::Bool(true),
+            Scalar::Float(-0.0),
         ];
         for name in ["a", "b", "d"] {
             let via_isin = eval(&frame, &col(name).is_in(probes.clone())).unwrap();

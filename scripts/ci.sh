@@ -250,6 +250,27 @@ if [[ -n "$strays" ]]; then
   exit 1
 fi
 
+# Structural gate (hard): the expression evaluator is typed. A literal is a
+# one-row operand that a kernel reads as a scalar, and predicate results are
+# packed 64 rows a word, so outside its test module
+# crates/dataframe/src/eval.rs never broadcasts a literal (`Column::full(`)
+# and never sets a result bit one row at a time (`.set(`). The one
+# `Column::full(` allowed is in `pub fn eval`, which returns a wholly
+# constant expression's result on every row.
+echo "==> typed evaluator (no literal broadcast, no per-row bitmap .set( in dataframe/src/eval.rs)"
+strays=$(awk '
+  /^#\[cfg\(test\)\]/ { exit }
+  /^[[:space:]]*\/\// { next }
+  /^pub fn eval\(/ { in_eval = 1 }
+  /\.set\(/ || (/Column::full\(/ && !in_eval) { print FILENAME ":" FNR ": " $0 }
+  /^}/ { in_eval = 0 }
+' crates/dataframe/src/eval.rs)
+if [[ -n "$strays" ]]; then
+  echo "crates/dataframe/src/eval.rs must keep literals scalar and pack result words; found:"
+  echo "$strays"
+  exit 1
+fi
+
 echo "==> threads are made only by the subtask pool and serving's tenant drivers"
 strays=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
   FNR == 1 { in_tests = 0 }

@@ -3,13 +3,19 @@
 //!
 //! The shuffle/join/groupby/sort hot paths now move rows through typed
 //! word-level kernels (single-pass scatter, `take_opt` gather, columnar
-//! accumulators, dictionary-encoded string keys). Every one of them must
-//! stay cell-for-cell identical to the old boxed-`Scalar` behavior. Cases
-//! are driven by the in-tree seeded PRNG, including null keys, all-null
-//! groups, offset bitmap views, and empty frames.
+//! accumulators, dictionary-encoded string keys), and expressions through
+//! the typed evaluator (packed predicate words, literals never broadcast).
+//! Every one of them must stay cell-for-cell identical to the old
+//! boxed-`Scalar` behavior. Cases are driven by the in-tree seeded PRNG,
+//! including null keys, all-null groups, offset bitmap views, and empty
+//! frames.
 
 use xorbits::array::prng::Xoshiro256;
-use xorbits::dataframe::{groupby, partition, sort, AggFunc, AggSpec, Column, DataFrame, Scalar};
+use xorbits::dataframe::expr::BinOp;
+use xorbits::dataframe::{
+    col, eval, groupby, lit, partition, sort, AggFunc, AggSpec, Column, DataFrame, DataType, Expr,
+    Scalar,
+};
 
 const CASES: u64 = 32;
 
@@ -478,6 +484,360 @@ fn sort_matches_scalar_comparator() {
                 std::cmp::Ordering::Equal
             });
             assert_eq!(got, want, "keys {keys:?}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// eval: typed predicate kernels against a per-row Scalar reference
+// ---------------------------------------------------------------------------
+
+const CMP_OPS: [BinOp; 6] = [
+    BinOp::Eq,
+    BinOp::Ne,
+    BinOp::Lt,
+    BinOp::Le,
+    BinOp::Gt,
+    BinOp::Ge,
+];
+/// Columns whose values compare with one another as numbers.
+const NUMERIC: [&str; 6] = ["i", "j", "f", "g", "d", "b"];
+
+fn pick<T: Clone>(rng: &mut Xoshiro256, from: &[T]) -> T {
+    from[rng.next_bounded(from.len() as u64) as usize].clone()
+}
+
+/// A frame with nulls in every column, `NaN` and ±0.0 among the floats,
+/// `i64` extremes among the integers, then sliced at an offset that is
+/// no multiple of 64 so every value and validity bitmap is an offset view.
+/// Every eighth case slices it down to no rows.
+fn eval_frame(rng: &mut Xoshiro256, case: u64) -> DataFrame {
+    let n = rng.gen_range_i64(70, 300) as usize;
+    let ints = [
+        i64::MIN,
+        -(1 << 53) - 1,
+        -3,
+        -1,
+        0,
+        1,
+        2,
+        3,
+        1 << 53,
+        (1 << 53) + 1,
+        i64::MAX,
+    ];
+    let floats = [
+        f64::NAN,
+        -0.0,
+        0.0,
+        -1.0,
+        1.0,
+        2.0,
+        2.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let words = ["", "a", "ab", "abc", "b", "ba", "é", "aé", "zz"];
+    let column = |dtype: DataType, rng: &mut Xoshiro256| {
+        let cells: Vec<Scalar> = (0..n)
+            .map(|_| {
+                if rng.gen_bool(0.2) {
+                    return Scalar::Null;
+                }
+                match dtype {
+                    DataType::Int64 => Scalar::Int(pick(rng, &ints)),
+                    DataType::Float64 => Scalar::Float(pick(rng, &floats)),
+                    DataType::Date => Scalar::Date(rng.gen_range_i64(-3, 4) as i32),
+                    DataType::Utf8 => Scalar::Str(pick(rng, &words).to_string()),
+                    DataType::Bool => Scalar::Bool(rng.gen_bool(0.5)),
+                }
+            })
+            .collect();
+        Column::from_scalars(&cells, dtype).unwrap()
+    };
+    let df = DataFrame::new(vec![
+        ("i", column(DataType::Int64, rng)),
+        ("j", column(DataType::Int64, rng)),
+        ("f", column(DataType::Float64, rng)),
+        ("g", column(DataType::Float64, rng)),
+        ("d", column(DataType::Date, rng)),
+        ("b", column(DataType::Bool, rng)),
+        ("c", column(DataType::Bool, rng)),
+        ("s", column(DataType::Utf8, rng)),
+        ("t", column(DataType::Utf8, rng)),
+    ])
+    .unwrap();
+    // 1..64: never a multiple of 64
+    let off = rng.gen_range_i64(1, 64) as usize;
+    let len = if case.is_multiple_of(8) {
+        0
+    } else {
+        rng.gen_range_i64(1, (n - off) as i64 + 1) as usize
+    };
+    df.slice(off, len)
+}
+
+/// `x op y` over boxed scalars: null if either side is; strings and
+/// booleans by their own order; integers, dates and booleans as exact
+/// integers; anything with a float as `f64` under `total_cmp`.
+fn ref_cmp(op: BinOp, x: &Scalar, y: &Scalar) -> Scalar {
+    use std::cmp::Ordering::*;
+    let ord = match (x, y) {
+        (Scalar::Null, _) | (_, Scalar::Null) => return Scalar::Null,
+        (Scalar::Str(a), Scalar::Str(b)) => a.cmp(b),
+        (Scalar::Bool(a), Scalar::Bool(b)) => a.cmp(b),
+        (Scalar::Float(_), _) | (_, Scalar::Float(_)) => {
+            x.as_f64().unwrap().total_cmp(&y.as_f64().unwrap())
+        }
+        _ => x.as_i64().unwrap().cmp(&y.as_i64().unwrap()),
+    };
+    Scalar::Bool(match op {
+        BinOp::Eq => ord == Equal,
+        BinOp::Ne => ord != Equal,
+        BinOp::Lt => ord == Less,
+        BinOp::Le => ord != Greater,
+        BinOp::Gt => ord == Greater,
+        _ => ord != Less,
+    })
+}
+
+fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
+    Expr::Binary {
+        op,
+        lhs: Box::new(lhs),
+        rhs: Box::new(rhs),
+    }
+}
+
+/// Evaluates `e` and asserts whole-column equality with the reference
+/// cells (value bits of null rows included, which must be `false`), and
+/// that the mask is the column with nulls as `false`.
+fn check(df: &DataFrame, e: &Expr, want: Vec<Scalar>) {
+    let got = eval::eval(df, e).unwrap();
+    let want_col = Column::from_scalars(&want, DataType::Bool).unwrap();
+    assert_eq!(got, want_col, "{e:?}");
+    let mask = eval::eval_mask(df, e).unwrap();
+    let expected: Vec<bool> = want.iter().map(|s| *s == Scalar::Bool(true)).collect();
+    assert_eq!(
+        mask,
+        xorbits::dataframe::Bitmap::from_iter(expected),
+        "{e:?}"
+    );
+}
+
+fn cells(df: &DataFrame, name: &str) -> Vec<Scalar> {
+    let c = df.column(name).unwrap();
+    (0..c.len()).map(|i| c.get(i)).collect()
+}
+
+/// A literal for comparing with `name`: one of its own cells (so equality
+/// hits), or an extra of a type it compares with. A null literal is typed
+/// `Float64`, so string columns get none.
+fn literal_for(rng: &mut Xoshiro256, df: &DataFrame, name: &str) -> Scalar {
+    let strings = matches!(name, "s" | "t");
+    let own: Vec<Scalar> = cells(df, name)
+        .into_iter()
+        .filter(|v| !(strings && v.is_null()))
+        .collect();
+    if !own.is_empty() && rng.gen_bool(0.5) {
+        return pick(rng, &own);
+    }
+    if strings {
+        return Scalar::Str(pick(rng, &["", "a", "ab", "b", "é", "zz"]).to_string());
+    }
+    pick(
+        rng,
+        &[
+            Scalar::Int(1),
+            Scalar::Int((1 << 53) + 1),
+            Scalar::Int(i64::MIN),
+            Scalar::Float(2.0),
+            Scalar::Float(-0.0),
+            Scalar::Float(f64::NAN),
+            Scalar::Date(1),
+            Scalar::Bool(true),
+            Scalar::Null,
+        ],
+    )
+}
+
+/// The typed evaluator equals a per-row `Scalar` evaluation for every
+/// comparison (literal on either side, column against column, mixed
+/// numeric types), `and` / `or` / `not`, `isin` with 0, 1, up to 8 and
+/// more than 8 probes, the string predicates and `isnull` / `notnull`, on
+/// offset views and empty frames.
+#[test]
+fn eval_matches_scalar_reference() {
+    for case in 0..CASES {
+        let mut rng = Xoshiro256::seed_from_u64(6000 + case);
+        let df = eval_frame(&mut rng, case);
+        let n = df.num_rows();
+        let pairs: Vec<(&str, &str)> = NUMERIC
+            .iter()
+            .flat_map(|a| NUMERIC.iter().map(move |b| (*a, *b)))
+            .chain([("s", "t"), ("t", "s"), ("b", "c"), ("s", "s")])
+            .collect();
+        for op in CMP_OPS {
+            for &(a, b) in &pairs {
+                let (x, y) = (cells(&df, a), cells(&df, b));
+                let want = (0..n).map(|i| ref_cmp(op, &x[i], &y[i])).collect();
+                check(&df, &binary(op, col(a), col(b)), want);
+            }
+            for name in ["i", "f", "d", "b", "s"] {
+                let x = cells(&df, name);
+                let k = literal_for(&mut rng, &df, name);
+                let want = x.iter().map(|v| ref_cmp(op, v, &k)).collect();
+                check(&df, &binary(op, col(name), lit(k.clone())), want);
+                let want = x.iter().map(|v| ref_cmp(op, &k, v)).collect();
+                check(&df, &binary(op, lit(k), col(name)), want);
+            }
+        }
+
+        // and / or / not, null as false
+        let (ki, ks) = (
+            literal_for(&mut rng, &df, "i"),
+            literal_for(&mut rng, &df, "s"),
+        );
+        let p = col("i").ge(lit(ki.clone()));
+        let q = col("s").lt(lit(ks.clone()));
+        let pv: Vec<Scalar> = cells(&df, "i")
+            .iter()
+            .map(|v| ref_cmp(BinOp::Ge, v, &ki))
+            .collect();
+        let qv: Vec<Scalar> = cells(&df, "s")
+            .iter()
+            .map(|v| ref_cmp(BinOp::Lt, v, &ks))
+            .collect();
+        let truth = |s: &Scalar| *s == Scalar::Bool(true);
+        let not = pv
+            .iter()
+            .map(|s| match s {
+                Scalar::Bool(b) => Scalar::Bool(!b),
+                _ => Scalar::Null,
+            })
+            .collect();
+        check(&df, &p.clone().not(), not);
+        let and = (0..n)
+            .map(|i| Scalar::Bool(truth(&pv[i]) && truth(&qv[i])))
+            .collect();
+        check(&df, &p.clone().and(q.clone()), and);
+        let or = (0..n)
+            .map(|i| Scalar::Bool(truth(&pv[i]) || truth(&qv[i])))
+            .collect();
+        check(&df, &p.clone().or(q.clone()), or);
+        for b in [true, false] {
+            let want = pv.iter().map(|s| Scalar::Bool(truth(s) && b)).collect();
+            check(&df, &p.clone().and(lit(b)), want);
+            let want = qv.iter().map(|s| Scalar::Bool(b || truth(s))).collect();
+            check(&df, &lit(b).or(q.clone()), want);
+        }
+
+        // isin: a member is a probe `==` would match; null rows never are
+        for name in ["i", "f", "d", "s"] {
+            let x = cells(&df, name);
+            for k in [0, 1, rng.gen_range_i64(2, 9) as usize, 12] {
+                let probes: Vec<Scalar> =
+                    (0..k).map(|_| literal_for(&mut rng, &df, name)).collect();
+                let want = x
+                    .iter()
+                    .map(|v| {
+                        Scalar::Bool(probes.iter().any(|p| {
+                            matches!(p, Scalar::Str(_)) == matches!(v, Scalar::Str(_))
+                                && ref_cmp(BinOp::Eq, v, p) == Scalar::Bool(true)
+                        }))
+                    })
+                    .collect();
+                check(&df, &col(name).is_in(probes), want);
+            }
+        }
+
+        // string predicates, null in null out
+        for p in ["", "a", "b", "é", "zz"] {
+            let x = cells(&df, "s");
+            let pred = |f: &dyn Fn(&str) -> bool| -> Vec<Scalar> {
+                x.iter()
+                    .map(|v| v.as_str().map_or(Scalar::Null, |s| Scalar::Bool(f(s))))
+                    .collect()
+            };
+            check(&df, &col("s").starts_with(p), pred(&|s| s.starts_with(p)));
+            check(&df, &col("s").ends_with(p), pred(&|s| s.ends_with(p)));
+            check(&df, &col("s").contains(p), pred(&|s| s.contains(p)));
+        }
+
+        // isnull / notnull never produce nulls
+        for name in df.schema().names() {
+            let x = cells(&df, name);
+            let nulls = x.iter().map(|v| Scalar::Bool(v.is_null())).collect();
+            check(&df, &col(name).is_null(), nulls);
+            let valid = x.iter().map(|v| Scalar::Bool(!v.is_null())).collect();
+            check(&df, &col(name).not_null(), valid);
+        }
+    }
+}
+
+/// Arithmetic against per-row `Scalar` arithmetic: `Int64 ⊕ Int64`
+/// wraps as integers, everything else (and `/`) runs in `f64`, in operand
+/// order, with a literal on either side.
+#[test]
+fn eval_arithmetic_matches_scalar_reference() {
+    let ops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div];
+    let reference = |op: BinOp, x: &Scalar, y: &Scalar| -> Scalar {
+        if x.is_null() || y.is_null() {
+            return Scalar::Null;
+        }
+        if let (Scalar::Int(a), Scalar::Int(b), false) = (x, y, op == BinOp::Div) {
+            return Scalar::Int(match op {
+                BinOp::Add => a.wrapping_add(*b),
+                BinOp::Sub => a.wrapping_sub(*b),
+                _ => a.wrapping_mul(*b),
+            });
+        }
+        let (a, b) = (x.as_f64().unwrap(), y.as_f64().unwrap());
+        Scalar::Float(match op {
+            BinOp::Add => a + b,
+            BinOp::Sub => a - b,
+            BinOp::Mul => a * b,
+            _ => a / b,
+        })
+    };
+    let same = |a: &Scalar, b: &Scalar| match (a, b) {
+        (Scalar::Float(x), Scalar::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    };
+    for case in 0..CASES {
+        let mut rng = Xoshiro256::seed_from_u64(7000 + case);
+        let df = eval_frame(&mut rng, case);
+        for op in ops {
+            for (a, b) in [("i", "j"), ("i", "f"), ("f", "g"), ("d", "i"), ("b", "f")] {
+                let (x, y) = (cells(&df, a), cells(&df, b));
+                let k = literal_for(&mut rng, &df, b);
+                for (e, want) in [
+                    (
+                        binary(op, col(a), col(b)),
+                        (0..x.len())
+                            .map(|i| reference(op, &x[i], &y[i]))
+                            .collect::<Vec<_>>(),
+                    ),
+                    (
+                        binary(op, col(a), lit(k.clone())),
+                        x.iter().map(|v| reference(op, v, &k)).collect(),
+                    ),
+                    (
+                        binary(op, lit(k.clone()), col(a)),
+                        x.iter().map(|v| reference(op, &k, v)).collect(),
+                    ),
+                ] {
+                    let got = eval::eval(&df, &e).unwrap();
+                    assert_eq!(got.len(), want.len());
+                    for (i, w) in want.iter().enumerate() {
+                        assert!(
+                            same(&got.get(i), w),
+                            "{e:?} row {i}: {:?} vs {w:?}",
+                            got.get(i)
+                        );
+                    }
+                }
+            }
         }
     }
 }

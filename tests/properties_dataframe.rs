@@ -6,7 +6,8 @@
 
 use xorbits::array::prng::Xoshiro256;
 use xorbits::dataframe::{
-    groupby, join, partition, sort, AggFunc, AggSpec, Column, DataFrame, JoinType, Scalar,
+    col, eval, groupby, join, lit, partition, sort, AggFunc, AggSpec, Bitmap, Column, DataFrame,
+    Expr, JoinType, Scalar,
 };
 
 const CASES: u64 = 24;
@@ -227,5 +228,65 @@ fn drop_duplicates_unique_cover() {
             .map(|i| df.column("k").unwrap().get(i).as_i64().unwrap())
             .collect();
         assert_eq!(set.len(), input_keys.len());
+    }
+}
+
+/// Int64 comparisons and `isin` are exact over the whole `i64` range.
+/// Values on both sides of ±2^53, where `f64` stops telling neighbours
+/// apart, and at `i64::MIN` / `MAX` order as integers: column against
+/// literal, literal against column, and column against column.
+#[test]
+fn int64_compare_and_isin_are_exact_beyond_2_pow_53() {
+    let p53 = 1i64 << 53;
+    let edges = [
+        i64::MIN,
+        i64::MIN + 1,
+        -p53 - 2,
+        -p53 - 1,
+        -p53,
+        -p53 + 1,
+        -1,
+        0,
+        1,
+        p53 - 1,
+        p53,
+        p53 + 1,
+        p53 + 2,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+    type Build = fn(Expr, Expr) -> Expr;
+    type Holds = fn(&i64, &i64) -> bool;
+    let ops: [(Build, Holds); 6] = [
+        (Expr::eq, i64::eq),
+        (Expr::ne, i64::ne),
+        (Expr::lt, i64::lt),
+        (Expr::le, i64::le),
+        (Expr::gt, i64::gt),
+        (Expr::ge, i64::ge),
+    ];
+    for case in 0..CASES {
+        let mut rng = Xoshiro256::seed_from_u64(0x2053 + case);
+        let mut edge = || edges[rng.next_bounded(edges.len() as u64) as usize];
+        let n = 1 + (edge().unsigned_abs() % 150) as usize;
+        let a: Vec<i64> = (0..n).map(|_| edge()).collect();
+        let b: Vec<i64> = (0..n).map(|_| edge()).collect();
+        let k = edge();
+        let probes: Vec<i64> = (0..(edge().unsigned_abs() % 12)).map(|_| edge()).collect();
+        let df = DataFrame::new(vec![
+            ("a", Column::from_i64(a.clone())),
+            ("b", Column::from_i64(b.clone())),
+        ])
+        .unwrap();
+        let check = |e: Expr, want: &dyn Fn(usize) -> bool| {
+            let got = eval::eval_mask(&df, &e).unwrap();
+            assert_eq!(got, Bitmap::from_iter((0..n).map(want)), "{e:?}");
+        };
+        for (build, holds) in ops {
+            check(build(col("a"), lit(k)), &|i| holds(&a[i], &k));
+            check(build(lit(k), col("a")), &|i| holds(&k, &a[i]));
+            check(build(col("a"), col("b")), &|i| holds(&a[i], &b[i]));
+        }
+        check(col("a").is_in(probes.clone()), &|i| probes.contains(&a[i]));
     }
 }
