@@ -11,7 +11,7 @@
 use std::time::Instant;
 use xorbits_array::{linalg, random, NdArray};
 use xorbits_dataframe::{
-    col, groupby, join, lit, partition, sort, AggFunc, AggSpec, Column, DataFrame,
+    col, column::NO_ROW, groupby, join, lit, partition, sort, AggFunc, AggSpec, Column, DataFrame,
 };
 
 const WARMUP: usize = 2;
@@ -76,16 +76,16 @@ fn bench_dataframe() {
     }
     let scol = df.column("s").unwrap();
     bench("scatter_str_100k_into_16", || scol.scatter(&pids, &counts));
-    let idx: Vec<Option<usize>> = (0..df.num_rows())
+    let idx: Vec<u32> = (0..df.num_rows())
         .map(|i| {
             if i % 7 == 0 {
-                None
+                NO_ROW
             } else {
-                Some((i * 31) % df.num_rows())
+                ((i * 31) % df.num_rows()) as u32
             }
         })
         .collect();
-    bench("take_opt_str_100k", || scol.take_opt(&idx));
+    bench("gather_str_100k", || Column::gather(&[scol], &idx).unwrap());
     bench("dict_encode_100k", || {
         let Column::Utf8(a) = scol else {
             unreachable!()

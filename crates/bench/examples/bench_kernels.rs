@@ -543,7 +543,7 @@ fn main() {
         "legacy-in-run",
     );
 
-    // join: typed probe + take_opt gather vs rows_eq probe + Scalar gather
+    // join: typed probe + typed gather vs rows_eq probe + Scalar gather
     let jl = DataFrame::new(vec![
         (
             "j",

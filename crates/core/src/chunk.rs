@@ -186,7 +186,8 @@ pub enum ChunkOp {
 
     // ---- reshaping ------------------------------------------------------------
     /// Concatenates all inputs (dataframes, or arrays along axis 0). Also the
-    /// auto-merge primitive (§IV-C) and the combine-stage gather.
+    /// auto-merge primitive (§IV-C) and the combine-stage gather — but never
+    /// a join's input, which takes its pieces as they lie.
     Concat,
     /// First `n` rows.
     HeadLocal {
@@ -214,8 +215,12 @@ pub enum ChunkOp {
     },
 
     // ---- join -----------------------------------------------------------------
-    /// Hash join of inputs `[left, right]`.
+    /// Hash join of its inputs: the first `left_inputs` are the left
+    /// side's pieces, the rest the right side's, each side read as one
+    /// frame laid end to end (no `Concat` in front of a join).
     Join {
+        /// How many leading inputs are left-side pieces.
+        left_inputs: usize,
         /// Left key columns.
         left_on: Vec<String>,
         /// Right key columns.

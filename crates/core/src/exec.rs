@@ -231,20 +231,23 @@ pub fn execute_chunk(op: &ChunkOp, inputs: &[Arc<Payload>]) -> XbResult<Vec<Payl
 
         // ---- join ------------------------------------------------------------
         ChunkOp::Join {
+            left_inputs,
             left_on,
             right_on,
             how,
             suffixes,
         } => {
-            let l = inputs[0].as_df()?;
-            let r = inputs[1].as_df()?;
+            let dfs = df_inputs(inputs)?;
+            let (l, r) = dfs.split_at((*left_inputs).min(dfs.len()));
             let lo: Vec<&str> = left_on.iter().map(|s| s.as_str()).collect();
             let ro: Vec<&str> = right_on.iter().map(|s| s.as_str()).collect();
             let opts = JoinOptions {
                 how: *how,
                 suffixes: suffixes.clone(),
             };
-            Ok(vec![Payload::Df(join::merge(l, r, &lo, &ro, &opts)?)])
+            Ok(vec![Payload::Df(join::merge_pieces(
+                l, r, &lo, &ro, &opts,
+            )?)])
         }
         ChunkOp::PivotLocal {
             index,
@@ -414,23 +417,17 @@ fn apply_arr_chain(a: &NdArray, steps: &[ArrStep]) -> NdArray {
     })
 }
 
+fn df_inputs(inputs: &[Arc<Payload>]) -> XbResult<Vec<&DataFrame>> {
+    inputs.iter().map(|p| p.as_df()).collect()
+}
+
 fn concat_df_inputs(inputs: &[Arc<Payload>]) -> XbResult<DataFrame> {
     if inputs.len() == 1 {
         return Ok(inputs[0].as_df()?.clone());
     }
-    let dfs: Vec<&DataFrame> = inputs
-        .iter()
-        .map(|p| p.as_df())
-        .collect::<XbResult<Vec<_>>>()?;
-    // Tolerate empty chunks with divergent inferred schemas: drop zero-row
-    // frames when at least one non-empty frame exists.
-    let non_empty: Vec<&DataFrame> = dfs.iter().copied().filter(|d| d.num_rows() > 0).collect();
-    let parts = if non_empty.is_empty() {
-        &dfs
-    } else {
-        &non_empty
-    };
-    Ok(DataFrame::concat(parts)?)
+    // tolerates empty chunks with divergent inferred schemas
+    let parts = DataFrame::live_parts(&df_inputs(inputs)?)?;
+    Ok(DataFrame::concat(&parts)?)
 }
 
 /// `[sum]` / `[sum, count]` / `[min]` / `[max]` partial state of one chunk.

@@ -21,8 +21,9 @@
 //!   *set* of (key, value) combinations and first-occurrence order, and
 //!   distinct counts are insensitive to duplicates, so this is exact —
 //!   gated on *all* specs being `Nunique`.
-//! * `Join` → the probe (left) side is split into contiguous runs, each
-//!   joined against the full build side, and the outputs concatenated.
+//! * `Join` → the probe (left) pieces are split into contiguous runs, each
+//!   joined against all of the build pieces, and the outputs concatenated
+//!   (the one `Concat` a join wave gains sits after the joins).
 //!   Every [`JoinType`](xorbits_dataframe::JoinType) in this engine emits
 //!   probe-order rows derived from the left side only (no unmatched-right
 //!   emission), so run-concatenation is exact unconditionally.
@@ -121,33 +122,22 @@ impl SynthKeys {
 // wave detection
 // ---------------------------------------------------------------------------
 
-/// One reduce partition of a detected shuffle wave.
+/// One reduce partition of a detected shuffle wave: a singleton subtask
+/// whose node reads the partition's shuffle pieces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WavePart {
-    /// Singleton `GroupbyDirect` subtask.
+    /// A `GroupbyDirect` subtask.
     Groupby { st: usize },
-    /// Shuffle-join partition: probe-concat and join subtasks, plus the
-    /// build-concat subtask when it is still pending (`None` when the
-    /// build side is already materialized — e.g. a single-chunk build
-    /// whose split and concats fused into one earlier subtask).
-    Join {
-        lcat: usize,
-        rcat: Option<usize>,
-        join: usize,
-    },
+    /// A shuffle-join subtask: its `Join` lists the left (probe) pieces,
+    /// then the right (build) pieces.
+    Join { st: usize },
 }
 
 impl WavePart {
-    /// The partition's subtasks, in dispatch order.
-    fn member_sts(&self) -> Vec<usize> {
+    /// The partition's subtask.
+    fn st(&self) -> usize {
         match *self {
-            WavePart::Groupby { st } => vec![st],
-            WavePart::Join { lcat, rcat, join } => {
-                let mut v = vec![lcat, join];
-                v.extend(rcat);
-                v.sort_unstable();
-                v
-            }
+            WavePart::Groupby { st } | WavePart::Join { st } => st,
         }
     }
 }
@@ -184,94 +174,27 @@ fn split_producers(
     Some(out)
 }
 
-/// Classifies pending subtask `sti` as one partition of a shuffle wave.
-/// Returns the partition plus its producing split-node set.
+/// Classifies pending subtask `sti` as one partition of a shuffle wave:
+/// a singleton `GroupbyDirect` or `Join` subtask reading only shuffle
+/// pieces. Returns the partition plus its producing split-node set.
 fn classify(
     graph: &SubtaskGraph,
     producers: &HashMap<ChunkKey, usize>,
     consumer_count: &HashMap<ChunkKey, usize>,
-    st_of_node: &HashMap<usize, usize>,
-    next: usize,
     sti: usize,
 ) -> Option<(WavePart, Vec<usize>)> {
     let st = &graph.subtasks[sti];
     if st.nodes.len() != 1 {
         return None;
     }
-    let ni = st.nodes[0];
-    let node = &graph.chunks.nodes[ni];
-    match &node.op {
-        ChunkOp::GroupbyDirect { .. } => {
-            if node.inputs.len() < 2 {
-                return None;
-            }
-            let splits = split_producers(&graph.chunks, producers, consumer_count, &node.inputs)?;
-            Some((WavePart::Groupby { st: sti }, splits))
-        }
-        ChunkOp::Join { .. } => {
-            if node.inputs.len() != 2 {
-                return None;
-            }
-            // the probe (left) side — the one a split fans out — must be a
-            // pending singleton Concat subtask fed exclusively by splits
-            let lk = node.inputs[0];
-            if consumer_count.get(&lk) != Some(&1) {
-                return None;
-            }
-            let &lpi = producers.get(&lk)?;
-            if !matches!(graph.chunks.nodes[lpi].op, ChunkOp::Concat) {
-                return None;
-            }
-            let &lcst = st_of_node.get(&lpi)?;
-            if lcst < next || graph.subtasks[lcst].nodes.len() != 1 {
-                return None;
-            }
-            let mut splits = split_producers(
-                &graph.chunks,
-                producers,
-                consumer_count,
-                &graph.chunks.nodes[lpi].inputs,
-            )?;
-
-            // the build (right) side is never split, so it may be either
-            // the same pending shape or already materialized: a small
-            // build often fuses its lone split with every partition's
-            // Concat into one subtask that completed before the wave head
-            let rk = node.inputs[1];
-            if consumer_count.get(&rk) != Some(&1) {
-                return None;
-            }
-            let &rpi = producers.get(&rk)?;
-            let &rcst = st_of_node.get(&rpi)?;
-            let rcat = if rcst < next {
-                None
-            } else {
-                if !matches!(graph.chunks.nodes[rpi].op, ChunkOp::Concat)
-                    || graph.subtasks[rcst].nodes.len() != 1
-                {
-                    return None;
-                }
-                splits.extend(split_producers(
-                    &graph.chunks,
-                    producers,
-                    consumer_count,
-                    &graph.chunks.nodes[rpi].inputs,
-                )?);
-                Some(rcst)
-            };
-            splits.sort_unstable();
-            splits.dedup();
-            Some((
-                WavePart::Join {
-                    lcat: lcst,
-                    rcat,
-                    join: sti,
-                },
-                splits,
-            ))
-        }
-        _ => None,
-    }
+    let node = &graph.chunks.nodes[st.nodes[0]];
+    let part = match node.op {
+        ChunkOp::GroupbyDirect { .. } if node.inputs.len() >= 2 => WavePart::Groupby { st: sti },
+        ChunkOp::Join { .. } => WavePart::Join { st: sti },
+        _ => return None,
+    };
+    let splits = split_producers(&graph.chunks, producers, consumer_count, &node.inputs)?;
+    Some((part, splits))
 }
 
 /// Detects the shuffle wave whose earliest member is exactly the subtask at
@@ -291,7 +214,7 @@ fn detect_wave(graph: &SubtaskGraph, next: usize) -> Option<Wave> {
     }
     if !matches!(
         graph.chunks.nodes[head.nodes[0]].op,
-        ChunkOp::GroupbyDirect { .. } | ChunkOp::Join { .. } | ChunkOp::Concat
+        ChunkOp::GroupbyDirect { .. } | ChunkOp::Join { .. }
     ) {
         return None;
     }
@@ -303,19 +226,10 @@ fn detect_wave(graph: &SubtaskGraph, next: usize) -> Option<Wave> {
             *consumer_count.entry(*k).or_insert(0) += 1;
         }
     }
-    let mut st_of_node: HashMap<usize, usize> = HashMap::new();
-    for (si, st) in graph.subtasks.iter().enumerate() {
-        for &ni in &st.nodes {
-            st_of_node.insert(ni, si);
-        }
-    }
-
     // classify every pending subtask, grouping partitions by split set
     let mut waves: HashMap<Vec<usize>, Vec<WavePart>> = HashMap::new();
     for sti in next..n {
-        if let Some((part, splits)) =
-            classify(graph, &producers, &consumer_count, &st_of_node, next, sti)
-        {
+        if let Some((part, splits)) = classify(graph, &producers, &consumer_count, sti) {
             waves.entry(splits).or_default().push(part);
         }
     }
@@ -324,10 +238,10 @@ fn detect_wave(graph: &SubtaskGraph, next: usize) -> Option<Wave> {
         if parts.len() < 2 {
             continue;
         }
-        let first = parts.iter().map(|p| p.member_sts()[0]).min();
+        let first = parts.iter().map(WavePart::st).min();
         if first == Some(next) {
             let mut parts = parts;
-            parts.sort_by_key(|p| p.member_sts()[0]);
+            parts.sort_by_key(WavePart::st);
             return Some(Wave { id, parts });
         }
     }
@@ -430,25 +344,12 @@ impl RetileRun {
         }
 
         // harvest the histogram: partition bytes = sum over its shuffle
-        // inputs (probe + build for joins)
-        let inputs_of = |st: usize| &graph.chunks.nodes[graph.subtasks[st].nodes[0]].inputs;
+        // pieces (probe + build for joins)
         let mut hist = Vec::with_capacity(wave.parts.len());
         for part in &wave.parts {
-            let pieces: Vec<ChunkKey> = match *part {
-                WavePart::Groupby { st } => inputs_of(st).clone(),
-                WavePart::Join { lcat, rcat, join } => {
-                    let mut v = inputs_of(lcat).clone();
-                    match rcat {
-                        // pending build concat: sum its shuffle inputs
-                        Some(r) => v.extend_from_slice(inputs_of(r)),
-                        // materialized build: its one concatenated chunk
-                        None => v.push(inputs_of(join)[1]),
-                    }
-                    v
-                }
-            };
+            let node = &graph.chunks.nodes[graph.subtasks[part.st()].nodes[0]];
             let mut bytes = 0u64;
-            for k in pieces {
+            for &k in &node.inputs {
                 bytes += size_of(k)?;
             }
             hist.push(bytes);
@@ -464,18 +365,15 @@ impl RetileRun {
                 (Some(&ways), WavePart::Groupby { st }) => {
                     split_groupby(graph, st, ways, &mut self.synth, size_of, &mut seq)
                 }
-                (Some(&ways), WavePart::Join { lcat, rcat, join }) => {
-                    let sts = (lcat, rcat, join);
-                    split_join(graph, sts, ways, &mut self.synth, size_of, &mut seq)
+                (Some(&ways), WavePart::Join { st }) => {
+                    split_join(graph, st, ways, &mut self.synth, size_of, &mut seq)
                 }
             };
             if applied {
                 splits += 1;
             } else {
-                // unchanged partition: re-emit its subtasks in original order
-                for sti in part.member_sts() {
-                    seq.push(graph.subtasks[sti].clone());
-                }
+                // unchanged partition: re-emit its subtask
+                seq.push(graph.subtasks[part.st()].clone());
             }
         }
         if splits == 0 {
@@ -484,7 +382,7 @@ impl RetileRun {
 
         // splice: prefix unchanged, wave emitted contiguously at `next`, other
         // pending subtasks keep their relative order after it
-        let member_set: HashSet<usize> = wave.parts.iter().flat_map(|p| p.member_sts()).collect();
+        let member_set: HashSet<usize> = wave.parts.iter().map(WavePart::st).collect();
         debug_assert_eq!(member_set.iter().min().copied(), Some(next));
         let old = std::mem::take(&mut graph.subtasks);
         let mut rebuilt = Vec::with_capacity(old.len() + seq.len());
@@ -579,71 +477,76 @@ fn split_groupby(
     true
 }
 
-/// Splits a hot shuffle-join partition — `(lcat, rcat, join)`, the
-/// [`WavePart::Join`] subtasks — by fanning the probe (left) side into
-/// contiguous runs, each joined against the full build side, then
-/// concatenating in run order. Exact for every join type in this engine
-/// (all emit probe-order, left-derived rows only). `rcat` is `None` when
-/// the build side is already materialized — the runs then read its chunk
-/// directly and no build subtask is re-emitted.
+/// Fewest runs a join split may have, chosen by an A/B of 2, 3, 4 and 8 on
+/// the one skewed join the tests and benches run, `lopsided-join`, whose
+/// hot key is an orphan (DESIGN §16). A join reads its pieces as they lie,
+/// so a split shortens the probe side's critical path but adds a `Concat`
+/// over the whole output, and sizes alone do not tell the output. There
+/// only the orphan partition is cut 3 ways or more (its output is 0.26 /
+/// 0.06 / 0.008 of its probe bytes at Zipf 1.1 / 1.5 / 2.0); the 2-way cuts
+/// land on partitions whose output is 1.67x their probe bytes, and lose.
+/// 3 and 4 tie at Zipf 1.5 and 2.0; 4 also declines the Zipf 1.1 split,
+/// which gains nothing. The value is tuned to that shape only.
+const MIN_JOIN_WAYS: usize = 4;
+
+/// Splits a hot shuffle-join partition by fanning its probe (left) pieces
+/// into contiguous runs, each joined against all of the build (right)
+/// pieces, then concatenating the run outputs in run order. Exact for every
+/// join type in this engine (all emit probe-order, left-derived rows only).
+/// Returns `false` (leaving the graph untouched) below [`MIN_JOIN_WAYS`].
 fn split_join(
     graph: &mut SubtaskGraph,
-    (lcat, rcat, join): (usize, Option<usize>, usize),
+    st: usize,
     ways: usize,
     synth: &mut SynthKeys,
     size_of: &dyn Fn(ChunkKey) -> Option<u64>,
     seq: &mut Vec<Subtask>,
 ) -> bool {
-    let lni = graph.subtasks[lcat].nodes[0];
-    let jni = graph.subtasks[join].nodes[0];
-    let l_ins = graph.chunks.nodes[lni].inputs.clone();
+    let jni = graph.subtasks[st].nodes[0];
+    let ChunkNode {
+        op: join_op,
+        inputs: ins,
+        outputs: orig_outputs,
+    } = graph.chunks.nodes[jni].clone();
+    let ChunkOp::Join { left_inputs, .. } = join_op else {
+        return false;
+    };
+    let (l_ins, r_ins) = ins.split_at(left_inputs.min(ins.len()));
     let ways = ways.min(l_ins.len());
-    if ways < 2 {
+    if ways < MIN_JOIN_WAYS {
         return false;
     }
-    let rcat_key = graph.chunks.nodes[jni].inputs[1];
-    let join_op = graph.chunks.nodes[jni].op.clone();
-    let orig_outputs = graph.chunks.nodes[jni].outputs.clone();
-    let orig_published = graph.subtasks[join].published_outputs.clone();
-
-    // a still-pending build side runs first, unchanged (every run reads it)
-    if let Some(rcat) = rcat {
-        seq.push(graph.subtasks[rcat].clone());
-    }
+    let orig_published = graph.subtasks[st].published_outputs.clone();
 
     let l_bytes: Vec<u64> = l_ins.iter().map(|k| size_of(*k).unwrap_or(0)).collect();
     let runs = balanced_runs(&l_bytes, ways);
     let mut jkeys = Vec::with_capacity(ways);
     for (ri, &(s, e)) in runs.iter().enumerate() {
-        let lk = synth.next_key();
         let jk = synth.next_key();
         jkeys.push(jk);
-        let cat_node = ChunkNode {
-            op: ChunkOp::Concat,
-            inputs: l_ins[s..e].to_vec(),
-            outputs: vec![lk],
-        };
-        let join_node = ChunkNode {
-            op: join_op.clone(),
-            inputs: vec![lk, rcat_key],
+        let mut op = join_op.clone();
+        if let ChunkOp::Join { left_inputs, .. } = &mut op {
+            *left_inputs = e - s;
+        }
+        let inputs = [&l_ins[s..e], r_ins].concat();
+        let node = ChunkNode {
+            op,
+            inputs: inputs.clone(),
             outputs: vec![jk],
         };
-        // reuse the original concat + join node slots for run 0 (keeps
-        // node indices topological: lni < jni < appended nodes)
-        let (cni, jni2) = if ri == 0 {
-            graph.chunks.nodes[lni] = cat_node;
-            graph.chunks.nodes[jni] = join_node;
-            (lni, jni)
+        // reuse the original join's node slot for run 0 so node indices
+        // stay topological; later runs append (their consumer appends later)
+        let ni = if ri == 0 {
+            graph.chunks.nodes[jni] = node;
+            jni
         } else {
-            (graph.chunks.push(cat_node), graph.chunks.push(join_node))
+            graph.chunks.push(node)
         };
-        let mut ext = l_ins[s..e].to_vec();
-        ext.push(rcat_key);
         seq.push(Subtask {
-            nodes: vec![cni, jni2],
-            external_inputs: ext,
+            nodes: vec![ni],
+            external_inputs: inputs,
             published_outputs: vec![jk],
-            internal_keys: vec![lk],
+            internal_keys: Vec::new(),
         });
     }
     let fni = graph.chunks.push(ChunkNode {

@@ -20,7 +20,9 @@
 //! * `shuffle` — a `ShuffleSplit` per chunk, the pieces regrouped per
 //!   partition in chunk order; `partitions` is its one fan-out rule.
 //! * `concat_group` — merge consecutive chunks into one (auto merge and
-//!   QR's auto rechunk).
+//!   QR's auto rechunk). A join never reads a `Concat`: its node lists its
+//!   pieces (shuffle pieces, a broadcast side's chunks, an auto-merge
+//!   group) as they lie.
 //!
 //! Dynamic decisions implemented here, each driven by *measured* metadata:
 //!
@@ -28,8 +30,8 @@
 //!   the first chunk; the measured aggregation ratio extrapolates the total
 //!   aggregated size, choosing tree-reduce (small) vs shuffle-reduce (large).
 //! * **Broadcast vs shuffle join**: measured side sizes pick a broadcast of
-//!   the small side (avoiding skewed shuffles entirely) or a hash shuffle
-//!   sized from measured bytes.
+//!   the small side's chunks to every big-side chunk (avoiding skewed
+//!   shuffles entirely) or a hash shuffle sized from measured bytes.
 //! * **Auto merge** (Fig 6b): chunk layouts whose measured chunks shrank far
 //!   below the chunk limit are concatenated back up to it before expensive
 //!   downstream stages.
@@ -130,6 +132,25 @@ fn best(meta: &dyn MetaView, c: &ChunkRef) -> ChunkEst {
         rows: m.rows,
         exact: true,
     })
+}
+
+/// Size of a group of chunks read as one: a singleton keeps its own
+/// estimate, a group sums `size_of` over its chunks.
+fn group_est(group: &[ChunkRef], size_of: impl Fn(&ChunkRef) -> ChunkEst) -> ChunkEst {
+    if let [only] = group {
+        return only.est;
+    }
+    let mut est = ChunkEst {
+        bytes: 0,
+        rows: 0,
+        exact: true,
+    };
+    for size in group.iter().map(size_of) {
+        est.bytes += size.bytes;
+        est.rows += size.rows;
+        est.exact &= size.exact;
+    }
+    est
 }
 
 /// Best available size of a layout.
@@ -382,8 +403,8 @@ impl<'g> Tiler<'g> {
         by_size.max(self.cfg.cluster_parallelism.min(nchunks))
     }
 
-    /// Concatenates a group of chunks into one sized by the sum of
-    /// `size_of`; passthrough for singletons.
+    /// Concatenates a group of chunks into one sized by
+    /// [`group_est`]; passthrough for singletons.
     fn concat_group(
         &mut self,
         group: &[ChunkRef],
@@ -393,32 +414,24 @@ impl<'g> Tiler<'g> {
             return only.clone();
         }
         let key = self.emit(ChunkOp::Concat, group.iter().map(|c| c.key).collect());
-        let mut est = ChunkEst {
-            bytes: 0,
-            rows: 0,
-            exact: true,
-        };
-        for size in group.iter().map(size_of) {
-            est.bytes += size.bytes;
-            est.rows += size.rows;
-            est.exact &= size.exact;
-        }
+        let est = group_est(group, size_of);
         ChunkRef { key, est }
     }
 
-    /// Auto merge (Fig 6b): when measured chunks shrank far below the chunk
-    /// limit, concatenate consecutive chunks back up to it.
-    fn auto_merge(&mut self, meta: &dyn MetaView, layout: &Layout) -> Layout {
+    /// Auto merge's grouping (Fig 6b): when measured chunks shrank far
+    /// below the chunk limit, runs of consecutive chunks that fit it
+    /// together, at most `combine_fanin` each. `None` when nothing merges.
+    fn merge_groups(&mut self, meta: &dyn MetaView, layout: &Layout) -> Option<Vec<Vec<ChunkRef>>> {
         let n = layout.chunks.len();
         // only merge when sizes are actually known
         if !self.cfg.dynamic_tiling || n <= 1 || !all_known(meta, layout) {
-            return layout.clone();
+            return None;
         }
         let limit = self.cfg.chunk_limit_bytes;
         // engage only for genuinely small chunks (Fig 6b's "numerous small
         // chunks"); re-concatenating healthy chunks is a pure copy cost
         if best_bytes(meta, layout) / n >= limit / 4 {
-            return layout.clone();
+            return None;
         }
         let fanin = self.cfg.combine_fanin.max(2);
         let mut groups: Vec<Vec<ChunkRef>> = Vec::new();
@@ -437,15 +450,24 @@ impl<'g> Tiler<'g> {
             }
         }
         if groups.len() == n {
-            return layout.clone(); // nothing to merge
+            return None; // nothing to merge
         }
-        let chunks: Vec<ChunkRef> = groups
+        self.stats
+            .decisions
+            .push(format!("auto-merge: {n} chunks -> {}", groups.len()));
+        Some(groups)
+    }
+
+    /// Auto merge (Fig 6b): each group of [`Self::merge_groups`]
+    /// concatenated back into one chunk, for stages that read one chunk.
+    fn auto_merge(&mut self, meta: &dyn MetaView, layout: &Layout) -> Layout {
+        let Some(groups) = self.merge_groups(meta, layout) else {
+            return layout.clone();
+        };
+        let chunks = groups
             .iter()
             .map(|g| self.concat_group(g, |c| best(meta, c)))
             .collect();
-        self.stats
-            .decisions
-            .push(format!("auto-merge: {n} chunks -> {}", chunks.len()));
         Layout { chunks }
     }
 
@@ -476,7 +498,8 @@ impl<'g> Tiler<'g> {
                 how,
                 suffixes,
             } => {
-                let join = || ChunkOp::Join {
+                let join = |left_inputs| ChunkOp::Join {
+                    left_inputs,
                     left_on: left_on.clone(),
                     right_on: right_on.clone(),
                     how,
@@ -790,7 +813,7 @@ impl<'g> Tiler<'g> {
         (left, left_on): (TileableId, &[String]),
         (right, right_on): (TileableId, &[String]),
         how: JoinType,
-        join: impl Fn() -> ChunkOp,
+        join: impl Fn(usize) -> ChunkOp,
     ) -> XbResult<Option<Layout>> {
         let (llayout, rlayout) = (self.input(left)?, self.input(right)?);
         let dynamic = self.cfg.dynamic_tiling;
@@ -839,16 +862,24 @@ impl<'g> Tiler<'g> {
                     "merge: broadcast {side} side ({small_bytes} B) against {} chunks",
                     big.chunks.len()
                 ));
-                let small_key = self.gather(small);
-                let big = self.auto_merge(meta, big);
-                let sides = big.chunks.iter().map(|c| match small_is_right {
-                    true => vec![c.key, small_key],
-                    false => vec![small_key, c.key],
-                });
-                let outs = sides.map(|inputs| self.emit(join(), inputs)).collect();
-                let ests = big.chunks.iter().map(|c| ChunkEst {
+                // every join reads all of the small side's pieces and one
+                // auto-merge group of the big side's, as they lie
+                let groups = self
+                    .merge_groups(meta, big)
+                    .unwrap_or_else(|| big.chunks.iter().map(|c| vec![c.clone()]).collect());
+                let mut outs = Vec::with_capacity(groups.len());
+                for group in &groups {
+                    let big_keys = group.iter().map(|c| c.key);
+                    let small_keys = small.chunks.iter().map(|c| c.key);
+                    let (inputs, left_inputs) = match small_is_right {
+                        true => (big_keys.chain(small_keys).collect(), group.len()),
+                        false => (small_keys.chain(big_keys).collect(), small.chunks.len()),
+                    };
+                    outs.push(self.emit(join(left_inputs), inputs));
+                }
+                let ests = groups.iter().map(|g| ChunkEst {
                     exact: false,
-                    ..c.est
+                    ..group_est(g, |c| best(meta, c))
                 });
                 return Ok(Some(Layout::zip(outs, ests)));
             }
@@ -862,11 +893,11 @@ impl<'g> Tiler<'g> {
             .push(format!("merge: shuffle join with {p} partitions"));
         let lparts = self.shuffle(llayout.keys(), left_on, p);
         let rparts = self.shuffle(rlayout.keys(), right_on, p);
-        let outs = lparts.into_iter().zip(rparts).map(|(lpart, rpart)| {
-            let lcat = self.emit(ChunkOp::Concat, lpart);
-            let rcat = self.emit(ChunkOp::Concat, rpart);
-            self.emit(join(), vec![lcat, rcat])
-        });
+        // a partition's join reads its shuffle pieces as they lie
+        let outs = lparts
+            .into_iter()
+            .zip(rparts)
+            .map(|(lpart, rpart)| self.emit(join(lpart.len()), [lpart, rpart].concat()));
         let est = ChunkEst {
             bytes: (lbytes + rbytes) / p,
             rows: (llayout.est_rows() + rlayout.est_rows()) / p,

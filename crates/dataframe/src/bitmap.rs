@@ -210,24 +210,6 @@ impl Bitmap {
         }
     }
 
-    /// New bitmap keeping only positions in `indices` — a bit gather that
-    /// writes words directly (no per-bit builder round-trip).
-    pub fn take(&self, indices: &[usize]) -> Bitmap {
-        let mut words = vec![0u64; indices.len().div_ceil(64)];
-        for (pos, &i) in indices.iter().enumerate() {
-            debug_assert!(i < self.len);
-            let bit = self.offset + i;
-            if (self.words[bit / 64] >> (bit % 64)) & 1 == 1 {
-                words[pos / 64] |= 1u64 << (pos % 64);
-            }
-        }
-        Bitmap {
-            words: Arc::new(words),
-            offset: 0,
-            len: indices.len(),
-        }
-    }
-
     /// New bitmap keeping only positions where `mask` is set. Runs
     /// word-at-a-time: an all-set mask word splices 64 bits in one op, a
     /// sparse word walks only its set bits.
@@ -375,6 +357,20 @@ impl BitmapBuilder {
         }
     }
 
+    /// A builder already holding `len` set bits, with room for `bits`.
+    pub(crate) fn with_set(len: usize, bits: usize) -> Self {
+        let mut words = Vec::with_capacity(bits.max(len).div_ceil(64));
+        words.resize(len / 64, u64::MAX);
+        if !len.is_multiple_of(64) {
+            words.push((1u64 << (len % 64)) - 1);
+        }
+        BitmapBuilder {
+            words,
+            len,
+            set: len,
+        }
+    }
+
     /// Appends one bit.
     #[inline]
     pub fn push(&mut self, value: bool) {
@@ -482,9 +478,8 @@ mod tests {
     }
 
     #[test]
-    fn take_filter_slice_concat() {
+    fn filter_slice_concat() {
         let a = Bitmap::from_iter([true, false, true, false, true]);
-        assert_eq!(a.take(&[4, 0, 1]), Bitmap::from_iter([true, true, false]));
         let mask = Bitmap::from_iter([true, true, false, false, true]);
         assert_eq!(a.filter(&mask), Bitmap::from_iter([true, false, true]));
         assert_eq!(a.slice(1, 3), Bitmap::from_iter([false, true, false]));
@@ -494,13 +489,10 @@ mod tests {
     }
 
     #[test]
-    fn take_filter_word_ops_match_per_bit_reference() {
+    fn filter_word_ops_match_per_bit_reference() {
         // dense + sparse patterns, at a non-zero bit offset, spanning words
         let big = Bitmap::from_iter((0..300).map(|i| i % 3 != 1));
         let view = big.slice(7, 271);
-        let indices: Vec<usize> = (0..view.len()).rev().step_by(2).collect();
-        let reference = Bitmap::from_iter(indices.iter().map(|&i| view.get(i)));
-        assert_eq!(view.take(&indices), reference);
         let mask = Bitmap::from_iter((0..view.len()).map(|i| i % 7 != 2 || i < 80));
         let reference = Bitmap::from_iter(mask.set_indices().map(|i| view.get(i)));
         assert_eq!(view.filter(&mask), reference);

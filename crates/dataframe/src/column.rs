@@ -11,6 +11,323 @@ use crate::error::{DfError, DfResult};
 use crate::hash::{combine, hash_bytes};
 use crate::scalar::{DataType, Scalar};
 use std::cmp::Ordering;
+use std::ops::Range;
+
+/// A gather index with no source row: the row comes out null (a left
+/// join's unmatched right side, a group with no best row).
+pub const NO_ROW: u32 = u32::MAX;
+
+/// A gather index: `usize` rows always exist, `u32` rows may be [`NO_ROW`].
+pub(crate) trait RowId: Copy + Ord {
+    fn row(self) -> Option<usize>;
+}
+
+impl RowId for usize {
+    #[inline]
+    fn row(self) -> Option<usize> {
+        Some(self)
+    }
+}
+
+impl RowId for u32 {
+    #[inline]
+    fn row(self) -> Option<usize> {
+        (self != NO_ROW).then_some(self as usize)
+    }
+}
+
+/// Resolves the `k`-th id, row `g` of parts laid end to end, to `(part,
+/// row in part)`.
+trait Locate: Copy {
+    fn locate(self, k: usize, g: usize) -> (usize, usize);
+}
+
+/// Ids that all fall in one part, starting at row `base`.
+#[derive(Clone, Copy)]
+struct InPart {
+    part: usize,
+    base: usize,
+}
+
+impl Locate for InPart {
+    #[inline]
+    fn locate(self, _: usize, g: usize) -> (usize, usize) {
+        (self.part, g - self.base)
+    }
+}
+
+/// Ids resolved once, the `k`-th to `(part, row)` entry `k`.
+#[derive(Clone, Copy)]
+struct Located<'a>(&'a [(u32, u32)]);
+
+impl Locate for Located<'_> {
+    #[inline]
+    fn locate(self, k: usize, _: usize) -> (usize, usize) {
+        let (part, row) = self.0[k];
+        (part as usize, row as usize)
+    }
+}
+
+/// One stretch of a gather's output, in output order.
+enum Seg<L> {
+    /// Rows picked one by one: the ids `idx[range]`, resolved by `L`.
+    Pick(Range<usize>, L),
+    /// `len` consecutive rows of `part` from row `row`, moved as one run.
+    Run { part: usize, row: usize, len: usize },
+}
+
+/// Shortest stretch of consecutive ids moved as a [`Seg::Run`]. Runs are
+/// measured to pay (DESIGN §9); 4, 16 and 64 could not be told apart.
+const MIN_RUN: usize = 16;
+
+/// A gather of ids over parts laid end to end, planned once and reused for
+/// every column of those parts (a join side's columns).
+pub(crate) struct GatherPlan<'a, I> {
+    idx: &'a [I],
+    how: Plan,
+}
+
+enum Plan {
+    /// Ascending ids (a probe side's rows, any one part's rows) fall in one
+    /// part after the other: a segment per part, and a stretch of at least
+    /// [`MIN_RUN`] consecutive ids moves as one run.
+    Ascending(Vec<Seg<InPart>>),
+    /// Ids in any order over several parts (a build side's rows), each
+    /// resolved to `(part, row)` once.
+    Scattered(Vec<(u32, u32)>),
+}
+
+impl<'a, I: RowId> GatherPlan<'a, I> {
+    /// Plans gathering `idx` from parts of `lens` rows.
+    pub(crate) fn new(lens: &[usize], idx: &'a [I]) -> Self {
+        let mut starts = vec![0];
+        for len in lens {
+            starts.push(starts[starts.len() - 1] + len);
+        }
+        if lens.len() > 1 && !idx.is_sorted() {
+            // a branch-free search per id: the parts ending at or before
+            // it (an empty part ends where it starts, so is never picked)
+            let ends = &starts[1..];
+            let locate = |g: usize| {
+                let (mut base, mut size) = (0, ends.len());
+                while size > 1 {
+                    let half = size / 2;
+                    let past = ends[base + half] <= g;
+                    base = std::hint::select_unpredictable(past, base + half, base);
+                    size -= half;
+                }
+                let part = base + usize::from(ends[base] <= g);
+                (part as u32, (g - starts[part]) as u32)
+            };
+            let located = idx.iter().map(|g| g.row().map_or((0, 0), locate)).collect();
+            let how = Plan::Scattered(located);
+            return GatherPlan { idx, how };
+        }
+        let mut segs = Vec::new();
+        let mut lo = 0;
+        for part in 0..lens.len() {
+            // the ids below the part's end (missing rows sort last); one
+            // part takes every id
+            let end = starts[part + 1];
+            let hi = match lens.len() {
+                1 => idx.len(),
+                _ => idx[lo..].partition_point(|g| g.row().is_some_and(|g| g < end)) + lo,
+            };
+            let at = InPart {
+                part,
+                base: starts[part],
+            };
+            // runs are looked for a block of `MIN_RUN` ids at a time, and
+            // one found grows past its block as far as it goes
+            let run_len = |k: usize, g: usize| {
+                let ids = idx[k..hi].iter().zip(g..);
+                ids.take_while(|&(h, g)| h.row() == Some(g)).count()
+            };
+            let (mut pick, mut k) = (lo, lo);
+            while k + MIN_RUN <= hi {
+                match idx[k].row().map(|g| (g, run_len(k, g))) {
+                    Some((g, len)) if len >= MIN_RUN => {
+                        segs.push(Seg::Pick(pick..k, at));
+                        let row = g - at.base;
+                        segs.push(Seg::Run { part, row, len });
+                        k += len;
+                        pick = k;
+                    }
+                    _ => k += MIN_RUN,
+                }
+            }
+            segs.push(Seg::Pick(pick..hi, at));
+            lo = hi;
+        }
+        segs.push(Seg::Pick(lo..idx.len(), InPart { part: 0, base: 0 }));
+        let how = Plan::Ascending(segs);
+        GatherPlan { idx, how }
+    }
+}
+
+/// The validity of a gather under construction: built from the first row
+/// when a source part carries nulls, else from the first missing row
+/// (every row before it was valid), else never.
+struct Validity {
+    bits: Option<BitmapBuilder>,
+    capacity: usize,
+}
+
+impl Validity {
+    fn new(tracked: bool, capacity: usize) -> Validity {
+        Validity {
+            bits: tracked.then(|| BitmapBuilder::with_capacity(capacity)),
+            capacity,
+        }
+    }
+
+    /// Records a source row, whose validity `valid` reads.
+    #[inline]
+    fn push(&mut self, valid: impl FnOnce() -> bool) {
+        if let Some(bits) = &mut self.bits {
+            bits.push(valid());
+        }
+    }
+
+    /// Records `len` source rows of `src` from `row`.
+    fn push_run(&mut self, src: Option<&Bitmap>, row: usize, len: usize) {
+        if let Some(bits) = &mut self.bits {
+            for r in row..row + len {
+                bits.push(src.is_none_or(|v| v.get(r)));
+            }
+        }
+    }
+
+    /// Records a missing row, the `row`-th of the output.
+    fn miss(&mut self, row: usize) {
+        let capacity = self.capacity;
+        self.bits
+            .get_or_insert_with(|| BitmapBuilder::with_set(row, capacity))
+            .push(false);
+    }
+
+    /// Whatever was built, all-set or not.
+    fn finish(self) -> Option<Bitmap> {
+        self.bits.map(BitmapBuilder::finish)
+    }
+
+    /// What was built, if some row came out null.
+    fn finish_if_null(self) -> Option<Bitmap> {
+        self.bits.and_then(BitmapBuilder::finish_validity)
+    }
+}
+
+/// Copies `src[s..e]` to `dst`: a span of at most 8 bytes as one
+/// unaligned 8-byte load and store when `wide` allows writing 8 bytes at
+/// `dst` and 8 bytes exist at `s`, any other span as one memcpy.
+///
+/// # Safety
+/// `dst` must be valid for `e - s` bytes, and for 8 when `wide`, and must
+/// not overlap `src`.
+#[inline]
+unsafe fn copy_span(src: &[u8], s: usize, e: usize, dst: *mut u8, wide: bool) {
+    let len = e - s;
+    if len <= 8 && wide && s + 8 <= src.len() {
+        let w = src.as_ptr().add(s).cast::<[u8; 8]>().read_unaligned();
+        dst.cast::<[u8; 8]>().write_unaligned(w);
+    } else {
+        std::ptr::copy_nonoverlapping(src.as_ptr().add(s), dst, len);
+    }
+}
+
+/// A string gather's output under construction: a byte buffer sized to
+/// the `total` bytes the rows hold (plus 8 bytes of slack for the short
+/// copy's wide store), filled through a cursor, with offsets and validity.
+struct StrOut {
+    data: Vec<u8>,
+    total: usize,
+    offsets: Vec<u32>,
+    validity: Validity,
+}
+
+impl StrOut {
+    fn new(total: usize, rows: usize, tracked: bool) -> StrOut {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        StrOut {
+            data: Vec::with_capacity(total + 8),
+            total,
+            offsets,
+            validity: Validity::new(tracked, rows),
+        }
+    }
+
+    /// Bytes written so far.
+    fn pos(&self) -> usize {
+        self.offsets[self.offsets.len() - 1] as usize
+    }
+
+    /// Appends one row: the bytes `src[s..e]`, or null.
+    #[inline]
+    fn row(&mut self, bytes: Option<(&[u8], usize, usize)>) {
+        let pos = self.pos();
+        let end = match bytes {
+            Some((src, s, e)) => {
+                assert!(
+                    pos + e - s <= self.total,
+                    "gather spans outgrew their sizing pass"
+                );
+                // SAFETY: `pos + 8 <= total + 8`, the capacity, and
+                // `src` is another allocation.
+                unsafe { copy_span(src, s, e, self.data.as_mut_ptr().add(pos), true) };
+                self.validity.push(|| true);
+                pos + e - s
+            }
+            None => {
+                self.validity.push(|| false);
+                pos
+            }
+        };
+        self.offsets.push(end as u32);
+    }
+
+    /// Appends a missing row: null.
+    fn missing(&mut self) {
+        self.validity.miss(self.offsets.len() - 1);
+        self.offsets.push(self.pos() as u32);
+    }
+
+    /// Appends `len` valid rows of a part at once: its bytes from row
+    /// `row` on are one copy, its offsets one shift.
+    fn run(&mut self, src: &[u8], offs: &[u32], row: usize, len: usize) {
+        let (pos, first) = (self.pos(), offs[row]);
+        let bytes = &src[first as usize..offs[row + len] as usize];
+        assert!(
+            pos + bytes.len() <= self.total,
+            "gather spans outgrew their sizing pass"
+        );
+        // SAFETY: in bounds of the capacity (checked above), and `src` is
+        // another allocation.
+        unsafe {
+            let dst = self.data.as_mut_ptr().add(pos);
+            std::ptr::copy_nonoverlapping(bytes.as_ptr(), dst, bytes.len());
+        }
+        let shift = |o: u32| (o - first) + pos as u32;
+        self.offsets
+            .extend(offs[row + 1..=row + len].iter().map(|&o| shift(o)));
+        self.validity.push_run(None, row, len);
+    }
+
+    fn finish(mut self) -> StrArr {
+        assert_eq!(
+            self.pos(),
+            self.total,
+            "gather spans changed between passes"
+        );
+        // SAFETY: bytes `0..total` were written.
+        unsafe { self.data.set_len(self.total) };
+        StrArr {
+            data: Buffer::from_vec(self.data),
+            offsets: Buffer::from_vec(self.offsets),
+            validity: self.validity.finish_if_null(),
+        }
+    }
+}
 
 /// A primitive array: contiguous values plus an optional null bitmap
 /// (absent bitmap ⇒ all values valid).
@@ -74,33 +391,40 @@ impl<T: Copy + Default> PrimArr<T> {
         }
     }
 
-    fn take(&self, indices: &[usize]) -> Self {
-        let values = indices.iter().map(|&i| self.values[i]).collect();
-        let validity = self.validity.as_ref().map(|v| v.take(indices));
-        PrimArr { values, validity }
-    }
-
-    /// Gather by optional index: `None` yields a null row. The typed
-    /// left-join output kernel — no per-row scalar materialization.
-    fn take_opt(&self, indices: &[Option<usize>]) -> Self {
-        let vals = self.values.as_slice();
-        let mut values = Vec::with_capacity(indices.len());
-        let mut validity = BitmapBuilder::with_capacity(indices.len());
-        for idx in indices {
-            match idx {
-                Some(i) => {
-                    values.push(vals[*i]);
-                    validity.push(self.is_valid(*i));
+    /// Rows `idx` of `parts` laid end to end (see [`Column::gather`]). A
+    /// null slot's value is copied like any other; a missing row holds
+    /// `T::default()`.
+    fn gather<I: RowId, L: Locate>(parts: &[&Self], idx: &[I], segs: &[Seg<L>]) -> Self {
+        let vals: Vec<&[T]> = parts.iter().map(|p| p.values.as_slice()).collect();
+        let mut validity = Validity::new(parts.iter().any(|p| p.validity.is_some()), idx.len());
+        let mut values = Vec::with_capacity(idx.len());
+        for seg in segs {
+            match *seg {
+                Seg::Pick(ref ids, loc) => {
+                    let first = ids.start;
+                    values.extend(idx[ids.clone()].iter().enumerate().map(
+                        |(k, &g)| match g.row() {
+                            Some(g) => {
+                                let (p, r) = loc.locate(first + k, g);
+                                validity.push(|| parts[p].is_valid(r));
+                                vals[p][r]
+                            }
+                            None => {
+                                validity.miss(first + k);
+                                T::default()
+                            }
+                        },
+                    ));
                 }
-                None => {
-                    values.push(T::default());
-                    validity.push(false);
+                Seg::Run { part, row, len } => {
+                    values.extend_from_slice(&vals[part][row..row + len]);
+                    validity.push_run(parts[part].validity.as_ref(), row, len);
                 }
             }
         }
         PrimArr {
             values: Buffer::from_vec(values),
-            validity: validity.finish_validity(),
+            validity: validity.finish(),
         }
     }
 
@@ -333,44 +657,69 @@ impl StrArr {
         (self.offsets[i] as usize, self.offsets[i + 1] as usize)
     }
 
-    /// Gathers rows into a fresh array: bytes are copied range-wise out of
-    /// the shared byte buffer, never through `&str`/`String` values.
-    fn take(&self, indices: &[usize]) -> Self {
-        let mut data = Vec::new();
-        let mut offsets = Vec::with_capacity(indices.len() + 1);
-        offsets.push(0u32);
-        match &self.validity {
-            None => {
-                for &i in indices {
-                    let (s, e) = self.byte_range(i);
-                    data.extend_from_slice(&self.data.as_slice()[s..e]);
-                    offsets.push(data.len() as u32);
+    /// Rows `idx` of `parts` laid end to end (see [`Column::gather`]) into
+    /// a fresh array. A first pass sums the kept bytes, so the byte buffer
+    /// is sized exactly; the second copies each span straight out of its
+    /// part's shared buffer, a short one as one 8-byte store into the
+    /// buffer's 8 bytes of tail slack. A null or missing row keeps no
+    /// bytes, and an all-valid result carries no validity bitmap.
+    fn gather<I: RowId, L: Locate>(parts: &[&Self], idx: &[I], segs: &[Seg<L>]) -> Self {
+        // every part's bytes, offsets and validity, borrowed once
+        let views: Vec<(&[u8], &[u32], Option<&Bitmap>)> = parts
+            .iter()
+            .map(|p| (p.data.as_slice(), p.offsets.as_slice(), p.validity.as_ref()))
+            .collect();
+        // the byte span of row `r` of part `p`, none when the row is null
+        let span = |p: usize, r: usize| {
+            let (_, offs, valid) = views[p];
+            let valid = valid.is_none_or(|v| v.get(r));
+            valid.then(|| (offs[r] as usize, offs[r + 1] as usize))
+        };
+        let bytes = |(s, e): (usize, usize)| e - s;
+        let total: usize = segs
+            .iter()
+            .map(|seg| match *seg {
+                Seg::Pick(ref ids, loc) => {
+                    let spans = idx[ids.clone()].iter().enumerate().filter_map(|(k, &g)| {
+                        let (p, r) = loc.locate(ids.start + k, g.row()?);
+                        span(p, r)
+                    });
+                    spans.map(bytes).sum()
                 }
-                StrArr {
-                    data: Buffer::from_vec(data),
-                    offsets: Buffer::from_vec(offsets),
-                    validity: None,
-                }
-            }
-            Some(v) => {
-                let mut vb = BitmapBuilder::with_capacity(indices.len());
-                for &i in indices {
-                    if v.get(i) {
-                        let (s, e) = self.byte_range(i);
-                        data.extend_from_slice(&self.data.as_slice()[s..e]);
-                        vb.push(true);
-                    } else {
-                        vb.push(false);
+                Seg::Run { part, row, len } => match views[part] {
+                    (_, offs, None) => (offs[row + len] - offs[row]) as usize,
+                    _ => (row..row + len)
+                        .filter_map(|r| span(part, r))
+                        .map(bytes)
+                        .sum(),
+                },
+            })
+            .sum();
+        let mut out = StrOut::new(total, idx.len(), parts.iter().any(|p| p.validity.is_some()));
+        for seg in segs {
+            match *seg {
+                Seg::Pick(ref ids, loc) => {
+                    for (k, &g) in idx[ids.clone()].iter().enumerate() {
+                        match g.row() {
+                            Some(g) => {
+                                let (p, r) = loc.locate(ids.start + k, g);
+                                out.row(span(p, r).map(|(s, e)| (views[p].0, s, e)));
+                            }
+                            None => out.missing(),
+                        }
                     }
-                    offsets.push(data.len() as u32);
                 }
-                StrArr {
-                    data: Buffer::from_vec(data),
-                    offsets: Buffer::from_vec(offsets),
-                    validity: vb.finish_validity(),
-                }
+                Seg::Run { part, row, len } => match views[part] {
+                    (src, offs, None) => out.run(src, offs, row, len),
+                    (src, ..) => {
+                        for r in row..row + len {
+                            out.row(span(part, r).map(|(s, e)| (src, s, e)));
+                        }
+                    }
+                },
             }
         }
+        out.finish()
     }
 
     /// Compaction a mask word at a time into buffers sized from the kept
@@ -418,30 +767,6 @@ impl StrArr {
                 .as_ref()
                 .map(|v| v.filter(mask))
                 .filter(|v| v.count_set() < kept),
-        }
-    }
-
-    /// Gather by optional index; `None` yields a null row.
-    fn take_opt(&self, indices: &[Option<usize>]) -> Self {
-        let mut data = Vec::new();
-        let mut offsets = Vec::with_capacity(indices.len() + 1);
-        offsets.push(0u32);
-        let mut vb = BitmapBuilder::with_capacity(indices.len());
-        for idx in indices {
-            match idx {
-                Some(i) if self.is_valid(*i) => {
-                    let (s, e) = self.byte_range(*i);
-                    data.extend_from_slice(&self.data.as_slice()[s..e]);
-                    vb.push(true);
-                }
-                _ => vb.push(false),
-            }
-            offsets.push(data.len() as u32);
-        }
-        StrArr {
-            data: Buffer::from_vec(data),
-            offsets: Buffer::from_vec(offsets),
-            validity: vb.finish_validity(),
         }
     }
 
@@ -519,19 +844,11 @@ impl StrArr {
                 // total length of the valid rows routed to it (+8 arena
                 // tail slack for the wide store), so the cursor stays
                 // in-bounds; source and destination buffers are disjoint.
-                // The wide load only fires when 8 source bytes exist at
-                // `s`.
                 unsafe {
-                    let len = e - s;
-                    let dst = dbase.add(dcurs[p]);
-                    if len <= 8 && s + 8 <= src.len() && dcurs[p] + 8 <= wlims[p] {
-                        let w = src.as_ptr().add(s).cast::<[u8; 8]>().read_unaligned();
-                        dst.cast::<[u8; 8]>().write_unaligned(w);
-                    } else {
-                        std::ptr::copy_nonoverlapping(src.as_ptr().add(s), dst, len);
-                    }
-                    dcurs[p] += len;
+                    let wide = dcurs[p] + 8 <= wlims[p];
+                    copy_span(src, s, e, dbase.add(dcurs[p]), wide);
                 }
+                dcurs[p] += e - s;
             }
             // SAFETY: each offsets region takes exactly `counts[p]` pushes
             // after its seeded start.
@@ -855,6 +1172,42 @@ impl BoolArr {
             Some(v) => self.values.and(v),
         }
     }
+
+    /// Rows `idx` of `parts` laid end to end (see [`Column::gather`]); a
+    /// missing row is a null `false`.
+    fn gather<I: RowId, L: Locate>(parts: &[&Self], idx: &[I], segs: &[Seg<L>]) -> Self {
+        let mut values = BitmapBuilder::with_capacity(idx.len());
+        let mut validity = Validity::new(parts.iter().any(|p| p.validity.is_some()), idx.len());
+        let put = |p: usize, r: usize, values: &mut BitmapBuilder, validity: &mut Validity| {
+            values.push(parts[p].values.get(r));
+            validity.push(|| parts[p].is_valid(r));
+        };
+        for seg in segs {
+            match *seg {
+                Seg::Pick(ref ids, loc) => {
+                    for (row, &g) in idx[ids.clone()].iter().enumerate() {
+                        match g.row() {
+                            Some(g) => {
+                                let (p, r) = loc.locate(ids.start + row, g);
+                                put(p, r, &mut values, &mut validity);
+                            }
+                            None => {
+                                validity.miss(ids.start + row);
+                                values.push(false);
+                            }
+                        }
+                    }
+                }
+                Seg::Run { part, row, len } => {
+                    (row..row + len).for_each(|r| put(part, r, &mut values, &mut validity))
+                }
+            }
+        }
+        BoolArr {
+            values: values.finish(),
+            validity: validity.finish(),
+        }
+    }
 }
 
 /// A typed column of a dataframe.
@@ -1128,15 +1481,68 @@ impl Column {
 
     /// Rows at `indices`, in order (may repeat).
     pub fn take(&self, indices: &[usize]) -> Column {
-        match self {
-            Column::Int64(a) => Column::Int64(a.take(indices)),
-            Column::Float64(a) => Column::Float64(a.take(indices)),
-            Column::Bool(a) => Column::Bool(BoolArr {
-                values: a.values.take(indices),
-                validity: a.validity.as_ref().map(|v| v.take(indices)),
-            }),
-            Column::Utf8(a) => Column::Utf8(a.take(indices)),
-            Column::Date(a) => Column::Date(a.take(indices)),
+        Column::gather_with(&[self], &GatherPlan::new(&[self.len()], indices))
+    }
+
+    /// Rows `idx` of `parts` read as one column, part after part: id `g`
+    /// is row `g - start` of the part whose rows start at `start`, and
+    /// [`NO_ROW`] is a null row. The parts must share a type. Each row is
+    /// copied once, straight out of its part — the parts are never
+    /// concatenated first. A part's validity bitmap carries over (all-set
+    /// or not, as [`Column::take`] keeps it), and a missing row starts one;
+    /// a string result carries one only when a row is null.
+    pub fn gather(parts: &[&Column], idx: &[u32]) -> DfResult<Column> {
+        let lens: Vec<usize> = parts.iter().map(|p| p.len()).collect();
+        Column::gather_planned(parts, &GatherPlan::new(&lens, idx))
+    }
+
+    /// [`Column::gather`] by a plan made once for all columns of `parts`.
+    pub(crate) fn gather_planned<I: RowId>(
+        parts: &[&Column],
+        plan: &GatherPlan<'_, I>,
+    ) -> DfResult<Column> {
+        let first = parts
+            .first()
+            .ok_or_else(|| DfError::Unsupported("gather from zero columns".to_string()))?;
+        if let Some(p) = parts.iter().find(|p| p.data_type() != first.data_type()) {
+            return Err(DfError::TypeMismatch {
+                expected: first.data_type().to_string(),
+                found: p.data_type().to_string(),
+            });
+        }
+        Ok(Column::gather_with(parts, plan))
+    }
+
+    /// [`Column::gather_planned`] over parts known to share a type.
+    fn gather_with<I: RowId>(parts: &[&Column], plan: &GatherPlan<'_, I>) -> Column {
+        let idx = plan.idx;
+        match &plan.how {
+            Plan::Ascending(segs) => Column::gather_segs(parts, idx, segs),
+            Plan::Scattered(located) => {
+                let all = [Seg::Pick(0..idx.len(), Located(located))];
+                Column::gather_segs(parts, idx, &all)
+            }
+        }
+    }
+
+    fn gather_segs<I: RowId, L: Locate>(parts: &[&Column], idx: &[I], segs: &[Seg<L>]) -> Column {
+        macro_rules! typed {
+            ($variant:ident) => {
+                parts
+                    .iter()
+                    .map(|c| match c {
+                        Column::$variant(a) => a,
+                        _ => unreachable!("gather parts share a type"),
+                    })
+                    .collect::<Vec<_>>()
+            };
+        }
+        match parts[0] {
+            Column::Int64(_) => Column::Int64(PrimArr::gather(&typed!(Int64), idx, segs)),
+            Column::Float64(_) => Column::Float64(PrimArr::gather(&typed!(Float64), idx, segs)),
+            Column::Date(_) => Column::Date(PrimArr::gather(&typed!(Date), idx, segs)),
+            Column::Utf8(_) => Column::Utf8(StrArr::gather(&typed!(Utf8), idx, segs)),
+            Column::Bool(_) => Column::Bool(BoolArr::gather(&typed!(Bool), idx, segs)),
         }
     }
 
@@ -1151,44 +1557,6 @@ impl Column {
             }),
             Column::Utf8(a) => Column::Utf8(a.filter(mask)),
             Column::Date(a) => Column::Date(a.filter(mask)),
-        }
-    }
-
-    /// Gather by optional index: `None` yields a null row. This is the
-    /// typed outer-join output kernel — probe misses become nulls without
-    /// any per-row [`Scalar`] round-trip.
-    pub fn take_opt(&self, indices: &[Option<usize>]) -> Column {
-        // all-Some degenerates to a plain gather (keeps the no-validity
-        // normalization of `take` for fully-matched joins)
-        if indices.iter().all(|i| i.is_some()) {
-            let idx: Vec<usize> = indices.iter().map(|i| i.unwrap()).collect();
-            return self.take(&idx);
-        }
-        match self {
-            Column::Int64(a) => Column::Int64(a.take_opt(indices)),
-            Column::Float64(a) => Column::Float64(a.take_opt(indices)),
-            Column::Date(a) => Column::Date(a.take_opt(indices)),
-            Column::Utf8(a) => Column::Utf8(a.take_opt(indices)),
-            Column::Bool(a) => {
-                let mut values = BitmapBuilder::with_capacity(indices.len());
-                let mut validity = BitmapBuilder::with_capacity(indices.len());
-                for idx in indices {
-                    match idx {
-                        Some(i) => {
-                            values.push(a.values.get(*i));
-                            validity.push(a.is_valid(*i));
-                        }
-                        None => {
-                            values.push(false);
-                            validity.push(false);
-                        }
-                    }
-                }
-                Column::Bool(BoolArr {
-                    values: values.finish(),
-                    validity: validity.finish_validity(),
-                })
-            }
         }
     }
 

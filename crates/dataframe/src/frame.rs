@@ -243,18 +243,7 @@ impl DataFrame {
 
     /// Vertical concatenation; schemas must match by name and type.
     pub fn concat(parts: &[&DataFrame]) -> DfResult<DataFrame> {
-        let first = parts
-            .first()
-            .ok_or_else(|| DfError::Unsupported("concat of zero frames".into()))?;
-        for p in &parts[1..] {
-            if p.schema.as_ref() != first.schema.as_ref() {
-                return Err(DfError::Unsupported(format!(
-                    "concat schema mismatch: {:?} vs {:?}",
-                    first.schema.names(),
-                    p.schema.names()
-                )));
-            }
-        }
+        let first = one_schema(parts)?;
         let ncols = first.num_columns();
         let mut columns = Vec::with_capacity(ncols);
         for ci in 0..ncols {
@@ -266,6 +255,19 @@ impl DataFrame {
             columns,
             num_rows: parts.iter().map(|p| p.num_rows).sum(),
         })
+    }
+
+    /// The parts a multi-part input (the chunks of one partition) stands
+    /// for: zero-row parts are dropped when some part has rows — an empty
+    /// chunk may carry a divergent inferred schema — and the rest must
+    /// share one schema, as in [`DataFrame::concat`].
+    pub fn live_parts<'a>(parts: &[&'a DataFrame]) -> DfResult<Vec<&'a DataFrame>> {
+        let mut live: Vec<&DataFrame> = parts.iter().copied().filter(|d| d.num_rows > 0).collect();
+        if live.is_empty() {
+            live = parts.to_vec();
+        }
+        one_schema(&live)?;
+        Ok(live)
     }
 
     // ---- hashing -------------------------------------------------------------
@@ -382,6 +384,21 @@ impl DataFrame {
         }
         Ok(self.take(&keep))
     }
+}
+
+/// The first of `parts`, once every part is known to share its schema.
+fn one_schema<'a>(parts: &[&'a DataFrame]) -> DfResult<&'a DataFrame> {
+    let first = parts
+        .first()
+        .ok_or_else(|| DfError::Unsupported("concat of zero frames".into()))?;
+    if let Some(p) = parts.iter().find(|p| p.schema != first.schema) {
+        return Err(DfError::Unsupported(format!(
+            "concat schema mismatch: {:?} vs {:?}",
+            first.schema.names(),
+            p.schema.names()
+        )));
+    }
+    Ok(first)
 }
 
 impl std::fmt::Display for DataFrame {

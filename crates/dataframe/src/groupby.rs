@@ -14,7 +14,7 @@
 //! to `distinct` + `count` instead (see `xorbits-core`); the single-pass path
 //! here supports it directly.
 
-use crate::column::{BoolArr, Column, PrimArr};
+use crate::column::{BoolArr, Column, PrimArr, NO_ROW};
 use crate::error::{DfError, DfResult};
 use crate::frame::DataFrame;
 use crate::hash::{FxHashMap, FxHashSet};
@@ -335,11 +335,11 @@ enum Accumulator<'a> {
     /// Sum over Date; output Date (legacy behavior of this kernel).
     SumDate(&'a PrimArr<i32>, Vec<i64>),
     /// Min/Max/First tracked as best-row index; the output column is one
-    /// `take_opt` gather, so empty groups come out null in the input type.
+    /// gather, so empty groups ([`NO_ROW`]) come out null in the input type.
     BestRow {
         col: &'a Column,
         mode: BestMode,
-        best: Vec<Option<usize>>,
+        best: Vec<u32>,
     },
     /// Count of non-null rows; output Int64.
     Count(&'a Column, Vec<i64>),
@@ -390,6 +390,13 @@ impl<'a> Accumulator<'a> {
                 ),
                 Column::Utf8(_) => return Err(unsupported("sum")),
             },
+            // best rows are `u32` ids, `NO_ROW` taken, as a join side's are
+            AggFunc::Min | AggFunc::Max | AggFunc::First if col.len() >= NO_ROW as usize => {
+                return Err(DfError::Unsupported(format!(
+                    "{func:?} over a chunk of {} rows exceeds u32 row ids",
+                    col.len()
+                )))
+            }
             AggFunc::Min | AggFunc::Max | AggFunc::First => Accumulator::BestRow {
                 col,
                 mode: match func {
@@ -397,7 +404,7 @@ impl<'a> Accumulator<'a> {
                     AggFunc::Max => BestMode::Max,
                     _ => BestMode::First,
                 },
-                best: vec![None; ngroups],
+                best: vec![NO_ROW; ngroups],
             },
             AggFunc::Count => Accumulator::Count(col, vec![0; ngroups]),
             AggFunc::Mean => Accumulator::Mean(
@@ -454,17 +461,16 @@ impl<'a> Accumulator<'a> {
             }
             Accumulator::BestRow { col, mode, best } => {
                 if col.is_valid(row) {
-                    best[gid] = match best[gid] {
-                        None => Some(row),
-                        Some(b) => {
-                            let replace = match mode {
-                                BestMode::First => false,
-                                BestMode::Min => col.cmp_valid(row, col, b) == Ordering::Less,
-                                BestMode::Max => col.cmp_valid(row, col, b) == Ordering::Greater,
-                            };
-                            Some(if replace { row } else { b })
-                        }
-                    };
+                    let b = best[gid] as usize;
+                    let replace = best[gid] == NO_ROW
+                        || match mode {
+                            BestMode::First => false,
+                            BestMode::Min => col.cmp_valid(row, col, b) == Ordering::Less,
+                            BestMode::Max => col.cmp_valid(row, col, b) == Ordering::Greater,
+                        };
+                    if replace {
+                        best[gid] = row as u32;
+                    }
                 }
             }
             Accumulator::Count(col, counts) => {
@@ -561,14 +567,14 @@ impl<'a> Accumulator<'a> {
     }
 
     /// Materializes the output column for all groups at once.
-    fn finish(self) -> Column {
-        match self {
+    fn finish(self) -> DfResult<Column> {
+        Ok(match self {
             Accumulator::SumInt(_, sums) => Column::from_i64(sums),
             Accumulator::SumFloat(_, sums) => Column::from_f64(sums),
             Accumulator::SumDate(_, sums) => {
                 Column::from_date(sums.into_iter().map(|s| s as i32).collect())
             }
-            Accumulator::BestRow { col, best, .. } => col.take_opt(&best),
+            Accumulator::BestRow { col, best, .. } => Column::gather(&[col], &best)?,
             Accumulator::Count(_, counts) => Column::from_i64(counts),
             Accumulator::Mean(_, sums, counts) => Column::from_opt_f64(
                 sums.into_iter()
@@ -612,7 +618,7 @@ impl<'a> Accumulator<'a> {
             Accumulator::NuniqueDictSet(_, sets) => {
                 Column::from_i64(sets.into_iter().map(|s| s.len() as i64).collect())
             }
-        }
+        })
     }
 }
 
@@ -669,7 +675,7 @@ fn groupby_agg_raw(df: &DataFrame, keys: &[&str], specs: &[AggSpec]) -> DfResult
         pairs.push((k.to_string(), df.column(k)?.take(&groups.repr_rows)));
     }
     for (spec, acc) in specs.iter().zip(accs) {
-        pairs.push((spec.output.clone(), acc.finish()));
+        pairs.push((spec.output.clone(), acc.finish()?));
     }
     DataFrame::new(pairs)
 }

@@ -51,6 +51,27 @@ if [[ -n "$strays" ]]; then
   exit 1
 fi
 
+# Structural gate (hard): a join reads its pieces as they lie. The shuffle
+# pieces of a partition, a broadcast side's chunks and an auto-merge group of
+# the big side are a `Join` node's inputs, so the non-test body of
+# `tile_merge` in core/src/tiling.rs emits no `ChunkOp::Concat` and calls
+# neither `self.gather(` nor `self.auto_merge(` (auto merge's grouping,
+# `self.merge_groups(`, is what a join reads).
+echo "==> no Concat in front of a join (tile_merge emits no Concat, gather or auto_merge)"
+strays=$(awk '
+  /^#\[cfg\(test\)\]/ { exit }
+  /^[[:space:]]*\/\// { next }
+  /fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); current = substr($0, RSTART + 3, RLENGTH - 3) }
+  current == "tile_merge" { seen = 1 }
+  current == "tile_merge" && /ChunkOp::Concat|self\.gather\(|self\.auto_merge\(/ { print FILENAME ":" FNR ": " $0 }
+  END { if (!seen) print "no fn tile_merge found" }
+' crates/core/src/tiling.rs)
+if [[ -n "$strays" ]]; then
+  echo "crates/core/src/tiling.rs::tile_merge must hand a join its pieces, not a Concat; found:"
+  echo "$strays"
+  exit 1
+fi
+
 # Structural gate (hard): the one-emission-point family, stated for the whole
 # workspace. Outside test modules a `ChunkNode {` or `Subtask {` literal under
 # crates/*/src appears only where graphs are built — `tiling.rs::emit_n`,

@@ -131,6 +131,52 @@ fn join_equivalence() {
     }
 }
 
+/// Join keys of different physical types are a type error, not a join
+/// that silently matches nothing (inner) or nulls every right column
+/// (left) — whichever plan, broadcast or shuffle, the planner picks.
+#[test]
+fn join_keys_of_different_types_are_an_error() {
+    let mut rng = Xoshiro256::seed_from_u64(0x7e57);
+    let l = arb_frame(&mut rng);
+    let n = l.num_rows();
+    let keys: Vec<i64> = (0..15).collect();
+    let others = [
+        Column::from_f64(keys.iter().map(|&k| k as f64).collect()),
+        Column::from_date(keys.iter().map(|&k| k as i32).collect()),
+        Column::from_i64(keys.clone()),
+    ];
+    for (i, other) in others.into_iter().enumerate() {
+        let r =
+            DataFrame::new(vec![("rk", other), ("tag", Column::from_i64(keys.clone()))]).unwrap();
+        for how in [JoinType::Inner, JoinType::Left] {
+            for chunk_bytes in [64, 1 << 20] {
+                let s = tiny_chunk_session(chunk_bytes);
+                let out = s
+                    .from_df(l.clone())
+                    .unwrap()
+                    .merge(
+                        &s.from_df(r.clone()).unwrap(),
+                        vec!["k".into()],
+                        vec!["rk".into()],
+                        how,
+                    )
+                    .unwrap()
+                    .fetch();
+                match i {
+                    // the same-typed control joins every row
+                    2 => assert_eq!(out.unwrap().num_rows(), n, "{how:?}"),
+                    _ => match out {
+                        Err(XbError::Kernel(msg)) => {
+                            assert!(msg.contains("type mismatch"), "{msg}")
+                        }
+                        other => panic!("{how:?} on mismatched keys: {other:?}"),
+                    },
+                }
+            }
+        }
+    }
+}
+
 /// iloc over a filtered frame returns the same row as the kernel path,
 /// for any index within bounds (iterative tiling, Fig 3c).
 #[test]

@@ -2,7 +2,7 @@
 //! semantics — the pre-vectorization implementation strategy.
 //!
 //! The shuffle/join/groupby/sort hot paths now move rows through typed
-//! word-level kernels (single-pass scatter, `take_opt` gather, columnar
+//! word-level kernels (single-pass scatter, the gather over pieces, columnar
 //! accumulators, dictionary-encoded string keys), and expressions through
 //! the typed evaluator (packed predicate words, literals never broadcast).
 //! Every one of them must stay cell-for-cell identical to the old
@@ -11,10 +11,11 @@
 //! frames.
 
 use xorbits::array::prng::Xoshiro256;
+use xorbits::dataframe::column::NO_ROW;
 use xorbits::dataframe::expr::BinOp;
 use xorbits::dataframe::{
-    col, eval, groupby, lit, partition, sort, AggFunc, AggSpec, Column, DataFrame, DataType, Expr,
-    Scalar,
+    col, eval, groupby, join, lit, partition, sort, AggFunc, AggSpec, Column, DataFrame, DataType,
+    Expr, JoinOptions, JoinType, Scalar,
 };
 
 const CASES: u64 = 32;
@@ -119,48 +120,340 @@ fn hash_partition_roundtrips_under_concat() {
 }
 
 // ---------------------------------------------------------------------------
-// take_opt: typed optional gather (the left-join output kernel)
+// gather: typed gather over pieces (the join output kernel)
 // ---------------------------------------------------------------------------
 
-/// `take_opt` must match the old per-row `Scalar` gather: `Some(i)` copies
-/// row `i` (nulls included), `None` produces a null row, for every dtype.
+/// `df` cut at random points into consecutive offset views, zero-row views
+/// included (one in front, one at the end, any in between).
+fn cut(rng: &mut Xoshiro256, df: &DataFrame) -> Vec<DataFrame> {
+    let n = df.num_rows();
+    let mut pieces = vec![df.slice(0, 0)];
+    let mut at = 0;
+    while at < n {
+        let len = rng.gen_range_i64(0, (n - at).min(40) as i64 + 1) as usize;
+        pieces.push(df.slice(at, len));
+        at += len;
+    }
+    pieces.push(df.slice(n, 0));
+    pieces
+}
+
+/// Ids into `n` rows: any order with missing rows mixed in, or ascending
+/// — long stretches of consecutive ids, skips and repeats — with missing
+/// rows last, as a probe side's rows and a left join's right side come.
+fn gather_ids(rng: &mut Xoshiro256, n: usize, ascending: bool) -> Vec<u32> {
+    let m = rng.gen_range_i64(0, 2 * n as i64 + 1) as usize;
+    if !ascending {
+        return (0..m)
+            .map(|_| match rng.gen_bool(0.7) {
+                true => rng.gen_range_i64(0, n as i64) as u32,
+                false => NO_ROW,
+            })
+            .collect();
+    }
+    let mut ids = Vec::new();
+    let mut g = 0;
+    while g < n && ids.len() < m {
+        ids.push(g as u32);
+        g += match rng.next_bounded(20) {
+            0 => 0,
+            1 => 1 + rng.next_bounded(4) as usize,
+            _ => 1,
+        };
+    }
+    ids.extend(std::iter::repeat_n(NO_ROW, rng.next_bounded(3) as usize));
+    ids
+}
+
+/// `Column::gather` must match a per-row `Scalar` gather from the whole
+/// column, for every dtype and both id orders: an id copies that row of
+/// the pieces laid end to end (nulls included), `NO_ROW` produces a null
+/// row. A piece's validity bitmap carries over into a fixed-width result
+/// (and a missing row makes one), while a string result carries one only
+/// when a row is null. Without a missing row it is structurally the
+/// concatenation's `take`.
 #[test]
-fn take_opt_matches_scalar_reference() {
+fn gather_matches_scalar_reference() {
     for seed in 0..CASES {
         let mut rng = Xoshiro256::seed_from_u64(1000 + seed);
         let df = arb_frame(&mut rng);
+        let pieces = cut(&mut rng, &df);
         let n = df.num_rows();
-        let m = rng.gen_range_i64(0, 2 * n as i64 + 1) as usize;
-        let idx: Vec<Option<usize>> = (0..m)
-            .map(|_| {
-                rng.gen_bool(0.7)
-                    .then(|| rng.gen_range_i64(0, n as i64) as usize)
-            })
-            .collect();
-        for name in df.schema().names() {
-            let c = df.column(name).unwrap();
-            let got = c.take_opt(&idx);
-            let scalars: Vec<Scalar> = idx
-                .iter()
-                .map(|i| i.map_or(Scalar::Null, |j| c.get(j)))
-                .collect();
-            let want = Column::from_scalars(&scalars, c.data_type()).unwrap();
-            assert_eq!(got.len(), want.len());
-            for i in 0..got.len() {
-                assert_eq!(got.get(i), want.get(i), "column {name} row {i}");
+        for ascending in [false, true] {
+            let idx = gather_ids(&mut rng, n, ascending);
+            let found: Vec<u32> = idx.iter().copied().filter(|&g| g != NO_ROW).collect();
+            let missing = found.len() < idx.len();
+            for name in df.schema().names() {
+                let c = df.column(name).unwrap();
+                let parts: Vec<&Column> = pieces.iter().map(|p| p.column(name).unwrap()).collect();
+                let got = Column::gather(&parts, &idx).unwrap();
+                let scalars: Vec<Scalar> = idx
+                    .iter()
+                    .map(|&g| match g {
+                        NO_ROW => Scalar::Null,
+                        g => c.get(g as usize),
+                    })
+                    .collect();
+                let want = Column::from_scalars(&scalars, c.data_type()).unwrap();
+                assert_eq!(got.len(), want.len());
+                for i in 0..got.len() {
+                    assert_eq!(got.get(i), want.get(i), "column {name} row {i}");
+                }
+                let bitmap = match c.data_type() {
+                    DataType::Utf8 => got.null_count() > 0,
+                    _ => missing || parts.iter().any(|p| p.validity().is_some()),
+                };
+                assert_eq!(got.validity().is_some(), bitmap, "column {name}");
+                let whole = Column::concat(&parts).unwrap();
+                let rows: Vec<usize> = found.iter().map(|&g| g as usize).collect();
+                assert_eq!(
+                    Column::gather(&parts, &found).unwrap(),
+                    whole.take(&rows),
+                    "column {name}"
+                );
             }
         }
-        // all-Some and all-None edges
-        let all_some: Vec<Option<usize>> = (0..n).map(Some).collect();
-        let all_none: Vec<Option<usize>> = vec![None; 5];
+        // all rows in order, and nothing but missing rows
+        let all: Vec<u32> = (0..n as u32).collect();
         for name in df.schema().names() {
             let c = df.column(name).unwrap();
-            let some = c.take_opt(&all_some);
+            let parts: Vec<&Column> = pieces.iter().map(|p| p.column(name).unwrap()).collect();
+            let some = Column::gather(&parts, &all).unwrap();
             for i in 0..n {
                 assert_eq!(some.get(i), c.get(i));
             }
-            let none = c.take_opt(&all_none);
+            let none = Column::gather(&parts, &[NO_ROW; 5]).unwrap();
             assert_eq!(none.null_count(), 5);
+        }
+    }
+    let mixed = [&Column::from_i64(vec![1]), &Column::from_f64(vec![1.0])];
+    assert!(Column::gather(&mixed, &[0, 1]).is_err());
+}
+
+// ---------------------------------------------------------------------------
+// merge: typed and generic probes over pieces
+// ---------------------------------------------------------------------------
+
+/// A key column of `dtype`: few distinct values (duplicates on both
+/// sides), nulls when `nulls`, `NaN` and both zeros among the floats, and
+/// strings on both sides of the 8-byte short-copy boundary.
+fn key_column(rng: &mut Xoshiro256, dtype: DataType, n: usize, nulls: bool) -> Column {
+    let cells: Vec<Scalar> = (0..n)
+        .map(|_| {
+            if nulls && rng.gen_bool(0.15) {
+                return Scalar::Null;
+            }
+            let v = rng.gen_range_i64(0, 5);
+            match dtype {
+                DataType::Int64 => Scalar::Int(v - 2),
+                DataType::Date => Scalar::Date(18_000 + v as i32),
+                DataType::Float64 => Scalar::Float([0.0, -0.0, 1.5, f64::NAN, -2.0][v as usize]),
+                DataType::Utf8 => {
+                    Scalar::Str(["", "a", "bb", "exactly8", "a-longer-key"][v as usize].into())
+                }
+                DataType::Bool => Scalar::Bool(v % 2 == 0),
+            }
+        })
+        .collect();
+    Column::from_scalars(&cells, dtype).unwrap()
+}
+
+/// Optional payload cells.
+fn payload(rng: &mut Xoshiro256, dtype: DataType, n: usize) -> Column {
+    let cells: Vec<Scalar> = (0..n)
+        .map(|i| match rng.gen_bool(0.8) {
+            false => Scalar::Null,
+            true if dtype == DataType::Utf8 => Scalar::Str(format!("p{}", i % 11)),
+            true if dtype == DataType::Float64 => Scalar::Float(i as f64 * 0.25),
+            true => Scalar::Int(i as i64 * 3),
+        })
+        .collect();
+    Column::from_scalars(&cells, dtype).unwrap()
+}
+
+/// Join-key equality: null matches null, floats match by bits.
+fn key_eq(a: &Scalar, b: &Scalar) -> bool {
+    match (a, b) {
+        (Scalar::Float(x), Scalar::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// The pandas-`merge` reference as a per-row nested loop over scalars.
+fn ref_merge(
+    l: &DataFrame,
+    r: &DataFrame,
+    lon: &[&str],
+    ron: &[&str],
+    how: JoinType,
+    suffixes: (&str, &str),
+) -> DataFrame {
+    let key = |df: &DataFrame, on: &[&str], i: usize| -> Vec<Scalar> {
+        on.iter().map(|k| df.column(k).unwrap().get(i)).collect()
+    };
+    // output rows: a left row and its right match (none: null)
+    let (mut lrows, mut rrows): (Vec<Option<usize>>, Vec<Option<usize>>) = (vec![], vec![]);
+    for i in 0..l.num_rows() {
+        let lk = key(l, lon, i);
+        let hits: Vec<Option<usize>> = (0..r.num_rows())
+            .filter(|&j| lk.iter().zip(key(r, ron, j)).all(|(a, b)| key_eq(a, &b)))
+            .map(Some)
+            .collect();
+        let picked = match how {
+            JoinType::Inner => hits,
+            JoinType::Left if hits.is_empty() => vec![None],
+            JoinType::Left => hits,
+            JoinType::Semi => hits.into_iter().take(1).collect(),
+            JoinType::Anti if hits.is_empty() => vec![None],
+            JoinType::Anti => vec![],
+        };
+        lrows.extend(picked.iter().map(|_| Some(i)));
+        rrows.extend(picked);
+    }
+    let column = |df: &DataFrame, name: &str, rows: &[Option<usize>]| {
+        let c = df.column(name).unwrap();
+        let cells: Vec<Scalar> = rows
+            .iter()
+            .map(|row| row.map_or(Scalar::Null, |i| c.get(i)))
+            .collect();
+        Column::from_scalars(&cells, c.data_type()).unwrap()
+    };
+    let lnames = l.schema().names();
+    let rnames = r.schema().names();
+    let shared: Vec<&str> = lon
+        .iter()
+        .zip(ron)
+        .filter(|(a, b)| a == b)
+        .map(|(a, _)| *a)
+        .collect();
+    let mut pairs: Vec<(String, Column)> = Vec::new();
+    for name in &lnames {
+        let out = match rnames.contains(name)
+            && !shared.contains(name)
+            && !matches!(how, JoinType::Semi | JoinType::Anti)
+        {
+            true => format!("{name}{}", suffixes.0),
+            false => name.to_string(),
+        };
+        pairs.push((out, column(l, name, &lrows)));
+    }
+    if matches!(how, JoinType::Inner | JoinType::Left) {
+        for name in rnames.iter().filter(|n| !shared.contains(n)) {
+            let out = match lnames.contains(name) {
+                true => format!("{name}{}", suffixes.1),
+                false => name.to_string(),
+            };
+            pairs.push((out, column(r, name, &rrows)));
+        }
+    }
+    DataFrame::new(pairs).unwrap()
+}
+
+/// Whole-frame equality: names, order, dtypes and every cell, floats by
+/// bits (so `NaN` keys compare equal to themselves).
+fn assert_frames_equal(got: &DataFrame, want: &DataFrame, what: &str) {
+    assert_eq!(got.schema().names(), want.schema().names(), "{what}");
+    assert_eq!(got.num_rows(), want.num_rows(), "{what}");
+    for name in got.schema().names() {
+        let (a, b) = (got.column(name).unwrap(), want.column(name).unwrap());
+        assert_eq!(a.data_type(), b.data_type(), "{what}: column {name}");
+        for i in 0..a.len() {
+            let (x, y) = (a.get(i), b.get(i));
+            assert!(
+                key_eq(&x, &y),
+                "{what}: column {name} row {i}: {x:?} vs {y:?}"
+            );
+        }
+    }
+}
+
+/// `merge_pieces` over randomly cut sides equals a per-row nested-loop
+/// merge of the whole sides, for every join type, key dtype (nulls,
+/// duplicates, `NaN`, ±0.0), one and two keys, same-named and renamed keys
+/// and both suffix pairs — and takes exactly the bytes the merge of the
+/// concatenated sides does. Pieces include zero-row views, offset views,
+/// and empty frames of a divergent schema, which a side with rows ignores.
+#[test]
+fn merge_matches_nested_loop_reference() {
+    let dtypes = [
+        DataType::Int64,
+        DataType::Date,
+        DataType::Float64,
+        DataType::Utf8,
+        DataType::Bool,
+    ];
+    let hows = [
+        JoinType::Inner,
+        JoinType::Left,
+        JoinType::Semi,
+        JoinType::Anti,
+    ];
+    for case in 0..160u64 {
+        let mut rng = Xoshiro256::seed_from_u64(0x301e + case);
+        let two_keys = case % 4 == 3;
+        let kt = [dtypes[case as usize % 5], dtypes[(case as usize / 5) % 5]];
+        let nulls = rng.gen_bool(0.5);
+        let renamed = rng.gen_bool(0.5);
+        let (lon, ron): (Vec<&str>, Vec<&str>) = match (renamed, two_keys) {
+            (false, false) => (vec!["k"], vec!["k"]),
+            (false, true) => (vec!["k", "k2"], vec!["k", "k2"]),
+            (true, false) => (vec!["lk"], vec!["rk"]),
+            (true, true) => (vec!["lk", "k2"], vec!["rk", "k2"]),
+        };
+        let side = |rng: &mut Xoshiro256, on: &[&str], payloads: &[(&str, DataType)]| {
+            let n = rng.gen_range_i64(0, 40) as usize;
+            let mut cols: Vec<(String, Column)> = on
+                .iter()
+                .zip(kt)
+                .map(|(k, t)| (k.to_string(), key_column(rng, t, n, nulls)))
+                .collect();
+            for &(name, t) in payloads {
+                cols.push((name.to_string(), payload(rng, t, n)));
+            }
+            DataFrame::new(cols).unwrap()
+        };
+        let l = side(
+            &mut rng,
+            &lon,
+            &[("v", DataType::Int64), ("s", DataType::Utf8)],
+        );
+        let r = side(
+            &mut rng,
+            &ron,
+            &[("v", DataType::Float64), ("w", DataType::Utf8)],
+        );
+        let suffixes = if rng.gen_bool(0.5) {
+            ("_x", "_y")
+        } else {
+            ("_l", "_r")
+        };
+        let pieces = |rng: &mut Xoshiro256, df: &DataFrame| {
+            let mut p = cut(rng, df);
+            if df.num_rows() > 0 {
+                // an empty chunk whose inferred schema diverged
+                let odd =
+                    DataFrame::new(vec![("other", Column::from_str(Vec::<&str>::new()))]).unwrap();
+                let at = rng.gen_range_i64(0, p.len() as i64 + 1) as usize;
+                p.insert(at, odd);
+            }
+            p
+        };
+        let (lp, rp) = (pieces(&mut rng, &l), pieces(&mut rng, &r));
+        let (lrefs, rrefs): (Vec<&DataFrame>, Vec<&DataFrame>) =
+            (lp.iter().collect(), rp.iter().collect());
+        for how in hows {
+            let opts = JoinOptions {
+                how,
+                suffixes: (suffixes.0.into(), suffixes.1.into()),
+            };
+            let what = format!("case {case} {how:?} keys {kt:?}/{lon:?}/{ron:?} nulls {nulls}");
+            let got = join::merge_pieces(&lrefs, &rrefs, &lon, &ron, &opts).unwrap();
+            assert_frames_equal(&got, &ref_merge(&l, &r, &lon, &ron, how, suffixes), &what);
+            let concat = |parts: &[&DataFrame]| {
+                DataFrame::concat(&DataFrame::live_parts(parts).unwrap()).unwrap()
+            };
+            let whole = join::merge(&concat(&lrefs), &concat(&rrefs), &lon, &ron, &opts).unwrap();
+            assert_eq!(got.nbytes(), whole.nbytes(), "{what}");
         }
     }
 }
