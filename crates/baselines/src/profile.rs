@@ -6,8 +6,8 @@
 //! profile therefore reuses the same kernels and the same virtual cluster
 //! but with that system's planning behaviour and API surface:
 //!
-//! * **Xorbits** — dynamic tiling, coloring fusion, operator fusion, column
-//!   pruning, spill-capable storage service; full API.
+//! * **Xorbits** — dynamic tiling, coloring fusion, column pruning,
+//!   spill-capable storage service; full API.
 //! * **PySpark** (pandas API on Spark) — static tiling but broadcast
 //!   decisions from *source-size estimates* (Catalyst knows file sizes),
 //!   whole-stage-codegen-style fusion, column pruning, robust spilling;
@@ -129,8 +129,7 @@ impl EngineKind {
                 cfg: XorbitsConfig {
                     dynamic_tiling: false,
                     broadcast_from_estimates: true,
-                    graph_fusion: true, // whole-stage codegen analogue
-                    op_fusion: true,
+                    graph_fusion: true,   // whole-stage codegen analogue
                     column_pruning: true, // Catalyst pushdown
                     ..Default::default()
                 },
@@ -152,7 +151,6 @@ impl EngineKind {
                 cfg: XorbitsConfig {
                     dynamic_tiling: false,
                     graph_fusion: true, // dask.optimize linear fusion
-                    op_fusion: false,
                     column_pruning: false,
                     ..Default::default()
                 },
@@ -174,7 +172,6 @@ impl EngineKind {
                 cfg: XorbitsConfig {
                     dynamic_tiling: false,
                     graph_fusion: false, // eager: every op materialises
-                    op_fusion: false,
                     column_pruning: false,
                     // every eager result is a driver-held Ray object:
                     // nothing is reclaimed until the query finishes
@@ -199,7 +196,6 @@ impl EngineKind {
                 cfg: XorbitsConfig {
                     dynamic_tiling: false,
                     graph_fusion: true,
-                    op_fusion: true,
                     column_pruning: false,
                     // pandas has no chunking: one chunk per frame
                     chunk_limit_bytes: usize::MAX / 4,

@@ -47,7 +47,8 @@ impl PayloadKind for Payload {
     }
 }
 
-/// One fused elementwise dataframe step (the unit of operator-level fusion).
+/// One elementwise dataframe step: the parameter of `DfMap` in both the
+/// tileable and the chunk graph.
 #[derive(Debug, Clone)]
 pub enum DfStep {
     /// Keep rows where the predicate holds.
@@ -94,7 +95,7 @@ impl DfStep {
     }
 }
 
-/// One fused elementwise array step: `x ↦ op(x, operand)`.
+/// One elementwise array step: `x ↦ op(x, operand)`.
 #[derive(Debug, Clone, Copy)]
 pub struct ArrStep {
     /// The scalar operator.
@@ -132,10 +133,10 @@ pub enum ChunkOp {
         normal: bool,
     },
 
-    // ---- dataframe elementwise (fusable) -----------------------------------
-    /// One or more fused elementwise steps applied in order within a single
-    /// task — the operator-level-fusion product (§V-A).
-    DfMap(Vec<DfStep>),
+    // ---- dataframe elementwise ---------------------------------------------
+    /// One elementwise step over one chunk. Graph-level fusion runs a chain
+    /// of these in one subtask (§V-A).
+    DfMap(DfStep),
 
     // ---- groupby map-combine-reduce (§III-C) --------------------------------
     /// Map stage: per-chunk partial aggregation.
@@ -243,8 +244,8 @@ pub enum ChunkOp {
     },
 
     // ---- array ops ---------------------------------------------------------------
-    /// Fused scalar-operand chain applied in one pass (numexpr stand-in).
-    ArrMap(Vec<ArrStep>),
+    /// One scalar-operand step over one chunk.
+    ArrMap(ArrStep),
     /// Elementwise binary op of inputs `[a, b]` with broadcasting.
     ArrBinary(ElemOp),
     /// Matrix product of inputs `[a, b]`.
@@ -320,12 +321,6 @@ impl ChunkOp {
             ChunkOp::ReduceCombine { .. } => "Reduce::combine",
             ChunkOp::ReduceFinal { .. } => "Reduce::agg",
         }
-    }
-
-    /// True for pure elementwise ops, the candidates for operator-level
-    /// fusion (§V-A): they can be composed into a single pass.
-    pub fn is_elementwise(&self) -> bool {
-        matches!(self, ChunkOp::DfMap(_) | ChunkOp::ArrMap(_))
     }
 
     /// True for source ops (no inputs) — the nodes the scheduler places

@@ -15,8 +15,6 @@ pub struct XorbitsConfig {
     pub dynamic_tiling: bool,
     /// Enable coloring-based graph-level fusion (§V-A, "g" in Fig 9b).
     pub graph_fusion: bool,
-    /// Enable operator-level fusion (§V-A, "o" in Fig 9b).
-    pub op_fusion: bool,
     /// Enable column pruning (§V-A).
     pub column_pruning: bool,
     /// Upper bound on a data chunk's size; tiling targets chunks of at most
@@ -68,7 +66,6 @@ impl Default for XorbitsConfig {
         XorbitsConfig {
             dynamic_tiling: true,
             graph_fusion: true,
-            op_fusion: true,
             column_pruning: true,
             chunk_limit_bytes: 8 << 20,
             tree_reduce_threshold_bytes: 16 << 20,
@@ -97,12 +94,6 @@ impl XorbitsConfig {
         self
     }
 
-    /// Paper Fig 9b "o off": operator-level fusion disabled.
-    pub fn without_op_fusion(mut self) -> Self {
-        self.op_fusion = false;
-        self
-    }
-
     /// Records the intended host worker-thread count ([`Self::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -123,12 +114,10 @@ mod tests {
     #[test]
     fn ablation_builders() {
         let c = XorbitsConfig::default();
-        assert!(c.dynamic_tiling && c.graph_fusion && c.op_fusion);
+        assert!(c.dynamic_tiling && c.graph_fusion);
         let c = XorbitsConfig::default().without_dynamic_tiling();
         assert!(!c.dynamic_tiling && c.graph_fusion);
-        let c = XorbitsConfig::default()
-            .without_graph_fusion()
-            .without_op_fusion();
-        assert!(!c.graph_fusion && !c.op_fusion && c.dynamic_tiling);
+        let c = XorbitsConfig::default().without_graph_fusion();
+        assert!(!c.graph_fusion && c.dynamic_tiling);
     }
 }

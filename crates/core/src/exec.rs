@@ -139,21 +139,7 @@ pub fn execute_chunk(op: &ChunkOp, inputs: &[Arc<Payload>]) -> XbResult<Vec<Payl
         }
 
         // ---- dataframe elementwise ------------------------------------------
-        ChunkOp::DfMap(steps) => {
-            // apply steps without copying the input chunk up front: each
-            // step reads the previous frame by reference
-            let input = inputs[0].as_df()?;
-            let mut owned: Option<DataFrame> = None;
-            for step in steps {
-                let src = owned.as_ref().unwrap_or(input);
-                owned = Some(apply_df_step(src, step)?);
-            }
-            let out = match owned {
-                Some(df) => df,
-                None => input.clone(),
-            };
-            Ok(vec![Payload::Df(out)])
-        }
+        ChunkOp::DfMap(step) => Ok(vec![Payload::Df(apply_df_step(inputs[0].as_df()?, step)?)]),
 
         // ---- groupby stages ---------------------------------------------------
         ChunkOp::GroupbyMap { keys, specs } => {
@@ -262,9 +248,9 @@ pub fn execute_chunk(op: &ChunkOp, inputs: &[Arc<Payload>]) -> XbResult<Vec<Payl
         }
 
         // ---- array ops -----------------------------------------------------------
-        ChunkOp::ArrMap(steps) => {
+        ChunkOp::ArrMap(step) => {
             let a = inputs[0].as_arr()?;
-            Ok(vec![Payload::Arr(apply_arr_chain(a, steps))])
+            Ok(vec![Payload::Arr(apply_arr_step(a, *step))])
         }
         ChunkOp::ArrBinary(op) => {
             let a = inputs[0].as_arr()?;
@@ -397,23 +383,17 @@ fn apply_df_step(df: &DataFrame, step: &DfStep) -> XbResult<DataFrame> {
     })
 }
 
-/// Fused single-pass evaluation of a scalar-operand chain — the real
-/// mechanism of operator-level fusion for arrays: one traversal, no
-/// intermediate arrays.
-fn apply_arr_chain(a: &NdArray, steps: &[ArrStep]) -> NdArray {
-    a.map(|mut v| {
-        for s in steps {
-            v = match s.op {
-                xorbits_array::ElemOp::Add => v + s.operand,
-                xorbits_array::ElemOp::Sub => v - s.operand,
-                xorbits_array::ElemOp::Mul => v * s.operand,
-                xorbits_array::ElemOp::Div => v / s.operand,
-                xorbits_array::ElemOp::Max => v.max(s.operand),
-                xorbits_array::ElemOp::Min => v.min(s.operand),
-                xorbits_array::ElemOp::Pow => v.powf(s.operand),
-            };
-        }
-        v
+/// `x ↦ op(x, operand)` over every element, in one traversal.
+fn apply_arr_step(a: &NdArray, step: ArrStep) -> NdArray {
+    let x = step.operand;
+    a.map(|v| match step.op {
+        xorbits_array::ElemOp::Add => v + x,
+        xorbits_array::ElemOp::Sub => v - x,
+        xorbits_array::ElemOp::Mul => v * x,
+        xorbits_array::ElemOp::Div => v / x,
+        xorbits_array::ElemOp::Max => v.max(x),
+        xorbits_array::ElemOp::Min => v.min(x),
+        xorbits_array::ElemOp::Pow => v.powf(x),
     })
 }
 
@@ -502,11 +482,8 @@ mod tests {
         let src = DataFrame::new(vec![("v", Column::from_i64((0..1000).collect()))]).unwrap();
         let ops = [
             ChunkOp::DfLiteral(Arc::new(src)),
-            ChunkOp::DfMap(vec![DfStep::Filter(col("v").lt(lit(100i64)))]),
-            ChunkOp::DfMap(vec![DfStep::Assign(vec![(
-                "w".into(),
-                col("v").mul(lit(2i64)),
-            )])]),
+            ChunkOp::DfMap(DfStep::Filter(col("v").lt(lit(100i64)))),
+            ChunkOp::DfMap(DfStep::Assign(vec![("w".into(), col("v").mul(lit(2i64)))])),
         ];
         let mut chunks = crate::chunk::ChunkGraph::new();
         let mut sizes = Vec::new();
@@ -549,15 +526,22 @@ mod tests {
         assert!(matches!(err, Err(XbError::Plan(m)) if m.contains("chunk 7")));
     }
 
+    /// Runs `ops` one after another, each on the previous one's output.
+    fn run_chain(ops: &[ChunkOp], input: Arc<Payload>) -> Arc<Payload> {
+        ops.iter().fold(input, |p, op| {
+            Arc::new(execute_chunk(op, &[p]).unwrap().remove(0))
+        })
+    }
+
     #[test]
-    fn fused_df_steps_apply_in_order() {
-        let op = ChunkOp::DfMap(vec![
-            DfStep::Assign(vec![("w".into(), col("v").mul(lit(10i64)))]),
-            DfStep::Filter(col("w").gt(lit(10i64))),
-            DfStep::Project(vec!["k".into(), "w".into()]),
-        ]);
-        let out = execute_chunk(&op, &[df_payload()]).unwrap();
-        let df = out[0].as_df().unwrap();
+    fn df_steps_apply_in_order() {
+        let ops = [
+            ChunkOp::DfMap(DfStep::Assign(vec![("w".into(), col("v").mul(lit(10i64)))])),
+            ChunkOp::DfMap(DfStep::Filter(col("w").gt(lit(10i64)))),
+            ChunkOp::DfMap(DfStep::Project(vec!["k".into(), "w".into()])),
+        ];
+        let out = run_chain(&ops, df_payload());
+        let df = out.as_df().unwrap();
         assert_eq!(df.num_rows(), 2);
         assert_eq!(df.schema().names(), vec!["k", "w"]);
     }
@@ -634,20 +618,15 @@ mod tests {
     }
 
     #[test]
-    fn arr_chain_fused_single_pass() {
+    fn arr_steps_apply_in_order() {
         let a = Arc::new(Payload::Arr(NdArray::from_iter([1.0, 2.0])));
-        let op = ChunkOp::ArrMap(vec![
-            ArrStep {
-                op: xorbits_array::ElemOp::Mul,
-                operand: 3.0,
-            },
-            ArrStep {
-                op: xorbits_array::ElemOp::Add,
-                operand: 1.0,
-            },
-        ]);
-        let out = execute_chunk(&op, &[a]).unwrap();
-        assert_eq!(out[0].as_arr().unwrap().data(), &[4.0, 7.0]);
+        let step = |op, operand| ChunkOp::ArrMap(ArrStep { op, operand });
+        let ops = [
+            step(xorbits_array::ElemOp::Mul, 3.0),
+            step(xorbits_array::ElemOp::Add, 1.0),
+        ];
+        let out = run_chain(&ops, a);
+        assert_eq!(out.as_arr().unwrap().data(), &[4.0, 7.0]);
     }
 
     #[test]

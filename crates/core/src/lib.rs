@@ -2,8 +2,8 @@
 //!
 //! The heart of the Xorbits reproduction: the three computation graphs of
 //! §III-C (tileable → chunk → subtask), the dynamic-tiling engine of §IV,
-//! the graph optimizer of §V-A (coloring-based graph-level fusion,
-//! operator-level fusion, column pruning), the auto-rechunk algorithm of
+//! the graph optimizer of §V-A (column pruning, coloring-based graph-level
+//! fusion), the auto-rechunk algorithm of
 //! §V-D (paper Algorithm 1), and the deferred-evaluation session API.
 //!
 //! Execution is abstracted behind [`session::Executor`]; the

@@ -13,11 +13,39 @@
 //!    fresh (and the new color propagates down the chain). This splits
 //!    nodes whose output is also needed elsewhere out of the straight-line
 //!    chain — e.g. Fig 7's Operator ① must not fuse with ③ or ⑤.
+//!
+//! Separation can leave a class non-convex: a node that inherited a color
+//! through two branches recolored apart keeps it, and the subtask graph
+//! gets a cycle. A fourth step makes every class convex — one root, every
+//! other member reading only from inside the class — so all edges into a
+//! class enter at its root and the subtask graph is acyclic. A non-convex
+//! class always closes a cycle, so an acyclic coloring is left unchanged.
 
 use crate::chunk::ChunkGraph;
 
-/// Computes the color (= fusion group id) of every node.
+/// Computes the color (= fusion group id) of every node. Every color class
+/// is convex, so grouping by color never yields a cyclic subtask graph.
 pub fn color_graph(graph: &ChunkGraph) -> Vec<usize> {
+    let (mut colors, preds, succs) = separated_colors(graph);
+    // Step 4: in topological order, a node that is not the first of its
+    // class but reads from outside it starts a class of its own, taking
+    // along the descendants that inherited its color only through it.
+    // Recoloring reaches only later nodes, so a visited node is final.
+    let mut rooted = vec![false; colors.iter().max().map_or(0, |&c| c + 1)];
+    for v in 0..colors.len() {
+        let c = colors[v];
+        if !rooted[c] {
+            rooted[c] = true;
+        } else if preds[v].iter().any(|&p| colors[p] != c) {
+            recolor_chain(v, c, rooted.len(), &mut colors, &succs, &preds);
+            rooted.push(true);
+        }
+    }
+    colors
+}
+
+/// Steps 1–3, with the predecessor and successor lists they ran on.
+fn separated_colors(graph: &ChunkGraph) -> (Vec<usize>, Vec<Vec<usize>>, Vec<Vec<usize>>) {
     let n = graph.nodes.len();
     let producers = graph.producers();
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -84,7 +112,7 @@ pub fn color_graph(graph: &ChunkGraph) -> Vec<usize> {
             recolor_chain(s, c, new_c, &mut colors, &succs, &preds);
         }
     }
-    colors
+    (colors, preds, succs)
 }
 
 /// Recolors `start` from `old` to `new`, then follows descendants that had
@@ -113,6 +141,8 @@ fn recolor_chain(
 mod tests {
     use super::*;
     use crate::chunk::{ChunkNode, ChunkOp, KeyGen};
+    use crate::subtask::SubtaskGraph;
+    use std::collections::HashSet;
 
     /// Builds a graph from an adjacency description: `edges[i]` lists the
     /// predecessors of node `i`.
@@ -184,6 +214,72 @@ mod tests {
         // ⑤ is its own color
         assert_ne!(c[4], c[0]);
         assert_ne!(c[4], c[1]);
+    }
+
+    /// Whether grouping by `colors` gives an acyclic subtask graph.
+    fn acyclic(g: &ChunkGraph, colors: &[usize]) -> bool {
+        SubtaskGraph::from_groups(g.clone(), colors, &HashSet::new()).is_ok()
+    }
+
+    #[test]
+    fn rejoined_separated_branches_get_their_own_class() {
+        // 0 = i, 1 = s(i), 2 = t(i), 3 = u(s, t), 4 = y, 5 = x(i, y).
+        // Separation at i recolors s and t apart; u inherited i's color
+        // through both, and steps 1–3 alone leave it there, closing the
+        // cycle i → s → u.
+        let g = graph_from_preds(&[&[], &[0], &[0], &[1, 2], &[], &[0, 4]]);
+        let raw = separated_colors(&g).0;
+        assert_eq!(raw, vec![0, 3, 4, 0, 1, 2]);
+        assert!(!acyclic(&g, &raw));
+        let c = color_graph(&g);
+        assert_eq!(c, vec![0, 3, 4, 5, 1, 2]);
+        assert!(acyclic(&g, &c));
+    }
+
+    /// Random DAGs, some nodes also reading a chunk from an earlier
+    /// execution: the coloring always groups acyclically, and it is the
+    /// paper's three-step coloring whenever that one already was.
+    #[test]
+    fn coloring_is_acyclic_and_only_repairs_cycles() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let mut repaired = 0;
+        for _ in 0..3000 {
+            let n = 1 + next(14) as usize;
+            let density = 1 + next(4);
+            let mut kg = KeyGen::new();
+            let keys = kg.next_keys(n);
+            let mut g = ChunkGraph::new();
+            for i in 0..n {
+                let mut inputs: Vec<_> = (0..i)
+                    .filter(|_| next(8) < density)
+                    .map(|p| keys[p])
+                    .collect();
+                if next(10) == 0 {
+                    inputs.push(kg.next_key());
+                }
+                g.push(ChunkNode {
+                    op: ChunkOp::Concat,
+                    inputs,
+                    outputs: vec![keys[i]],
+                });
+            }
+            let raw = separated_colors(&g).0;
+            let colors = color_graph(&g);
+            assert!(acyclic(&g, &colors), "cyclic grouping {colors:?}");
+            if acyclic(&g, &raw) {
+                assert_eq!(colors, raw);
+            } else {
+                repaired += 1;
+            }
+        }
+        // the generator must reach the case the last step exists for
+        assert!(repaired > 0);
     }
 
     #[test]

@@ -1,50 +1,38 @@
 //! Graph optimization passes (§V-A): column pruning on the tileable graph,
-//! operator-level fusion and coloring-based graph-level fusion on the chunk
-//! graph.
+//! coloring-based graph-level fusion on the chunk graph.
 
 pub mod coloring;
-pub mod op_fusion;
 pub mod pruning;
 
 use crate::chunk::{ChunkGraph, ChunkKey};
 use crate::config::XorbitsConfig;
+use crate::error::XbResult;
 use crate::subtask::SubtaskGraph;
 use crate::trace;
 use std::collections::HashSet;
 
-/// Lowers an (already tiled) chunk graph to a subtask graph, applying
-/// operator-level fusion and coloring-based graph-level fusion according to
-/// the configuration.
+/// Lowers an (already tiled) chunk graph to a subtask graph: one subtask
+/// per color class when graph-level fusion is on, one per node otherwise.
+/// Coloring yields convex classes, so the quotient graph is acyclic; a
+/// grouping [`SubtaskGraph::from_groups`] still rejects is a plan error.
 pub fn build_subtask_graph(
-    mut chunks: ChunkGraph,
+    chunks: ChunkGraph,
     cfg: &XorbitsConfig,
     protected: &HashSet<ChunkKey>,
-) -> SubtaskGraph {
-    if cfg.op_fusion {
-        let before = chunks.nodes.len();
-        trace::timed(trace::Stage::Optimize, "op_fusion", || {
-            op_fusion::fuse_elementwise(&mut chunks, protected)
-        });
-        if trace::is_enabled() {
-            trace::counter_add("optimize.ops_fused", (before - chunks.nodes.len()) as u64);
-        }
+) -> XbResult<SubtaskGraph> {
+    if !cfg.graph_fusion {
+        return Ok(SubtaskGraph::singletons(chunks, protected));
     }
-    if cfg.graph_fusion {
-        let _g = trace::span(trace::Stage::Optimize, "coloring");
-        let colors = coloring::color_graph(&chunks);
-        let sg = match SubtaskGraph::from_groups(chunks.clone(), &colors, protected) {
-            Ok(sg) => sg,
-            Err(_) => SubtaskGraph::singletons(chunks, protected),
-        };
-        if trace::is_enabled() {
-            trace::counter_add(
-                "optimize.chunks_fused",
-                sg.chunks.nodes.len().saturating_sub(sg.len()) as u64,
-            );
-        }
-        return sg;
+    let _g = trace::span(trace::Stage::Optimize, "coloring");
+    let colors = coloring::color_graph(&chunks);
+    let sg = SubtaskGraph::from_groups(chunks, &colors, protected)?;
+    if trace::is_enabled() {
+        trace::counter_add(
+            "optimize.chunks_fused",
+            sg.chunks.nodes.len().saturating_sub(sg.len()) as u64,
+        );
     }
-    SubtaskGraph::singletons(chunks, protected)
+    Ok(sg)
 }
 
 #[cfg(test)]
@@ -64,7 +52,7 @@ mod tests {
         });
         for i in 1..4 {
             g.push(ChunkNode {
-                op: ChunkOp::DfMap(vec![DfStep::Filter(col("a").gt(lit(0i64)))]),
+                op: ChunkOp::DfMap(DfStep::Filter(col("a").gt(lit(0i64)))),
                 inputs: vec![keys[i - 1]],
                 outputs: vec![keys[i]],
             });
@@ -73,34 +61,22 @@ mod tests {
     }
 
     #[test]
-    fn full_optimization_collapses_chain() {
+    fn graph_fusion_collapses_chain() {
         let (g, keys) = chain();
         let protected: HashSet<_> = [keys[3]].into_iter().collect();
-        let sg = build_subtask_graph(g, &XorbitsConfig::default(), &protected);
-        // op fusion merges the three maps; coloring fuses source+map
+        let sg = build_subtask_graph(g, &XorbitsConfig::default(), &protected).unwrap();
+        // coloring fuses source and maps; every node stays in the graph
         assert_eq!(sg.len(), 1);
-        assert_eq!(sg.chunks.nodes.len(), 2);
+        assert_eq!(sg.chunks.nodes.len(), 4);
+        assert_eq!(sg.subtasks[0].published_outputs, vec![keys[3]]);
     }
 
     #[test]
     fn fusion_disabled_yields_singletons() {
         let (g, keys) = chain();
         let protected: HashSet<_> = [keys[3]].into_iter().collect();
-        let cfg = XorbitsConfig::default()
-            .without_graph_fusion()
-            .without_op_fusion();
-        let sg = build_subtask_graph(g, &cfg, &protected);
-        assert_eq!(sg.len(), 4);
-    }
-
-    #[test]
-    fn op_fusion_only_keeps_separate_subtasks() {
-        let (g, keys) = chain();
-        let protected: HashSet<_> = [keys[3]].into_iter().collect();
         let cfg = XorbitsConfig::default().without_graph_fusion();
-        let sg = build_subtask_graph(g, &cfg, &protected);
-        // maps fused into one op, but source and map stay separate subtasks
-        assert_eq!(sg.chunks.nodes.len(), 2);
-        assert_eq!(sg.len(), 2);
+        let sg = build_subtask_graph(g, &cfg, &protected).unwrap();
+        assert_eq!(sg.len(), 4);
     }
 }

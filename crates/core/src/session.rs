@@ -151,7 +151,7 @@ fn run_fragment<E: Executor>(
 ) -> XbResult<ExecStats> {
     let sg = trace::timed(trace::Stage::Build, "build_subtasks", || {
         optimizer::build_subtask_graph(g, cfg, protected)
-    });
+    })?;
     let stats = trace::timed(trace::Stage::Execute, "execute", || executor.execute(&sg))?;
     executor.release(&tiler.take_releasable());
     Ok(stats)
@@ -376,7 +376,7 @@ impl<E: Executor> Session<E> {
             match step {
                 TileStep::Execute(g) => {
                     // every layout key may be consumed by later tiling:
-                    // protect them all from fusion elimination
+                    // protected keys are published, never subtask-internal
                     let protected = tiler.live_keys();
                     let ran = run_fragment(&mut run.executor, cfg, g, &protected, &mut tiler)?;
                     stats.merge(&ran);
@@ -655,9 +655,8 @@ impl<E: Executor> Handle<E> for TensorHandle<E> {
 impl<E: Executor> TensorHandle<E> {
     /// Applies `x ↦ op(x, operand)` elementwise.
     pub fn map_scalar(&self, op: xorbits_array::ElemOp, operand: f64) -> XbResult<TensorHandle<E>> {
-        let steps = vec![ArrStep { op, operand }];
-        self.sess
-            .derive(TileableOp::TensorMapChain { steps }, vec![self.id])
+        let step = ArrStep { op, operand };
+        self.sess.derive(TileableOp::TensorMap(step), vec![self.id])
     }
 
     /// Elementwise binary op with another tensor.

@@ -181,11 +181,8 @@ pub enum TileableOp {
     },
     /// Client-provided tensor (single chunk).
     TensorFromArr(Arc<NdArray>),
-    /// Fused scalar-operand chain over input `[tensor]`.
-    TensorMapChain {
-        /// Steps applied in order.
-        steps: Vec<ArrStep>,
-    },
+    /// One scalar-operand step over input `[tensor]`.
+    TensorMap(ArrStep),
     /// Elementwise binary op of inputs `[a, b]` (broadcast when `b` is a
     /// single chunk).
     TensorBinary {
@@ -786,12 +783,7 @@ mod tests {
         let literal = |data: Vec<f64>, shape: &[usize]| {
             TensorFromArr(Arc::new(NdArray::from_vec(data, shape.to_vec()).unwrap()))
         };
-        let chain = |steps: &[(ElemOp, f64)]| TensorMapChain {
-            steps: steps
-                .iter()
-                .map(|&(op, operand)| ArrStep { op, operand })
-                .collect(),
-        };
+        let map_scalar = |op, operand| TensorMap(ArrStep { op, operand });
         vec![
             vec![
                 materialized(vec![1, 2]),
@@ -897,10 +889,9 @@ mod tests {
                 literal(vec![1.0, 2.0, 3.0, 4.0], &[4, 1]),
             ],
             vec![
-                chain(&[(ElemOp::Add, 1.0)]),
-                chain(&[(ElemOp::Mul, 1.0)]),
-                chain(&[(ElemOp::Add, 2.0)]),
-                chain(&[(ElemOp::Add, 1.0), (ElemOp::Add, 1.0)]),
+                map_scalar(ElemOp::Add, 1.0),
+                map_scalar(ElemOp::Mul, 1.0),
+                map_scalar(ElemOp::Add, 2.0),
             ],
             vec![
                 TensorBinary { op: ElemOp::Add },
@@ -945,7 +936,7 @@ mod tests {
             TileableOp::PivotTable { .. } => 16,
             TileableOp::TensorRandom { .. } => 17,
             TileableOp::TensorFromArr(_) => 18,
-            TileableOp::TensorMapChain { .. } => 19,
+            TileableOp::TensorMap(_) => 19,
             TileableOp::TensorBinary { .. } => 20,
             TileableOp::TensorMatMul => 21,
             TileableOp::TensorQr => 22,

@@ -294,7 +294,7 @@ impl<'g> Tiler<'g> {
 
     /// Every chunk key that later tiling (or the final gather) may still
     /// reference: everything in a layout plus outstanding probe chunks.
-    /// The session protects these from fusion elimination.
+    /// The session has these published by whichever subtask produces them.
     pub fn live_keys(&self) -> HashSet<ChunkKey> {
         let mut set = HashSet::new();
         for l in self.layouts.values() {
@@ -547,9 +547,9 @@ impl<'g> Tiler<'g> {
                 let out = self.emit(ChunkOp::ArrLiteral(a), vec![]);
                 Layout::one(out, bytes, rows, true)
             }
-            TileableOp::TensorMapChain { steps } => {
+            TileableOp::TensorMap(step) => {
                 let layout = self.input(ins[0])?;
-                let outs = self.map(&layout.keys(), || ChunkOp::ArrMap(steps.clone()));
+                let outs = self.map(&layout.keys(), || ChunkOp::ArrMap(step));
                 Layout::zip(outs, layout.chunks.iter().map(|c| c.est))
             }
             TileableOp::TensorBinary { op } => {
@@ -675,7 +675,7 @@ impl<'g> Tiler<'g> {
 
     fn tile_df_map(&mut self, input: TileableId, step: DfStep) -> XbResult<Layout> {
         let layout = self.input(input)?;
-        let outs = self.map(&layout.keys(), || ChunkOp::DfMap(vec![step.clone()]));
+        let outs = self.map(&layout.keys(), || ChunkOp::DfMap(step.clone()));
         let ests = layout.chunks.iter().map(|c| ChunkEst {
             exact: c.est.exact && step.keeps_rows(),
             ..c.est

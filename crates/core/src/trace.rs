@@ -59,7 +59,7 @@ pub enum Stage {
     Prune,
     /// One dynamic-tiling iteration (meta propagation + chunking).
     Tile,
-    /// Graph optimization: coloring fusion, operator fusion.
+    /// Graph optimization: coloring fusion.
     Optimize,
     /// Subtask-graph construction from the chunk graph.
     Build,

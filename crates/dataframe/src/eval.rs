@@ -9,11 +9,11 @@
 //! bytes. Values are promoted to `f64` only where a numeric pair mixes
 //! `f64` with an integer type, and for division.
 //!
-//! [`eval`] is the body of the engine's fused elementwise step
+//! [`eval`] is the body of the engine's elementwise steps
 //! (`ChunkOp::DfMap` through `core::exec::apply_df_step`): the whole tree
-//! runs inside one chunk task, so no intermediate reaches the storage
-//! service — the memory-traffic saving the paper attributes to
-//! operator-level fusion.
+//! runs inside one chunk task over whole columns, and graph-level fusion
+//! runs a chain of such steps in one subtask, so no intermediate reaches
+//! the storage service.
 
 use crate::bitmap::Bitmap;
 use crate::column::{BoolArr, Column, PrimArr, StrArr};

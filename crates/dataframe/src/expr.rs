@@ -1,8 +1,7 @@
 //! Expression AST for filters, projections and derived columns.
 //!
-//! Expressions are the unit the engine's optimizer reasons about: column
-//! pruning collects [`Expr::required_columns`], and operator-level fusion
-//! (the paper's numexpr/JAX stand-in) evaluates a whole tree in one pass.
+//! Column pruning collects [`Expr::required_columns`]; the typed evaluator
+//! (`crate::eval`) runs a whole tree over whole columns.
 
 // pandas-style builder names (`add`, `mul`, `not`, …) are the API surface
 // this crate reproduces; they intentionally shadow the operator traits.
@@ -38,16 +37,6 @@ pub enum BinOp {
     And,
     /// logical or
     Or,
-}
-
-impl BinOp {
-    /// True for comparison operators producing booleans.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
 }
 
 /// Unary operators.
@@ -264,23 +253,6 @@ impl Expr {
             }
         }
     }
-
-    /// Depth of the tree (used by fusion cost heuristics and tests).
-    pub fn depth(&self) -> usize {
-        match self {
-            Expr::Col(_) | Expr::Lit(_) => 1,
-            Expr::Binary { lhs, rhs, .. } => 1 + lhs.depth().max(rhs.depth()),
-            Expr::Unary { expr, .. } | Expr::Call { expr, .. } | Expr::IsIn { expr, .. } => {
-                1 + expr.depth()
-            }
-        }
-    }
-
-    /// True when the expression is a pure elementwise computation
-    /// (everything in this AST is; kept for clarity at fusion call sites).
-    pub fn is_elementwise(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -290,7 +262,8 @@ mod tests {
     #[test]
     fn builder_shapes() {
         let e = col("a").add(lit(1i64)).lt(col("b"));
-        assert_eq!(e.depth(), 3);
+        assert!(matches!(&e, Expr::Binary { op: BinOp::Lt, lhs, .. }
+            if matches!(**lhs, Expr::Binary { op: BinOp::Add, .. })));
         let mut cols = BTreeSet::new();
         e.required_columns(&mut cols);
         assert_eq!(

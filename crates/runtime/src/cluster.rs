@@ -30,8 +30,8 @@ pub struct ClusterSpec {
     pub disk_bandwidth: f64,
     /// Storage-service bandwidth, bytes/second: the cost of publishing a
     /// chunk to / reading a chunk from the shared-memory storage tier
-    /// (serialisation + copies). Operator fusion exists to avoid exactly
-    /// this traffic (§V-A).
+    /// (serialisation + copies). Graph fusion keeps a subtask's
+    /// intermediates out of exactly this traffic (§V-A).
     pub storage_bandwidth: f64,
     /// Fixed virtual cost of dispatching one subtask, seconds — the graph
     /// overhead that auto merge and graph fusion exist to amortise.

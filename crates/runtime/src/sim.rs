@@ -922,7 +922,6 @@ mod tests {
                 XorbitsConfig {
                     chunk_limit_bytes: chunk,
                     graph_fusion: false,
-                    op_fusion: false,
                     ..Default::default()
                 },
                 SimExecutor::new(spec),
@@ -976,7 +975,6 @@ mod tests {
             XorbitsConfig {
                 chunk_limit_bytes: 1 << 30, // one big chunk
                 graph_fusion: false,
-                op_fusion: false,
                 ..Default::default()
             },
             SimExecutor::new(spec),

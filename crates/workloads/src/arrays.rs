@@ -27,7 +27,7 @@ pub struct ArrayRun {
 /// Builds an engine for array workloads. Dask models Listing 1: the user
 /// must specify chunks manually; the conventional guess (“lots of small
 /// chunks so everything parallelises”) over-chunks by `DASK_OVERCHUNK`
-/// versus the auto-rechunk choice, and Dask has no operator-level fusion.
+/// versus the auto-rechunk choice.
 pub fn array_engine(
     kind: EngineKind,
     cluster: &ClusterSpec,

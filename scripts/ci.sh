@@ -178,6 +178,29 @@ if [[ -n "$strays" ]]; then
   exit 1
 fi
 
+# Structural gate (hard): one fusion pass. Graph-level fusion (coloring) runs
+# every elementwise chain in one subtask, so there is no operator-level
+# fusion pass, config switch or counter: under crates/ (but the frozen
+# crates/bench/examples/bench_e2e/) and tests/ none of `op_fusion`,
+# `fuse_elementwise`, `without_op_fusion`, `is_elementwise` or `ops_fused`
+# appears. Coloring yields convex classes, so the optimizer never falls back
+# from a rejected grouping: the non-test body of core/src/optimizer/mod.rs
+# has no `Err(_) =>`.
+echo "==> one fusion pass (no operator-level fusion, no fallback from coloring)"
+strays=$(
+  find crates tests -path crates/bench/examples/bench_e2e -prune -o -name target -prune -o \
+      -type f -print0 | sort -z |
+    xargs -0 grep -nE 'op_fusion|fuse_elementwise|without_op_fusion|is_elementwise|ops_fused' || true
+  awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /Err\(_\) =>/ { print FILENAME ":" FNR ": " $0 }
+  ' crates/core/src/optimizer/mod.rs)
+if [[ -n "$strays" ]]; then
+  echo "operator-level fusion and the coloring fallback are gone for good; found:"
+  echo "$strays"
+  exit 1
+fi
+
 # Structural gate (hard): serving has no message protocol. A tenant's
 # executor and cache calls are method calls on the one locked `Coordinator`,
 # and waits are on its condvar, so under crates/serving/src no line outside
@@ -419,12 +442,14 @@ cargo test -q --release --test session_aging
 cargo test -q --release -p xorbits-core --test session_fetch
 
 # Golden tiling gate (hard): the chunk graphs handed to the executor for the
-# 22 TPC-H texts under five planner configs, a dataframe script and a tensor
+# 22 TPC-H texts under four planner configs, a dataframe script and a tensor
 # script are pinned node for node (graphs, nodes, FNV-1a of the graphs'
-# Debug form). A failure means tiling output changed: a refactor must not;
-# a change that intends it re-pins the constants the failing run prints and
-# says so in CHANGES.md.
-echo "==> golden tiling gate (120 pinned chunk-graph fingerprints)"
+# Debug form), and so is the default config's subtask partition (graphs,
+# subtasks, FNV-1a of each subtask's node list); graph fusion off must hand
+# over the default's chunk graphs. A failure means tiling or fusion output
+# changed: a refactor must not; a change that intends it re-pins the
+# constants the failing run prints and says so in CHANGES.md.
+echo "==> golden tiling gate (96 chunk-graph and 24 subtask-partition fingerprints)"
 cargo test -q --release --test tiling_golden
 
 # Benchmark gate (hard): the repo's end-to-end benchmark still builds and

@@ -76,11 +76,8 @@ impl<E: Executor> Executor for Recording<E> {
         let mut handed = self.handed.lock().unwrap();
         handed.graphs += 1;
         for node in &graph.chunks.nodes {
-            if let ChunkOp::DfMap(steps) = &node.op {
-                handed.pruned.extend(steps.iter().filter_map(|s| match s {
-                    DfStep::PruneTo(cols) => Some(cols.clone()),
-                    _ => None,
-                }));
+            if let ChunkOp::DfMap(DfStep::PruneTo(cols)) = &node.op {
+                handed.pruned.push(cols.clone());
             }
         }
         drop(handed);
