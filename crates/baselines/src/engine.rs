@@ -18,13 +18,7 @@ pub struct Engine {
 impl Engine {
     /// Builds an engine of `kind` over `cluster` (adapted per profile).
     pub fn new(kind: EngineKind, cluster: &ClusterSpec) -> Engine {
-        let mut profile = kind.profile();
-        let spec = kind.cluster(cluster);
-        profile.cfg.cluster_parallelism = spec.n_bands();
-        Engine {
-            session: Session::new(profile.cfg.clone(), SimExecutor::new(spec)),
-            profile,
-        }
+        Engine::with_cfg(kind, cluster, kind.profile().cfg)
     }
 
     /// Engine display name.
@@ -33,8 +27,7 @@ impl Engine {
     }
 
     /// Builds an engine with an overridden planner configuration (the
-    /// ablation knobs of Fig 9: dynamic tiling, graph fusion, operator
-    /// fusion).
+    /// ablation knobs of Fig 9: dynamic tiling and graph fusion).
     pub fn with_cfg(
         kind: EngineKind,
         cluster: &ClusterSpec,

@@ -138,30 +138,45 @@ pub fn explain_serving(stats: &ServingStats) -> String {
     out
 }
 
-/// Renders the per-stage time breakdown from a metrics-registry snapshot
-/// (see [`crate::session::RunReport::metrics`]): host-clock driver stages
-/// (`stage.*`) with their share of the total, virtual-clock simulator
-/// stages (`vstage.*`), then every counter. Returns a short placeholder
-/// when tracing was disabled for the run.
+/// Driver stages that run inside another driver stage, with the stage that
+/// encloses them: their time is already part of the enclosing stage's, so
+/// the breakdown lists them without a share of their own.
+const NESTED_STAGES: &[(&str, &str)] = &[("coloring", "build_subtasks")];
+
+/// Renders the per-stage time breakdown from a trace's metrics registry
+/// ([`TraceLog::metrics`]): host-clock driver stages (`stage.*`) with their
+/// share of the time the stages that do not nest add up to, virtual-clock
+/// simulator stages (`vstage.*`), then every counter. Returns a short
+/// placeholder when tracing was disabled for the run.
 pub fn explain_stage_breakdown(metrics: &MetricsSnapshot) -> String {
     if metrics.is_empty() {
         return "Stage breakdown: unavailable (tracing disabled)\n".to_string();
     }
     let mut out = String::from("Stage breakdown (host clock)\n");
-    let host: Vec<(&String, &f64)> = metrics
+    let host: Vec<(&str, f64)> = metrics
         .gauges
         .iter()
-        .filter(|(k, _)| k.starts_with("stage.") && k.ends_with(".seconds"))
+        .filter_map(|(k, v)| Some((k.strip_prefix("stage.")?.strip_suffix(".seconds")?, *v)))
         .collect();
-    let total: f64 = host.iter().map(|(_, v)| **v).sum();
-    for (k, v) in &host {
-        let name = &k["stage.".len()..k.len() - ".seconds".len()];
-        let pct = if total > 0.0 {
-            **v / total * 100.0
-        } else {
-            0.0
-        };
-        out.push_str(&format!("  {name:<16} {v:>10.6}s  {pct:5.1}%\n"));
+    let within = |name: &str| {
+        NESTED_STAGES
+            .iter()
+            .find(|(inner, _)| *inner == name)
+            .map(|(_, outer)| *outer)
+    };
+    let total: f64 = host
+        .iter()
+        .filter(|(name, _)| within(name).is_none())
+        .map(|(_, v)| v)
+        .sum();
+    for (name, v) in &host {
+        match within(name) {
+            Some(outer) => out.push_str(&format!("  {name:<16} {v:>10.6}s  (within {outer})\n")),
+            None => {
+                let pct = if total > 0.0 { v / total * 100.0 } else { 0.0 };
+                out.push_str(&format!("  {name:<16} {v:>10.6}s  {pct:5.1}%\n"));
+            }
+        }
     }
     let virt: Vec<(&String, &f64)> = metrics
         .gauges
@@ -233,11 +248,13 @@ mod tests {
         let mut m = MetricsSnapshot::default();
         m.gauges.insert("stage.tile_step.seconds".into(), 0.75);
         m.gauges.insert("stage.execute.seconds".into(), 0.25);
+        m.gauges.insert("stage.coloring.seconds".into(), 0.5);
         m.gauges.insert("vstage.execute.seconds".into(), 3.5);
         m.counters.insert("exec.retries".into(), 4);
         let text = explain_stage_breakdown(&m);
         assert!(text.contains("tile_step"), "{text}");
         assert!(text.contains("75.0%"), "{text}");
+        assert!(text.contains("(within build_subtasks)"), "{text}");
         assert!(text.contains("virtual clock"), "{text}");
         assert!(text.contains("exec.retries"), "{text}");
     }

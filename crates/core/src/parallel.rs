@@ -253,10 +253,6 @@ impl ParallelExecutor {
         let enc_wire = after.encoded_wire_bytes - before.encoded_wire_bytes;
         if trace::is_enabled() {
             trace::counter_add("storage.evictions", after.evictions - before.evictions);
-            trace::counter_add("storage.spilled_bytes", spilled);
-            trace::counter_add("storage.read_back_bytes", read_back);
-            trace::counter_add("storage.encoded_raw_bytes", enc_raw);
-            trace::counter_add("storage.encoded_wire_bytes", enc_wire);
             let unbalanced = after.unbalanced_unpins - before.unbalanced_unpins;
             if unbalanced > 0 {
                 // pin-leak signal: unpin of a never-pinned / absent chunk

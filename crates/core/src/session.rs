@@ -88,10 +88,6 @@ pub struct RunReport {
     pub stats: ExecStats,
     /// Tiling statistics (yields, probes, decisions).
     pub tiling: TilingStats,
-    /// Metrics-registry snapshot taken after the fetch, when tracing was
-    /// enabled (`None` otherwise). Feeds the per-stage breakdown in
-    /// [`crate::explain::explain_stage_breakdown`].
-    pub metrics: Option<crate::trace::MetricsSnapshot>,
     /// True when the fetch was answered from the session's result cache
     /// without executing anything (stats are then all zero).
     pub cache_hit: bool,
@@ -428,7 +424,6 @@ impl<E: Executor> Session<E> {
         run.last_report = Some(RunReport {
             stats,
             tiling: tiler.stats.clone(),
-            metrics: trace::metrics_snapshot(),
             cache_hit: false,
         });
         if let Some((cache, (key, sources))) = &cached {

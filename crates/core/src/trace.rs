@@ -16,35 +16,34 @@
 //!   byte-comparison of two runs is meaningful even though host-measured
 //!   kernel durations differ.
 //!
-//! Events land in bounded per-thread ring buffers (oldest dropped first;
-//! see [`TraceLog::dropped`]) hanging off an `Arc`-shared trace context.
-//! [`enable`] installs the context on the calling thread; executor pool
-//! workers join it via [`handle`]/[`adopt`] so their events land in their
-//! own rings (no contention on the hot path) and [`disable`] merges all
-//! rings in registration order — the enabling thread's ring first, so a
-//! single-threaded run produces byte-identical logs to the historical
-//! single-recorder implementation. The enabled flag lives in the shared
-//! context as an `AtomicBool`, so enabling or disabling tracing on the
-//! driver thread is immediately visible to every adopted worker; a thread
-//! that never enabled nor adopted sees only a thread-local `None` check,
-//! keeping untraced sessions (and tests running in parallel in one
-//! process) fully isolated. [`TraceLog::chrome_json`]
-//! exports the Chrome trace-event format (`chrome://tracing` / Perfetto):
-//! pid 0 is the driver (host clock), pid 1 the virtual cluster (virtual
-//! clock), one thread per band.
+//! One trace is one recorder behind one lock: a bounded event ring (oldest
+//! dropped first; see [`TraceLog::dropped`]), the track names and the
+//! metrics registry. [`enable`] installs it on the calling thread; executor
+//! pool workers and serving's tenant drivers join it via
+//! [`handle`]/[`adopt`], so every thread's events land in the same ring in
+//! the order they were recorded, and a log never holds more than the
+//! capacity it was enabled with, however many threads recorded into it.
+//! The enabled flag lives beside the lock as an `AtomicBool`, so enabling
+//! or disabling tracing on the driver thread is immediately visible to
+//! every adopted thread; a thread that never enabled nor adopted sees only
+//! a thread-local `None` check, keeping untraced sessions (and tests
+//! running in parallel in one process) fully isolated.
+//! [`TraceLog::chrome_json`] exports the Chrome trace-event format
+//! (`chrome://tracing` / Perfetto): pid 0 is the driver (host clock),
+//! pid 1 the virtual cluster (virtual clock), one thread per band.
 //!
-//! A metrics registry (counters / gauges / fixed-bucket histograms) rides
-//! along in the same recorder; [`record_exec_stats`] bridges
-//! [`ExecStats`] into it so new statistics no longer require hand-threaded
-//! struct fields, and [`explain`](crate::explain) renders per-stage
-//! breakdowns from the resulting [`MetricsSnapshot`].
+//! The metrics registry (counters and gauges) keeps what a reader reads:
+//! [`record_exec_stats`] bridges [`ExecStats`] into `exec.*` counters,
+//! driver spans feed `stage.<name>.seconds` and simulator spans
+//! `vstage.<stage>.seconds`, and [`explain`](crate::explain) renders
+//! per-stage breakdowns from the resulting [`MetricsSnapshot`].
 
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::session::ExecStats;
@@ -179,72 +178,6 @@ pub struct TraceEvent {
     pub args: Vec<(&'static str, u64)>,
 }
 
-/// Fixed bucket upper bounds (seconds) for latency histograms:
-/// 1µs … 1000s in decades.
-pub const SECONDS_BUCKETS: &[f64] = &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3];
-
-/// Fixed bucket upper bounds (bytes) for size histograms:
-/// 1 KiB … 16 GiB in powers of four.
-pub const BYTES_BUCKETS: &[f64] = &[
-    1024.0,
-    4096.0,
-    16384.0,
-    65536.0,
-    262144.0,
-    1048576.0,
-    4194304.0,
-    16777216.0,
-    67108864.0,
-    268435456.0,
-    1073741824.0,
-    4294967296.0,
-    17179869184.0,
-];
-
-/// A histogram with fixed bucket boundaries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Upper bounds of the buckets; an implicit `+inf` bucket follows.
-    pub bounds: &'static [f64],
-    /// Per-bucket observation counts; `counts.len() == bounds.len() + 1`.
-    pub counts: Vec<u64>,
-    /// Sum of all observed values.
-    pub sum: f64,
-    /// Total number of observations.
-    pub count: u64,
-}
-
-impl HistogramSnapshot {
-    fn new(bounds: &'static [f64]) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bounds,
-            counts: vec![0; bounds.len() + 1],
-            sum: 0.0,
-            count: 0,
-        }
-    }
-
-    fn observe(&mut self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.sum += v;
-        self.count += 1;
-    }
-
-    /// Mean observed value, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 /// Point-in-time copy of the metrics registry. All maps are `BTreeMap`s so
 /// iteration (and therefore every rendered report) is deterministic.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -254,14 +187,12 @@ pub struct MetricsSnapshot {
     /// Last-value / accumulated measurements (`stage.<name>.seconds`,
     /// `vstage.<cat>.seconds`, `exec.makespan_seconds`…).
     pub gauges: BTreeMap<String, f64>,
-    /// Fixed-bucket distributions (`sim.kernel.seconds`, `sim.chunk.bytes`…).
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty()
     }
 }
 
@@ -280,19 +211,25 @@ pub struct TraceLog {
     pub metrics: MetricsSnapshot,
 }
 
-/// One thread's bounded event ring.
-struct Ring {
+/// Everything one trace collects, behind its one lock.
+#[derive(Clone)]
+struct Recorder {
+    /// The bounded ring, oldest first, in recording order across threads.
     events: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
+    track_names: BTreeMap<(u32, u32), String>,
+    metrics: MetricsSnapshot,
 }
 
-impl Ring {
-    fn new(capacity: usize) -> Ring {
-        Ring {
-            events: VecDeque::with_capacity(capacity.min(4096)),
-            capacity: capacity.max(1),
+impl Recorder {
+    fn new(capacity: usize) -> Recorder {
+        Recorder {
+            events: VecDeque::new(),
+            capacity,
             dropped: 0,
+            track_names: BTreeMap::new(),
+            metrics: MetricsSnapshot::default(),
         }
     }
 
@@ -303,62 +240,47 @@ impl Ring {
         }
         self.events.push_back(ev);
     }
-}
 
-/// Shared (cross-thread) registry state: track names + metrics.
-struct Meta {
-    track_names: BTreeMap<(u32, u32), String>,
-    metrics: MetricsSnapshot,
-}
-
-/// The trace context shared by the enabling thread and every adopted
-/// worker. Hot-path event recording touches only the caller's own ring
-/// mutex (uncontended unless a snapshot is in flight); the metrics
-/// registry sits behind one mutex — metric updates are orders of magnitude
-/// rarer than events.
-struct Shared {
-    enabled: AtomicBool,
-    capacity: usize,
-    t0: Instant,
-    meta: Mutex<Meta>,
-    rings: Mutex<Vec<Arc<Mutex<Ring>>>>,
-}
-
-impl Shared {
-    /// Merges every ring (registration order: the enabling thread first,
-    /// then workers in adoption order) into one log. `drain` empties the
-    /// rings (final [`disable`]) instead of cloning ([`snapshot`]).
-    fn log(&self, drain: bool) -> TraceLog {
-        let meta = self.meta.lock().unwrap();
-        let rings = self.rings.lock().unwrap();
-        let mut events = Vec::new();
-        let mut dropped = 0;
-        for ring in rings.iter() {
-            let mut ring = ring.lock().unwrap();
-            dropped += ring.dropped;
-            if drain {
-                events.extend(ring.events.drain(..));
-            } else {
-                events.extend(ring.events.iter().cloned());
-            }
-        }
+    fn into_log(self) -> TraceLog {
         TraceLog {
-            events,
-            dropped,
+            events: self.events.into(),
+            dropped: self.dropped,
             capacity: self.capacity,
-            track_names: meta.track_names.clone(),
-            metrics: meta.metrics.clone(),
+            track_names: self.track_names,
+            metrics: self.metrics,
         }
     }
 }
 
-struct ThreadCtx {
-    shared: Arc<Shared>,
-    ring: Arc<Mutex<Ring>>,
+/// The trace context shared by the enabling thread and every adopted one.
+struct Shared {
+    enabled: AtomicBool,
+    t0: Instant,
+    recorder: Mutex<Recorder>,
+}
+
+impl Shared {
+    /// The recorder. Poison-tolerant: every update is one push or one map
+    /// entry, so the recorder is whole even if a recording thread panicked.
+    fn lock(&self) -> MutexGuard<'_, Recorder> {
+        self.recorder.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The log so far; `drain` empties the recorder (final [`disable`])
+    /// instead of copying it ([`snapshot`]).
+    fn log(&self, drain: bool) -> TraceLog {
+        let mut r = self.lock();
+        if drain {
+            let capacity = r.capacity;
+            std::mem::replace(&mut *r, Recorder::new(capacity)).into_log()
+        } else {
+            r.clone().into_log()
+        }
+    }
 }
 
 thread_local! {
-    static CTX: RefCell<Option<ThreadCtx>> = const { RefCell::new(None) };
+    static CTX: RefCell<Option<Arc<Shared>>> = const { RefCell::new(None) };
 }
 
 /// A cloneable, `Send` reference to a live trace context. Executor pools
@@ -381,33 +303,26 @@ impl std::fmt::Debug for TraceHandle {
 #[inline]
 pub fn is_enabled() -> bool {
     CTX.with(|c| match c.borrow().as_ref() {
-        Some(ctx) => ctx.shared.enabled.load(Ordering::Relaxed),
+        Some(shared) => shared.enabled.load(Ordering::Relaxed),
         None => false,
     })
 }
 
-/// Enables tracing on this thread with per-thread rings of `capacity`
-/// events, replacing any previous context (its contents are discarded, and
-/// workers still adopted into it go inert via the shared atomic flag).
+/// Enables tracing on this thread with a ring of `capacity` events shared
+/// by every thread that [`adopt`]s it, replacing any previous context (its
+/// contents are discarded, and threads still adopted into it go inert via
+/// the shared atomic flag).
 pub fn enable(capacity: usize) {
     CTX.with(|c| {
         let mut c = c.borrow_mut();
         if let Some(old) = c.take() {
-            old.shared.enabled.store(false, Ordering::Release);
+            old.enabled.store(false, Ordering::Release);
         }
-        let shared = Arc::new(Shared {
+        *c = Some(Arc::new(Shared {
             enabled: AtomicBool::new(true),
-            capacity: capacity.max(1),
             t0: Instant::now(),
-            meta: Mutex::new(Meta {
-                track_names: BTreeMap::new(),
-                metrics: MetricsSnapshot::default(),
-            }),
-            rings: Mutex::new(Vec::new()),
-        });
-        let ring = Arc::new(Mutex::new(Ring::new(capacity)));
-        shared.rings.lock().unwrap().push(Arc::clone(&ring));
-        *c = Some(ThreadCtx { shared, ring });
+            recorder: Mutex::new(Recorder::new(capacity.max(1))),
+        }));
     });
 }
 
@@ -416,13 +331,13 @@ pub fn enable_default() {
     enable(DEFAULT_CAPACITY);
 }
 
-/// Disables tracing and returns the final merged [`TraceLog`], or `None`
-/// if this thread has no trace context. The shared flag flips first, so
-/// adopted workers stop recording immediately.
+/// Disables tracing and returns the final [`TraceLog`], or `None` if this
+/// thread has no trace context. The shared flag flips first, so adopted
+/// threads stop recording immediately.
 pub fn disable() -> Option<TraceLog> {
-    CTX.with(|c| c.borrow_mut().take()).map(|ctx| {
-        ctx.shared.enabled.store(false, Ordering::Release);
-        ctx.shared.log(true)
+    CTX.with(|c| c.borrow_mut().take()).map(|shared| {
+        shared.enabled.store(false, Ordering::Release);
+        shared.log(true)
     })
 }
 
@@ -430,41 +345,24 @@ pub fn disable() -> Option<TraceLog> {
 /// workers. `None` when tracing is disabled.
 pub fn handle() -> Option<TraceHandle> {
     CTX.with(|c| {
-        c.borrow().as_ref().and_then(|ctx| {
-            ctx.shared
-                .enabled
-                .load(Ordering::Relaxed)
-                .then(|| TraceHandle {
-                    shared: Arc::clone(&ctx.shared),
-                })
+        c.borrow().as_ref().and_then(|shared| {
+            shared.enabled.load(Ordering::Relaxed).then(|| TraceHandle {
+                shared: Arc::clone(shared),
+            })
         })
     })
 }
 
-/// Joins this thread to the handle's trace context with a fresh ring
-/// (registered after all earlier rings, so merge order is deterministic in
-/// adoption order). Call once per worker thread, before it records.
+/// Joins this thread to the handle's trace context: from now on it records
+/// into the same ring and registry. Call once per thread, before it
+/// records.
 pub fn adopt(handle: &TraceHandle) {
-    CTX.with(|c| {
-        let shared = Arc::clone(&handle.shared);
-        let ring = Arc::new(Mutex::new(Ring::new(shared.capacity)));
-        shared.rings.lock().unwrap().push(Arc::clone(&ring));
-        *c.borrow_mut() = Some(ThreadCtx { shared, ring });
-    });
+    CTX.with(|c| *c.borrow_mut() = Some(Arc::clone(&handle.shared)));
 }
 
-/// Copies the current merged log without disabling tracing.
+/// Copies the current log without disabling tracing.
 pub fn snapshot() -> Option<TraceLog> {
-    CTX.with(|c| c.borrow().as_ref().map(|ctx| ctx.shared.log(false)))
-}
-
-/// Copies the current metrics registry without disabling tracing.
-pub fn metrics_snapshot() -> Option<MetricsSnapshot> {
-    CTX.with(|c| {
-        c.borrow()
-            .as_ref()
-            .map(|ctx| ctx.shared.meta.lock().unwrap().metrics.clone())
-    })
+    CTX.with(|c| c.borrow().as_ref().map(|shared| shared.log(false)))
 }
 
 /// Seconds of host time since [`enable`] (0 when disabled). Use as the
@@ -473,36 +371,36 @@ pub fn host_now_s() -> f64 {
     CTX.with(|c| {
         c.borrow()
             .as_ref()
-            .map(|ctx| ctx.shared.t0.elapsed().as_secs_f64())
+            .map(|shared| shared.t0.elapsed().as_secs_f64())
             .unwrap_or(0.0)
     })
 }
 
 /// Runs `f` with the thread's context when tracing is enabled.
-fn with_ctx(f: impl FnOnce(&ThreadCtx)) {
+fn with_ctx(f: impl FnOnce(&Shared)) {
     CTX.with(|c| {
-        if let Some(ctx) = c.borrow().as_ref() {
-            if ctx.shared.enabled.load(Ordering::Relaxed) {
-                f(ctx);
+        if let Some(shared) = c.borrow().as_ref() {
+            if shared.enabled.load(Ordering::Relaxed) {
+                f(shared);
             }
         }
     });
 }
 
-/// Pushes an event onto this thread's ring.
-fn push_event(ev: TraceEvent) {
-    with_ctx(|ctx| ctx.ring.lock().unwrap().push(ev));
+/// Runs `f` against the recorder when tracing is enabled.
+fn with_recorder(f: impl FnOnce(&mut Recorder)) {
+    with_ctx(|shared| f(&mut shared.lock()));
 }
 
-/// Runs `f` against the shared registry state.
-fn with_meta(f: impl FnOnce(&mut Meta)) {
-    with_ctx(|ctx| f(&mut ctx.shared.meta.lock().unwrap()));
+/// Pushes an event onto the ring.
+fn push_event(ev: TraceEvent) {
+    with_recorder(|r| r.push(ev));
 }
 
 /// Registers a human-readable name for a track (Chrome thread name).
 pub fn name_track(track: Track, name: impl Into<String>) {
-    with_meta(|meta| {
-        meta.track_names.insert((track.pid, track.tid), name.into());
+    with_recorder(|r| {
+        r.track_names.insert((track.pid, track.tid), name.into());
     });
 }
 
@@ -518,16 +416,12 @@ pub fn span_at(
     dur: f64,
     args: &[(&'static str, u64)],
 ) {
-    with_ctx(|ctx| {
-        {
-            let mut meta = ctx.shared.meta.lock().unwrap();
-            *meta
-                .metrics
-                .gauges
-                .entry(format!("vstage.{}.seconds", stage.label()))
-                .or_insert(0.0) += dur;
-        }
-        ctx.ring.lock().unwrap().push(TraceEvent {
+    with_recorder(|r| {
+        *r.metrics
+            .gauges
+            .entry(format!("vstage.{}.seconds", stage.label()))
+            .or_insert(0.0) += dur;
+        r.push(TraceEvent {
             stage,
             name: name.into(),
             track,
@@ -593,17 +487,16 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((stage, name, track, start)) = self.start.take() {
             let dur = start.elapsed().as_secs_f64();
-            with_ctx(|ctx| {
-                let ts = start.duration_since(ctx.shared.t0).as_secs_f64();
-                {
-                    let mut meta = ctx.shared.meta.lock().unwrap();
-                    *meta
-                        .metrics
+            with_ctx(|shared| {
+                let ts = start.duration_since(shared.t0).as_secs_f64();
+                let mut r = shared.lock();
+                if track == Track::DRIVER {
+                    *r.metrics
                         .gauges
                         .entry(format!("stage.{name}.seconds"))
                         .or_insert(0.0) += dur;
                 }
-                ctx.ring.lock().unwrap().push(TraceEvent {
+                r.push(TraceEvent {
                     stage,
                     name,
                     track,
@@ -618,7 +511,8 @@ impl Drop for SpanGuard {
 
 /// Opens a host-timed span on the driver track; the span is recorded when
 /// the returned guard drops, and `stage.<name>.seconds` accumulates its
-/// duration for the per-stage breakdown.
+/// duration for the per-stage breakdown. Spans on other tracks (per-subtask
+/// spans on [`Track::LOCAL`]) feed no gauge.
 pub fn span(stage: Stage, name: impl Into<Cow<'static, str>>) -> SpanGuard {
     span_on(stage, name, Track::DRIVER)
 }
@@ -644,47 +538,25 @@ pub fn counter_add(name: &str, delta: u64) {
     if delta == 0 {
         return;
     }
-    with_meta(|meta| {
-        *meta.metrics.counters.entry(name.to_string()).or_insert(0) += delta;
+    with_recorder(|r| {
+        *r.metrics.counters.entry(name.to_string()).or_insert(0) += delta;
     });
 }
 
 /// Adds `delta` to a registry gauge.
 pub fn gauge_add(name: &str, delta: f64) {
-    with_meta(|meta| {
-        *meta.metrics.gauges.entry(name.to_string()).or_insert(0.0) += delta;
+    with_recorder(|r| {
+        *r.metrics.gauges.entry(name.to_string()).or_insert(0.0) += delta;
     });
 }
 
 /// Raises a registry gauge to `value` if it is currently lower.
 pub fn gauge_max(name: &str, value: f64) {
-    with_meta(|meta| {
-        let g = meta.metrics.gauges.entry(name.to_string()).or_insert(0.0);
+    with_recorder(|r| {
+        let g = r.metrics.gauges.entry(name.to_string()).or_insert(0.0);
         if value > *g {
             *g = value;
         }
-    });
-}
-
-/// Observes a latency into the histogram `name` ([`SECONDS_BUCKETS`]).
-pub fn observe_seconds(name: &str, v: f64) {
-    with_meta(|meta| {
-        meta.metrics
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| HistogramSnapshot::new(SECONDS_BUCKETS))
-            .observe(v);
-    });
-}
-
-/// Observes a size into the histogram `name` ([`BYTES_BUCKETS`]).
-pub fn observe_bytes(name: &str, v: u64) {
-    with_meta(|meta| {
-        meta.metrics
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| HistogramSnapshot::new(BYTES_BUCKETS))
-            .observe(v as f64);
     });
 }
 
@@ -706,6 +578,9 @@ pub fn record_exec_stats(stats: &ExecStats) {
         "exec.recovered_from_spill_bytes",
         stats.recovered_from_spill_bytes as u64,
     );
+    counter_add("exec.encoded_raw_bytes", stats.encoded_raw_bytes as u64);
+    counter_add("exec.encoded_wire_bytes", stats.encoded_wire_bytes as u64);
+    counter_add("exec.retiled_partitions", stats.retiled_partitions as u64);
     gauge_add("exec.makespan_seconds", stats.makespan);
     gauge_add("exec.real_cpu_seconds", stats.real_cpu_seconds);
     gauge_max("exec.peak_worker_bytes", stats.peak_worker_bytes as f64);
@@ -1001,7 +876,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_registry_counts_gauges_histograms() {
+    fn metrics_registry_counts_gauges() {
         reset();
         enable(16);
         counter_add("exec.retries", 2);
@@ -1010,20 +885,10 @@ mod tests {
         gauge_add("g", 0.5);
         gauge_max("peak", 10.0);
         gauge_max("peak", 4.0);
-        observe_seconds("lat", 0.5e-3);
-        observe_seconds("lat", 2.0);
-        observe_bytes("sz", 2048);
-        let m = metrics_snapshot().unwrap();
+        let m = disable().unwrap().metrics;
         assert_eq!(m.counters["exec.retries"], 5);
         assert_eq!(m.gauges["g"], 2.0);
         assert_eq!(m.gauges["peak"], 10.0);
-        let lat = &m.histograms["lat"];
-        assert_eq!(lat.count, 2);
-        assert_eq!(lat.counts[3], 1, "0.5ms lands in the <=1e-3 bucket");
-        assert_eq!(lat.counts[7], 1, "2s lands in the <=1e1 bucket");
-        let sz = &m.histograms["sz"];
-        assert_eq!(sz.counts[1], 1, "2KiB lands in the <=4KiB bucket");
-        let _ = disable();
     }
 
     #[test]
@@ -1035,20 +900,25 @@ mod tests {
             subtasks: 4,
             retries: 2,
             peak_worker_bytes: 100,
+            encoded_raw_bytes: 30,
+            encoded_wire_bytes: 20,
+            retiled_partitions: 1,
             ..Default::default()
         };
         record_exec_stats(&stats);
         record_exec_stats(&stats);
-        let m = metrics_snapshot().unwrap();
+        let m = disable().unwrap().metrics;
         assert_eq!(m.counters["exec.subtasks"], 8);
         assert_eq!(m.counters["exec.retries"], 4);
+        assert_eq!(m.counters["exec.encoded_raw_bytes"], 60);
+        assert_eq!(m.counters["exec.encoded_wire_bytes"], 40);
+        assert_eq!(m.counters["exec.retiled_partitions"], 2);
         assert_eq!(m.gauges["exec.makespan_seconds"], 2.0);
         assert_eq!(m.gauges["exec.peak_worker_bytes"], 100.0);
-        let _ = disable();
     }
 
     /// Pool workers must see the driver's enable/disable through the
-    /// shared atomic flag, and their events must reach the merged log —
+    /// shared atomic flag, and their events must reach the one ring —
     /// while threads with no adopted context stay inert.
     #[test]
     fn adopted_workers_share_the_trace_context() {
@@ -1073,7 +943,7 @@ mod tests {
         });
         let log = disable().expect("enabled");
         let names: Vec<&str> = log.events.iter().map(|e| e.name.as_ref()).collect();
-        // driver ring merges first, then the worker's ring
+        // one ring, in recording order: the driver recorded first
         assert_eq!(names, vec!["driver_side", "worker_side"]);
         assert!(!names.contains(&"lost"));
     }
@@ -1094,8 +964,8 @@ mod tests {
         assert!(snapshot().is_none(), "driver context is gone");
     }
 
-    /// Worker-side metrics (counters, gauges, histograms) land in the one
-    /// shared registry, not per-thread copies.
+    /// Worker-side counters and gauges land in the one shared registry, not
+    /// per-thread copies.
     #[test]
     fn adopted_workers_merge_metrics() {
         reset();
@@ -1108,14 +978,93 @@ mod tests {
                     adopt(&h);
                     counter_add("exec.retries", 1);
                     gauge_max("peak", 7.0);
-                    observe_seconds("lat", 0.5);
                 });
             }
         });
         let m = disable().unwrap().metrics;
         assert_eq!(m.counters["exec.retries"], 5);
         assert_eq!(m.gauges["peak"], 7.0);
-        assert_eq!(m.histograms["lat"].count, 4);
+    }
+
+    /// A traced group-by over a 4-thread pool: 2,000 rows in 256-byte
+    /// chunks run as dozens of subtasks spread over the workers.
+    fn traced_pool_fetch(capacity: usize) -> TraceLog {
+        use crate::config::XorbitsConfig;
+        use crate::parallel::ParallelExecutor;
+        use crate::session::Session;
+        use xorbits_dataframe::{AggFunc, AggSpec, Column, DataFrame};
+
+        let cfg = XorbitsConfig {
+            chunk_limit_bytes: 256,
+            ..Default::default()
+        };
+        let df = DataFrame::new(vec![
+            ("k", Column::from_i64((0..2000).map(|i| i % 7).collect())),
+            ("v", Column::from_i64((0..2000).collect())),
+        ])
+        .unwrap();
+        reset();
+        enable(capacity);
+        let s = Session::new(cfg, ParallelExecutor::with_threads(4));
+        s.from_df(df)
+            .unwrap()
+            .groupby_agg(vec!["k".into()], vec![AggSpec::new("v", AggFunc::Sum, "s")])
+            .unwrap()
+            .fetch()
+            .unwrap();
+        disable().unwrap()
+    }
+
+    /// The capacity bounds the whole trace, however many pool workers
+    /// recorded into it; what did not fit is counted, not kept.
+    #[test]
+    fn a_pool_fetch_keeps_the_trace_bound() {
+        let full = traced_pool_fetch(1 << 16);
+        assert!(full.events.len() > 64, "the fetch records more than 64");
+        let log = traced_pool_fetch(64);
+        assert_eq!(log.capacity, 64);
+        assert!(log.events.len() <= 64, "{} events", log.events.len());
+        assert!(log.dropped > 0);
+        assert_eq!(
+            log.events.len() as u64 + log.dropped,
+            full.events.len() as u64
+        );
+    }
+
+    /// Only driver stages feed `stage.*`: per-subtask spans on the local
+    /// executor's track are named after fused op labels and overlap the
+    /// `execute` stage, so they would count its time twice. The breakdown's
+    /// shares are then taken over stages that do not nest.
+    #[test]
+    fn stage_gauges_are_driver_stages_and_their_shares_sum_to_one() {
+        let log = traced_pool_fetch(1 << 16);
+        let gauges = &log.metrics.gauges;
+        assert!(gauges.contains_key("stage.execute.seconds"), "{gauges:?}");
+        let labels: Vec<&str> = log
+            .events
+            .iter()
+            .filter(|e| e.track == Track::LOCAL)
+            .map(|e| e.name.as_ref())
+            .collect();
+        assert!(!labels.is_empty(), "the pool records per-subtask spans");
+        for label in labels {
+            let key = format!("stage.{label}.seconds");
+            assert!(
+                !gauges.contains_key(&key),
+                "a gauge named after an op label: {key}"
+            );
+        }
+        let text = crate::explain::explain_stage_breakdown(&log.metrics);
+        let shares: f64 = text
+            .lines()
+            .take_while(|l| !l.starts_with("Stage breakdown (virtual") && *l != "Counters")
+            .filter_map(|l| l.strip_suffix('%'))
+            .filter_map(|l| l.split_whitespace().last()?.parse::<f64>().ok())
+            .sum();
+        assert!(
+            (shares - 100.0).abs() <= 0.5,
+            "shares sum to {shares}:\n{text}"
+        );
     }
 
     #[test]

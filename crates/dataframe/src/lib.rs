@@ -36,7 +36,6 @@ pub mod pivot;
 pub mod scalar;
 pub mod schema;
 pub mod sort;
-pub mod stats;
 
 pub use bitmap::Bitmap;
 pub use buffer::Buffer;

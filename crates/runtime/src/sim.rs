@@ -191,8 +191,6 @@ impl SimExecutor {
                 ];
                 let now = self.virtual_now();
                 trace::instant_at(Stage::Spill, "spill", Track::band(band), now, &args);
-                trace::counter_add("sim.spilled_bytes", bytes as u64);
-                trace::observe_bytes("sim.spill.bytes", bytes as u64);
             }
         }
         charged.fits
@@ -213,9 +211,6 @@ impl SimExecutor {
             for rb in &cost.read_backs {
                 trace_read_back(rb, read_on.unwrap_or(rb.band), rb.at);
             }
-            if cost.codec_seconds > 0.0 {
-                trace::observe_seconds("sim.codec.seconds", cost.codec_seconds);
-            }
         }
         Ok(cost)
     }
@@ -231,9 +226,6 @@ impl SimExecutor {
         republish: bool,
         stats: &mut ExecStats,
     ) -> XbResult<()> {
-        if !republish && trace::is_enabled() {
-            trace::observe_bytes("sim.chunk.bytes", payload.nbytes() as u64);
-        }
         let worker = self.spec.worker_of(band);
         let charged = self.ledger.admit(worker, key, finish, &payload);
         self.chunks.publish(key, payload, band, finish, republish);
@@ -366,7 +358,6 @@ impl SimExecutor {
                     clock - start,
                     &[("seq", rec.seq), ("worker", worker as u64)],
                 );
-                trace::counter_add("sim.recomputed_subtasks", 1);
             }
 
             for (key, payload) in published {
@@ -469,7 +460,6 @@ impl SimExecutor {
                     ("splits", out.splits as u64),
                 ],
             );
-            trace::counter_add("sim.retiled_partitions", out.splits as u64);
         }
     }
 
@@ -531,7 +521,7 @@ impl SimExecutor {
         self.band_free[band] = finish;
         run.last_finish = run.last_finish.max(finish);
         if trace::is_enabled() {
-            self.trace_dispatch(run, band, start, finish, measured, failures);
+            self.trace_dispatch(run, band, start, finish, failures);
         }
 
         // the transient working set is held only while the subtask runs
@@ -579,14 +569,13 @@ impl SimExecutor {
 
     /// The dispatch of `run`'s next subtask as trace events: its span on
     /// the band (mirrored on the tenant's lane so Chrome renders per-tenant
-    /// occupancy alongside), the kernel time and any retries.
+    /// occupancy alongside) and any retries.
     fn trace_dispatch(
         &self,
         run: &GraphRun,
         band: usize,
         start: f64,
         finish: f64,
-        measured: f64,
         failures: usize,
     ) {
         let si = run.next as u64;
@@ -613,7 +602,6 @@ impl SimExecutor {
                 ("step", self.dispatch_step),
             ],
         );
-        trace::observe_seconds("sim.kernel.seconds", measured);
         if failures > 0 {
             let args = [("subtask", si), ("attempts", failures as u64)];
             trace::instant_at(
@@ -623,7 +611,6 @@ impl SimExecutor {
                 start,
                 &args,
             );
-            trace::counter_add("sim.retries", failures as u64);
         }
     }
 
@@ -679,13 +666,6 @@ impl SimExecutor {
                     pending: Vec::new(),
                 });
             }
-        }
-        if trace::is_enabled() {
-            trace::counter_add("sim.encoded_raw_bytes", run.stats.encoded_raw_bytes as u64);
-            trace::counter_add(
-                "sim.encoded_wire_bytes",
-                run.stats.encoded_wire_bytes as u64,
-            );
         }
         Ok(ExecStats {
             makespan: makespan_total - run.t0,
@@ -757,11 +737,9 @@ fn last_consumers(graph: &SubtaskGraph) -> HashMap<ChunkKey, usize> {
 fn trace_read_back(rb: &ReadBack, band: usize, at: f64) {
     let args = [("chunk", rb.key), ("bytes", rb.bytes as u64)];
     trace::instant_at(Stage::ReadBack, "read_back", Track::band(band), at, &args);
-    trace::counter_add("sim.read_back_bytes", rb.bytes as u64);
     if rb.recovered {
         let name = "recovered_from_spill";
         trace::instant_at(Stage::Recovery, name, Track::band(band), at, &args);
-        trace::counter_add("sim.recovered_from_spill_bytes", rb.bytes as u64);
     }
 }
 

@@ -69,6 +69,7 @@ use xorbits_core::explain::{ServingStats, TenantServingStats};
 use xorbits_core::session::{ExecStats, Executor, ResultCache, Session};
 use xorbits_core::subtask::SubtaskGraph;
 use xorbits_core::tiling::MetaView;
+use xorbits_core::trace::{self, TraceHandle};
 use xorbits_dataframe::DataFrame;
 use xorbits_runtime::{ClusterSpec, GraphRun, SimExecutor};
 
@@ -735,6 +736,8 @@ impl ServingRuntime {
             changed: Condvar::new(),
         });
         let cache_on = self.cache_bytes > 0;
+        // the drivers record into the caller's trace, if it has one
+        let trace = trace::handle();
         // the logs live out here so that what a tenant finished survives a
         // panic of its driver
         let mut logs: Vec<DriverLog> = streams.iter().map(|_| DriverLog::default()).collect();
@@ -744,8 +747,11 @@ impl ServingRuntime {
                 .zip(&mut logs)
                 .enumerate()
                 .map(|(t, (stream, log))| {
-                    let (cfg, shared) = (self.cfg.clone(), Arc::clone(&shared));
-                    scope.spawn(move || drive_tenant(t as u32, stream, cfg, shared, cache_on, log))
+                    let (cfg, shared, trace) =
+                        (self.cfg.clone(), Arc::clone(&shared), trace.clone());
+                    scope.spawn(move || {
+                        drive_tenant(t as u32, stream, cfg, shared, cache_on, trace, log)
+                    })
                 })
                 .collect();
             let served = shared.serve();
@@ -871,6 +877,7 @@ fn drive_tenant(
     cfg: XorbitsConfig,
     shared: Arc<Monitor>,
     cache_on: bool,
+    trace: Option<TraceHandle>,
     log: &mut DriverLog,
 ) {
     // declared first, dropped last: nothing of this tenant follows it
@@ -878,6 +885,9 @@ fn drive_tenant(
         tenant,
         shared: Arc::clone(&shared),
     };
+    if let Some(h) = &trace {
+        trace::adopt(h);
+    }
     for (qi, query) in stream.queries.into_iter().enumerate() {
         let executor = TenantExecutor {
             tenant,

@@ -12,6 +12,7 @@ use xorbits_baselines::EngineKind;
 use xorbits_core::config::XorbitsConfig;
 use xorbits_core::session::Session;
 use xorbits_core::tileable::{df_fingerprint, DfSource};
+use xorbits_core::trace;
 use xorbits_dataframe::{col, lit, AggFunc, AggSpec, Column, DataFrame, Scalar};
 use xorbits_runtime::{ClusterSpec, SimExecutor};
 use xorbits_serving::{LineageCache, ServingRuntime, TenantExecutor, TenantStream};
@@ -255,6 +256,32 @@ fn lineage_invalidation_is_never_stale() {
     );
     assert_eq!(fresh, recomputed);
     assert_eq!(cache.lock().unwrap().stats().invalidations, 1);
+}
+
+/// A traced serving run records what the tenant drivers do, not only the
+/// coordinator's band events: the drivers adopt the caller's trace, so
+/// their tile spans, `stage.*` gauges and `exec.*` counters land in it.
+#[test]
+fn a_traced_run_records_the_tenant_drivers() {
+    let mut stream = TenantStream::new(1);
+    stream.push(|s: &Session<TenantExecutor>| {
+        let df = DataFrame::new(vec![
+            ("k", Column::from_i64((0..256).map(|i| i % 4).collect())),
+            ("v", Column::from_i64((0..256).collect())),
+        ])?;
+        s.from_df(df)?
+            .groupby_agg(vec!["k".into()], vec![AggSpec::new("v", AggFunc::Sum, "s")])?
+            .fetch()
+    });
+    trace::enable(1 << 16);
+    let rt = ServingRuntime::new(ClusterSpec::new(2, 64 << 20), cfg());
+    let run = rt.run(vec![stream]);
+    let log = trace::disable().expect("tracing was enabled");
+    run.expect("serving run");
+
+    assert!(log.events.iter().any(|e| e.name == "tile_step"));
+    assert!(log.metrics.gauges.contains_key("stage.tile_step.seconds"));
+    assert!(log.metrics.counters["exec.subtasks"] > 0);
 }
 
 /// A tenant query that panicked used to leave its driver `Running` in the

@@ -201,6 +201,40 @@ if [[ -n "$strays" ]]; then
   exit 1
 fi
 
+# Structural gate (hard): one trace recorder, and every metric it keeps has a
+# reader. A trace is one bounded ring, its track names and its counters and
+# gauges under one lock, so the non-test part of core/src/trace.rs keeps no
+# registry of per-thread rings (`Vec<Arc<Mutex<`). The registry has no
+# histograms: under crates/ (but the frozen crates/bench/examples/bench_e2e/)
+# and tests/ none of `observe_seconds`, `observe_bytes`, `HistogramSnapshot`
+# or `metrics_snapshot` appears. Executor totals reach it once, as `exec.*`
+# through `record_exec_stats`, so non-test code under crates/*/src adds no
+# `sim.*` counter and no `storage.{spilled,read_back,encoded}*` twin (a call
+# split after `counter_add(` by rustfmt is read as one line).
+echo "==> one trace recorder (one ring under one lock, no histograms, no sim.*/storage.* twins of exec.*)"
+strays=$(
+  find crates tests -path crates/bench/examples/bench_e2e -prune -o -name target -prune -o \
+      -type f -print0 | sort -z |
+    xargs -0 grep -nE 'observe_seconds|observe_bytes|HistogramSnapshot|metrics_snapshot' || true
+  find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0; prev = "" }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    {
+      joined = (prev ~ /counter_add\($/) ? prev $0 : $0
+      if (joined ~ /counter_add\([[:space:]]*"(sim\.|storage\.(spilled|read_back|encoded))/) print FILENAME ":" FNR ": " $0
+      prev = $0
+    }'
+  awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /Vec<Arc<Mutex</ { print FILENAME ":" FNR ": " $0 }
+  ' crates/core/src/trace.rs)
+if [[ -n "$strays" ]]; then
+  echo "the trace keeps one ring under one lock, no histograms and no sim.*/storage.* twin of an exec.* counter; found:"
+  echo "$strays"
+  exit 1
+fi
+
 # Structural gate (hard): serving has no message protocol. A tenant's
 # executor and cache calls are method calls on the one locked `Coordinator`,
 # and waits are on its condvar, so under crates/serving/src no line outside
