@@ -10,7 +10,8 @@
 //!   spill-capable storage service; full API.
 //! * **PySpark** (pandas API on Spark) — static tiling but broadcast
 //!   decisions from *source-size estimates* (Catalyst knows file sizes),
-//!   whole-stage-codegen-style fusion, column pruning, robust spilling;
+//!   whole-stage-codegen-style fusion, predicate pushdown and column
+//!   pruning, robust spilling;
 //!   the narrowest pandas API surface (the paper measures 36.7% coverage).
 //! * **Dask** — static tiling with fixed shuffle partitions, linear task
 //!   fusion, spilling; rows-only partitioning (no `iloc`), arrays require

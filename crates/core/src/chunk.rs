@@ -78,6 +78,36 @@ impl DfStep {
         !matches!(self, DfStep::Filter(_) | DfStep::Dropna(_))
     }
 
+    /// The step's output column names given its input's, in order. A
+    /// projection reads names the input may lack: `Project` of a missing
+    /// name fails at run time, `PruneTo` skips it, as the kernels do.
+    pub fn output_columns(&self, mut names: Vec<String>) -> Vec<String> {
+        match self {
+            DfStep::Filter(_) | DfStep::Fillna(..) | DfStep::Dropna(_) => names,
+            DfStep::Project(columns) => columns.clone(),
+            DfStep::PruneTo(columns) => columns
+                .iter()
+                .filter(|c| names.contains(c))
+                .cloned()
+                .collect(),
+            DfStep::Assign(exprs) => {
+                for (name, _) in exprs {
+                    if !names.contains(name) {
+                        names.push(name.clone());
+                    }
+                }
+                names
+            }
+            DfStep::Rename(pairs) => names
+                .into_iter()
+                .map(|name| match pairs.iter().find(|(old, _)| *old == name) {
+                    Some((_, new)) => new.clone(),
+                    None => name,
+                })
+                .collect(),
+        }
+    }
+
     /// One-line rendering for logical plans (expressions elided).
     pub fn label(&self) -> String {
         match self {

@@ -15,7 +15,10 @@ pub struct XorbitsConfig {
     pub dynamic_tiling: bool,
     /// Enable coloring-based graph-level fusion (§V-A, "g" in Fig 9b).
     pub graph_fusion: bool,
-    /// Enable column pruning (§V-A).
+    /// Enable the logical optimizer (§V-A): predicate pushdown, which
+    /// moves filter conjuncts below the joins they do not need, then column
+    /// pruning. On for Xorbits and the PySpark profile (Catalyst); Dask,
+    /// Modin and pandas run with it off.
     pub column_pruning: bool,
     /// Upper bound on a data chunk's size; tiling targets chunks of at most
     /// this many bytes and auto merge concatenates smaller chunks up to it.

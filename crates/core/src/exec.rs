@@ -448,6 +448,36 @@ mod tests {
     use super::*;
     use xorbits_dataframe::{col, lit, AggFunc, AggSpec, Column};
 
+    /// The names the logical optimizer plans with are the names the
+    /// kernels produce, for every elementwise step.
+    #[test]
+    fn a_steps_output_columns_are_its_kernels() {
+        let df = DataFrame::new(vec![
+            ("k", Column::from_i64(vec![1, 2])),
+            ("v", Column::from_i64(vec![3, 4])),
+            ("w", Column::from_i64(vec![5, 6])),
+        ])
+        .unwrap();
+        let names = || vec!["k".to_string(), "v".to_string(), "w".to_string()];
+        let steps = [
+            DfStep::Filter(col("v").gt(lit(3i64))),
+            DfStep::Project(vec!["w".into(), "k".into()]),
+            DfStep::PruneTo(vec!["w".into(), "x".into(), "k".into()]),
+            DfStep::Assign(vec![("v".into(), col("k")), ("x".into(), col("w"))]),
+            DfStep::Fillna("v".into(), xorbits_dataframe::Scalar::Int(0)),
+            DfStep::Dropna(None),
+            DfStep::Rename(vec![("v".into(), "y".into()), ("x".into(), "z".into())]),
+        ];
+        for step in steps {
+            let out = apply_df_step(&df, &step).unwrap();
+            assert_eq!(
+                step.output_columns(names()),
+                out.schema().names(),
+                "{step:?}"
+            );
+        }
+    }
+
     fn df_payload() -> Arc<Payload> {
         Arc::new(Payload::Df(
             DataFrame::new(vec![

@@ -1,8 +1,10 @@
-//! Graph optimization passes (§V-A): column pruning on the tileable graph,
-//! coloring-based graph-level fusion on the chunk graph.
+//! Graph optimization passes (§V-A): predicate pushdown and column pruning
+//! on the tileable graph, coloring-based graph-level fusion on the chunk
+//! graph.
 
 pub mod coloring;
 pub mod pruning;
+pub mod pushdown;
 
 use crate::chunk::{ChunkGraph, ChunkKey};
 use crate::config::XorbitsConfig;

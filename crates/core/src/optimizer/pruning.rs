@@ -10,6 +10,7 @@
 use crate::chunk::DfStep;
 use crate::tileable::{TileableGraph, TileableId, TileableOp};
 use std::collections::BTreeSet;
+use xorbits_dataframe::JoinType;
 
 /// Required-column set: `None` means "all columns" (unprunable).
 type Req = Option<BTreeSet<String>>;
@@ -82,7 +83,8 @@ impl DfStep {
 /// Computes the columns each tileable of a fetch's closure
 /// ([`TileableGraph::closure`]) must expose, walking backward from the
 /// sink — the last node, i.e. the fetched target, which keeps everything.
-/// Conservative: suffix-renamed join columns fall back to "all".
+/// Conservative across joins: a side keeps every name read above the join
+/// that it may own.
 pub fn required_columns(graph: &TileableGraph) -> Vec<Req> {
     let n = graph.len();
     let mut req: Vec<Req> = vec![Some(BTreeSet::new()); n];
@@ -105,14 +107,38 @@ pub fn required_columns(graph: &TileableGraph) -> Vec<Req> {
                 cols.extend(specs.iter().map(|s| s.column.clone()));
                 propagate(&mut req, ins[0], &Some(BTreeSet::new()), cols);
             }
-            // conservative: suffixing makes precise back-mapping fiddly, so
-            // require out_req columns on both sides plus keys; "all"
-            // propagates as "all".
+            // conservative: each side keeps every name consumers read plus
+            // its keys ("all" propagates as "all"), and a suffixed name
+            // needs its base name on both sides, or the collision that
+            // suffixes it is pruned away. A semi or anti join outputs no
+            // right column, so its right side needs its keys alone.
             TileableOp::Merge {
-                left_on, right_on, ..
+                left_on,
+                right_on,
+                how,
+                suffixes,
             } => {
-                propagate(&mut req, ins[0], &out_req, left_on.iter().cloned());
-                propagate(&mut req, ins[1], &out_req, right_on.iter().cloned());
+                let bases: Vec<String> = out_req
+                    .iter()
+                    .flatten()
+                    .filter_map(|n| {
+                        n.strip_suffix(suffixes.0.as_str())
+                            .or_else(|| n.strip_suffix(suffixes.1.as_str()))
+                    })
+                    .map(String::from)
+                    .collect();
+                let left = left_on.iter().chain(&bases).cloned();
+                propagate(&mut req, ins[0], &out_req, left);
+                match how {
+                    JoinType::Semi | JoinType::Anti => {
+                        let right = right_on.iter().cloned();
+                        propagate(&mut req, ins[1], &Some(BTreeSet::new()), right);
+                    }
+                    JoinType::Inner | JoinType::Left => {
+                        let right = right_on.iter().chain(&bases).cloned();
+                        propagate(&mut req, ins[1], &out_req, right);
+                    }
+                }
             }
             TileableOp::SortValues { keys } => {
                 let cols = keys.iter().map(|(k, _)| k.clone());
@@ -266,6 +292,58 @@ mod tests {
         // closure and cannot narrow what it must expose
         let req = required_columns(&g.closure(f));
         assert!(req[f].is_none() && req[s].is_none());
+    }
+
+    #[test]
+    fn semi_and_anti_joins_read_only_the_right_keys() {
+        for how in [JoinType::Semi, JoinType::Anti] {
+            let (mut g, l) = source_graph();
+            let r = g.push(g.op(l).clone(), vec![]).unwrap();
+            let m = g
+                .push(
+                    TileableOp::Merge {
+                        left_on: vec!["a".into()],
+                        right_on: vec!["b".into()],
+                        how,
+                        suffixes: ("_x".into(), "_y".into()),
+                    },
+                    vec![l, r],
+                )
+                .unwrap();
+            // fetched as the sink, and under a step that reads every column
+            let req = required_columns(&g);
+            assert!(req[l].is_none());
+            assert_eq!(req[r], Some(["b".to_string()].into_iter().collect()));
+            step(&mut g, DfStep::Dropna(None), m);
+            let req = required_columns(&g);
+            assert!(req[l].is_none());
+            assert_eq!(req[r], Some(["b".to_string()].into_iter().collect()));
+        }
+    }
+
+    #[test]
+    fn a_suffixed_name_keeps_its_base_on_both_sides() {
+        let (mut g, l) = source_graph();
+        let r = g.push(g.op(l).clone(), vec![]).unwrap();
+        let m = g
+            .push(
+                TileableOp::Merge {
+                    left_on: vec!["a".into()],
+                    right_on: vec!["a".into()],
+                    how: JoinType::Inner,
+                    suffixes: ("_x".into(), "_y".into()),
+                },
+                vec![l, r],
+            )
+            .unwrap();
+        // reads `b_x` alone: both sides keep `b`, so it is still suffixed
+        step(&mut g, DfStep::Project(vec!["b_x".into()]), m);
+        let req = required_columns(&g);
+        for side in [l, r] {
+            let cols: Vec<_> = req[side].as_ref().unwrap().iter().cloned().collect();
+            assert!(cols.contains(&"a".to_string()) && cols.contains(&"b".to_string()));
+            assert!(!cols.contains(&"c".to_string()));
+        }
     }
 
     #[test]

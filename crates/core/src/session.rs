@@ -353,10 +353,12 @@ impl<E: Executor> Session<E> {
             }
         }
 
-        // column pruning rewrites the logical plan (§V-A)
+        // predicate pushdown, then column pruning, rewrite the logical
+        // plan (§V-A)
         let pgraph = if cfg.column_pruning {
+            let pushed = optimizer::pushdown::push_filters(closure);
             trace::timed(trace::Stage::Prune, "prune_columns", || {
-                optimizer::pruning::prune_columns(closure)
+                optimizer::pruning::prune_columns(pushed)
             })
         } else {
             closure

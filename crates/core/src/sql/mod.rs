@@ -148,27 +148,10 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Registers `source` under `name` (case-insensitive), sniffing its
-    /// column names: materialized frames expose their schema directly;
-    /// generators are probed with a zero-or-one-row partition.
+    /// Registers `source` under `name` (case-insensitive) with its
+    /// [`DfSource::column_names`].
     pub fn add(&mut self, name: impl Into<String>, source: DfSource) -> XbResult<()> {
-        let columns = match &source {
-            DfSource::Materialized(df) => df
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| f.name.clone())
-                .collect(),
-            DfSource::Generator { rows, gen, .. } => {
-                let probe = gen(0, (*rows).min(1))?;
-                probe
-                    .schema()
-                    .fields()
-                    .iter()
-                    .map(|f| f.name.clone())
-                    .collect()
-            }
-        };
+        let columns = source.column_names()?;
         self.tables
             .insert(name.into().to_ascii_lowercase(), Table { source, columns });
         Ok(())

@@ -10,8 +10,9 @@
 //! top-level AND conjuncts (original order preserved); after every join in
 //! the FROM tree — or at the single FROM item when there are no joins — all
 //! conjuncts whose columns have just become resolvable are combined
-//! left-to-right with AND into one Filter. Predicates are never pushed
-//! below a join; per-table filters are written as derived tables.
+//! left-to-right with AND into one Filter. The planner itself never moves
+//! a predicate below a join: the logical optimizer does that at fetch time
+//! ([`crate::optimizer::pushdown`]), for SQL and hand-built programs alike.
 //!
 //! Scalar subqueries are planned recursively, executed eagerly via
 //! [`DfHandle::fetch`], and substituted as literals — the SQL spelling of

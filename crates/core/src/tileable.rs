@@ -9,6 +9,7 @@ use crate::chunk::{ArrStep, DfStep};
 use crate::error::{XbError, XbResult};
 use std::sync::Arc;
 use xorbits_array::{ElemOp, NdArray, Reduction};
+use xorbits_dataframe::join::merge_columns;
 use xorbits_dataframe::{AggSpec, DataFrame, JoinType, Scalar};
 
 /// Identifier of a tileable node within its graph.
@@ -84,6 +85,16 @@ impl DfSource {
                 ..
             } => rows * bytes_per_row,
         }
+    }
+
+    /// Column names, in order. A generator is asked for at most one row,
+    /// so the answer costs one tiny partition, not a scan.
+    pub fn column_names(&self) -> XbResult<Vec<String>> {
+        let names = |df: &DataFrame| df.schema().names().into_iter().map(String::from).collect();
+        Ok(match self {
+            DfSource::Materialized(df) => names(df),
+            DfSource::Generator { rows, gen, .. } => names(&gen(0, (*rows).min(1))?),
+        })
     }
 
     /// Display label.
@@ -234,6 +245,39 @@ impl TileableOp {
         match self {
             TileableOp::TensorQr => 2,
             _ => 1,
+        }
+    }
+
+    /// The operator's output column names, given its inputs' in positional
+    /// order; `None` where a name is unknown (an input's, a pivot's, any
+    /// tensor's). The logical optimizer reads "unknown" as "leave the plan
+    /// as it is".
+    pub fn output_columns(&self, inputs: &[Option<Vec<String>>]) -> Option<Vec<String>> {
+        let first = || inputs.first().cloned().flatten();
+        match self {
+            TileableOp::DfSource(src) => src.column_names().ok(),
+            TileableOp::DfMap(step) => Some(step.output_columns(first()?)),
+            TileableOp::GroupbyAgg { keys, specs } => {
+                let outputs = specs.iter().map(|s| s.output.clone());
+                Some(keys.iter().cloned().chain(outputs).collect())
+            }
+            TileableOp::Merge {
+                left_on,
+                right_on,
+                how,
+                suffixes,
+            } => {
+                let (left, right) = (inputs[0].as_ref()?, inputs[1].as_ref()?);
+                let suffixes = (suffixes.0.as_str(), suffixes.1.as_str());
+                let layout = merge_columns(left, right, left_on, right_on, *how, suffixes);
+                Some(layout.into_iter().map(|(_, _, name)| name).collect())
+            }
+            TileableOp::SortValues { .. }
+            | TileableOp::Head { .. }
+            | TileableOp::ILocRow { .. }
+            | TileableOp::DropDuplicates { .. }
+            | TileableOp::ConcatDf => first(),
+            _ => None,
         }
     }
 

@@ -369,7 +369,7 @@ fn str_cmp(op: BinOp, a: &StrArr, b: &StrArr, side: Side) -> Vec<u64> {
         _ => {
             let k = rb(0);
             if want == Ordering::Equal {
-                pack_idx(a.len(), |i| ra(i) == k)
+                str_member(a, &[k])
             } else {
                 pack_idx(a.len(), |i| ra(i).cmp(k) == want)
             }
@@ -503,16 +503,25 @@ fn call(func: &Func, c: &Column) -> DfResult<Column> {
     match func {
         Func::Year | Func::Month | Func::Day => {
             let a = c.as_date()?;
-            let values: Vec<Option<i64>> = (0..a.len())
-                .map(|i| {
-                    a.get(i).map(|d| match func {
-                        Func::Year => dates::year(d) as i64,
-                        Func::Month => dates::month(d) as i64,
-                        _ => dates::day(d) as i64,
-                    })
-                })
-                .collect();
-            Ok(Column::from_opt_i64(values))
+            let part: fn(i32) -> i64 = match func {
+                Func::Year => |d| i64::from(dates::year(d)),
+                Func::Month => |d| i64::from(dates::month(d)),
+                _ => |d| i64::from(dates::day(d)),
+            };
+            let mut values: Vec<i64> = a.values.iter().map(|&d| part(d)).collect();
+            // the date's validity carries over; a null row holds 0
+            let validity = a.validity.clone().filter(|v| v.count_set() < a.len());
+            if let Some(v) = &validity {
+                for (x, valid) in values.iter_mut().zip(v.iter()) {
+                    if !valid {
+                        *x = 0;
+                    }
+                }
+            }
+            Ok(Column::Int64(PrimArr {
+                values: values.into(),
+                validity,
+            }))
         }
         Func::StartsWith(p) => str_pred(c, |s| s.starts_with(p)),
         Func::EndsWith(p) => str_pred(c, |s| s.ends_with(p)),
@@ -603,7 +612,11 @@ fn isin(c: &Column, values: &[Scalar]) -> DfResult<Column> {
                 .filter_map(Scalar::as_str)
                 .map(str::as_bytes)
                 .collect();
-            member(a.len(), rows(a), &probes)
+            if probes.len() <= STR_PROBES {
+                str_member(a, &probes)
+            } else {
+                member(a.len(), rows(a), &probes)
+            }
         }
         Column::Float64(a) => {
             let probes: Vec<u64> = values
@@ -657,6 +670,54 @@ fn int_isin<T: Copy>(vals: &[T], wide: impl Fn(T) -> i64 + Copy, values: &[Scala
         }
     }
     words
+}
+
+/// Up to this many string probes, membership compares each row with every
+/// probe ([`str_member`]) rather than hashing it.
+const STR_PROBES: usize = 8;
+
+/// Packs whether each row's bytes equal one of `probes`: a row's length is
+/// compared first, its first 8 bytes as one word next, and the bytes after
+/// them only when both agree — so most rows are settled without a byte
+/// comparison or a hash.
+fn str_member(a: &StrArr, probes: &[&[u8]]) -> Vec<u64> {
+    let (data, offs) = (a.data_buffer().as_slice(), a.offsets_buffer().as_slice());
+    let heads: Vec<(usize, u64)> = probes
+        .iter()
+        .map(|p| (p.len(), head(p, 0, p.len())))
+        .collect();
+    pack_idx(a.len(), |i| {
+        let (start, end) = (offs[i] as usize, offs[i + 1] as usize);
+        let len = end - start;
+        let mut row_head = None;
+        heads.iter().zip(probes).any(|(&(plen, phead), p)| {
+            plen == len
+                && *row_head.get_or_insert_with(|| head(data, start, len)) == phead
+                && (len <= 8 || data[start + 8..end] == p[8..])
+        })
+    })
+}
+
+/// The first `min(len, 8)` bytes of `data[start..]` as a little-endian
+/// word, zero above them: one unaligned load where 8 bytes exist.
+#[inline(always)]
+fn head(data: &[u8], start: usize, len: usize) -> u64 {
+    match data.get(start..start + 8) {
+        Some(w) => {
+            let w = u64::from_le_bytes(w.try_into().expect("8 bytes"));
+            if len >= 8 {
+                w
+            } else {
+                w & ((1u64 << (len * 8)) - 1)
+            }
+        }
+        None => {
+            let mut w = [0u8; 8];
+            let n = len.min(8);
+            w[..n].copy_from_slice(&data[start..start + n]);
+            u64::from_le_bytes(w)
+        }
+    }
 }
 
 /// Packs whether `key(i)` is one of `probes`, through a hash set of the

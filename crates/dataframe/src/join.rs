@@ -131,40 +131,81 @@ pub fn merge_pieces(
         return Ok(DataFrame::from_parts(lschema.clone(), columns, rows));
     }
 
-    // Column layout.
-    let shared_keys: Vec<&str> = left_on
-        .iter()
-        .zip(right_on)
-        .filter(|(l, r)| l == r)
-        .map(|(l, _)| *l)
-        .collect();
-    let left_names = lschema.names();
-    let right_names = right[0].schema().names();
-
-    let mut pairs: Vec<(String, Column)> = Vec::new();
-    for (c, name) in left_names.iter().enumerate() {
-        let out_name = if right_names.contains(name) && !shared_keys.contains(name) {
-            format!("{name}{}", opts.suffixes.0)
-        } else {
-            name.to_string()
-        };
-        pairs.push((out_name, gather(&left, c, &lplan)?));
-    }
     let rplan = plan(&right, &matches.right);
-    for (c, name) in right_names.iter().enumerate() {
-        if shared_keys.contains(name) {
-            continue; // same-named key appears once (from left)
-        }
-        let out_name = if left_names.contains(name) {
-            format!("{name}{}", opts.suffixes.1)
-        } else {
-            name.to_string()
-        };
+    let layout = merge_columns(
+        &lschema.names(),
+        &right[0].schema().names(),
+        left_on,
+        right_on,
+        opts.how,
+        (&opts.suffixes.0, &opts.suffixes.1),
+    );
+    let mut pairs: Vec<(String, Column)> = Vec::with_capacity(layout.len());
+    for (from_right, c, name) in layout {
         // a left join's unmatched rows gather `NO_ROW`: nulls, made
         // directly in the output column
-        pairs.push((out_name, gather(&right, c, &rplan)?));
+        let column = if from_right {
+            gather(&right, c, &rplan)?
+        } else {
+            gather(&left, c, &lplan)?
+        };
+        pairs.push((name, column));
     }
     DataFrame::new(pairs)
+}
+
+/// The output columns of a merge, in order, as `(from_right, index, name)`:
+/// the side a column is read from, its position in that side's schema and
+/// its output name. A semi or anti join keeps the left columns as they
+/// are. Otherwise the left columns come first, then the right ones; a key
+/// both sides name alike appears once, from the left, and any other name
+/// both sides carry gets its side's suffix. [`merge_pieces`] builds its
+/// result from this layout and the logical optimizer reads it, so the
+/// suffix rule is written once.
+pub fn merge_columns<L: AsRef<str>, R: AsRef<str>, K: AsRef<str>>(
+    left: &[L],
+    right: &[R],
+    left_on: &[K],
+    right_on: &[K],
+    how: JoinType,
+    suffixes: (&str, &str),
+) -> Vec<(bool, usize, String)> {
+    let left = left.iter().map(AsRef::as_ref);
+    if matches!(how, JoinType::Semi | JoinType::Anti) {
+        return left
+            .enumerate()
+            .map(|(c, n)| (false, c, n.to_string()))
+            .collect();
+    }
+    let shared_key = |name: &str| {
+        left_on
+            .iter()
+            .zip(right_on)
+            .any(|(l, r)| l.as_ref() == name && r.as_ref() == name)
+    };
+    let in_left = |name: &str| left.clone().any(|n| n == name);
+    let in_right = |name: &str| right.iter().any(|n| n.as_ref() == name);
+    let mut out = Vec::with_capacity(left.len() + right.len());
+    for (c, name) in left.clone().enumerate() {
+        let out_name = if in_right(name) && !shared_key(name) {
+            format!("{name}{}", suffixes.0)
+        } else {
+            name.to_string()
+        };
+        out.push((false, c, out_name));
+    }
+    for (c, name) in right.iter().map(AsRef::as_ref).enumerate() {
+        if shared_key(name) {
+            continue;
+        }
+        let out_name = if in_left(name) {
+            format!("{name}{}", suffixes.1)
+        } else {
+            name.to_string()
+        };
+        out.push((true, c, out_name));
+    }
+    out
 }
 
 /// Each key column as its pieces: `[key][piece]`.

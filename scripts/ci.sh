@@ -462,6 +462,14 @@ cargo test -q --release --test sql_tpch
 echo "==> SQL parser/binder property suite"
 cargo test -q --release --test sql_props
 
+# Predicate-pushdown gate (hard): seeded filter-over-join programs (inner,
+# left, semi and anti joins; suffix collisions, null keys; conjuncts over
+# one side, both sides or no column) return the same row multiset with the
+# logical optimizer on (filters pushed below joins, columns pruned) as with
+# it off, and the rewrite does fire.
+echo "==> predicate-pushdown differential suite (optimizer on == off)"
+cargo test -q --release --test predicate_pushdown
+
 # Session-aging gate (hard): a fetch runs on its target's ancestor closure,
 # so every op of a long-lived session — 22 TPC-H texts cold, then a
 # whitespace variant of each, and interleaved builder-API dataframe/tensor

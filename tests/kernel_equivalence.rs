@@ -12,7 +12,8 @@
 
 use xorbits::array::prng::Xoshiro256;
 use xorbits::dataframe::column::NO_ROW;
-use xorbits::dataframe::expr::BinOp;
+use xorbits::dataframe::dates;
+use xorbits::dataframe::expr::{BinOp, Func};
 use xorbits::dataframe::{
     col, eval, groupby, join, lit, partition, sort, AggFunc, AggSpec, Column, DataFrame, DataType,
     Expr, JoinOptions, JoinType, Scalar,
@@ -1057,6 +1058,32 @@ fn eval_matches_scalar_reference() {
             check(&df, &col("s").contains(p), pred(&|s| s.contains(p)));
         }
 
+        // date parts: null in null out, the date's validity carried over
+        let x = cells(&df, "d");
+        for (func, part) in [
+            (Func::Year, dates::year as fn(i32) -> i32),
+            (Func::Month, |d| dates::month(d) as i32),
+            (Func::Day, |d| dates::day(d) as i32),
+        ] {
+            let want: Vec<Scalar> = x
+                .iter()
+                .map(|v| match v {
+                    Scalar::Date(d) => Scalar::Int(i64::from(part(*d))),
+                    _ => Scalar::Null,
+                })
+                .collect();
+            let e = Expr::Call {
+                func: func.clone(),
+                expr: Box::new(col("d")),
+            };
+            let got = eval::eval(&df, &e).unwrap();
+            assert_eq!(
+                got,
+                Column::from_scalars(&want, DataType::Int64).unwrap(),
+                "{e:?}"
+            );
+        }
+
         // isnull / notnull never produce nulls
         for name in df.schema().names() {
             let x = cells(&df, name);
@@ -1064,6 +1091,67 @@ fn eval_matches_scalar_reference() {
             check(&df, &col(name).is_null(), nulls);
             let valid = x.iter().map(|v| Scalar::Bool(!v.is_null())).collect();
             check(&df, &col(name).not_null(), valid);
+        }
+    }
+}
+
+/// String `==` / `!=` against a literal and `isin` with up to 8 string
+/// probes compare a row's length, then its first 8 bytes as one word, then
+/// the rest. Against a per-row `Scalar` reference: nulls, empty strings,
+/// strings longer than 8 bytes that share their first 8, lengths either side
+/// of 8, non-ASCII, rows at the very end of the byte buffer, offset views.
+#[test]
+fn string_equality_and_isin_match_scalar_reference() {
+    let words = [
+        "",
+        "A",
+        "AIR",
+        "REG AIR",
+        "ABCDEFGH",
+        "ABCDEFGI",
+        "ABCDEFG",
+        "DELIVER IN PERSON",
+        "DELIVER IN PERSONS",
+        "DELIVER IN PERSOM",
+        "DELIVER ",
+        "éééé",
+        "ééééé",
+        "éééé\u{0}",
+        "aé",
+    ];
+    for case in 0..CASES {
+        let mut rng = Xoshiro256::seed_from_u64(8000 + case);
+        let n = rng.gen_range_i64(1, 200) as usize;
+        let cells: Vec<Scalar> = (0..n)
+            .map(|_| match rng.gen_bool(0.15) {
+                true => Scalar::Null,
+                false => Scalar::Str(pick(&mut rng, &words).to_string()),
+            })
+            .collect();
+        let column = Column::from_scalars(&cells, DataType::Utf8).unwrap();
+        let df = DataFrame::new(vec![("s", column)]).unwrap();
+        let off = rng.gen_range_i64(0, n as i64) as usize;
+        let len = rng.gen_range_i64(0, (n - off) as i64 + 1) as usize;
+        let df = df.slice(off, len);
+        let x = &cells[off..off + len];
+        for w in words {
+            let k = Scalar::Str(w.to_string());
+            for op in [BinOp::Eq, BinOp::Ne] {
+                let want = x.iter().map(|v| ref_cmp(op, v, &k)).collect();
+                check(&df, &binary(op, col("s"), lit(k.clone())), want);
+                let want = x.iter().map(|v| ref_cmp(op, &k, v)).collect();
+                check(&df, &binary(op, lit(k.clone()), col("s")), want);
+            }
+        }
+        for k in [1, 2, rng.gen_range_i64(3, 9) as usize, 9, 14] {
+            let probes: Vec<Scalar> = (0..k)
+                .map(|_| Scalar::Str(pick(&mut rng, &words).to_string()))
+                .collect();
+            let want = x
+                .iter()
+                .map(|v| Scalar::Bool(!v.is_null() && probes.contains(v)))
+                .collect();
+            check(&df, &col("s").is_in(probes), want);
         }
     }
 }

@@ -298,7 +298,7 @@ const TPCH: [[Fingerprint; 5]; 22] = [
     // Q14
     [(2, 142, 0xf5952c812bc520eb), (2, 48, 0xadcdeb00b2a2c2c7), (1, 203, 0xd290d7dce5670ad5), (2, 203, 0x91ce0f86930659e7), (1, 203, 0xd290d7dce5670ad5)],
     // Q15
-    [(7, 390, 0xe57f10369214a3af), (7, 116, 0x0add1a7a4072381d), (2, 559, 0x138a11e6e9701f35), (7, 461, 0x3cdb596a2e78cbf9), (2, 550, 0x13cf6e423254c992)],
+    [(7, 390, 0x18d148d82a4d7feb), (7, 116, 0x34fd1a14772a08d6), (2, 559, 0x5c2666fdc09dab8f), (7, 435, 0xb6eb166d518df455), (2, 550, 0x9fad248892029dac)],
     // Q16
     [(3, 38, 0xe7a2d1cabbdaaa73), (3, 21, 0x520aa3b99b3581d0), (1, 72, 0xfa20975374d7e763), (3, 45, 0x2145d2d86125c687), (1, 63, 0xbf7e1fcc98a7eef6)],
     // Q17
@@ -306,7 +306,7 @@ const TPCH: [[Fingerprint; 5]; 22] = [
     // Q18
     [(5, 139, 0x7391cb900026da83), (5, 75, 0xb83b3d55d2aaa103), (1, 258, 0x16294b45f83bf30d), (5, 160, 0xdb3ebcd69e805d00), (1, 249, 0x99cd6d658472deb1)],
     // Q19
-    [(2, 230, 0x67744432f0eca286), (2, 119, 0x6648976494f1e6d6), (1, 168, 0x30017fad5e589e3a), (2, 230, 0x67744432f0eca286), (1, 168, 0x30017fad5e589e3a)],
+    [(2, 209, 0xbcc54e67664c6765), (2, 99, 0xe902766a4b669c14), (1, 209, 0x43910f9d274c8b7b), (2, 209, 0xbcc54e67664c6765), (1, 209, 0x43910f9d274c8b7b)],
     // Q20
     [(7, 193, 0xbc69f3aa078d3ab7), (7, 81, 0x841cdbe7dbd3123a), (1, 328, 0x568b88489427efa5), (7, 248, 0x40c51cfe0e1f5eb8), (1, 303, 0x2595763b95e2bdbb)],
     // Q21
