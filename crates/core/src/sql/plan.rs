@@ -19,9 +19,8 @@
 //! the "fetch an aggregate, feed it into the next graph" idiom the
 //! hand-built TPC-H programs use.
 
-use std::collections::BTreeSet;
-
 use xorbits_dataframe::expr::{col, lit, BinOp, Expr, Func};
+use xorbits_dataframe::join::merge_columns;
 use xorbits_dataframe::{AggFunc, AggSpec, JoinType, Scalar};
 
 use super::ast::{AggName, FromNode, FuncName, JoinKind, Select, SelectItem, SqlExpr, Statement};
@@ -339,47 +338,28 @@ impl<'a, E: Executor> Planner<'a, E> {
             JoinKind::Anti => JoinType::Anti,
         };
         let h = l.h.merge(&r.h, left_on.clone(), right_on.clone(), jt)?;
-        // Mirror the join kernel's output schema: semi/anti keep the left
-        // columns; otherwise shared keys (same name both sides) dedup and
-        // remaining name collisions get pandas' `_x`/`_y` suffixes.
-        let cols = match kind {
-            JoinKind::Semi | JoinKind::Anti => l.cols,
-            JoinKind::Inner | JoinKind::Left => {
-                let shared: BTreeSet<String> = left_on
-                    .iter()
-                    .zip(&right_on)
-                    .filter(|(a, b)| a == b)
-                    .map(|(a, _)| a.clone())
-                    .collect();
-                let left_names: BTreeSet<String> = l.cols.iter().map(|c| c.name.clone()).collect();
-                let right_names: BTreeSet<String> = r.cols.iter().map(|c| c.name.clone()).collect();
-                let mut cols = Vec::with_capacity(l.cols.len() + r.cols.len());
-                for c in &l.cols {
-                    if right_names.contains(&c.name) && !shared.contains(&c.name) {
-                        cols.push(BCol {
-                            name: format!("{}_x", c.name),
-                            qual: None,
-                        });
-                    } else {
-                        cols.push(c.clone());
-                    }
-                }
-                for c in &r.cols {
-                    if shared.contains(&c.name) {
-                        continue;
-                    }
-                    if left_names.contains(&c.name) {
-                        cols.push(BCol {
-                            name: format!("{}_y", c.name),
-                            qual: None,
-                        });
-                    } else {
-                        cols.push(c.clone());
-                    }
-                }
-                cols
+        // Bind the join's output schema with the kernel's own naming rule:
+        // a column keeps its qualifier unless the rule suffixed its name.
+        let left_names: Vec<&str> = l.cols.iter().map(|c| c.name.as_str()).collect();
+        let right_names: Vec<&str> = r.cols.iter().map(|c| c.name.as_str()).collect();
+        let cols = merge_columns(
+            &left_names,
+            &right_names,
+            &left_on,
+            &right_on,
+            jt,
+            ("_x", "_y"),
+        )
+        .into_iter()
+        .map(|(from_right, i, name)| {
+            let c = if from_right { &r.cols[i] } else { &l.cols[i] };
+            if c.name == name {
+                c.clone()
+            } else {
+                BCol { name, qual: None }
             }
-        };
+        })
+        .collect();
         Ok(Rel { h, cols })
     }
 

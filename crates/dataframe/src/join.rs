@@ -160,8 +160,8 @@ pub fn merge_pieces(
 /// are. Otherwise the left columns come first, then the right ones; a key
 /// both sides name alike appears once, from the left, and any other name
 /// both sides carry gets its side's suffix. [`merge_pieces`] builds its
-/// result from this layout and the logical optimizer reads it, so the
-/// suffix rule is written once.
+/// result from this layout, and the logical optimizer and the SQL binder
+/// read it, so the suffix rule is written once.
 pub fn merge_columns<L: AsRef<str>, R: AsRef<str>, K: AsRef<str>>(
     left: &[L],
     right: &[R],

@@ -1095,9 +1095,10 @@ fn eval_matches_scalar_reference() {
     }
 }
 
-/// String `==` / `!=` against a literal and `isin` with up to 8 string
-/// probes compare a row's length, then its first 8 bytes as one word, then
-/// the rest. Against a per-row `Scalar` reference: nulls, empty strings,
+/// String `==` / `!=` against a literal and `isin` with at most 4 string
+/// probes of any one length compare a row's length, then its first 8 bytes
+/// as one word, then the rest; more probes of one length go through a hash
+/// set. Against a per-row `Scalar` reference: nulls, empty strings,
 /// strings longer than 8 bytes that share their first 8, lengths either side
 /// of 8, non-ASCII, rows at the very end of the byte buffer, offset views.
 #[test]
@@ -1143,10 +1144,15 @@ fn string_equality_and_isin_match_scalar_reference() {
                 check(&df, &binary(op, lit(k.clone()), col("s")), want);
             }
         }
-        for k in [1, 2, rng.gen_range_i64(3, 9) as usize, 9, 14] {
-            let probes: Vec<Scalar> = (0..k)
-                .map(|_| Scalar::Str(pick(&mut rng, &words).to_string()))
-                .collect();
+        let mut probe_sets: Vec<Vec<&str>> = [1, 2, rng.gen_range_i64(3, 9) as usize, 9, 14]
+            .into_iter()
+            .map(|k| (0..k).map(|_| pick(&mut rng, &words)).collect())
+            .collect();
+        // four probes 8 bytes long, at the per-length bound, then five
+        probe_sets.push(vec!["ABCDEFGH", "ABCDEFGI", "DELIVER ", "éééé", "A"]);
+        probe_sets.push(vec!["ABCDEFGH", "ABCDEFGI", "DELIVER ", "éééé", "ABCDEFGH"]);
+        for set in probe_sets {
+            let probes: Vec<Scalar> = set.iter().map(|w| Scalar::Str(w.to_string())).collect();
             let want = x
                 .iter()
                 .map(|v| Scalar::Bool(!v.is_null() && probes.contains(v)))

@@ -19,7 +19,7 @@ use xorbits::core::config::XorbitsConfig;
 use xorbits::core::local::LocalExecutor;
 use xorbits::core::parallel::ParallelExecutor;
 use xorbits::core::session::Session;
-use xorbits::core::sql::{run_sql, SqlFrontend};
+use xorbits::core::sql::{run_sql, Catalog, SqlFrontend};
 use xorbits::core::tileable::DfSource;
 use xorbits::dataframe::{Column, DataFrame};
 use xorbits::runtime::{ClusterSpec, SimExecutor};
@@ -210,4 +210,44 @@ fn a_cte_never_shares_a_plan_with_a_table_of_its_canonical_name() {
     );
     let stats = fe.cache_stats();
     assert_eq!((stats.text_hits, stats.misses), (0, 2));
+}
+
+/// The binder names a join's columns as the kernel does: a non-key name
+/// both sides carry is reachable only as `v_x` / `v_y`, and a column the
+/// join passes through under its own name keeps its table qualifier.
+#[test]
+fn a_join_binds_the_kernels_output_names() {
+    let mut catalog = Catalog::new();
+    let t = DataFrame::new(vec![
+        ("k", Column::from_i64(vec![1, 2, 3])),
+        ("v", Column::from_i64(vec![10, 20, 30])),
+        ("a", Column::from_i64(vec![100, 200, 300])),
+    ])
+    .expect("t frame");
+    let u = DataFrame::new(vec![
+        ("k", Column::from_i64(vec![2, 3, 4])),
+        ("v", Column::from_i64(vec![7, 8, 9])),
+        ("b", Column::from_i64(vec![70, 80, 90])),
+    ])
+    .expect("u frame");
+    catalog
+        .add("t", DfSource::materialized(t))
+        .expect("register t");
+    catalog
+        .add("u", DfSource::materialized(u))
+        .expect("register u");
+    let got = run_sql(
+        &Session::new(cfg(), LocalExecutor::new()),
+        &catalog,
+        "SELECT t.a AS a, v_x, v_y, u.b AS b FROM t INNER JOIN u ON t.k = u.k ORDER BY a",
+    )
+    .expect("join with a shared non-key name");
+    let want = DataFrame::new(vec![
+        ("a", Column::from_i64(vec![200, 300])),
+        ("v_x", Column::from_i64(vec![20, 30])),
+        ("v_y", Column::from_i64(vec![7, 8])),
+        ("b", Column::from_i64(vec![70, 80])),
+    ])
+    .expect("want frame");
+    assert_eq!(got, want);
 }
