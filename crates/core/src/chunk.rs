@@ -140,8 +140,7 @@ pub struct ArrStep {
 #[derive(Clone)]
 pub enum ChunkOp {
     // ---- sources ----------------------------------------------------------
-    /// Materialized dataframe chunk (used for pre-chunked inputs and
-    /// dynamic-tiling probes).
+    /// Materialized dataframe chunk (hand-built chunk graphs).
     DfLiteral(Arc<DataFrame>),
     /// Generated dataframe chunk: a deterministic closure producing one
     /// partition of a data source (CSV range scan or synthetic generator).

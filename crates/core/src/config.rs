@@ -21,11 +21,13 @@ pub struct XorbitsConfig {
     /// Modin and pandas run with it off.
     pub column_pruning: bool,
     /// Upper bound on a data chunk's size; tiling targets chunks of at most
-    /// this many bytes and auto merge concatenates smaller chunks up to it.
+    /// this many bytes, auto merge concatenates smaller chunks up to it, and
+    /// a tree-reduced group-by whose partials fit it finalizes them in one
+    /// node.
     pub chunk_limit_bytes: usize,
-    /// Tree-reduce is selected when the *measured* estimate of the total
-    /// aggregated size falls below this threshold; otherwise shuffle-reduce
-    /// (§IV-C "Auto Reduce Selection").
+    /// Tree-reduce is selected when the *measured* total size of the
+    /// group-by's map-stage partials falls below this threshold; otherwise
+    /// shuffle-reduce (§IV-C "Auto Reduce Selection").
     pub tree_reduce_threshold_bytes: usize,
     /// A merge side whose total size falls below this threshold is broadcast
     /// instead of shuffled.

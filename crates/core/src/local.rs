@@ -167,10 +167,17 @@ mod tests {
             .unwrap();
         let out = xorbits_dataframe::sort::sort_by(&out, &[("k", true)]).unwrap();
         assert_eq!(out, expected);
-        // dynamic tiling must have yielded at least once (the probe)
+        // dynamic tiling yields once, on the map stage's partials, and
+        // picks the reduce from their measured sizes
         let report = s.last_report().unwrap();
-        assert!(report.tiling.yields >= 1, "expected a dynamic-tiling yield");
-        assert!(report.tiling.probes >= 1);
+        assert_eq!(report.tiling.yields, 1);
+        let [decision] = &report.tiling.decisions[..] else {
+            panic!("one decision: {:?}", report.tiling.decisions);
+        };
+        assert!(
+            decision.starts_with("groupby: tree-reduce (agg "),
+            "{decision}"
+        );
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl ExecStats {
 pub struct RunReport {
     /// Execution statistics summed over all partial executions.
     pub stats: ExecStats,
-    /// Tiling statistics (yields, probes, decisions).
+    /// Tiling statistics (yields, decisions).
     pub tiling: TilingStats,
     /// True when the fetch was answered from the session's result cache
     /// without executing anything (stats are then all zero).
@@ -373,8 +373,8 @@ impl<E: Executor> Session<E> {
             })?;
             match step {
                 TileStep::Execute(g) => {
-                    // every layout key may be consumed by later tiling:
-                    // protected keys are published, never subtask-internal
+                    // what later tiling or the gather reads is published,
+                    // never subtask-internal
                     let protected = tiler.live_keys();
                     let ran = run_fragment(&mut run.executor, cfg, g, &protected, &mut tiler)?;
                     stats.merge(&ran);
@@ -416,7 +416,6 @@ impl<E: Executor> Session<E> {
         })?;
         if trace::is_enabled() {
             trace::counter_add("tiling.yields", tiler.stats.yields as u64);
-            trace::counter_add("tiling.probes", tiler.stats.probes as u64);
             for d in &tiler.stats.decisions {
                 trace::instant(trace::Stage::Tile, format!("decision: {d}"), &[]);
             }

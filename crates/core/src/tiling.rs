@@ -26,9 +26,10 @@
 //!
 //! Dynamic decisions implemented here, each driven by *measured* metadata:
 //!
-//! * **Auto reduce selection** (Fig 6a): a probe runs `GroupbyAgg::map` on
-//!   the first chunk; the measured aggregation ratio extrapolates the total
-//!   aggregated size, choosing tree-reduce (small) vs shuffle-reduce (large).
+//! * **Auto reduce selection** (Fig 6a): a keyed group-by runs
+//!   `GroupbyAgg::map` on every chunk and yields once; the exact sum of the
+//!   partials' measured sizes chooses tree-reduce (small) vs shuffle-reduce
+//!   (large).
 //! * **Broadcast vs shuffle join**: measured side sizes pick a broadcast of
 //!   the small side's chunks to every big-side chunk (avoiding skewed
 //!   shuffles entirely) or a hash shuffle sized from measured bytes.
@@ -42,6 +43,10 @@
 //! With `dynamic_tiling` off, all of the above degrade to the static
 //! behaviour the paper criticises: estimates from the initial source size,
 //! fixed shuffle partition counts, no combine-stage merging.
+//!
+//! A yield publishes only what later tiling or the final gather reads:
+//! [`Tiler::live_keys`] is the one definition of "live", and every other
+//! chunk of the yielded prefix may stay inside its subtask.
 
 use crate::chunk::{ChunkGraph, ChunkKey, ChunkMeta, ChunkNode, ChunkOp, DfStep, KeyGen};
 use crate::config::XorbitsConfig;
@@ -184,19 +189,8 @@ pub enum TileStep {
 pub struct TilingStats {
     /// Tiling↔execution switches (Fig 5a round trips).
     pub yields: usize,
-    /// Probe operators executed.
-    pub probes: usize,
     /// Human-readable log of dynamic decisions.
     pub decisions: Vec<String>,
-}
-
-/// Per-groupby probe bookkeeping.
-#[derive(Debug, Clone, Copy)]
-struct ProbeState {
-    /// Key of the probe output (the first chunk's map result).
-    out_key: ChunkKey,
-    /// Key of the probed input chunk.
-    in_key: ChunkKey,
 }
 
 /// The resumable tiler. Borrows the session's [`KeyGen`] for its lifetime.
@@ -207,7 +201,9 @@ pub struct Tiler<'g> {
     layouts: HashMap<(TileableId, usize), Layout>,
     cursor: usize,
     pending: ChunkGraph,
-    probes: HashMap<TileableId, ProbeState>,
+    /// Map outputs of the group-by at the cursor, which yielded for their
+    /// sizes (its input was consumed when they were emitted).
+    partials: Option<Vec<ChunkKey>>,
     /// Sort tileables absorbed into a following `Head` as a top-k.
     topk_peephole: HashSet<TileableId>,
     consumer_counts: Vec<usize>,
@@ -233,7 +229,7 @@ impl<'g> Tiler<'g> {
             layouts: HashMap::new(),
             cursor: 0,
             pending: ChunkGraph::new(),
-            probes: HashMap::new(),
+            partials: None,
             topk_peephole: HashSet::new(),
             remaining_consumers: consumer_counts.clone(),
             consumer_counts,
@@ -251,7 +247,7 @@ impl<'g> Tiler<'g> {
 
     /// Decrements remaining-consumer counts of `id`'s inputs; inputs whose
     /// last consumer was just tiled have their chunk keys queued for
-    /// release (unless another live layout still references them, e.g.
+    /// release (unless a live layout still references them, e.g.
     /// pass-through chunks of `head`/`concat`).
     fn mark_consumed(&mut self, id: TileableId) {
         let mut newly_dead = Vec::new();
@@ -264,22 +260,12 @@ impl<'g> Tiler<'g> {
         if newly_dead.is_empty() {
             return;
         }
-        // keys still referenced by any live layout (live = has remaining
-        // consumers, or is the sink the session gathers)
-        let mut live: HashSet<ChunkKey> = HashSet::new();
-        for (&(t, _slot), layout) in &self.layouts {
-            if self.remaining_consumers[t] > 0 || self.consumer_counts[t] == 0 {
-                live.extend(layout.chunks.iter().map(|c| c.key));
-            }
-        }
+        let live = self.live_keys();
         for t in newly_dead {
             for slot in 0..self.graph.op(t).n_outputs() {
                 if let Some(layout) = self.layouts.get(&(t, slot)) {
-                    for c in &layout.chunks {
-                        if !live.contains(&c.key) {
-                            self.releasable.push(c.key);
-                        }
-                    }
+                    let dead = layout.chunks.iter().filter(|c| !live.contains(&c.key));
+                    self.releasable.extend(dead.map(|c| c.key));
                 }
             }
         }
@@ -292,20 +278,18 @@ impl<'g> Tiler<'g> {
         std::mem::take(&mut self.releasable)
     }
 
-    /// Every chunk key that later tiling (or the final gather) may still
-    /// reference: everything in a layout plus outstanding probe chunks.
-    /// The session has these published by whichever subtask produces them.
+    /// Every chunk key that later tiling or the final gather will read:
+    /// the layouts of tileables with an untiled consumer, of the sink, and
+    /// the partials a group-by is waiting on. The session has these
+    /// published by whichever subtask produces them.
     pub fn live_keys(&self) -> HashSet<ChunkKey> {
-        let mut set = HashSet::new();
-        for l in self.layouts.values() {
-            for c in &l.chunks {
-                set.insert(c.key);
-            }
-        }
-        for p in self.probes.values() {
-            set.insert(p.out_key);
-            set.insert(p.in_key);
-        }
+        let live = self.layouts.iter().filter(|((t, _slot), _)| {
+            self.remaining_consumers[*t] > 0 || self.consumer_counts[*t] == 0
+        });
+        let mut set: HashSet<ChunkKey> = live
+            .flat_map(|(_, layout)| layout.chunks.iter().map(|c| c.key))
+            .collect();
+        set.extend(self.partials.iter().flatten());
         set
     }
 
@@ -318,7 +302,11 @@ impl<'g> Tiler<'g> {
                 Some(layout) => {
                     self.layouts.insert((id, 0), layout);
                     self.cursor += 1;
-                    self.mark_consumed(id);
+                    // a group-by that yielded on its partials consumed its
+                    // input when it emitted them
+                    if self.partials.take().is_none() {
+                        self.mark_consumed(id);
+                    }
                 }
                 None => {
                     // flush requested: hand the pending prefix to the runtime
@@ -734,73 +722,53 @@ impl<'g> Tiler<'g> {
             return Ok(Some(Layout::one(out, half, 0, false)));
         }
 
+        // Dynamic path (Fig 6a): map every chunk, yield once, and choose
+        // the reduce from the partials' measured sizes. Statically the
+        // aggregated size is assumed proportional to the input.
         let dynamic = self.cfg.dynamic_tiling && !keys.is_empty();
-
-        // Dynamic path: probe the first chunk's map output to measure the
-        // aggregation ratio (Fig 6a).
-        let (est_total_agg, probe) = if dynamic {
-            let Some(probe) = self.probes.get(&id).copied() else {
-                let in_key = layout.chunks[0].key;
-                // input chunk itself must be executed first
-                if meta.meta(in_key).is_none() {
-                    if !self.pending.is_empty() {
-                        return Ok(None); // flush, then retry
-                    }
-                    return Err(XbError::Plan(format!(
-                        "probe input chunk {in_key} missing from meta service"
-                    )));
-                }
-                let out_key = self.emit(map(), vec![in_key]);
-                self.probes.insert(id, ProbeState { out_key, in_key });
-                self.stats.probes += 1;
-                return Ok(None); // flush to run the probe
-            };
-            let measured = |key, what: &str| {
-                meta.meta(key)
-                    .ok_or_else(|| XbError::Plan(format!("probe {what} missing from meta service")))
-            };
-            let probe_out = measured(probe.out_key, "output")?;
-            let probe_in = measured(probe.in_key, "input")?;
-            let ratio = probe_out.nbytes as f64 / probe_in.nbytes.max(1) as f64;
-            let total_in = best_bytes(meta, &layout) as f64;
-            ((ratio * total_in) as usize, Some(probe))
-        } else {
-            // static estimate: aggregated size assumed proportional to input
-            (layout.est_bytes(), None)
+        let (map_keys, agg_bytes) = match self.partials.clone() {
+            Some(partials) => {
+                let sizes = partials.iter().map(|&k| meta.meta(k).map(|m| m.nbytes));
+                let total = sizes.sum::<Option<usize>>().ok_or_else(|| {
+                    XbError::Plan("group-by partials missing from meta service".into())
+                })?;
+                // the reduce emitted below is their last reader
+                self.releasable.extend(&partials);
+                (partials, total)
+            }
+            None if dynamic => {
+                self.partials = Some(self.map(&layout.keys(), map));
+                self.mark_consumed(id);
+                return Ok(None);
+            }
+            None => (self.map(&layout.keys(), map), layout.est_bytes()),
         };
-
-        // auto-merge small input chunks before the map stage
-        let layout = if dynamic {
-            self.auto_merge(meta, &layout)
-        } else {
-            layout
-        };
-
-        // Map stage over every chunk; the probe's output is reused for the
-        // probed chunk ("tile the remaining chunks with metadata") — only
-        // if auto-merge kept chunk 0 intact.
-        let reused = probe.filter(|p| p.in_key == layout.chunks[0].key);
-        let mut map_keys: Vec<ChunkKey> = reused.iter().map(|p| p.out_key).collect();
-        map_keys.extend(self.map(&layout.keys()[map_keys.len()..], map));
 
         let threshold = self.cfg.tree_reduce_threshold_bytes;
-        if keys.is_empty() || (dynamic && est_total_agg <= threshold) {
+        if keys.is_empty() || (dynamic && agg_bytes <= threshold) {
             self.stats.decisions.push(format!(
-                "groupby: tree-reduce (est agg {est_total_agg} B <= {threshold} B)"
+                "groupby: tree-reduce (agg {agg_bytes} B <= {threshold} B)"
             ));
-            let combined = self.tree(map_keys, combine);
-            let out = self.emit(finalize(), vec![combined]);
-            return Ok(Some(Layout::one(out, est_total_agg, 0, false)));
+            // measured partials that fit one chunk together finalize in
+            // one node, without a combine level
+            let fits = dynamic && agg_bytes <= self.cfg.chunk_limit_bytes;
+            let combined = if fits {
+                map_keys
+            } else {
+                vec![self.tree(map_keys, combine)]
+            };
+            let out = self.emit(finalize(), combined);
+            return Ok(Some(Layout::one(out, agg_bytes, 0, false)));
         }
         // shuffle-reduce
-        let p = self.partitions(est_total_agg, layout.chunks.len());
+        let p = self.partitions(agg_bytes, layout.chunks.len());
         self.stats.decisions.push(format!(
-            "groupby: shuffle-reduce with {p} partitions (est agg {est_total_agg} B)"
+            "groupby: shuffle-reduce with {p} partitions (agg {agg_bytes} B)"
         ));
         let parts = self.shuffle(map_keys, &keys, p);
         let outs = parts.into_iter().map(|part| self.emit(finalize(), part));
         let est = ChunkEst {
-            bytes: est_total_agg / p,
+            bytes: agg_bytes / p,
             rows: 0,
             exact: false,
         };
@@ -1334,52 +1302,96 @@ mod tests {
         }
     }
 
-    /// The Fig 5a round trips of a keyed group-by over a hand-built graph:
-    /// yield for the input's metadata, yield for the probe, then tile the
-    /// rest — reusing the probe's output as the first map output.
-    #[test]
-    fn groupby_probes_then_tiles_the_rest() {
+    /// `source -> steps... -> groupby count by k` over 400 rows (four
+    /// chunks under [`cfg`]); the group-by is the last tileable.
+    fn groupby_graph(steps: Vec<DfStep>) -> TileableGraph {
         let df = DataFrame::new(vec![("k", Column::from_i64((0..400).collect()))]).unwrap();
         let mut graph = TileableGraph::new();
-        let src = graph
+        let mut last = graph
             .push(TileableOp::DfSource(DfSource::materialized(df)), vec![])
             .unwrap();
+        for step in steps {
+            last = graph.push(TileableOp::DfMap(step), vec![last]).unwrap();
+        }
         let count = TileableOp::GroupbyAgg {
             keys: vec!["k".into()],
             specs: vec![AggSpec::new("k", AggFunc::Count, "n")],
         };
-        graph.push(count, vec![src]).unwrap();
-        let names = |g: &ChunkGraph| g.nodes.iter().map(|n| n.op.name()).collect::<Vec<_>>();
+        graph.push(count, vec![last]).unwrap();
+        graph
+    }
+
+    fn names(g: &ChunkGraph) -> Vec<&'static str> {
+        g.nodes.iter().map(|n| n.op.name()).collect()
+    }
+
+    /// The Fig 5a round trip of a keyed group-by: one yield runs the scan
+    /// and the map stage, and the reduce, chosen from the partials'
+    /// measured sizes, reads those partials.
+    #[test]
+    fn groupby_yields_once_on_its_partials() {
+        let graph = groupby_graph(vec![]);
         with_tiler(&graph, cfg(), |t| {
             let mut meta = HashMap::new();
-            let TileStep::Execute(scan) = t.step(&meta).unwrap() else {
-                panic!("the probe's input is not executed yet");
+            let TileStep::Execute(mapped) = t.step(&meta).unwrap() else {
+                panic!("the reduce needs the partials' sizes");
             };
-            assert_eq!(names(&scan), ["DfGen"; 4]);
-            run(&mut meta, &scan, 800);
-            let TileStep::Execute(probe) = t.step(&meta).unwrap() else {
-                panic!("the probe must run before the reduce is chosen");
-            };
-            assert_eq!(names(&probe), ["GroupbyAgg::map"]);
-            assert_eq!(probe.nodes[0].inputs, scan.nodes[0].outputs);
-            run(&mut meta, &probe, 80);
+            let [gens, maps] = [0, 4].map(|at| &mapped.nodes[at..at + 4]);
+            assert_eq!(names(&mapped)[..4], ["DfGen"; 4]);
+            assert_eq!(names(&mapped)[4..], ["GroupbyAgg::map"; 4]);
+            for (gen, map) in gens.iter().zip(maps) {
+                assert_eq!(map.inputs, gen.outputs);
+            }
+            run(&mut meta, &mapped, 80);
             let TileStep::Done(rest) = t.step(&meta).unwrap() else {
                 panic!("nothing else needs metadata");
             };
-            // est agg = 80/800 x 3200 B: under the tree threshold
+            // 4 x 80 B measured: under the tree threshold, and within one
+            // chunk, so one node finalizes every partial
+            assert_eq!(names(&rest), ["GroupbyAgg::agg"]);
+            let partials: Vec<ChunkKey> = maps.iter().map(|n| n.outputs[0]).collect();
+            assert_eq!(rest.nodes[0].inputs, partials);
+            assert_eq!(t.stats.yields, 1);
             assert_eq!(
-                names(&rest),
-                [
-                    "GroupbyAgg::map",
-                    "GroupbyAgg::map",
-                    "GroupbyAgg::map",
-                    "GroupbyAgg::combine",
-                    "GroupbyAgg::agg"
-                ]
+                t.stats.decisions,
+                ["groupby: tree-reduce (agg 320 B <= 16777216 B)"]
             );
-            assert_eq!(rest.nodes[3].inputs[0], probe.nodes[0].outputs[0]);
-            assert_eq!((t.stats.yields, t.stats.probes), (2, 1));
-            assert_eq!(t.layout(1).unwrap().keys(), rest.nodes[4].outputs);
+            assert_eq!(t.layout(1).unwrap().keys(), rest.nodes[0].outputs);
+        });
+    }
+
+    /// At a group-by's yield only its partials are live: neither the
+    /// filtered chain feeding it nor its input chunks are published. Once
+    /// the reduce is emitted, the partials are released and only the
+    /// sink stays live.
+    #[test]
+    fn a_yield_keeps_live_only_what_is_still_read() {
+        let keep = DfStep::Filter(xorbits_dataframe::col("k").gt(xorbits_dataframe::lit(10)));
+        let graph = groupby_graph(vec![keep, DfStep::Project(vec!["k".into()])]);
+        with_tiler(&graph, cfg(), |t| {
+            let mut meta = HashMap::new();
+            let TileStep::Execute(mapped) = t.step(&meta).unwrap() else {
+                panic!("the reduce needs the partials' sizes");
+            };
+            let partials: Vec<ChunkKey> = mapped.nodes[12..].iter().map(|n| n.outputs[0]).collect();
+            assert_eq!(names(&mapped)[12..], ["GroupbyAgg::map"; 4]);
+            let live = t.live_keys();
+            assert_eq!(live, partials.iter().copied().collect());
+            // the scan and both steps' chunks are dead: queued for release
+            let mut released = t.take_releasable();
+            released.sort_unstable();
+            let upstream = mapped.nodes[..12].iter().flat_map(|n| n.outputs.clone());
+            assert_eq!(released, upstream.collect::<Vec<_>>());
+
+            run(&mut meta, &mapped, 80);
+            let TileStep::Done(rest) = t.step(&meta).unwrap() else {
+                panic!("nothing else needs metadata");
+            };
+            assert_eq!(t.take_releasable(), partials);
+            assert_eq!(
+                t.live_keys(),
+                rest.nodes[0].outputs.iter().copied().collect()
+            );
         });
     }
 }

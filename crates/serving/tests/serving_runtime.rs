@@ -421,7 +421,7 @@ fn a_fetch_failing_after_admission_releases_what_it_held() {
         (ClusterSpec::new(2, 2 << 20), vec![6, 1]),
         (ClusterSpec::new(1, 1 << 20), vec![6, 1, 6, 1, 6, 1]),
     ] {
-        // the group-by's dynamic tiling runs sources + probe as a first
+        // the group-by's dynamic tiling runs sources + map stage as a first
         // graph; the filter on a column that is not there fails in a later
         let mut faulty = TenantStream::new(1);
         faulty.push(|s| {

@@ -97,8 +97,12 @@ fn same_seed_fault_runs_emit_identical_trace_logs() {
 #[test]
 fn chrome_trace_export_is_valid_json_with_stage_spans() {
     let data = TpchData::new(0.3).expect("tpch data");
-    // tight budget: force the spill path so Spill/ReadBack events appear
-    let (log, _) = traced_run(faulty_cluster(24 << 10), &data, 1);
+    // tight budget: force the spill path so Spill/ReadBack events appear.
+    // Q9's joins keep their outputs resident: it spills from 28 to 40 KiB
+    // here. Q1 publishes only its group-by partials, and its fused
+    // scan -> filter -> assign -> map subtask alone needs 61.7 KB, so no
+    // budget makes Q1 spill without an OOM (DESIGN.md, dynamic tiling).
+    let (log, _) = traced_run(faulty_cluster(32 << 10), &data, 9);
     let json = log.chrome_json();
     let value = json::parse(&json).unwrap_or_else(|e| panic!("invalid trace JSON: {e}"));
 

@@ -44,8 +44,8 @@ fn main() -> XbResult<()> {
 fn narrate(engine: &Engine) {
     let report = engine.session.last_report().unwrap();
     println!(
-        "  [{} subtasks, {} tiling yields, {} probes, {} B shuffled]",
-        report.stats.subtasks, report.tiling.yields, report.tiling.probes, report.stats.net_bytes
+        "  [{} subtasks, {} tiling yields, {} B shuffled]",
+        report.stats.subtasks, report.tiling.yields, report.stats.net_bytes
     );
     for d in &report.tiling.decisions {
         println!("  · {d}");

@@ -44,8 +44,8 @@ fn main() -> XbResult<()> {
     println!("\ngroupby('store').agg('min'):\n{grouped}");
     let report = session.last_report().unwrap();
     println!(
-        "dynamic tiling: {} yields, {} probe(s); decisions: {:?}",
-        report.tiling.yields, report.tiling.probes, report.tiling.decisions
+        "dynamic tiling: {} yields; decisions: {:?}",
+        report.tiling.yields, report.tiling.decisions
     );
 
     // ---- dataframe example 2: filter + iloc -------------------------------

@@ -474,7 +474,7 @@ cargo test -q --release --test predicate_pushdown
 # so every op of a long-lived session — 22 TPC-H texts cold, then a
 # whitespace variant of each, and interleaved builder-API dataframe/tensor
 # programs — must match the same op alone in a fresh session: bit-identical
-# result and equal subtasks, subtask graphs, tiler yields/probes, cluster
+# result and equal subtasks, subtask graphs, tiler yields, cluster
 # charges and pruning column lists, on Local, Parallel(4) and Sim. Counts
 # only, no wall clock. The companion core suite pins non-sink fetches
 # keeping all columns and the graph lock staying free (and un-poisoned)

@@ -6,7 +6,7 @@
 //! fresh one. The gate compares counts that repeat exactly, never wall
 //! clock: per op, the result frame is bit-identical to a fresh-session run
 //! **and** the executed subtasks, the subtask graphs handed to the
-//! executor, the tiler's yields and probes, the cluster charges
+//! executor, the tiler's yields, the cluster charges
 //! (`net_bytes`, encoded raw/wire bytes) and the column lists of every
 //! pruning projection the executor was given are equal too — pruned
 //! column sets must be those of fresh-session pruning, not the union over
@@ -105,7 +105,6 @@ struct Counts {
     /// Of the op's last fetch (a SQL text with a scalar subquery fetches
     /// more than once; `handed` covers them all).
     yields: usize,
-    probes: usize,
     handed: Handed,
 }
 
@@ -124,7 +123,6 @@ fn record<E: Executor, T>(
         encoded_raw_bytes: stats.encoded_raw_bytes,
         encoded_wire_bytes: stats.encoded_wire_bytes,
         yields: tiling.yields,
-        probes: tiling.probes,
         handed: s.with_executor(|e| std::mem::take(&mut *e.handed.lock().unwrap())),
     };
     (out, counts)
