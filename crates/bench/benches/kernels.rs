@@ -90,7 +90,7 @@ fn bench_dataframe() {
         let Column::Utf8(a) = scol else {
             unreachable!()
         };
-        a.dict_encode_full()
+        a.dict_encode()
     });
 }
 

@@ -140,8 +140,6 @@ pub struct ArrStep {
 #[derive(Clone)]
 pub enum ChunkOp {
     // ---- sources ----------------------------------------------------------
-    /// Materialized dataframe chunk (hand-built chunk graphs).
-    DfLiteral(Arc<DataFrame>),
     /// Generated dataframe chunk: a deterministic closure producing one
     /// partition of a data source (CSV range scan or synthetic generator).
     DfGen {
@@ -189,8 +187,9 @@ pub enum ChunkOp {
         /// Aggregations.
         specs: Vec<AggSpec>,
     },
-    /// Local deduplication (map/combine stage of distributed
-    /// `drop_duplicates` and of the `nunique` lowering).
+    /// Local deduplication: the map/combine stage of distributed
+    /// `drop_duplicates`, and what re-tiling splits a hot all-`nunique`
+    /// `GroupbyDirect` partition into.
     DistinctLocal {
         /// Dedup key subset (`None` ⇒ all columns).
         subset: Option<Vec<String>>,
@@ -319,7 +318,6 @@ impl ChunkOp {
     /// Short operator name for plans, fusion debugging and progress output.
     pub fn name(&self) -> &'static str {
         match self {
-            ChunkOp::DfLiteral(_) => "DfLiteral",
             ChunkOp::DfGen { .. } => "DfGen",
             ChunkOp::ArrLiteral(_) => "ArrLiteral",
             ChunkOp::ArrRandom { .. } => "ArrRandom",
@@ -357,10 +355,7 @@ impl ChunkOp {
     pub fn is_source(&self) -> bool {
         matches!(
             self,
-            ChunkOp::DfLiteral(_)
-                | ChunkOp::DfGen { .. }
-                | ChunkOp::ArrLiteral(_)
-                | ChunkOp::ArrRandom { .. }
+            ChunkOp::DfGen { .. } | ChunkOp::ArrLiteral(_) | ChunkOp::ArrRandom { .. }
         )
     }
 }

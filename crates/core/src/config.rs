@@ -10,8 +10,8 @@ use xorbits_storage::EncodingMode;
 #[derive(Debug, Clone)]
 pub struct XorbitsConfig {
     /// Enable dynamic tiling (§IV). When off, groupby always uses
-    /// shuffle-reduce with [`Self::shuffle_partitions`] partitions and merge
-    /// always uses a shuffle join — the "dy off" bars of Fig 9a.
+    /// shuffle-reduce with a fixed partition count and merge always uses a
+    /// shuffle join — the "dy off" bars of Fig 9a.
     pub dynamic_tiling: bool,
     /// Enable coloring-based graph-level fusion (§V-A, "g" in Fig 9b).
     pub graph_fusion: bool,
@@ -39,10 +39,6 @@ pub struct XorbitsConfig {
     /// Fan-in of combine-stage nodes (tree reduce width; also the auto-merge
     /// batching width).
     pub combine_fanin: usize,
-    /// Number of shuffle partitions when shuffle-reduce/shuffle-join is
-    /// chosen. With dynamic tiling, this is recomputed from measured sizes;
-    /// without, it is used as-is (the static baselines' behaviour).
-    pub shuffle_partitions: usize,
     /// Total execution slots (bands) of the cluster the session runs on.
     /// Dynamic tiling sizes shuffle fan-outs to at least this parallelism
     /// (a few bytes per partition is no reason to idle the cluster and
@@ -77,7 +73,6 @@ impl Default for XorbitsConfig {
             broadcast_threshold_bytes: 8 << 20,
             broadcast_from_estimates: false,
             combine_fanin: 4,
-            shuffle_partitions: 8,
             cluster_parallelism: 8,
             eager_memory: false,
             threads: 0,

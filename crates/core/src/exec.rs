@@ -120,10 +120,9 @@ pub fn run_subtask<IO: ChunkIo>(graph: &SubtaskGraph, si: usize, io: &mut IO) ->
 pub fn execute_chunk(op: &ChunkOp, inputs: &[Arc<Payload>]) -> XbResult<Vec<Payload>> {
     match op {
         // ---- sources -------------------------------------------------------
-        // literal clones are O(1): frames/arrays share their buffers
-        ChunkOp::DfLiteral(df) => Ok(vec![Payload::Df(df.as_ref().clone())]),
         // the generator already returns an owned frame — no extra clone
         ChunkOp::DfGen { gen, .. } => Ok(vec![Payload::Df(gen()?)]),
+        // literal clones are O(1): arrays share their buffers
         ChunkOp::ArrLiteral(a) => Ok(vec![Payload::Arr(a.as_ref().clone())]),
         ChunkOp::ArrRandom {
             shape,
@@ -507,11 +506,14 @@ mod tests {
 
     #[test]
     fn fused_chain_drops_intermediates_after_last_consumer() {
-        // literal (k0) -> filter (k1) -> assign (k2), fused into one subtask
+        // source (k0) -> filter (k1) -> assign (k2), fused into one subtask
         // that publishes only k2
         let src = DataFrame::new(vec![("v", Column::from_i64((0..1000).collect()))]).unwrap();
         let ops = [
-            ChunkOp::DfLiteral(Arc::new(src)),
+            ChunkOp::DfGen {
+                gen: Arc::new(move || Ok(src.clone())),
+                label: "src".into(),
+            },
             ChunkOp::DfMap(DfStep::Filter(col("v").lt(lit(100i64)))),
             ChunkOp::DfMap(DfStep::Assign(vec![("w".into(), col("v").mul(lit(2i64)))])),
         ];

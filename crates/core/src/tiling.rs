@@ -59,6 +59,10 @@ use std::sync::Arc;
 use xorbits_dataframe::groupby::is_decomposable;
 use xorbits_dataframe::{AggSpec, JoinType};
 
+/// Shuffle fan-out with dynamic tiling off (the static baselines'
+/// behaviour); dynamic tiling sizes it from measured bytes instead.
+const STATIC_SHUFFLE_PARTITIONS: usize = 8;
+
 /// Estimated (or, after execution, observed) size of one planned chunk.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkEst {
@@ -385,7 +389,7 @@ impl<'g> Tiler<'g> {
     /// (bounded by the available input chunks).
     fn partitions(&self, bytes: usize, nchunks: usize) -> usize {
         if !self.cfg.dynamic_tiling {
-            return self.cfg.shuffle_partitions.max(1);
+            return STATIC_SHUFFLE_PARTITIONS;
         }
         let by_size = bytes.div_ceil(self.cfg.chunk_limit_bytes).clamp(1, 64);
         by_size.max(self.cfg.cluster_parallelism.min(nchunks))
@@ -1235,13 +1239,11 @@ mod tests {
 
     #[test]
     fn partitions_at_its_edges() {
-        let fixed = |shuffle_partitions| XorbitsConfig {
-            shuffle_partitions,
-            ..cfg().without_dynamic_tiling()
-        };
-        // static tiling: the configured count whatever the sizes, at least 1
-        with_blocks(fixed(8), |t| assert_eq!(t.partitions(1 << 40, 1000), 8));
-        with_blocks(fixed(0), |t| assert_eq!(t.partitions(1, 1), 1));
+        // static tiling: the fixed count whatever the sizes
+        with_blocks(cfg().without_dynamic_tiling(), |t| {
+            assert_eq!(t.partitions(1 << 40, 1000), STATIC_SHUFFLE_PARTITIONS);
+            assert_eq!(t.partitions(1, 1), STATIC_SHUFFLE_PARTITIONS);
+        });
         with_blocks(cfg(), |t| {
             // by size: bytes over the 1000-byte chunk limit, rounded up
             assert_eq!(t.partitions(20_500, 2), 21);

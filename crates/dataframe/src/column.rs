@@ -885,18 +885,11 @@ impl StrArr {
     }
 
     /// Dictionary-encodes the array: equal strings share a dense `i64`
-    /// code (first-occurrence order), nulls stay null. Grouping and
+    /// code (first-occurrence order, so valid rows' codes are exactly
+    /// `0..` the number of distinct strings), nulls stay null. Grouping and
     /// distinct-tracking run on the codes, so strings are hashed once here
     /// and never cloned or re-compared afterwards.
     pub fn dict_encode(&self) -> PrimArr<i64> {
-        self.dict_encode_full().0
-    }
-
-    /// [`StrArr::dict_encode`] plus the dictionary size (number of
-    /// distinct non-null strings): codes of valid rows are exactly
-    /// `0..size`, which lets downstream kernels use dense tables instead
-    /// of hash sets.
-    pub fn dict_encode_full(&self) -> (PrimArr<i64>, usize) {
         // Open-addressed interner over (hash, code) with the string bytes
         // compared against each code's first-occurrence span — leaner per
         // probe than a `HashMap<&str, _>` in this one hot loop. Slots come
@@ -947,13 +940,10 @@ impl StrArr {
                 slots = grown;
             }
         }
-        (
-            PrimArr {
-                values: Buffer::from_vec(codes),
-                validity: self.validity.clone(),
-            },
-            spans.len(),
-        )
+        PrimArr {
+            values: Buffer::from_vec(codes),
+            validity: self.validity.clone(),
+        }
     }
 
     /// The shared byte buffer (for the chunk codec's encoder).

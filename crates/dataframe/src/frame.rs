@@ -357,32 +357,15 @@ impl DataFrame {
     }
 
     /// Deduplicates rows on `subset` keys (or all columns), keeping the
-    /// first occurrence — pandas `drop_duplicates`.
+    /// first occurrence — pandas `drop_duplicates`. Rows are equal as group
+    /// keys are, except that null equals null instead of being dropped.
     pub fn drop_duplicates(&self, subset: Option<&[&str]>) -> DfResult<DataFrame> {
         let keys: Vec<&str> = match subset {
             Some(s) => s.to_vec(),
             None => self.schema.names(),
         };
-        let hashes = self.hash_rows(&keys)?;
-        // resolve key columns once; the collision check compares typed rows
-        // directly instead of re-resolving names per candidate pair
-        let key_cols: Vec<&Column> = keys
-            .iter()
-            .map(|k| self.column(k))
-            .collect::<DfResult<_>>()?;
-        let mut seen: crate::hash::FxHashMap<u64, Vec<usize>> = crate::hash::FxHashMap::default();
-        let mut keep = Vec::new();
-        'rows: for (i, &h) in hashes.iter().enumerate() {
-            let bucket = seen.entry(h).or_default();
-            for &j in bucket.iter() {
-                if key_cols.iter().all(|c| c.eq_at(i, c, j)) {
-                    continue 'rows;
-                }
-            }
-            bucket.push(i);
-            keep.push(i);
-        }
-        Ok(self.take(&keep))
+        let groups = crate::groupby::build_groups(self, &keys, &Default::default(), true)?;
+        Ok(self.take(&groups.repr_rows))
     }
 }
 

@@ -10,9 +10,9 @@
 //!   Xorbits adds to avoid funnelling every chunk into one reducer), and
 //!   `finalize` turns states into the user-visible result.
 //!
-//! `nunique` has non-fixed-width partial state, so the tiling layer lowers it
-//! to `distinct` + `count` instead (see `xorbits-core`); the single-pass path
-//! here supports it directly.
+//! `nunique` has non-fixed-width partial state, so it has no map stage: the
+//! tiling layer (see `xorbits-core`) shuffles raw rows by key and runs the
+//! single-pass path on each partition.
 
 use crate::column::{BoolArr, Column, PrimArr, NO_ROW};
 use crate::error::{DfError, DfResult};
@@ -81,9 +81,9 @@ impl AggSpec {
 const DROPPED: u32 = u32::MAX;
 
 /// Group index: unique key rows plus, per input row, its group id.
-struct Groups {
+pub(crate) struct Groups {
     /// Row index (into the input) of each group's representative row.
-    repr_rows: Vec<usize>,
+    pub(crate) repr_rows: Vec<usize>,
     /// Group id of row `i`, or [`DROPPED`] when a key is null.
     row_gids: Vec<u32>,
 }
@@ -91,36 +91,46 @@ struct Groups {
 /// Dictionary-encoded `Utf8` columns shared across one `groupby_agg` call
 /// (key normalization and `nunique` accumulators reuse the same encode
 /// pass instead of re-hashing the strings per consumer).
-type DictCache<'a> = FxHashMap<&'a str, (PrimArr<i64>, usize)>;
+pub(crate) type DictCache<'a> = FxHashMap<&'a str, PrimArr<i64>>;
 
-/// Builds groups over `keys`, dropping rows with null keys (pandas default).
+/// Builds groups over `keys`: the one place where rows with equal keys are
+/// found, for grouping and for distinct. Groups appear in first-occurrence
+/// order. Equality is [`Column::eq_at`]'s: floats by bit pattern, and with
+/// `keep_nulls` null is a key value like any other (distinct); without it a
+/// row with a null key is dropped (pandas `groupby(dropna=True)`).
 ///
-/// String keys are dictionary-encoded up front (via `dicts`), so equality
-/// runs on dense `i64` codes — strings are hashed once during encoding and
-/// never cloned or re-compared per candidate pair. (Codes are chunk-local,
-/// which is fine here: grouping only needs within-frame equality.)
+/// String keys are dictionary-encoded up front (taken from `dicts`, else
+/// encoded here), so equality runs on dense `i64` codes — strings are
+/// hashed once during encoding and never cloned or re-compared per
+/// candidate pair. (Codes are chunk-local, which is fine here: grouping
+/// only needs within-frame equality.)
 ///
 /// When every normalized key is `Int64` and the combined key range is
 /// small (dict codes always are; ints like ids and buckets usually are),
 /// group ids come from a dense direct-address table — no hashing and no
-/// collision chains at all. Wide or non-integer keys fall back to the
-/// hash table with an `eq_at` collision check.
-fn build_groups(df: &DataFrame, keys: &[&str], dicts: &DictCache) -> DfResult<Groups> {
+/// collision chains at all. Wide or non-integer keys take a chained hash
+/// table with an `eq_at` check.
+pub(crate) fn build_groups(
+    df: &DataFrame,
+    keys: &[&str],
+    dicts: &DictCache,
+    keep_nulls: bool,
+) -> DfResult<Groups> {
     let n = df.num_rows();
     let key_cols: Vec<Column> = keys
         .iter()
         .map(|k| {
-            let c = df.column(k)?;
-            Ok(match c {
-                Column::Utf8(_) => {
-                    Column::Int64(dicts[*k].0.clone()) // Arc bump, not a copy
-                }
+            Ok(match df.column(k)? {
+                Column::Utf8(a) => Column::Int64(match dicts.get(k) {
+                    Some(codes) => codes.clone(), // Arc bump, not a copy
+                    None => a.dict_encode(),
+                }),
                 other => other.clone(), // Arc bump, not a copy
             })
         })
         .collect::<DfResult<Vec<_>>>()?;
 
-    if let Some(groups) = dense_int_groups(&key_cols, n) {
+    if let Some(groups) = dense_int_groups(&key_cols, n, keep_nulls) {
         return Ok(groups);
     }
 
@@ -128,26 +138,47 @@ fn build_groups(df: &DataFrame, keys: &[&str], dicts: &DictCache) -> DfResult<Gr
     for c in &key_cols {
         c.hash_combine(&mut hashes);
     }
-    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+    // The join's flat table over groups instead of rows: bucket heads from
+    // the hash's top bits (where its final multiply mixes), a chain link and
+    // the full hash per group, `NO_ROW` ending a chain. Heads double once
+    // groups fill half of them.
+    let mut bits = 10;
+    let mut heads = vec![NO_ROW; 1 << bits];
+    let mut next: Vec<u32> = Vec::new();
+    let mut group_hashes: Vec<u64> = Vec::new();
     let mut repr_rows = Vec::new();
     let mut row_gids: Vec<u32> = Vec::with_capacity(n);
     crate::mem::advise_huge(row_gids.as_ptr(), n);
-    'rows: for (i, &h) in hashes.iter().enumerate() {
-        if key_cols.iter().any(|c| !c.is_valid(i)) {
-            row_gids.push(DROPPED); // pandas groupby(dropna=True)
+    for (i, &h) in hashes.iter().enumerate() {
+        if !keep_nulls && key_cols.iter().any(|c| !c.is_valid(i)) {
+            row_gids.push(DROPPED);
             continue;
         }
-        let bucket = table.entry(h).or_default();
-        for &gid in bucket.iter() {
-            let j = repr_rows[gid as usize];
-            if key_cols.iter().all(|c| c.eq_at(i, c, j)) {
-                row_gids.push(gid);
-                continue 'rows;
+        let b = (h >> (64 - bits)) as usize;
+        let mut gid = heads[b];
+        while gid != NO_ROW {
+            let g = gid as usize;
+            if group_hashes[g] == h && key_cols.iter().all(|c| c.eq_at(i, c, repr_rows[g])) {
+                break;
+            }
+            gid = next[g];
+        }
+        if gid == NO_ROW {
+            gid = repr_rows.len() as u32;
+            repr_rows.push(i);
+            group_hashes.push(h);
+            next.push(heads[b]);
+            heads[b] = gid;
+            if repr_rows.len() * 2 > heads.len() {
+                bits += 1;
+                heads = vec![NO_ROW; 1 << bits];
+                for (g, &gh) in group_hashes.iter().enumerate() {
+                    let b = (gh >> (64 - bits)) as usize;
+                    next[g] = heads[b];
+                    heads[b] = g as u32;
+                }
             }
         }
-        let gid = repr_rows.len() as u32;
-        repr_rows.push(i);
-        bucket.push(gid);
         row_gids.push(gid);
     }
     Ok(Groups {
@@ -156,13 +187,14 @@ fn build_groups(df: &DataFrame, keys: &[&str], dicts: &DictCache) -> DfResult<Gr
     })
 }
 
-/// Widest combined key range the dense direct-address grouping table
-/// accepts (slots are 4 bytes, so this caps the table at 8 MiB).
+/// Most slots (the product of the keys' ranges, null slots included) the
+/// dense direct-address grouping table accepts (slots are 4 bytes, so
+/// this caps the table at 8 MiB).
 const DENSE_GROUP_LIMIT: u128 = 1 << 21;
 
 /// Direct-address grouping for all-`Int64` key tuples with a small
 /// combined value range. Returns `None` when the keys don't qualify.
-fn dense_int_groups(key_cols: &[Column], n: usize) -> Option<Groups> {
+fn dense_int_groups(key_cols: &[Column], n: usize, keep_nulls: bool) -> Option<Groups> {
     let arrs: Vec<&PrimArr<i64>> = key_cols
         .iter()
         .map(|c| match c {
@@ -171,7 +203,9 @@ fn dense_int_groups(key_cols: &[Column], n: usize) -> Option<Groups> {
         })
         .collect::<Option<_>>()?;
 
-    // per-key value range over valid rows
+    // per key: smallest valid value, number of values up to the largest,
+    // and slots — one more past the values for null when the column can
+    // hold one (a row that lands there is dropped unless `keep_nulls`)
     let mut bounds = Vec::with_capacity(arrs.len());
     for a in &arrs {
         let (mut mn, mut mx) = (i64::MAX, i64::MIN);
@@ -192,29 +226,26 @@ fn dense_int_groups(key_cols: &[Column], n: usize) -> Option<Groups> {
                 }
             }
         }
-        if mn > mx {
-            // a key column with no valid values drops every row
-            return Some(Groups {
-                repr_rows: Vec::new(),
-                row_gids: vec![DROPPED; n],
-            });
-        }
-        bounds.push((mn, mx));
+        let values = if mn > mx {
+            0
+        } else {
+            (mx as i128 - mn as i128 + 1) as u128
+        };
+        bounds.push((mn, values, values + a.validity.is_some() as u128));
     }
 
     let mut width: u128 = 1;
-    for &(mn, mx) in &bounds {
-        width = width.checked_mul((mx as i128 - mn as i128 + 1) as u128)?;
+    for &(_, _, slots) in &bounds {
+        width = width.checked_mul(slots)?;
         if width > DENSE_GROUP_LIMIT {
             return None;
         }
     }
 
-    // row-major strides over the per-key ranges
+    // row-major strides over the per-key slots
     let mut strides = vec![1usize; arrs.len()];
     for k in (0..arrs.len().saturating_sub(1)).rev() {
-        let (mn, mx) = bounds[k + 1];
-        strides[k] = strides[k + 1] * ((mx - mn + 1) as usize);
+        strides[k] = strides[k + 1] * bounds[k + 1].2 as usize;
     }
 
     let mut table: Vec<u32> = vec![u32::MAX; width as usize];
@@ -243,11 +274,16 @@ fn dense_int_groups(key_cols: &[Column], n: usize) -> Option<Groups> {
     'rows: for i in 0..n {
         let mut code = 0usize;
         for (k, a) in arrs.iter().enumerate() {
-            if !a.is_valid(i) {
+            let (mn, values, _) = bounds[k];
+            let offset = if a.is_valid(i) {
+                (a.values[i] - mn) as usize
+            } else if keep_nulls {
+                values as usize
+            } else {
                 row_gids.push(DROPPED);
                 continue 'rows;
-            }
-            code += (a.values[i] - bounds[k].0) as usize * strides[k];
+            };
+            code += offset * strides[k];
         }
         let slot = &mut table[code];
         if *slot == u32::MAX {
@@ -262,8 +298,8 @@ fn dense_int_groups(key_cols: &[Column], n: usize) -> Option<Groups> {
     })
 }
 
-/// Typed read-only numeric view over a column, for sum/mean accumulation.
-/// Reads go straight to the underlying buffers — no `Scalar` per row.
+/// Typed read-only numeric view over a column. Reads go straight to the
+/// underlying buffers — no `Scalar` per row.
 enum NumView<'a> {
     I(&'a PrimArr<i64>),
     F(&'a PrimArr<f64>),
@@ -282,37 +318,68 @@ impl NumView<'_> {
         }
     }
 
-    #[inline]
-    fn is_valid(&self, i: usize) -> bool {
+    /// Calls `f(gid, value)` for every row with a group and a valid value,
+    /// read through `int` (ints, dates, and bools as 0/1) or `float`. The
+    /// view's type and, for null-free columns, the validity check are
+    /// matched once per column rather than per row.
+    fn walk<T>(
+        &self,
+        row_gids: &[u32],
+        int: impl Fn(i64) -> T,
+        float: impl Fn(f64) -> T,
+        mut f: impl FnMut(usize, T),
+    ) {
+        fn rows<V: Copy + Default, T>(
+            a: &PrimArr<V>,
+            row_gids: &[u32],
+            read: impl Fn(V) -> T,
+            f: &mut impl FnMut(usize, T),
+        ) {
+            let pairs = row_gids.iter().zip(a.values.as_slice()).enumerate();
+            match &a.validity {
+                None => pairs
+                    .filter(|(_, (&gid, _))| gid != DROPPED)
+                    .for_each(|(_, (&gid, &v))| f(gid as usize, read(v))),
+                Some(_) => pairs
+                    .filter(|&(row, (&gid, _))| gid != DROPPED && a.is_valid(row))
+                    .for_each(|(_, (&gid, &v))| f(gid as usize, read(v))),
+            }
+        }
         match self {
-            NumView::I(a) => a.is_valid(i),
-            NumView::F(a) => a.is_valid(i),
-            NumView::D(a) => a.is_valid(i),
-            NumView::B(a) => a.is_valid(i),
+            NumView::I(a) => rows(a, row_gids, int, &mut f),
+            NumView::F(a) => rows(a, row_gids, float, &mut f),
+            NumView::D(a) => rows(a, row_gids, |v| int(v as i64), &mut f),
+            NumView::B(a) => row_gids
+                .iter()
+                .enumerate()
+                .filter(|&(row, &gid)| gid != DROPPED && a.is_valid(row))
+                .for_each(|(row, &gid)| f(gid as usize, int(a.values.get(row) as i64))),
         }
     }
 
-    /// Value of a *valid* row as f64 (bool ⇒ 0/1, matching pandas).
-    #[inline]
-    fn f64_at(&self, i: usize) -> f64 {
-        match self {
-            NumView::I(a) => a.values[i] as f64,
-            NumView::F(a) => a.values[i],
-            NumView::D(a) => a.values[i] as f64,
-            NumView::B(a) => a.values.get(i) as u8 as f64,
-        }
+    /// [`NumView::walk`] over each value's 64-bit key, the identity
+    /// `nunique` counts: ints, dates and bools as they are, floats by bit
+    /// pattern (so ±0.0 are two values), strings by their dictionary code
+    /// (an `I` view of codes).
+    fn walk_keys(&self, row_gids: &[u32], f: impl FnMut(usize, i64)) {
+        self.walk(row_gids, |v| v, |x| x.to_bits() as i64, f);
     }
 
-    /// Value of a *valid* row as i64 (f64 via `to_bits` is handled by the
-    /// dedicated nunique variant; this view is for i64-exact types only).
-    #[inline]
-    fn i64_at(&self, i: usize) -> i64 {
-        match self {
-            NumView::I(a) => a.values[i],
-            NumView::D(a) => a.values[i] as i64,
-            NumView::B(a) => a.values.get(i) as i64,
-            NumView::F(_) => unreachable!("i64 view over float column"),
+    /// The smallest key over rows with a group and the count of keys up to
+    /// the largest (0 when there are none); `None` when that count
+    /// overflows `usize`.
+    fn key_range(&self, row_gids: &[u32]) -> Option<(i64, usize)> {
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        self.walk_keys(row_gids, |_, k| {
+            lo = lo.min(k);
+            hi = hi.max(k);
+        });
+        if lo > hi {
+            return Some((0, 0));
         }
+        usize::try_from(hi as i128 - lo as i128 + 1)
+            .ok()
+            .map(|span| (lo, span))
     }
 }
 
@@ -328,12 +395,11 @@ enum BestMode {
 /// group, updated by typed reads and finished into a typed column.
 /// This replaces the per-(group × spec) boxed `Scalar` accumulators.
 enum Accumulator<'a> {
-    /// Sum over Int64/Bool; output Int64 (pandas: bool sums to int).
+    /// Sum over Int64/Bool, output Int64 (pandas: bool sums to int); or
+    /// over Date, output Date (legacy behavior of this kernel).
     SumInt(NumView<'a>, Vec<i64>),
     /// Sum over Float64; output Float64. Empty groups sum to 0 (pandas).
-    SumFloat(&'a PrimArr<f64>, Vec<f64>),
-    /// Sum over Date; output Date (legacy behavior of this kernel).
-    SumDate(&'a PrimArr<i32>, Vec<i64>),
+    SumFloat(NumView<'a>, Vec<f64>),
     /// Min/Max/First tracked as best-row index; the output column is one
     /// gather, so empty groups ([`NO_ROW`]) come out null in the input type.
     BestRow {
@@ -345,25 +411,24 @@ enum Accumulator<'a> {
     Count(&'a Column, Vec<i64>),
     /// Mean over any numeric input; output Float64, empty groups null.
     Mean(NumView<'a>, Vec<f64>, Vec<i64>),
-    /// Distinct count over i64-exact types (Int64/Date/Bool).
-    NuniqueInt(NumView<'a>, Vec<FxHashSet<i64>>),
-    /// Distinct count over floats (bit-pattern identity, as before).
-    NuniqueFloat(&'a PrimArr<f64>, Vec<FxHashSet<u64>>),
-    /// Distinct count over strings: dictionary-encode once, then mark
-    /// dense codes in a (group × code) bitset — no `String` clones and no
-    /// hash-set probes in the per-row loop.
-    NuniqueDict {
-        codes: PrimArr<i64>,
-        ncodes: usize,
+    /// Distinct count over each value's key ([`NumView::walk_keys`]),
+    /// marked in a (group × key) bitset over the observed keys
+    /// `lo..lo + span` — no hash-set probes per row.
+    NuniqueBits {
+        keys: NumView<'a>,
+        lo: i64,
+        span: usize,
         ngroups: usize,
         seen: Vec<u64>,
     },
-    /// Fallback for dictionaries too large for the bitset.
-    NuniqueDictSet(PrimArr<i64>, Vec<FxHashSet<i64>>),
+    /// Distinct count over the same keys, one set per group: for observed
+    /// key ranges too wide for the bitset.
+    NuniqueSets(NumView<'a>, Vec<FxHashSet<i64>>),
 }
 
-/// Largest (groups × dictionary size) the nunique bitset accepts (bits;
-/// 1<<24 bits = 2 MiB).
+/// Largest (groups × observed key range) the nunique bitset accepts (bits;
+/// 1<<24 bits = 2 MiB). It also never takes more bits than its input
+/// column has bytes.
 const NUNIQUE_BITSET_LIMIT: usize = 1 << 24;
 
 impl<'a> Accumulator<'a> {
@@ -371,24 +436,22 @@ impl<'a> Accumulator<'a> {
         func: AggFunc,
         col: &'a Column,
         name: &str,
-        ngroups: usize,
-        dicts: &DictCache,
+        groups: &Groups,
+        dicts: &'a DictCache,
     ) -> DfResult<Accumulator<'a>> {
-        let unsupported = |what: &str| {
-            DfError::Unsupported(format!(
-                "{what} aggregation over {} column",
-                col.data_type()
-            ))
+        let ngroups = groups.repr_rows.len();
+        let view = |what: &str| {
+            NumView::new(col).ok_or_else(|| {
+                DfError::Unsupported(format!(
+                    "{what} aggregation over {} column",
+                    col.data_type()
+                ))
+            })
         };
         Ok(match func {
-            AggFunc::Sum => match col {
-                Column::Float64(a) => Accumulator::SumFloat(a, vec![0.0; ngroups]),
-                Column::Date(a) => Accumulator::SumDate(a, vec![0; ngroups]),
-                Column::Int64(_) | Column::Bool(_) => Accumulator::SumInt(
-                    NumView::new(col).ok_or_else(|| unsupported("sum"))?,
-                    vec![0; ngroups],
-                ),
-                Column::Utf8(_) => return Err(unsupported("sum")),
+            AggFunc::Sum => match view("sum")? {
+                v @ NumView::F(_) => Accumulator::SumFloat(v, vec![0.0; ngroups]),
+                v => Accumulator::SumInt(v, vec![0; ngroups]),
             },
             // best rows are `u32` ids, `NO_ROW` taken, as a join side's are
             AggFunc::Min | AggFunc::Max | AggFunc::First if col.len() >= NO_ROW as usize => {
@@ -407,173 +470,107 @@ impl<'a> Accumulator<'a> {
                 best: vec![NO_ROW; ngroups],
             },
             AggFunc::Count => Accumulator::Count(col, vec![0; ngroups]),
-            AggFunc::Mean => Accumulator::Mean(
-                NumView::new(col).ok_or_else(|| unsupported("mean"))?,
-                vec![0.0; ngroups],
-                vec![0; ngroups],
-            ),
-            AggFunc::Nunique => match col {
-                Column::Float64(a) => {
-                    Accumulator::NuniqueFloat(a, vec![FxHashSet::default(); ngroups])
+            AggFunc::Mean => Accumulator::Mean(view("mean")?, vec![0.0; ngroups], vec![0; ngroups]),
+            AggFunc::Nunique => {
+                let keys = match col {
+                    Column::Utf8(_) => NumView::I(&dicts[name]),
+                    _ => view("nunique")?,
+                };
+                // the rule is about the observed key range, not the type; the
+                // range pass is skipped when the group count alone rules out
+                // the bitset
+                let limit = NUNIQUE_BITSET_LIMIT.min(col.nbytes());
+                let range = (ngroups <= limit)
+                    .then(|| keys.key_range(&groups.row_gids))
+                    .flatten()
+                    .filter(|&(_, span)| ngroups.saturating_mul(span) <= limit);
+                match range {
+                    Some((lo, span)) => Accumulator::NuniqueBits {
+                        keys,
+                        lo,
+                        span,
+                        ngroups,
+                        seen: vec![0u64; (ngroups * span).div_ceil(64)],
+                    },
+                    None => Accumulator::NuniqueSets(keys, vec![FxHashSet::default(); ngroups]),
                 }
-                Column::Utf8(a) => {
-                    let (codes, ncodes) = match dicts.get(name) {
-                        Some((codes, ncodes)) => (codes.clone(), *ncodes),
-                        None => a.dict_encode_full(),
-                    };
-                    if ngroups.saturating_mul(ncodes) <= NUNIQUE_BITSET_LIMIT {
-                        Accumulator::NuniqueDict {
-                            codes,
-                            ncodes,
-                            ngroups,
-                            seen: vec![0u64; (ngroups * ncodes).div_ceil(64)],
-                        }
-                    } else {
-                        Accumulator::NuniqueDictSet(codes, vec![FxHashSet::default(); ngroups])
-                    }
-                }
-                _ => Accumulator::NuniqueInt(
-                    NumView::new(col).ok_or_else(|| unsupported("nunique"))?,
-                    vec![FxHashSet::default(); ngroups],
-                ),
-            },
+            }
         })
     }
 
-    /// Folds `row` into group `gid`. Null rows are skipped (pandas).
-    #[inline]
-    fn update(&mut self, row: usize, gid: usize) {
+    /// One whole-column accumulation pass over the group id of every row;
+    /// null values (and rows without a group) are skipped (pandas).
+    fn accumulate(&mut self, row_gids: &[u32]) {
+        let grouped = || {
+            row_gids
+                .iter()
+                .enumerate()
+                .filter(|(_, &gid)| gid != DROPPED)
+                .map(|(row, &gid)| (row, gid as usize))
+        };
         match self {
-            Accumulator::SumInt(v, sums) => {
-                if v.is_valid(row) {
-                    sums[gid] = sums[gid].wrapping_add(v.i64_at(row));
-                }
+            Accumulator::SumInt(v, sums) => v.walk(
+                row_gids,
+                |v| v,
+                |_| unreachable!("float sums are SumFloat"),
+                |g, v| sums[g] = sums[g].wrapping_add(v),
+            ),
+            Accumulator::SumFloat(v, sums) => {
+                v.walk(row_gids, |v| v as f64, |x| x, |g, x| sums[g] += x)
             }
-            Accumulator::SumFloat(a, sums) => {
-                if a.is_valid(row) {
-                    sums[gid] += a.values[row];
-                }
-            }
-            Accumulator::SumDate(a, sums) => {
-                if a.is_valid(row) {
-                    sums[gid] += a.values[row] as i64;
-                }
-            }
+            Accumulator::Mean(v, sums, counts) => v.walk(
+                row_gids,
+                |v| v as f64,
+                |x| x,
+                |g, x| {
+                    sums[g] += x;
+                    counts[g] += 1;
+                },
+            ),
+            Accumulator::Count(col, counts) => match col.validity() {
+                None => grouped().for_each(|(_, g)| counts[g] += 1),
+                Some(valid) => grouped()
+                    .filter(|&(row, _)| valid.get(row))
+                    .for_each(|(_, g)| counts[g] += 1),
+            },
             Accumulator::BestRow { col, mode, best } => {
-                if col.is_valid(row) {
-                    let b = best[gid] as usize;
-                    let replace = best[gid] == NO_ROW
+                for (row, g) in grouped().filter(|&(row, _)| col.is_valid(row)) {
+                    let b = best[g] as usize;
+                    let replace = best[g] == NO_ROW
                         || match mode {
                             BestMode::First => false,
                             BestMode::Min => col.cmp_valid(row, col, b) == Ordering::Less,
                             BestMode::Max => col.cmp_valid(row, col, b) == Ordering::Greater,
                         };
                     if replace {
-                        best[gid] = row as u32;
+                        best[g] = row as u32;
                     }
                 }
             }
-            Accumulator::Count(col, counts) => {
-                if col.is_valid(row) {
-                    counts[gid] += 1;
-                }
-            }
-            Accumulator::Mean(v, sums, counts) => {
-                if v.is_valid(row) {
-                    sums[gid] += v.f64_at(row);
-                    counts[gid] += 1;
-                }
-            }
-            Accumulator::NuniqueInt(v, sets) => {
-                if v.is_valid(row) {
-                    sets[gid].insert(v.i64_at(row));
-                }
-            }
-            Accumulator::NuniqueFloat(a, sets) => {
-                if a.is_valid(row) {
-                    sets[gid].insert(a.values[row].to_bits());
-                }
-            }
-            Accumulator::NuniqueDict {
-                codes,
-                ncodes,
+            Accumulator::NuniqueBits {
+                keys,
+                lo,
+                span,
                 seen,
                 ..
-            } => {
-                if codes.is_valid(row) {
-                    let bit = gid * *ncodes + codes.values[row] as usize;
-                    seen[bit >> 6] |= 1 << (bit & 63);
-                }
-            }
-            Accumulator::NuniqueDictSet(codes, sets) => {
-                if codes.is_valid(row) {
-                    sets[gid].insert(codes.values[row]);
-                }
-            }
-        }
-    }
-
-    /// One whole-column accumulation pass. `update` costs an enum dispatch
-    /// per (row, accumulator), which dominates cheap kernels like sum and
-    /// count at millions of rows — here the variant match (and, for null-free
-    /// inputs, the validity check) is hoisted out of the per-row loop.
-    fn accumulate(&mut self, row_gids: &[u32]) {
-        match self {
-            Accumulator::SumInt(NumView::I(a), sums) if a.validity.is_none() => {
-                for (&gid, &v) in row_gids.iter().zip(a.values.as_slice()) {
-                    if gid != DROPPED {
-                        sums[gid as usize] = sums[gid as usize].wrapping_add(v);
-                    }
-                }
-            }
-            Accumulator::SumFloat(a, sums) if a.validity.is_none() => {
-                for (&gid, &v) in row_gids.iter().zip(a.values.as_slice()) {
-                    if gid != DROPPED {
-                        sums[gid as usize] += v;
-                    }
-                }
-            }
-            Accumulator::Mean(NumView::I(a), sums, counts) if a.validity.is_none() => {
-                for (&gid, &v) in row_gids.iter().zip(a.values.as_slice()) {
-                    if gid != DROPPED {
-                        sums[gid as usize] += v as f64;
-                        counts[gid as usize] += 1;
-                    }
-                }
-            }
-            Accumulator::Mean(NumView::F(a), sums, counts) if a.validity.is_none() => {
-                for (&gid, &v) in row_gids.iter().zip(a.values.as_slice()) {
-                    if gid != DROPPED {
-                        sums[gid as usize] += v;
-                        counts[gid as usize] += 1;
-                    }
-                }
-            }
-            Accumulator::Count(col, counts) if col.validity().is_none() => {
-                for &gid in row_gids {
-                    if gid != DROPPED {
-                        counts[gid as usize] += 1;
-                    }
-                }
-            }
-            _ => {
-                for (row, &gid) in row_gids.iter().enumerate() {
-                    if gid != DROPPED {
-                        self.update(row, gid as usize);
-                    }
-                }
-            }
+            } => keys.walk_keys(row_gids, |g, k| {
+                let bit = g * *span + (k - *lo) as usize;
+                seen[bit >> 6] |= 1 << (bit & 63);
+            }),
+            Accumulator::NuniqueSets(keys, sets) => keys.walk_keys(row_gids, |g, k| {
+                sets[g].insert(k);
+            }),
         }
     }
 
     /// Materializes the output column for all groups at once.
     fn finish(self) -> DfResult<Column> {
         Ok(match self {
-            Accumulator::SumInt(_, sums) => Column::from_i64(sums),
-            Accumulator::SumFloat(_, sums) => Column::from_f64(sums),
-            Accumulator::SumDate(_, sums) => {
+            Accumulator::SumInt(NumView::D(_), sums) => {
                 Column::from_date(sums.into_iter().map(|s| s as i32).collect())
             }
+            Accumulator::SumInt(_, sums) => Column::from_i64(sums),
+            Accumulator::SumFloat(_, sums) => Column::from_f64(sums),
             Accumulator::BestRow { col, best, .. } => Column::gather(&[col], &best)?,
             Accumulator::Count(_, counts) => Column::from_i64(counts),
             Accumulator::Mean(_, sums, counts) => Column::from_opt_f64(
@@ -582,14 +579,8 @@ impl<'a> Accumulator<'a> {
                     .map(|(s, c)| if c > 0 { Some(s / c as f64) } else { None })
                     .collect(),
             ),
-            Accumulator::NuniqueInt(_, sets) => {
-                Column::from_i64(sets.into_iter().map(|s| s.len() as i64).collect())
-            }
-            Accumulator::NuniqueFloat(_, sets) => {
-                Column::from_i64(sets.into_iter().map(|s| s.len() as i64).collect())
-            }
-            Accumulator::NuniqueDict {
-                ncodes,
+            Accumulator::NuniqueBits {
+                span,
                 ngroups,
                 seen,
                 ..
@@ -597,7 +588,7 @@ impl<'a> Accumulator<'a> {
                 // per-group popcount over its (unaligned) bit range
                 let mut out = Vec::with_capacity(ngroups);
                 for g in 0..ngroups {
-                    let (s, e) = (g * ncodes, (g + 1) * ncodes);
+                    let (s, e) = (g * span, (g + 1) * span);
                     let mut c = 0u32;
                     #[allow(clippy::needless_range_loop)] // word index is arithmetic, not iteration
                     for w in (s >> 6)..e.div_ceil(64) {
@@ -615,7 +606,7 @@ impl<'a> Accumulator<'a> {
                 }
                 Column::from_i64(out)
             }
-            Accumulator::NuniqueDictSet(_, sets) => {
+            Accumulator::NuniqueSets(_, sets) => {
                 Column::from_i64(sets.into_iter().map(|s| s.len() as i64).collect())
             }
         })
@@ -646,13 +637,11 @@ fn groupby_agg_raw(df: &DataFrame, keys: &[&str], specs: &[AggSpec]) -> DfResult
         .map(|s| s.column.as_str());
     for name in keys.iter().copied().chain(nunique_cols) {
         if let Column::Utf8(a) = df.column(name)? {
-            dicts.entry(name).or_insert_with(|| a.dict_encode_full());
+            dicts.entry(name).or_insert_with(|| a.dict_encode());
         }
     }
 
-    let groups = build_groups(df, keys, &dicts)?;
-    let ngroups = groups.repr_rows.len();
-
+    let groups = build_groups(df, keys, &dicts, false)?;
     let in_cols: Vec<&Column> = specs
         .iter()
         .map(|s| df.column(&s.column))
@@ -661,7 +650,7 @@ fn groupby_agg_raw(df: &DataFrame, keys: &[&str], specs: &[AggSpec]) -> DfResult
     let mut accs: Vec<Accumulator> = specs
         .iter()
         .zip(&in_cols)
-        .map(|(s, c)| Accumulator::new(s.func, c, &s.column, ngroups, &dicts))
+        .map(|(s, c)| Accumulator::new(s.func, c, &s.column, &groups, &dicts))
         .collect::<DfResult<Vec<_>>>()?;
 
     // Accumulator-major: one tight pass over `row_gids` per accumulator
@@ -716,7 +705,8 @@ const SUM_SUFFIX: &str = "__sum";
 const COUNT_SUFFIX: &str = "__cnt";
 
 /// Returns the specs whose partial state is expressible as fixed columns.
-/// `Nunique` is not; the tiling layer lowers it separately.
+/// `Nunique` is not; the tiling layer aggregates it in one pass per shuffle
+/// partition.
 pub fn is_decomposable(specs: &[AggSpec]) -> bool {
     specs.iter().all(|s| s.func != AggFunc::Nunique)
 }
@@ -755,7 +745,7 @@ pub fn groupby_map(df: &DataFrame, keys: &[&str], specs: &[AggSpec]) -> DfResult
             }
             AggFunc::Nunique => {
                 return Err(DfError::Unsupported(
-                    "nunique is not column-decomposable; lower to distinct+count".into(),
+                    "nunique is not column-decomposable; aggregate it in one pass".into(),
                 ))
             }
         }

@@ -31,7 +31,7 @@ fn src_frame(i: usize) -> DataFrame {
     .unwrap()
 }
 
-/// Random DAG: a few `DfLiteral` sources, then interior `Concat` nodes
+/// Random DAG: a few `DfGen` sources, then interior `Concat` nodes
 /// over random earlier keys. Every key is protected, so every chunk is
 /// published and retained — the hardest case for end-of-graph recovery.
 fn arb_graph(rng: &mut Xoshiro256) -> SubtaskGraph {
@@ -43,7 +43,10 @@ fn arb_graph(rng: &mut Xoshiro256) -> SubtaskGraph {
     for i in 0..n_src {
         let k = kg.next_key();
         g.push(ChunkNode {
-            op: ChunkOp::DfLiteral(Arc::new(src_frame(i))),
+            op: ChunkOp::DfGen {
+                gen: Arc::new(move || Ok(src_frame(i))),
+                label: format!("src{i}"),
+            },
             inputs: Vec::new(),
             outputs: vec![k],
         });

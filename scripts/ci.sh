@@ -349,6 +349,28 @@ if [[ -n "$strays" ]]; then
   exit 1
 fi
 
+# Structural gate (hard): rows are grouped by one table. Equal keys are
+# found in one place, groupby.rs::build_groups (a direct-address table or a
+# flat chained one), for grouping and for distinct alike: no code line under
+# crates/dataframe/src keeps a per-key `HashMap<u64, Vec<..>>` bucket map,
+# and `DataFrame::drop_duplicates` in frame.rs calls `build_groups(`.
+echo "==> rows are grouped by one table (no HashMap<u64, Vec< in dataframe/src; drop_duplicates calls build_groups)"
+strays=$(find crates/dataframe/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  /^[[:space:]]*\/\// { next }
+  /HashMap<u64, *Vec</ { print FILENAME ":" FNR ": " $0 }')
+strays+=$(awk '
+  /^[[:space:]]*\/\// { next }
+  /fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); current = substr($0, RSTART + 3, RLENGTH - 3) }
+  current == "drop_duplicates" { seen = 1 }
+  current == "drop_duplicates" && /build_groups\(/ { calls = 1 }
+  END { if (!seen) print "no fn drop_duplicates found"; else if (!calls) print "drop_duplicates does not call build_groups(" }
+' crates/dataframe/src/frame.rs)
+if [[ -n "$strays" ]]; then
+  echo "rows with equal keys must be found by groupby.rs::build_groups alone; found:"
+  echo "$strays"
+  exit 1
+fi
+
 echo "==> threads are made only by the subtask pool and serving's tenant drivers"
 strays=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
   FNR == 1 { in_tests = 0 }

@@ -10,6 +10,7 @@
 //! including null keys, all-null groups, offset bitmap views, and empty
 //! frames.
 
+use std::collections::{HashMap, HashSet};
 use xorbits::array::prng::Xoshiro256;
 use xorbits::dataframe::column::NO_ROW;
 use xorbits::dataframe::dates;
@@ -463,25 +464,38 @@ fn merge_matches_nested_loop_reference() {
 // groupby: typed columnar accumulators + dictionary-encoded string keys
 // ---------------------------------------------------------------------------
 
-/// Reference group-by over boxed scalars: linear-scan grouping (null keys
-/// dropped) and per-row `Scalar` accumulation — the old kernel's semantics.
+/// A cell as a hashable key with grouping's equality: null equals null,
+/// floats compare by bit pattern (`NaN` equals itself, ±0.0 differ).
+fn cell_key(s: &Scalar) -> String {
+    match s {
+        Scalar::Float(x) => format!("Float({:016x})", x.to_bits()),
+        other => format!("{other:?}"),
+    }
+}
+
+/// The cells of row `i` of `cols` as one hashable key.
+fn row_key(cols: &[&Column], i: usize) -> Vec<String> {
+    cols.iter().map(|c| cell_key(&c.get(i))).collect()
+}
+
+/// Reference group-by over boxed scalars: grouping on each row's cells in
+/// first-occurrence order (null keys dropped) and per-row `Scalar`
+/// accumulation — the old kernel's semantics.
 fn ref_groupby(df: &DataFrame, keys: &[&str], specs: &[AggSpec]) -> DataFrame {
     let key_cols: Vec<&Column> = keys.iter().map(|k| df.column(k).unwrap()).collect();
     let mut group_keys: Vec<Vec<Scalar>> = Vec::new();
     let mut rows_of: Vec<Vec<usize>> = Vec::new();
-    'rows: for i in 0..df.num_rows() {
+    let mut gid_of: HashMap<Vec<String>, usize> = HashMap::new();
+    for i in 0..df.num_rows() {
         if key_cols.iter().any(|c| !c.is_valid(i)) {
             continue; // pandas groupby(dropna=True)
         }
-        let kt: Vec<Scalar> = key_cols.iter().map(|c| c.get(i)).collect();
-        for (g, existing) in group_keys.iter().enumerate() {
-            if *existing == kt {
-                rows_of[g].push(i);
-                continue 'rows;
-            }
-        }
-        group_keys.push(kt);
-        rows_of.push(vec![i]);
+        let g = *gid_of.entry(row_key(&key_cols, i)).or_insert_with(|| {
+            group_keys.push(key_cols.iter().map(|c| c.get(i)).collect());
+            rows_of.push(Vec::new());
+            rows_of.len() - 1
+        });
+        rows_of[g].push(i);
     }
 
     let mut pairs: Vec<(String, Column)> = Vec::new();
@@ -501,7 +515,12 @@ fn ref_groupby(df: &DataFrame, keys: &[&str], specs: &[AggSpec]) -> DataFrame {
             out.push(match spec.func {
                 AggFunc::Sum => match c.data_type() {
                     xorbits::dataframe::DataType::Float64 => {
-                        Scalar::Float(valid.iter().map(|&i| c.get(i).as_f64().unwrap()).sum())
+                        // from +0.0, as pandas: std's empty f64 sum is -0.0
+                        Scalar::Float(
+                            valid
+                                .iter()
+                                .fold(0.0, |s, &i| s + c.get(i).as_f64().unwrap()),
+                        )
                     }
                     xorbits::dataframe::DataType::Date => Scalar::Date(
                         valid
@@ -518,7 +537,12 @@ fn ref_groupby(df: &DataFrame, keys: &[&str], specs: &[AggSpec]) -> DataFrame {
                         let replace = match &best {
                             None => true,
                             Some(b) => {
-                                let ord = v.total_cmp(b);
+                                // ints exactly: `Scalar::total_cmp` goes through
+                                // f64, which ties `i64::MIN` with its neighbour
+                                let ord = match (&v, b) {
+                                    (Scalar::Int(x), Scalar::Int(y)) => x.cmp(y),
+                                    _ => v.total_cmp(b),
+                                };
                                 if spec.func == AggFunc::Min {
                                     ord == std::cmp::Ordering::Less
                                 } else {
@@ -537,23 +561,16 @@ fn ref_groupby(df: &DataFrame, keys: &[&str], specs: &[AggSpec]) -> DataFrame {
                     if valid.is_empty() {
                         Scalar::Null
                     } else {
-                        let sum: f64 = valid.iter().map(|&i| c.get(i).as_f64().unwrap()).sum();
+                        let sum = valid
+                            .iter()
+                            .fold(0.0, |s, &i| s + c.get(i).as_f64().unwrap());
                         Scalar::Float(sum / valid.len() as f64)
                     }
                 }
                 AggFunc::First => valid.first().map_or(Scalar::Null, |&i| c.get(i)),
                 AggFunc::Nunique => {
-                    let mut distinct: Vec<Scalar> = Vec::new();
-                    for &i in &valid {
-                        let v = c.get(i);
-                        let dup = distinct.iter().any(|d| match (d, &v) {
-                            (Scalar::Float(a), Scalar::Float(b)) => a.to_bits() == b.to_bits(),
-                            (a, b) => a == b,
-                        });
-                        if !dup {
-                            distinct.push(v);
-                        }
-                    }
+                    let distinct: HashSet<String> =
+                        valid.iter().map(|&i| cell_key(&c.get(i))).collect();
                     Scalar::Int(distinct.len() as i64)
                 }
             });
@@ -576,9 +593,37 @@ fn ref_groupby(df: &DataFrame, keys: &[&str], specs: &[AggSpec]) -> DataFrame {
     DataFrame::new(pairs).unwrap()
 }
 
+/// `i64` extremes and float specials (`NaN`, ±0.0, ±inf, adjacent bit
+/// patterns) with nulls, `n` rows: the values whose keys stretch
+/// `nunique`'s observed range past anything a bitset takes.
+fn extreme_columns(rng: &mut Xoshiro256, n: usize) -> [(&'static str, Column); 2] {
+    let ints = [i64::MIN, i64::MAX, 0, -1, 1, i64::MIN + 1];
+    let one = 1.0f64.to_bits();
+    let floats = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.0,
+        f64::from_bits(one + 1),
+    ];
+    let xi = (0..n)
+        .map(|_| rng.gen_bool(0.85).then(|| pick(rng, &ints)))
+        .collect();
+    let xf = (0..n)
+        .map(|_| rng.gen_bool(0.85).then(|| pick(rng, &floats)))
+        .collect();
+    [
+        ("xi", Column::from_opt_i64(xi)),
+        ("xf", Column::from_opt_f64(xf)),
+    ]
+}
+
 /// The vectorized groupby (hash group ids, typed accumulators, dict-encoded
 /// string keys) must equal the scalar reference on random frames with null
-/// keys, null values, int+string multi-keys and every aggregation function.
+/// keys, null values, int+string multi-keys, `i64` extremes and float
+/// specials, and every aggregation function.
 #[test]
 fn groupby_matches_scalar_reference() {
     let specs = vec![
@@ -596,18 +641,31 @@ fn groupby_matches_scalar_reference() {
         AggSpec::new("vs", AggFunc::Nunique, "nu_s"),
         AggSpec::new("vf", AggFunc::Nunique, "nu_f"),
         AggSpec::new("vi", AggFunc::Nunique, "nu_i"),
+        AggSpec::new("vd", AggFunc::Nunique, "nu_d"),
+        AggSpec::new("vb", AggFunc::Nunique, "nu_b"),
+        AggSpec::new("xi", AggFunc::Nunique, "nu_xi"),
+        AggSpec::new("xi", AggFunc::Min, "min_xi"),
+        AggSpec::new("xi", AggFunc::Max, "max_xi"),
+        AggSpec::new("xf", AggFunc::Nunique, "nu_xf"),
+        AggSpec::new("xf", AggFunc::Count, "cnt_xf"),
     ];
     for seed in 0..CASES {
         let mut rng = Xoshiro256::seed_from_u64(2000 + seed);
-        let df = arb_frame(&mut rng);
-        for keys in [&["ki"][..], &["ks"][..], &["ki", "ks"][..]] {
+        let mut df = arb_frame(&mut rng);
+        for (name, c) in extreme_columns(&mut rng, df.num_rows()) {
+            df = df.with_column(name, c).unwrap();
+        }
+        for keys in [
+            &["ki"][..],
+            &["ks"][..],
+            &["ki", "ks"][..],
+            &["xi"][..],
+            &["xf"][..],
+        ] {
+            // groups come out in first-occurrence order on both sides
             let got = groupby::groupby_agg(&df, keys, &specs).unwrap();
             let want = ref_groupby(&df, keys, &specs);
-            let order: Vec<(&str, bool)> = keys.iter().map(|k| (*k, true)).collect();
-            assert_same(
-                &sort::sort_by(&got, &order).unwrap(),
-                &sort::sort_by(&want, &order).unwrap(),
-            );
+            assert_frames_equal(&got, &want, &format!("seed {seed} keys {keys:?}"));
         }
     }
 }
@@ -649,6 +707,229 @@ fn groupby_null_keys_and_all_null_groups() {
     assert!(out.column("mn").unwrap().get(g1).is_null());
     assert!(out.column("f").unwrap().get(g1).is_null());
     assert_eq!(out.column("nu").unwrap().get(g1), Scalar::Int(0));
+}
+
+/// Reference distinct: a row is kept iff no earlier row has the same
+/// cells in `subset` (every column for `None`) — null equals null, floats
+/// compare by bits — rebuilt cell by cell through `Scalar`.
+fn ref_drop_duplicates(df: &DataFrame, subset: Option<&[&str]>) -> DataFrame {
+    let names = subset.map_or_else(|| df.schema().names(), <[&str]>::to_vec);
+    let key_cols: Vec<&Column> = names.iter().map(|n| df.column(n).unwrap()).collect();
+    let mut seen = HashSet::new();
+    let keep: Vec<usize> = (0..df.num_rows())
+        .filter(|&i| seen.insert(row_key(&key_cols, i)))
+        .collect();
+    let pairs = df
+        .schema()
+        .names()
+        .into_iter()
+        .map(|n| {
+            let c = df.column(n).unwrap();
+            let cells: Vec<Scalar> = keep.iter().map(|&i| c.get(i)).collect();
+            (n, Column::from_scalars(&cells, c.data_type()).unwrap())
+        })
+        .collect();
+    DataFrame::new(pairs).unwrap()
+}
+
+/// `n` rows of few distinct values, nulls in every column but `b`: `i64`
+/// extremes (`i`, past the direct-address table) and a small int range
+/// (`j`, within it), float specials, strings sharing long prefixes.
+fn distinct_frame(rng: &mut Xoshiro256, n: usize) -> DataFrame {
+    let ints = [i64::MIN, i64::MAX, 0, -1, 1];
+    let floats = [0.0, -0.0, f64::NAN, f64::INFINITY, 1.5, -2.0];
+    let strs = [
+        "",
+        "exactly8",
+        "a-shared-long-prefix-",
+        "a-shared-long-prefix-0",
+        "a-shared-long-prefix-1",
+    ];
+    let mut opt = |p: f64| rng.gen_bool(p);
+    let valid: Vec<[bool; 4]> = (0..n)
+        .map(|_| [opt(0.85), opt(0.85), opt(0.85), opt(0.85)])
+        .collect();
+    let i = (0..n)
+        .map(|r| valid[r][0].then(|| pick(rng, &ints)))
+        .collect();
+    let j = (0..n)
+        .map(|r| valid[r][1].then(|| rng.gen_range_i64(0, 4)))
+        .collect();
+    let f = (0..n)
+        .map(|r| valid[r][2].then(|| pick(rng, &floats)))
+        .collect();
+    let s: Vec<Option<String>> = (0..n)
+        .map(|r| valid[r][3].then(|| pick(rng, &strs).to_string()))
+        .collect();
+    let b = (0..n).map(|_| rng.gen_bool(0.5)).collect();
+    DataFrame::new(vec![
+        ("i", Column::from_opt_i64(i)),
+        ("j", Column::from_opt_i64(j)),
+        ("f", Column::from_opt_f64(f)),
+        ("s", Column::from_opt_str(s)),
+        ("b", Column::from_bool(b)),
+    ])
+    .unwrap()
+}
+
+/// `drop_duplicates` keeps exactly the first row of every distinct key
+/// tuple, in order, for subsets of zero to three columns and `None`, on
+/// whole frames, offset views and empty frames.
+#[test]
+fn drop_duplicates_matches_scalar_reference() {
+    let subsets: [Option<&[&str]>; 8] = [
+        None,
+        Some(&[]),
+        Some(&["i"]),
+        Some(&["j"]),
+        Some(&["f"]),
+        Some(&["s", "j"]),
+        Some(&["i", "f", "s"]),
+        Some(&["b", "j", "s"]),
+    ];
+    for seed in 0..CASES {
+        let mut rng = Xoshiro256::seed_from_u64(6000 + seed);
+        let n = rng.gen_range_i64(0, 200) as usize;
+        let df = distinct_frame(&mut rng, n);
+        let off = rng.gen_range_i64(0, n as i64 + 1) as usize;
+        for frame in [&df, &df.slice(off, n - off), &df.head(0)] {
+            for subset in subsets {
+                assert_frames_equal(
+                    &frame.drop_duplicates(subset).unwrap(),
+                    &ref_drop_duplicates(frame, subset),
+                    &format!("seed {seed} subset {subset:?}"),
+                );
+            }
+        }
+    }
+}
+
+/// Past 8,192 distinct keys on the hash path — `f64` keys with `NaN`,
+/// ±0.0 and nulls, and wide-range `i64` pairs — the grouping table has
+/// doubled several times; groups (with `nunique`) and distinct rows still
+/// equal the references, in first-occurrence order.
+#[test]
+fn grouping_table_doubles_past_8192_hash_keys() {
+    let mut rng = Xoshiro256::seed_from_u64(6100);
+    let n = 20_000;
+    let kf: Vec<Option<f64>> = (0..n)
+        .map(|_| match rng.gen_range_i64(0, 40) {
+            0 => None,
+            1 => Some(f64::NAN),
+            2 => Some(-0.0),
+            3 => Some(0.0),
+            _ => Some(rng.gen_range_i64(0, 12_000) as f64 * 0.37),
+        })
+        .collect();
+    let pairs: Vec<(i64, i64)> = (0..12_000)
+        .map(|_| (rng.next_u64() as i64, rng.gen_range_i64(-3, 3)))
+        .collect();
+    let (ka, kb): (Vec<i64>, Vec<i64>) = (0..n).map(|_| pick(&mut rng, &pairs)).unzip();
+    let vi = (0..n)
+        .map(|_| rng.gen_bool(0.9).then(|| rng.gen_range_i64(0, 6)))
+        .collect();
+    let vs = (0..n)
+        .map(|_| {
+            rng.gen_bool(0.9)
+                .then(|| format!("v{}", rng.gen_range_i64(0, 5)))
+        })
+        .collect::<Vec<_>>();
+    let df = DataFrame::new(vec![
+        ("kf", Column::from_opt_f64(kf)),
+        ("ka", Column::from_i64(ka)),
+        ("kb", Column::from_i64(kb)),
+        ("vi", Column::from_opt_i64(vi)),
+        ("vs", Column::from_opt_str(vs)),
+    ])
+    .unwrap();
+    let specs = [
+        AggSpec::new("vi", AggFunc::Nunique, "nu_i"),
+        AggSpec::new("vs", AggFunc::Nunique, "nu_s"),
+        AggSpec::new("kf", AggFunc::Nunique, "nu_f"),
+        AggSpec::new("vi", AggFunc::Count, "cnt_i"),
+        AggSpec::new("vs", AggFunc::First, "fst_s"),
+    ];
+    for keys in [&["kf"][..], &["ka", "kb"][..]] {
+        let got = groupby::groupby_agg(&df, keys, &specs).unwrap();
+        assert!(got.num_rows() > 8192, "{keys:?}: {} groups", got.num_rows());
+        assert_frames_equal(&got, &ref_groupby(&df, keys, &specs), &format!("{keys:?}"));
+    }
+    for subset in [
+        Some(&["kf"][..]),
+        Some(&["ka", "kb"][..]),
+        Some(&["kf", "kb"][..]),
+        None,
+    ] {
+        let got = df.drop_duplicates(subset).unwrap();
+        assert!(got.num_rows() > 8192, "{subset:?}: {} rows", got.num_rows());
+        assert_frames_equal(
+            &got,
+            &ref_drop_duplicates(&df, subset),
+            &format!("{subset:?}"),
+        );
+    }
+}
+
+/// `nunique` marks a bitset while groups × observed key range is at most
+/// the counted column's bytes (8 per null-free `Int64` row) and keeps
+/// per-group sets past it; both sides of that bound, and keys whose
+/// observed range overflows (`i64` extremes, float bit patterns), count
+/// what the reference counts.
+#[test]
+fn nunique_matches_reference_on_both_sides_of_the_bitset_bound() {
+    let (n, groups) = (1000usize, 10i64);
+    let mut rng = Xoshiro256::seed_from_u64(6200);
+    let k = Column::from_i64((0..n as i64).map(|i| i % groups).collect());
+    let bound = 8 * n / groups as usize;
+    for span in [1, bound - 1, bound, bound + 1, 4 * bound] {
+        // the observed range is exactly `span`: its ends are present
+        let mut v: Vec<i64> = (0..n)
+            .map(|_| 1000 + rng.gen_range_i64(0, span as i64))
+            .collect();
+        v[0] = 1000;
+        v[1] = 1000 + span as i64 - 1;
+        let df = DataFrame::new(vec![("k", k.clone()), ("v", Column::from_i64(v))]).unwrap();
+        let specs = [AggSpec::new("v", AggFunc::Nunique, "nu")];
+        assert_frames_equal(
+            &groupby::groupby_agg(&df, &["k"], &specs).unwrap(),
+            &ref_groupby(&df, &["k"], &specs),
+            &format!("span {span}"),
+        );
+    }
+    // adjacent float bit patterns (a bitset), extremes and specials (sets),
+    // strings by code, dates and bools
+    let one = 1.0f64.to_bits();
+    let near = (0..n)
+        .map(|_| f64::from_bits(one + rng.gen_range_i64(0, 50) as u64))
+        .collect();
+    let [(_, xi), (_, xf)] = extreme_columns(&mut rng, n);
+    let df = DataFrame::new(vec![
+        ("k", k),
+        ("near", Column::from_f64(near)),
+        ("xi", xi),
+        ("xf", xf),
+        (
+            "s",
+            Column::from_str((0..n).map(|i| format!("s{}", i % 97))),
+        ),
+        (
+            "d",
+            Column::from_date((0..n).map(|i| (i % 13) as i32).collect()),
+        ),
+        ("b", Column::from_bool((0..n).map(|i| i % 3 == 0).collect())),
+    ])
+    .unwrap();
+    let specs: Vec<AggSpec> = ["near", "xi", "xf", "s", "d", "b"]
+        .iter()
+        .map(|c| AggSpec::new(*c, AggFunc::Nunique, format!("nu_{c}")))
+        .collect();
+    for keys in [&["k"][..], &[][..]] {
+        assert_frames_equal(
+            &groupby::groupby_agg(&df, keys, &specs).unwrap(),
+            &ref_groupby(&df, keys, &specs),
+            &format!("keys {keys:?}"),
+        );
+    }
 }
 
 /// Dictionary encoding must be equality-preserving: codes agree exactly
