@@ -575,8 +575,10 @@ impl StrArr {
     /// Builds from string slices, all valid.
     #[allow(clippy::should_implement_trait)]
     pub fn from_iter<S: AsRef<str>, I: IntoIterator<Item = S>>(iter: I) -> Self {
+        let iter = iter.into_iter();
         let mut data = Vec::new();
-        let mut offsets = vec![0u32];
+        let mut offsets = Vec::with_capacity(iter.size_hint().0 + 1);
+        offsets.push(0u32);
         for s in iter {
             data.extend_from_slice(s.as_ref().as_bytes());
             offsets.push(data.len() as u32);

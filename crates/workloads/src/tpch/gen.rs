@@ -147,6 +147,16 @@ const T_PART: u64 = 4;
 const T_PARTSUPP: u64 = 5;
 const T_SUPPLIER: u64 = 6;
 
+/// Row ids `start..start + len` as the `row` argument of [`mix`]. String
+/// columns are generated from these (and from finished value columns) in
+/// one pass each, straight into the column's bytes: a staging vector of
+/// one `&str` (16 B) or `String` (a heap block) per row would be allocated
+/// and freed on every build, and those frees moved how much of the freed
+/// tables glibc handed back to the kernel.
+fn rows(start: usize, len: usize) -> impl Iterator<Item = u64> {
+    (start..start + len).map(|i| i as u64)
+}
+
 /// `j`-th of the four suppliers of `partkey` (TPC-H formula analogue).
 fn supp_of_part(partkey: i64, j: i64, nsupp: i64) -> i64 {
     1 + ((partkey + j * (nsupp / 4 + 1)) % nsupp)
@@ -172,13 +182,9 @@ pub fn gen_lineitem(scale: TpchScale, start: usize, len: usize) -> DfResult<Data
     let mut extendedprice = Vec::with_capacity(len);
     let mut discount = Vec::with_capacity(len);
     let mut tax = Vec::with_capacity(len);
-    let mut returnflag = Vec::with_capacity(len);
-    let mut linestatus = Vec::with_capacity(len);
     let mut shipdate = Vec::with_capacity(len);
     let mut commitdate = Vec::with_capacity(len);
     let mut receiptdate = Vec::with_capacity(len);
-    let mut shipinstruct = Vec::with_capacity(len);
-    let mut shipmode = Vec::with_capacity(len);
     for i in start..start + len {
         let r = i as u64;
         let okey = (i / 4 + 1) as i64;
@@ -197,22 +203,27 @@ pub fn gen_lineitem(scale: TpchScale, start: usize, len: usize) -> DfResult<Data
         extendedprice.push(qty * price_per_unit);
         discount.push((uniform(T_LINEITEM, r, 6, 0, 10) as f64) / 100.0);
         tax.push((uniform(T_LINEITEM, r, 7, 0, 8) as f64) / 100.0);
-        returnflag.push(if rdate <= cutoff {
-            if mix(T_LINEITEM, r, 11).is_multiple_of(2) {
-                "R"
-            } else {
-                "A"
-            }
-        } else {
-            "N"
-        });
-        linestatus.push(if sdate > cutoff { "O" } else { "F" });
         shipdate.push(sdate);
         commitdate.push(cdate);
         receiptdate.push(rdate);
-        shipinstruct.push(pick(T_LINEITEM, r, 12, &INSTRUCTIONS));
-        shipmode.push(pick(T_LINEITEM, r, 13, &SHIPMODES));
     }
+    let returnflag = Column::from_str(rows(start, len).zip(&receiptdate).map(|(r, &rdate)| {
+        if rdate > cutoff {
+            "N"
+        } else if mix(T_LINEITEM, r, 11).is_multiple_of(2) {
+            "R"
+        } else {
+            "A"
+        }
+    }));
+    let linestatus = Column::from_str(
+        shipdate
+            .iter()
+            .map(|&sdate| if sdate > cutoff { "O" } else { "F" }),
+    );
+    let shipinstruct =
+        Column::from_str(rows(start, len).map(|r| pick(T_LINEITEM, r, 12, &INSTRUCTIONS)));
+    let shipmode = Column::from_str(rows(start, len).map(|r| pick(T_LINEITEM, r, 13, &SHIPMODES)));
     DataFrame::new(vec![
         ("l_orderkey", Column::from_i64(orderkey)),
         ("l_partkey", Column::from_i64(partkey)),
@@ -222,13 +233,13 @@ pub fn gen_lineitem(scale: TpchScale, start: usize, len: usize) -> DfResult<Data
         ("l_extendedprice", Column::from_f64(extendedprice)),
         ("l_discount", Column::from_f64(discount)),
         ("l_tax", Column::from_f64(tax)),
-        ("l_returnflag", Column::from_str(returnflag)),
-        ("l_linestatus", Column::from_str(linestatus)),
+        ("l_returnflag", returnflag),
+        ("l_linestatus", linestatus),
         ("l_shipdate", Column::from_date(shipdate)),
         ("l_commitdate", Column::from_date(commitdate)),
         ("l_receiptdate", Column::from_date(receiptdate)),
-        ("l_shipinstruct", Column::from_str(shipinstruct)),
-        ("l_shipmode", Column::from_str(shipmode)),
+        ("l_shipinstruct", shipinstruct),
+        ("l_shipmode", shipmode),
     ])
 }
 
@@ -237,45 +248,44 @@ pub fn gen_orders(scale: TpchScale, start: usize, len: usize) -> DfResult<DataFr
     let ncust = scale.customer() as i64;
     let mut orderkey = Vec::with_capacity(len);
     let mut custkey = Vec::with_capacity(len);
-    let mut orderstatus = Vec::with_capacity(len);
     let mut totalprice = Vec::with_capacity(len);
     let mut orderdate = Vec::with_capacity(len);
-    let mut orderpriority = Vec::with_capacity(len);
     let mut shippriority = Vec::with_capacity(len);
-    let mut comment = Vec::with_capacity(len);
     for i in start..start + len {
         let r = i as u64;
         orderkey.push((i + 1) as i64);
         // TPC-H: only two thirds of customers have orders
         let c = uniform(T_ORDERS, r, 2, 1, ncust);
         custkey.push(if c % 3 == 0 { (c % ncust) + 1 } else { c });
-        let odate = order_date(r);
-        orderdate.push(odate);
-        orderstatus.push(if odate > dates::to_days(1995, 6, 17) {
+        orderdate.push(order_date(r));
+        totalprice.push(uniform_f(T_ORDERS, r, 4, 1000.0, 400_000.0));
+        shippriority.push(0i64);
+    }
+    let orderstatus = Column::from_str(rows(start, len).zip(&orderdate).map(|(r, &odate)| {
+        if odate > dates::to_days(1995, 6, 17) {
             "O"
         } else if mix(T_ORDERS, r, 3).is_multiple_of(20) {
             "P"
         } else {
             "F"
-        });
-        totalprice.push(uniform_f(T_ORDERS, r, 4, 1000.0, 400_000.0));
-        orderpriority.push(pick(T_ORDERS, r, 5, &PRIORITIES));
-        shippriority.push(0i64);
-        comment.push(match mix(T_ORDERS, r, 6) % 100 {
-            0 => "special packages requests",
-            1 => "pending special deposits requests",
-            _ => "carefully final deposits",
-        });
-    }
+        }
+    }));
+    let orderpriority =
+        Column::from_str(rows(start, len).map(|r| pick(T_ORDERS, r, 5, &PRIORITIES)));
+    let comment = Column::from_str(rows(start, len).map(|r| match mix(T_ORDERS, r, 6) % 100 {
+        0 => "special packages requests",
+        1 => "pending special deposits requests",
+        _ => "carefully final deposits",
+    }));
     DataFrame::new(vec![
         ("o_orderkey", Column::from_i64(orderkey)),
         ("o_custkey", Column::from_i64(custkey)),
-        ("o_orderstatus", Column::from_str(orderstatus)),
+        ("o_orderstatus", orderstatus),
         ("o_totalprice", Column::from_f64(totalprice)),
         ("o_orderdate", Column::from_date(orderdate)),
-        ("o_orderpriority", Column::from_str(orderpriority)),
+        ("o_orderpriority", orderpriority),
         ("o_shippriority", Column::from_i64(shippriority)),
-        ("o_comment", Column::from_str(comment)),
+        ("o_comment", comment),
     ])
 }
 
@@ -283,34 +293,32 @@ pub fn gen_orders(scale: TpchScale, start: usize, len: usize) -> DfResult<DataFr
 pub fn gen_customer(scale: TpchScale, start: usize, len: usize) -> DfResult<DataFrame> {
     let _ = scale;
     let mut custkey = Vec::with_capacity(len);
-    let mut name = Vec::with_capacity(len);
     let mut nationkey = Vec::with_capacity(len);
-    let mut phone = Vec::with_capacity(len);
     let mut acctbal = Vec::with_capacity(len);
-    let mut mktsegment = Vec::with_capacity(len);
     for i in start..start + len {
         let r = i as u64;
         custkey.push((i + 1) as i64);
-        name.push(format!("Customer#{:09}", i + 1));
-        let nk = uniform(T_CUSTOMER, r, 2, 0, 24);
-        nationkey.push(nk);
-        phone.push(format!(
+        nationkey.push(uniform(T_CUSTOMER, r, 2, 0, 24));
+        acctbal.push(uniform_f(T_CUSTOMER, r, 6, -999.99, 9999.99));
+    }
+    let name = Column::from_str(rows(start, len).map(|r| format!("Customer#{:09}", r + 1)));
+    let phone = Column::from_str(rows(start, len).zip(&nationkey).map(|(r, &nk)| {
+        format!(
             "{:02}-{:03}-{:03}-{:04}",
             nk + 10,
             mix(T_CUSTOMER, r, 3) % 1000,
             mix(T_CUSTOMER, r, 4) % 1000,
             mix(T_CUSTOMER, r, 5) % 10000
-        ));
-        acctbal.push(uniform_f(T_CUSTOMER, r, 6, -999.99, 9999.99));
-        mktsegment.push(pick(T_CUSTOMER, r, 7, &SEGMENTS));
-    }
+        )
+    }));
+    let mktsegment = Column::from_str(rows(start, len).map(|r| pick(T_CUSTOMER, r, 7, &SEGMENTS)));
     DataFrame::new(vec![
         ("c_custkey", Column::from_i64(custkey)),
-        ("c_name", Column::from_str(name)),
+        ("c_name", name),
         ("c_nationkey", Column::from_i64(nationkey)),
-        ("c_phone", Column::from_str(phone)),
+        ("c_phone", phone),
         ("c_acctbal", Column::from_f64(acctbal)),
-        ("c_mktsegment", Column::from_str(mktsegment)),
+        ("c_mktsegment", mktsegment),
     ])
 }
 
@@ -318,47 +326,54 @@ pub fn gen_customer(scale: TpchScale, start: usize, len: usize) -> DfResult<Data
 pub fn gen_part(scale: TpchScale, start: usize, len: usize) -> DfResult<DataFrame> {
     let _ = scale;
     let mut partkey = Vec::with_capacity(len);
-    let mut name = Vec::with_capacity(len);
-    let mut mfgr = Vec::with_capacity(len);
-    let mut brand = Vec::with_capacity(len);
-    let mut ptype = Vec::with_capacity(len);
     let mut size = Vec::with_capacity(len);
-    let mut container = Vec::with_capacity(len);
     let mut retailprice = Vec::with_capacity(len);
     for i in start..start + len {
         let r = i as u64;
         let pkey = (i + 1) as i64;
         partkey.push(pkey);
-        name.push(format!(
-            "{} {}",
-            pick(T_PART, r, 1, &PART_WORDS),
-            pick(T_PART, r, 2, &PART_WORDS)
-        ));
-        let m = uniform(T_PART, r, 3, 1, 5);
-        mfgr.push(format!("Manufacturer#{m}"));
-        brand.push(format!("Brand#{}{}", m, uniform(T_PART, r, 4, 1, 5)));
-        ptype.push(format!(
-            "{} {} {}",
-            pick(T_PART, r, 5, &TYPE_1),
-            pick(T_PART, r, 6, &TYPE_2),
-            pick(T_PART, r, 7, &TYPE_3)
-        ));
         size.push(uniform(T_PART, r, 8, 1, 50));
-        container.push(format!(
-            "{} {}",
-            pick(T_PART, r, 9, &CONTAINER_1),
-            pick(T_PART, r, 10, &CONTAINER_2)
-        ));
         retailprice.push(900.0 + (pkey % 1000) as f64);
     }
+    let name = Column::from_str(rows(start, len).map(|r| {
+        [
+            pick(T_PART, r, 1, &PART_WORDS),
+            " ",
+            pick(T_PART, r, 2, &PART_WORDS),
+        ]
+        .concat()
+    }));
+    let m = |r| uniform(T_PART, r, 3, 1, 5);
+    let mfgr = Column::from_str(rows(start, len).map(|r| format!("Manufacturer#{}", m(r))));
+    let brand = Column::from_str(
+        rows(start, len).map(|r| format!("Brand#{}{}", m(r), uniform(T_PART, r, 4, 1, 5))),
+    );
+    let ptype = Column::from_str(rows(start, len).map(|r| {
+        [
+            pick(T_PART, r, 5, &TYPE_1),
+            " ",
+            pick(T_PART, r, 6, &TYPE_2),
+            " ",
+            pick(T_PART, r, 7, &TYPE_3),
+        ]
+        .concat()
+    }));
+    let container = Column::from_str(rows(start, len).map(|r| {
+        [
+            pick(T_PART, r, 9, &CONTAINER_1),
+            " ",
+            pick(T_PART, r, 10, &CONTAINER_2),
+        ]
+        .concat()
+    }));
     DataFrame::new(vec![
         ("p_partkey", Column::from_i64(partkey)),
-        ("p_name", Column::from_str(name)),
-        ("p_mfgr", Column::from_str(mfgr)),
-        ("p_brand", Column::from_str(brand)),
-        ("p_type", Column::from_str(ptype)),
+        ("p_name", name),
+        ("p_mfgr", mfgr),
+        ("p_brand", brand),
+        ("p_type", ptype),
         ("p_size", Column::from_i64(size)),
-        ("p_container", Column::from_str(container)),
+        ("p_container", container),
         ("p_retailprice", Column::from_f64(retailprice)),
     ])
 }
@@ -390,28 +405,28 @@ pub fn gen_partsupp(scale: TpchScale, start: usize, len: usize) -> DfResult<Data
 pub fn gen_supplier(scale: TpchScale, start: usize, len: usize) -> DfResult<DataFrame> {
     let _ = scale;
     let mut suppkey = Vec::with_capacity(len);
-    let mut name = Vec::with_capacity(len);
     let mut nationkey = Vec::with_capacity(len);
     let mut acctbal = Vec::with_capacity(len);
-    let mut comment = Vec::with_capacity(len);
     for i in start..start + len {
         let r = i as u64;
         suppkey.push((i + 1) as i64);
-        name.push(format!("Supplier#{:09}", i + 1));
         nationkey.push(uniform(T_SUPPLIER, r, 2, 0, 24));
         acctbal.push(uniform_f(T_SUPPLIER, r, 3, -999.99, 9999.99));
-        comment.push(if mix(T_SUPPLIER, r, 4).is_multiple_of(50) {
+    }
+    let name = Column::from_str(rows(start, len).map(|r| format!("Supplier#{:09}", r + 1)));
+    let comment = Column::from_str(rows(start, len).map(|r| {
+        if mix(T_SUPPLIER, r, 4).is_multiple_of(50) {
             "waits Customer slow Complaints"
         } else {
             "quick deliveries"
-        });
-    }
+        }
+    }));
     DataFrame::new(vec![
         ("s_suppkey", Column::from_i64(suppkey)),
-        ("s_name", Column::from_str(name)),
+        ("s_name", name),
         ("s_nationkey", Column::from_i64(nationkey)),
         ("s_acctbal", Column::from_f64(acctbal)),
-        ("s_comment", Column::from_str(comment)),
+        ("s_comment", comment),
     ])
 }
 
