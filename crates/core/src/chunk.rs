@@ -6,6 +6,7 @@
 //! position in the planner's `Layout`.
 
 use crate::error::{XbError, XbResult};
+use crate::optimizer::names::{NameTable, Names};
 use std::fmt;
 use std::sync::Arc;
 use xorbits_array::{ElemOp, NdArray, Reduction};
@@ -55,10 +56,11 @@ pub enum DfStep {
     Filter(Expr),
     /// Keep only these columns.
     Project(Vec<String>),
-    /// Keep only these columns *where present* — the tolerant projection
-    /// inserted by the column-pruning pass (the required-column analysis is
-    /// deliberately conservative across joins, so some requested names may
-    /// belong to the other join side).
+    /// Keep only these columns *where present*, in the input's order —
+    /// the tolerant projection the column-pruning pass inserts after every
+    /// operator that outputs a column no consumer reads (the
+    /// required-column analysis is deliberately conservative across joins,
+    /// so some requested names may belong to the other join side).
     PruneTo(Vec<String>),
     /// Add/replace derived columns.
     Assign(Vec<(String, Expr)>),
@@ -78,33 +80,36 @@ impl DfStep {
         !matches!(self, DfStep::Filter(_) | DfStep::Dropna(_))
     }
 
-    /// The step's output column names given its input's, in order. A
-    /// projection reads names the input may lack: `Project` of a missing
-    /// name fails at run time, `PruneTo` skips it, as the kernels do.
-    pub fn output_columns(&self, mut names: Vec<String>) -> Vec<String> {
+    /// An elementwise step's output names given its input's, in the order its
+    /// kernel makes them. A projection reads names the input may lack:
+    /// `Project` of a missing name fails at run time, `PruneTo` skips it, as
+    /// the kernels do.
+    pub fn output_names<'g>(&'g self, names: Names, table: &mut NameTable<'g>) -> Names {
         match self {
             DfStep::Filter(_) | DfStep::Fillna(..) | DfStep::Dropna(_) => names,
-            DfStep::Project(columns) => columns.clone(),
-            DfStep::PruneTo(columns) => columns
-                .iter()
-                .filter(|c| names.contains(c))
-                .cloned()
-                .collect(),
+            DfStep::Project(columns) => table.ids(columns),
+            DfStep::PruneTo(columns) => {
+                let keep = table.ids(columns);
+                names.iter().copied().filter(|n| keep.contains(n)).collect()
+            }
             DfStep::Assign(exprs) => {
+                let mut names = names.to_vec();
                 for (name, _) in exprs {
-                    if !names.contains(name) {
-                        names.push(name.clone());
+                    let id = table.id(name);
+                    if !names.contains(&id) {
+                        names.push(id);
                     }
                 }
-                names
+                names.into()
             }
-            DfStep::Rename(pairs) => names
-                .into_iter()
-                .map(|name| match pairs.iter().find(|(old, _)| *old == name) {
-                    Some((_, new)) => new.clone(),
-                    None => name,
-                })
-                .collect(),
+            DfStep::Rename(pairs) => {
+                let pairs: Vec<(u32, u32)> = pairs
+                    .iter()
+                    .map(|(old, new)| (table.id(old), table.id(new)))
+                    .collect();
+                let renamed = |n: u32| pairs.iter().find(|(old, _)| *old == n).map_or(n, |p| p.1);
+                names.iter().map(|&n| renamed(n)).collect()
+            }
         }
     }
 

@@ -40,9 +40,11 @@ pub fn missing_input(key: ChunkKey) -> XbError {
 
 /// Runs one chunk node: inputs resolve scratch-then-store, every output
 /// goes to the store when `publishes(key)` and into `scratch` otherwise.
-/// Returns the logical bytes of all outputs.
+/// `keep` is the output projection [`execute_chunk`] takes. Returns the
+/// logical bytes of all outputs.
 pub fn run_node<IO: ChunkIo>(
     node: &ChunkNode,
+    keep: Option<&[String]>,
     scratch: &mut HashMap<ChunkKey, Arc<Payload>>,
     publishes: impl Fn(ChunkKey) -> bool,
     io: &mut IO,
@@ -64,7 +66,7 @@ pub fn run_node<IO: ChunkIo>(
             })
             .collect::<XbResult<_>>()?;
         let mut bytes = 0usize;
-        let outputs = execute_chunk(&node.op, &payloads)?;
+        let outputs = execute_chunk(&node.op, &payloads, keep)?;
         for (key, payload) in node.outputs.iter().zip(outputs) {
             bytes += payload.nbytes();
             if publishes(*key) {
@@ -81,32 +83,51 @@ pub fn run_node<IO: ChunkIo>(
 
 /// Runs subtask `si` of `graph`: its fused nodes in order, intermediates
 /// in a scratch map that never touches the store, each one dropped after
-/// its last consumer inside the subtask. Returns the peak transient
-/// working set in logical bytes — the most that outputs published so far
-/// plus live intermediates came to after any node — which is what fusion
-/// still costs in memory (§V-C).
+/// its last consumer inside the subtask. An intermediate whose one reader
+/// is a `PruneTo` is built only as wide as that projection keeps (see
+/// [`execute_chunk`]). Returns the peak transient working set in logical
+/// bytes — the most that outputs published so far plus live intermediates
+/// came to after any node — which is what fusion still costs in memory
+/// (§V-C).
 pub fn run_subtask<IO: ChunkIo>(graph: &SubtaskGraph, si: usize, io: &mut IO) -> XbResult<usize> {
     let st = &graph.subtasks[si];
     let nodes = &graph.chunks.nodes;
-    // last node consuming each intermediate
-    let mut last_use: HashMap<ChunkKey, usize> =
-        st.internal_keys.iter().map(|&k| (k, usize::MAX)).collect();
+    // how many nodes read each intermediate, and the last one that does
+    let mut readers: HashMap<ChunkKey, (usize, usize)> = st
+        .internal_keys
+        .iter()
+        .map(|&k| (k, (0, usize::MAX)))
+        .collect();
     for &ni in &st.nodes {
         for k in &nodes[ni].inputs {
-            if let Some(last) = last_use.get_mut(k) {
+            if let Some((count, last)) = readers.get_mut(k) {
+                *count += 1;
                 *last = ni;
             }
         }
     }
+    // a node whose one output only a `PruneTo` reads builds what it keeps
+    let projection = |node: &ChunkNode| {
+        let [out] = node.outputs[..] else {
+            return None;
+        };
+        match readers.get(&out) {
+            Some(&(1, reader)) => match &nodes[reader].op {
+                ChunkOp::DfMap(DfStep::PruneTo(columns)) => Some(&columns[..]),
+                _ => None,
+            },
+            _ => None,
+        }
+    };
     let mut scratch: HashMap<ChunkKey, Arc<Payload>> = HashMap::new();
     let (mut live, mut peak) = (0usize, 0usize);
     for &ni in &st.nodes {
         let node = &nodes[ni];
         let publishes = |k| st.published_outputs.contains(&k);
-        live += run_node(node, &mut scratch, publishes, io)?;
+        live += run_node(node, projection(node), &mut scratch, publishes, io)?;
         peak = peak.max(live);
         for k in &node.inputs {
-            if last_use.get(k) == Some(&ni) {
+            if readers.get(k).map(|&(_, last)| last) == Some(ni) {
                 if let Some(p) = scratch.remove(k) {
                     live = live.saturating_sub(p.nbytes());
                 }
@@ -117,7 +138,16 @@ pub fn run_subtask<IO: ChunkIo>(graph: &SubtaskGraph, si: usize, io: &mut IO) ->
 }
 
 /// Executes one chunk operator. Returns one payload per declared output.
-pub fn execute_chunk(op: &ChunkOp, inputs: &[Arc<Payload>]) -> XbResult<Vec<Payload>> {
+///
+/// `keep` is an output projection with `PruneTo`'s meaning: a `Join` or a
+/// `Filter` given one builds only the columns it keeps — its result is
+/// the unprojected one pruned to `keep` — and every other operator
+/// ignores it.
+pub fn execute_chunk(
+    op: &ChunkOp,
+    inputs: &[Arc<Payload>],
+    keep: Option<&[String]>,
+) -> XbResult<Vec<Payload>> {
     match op {
         // ---- sources -------------------------------------------------------
         // the generator already returns an owned frame — no extra clone
@@ -138,7 +168,11 @@ pub fn execute_chunk(op: &ChunkOp, inputs: &[Arc<Payload>]) -> XbResult<Vec<Payl
         }
 
         // ---- dataframe elementwise ------------------------------------------
-        ChunkOp::DfMap(step) => Ok(vec![Payload::Df(apply_df_step(inputs[0].as_df()?, step)?)]),
+        ChunkOp::DfMap(step) => Ok(vec![Payload::Df(apply_df_step(
+            inputs[0].as_df()?,
+            step,
+            keep,
+        )?)]),
 
         // ---- groupby stages ---------------------------------------------------
         ChunkOp::GroupbyMap { keys, specs } => {
@@ -231,7 +265,7 @@ pub fn execute_chunk(op: &ChunkOp, inputs: &[Arc<Payload>]) -> XbResult<Vec<Payl
                 suffixes: suffixes.clone(),
             };
             Ok(vec![Payload::Df(join::merge_pieces(
-                l, r, &lo, &ro, &opts,
+                l, r, &lo, &ro, &opts, keep,
             )?)])
         }
         ChunkOp::PivotLocal {
@@ -337,24 +371,28 @@ pub fn execute_chunk(op: &ChunkOp, inputs: &[Arc<Payload>]) -> XbResult<Vec<Payl
     }
 }
 
-fn apply_df_step(df: &DataFrame, step: &DfStep) -> XbResult<DataFrame> {
+fn apply_df_step(df: &DataFrame, step: &DfStep, keep: Option<&[String]>) -> XbResult<DataFrame> {
     Ok(match step {
         DfStep::Filter(expr) => {
             let mask = eval::eval_mask(df, expr)?;
-            df.filter(&mask)?
+            match keep {
+                // the mask reads the whole frame; only the kept columns
+                // are compacted, and a frame of none has no rows
+                Some(keep) => {
+                    let kept = prune_to(df, keep)?;
+                    match kept.num_columns() {
+                        0 => kept,
+                        _ => kept.filter(&mask)?,
+                    }
+                }
+                None => df.filter(&mask)?,
+            }
         }
         DfStep::Project(cols) => {
             let names: Vec<&str> = cols.iter().map(|s| s.as_str()).collect();
             df.select(&names)?
         }
-        DfStep::PruneTo(cols) => {
-            let names: Vec<&str> = cols
-                .iter()
-                .map(|s| s.as_str())
-                .filter(|n| df.schema().contains(n))
-                .collect();
-            df.select(&names)?
-        }
+        DfStep::PruneTo(cols) => prune_to(df, cols)?,
         DfStep::Assign(exprs) => {
             let mut out = df.clone();
             for (name, expr) in exprs {
@@ -380,6 +418,17 @@ fn apply_df_step(df: &DataFrame, step: &DfStep) -> XbResult<DataFrame> {
             df.rename(&pairs)?
         }
     })
+}
+
+/// `df`'s columns that `keep` names, in `df`'s order: `PruneTo(keep)`.
+fn prune_to(df: &DataFrame, keep: &[String]) -> XbResult<DataFrame> {
+    let names: Vec<&str> = df
+        .schema()
+        .names()
+        .into_iter()
+        .filter(|name| keep.iter().any(|k| k == name))
+        .collect();
+    Ok(df.select(&names)?)
 }
 
 /// `x ↦ op(x, operand)` over every element, in one traversal.
@@ -445,6 +494,8 @@ fn combine_states(kind: Reduction, states: &[&NdArray]) -> XbResult<NdArray> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::names::NameTable;
+    use crate::tileable::TileableOp;
     use xorbits_dataframe::{col, lit, AggFunc, AggSpec, Column};
 
     /// The names the logical optimizer plans with are the names the
@@ -457,7 +508,7 @@ mod tests {
             ("w", Column::from_i64(vec![5, 6])),
         ])
         .unwrap();
-        let names = || vec!["k".to_string(), "v".to_string(), "w".to_string()];
+        let columns = ["k", "v", "w"].map(String::from);
         let steps = [
             DfStep::Filter(col("v").gt(lit(3i64))),
             DfStep::Project(vec!["w".into(), "k".into()]),
@@ -468,12 +519,13 @@ mod tests {
             DfStep::Rename(vec![("v".into(), "y".into()), ("x".into(), "z".into())]),
         ];
         for step in steps {
-            let out = apply_df_step(&df, &step).unwrap();
-            assert_eq!(
-                step.output_columns(names()),
-                out.schema().names(),
-                "{step:?}"
-            );
+            let out = apply_df_step(&df, &step, None).unwrap();
+            let op = TileableOp::DfMap(step);
+            let mut table = NameTable::default();
+            let names = table.ids(&columns);
+            let planned = op.output_names(&[Some(names)], &mut table).unwrap();
+            let planned: Vec<&str> = planned.iter().map(|&n| table.name(n)).collect();
+            assert_eq!(planned, out.schema().names(), "{op:?}");
         }
     }
 
@@ -523,7 +575,7 @@ mod tests {
         for (key, op) in ops.into_iter().enumerate() {
             let key = key as ChunkKey;
             let inputs: Vec<_> = prev.iter().map(|(_, p)| Arc::clone(p)).collect();
-            let out = execute_chunk(&op, &inputs).unwrap().remove(0);
+            let out = execute_chunk(&op, &inputs, None).unwrap().remove(0);
             sizes.push(out.nbytes());
             chunks.push(ChunkNode {
                 op,
@@ -547,6 +599,75 @@ mod tests {
         assert!(peak < a + b + c);
     }
 
+    /// A filter whose one reader is a `PruneTo` in its subtask compacts
+    /// only the kept columns; a second reader gets the whole frame.
+    #[test]
+    fn a_prune_that_alone_reads_a_filter_narrows_it() {
+        let n = 1000;
+        let src = DataFrame::new(vec![
+            ("v", Column::from_i64((0..n).collect())),
+            ("w", Column::from_i64((0..n).collect())),
+        ])
+        .unwrap();
+        let source_bytes = src.nbytes();
+        let node = |op, inputs: Vec<ChunkKey>, out| ChunkNode {
+            op,
+            inputs,
+            outputs: vec![out],
+        };
+        let filter = ChunkOp::DfMap(DfStep::Filter(col("v").lt(lit(100i64))));
+        let keep = vec!["v".to_string()];
+        let chain = || {
+            let gen = ChunkOp::DfGen {
+                gen: Arc::new({
+                    let src = src.clone();
+                    move || Ok(src.clone())
+                }),
+                label: "src".into(),
+            };
+            let mut chunks = crate::chunk::ChunkGraph::new();
+            chunks.push(node(gen, vec![], 0));
+            chunks.push(node(filter.clone(), vec![0], 1));
+            chunks.push(node(
+                ChunkOp::DfMap(DfStep::PruneTo(keep.clone())),
+                vec![1],
+                2,
+            ));
+            chunks
+        };
+        let filtered = |keep: Option<&[String]>| {
+            let input = [Arc::new(Payload::Df(src.clone()))];
+            execute_chunk(&filter, &input, keep).unwrap()[0].nbytes()
+        };
+        let (narrow, whole) = (filtered(Some(&keep)), filtered(None));
+        assert!(narrow < whole);
+
+        let graph = SubtaskGraph::from_groups(chain(), &[0, 0, 0], &[2].into()).unwrap();
+        let mut io = MapIo::default();
+        // the source and the narrow filter output were live together
+        assert_eq!(
+            run_subtask(&graph, 0, &mut io).unwrap(),
+            source_bytes + narrow
+        );
+        let pruned = io.0[&2].as_df().unwrap().clone();
+        assert_eq!(pruned.schema().names(), ["v"]);
+
+        // a second reader of the filter's output, even one that runs
+        // before the projection, sees every column
+        let mut chunks = chain();
+        let prune = chunks.nodes.pop().unwrap();
+        chunks.push(node(ChunkOp::DfMap(DfStep::Dropna(None)), vec![1], 3));
+        chunks.push(prune);
+        let graph = SubtaskGraph::from_groups(chunks, &[0; 4], &[2, 3].into()).unwrap();
+        let mut io = MapIo::default();
+        assert_eq!(
+            run_subtask(&graph, 0, &mut io).unwrap(),
+            source_bytes + whole
+        );
+        assert_eq!(io.0[&2].as_df().unwrap(), &pruned);
+        assert_eq!(io.0[&3].as_df().unwrap().schema().names(), ["v", "w"]);
+    }
+
     #[test]
     fn missing_input_is_a_plan_error() {
         let node = ChunkNode {
@@ -554,14 +675,20 @@ mod tests {
             inputs: vec![7],
             outputs: vec![8],
         };
-        let err = run_node(&node, &mut HashMap::new(), |_| true, &mut MapIo::default());
+        let err = run_node(
+            &node,
+            None,
+            &mut HashMap::new(),
+            |_| true,
+            &mut MapIo::default(),
+        );
         assert!(matches!(err, Err(XbError::Plan(m)) if m.contains("chunk 7")));
     }
 
     /// Runs `ops` one after another, each on the previous one's output.
     fn run_chain(ops: &[ChunkOp], input: Arc<Payload>) -> Arc<Payload> {
         ops.iter().fold(input, |p, op| {
-            Arc::new(execute_chunk(op, &[p]).unwrap().remove(0))
+            Arc::new(execute_chunk(op, &[p], None).unwrap().remove(0))
         })
     }
 
@@ -588,6 +715,7 @@ mod tests {
                 specs: specs.clone(),
             },
             &[df_payload()],
+            None,
         )
         .unwrap();
         let finalized = execute_chunk(
@@ -596,6 +724,7 @@ mod tests {
                 specs,
             },
             &[Arc::new(mapped.into_iter().next().unwrap())],
+            None,
         )
         .unwrap();
         let df = finalized[0].as_df().unwrap();
@@ -610,6 +739,7 @@ mod tests {
                 n: 3,
             },
             &[df_payload()],
+            None,
         )
         .unwrap();
         assert_eq!(out.len(), 3);
@@ -623,7 +753,7 @@ mod tests {
             &[8, 3],
             5,
         )));
-        let out = execute_chunk(&ChunkOp::QrLocal, std::slice::from_ref(&a)).unwrap();
+        let out = execute_chunk(&ChunkOp::QrLocal, std::slice::from_ref(&a), None).unwrap();
         assert_eq!(out.len(), 2);
         let q = out[0].as_arr().unwrap();
         let r = out[1].as_arr().unwrap();
@@ -636,14 +766,15 @@ mod tests {
         let a = Arc::new(Payload::Arr(NdArray::from_iter([1.0, 2.0, 3.0])));
         let b = Arc::new(Payload::Arr(NdArray::from_iter([4.0, 5.0])));
         let kind = Reduction::Mean;
-        let pa = execute_chunk(&ChunkOp::ReducePartial { kind }, &[a]).unwrap();
-        let pb = execute_chunk(&ChunkOp::ReducePartial { kind }, &[b]).unwrap();
+        let pa = execute_chunk(&ChunkOp::ReducePartial { kind }, &[a], None).unwrap();
+        let pb = execute_chunk(&ChunkOp::ReducePartial { kind }, &[b], None).unwrap();
         let f = execute_chunk(
             &ChunkOp::ReduceFinal { kind },
             &[
                 Arc::new(pa.into_iter().next().unwrap()),
                 Arc::new(pb.into_iter().next().unwrap()),
             ],
+            None,
         )
         .unwrap();
         assert!((f[0].as_arr().unwrap().data()[0] - 3.0).abs() < 1e-12);
@@ -666,7 +797,7 @@ mod tests {
         let empty = Arc::new(Payload::Df(
             DataFrame::new(vec![("k", Column::from_str(Vec::<&str>::new()))]).unwrap(),
         ));
-        let out = execute_chunk(&ChunkOp::Concat, &[df_payload(), empty]).unwrap();
+        let out = execute_chunk(&ChunkOp::Concat, &[df_payload(), empty], None).unwrap();
         assert_eq!(out[0].rows(), 3);
     }
 
@@ -675,10 +806,12 @@ mod tests {
         // two chunks of X, y; partial XtX/Xty summed then solved
         let x1 = NdArray::from_vec(vec![1., 0., 0., 1., 1., 1.], vec![3, 2]).unwrap();
         let y1 = NdArray::from_iter([2., 3., 5.]);
-        let xtx = execute_chunk(&ChunkOp::XtX, &[Arc::new(Payload::Arr(x1.clone()))]).unwrap();
+        let xtx =
+            execute_chunk(&ChunkOp::XtX, &[Arc::new(Payload::Arr(x1.clone()))], None).unwrap();
         let xty = execute_chunk(
             &ChunkOp::XtY,
             &[Arc::new(Payload::Arr(x1)), Arc::new(Payload::Arr(y1))],
+            None,
         )
         .unwrap();
         let w = execute_chunk(
@@ -687,6 +820,7 @@ mod tests {
                 Arc::new(xtx.into_iter().next().unwrap()),
                 Arc::new(xty.into_iter().next().unwrap()),
             ],
+            None,
         )
         .unwrap();
         let w = w[0].as_arr().unwrap();

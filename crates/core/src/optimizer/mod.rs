@@ -3,6 +3,7 @@
 //! graph.
 
 pub mod coloring;
+pub mod names;
 pub mod pruning;
 pub mod pushdown;
 

@@ -17,6 +17,7 @@
 //! Both frontends build the same logical plan, so SQL text and hand-built
 //! programs stay bit-identical to each other on every executor.
 
+use super::names::{NameTable, Names};
 use crate::chunk::DfStep;
 use crate::tileable::{TileableGraph, TileableId, TileableOp};
 use crate::trace;
@@ -24,9 +25,6 @@ use std::collections::BTreeSet;
 use xorbits_dataframe::expr::BinOp;
 use xorbits_dataframe::join::merge_columns;
 use xorbits_dataframe::{Expr, JoinType};
-
-/// Output column names per tileable (`None`: unknown).
-type Names = Vec<Option<Vec<String>>>;
 
 /// One rewrite: the conjuncts of the filter `filter` over the merge
 /// `merge`, split by where they go: `sides` into the left and right input,
@@ -58,7 +56,8 @@ pub fn push_filters(mut graph: TileableGraph) -> TileableGraph {
 fn find_push(graph: &TileableGraph) -> Option<Push> {
     let consumers = graph.consumer_counts();
     // names are read only once a filter sits on a merge
-    let mut names: Option<Names> = None;
+    let mut table = NameTable::default();
+    let mut names: Option<Vec<Option<Names>>> = None;
     for (filter, node) in graph.nodes.iter().enumerate() {
         let TileableOp::DfMap(DfStep::Filter(predicate)) = &node.op else {
             continue;
@@ -76,18 +75,20 @@ fn find_push(graph: &TileableGraph) -> Option<Push> {
         if consumers[merge] != 1 {
             continue;
         }
-        let names = names.get_or_insert_with(|| column_names(graph));
+        let names = names.get_or_insert_with(|| column_names(graph, &mut table));
         let ins = &graph.nodes[merge].inputs;
         let (Some(left), Some(right)) = (&names[ins[0]], &names[ins[1]]) else {
             continue;
         };
+        let side = |names: &Names| -> Vec<&str> { names.iter().map(|&n| table.name(n)).collect() };
+        let (left, right) = (side(left), side(right));
         let suffixes = (suffixes.0.as_str(), suffixes.1.as_str());
-        let layout = merge_columns(left, right, left_on, right_on, *how, suffixes);
+        let layout = merge_columns(&left, &right, left_on, right_on, *how, suffixes);
         // a column a conjunct may take below the join: it names exactly
         // one output column, read from that side under that same name
         let passes = |name: &String, from_right: bool| {
             let mut hits = layout.iter().filter(|(_, _, out)| out == name);
-            let side = if from_right { right } else { left };
+            let side = if from_right { &right } else { &left };
             matches!((hits.next(), hits.next()),
                 (Some((r, c, _)), None) if *r == from_right && side[*c] == *name)
         };
@@ -116,11 +117,11 @@ fn find_push(graph: &TileableGraph) -> Option<Push> {
 }
 
 /// Every tileable's output column names, in one pass over the graph.
-fn column_names(graph: &TileableGraph) -> Names {
-    let mut names: Names = Vec::with_capacity(graph.len());
+fn column_names<'g>(graph: &'g TileableGraph, table: &mut NameTable<'g>) -> Vec<Option<Names>> {
+    let mut names: Vec<Option<Names>> = Vec::with_capacity(graph.len());
     for node in &graph.nodes {
         let inputs: Vec<_> = node.inputs.iter().map(|&i| names[i].clone()).collect();
-        names.push(node.op.output_columns(&inputs));
+        names.push(node.op.output_names(&inputs, table));
     }
     names
 }

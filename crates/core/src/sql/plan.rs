@@ -356,7 +356,10 @@ impl<'a, E: Executor> Planner<'a, E> {
             if c.name == name {
                 c.clone()
             } else {
-                BCol { name, qual: None }
+                BCol {
+                    name: name.into_owned(),
+                    qual: None,
+                }
             }
         })
         .collect();

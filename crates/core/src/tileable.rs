@@ -7,6 +7,8 @@
 
 use crate::chunk::{ArrStep, DfStep};
 use crate::error::{XbError, XbResult};
+use crate::optimizer::names::{NameTable, Names};
+use std::borrow::Cow;
 use std::sync::Arc;
 use xorbits_array::{ElemOp, NdArray, Reduction};
 use xorbits_dataframe::join::merge_columns;
@@ -248,18 +250,25 @@ impl TileableOp {
         }
     }
 
-    /// The operator's output column names, given its inputs' in positional
-    /// order; `None` where a name is unknown (an input's, a pivot's, any
-    /// tensor's). The logical optimizer reads "unknown" as "leave the plan
-    /// as it is".
-    pub fn output_columns(&self, inputs: &[Option<Vec<String>>]) -> Option<Vec<String>> {
+    /// The operator's output column names as ids of `table`, given its
+    /// inputs' in positional order; `None` where a name is unknown (an
+    /// input's, a pivot's, any tensor's). The logical optimizer reads
+    /// "unknown" as "leave the plan as it is".
+    pub fn output_names<'g>(
+        &'g self,
+        inputs: &[Option<Names>],
+        table: &mut NameTable<'g>,
+    ) -> Option<Names> {
         let first = || inputs.first().cloned().flatten();
         match self {
-            TileableOp::DfSource(src) => src.column_names().ok(),
-            TileableOp::DfMap(step) => Some(step.output_columns(first()?)),
+            TileableOp::DfSource(src) => {
+                let names = src.column_names().ok()?;
+                Some(names.into_iter().map(|name| table.id(name)).collect())
+            }
+            TileableOp::DfMap(step) => Some(step.output_names(first()?, table)),
             TileableOp::GroupbyAgg { keys, specs } => {
-                let outputs = specs.iter().map(|s| s.output.clone());
-                Some(keys.iter().cloned().chain(outputs).collect())
+                let outputs = specs.iter().map(|s| &s.output);
+                Some(table.ids(keys.iter().chain(outputs)))
             }
             TileableOp::Merge {
                 left_on,
@@ -267,10 +276,26 @@ impl TileableOp {
                 how,
                 suffixes,
             } => {
-                let (left, right) = (inputs[0].as_ref()?, inputs[1].as_ref()?);
+                let (left_ids, right_ids) = (inputs[0].as_ref()?, inputs[1].as_ref()?);
+                let side =
+                    |names: &Names| -> Vec<&str> { names.iter().map(|&n| table.name(n)).collect() };
+                let (left, right) = (side(left_ids), side(right_ids));
                 let suffixes = (suffixes.0.as_str(), suffixes.1.as_str());
-                let layout = merge_columns(left, right, left_on, right_on, *how, suffixes);
-                Some(layout.into_iter().map(|(_, _, name)| name).collect())
+                // a name the rule keeps is its side's id; a suffixed one is new
+                let layout: Vec<(bool, usize, Option<String>)> =
+                    merge_columns(&left, &right, left_on, right_on, *how, suffixes)
+                        .into_iter()
+                        .map(|(from_right, c, name)| match name {
+                            Cow::Borrowed(_) => (from_right, c, None),
+                            Cow::Owned(suffixed) => (from_right, c, Some(suffixed)),
+                        })
+                        .collect();
+                let id = |(from_right, c, suffixed): (bool, usize, Option<String>)| match suffixed {
+                    Some(name) => table.id(name),
+                    None if from_right => right_ids[c],
+                    None => left_ids[c],
+                };
+                Some(layout.into_iter().map(id).collect())
             }
             TileableOp::SortValues { .. }
             | TileableOp::Head { .. }
@@ -279,6 +304,18 @@ impl TileableOp {
             | TileableOp::ConcatDf => first(),
             _ => None,
         }
+    }
+
+    /// Whether the operator's kernel builds every output column anew — a
+    /// join gathers each one, a filter compacts each one — so that column
+    /// pruning narrows its output and the kernel skips what is dropped.
+    /// Column pruning also narrows sources; every other operator outputs
+    /// what its rule makes of its input's columns.
+    pub fn builds_columns(&self) -> bool {
+        matches!(
+            self,
+            TileableOp::Merge { .. } | TileableOp::DfMap(DfStep::Filter(_))
+        )
     }
 
     /// One-line rendering for logical plans. The operator holds parameters

@@ -476,13 +476,14 @@ impl<'g> Tiler<'g> {
     fn tile_one(&mut self, id: TileableId, meta: &dyn MetaView) -> XbResult<Option<Layout>> {
         // `TileableGraph::push` checked that the operator has the inputs it
         // reads, so the positional indexing below cannot miss
-        let node = self.graph.nodes[id].clone();
+        let graph = self.graph;
+        let node = &graph.nodes[id];
         let ins = &node.inputs[..];
-        let layout = match node.op {
-            TileableOp::DfSource(src) => self.tile_df_source(&src),
+        let layout = match &node.op {
+            TileableOp::DfSource(src) => self.tile_df_source(src),
             TileableOp::DfMap(step) => self.tile_df_map(ins[0], step)?,
             TileableOp::GroupbyAgg { keys, specs } => {
-                return self.tile_groupby(id, ins[0], meta, keys, specs)
+                return self.tile_groupby(id, ins[0], meta, keys.clone(), specs.clone())
             }
             TileableOp::Merge {
                 left_on,
@@ -494,17 +495,17 @@ impl<'g> Tiler<'g> {
                     left_inputs,
                     left_on: left_on.clone(),
                     right_on: right_on.clone(),
-                    how,
+                    how: *how,
                     suffixes: suffixes.clone(),
                 };
                 let (left, right) = ((ins[0], &left_on[..]), (ins[1], &right_on[..]));
-                return self.tile_merge(meta, left, right, how, join);
+                return self.tile_merge(meta, left, right, *how, join);
             }
-            TileableOp::SortValues { keys } => self.tile_sort(id, ins[0], keys)?,
-            TileableOp::Head { n } => return self.tile_head(ins[0], meta, n),
-            TileableOp::ILocRow { row } => return self.tile_iloc(ins[0], meta, row),
+            TileableOp::SortValues { keys } => self.tile_sort(id, ins[0], keys.clone())?,
+            TileableOp::Head { n } => return self.tile_head(ins[0], meta, *n),
+            TileableOp::ILocRow { row } => return self.tile_iloc(ins[0], meta, *row),
             TileableOp::DropDuplicates { subset } => {
-                return self.tile_distinct(ins[0], meta, subset)
+                return self.tile_distinct(ins[0], meta, subset.clone())
             }
             TileableOp::ConcatDf => {
                 let mut chunks = Vec::new();
@@ -521,10 +522,10 @@ impl<'g> Tiler<'g> {
             } => {
                 let layout = self.input(ins[0])?;
                 let pivot = ChunkOp::PivotLocal {
-                    index,
-                    columns,
-                    values,
-                    agg,
+                    index: index.clone(),
+                    columns: columns.clone(),
+                    values: values.clone(),
+                    agg: *agg,
                 };
                 let out = self.emit(pivot, layout.keys());
                 Layout::one(out, layout.est_bytes() / 2, 0, false)
@@ -533,15 +534,15 @@ impl<'g> Tiler<'g> {
                 shape,
                 seed,
                 normal,
-            } => self.tile_tensor_random(&shape, seed, normal),
+            } => self.tile_tensor_random(shape, *seed, *normal),
             TileableOp::TensorFromArr(a) => {
                 let (bytes, rows) = (a.nbytes(), a.shape().first().copied().unwrap_or(0));
-                let out = self.emit(ChunkOp::ArrLiteral(a), vec![]);
+                let out = self.emit(ChunkOp::ArrLiteral(a.clone()), vec![]);
                 Layout::one(out, bytes, rows, true)
             }
             TileableOp::TensorMap(step) => {
                 let layout = self.input(ins[0])?;
-                let outs = self.map(&layout.keys(), || ChunkOp::ArrMap(step));
+                let outs = self.map(&layout.keys(), || ChunkOp::ArrMap(*step));
                 Layout::zip(outs, layout.chunks.iter().map(|c| c.est))
             }
             TileableOp::TensorBinary { op } => {
@@ -563,7 +564,7 @@ impl<'g> Tiler<'g> {
                 };
                 let pairs = la.chunks.iter().zip(rhs);
                 let outs = pairs
-                    .map(|(c, r)| self.emit(ChunkOp::ArrBinary(op), vec![c.key, r]))
+                    .map(|(c, r)| self.emit(ChunkOp::ArrBinary(*op), vec![c.key, r]))
                     .collect();
                 Layout::zip(outs, la.chunks.iter().map(|c| c.est))
             }
@@ -590,12 +591,13 @@ impl<'g> Tiler<'g> {
             // aliases the slot's layout
             TileableOp::TensorSlot { slot } => {
                 let input = ins[0];
-                let layout = self.layouts.get(&(input, slot)).cloned();
+                let layout = self.layouts.get(&(input, *slot)).cloned();
                 layout.ok_or_else(|| {
                     XbError::Plan(format!("tileable {input} has no output slot {slot}"))
                 })?
             }
             TileableOp::TensorReduce { kind } => {
+                let kind = *kind;
                 let keys = self.input(ins[0])?.keys();
                 let partials = self.map(&keys, || ChunkOp::ReducePartial { kind });
                 let combined = self.tree(partials, || ChunkOp::ReduceCombine { kind });
@@ -665,7 +667,7 @@ impl<'g> Tiler<'g> {
         Layout { chunks }
     }
 
-    fn tile_df_map(&mut self, input: TileableId, step: DfStep) -> XbResult<Layout> {
+    fn tile_df_map(&mut self, input: TileableId, step: &DfStep) -> XbResult<Layout> {
         let layout = self.input(input)?;
         let outs = self.map(&layout.keys(), || ChunkOp::DfMap(step.clone()));
         let ests = layout.chunks.iter().map(|c| ChunkEst {

@@ -612,6 +612,67 @@ impl StrArr {
         }
     }
 
+    /// Builds `rows` all-valid strings written in place: `write(i, text)`
+    /// appends row `i`'s string to `text`, one buffer for the whole column
+    /// reserved at `bytes`, so no row allocates a string of its own.
+    pub fn from_writer(
+        rows: usize,
+        bytes: usize,
+        mut write: impl FnMut(usize, &mut String),
+    ) -> Self {
+        let mut text = String::with_capacity(bytes);
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0u32);
+        for i in 0..rows {
+            write(i, &mut text);
+            offsets.push(text.len() as u32);
+        }
+        StrArr {
+            data: Buffer::from_vec(text.into_bytes()),
+            offsets: Buffer::from_vec(offsets),
+            validity: None,
+        }
+    }
+
+    /// All-valid strings each one of a few `options`: row `i` is
+    /// `options[picks[i]]`. The byte buffer is reserved for the values
+    /// plus one store's slack, and each value of at most `PICK_WIDTH`
+    /// bytes is copied as one fixed-width store of its option padded out,
+    /// the buffer then cut back to the value's end — no variable-length
+    /// copy per row.
+    pub fn from_picks(options: &[&str], picks: &[u8]) -> Self {
+        const PICK_WIDTH: usize = 32;
+        let padded: Vec<[u8; PICK_WIDTH]> = options
+            .iter()
+            .map(|o| {
+                let mut pad = [0u8; PICK_WIDTH];
+                let n = o.len().min(PICK_WIDTH);
+                pad[..n].copy_from_slice(&o.as_bytes()[..n]);
+                pad
+            })
+            .collect();
+        let total: usize = picks.iter().map(|&p| options[p as usize].len()).sum();
+        let mut data: Vec<u8> = Vec::with_capacity(total + PICK_WIDTH);
+        let mut offsets = Vec::with_capacity(picks.len() + 1);
+        offsets.push(0u32);
+        for &p in picks {
+            let value = options[p as usize];
+            let end = data.len() + value.len();
+            if value.len() <= PICK_WIDTH {
+                data.extend_from_slice(&padded[p as usize]);
+                data.truncate(end);
+            } else {
+                data.extend_from_slice(value.as_bytes());
+            }
+            offsets.push(end as u32);
+        }
+        StrArr {
+            data: Buffer::from_vec(data),
+            offsets: Buffer::from_vec(offsets),
+            validity: None,
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.offsets.len() - 1
@@ -1249,6 +1310,20 @@ impl Column {
     #[allow(clippy::should_implement_trait)]
     pub fn from_str<S: AsRef<str>, I: IntoIterator<Item = S>>(values: I) -> Self {
         Column::Utf8(StrArr::from_iter(values))
+    }
+
+    /// All-valid Utf8 column written in place ([`StrArr::from_writer`]).
+    pub fn from_str_writer(
+        rows: usize,
+        bytes: usize,
+        write: impl FnMut(usize, &mut String),
+    ) -> Self {
+        Column::Utf8(StrArr::from_writer(rows, bytes, write))
+    }
+
+    /// All-valid Utf8 column of `options[picks[i]]` ([`StrArr::from_picks`]).
+    pub fn from_str_picks(options: &[&str], picks: &[u8]) -> Self {
+        Column::Utf8(StrArr::from_picks(options, picks))
     }
 
     /// Utf8 column with nulls.

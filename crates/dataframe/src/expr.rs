@@ -239,17 +239,25 @@ impl Expr {
 
     /// Collects the set of referenced column names (for column pruning).
     pub fn required_columns(&self, out: &mut BTreeSet<String>) {
-        match self {
-            Expr::Col(name) => {
-                out.insert(name.clone());
+        self.visit_columns(&mut |name| {
+            if !out.contains(name) {
+                out.insert(name.to_string());
             }
+        });
+    }
+
+    /// Calls `f` on every referenced column name, left to right, repeats
+    /// included.
+    pub fn visit_columns<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
+        match self {
+            Expr::Col(name) => f(name),
             Expr::Lit(_) => {}
             Expr::Binary { lhs, rhs, .. } => {
-                lhs.required_columns(out);
-                rhs.required_columns(out);
+                lhs.visit_columns(f);
+                rhs.visit_columns(f);
             }
             Expr::Unary { expr, .. } | Expr::Call { expr, .. } | Expr::IsIn { expr, .. } => {
-                expr.required_columns(out);
+                expr.visit_columns(f);
             }
         }
     }

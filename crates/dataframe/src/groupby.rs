@@ -421,9 +421,15 @@ enum Accumulator<'a> {
         ngroups: usize,
         seen: Vec<u64>,
     },
-    /// Distinct count over the same keys, one set per group: for observed
-    /// key ranges too wide for the bitset.
-    NuniqueSets(NumView<'a>, Vec<FxHashSet<i64>>),
+    /// Distinct count over the same keys, for observed key ranges too
+    /// wide for the bitset: one set of `(group, key)` pairs for the whole
+    /// chunk, reserved from its row count, and a count per group that
+    /// grows when a pair is new.
+    NuniqueSets {
+        keys: NumView<'a>,
+        seen: FxHashSet<(u32, i64)>,
+        counts: Vec<i64>,
+    },
 }
 
 /// Largest (groups × observed key range) the nunique bitset accepts (bits;
@@ -492,7 +498,14 @@ impl<'a> Accumulator<'a> {
                         ngroups,
                         seen: vec![0u64; (ngroups * span).div_ceil(64)],
                     },
-                    None => Accumulator::NuniqueSets(keys, vec![FxHashSet::default(); ngroups]),
+                    None => Accumulator::NuniqueSets {
+                        keys,
+                        seen: FxHashSet::with_capacity_and_hasher(
+                            groups.row_gids.len(),
+                            Default::default(),
+                        ),
+                        counts: vec![0; ngroups],
+                    },
                 }
             }
         })
@@ -557,8 +570,10 @@ impl<'a> Accumulator<'a> {
                 let bit = g * *span + (k - *lo) as usize;
                 seen[bit >> 6] |= 1 << (bit & 63);
             }),
-            Accumulator::NuniqueSets(keys, sets) => keys.walk_keys(row_gids, |g, k| {
-                sets[g].insert(k);
+            Accumulator::NuniqueSets { keys, seen, counts } => keys.walk_keys(row_gids, |g, k| {
+                if seen.insert((g as u32, k)) {
+                    counts[g] += 1;
+                }
             }),
         }
     }
@@ -606,9 +621,7 @@ impl<'a> Accumulator<'a> {
                 }
                 Column::from_i64(out)
             }
-            Accumulator::NuniqueSets(_, sets) => {
-                Column::from_i64(sets.into_iter().map(|s| s.len() as i64).collect())
-            }
+            Accumulator::NuniqueSets { counts, .. } => Column::from_i64(counts),
         })
     }
 }

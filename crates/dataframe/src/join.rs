@@ -58,7 +58,7 @@ pub fn merge(
     right_on: &[&str],
     opts: &JoinOptions,
 ) -> DfResult<DataFrame> {
-    merge_pieces(&[left], &[right], left_on, right_on, opts)
+    merge_pieces(&[left], &[right], left_on, right_on, opts, None)
 }
 
 /// [`merge`] of two sides each given as pieces — the chunks of one
@@ -68,12 +68,17 @@ pub fn merge(
 /// (right) side is indexed by global row id across its pieces, the probe
 /// (left) side is probed piece by piece, and each output column is
 /// gathered once, straight from the pieces ([`Column::gather`]).
+///
+/// With `keep`, only the output columns it names are gathered, in output
+/// order: the result is the merge with every other column dropped, and a
+/// dropped column costs nothing.
 pub fn merge_pieces(
     left: &[&DataFrame],
     right: &[&DataFrame],
     left_on: &[&str],
     right_on: &[&str],
     opts: &JoinOptions,
+    keep: Option<&[String]>,
 ) -> DfResult<DataFrame> {
     if left_on.len() != right_on.len() || left_on.is_empty() {
         return Err(DfError::Unsupported(
@@ -120,61 +125,59 @@ pub fn merge_pieces(
         let parts: Vec<&Column> = side.iter().map(|d| d.column_at(c)).collect();
         Column::gather_planned(&parts, plan)
     };
-    let lplan = plan(&left, &matches.left);
-    let lschema = left[0].schema();
-    // Semi/anti: just select left rows.
-    if matches!(opts.how, JoinType::Semi | JoinType::Anti) {
-        let columns = (0..lschema.len())
-            .map(|c| gather(&left, c, &lplan))
-            .collect::<DfResult<_>>()?;
-        let rows = matches.left.len();
-        return Ok(DataFrame::from_parts(lschema.clone(), columns, rows));
-    }
-
-    let rplan = plan(&right, &matches.right);
-    let layout = merge_columns(
-        &lschema.names(),
-        &right[0].schema().names(),
+    let (left_names, right_names) = (left[0].schema().names(), right[0].schema().names());
+    let mut layout = merge_columns(
+        &left_names,
+        &right_names,
         left_on,
         right_on,
         opts.how,
         (&opts.suffixes.0, &opts.suffixes.1),
     );
+    if let Some(keep) = keep {
+        layout.retain(|(_, _, name)| keep.iter().any(|k| k == name));
+    }
+    let lplan = plan(&left, &matches.left);
+    // a semi or anti join reads no right column
+    let rplan = layout
+        .iter()
+        .any(|(from_right, _, _)| *from_right)
+        .then(|| plan(&right, &matches.right));
     let mut pairs: Vec<(String, Column)> = Vec::with_capacity(layout.len());
     for (from_right, c, name) in layout {
         // a left join's unmatched rows gather `NO_ROW`: nulls, made
         // directly in the output column
-        let column = if from_right {
-            gather(&right, c, &rplan)?
-        } else {
-            gather(&left, c, &lplan)?
+        let column = match &rplan {
+            Some(rplan) if from_right => gather(&right, c, rplan)?,
+            _ => gather(&left, c, &lplan)?,
         };
-        pairs.push((name, column));
+        pairs.push((name.into_owned(), column));
     }
     DataFrame::new(pairs)
 }
 
 /// The output columns of a merge, in order, as `(from_right, index, name)`:
 /// the side a column is read from, its position in that side's schema and
-/// its output name. A semi or anti join keeps the left columns as they
-/// are. Otherwise the left columns come first, then the right ones; a key
-/// both sides name alike appears once, from the left, and any other name
-/// both sides carry gets its side's suffix. [`merge_pieces`] builds its
-/// result from this layout, and the logical optimizer and the SQL binder
-/// read it, so the suffix rule is written once.
-pub fn merge_columns<L: AsRef<str>, R: AsRef<str>, K: AsRef<str>>(
-    left: &[L],
-    right: &[R],
+/// its output name, borrowed from the side unless suffixed. A semi or anti
+/// join keeps the left columns as they are. Otherwise the left columns
+/// come first, then the right ones; a key both sides name alike appears
+/// once, from the left, and any other name both sides carry gets its
+/// side's suffix. [`merge_pieces`] builds its result from this layout,
+/// and the logical optimizer and the SQL binder read it, so the suffix
+/// rule is written once.
+pub fn merge_columns<'a, L: AsRef<str>, R: AsRef<str>, K: AsRef<str>>(
+    left: &'a [L],
+    right: &'a [R],
     left_on: &[K],
     right_on: &[K],
     how: JoinType,
     suffixes: (&str, &str),
-) -> Vec<(bool, usize, String)> {
+) -> Vec<(bool, usize, Cow<'a, str>)> {
     let left = left.iter().map(AsRef::as_ref);
     if matches!(how, JoinType::Semi | JoinType::Anti) {
         return left
             .enumerate()
-            .map(|(c, n)| (false, c, n.to_string()))
+            .map(|(c, n)| (false, c, n.into()))
             .collect();
     }
     let shared_key = |name: &str| {
@@ -188,9 +191,9 @@ pub fn merge_columns<L: AsRef<str>, R: AsRef<str>, K: AsRef<str>>(
     let mut out = Vec::with_capacity(left.len() + right.len());
     for (c, name) in left.clone().enumerate() {
         let out_name = if in_right(name) && !shared_key(name) {
-            format!("{name}{}", suffixes.0)
+            format!("{name}{}", suffixes.0).into()
         } else {
-            name.to_string()
+            name.into()
         };
         out.push((false, c, out_name));
     }
@@ -199,9 +202,9 @@ pub fn merge_columns<L: AsRef<str>, R: AsRef<str>, K: AsRef<str>>(
             continue;
         }
         let out_name = if in_left(name) {
-            format!("{name}{}", suffixes.1)
+            format!("{name}{}", suffixes.1).into()
         } else {
-            name.to_string()
+            name.into()
         };
         out.push((true, c, out_name));
     }
@@ -604,7 +607,7 @@ mod tests {
                 how,
                 ..Default::default()
             };
-            let got = merge_pieces(&lrefs, &rrefs, &["k"], &["k"], &opts).unwrap();
+            let got = merge_pieces(&lrefs, &rrefs, &["k"], &["k"], &opts, None).unwrap();
             assert_eq!(
                 got,
                 merge(&l, &r, &["k"], &["k"], &opts).unwrap(),

@@ -338,7 +338,7 @@ impl SimExecutor {
             let mut io = self.chunks.io();
             let lost = &self.recovery.lost;
             let publishes = |k| lost.contains(&k) || want.contains(&k);
-            let out_bytes = exec::run_node(&rec.node, &mut scratch, publishes, &mut io)?;
+            let out_bytes = exec::run_node(&rec.node, None, &mut scratch, publishes, &mut io)?;
             let published = io.published;
             let measured = timer.elapsed().as_secs_f64();
             stats.real_cpu_seconds += measured;

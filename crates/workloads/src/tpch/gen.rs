@@ -40,8 +40,26 @@ fn uniform_f(table: u64, row: u64, field: u64, lo: f64, hi: f64) -> f64 {
     lo + u * (hi - lo)
 }
 
-fn pick<'a>(table: u64, row: u64, field: u64, options: &[&'a str]) -> &'a str {
-    options[(mix(table, row, field) % options.len() as u64) as usize]
+/// Index of one of `n` (at most 256) options, as a string column's pick.
+fn pick(table: u64, row: u64, field: u64, n: usize) -> u8 {
+    (mix(table, row, field) % n as u64) as u8
+}
+
+/// Appends `value` in decimal, zero-padded to `width` digits — what
+/// `format!("{value:0width$}")` makes, without a string of its own.
+fn push_padded(text: &mut String, value: u64, width: usize) {
+    let mut digits = [b'0'; 20];
+    let (mut at, mut rest) = (digits.len(), value);
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let at = at.min(digits.len() - width.min(digits.len()));
+    text.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 const REGIONS: [&str; 5] = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
@@ -148,13 +166,20 @@ const T_PARTSUPP: u64 = 5;
 const T_SUPPLIER: u64 = 6;
 
 /// Row ids `start..start + len` as the `row` argument of [`mix`]. String
-/// columns are generated from these (and from finished value columns) in
-/// one pass each, straight into the column's bytes: a staging vector of
-/// one `&str` (16 B) or `String` (a heap block) per row would be allocated
-/// and freed on every build, and those frees moved how much of the freed
-/// tables glibc handed back to the kernel.
+/// columns are generated from these (and from finished value columns)
+/// straight into the column's bytes: a column of a few fixed values from
+/// one pick per row ([`Column::from_str_picks`]), any other from a writer
+/// that appends each row's text to the column's one buffer
+/// ([`Column::from_str_writer`]). A staging `String` per row would be
+/// allocated and freed on every build, and those frees moved how much of
+/// the freed tables glibc handed back to the kernel.
 fn rows(start: usize, len: usize) -> impl Iterator<Item = u64> {
     (start..start + len).map(|i| i as u64)
+}
+
+/// One pick per row of `start..start + len`.
+fn picks(start: usize, len: usize, pick: impl Fn(u64) -> u8) -> Vec<u8> {
+    rows(start, len).map(pick).collect()
 }
 
 /// `j`-th of the four suppliers of `partkey` (TPC-H formula analogue).
@@ -207,23 +232,22 @@ pub fn gen_lineitem(scale: TpchScale, start: usize, len: usize) -> DfResult<Data
         commitdate.push(cdate);
         receiptdate.push(rdate);
     }
-    let returnflag = Column::from_str(rows(start, len).zip(&receiptdate).map(|(r, &rdate)| {
-        if rdate > cutoff {
-            "N"
+    let returnflag = picks(start, len, |r| {
+        if receiptdate[(r as usize) - start] > cutoff {
+            0
         } else if mix(T_LINEITEM, r, 11).is_multiple_of(2) {
-            "R"
+            1
         } else {
-            "A"
+            2
         }
-    }));
-    let linestatus = Column::from_str(
-        shipdate
-            .iter()
-            .map(|&sdate| if sdate > cutoff { "O" } else { "F" }),
-    );
-    let shipinstruct =
-        Column::from_str(rows(start, len).map(|r| pick(T_LINEITEM, r, 12, &INSTRUCTIONS)));
-    let shipmode = Column::from_str(rows(start, len).map(|r| pick(T_LINEITEM, r, 13, &SHIPMODES)));
+    });
+    let returnflag = Column::from_str_picks(&["N", "R", "A"], &returnflag);
+    let linestatus: Vec<u8> = shipdate.iter().map(|&d| (d <= cutoff) as u8).collect();
+    let linestatus = Column::from_str_picks(&["O", "F"], &linestatus);
+    let shipinstruct = picks(start, len, |r| pick(T_LINEITEM, r, 12, INSTRUCTIONS.len()));
+    let shipinstruct = Column::from_str_picks(&INSTRUCTIONS, &shipinstruct);
+    let shipmode = picks(start, len, |r| pick(T_LINEITEM, r, 13, SHIPMODES.len()));
+    let shipmode = Column::from_str_picks(&SHIPMODES, &shipmode);
     DataFrame::new(vec![
         ("l_orderkey", Column::from_i64(orderkey)),
         ("l_partkey", Column::from_i64(partkey)),
@@ -261,22 +285,28 @@ pub fn gen_orders(scale: TpchScale, start: usize, len: usize) -> DfResult<DataFr
         totalprice.push(uniform_f(T_ORDERS, r, 4, 1000.0, 400_000.0));
         shippriority.push(0i64);
     }
-    let orderstatus = Column::from_str(rows(start, len).zip(&orderdate).map(|(r, &odate)| {
-        if odate > dates::to_days(1995, 6, 17) {
-            "O"
+    let cutoff = dates::to_days(1995, 6, 17);
+    let orderstatus = picks(start, len, |r| {
+        if orderdate[(r as usize) - start] > cutoff {
+            0
         } else if mix(T_ORDERS, r, 3).is_multiple_of(20) {
-            "P"
+            1
         } else {
-            "F"
+            2
         }
-    }));
-    let orderpriority =
-        Column::from_str(rows(start, len).map(|r| pick(T_ORDERS, r, 5, &PRIORITIES)));
-    let comment = Column::from_str(rows(start, len).map(|r| match mix(T_ORDERS, r, 6) % 100 {
-        0 => "special packages requests",
-        1 => "pending special deposits requests",
-        _ => "carefully final deposits",
-    }));
+    });
+    let orderstatus = Column::from_str_picks(&["O", "P", "F"], &orderstatus);
+    let orderpriority = picks(start, len, |r| pick(T_ORDERS, r, 5, PRIORITIES.len()));
+    let orderpriority = Column::from_str_picks(&PRIORITIES, &orderpriority);
+    let comment = picks(start, len, |r| (mix(T_ORDERS, r, 6) % 100).min(2) as u8);
+    let comment = Column::from_str_picks(
+        &[
+            "special packages requests",
+            "pending special deposits requests",
+            "carefully final deposits",
+        ],
+        &comment,
+    );
     DataFrame::new(vec![
         ("o_orderkey", Column::from_i64(orderkey)),
         ("o_custkey", Column::from_i64(custkey)),
@@ -301,17 +331,22 @@ pub fn gen_customer(scale: TpchScale, start: usize, len: usize) -> DfResult<Data
         nationkey.push(uniform(T_CUSTOMER, r, 2, 0, 24));
         acctbal.push(uniform_f(T_CUSTOMER, r, 6, -999.99, 9999.99));
     }
-    let name = Column::from_str(rows(start, len).map(|r| format!("Customer#{:09}", r + 1)));
-    let phone = Column::from_str(rows(start, len).zip(&nationkey).map(|(r, &nk)| {
-        format!(
-            "{:02}-{:03}-{:03}-{:04}",
-            nk + 10,
-            mix(T_CUSTOMER, r, 3) % 1000,
-            mix(T_CUSTOMER, r, 4) % 1000,
-            mix(T_CUSTOMER, r, 5) % 10000
-        )
-    }));
-    let mktsegment = Column::from_str(rows(start, len).map(|r| pick(T_CUSTOMER, r, 7, &SEGMENTS)));
+    let name = Column::from_str_writer(len, len * 18, |i, text| {
+        text.push_str("Customer#");
+        push_padded(text, (start + i + 1) as u64, 9);
+    });
+    let phone = Column::from_str_writer(len, len * 15, |i, text| {
+        let r = (start + i) as u64;
+        push_padded(text, (nationkey[i] + 10) as u64, 2);
+        text.push('-');
+        push_padded(text, mix(T_CUSTOMER, r, 3) % 1000, 3);
+        text.push('-');
+        push_padded(text, mix(T_CUSTOMER, r, 4) % 1000, 3);
+        text.push('-');
+        push_padded(text, mix(T_CUSTOMER, r, 5) % 10000, 4);
+    });
+    let mktsegment = picks(start, len, |r| pick(T_CUSTOMER, r, 7, SEGMENTS.len()));
+    let mktsegment = Column::from_str_picks(&SEGMENTS, &mktsegment);
     DataFrame::new(vec![
         ("c_custkey", Column::from_i64(custkey)),
         ("c_name", name),
@@ -335,37 +370,35 @@ pub fn gen_part(scale: TpchScale, start: usize, len: usize) -> DfResult<DataFram
         size.push(uniform(T_PART, r, 8, 1, 50));
         retailprice.push(900.0 + (pkey % 1000) as f64);
     }
-    let name = Column::from_str(rows(start, len).map(|r| {
-        [
-            pick(T_PART, r, 1, &PART_WORDS),
-            " ",
-            pick(T_PART, r, 2, &PART_WORDS),
-        ]
-        .concat()
-    }));
-    let m = |r| uniform(T_PART, r, 3, 1, 5);
-    let mfgr = Column::from_str(rows(start, len).map(|r| format!("Manufacturer#{}", m(r))));
-    let brand = Column::from_str(
-        rows(start, len).map(|r| format!("Brand#{}{}", m(r), uniform(T_PART, r, 4, 1, 5))),
-    );
-    let ptype = Column::from_str(rows(start, len).map(|r| {
-        [
-            pick(T_PART, r, 5, &TYPE_1),
-            " ",
-            pick(T_PART, r, 6, &TYPE_2),
-            " ",
-            pick(T_PART, r, 7, &TYPE_3),
-        ]
-        .concat()
-    }));
-    let container = Column::from_str(rows(start, len).map(|r| {
-        [
-            pick(T_PART, r, 9, &CONTAINER_1),
-            " ",
-            pick(T_PART, r, 10, &CONTAINER_2),
-        ]
-        .concat()
-    }));
+    // appends one pick of each `(field, options)`, space-joined
+    let words = |i: usize, text: &mut String, lists: &[(u64, &[&str])]| {
+        let r = (start + i) as u64;
+        for (k, &(field, options)) in lists.iter().enumerate() {
+            if k > 0 {
+                text.push(' ');
+            }
+            text.push_str(options[pick(T_PART, r, field, options.len()) as usize]);
+        }
+    };
+    let name = Column::from_str_writer(len, len * 13, |i, text| {
+        words(i, text, &[(1, &PART_WORDS), (2, &PART_WORDS)])
+    });
+    let m = |i: usize| uniform(T_PART, (start + i) as u64, 3, 1, 5) as u64;
+    let mfgr = Column::from_str_writer(len, len * 14, |i, text| {
+        text.push_str("Manufacturer#");
+        push_padded(text, m(i), 1);
+    });
+    let brand = Column::from_str_writer(len, len * 8, |i, text| {
+        text.push_str("Brand#");
+        push_padded(text, m(i), 1);
+        push_padded(text, uniform(T_PART, (start + i) as u64, 4, 1, 5) as u64, 1);
+    });
+    let ptype = Column::from_str_writer(len, len * 20, |i, text| {
+        words(i, text, &[(5, &TYPE_1), (6, &TYPE_2), (7, &TYPE_3)])
+    });
+    let container = Column::from_str_writer(len, len * 8, |i, text| {
+        words(i, text, &[(9, &CONTAINER_1), (10, &CONTAINER_2)])
+    });
     DataFrame::new(vec![
         ("p_partkey", Column::from_i64(partkey)),
         ("p_name", name),
@@ -413,14 +446,17 @@ pub fn gen_supplier(scale: TpchScale, start: usize, len: usize) -> DfResult<Data
         nationkey.push(uniform(T_SUPPLIER, r, 2, 0, 24));
         acctbal.push(uniform_f(T_SUPPLIER, r, 3, -999.99, 9999.99));
     }
-    let name = Column::from_str(rows(start, len).map(|r| format!("Supplier#{:09}", r + 1)));
-    let comment = Column::from_str(rows(start, len).map(|r| {
-        if mix(T_SUPPLIER, r, 4).is_multiple_of(50) {
-            "waits Customer slow Complaints"
-        } else {
-            "quick deliveries"
-        }
-    }));
+    let name = Column::from_str_writer(len, len * 18, |i, text| {
+        text.push_str("Supplier#");
+        push_padded(text, (start + i + 1) as u64, 9);
+    });
+    let comment = picks(start, len, |r| {
+        (!mix(T_SUPPLIER, r, 4).is_multiple_of(50)) as u8
+    });
+    let comment = Column::from_str_picks(
+        &["waits Customer slow Complaints", "quick deliveries"],
+        &comment,
+    );
     DataFrame::new(vec![
         ("s_suppkey", Column::from_i64(suppkey)),
         ("s_name", name),
@@ -607,6 +643,77 @@ mod tests {
         assert_eq!(s.orders(), 7_500);
         assert_eq!(s.customer(), 750);
         assert_eq!(s.partsupp(), s.part() * 4);
+    }
+
+    /// FNV-1a over every column's name, type and values, row by row.
+    fn digest(df: &DataFrame) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for name in df.schema().names() {
+            let column = df.column(name).unwrap();
+            eat(name.as_bytes());
+            eat(format!("{:?}", column.data_type()).as_bytes());
+            for i in 0..column.len() {
+                match column.get(i) {
+                    Scalar::Int(v) => eat(&v.to_le_bytes()),
+                    Scalar::Float(v) => eat(&v.to_bits().to_le_bytes()),
+                    Scalar::Date(v) => eat(&v.to_le_bytes()),
+                    Scalar::Str(s) => {
+                        eat(&(s.len() as u64).to_le_bytes());
+                        eat(s.as_bytes());
+                    }
+                    other => eat(format!("{other:?}").as_bytes()),
+                }
+            }
+        }
+        h
+    }
+
+    /// Every generated table is pinned value for value at two scale
+    /// factors: a faster generator must build the same tables.
+    #[test]
+    fn generated_tables_are_pinned() {
+        type Gen = fn(TpchScale, usize, usize) -> DfResult<DataFrame>;
+        type Rows = fn(&TpchScale) -> usize;
+        let tables: [(&str, Gen, Rows); 6] = [
+            ("lineitem", gen_lineitem, TpchScale::lineitem),
+            ("orders", gen_orders, TpchScale::orders),
+            ("customer", gen_customer, TpchScale::customer),
+            ("part", gen_part, TpchScale::part),
+            ("partsupp", gen_partsupp, TpchScale::partsupp),
+            ("supplier", gen_supplier, TpchScale::supplier),
+        ];
+        let mut got = Vec::new();
+        for sf in [1.0, 10.0] {
+            let scale = TpchScale::new(sf);
+            for (name, gen, rows) in tables {
+                let df = gen(scale, 0, rows(&scale)).unwrap();
+                got.push(format!("sf {sf} {name} {:016x}", digest(&df)));
+            }
+        }
+        got.push(format!("nation {:016x}", digest(&gen_nation().unwrap())));
+        got.push(format!("region {:016x}", digest(&gen_region().unwrap())));
+        let want = [
+            "sf 1 lineitem 5c0f7134d86b4d1f",
+            "sf 1 orders 039aa37497f2fc44",
+            "sf 1 customer faa6278bce4eba0e",
+            "sf 1 part 416859ddf9a2c33f",
+            "sf 1 partsupp b2f743a743a83ebe",
+            "sf 1 supplier 899eb38492645c21",
+            "sf 10 lineitem a493b9df5111e7dc",
+            "sf 10 orders e84e39132e547ea9",
+            "sf 10 customer 695a18971051b91f",
+            "sf 10 part 21767e7586d0e3d7",
+            "sf 10 partsupp efe877b6ffb63cd9",
+            "sf 10 supplier 0d50841715388a87",
+            "nation 724d257e024bbe74",
+            "region e4d2f8eaa57c4d69",
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

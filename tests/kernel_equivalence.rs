@@ -11,7 +11,10 @@
 //! frames.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use xorbits::array::prng::Xoshiro256;
+use xorbits::core::chunk::{ChunkOp, DfStep, Payload, PayloadKind};
+use xorbits::core::exec;
 use xorbits::dataframe::column::NO_ROW;
 use xorbits::dataframe::dates;
 use xorbits::dataframe::expr::{BinOp, Func};
@@ -449,14 +452,72 @@ fn merge_matches_nested_loop_reference() {
                 suffixes: (suffixes.0.into(), suffixes.1.into()),
             };
             let what = format!("case {case} {how:?} keys {kt:?}/{lon:?}/{ron:?} nulls {nulls}");
-            let got = join::merge_pieces(&lrefs, &rrefs, &lon, &ron, &opts).unwrap();
+            let got = join::merge_pieces(&lrefs, &rrefs, &lon, &ron, &opts, None).unwrap();
             assert_frames_equal(&got, &ref_merge(&l, &r, &lon, &ron, how, suffixes), &what);
+            // a projected join is the join, pruned: any subset of its
+            // names, keys and suffixed ones included, in any order, and
+            // names it lacks
+            let names = got.schema().names();
+            let mut keep: Vec<String> = names
+                .iter()
+                .filter(|_| rng.gen_bool(0.5))
+                .map(|n| n.to_string())
+                .chain(["absent".to_string()])
+                .collect();
+            keep.reverse();
+            let pruned: Vec<&str> = names
+                .iter()
+                .copied()
+                .filter(|n| keep.iter().any(|k| k == n))
+                .collect();
+            let projected =
+                join::merge_pieces(&lrefs, &rrefs, &lon, &ron, &opts, Some(&keep)).unwrap();
+            let what = format!("{what} keep {keep:?}");
+            assert_frames_equal(&projected, &got.select(&pruned).unwrap(), &what);
             let concat = |parts: &[&DataFrame]| {
                 DataFrame::concat(&DataFrame::live_parts(parts).unwrap()).unwrap()
             };
             let whole = join::merge(&concat(&lrefs), &concat(&rrefs), &lon, &ron, &opts).unwrap();
             assert_eq!(got.nbytes(), whole.nbytes(), "{what}");
         }
+    }
+}
+
+/// A filter handed a `PruneTo` projection evaluates its mask on the whole
+/// frame and compacts only the kept columns: the result is the filter's,
+/// pruned, for predicates over kept and dropped columns alike, offset
+/// views, zero-row frames and projections that keep nothing.
+#[test]
+fn projected_filter_equals_filter_then_prune() {
+    for case in 0..CASES {
+        let mut rng = Xoshiro256::seed_from_u64(0xf17e + case);
+        let df = eval_frame(&mut rng, case);
+        let names = df.schema().names();
+        let predicate = binary(
+            pick(&mut rng, &CMP_OPS),
+            col(pick(&mut rng, &NUMERIC)),
+            col(pick(&mut rng, &NUMERIC)),
+        )
+        .or(col(pick(&mut rng, &["s", "t"])).eq(lit("a")));
+        let mut keep: Vec<String> = names
+            .iter()
+            .filter(|_| rng.gen_bool(0.4))
+            .map(|n| n.to_string())
+            .collect();
+        if case % 5 == 4 {
+            keep = vec!["absent".to_string()];
+        }
+        let filter = ChunkOp::DfMap(DfStep::Filter(predicate));
+        let input = [Arc::new(Payload::Df(df))];
+        let run = |keep: Option<&[String]>| {
+            let out = exec::execute_chunk(&filter, &input, keep).unwrap();
+            out[0].as_df().unwrap().clone()
+        };
+        let prune = ChunkOp::DfMap(DfStep::PruneTo(keep.clone()));
+        let whole = Arc::new(Payload::Df(run(None)));
+        let want = exec::execute_chunk(&prune, &[whole], None).unwrap();
+        let what = format!("case {case} keep {keep:?}");
+        assert_frames_equal(&run(Some(&keep)), want[0].as_df().unwrap(), &what);
     }
 }
 
@@ -871,10 +932,10 @@ fn grouping_table_doubles_past_8192_hash_keys() {
 }
 
 /// `nunique` marks a bitset while groups × observed key range is at most
-/// the counted column's bytes (8 per null-free `Int64` row) and keeps
-/// per-group sets past it; both sides of that bound, and keys whose
-/// observed range overflows (`i64` extremes, float bit patterns), count
-/// what the reference counts.
+/// the counted column's bytes (8 per null-free `Int64` row) and keeps one
+/// table of (group, key) pairs past it; both sides of that bound, keys
+/// whose observed range overflows (`i64` extremes, float bit patterns)
+/// and more than 8,192 groups count what the reference counts.
 #[test]
 fn nunique_matches_reference_on_both_sides_of_the_bitset_bound() {
     let (n, groups) = (1000usize, 10i64);
@@ -930,6 +991,31 @@ fn nunique_matches_reference_on_both_sides_of_the_bitset_bound() {
             &format!("keys {keys:?}"),
         );
     }
+    // past 8,192 groups of a few rows each, a shuffle partition's shape:
+    // keys over the whole `i64` range, repeats and nulls within a group,
+    // float bit patterns — one table of (group, key) pairs
+    let n = 40_000;
+    let values: Vec<i64> = (0..64).map(|_| rng.next_u64() as i64).collect();
+    let g: Vec<i64> = (0..n).map(|_| rng.gen_range_i64(0, 10_000)).collect();
+    let v: Vec<Option<i64>> = (0..n)
+        .map(|_| rng.gen_bool(0.9).then(|| pick(&mut rng, &values)))
+        .collect();
+    let f: Vec<f64> = (0..n)
+        .map(|_| f64::from_bits(rng.next_u64() >> rng.gen_range_i64(0, 3)))
+        .collect();
+    let df = DataFrame::new(vec![
+        ("g", Column::from_i64(g)),
+        ("v", Column::from_opt_i64(v)),
+        ("f", Column::from_f64(f)),
+    ])
+    .unwrap();
+    let specs = [
+        AggSpec::new("v", AggFunc::Nunique, "nu_v"),
+        AggSpec::new("f", AggFunc::Nunique, "nu_f"),
+    ];
+    let got = groupby::groupby_agg(&df, &["g"], &specs).unwrap();
+    assert!(got.num_rows() > 8192, "{} groups", got.num_rows());
+    assert_frames_equal(&got, &ref_groupby(&df, &["g"], &specs), "8192+ groups");
 }
 
 /// Dictionary encoding must be equality-preserving: codes agree exactly

@@ -1,12 +1,14 @@
-//! Predicate pushdown changes where a filter runs, never what a program
-//! returns. Seeded filter-over-join programs run through the builder API
-//! twice: with the logical optimizer on (the default config, which pushes
-//! filters below joins and prunes columns) and off (`column_pruning:
-//! false`). The results must be equal as row multisets — a pushed filter
-//! changes chunk sizes and so the tiling, and with it row order and float
-//! summation order. Cases cover inner, left, semi and anti joins,
-//! suffix-colliding names, null keys, and conjuncts over one side, both
-//! sides or no column.
+//! Predicate pushdown and column pruning change where a filter runs and
+//! which columns a join or filter builds, never what a program returns.
+//! Seeded filter-over-join programs run through the builder API twice:
+//! with the logical optimizer on (the default config, which pushes filters
+//! below joins and prunes columns after sources, joins and filters) and
+//! off (`column_pruning: false`). The results must be equal as row
+//! multisets — a pushed filter or a pruned column changes chunk sizes and
+//! so the tiling, and with it row order and float summation order. Cases
+//! cover inner, left, semi and anti joins, suffix-colliding names, null
+//! keys, conjuncts over one side, both sides or no column, and joins and
+//! filters whose keys, payload and predicate columns nobody reads above.
 
 use xorbits::array::prng::Xoshiro256;
 use xorbits::core::config::XorbitsConfig;
@@ -152,6 +154,39 @@ fn program(sess: &Session<LocalExecutor>, case: u64, how: JoinType) -> XbResult<
     }
 }
 
+/// One seeded program whose joins and filters carry columns no consumer
+/// reads: a filter over a join, joined to a third side and filtered
+/// again, under a group-by or a projection that reads a few columns.
+fn narrow_program(sess: &Session<LocalExecutor>, case: u64, how: JoinType) -> XbResult<DataFrame> {
+    let mut rng = Xoshiro256::seed_from_u64(0x7a1 + case);
+    let semi = matches!(how, JoinType::Semi | JoinType::Anti);
+    let l = sess.from_df(side(&mut rng, "a", "s"))?;
+    let r = sess.from_df(side(&mut rng, "b", "t"))?;
+    let third = sess.from_df(side(&mut rng, "c", "u").rename(&[("v", "w")])?)?;
+    let joined = l
+        .merge(&r, strs(&["k"]), strs(&["k"]), how)?
+        .filter(predicate(&mut rng, semi))?;
+    let top = joined
+        .merge(&third, strs(&["k"]), strs(&["k"]), how)?
+        .filter(predicate(&mut rng, semi))?;
+    // a semi or anti join outputs its left side alone
+    let reads: &[&[&str]] = if semi {
+        &[&["a"], &["s", "v"], &["k", "a"]]
+    } else {
+        &[&["a", "b"], &["v_y", "u"], &["s", "c", "t"], &["k", "w"]]
+    };
+    let read = pick(&mut rng, reads);
+    match case % 2 {
+        0 => {
+            let counts = read
+                .iter()
+                .map(|c| AggSpec::new(*c, AggFunc::Count, format!("n_{c}")));
+            top.groupby_agg(strs(&["k"]), counts.collect())?.fetch()
+        }
+        _ => top.select(strs(read))?.fetch(),
+    }
+}
+
 /// A session of tiny chunks, so joins shuffle or broadcast many pieces.
 fn session(column_pruning: bool, chunk_bytes: usize) -> Session<LocalExecutor> {
     let cfg = XorbitsConfig {
@@ -230,4 +265,56 @@ fn pushdown_on_and_off_return_the_same_rows() {
     }
     // the cases do exercise the rewrite
     assert!(pushed > 0);
+}
+
+#[test]
+fn pruning_on_and_off_return_the_same_rows() {
+    let mut pruned = 0;
+    for how in [
+        JoinType::Inner,
+        JoinType::Left,
+        JoinType::Semi,
+        JoinType::Anti,
+    ] {
+        for case in 0..CASES {
+            let chunk_bytes = 256 << (case % 4);
+            trace::enable_default();
+            let on = narrow_program(&session(true, chunk_bytes), case, how);
+            let log = trace::disable().expect("tracing was enabled");
+            let off = narrow_program(&session(false, chunk_bytes), case, how);
+            let what = format!("{how:?} case {case}");
+            match (on, off) {
+                (Ok(on), Ok(off)) => same_rows(&on, &off, &what),
+                (on, off) => panic!("{what}: on {:?} vs off {:?}", on.err(), off.err()),
+            }
+            let counters = &log.metrics.counters;
+            pruned += counters
+                .get("optimize.columns_pruned")
+                .copied()
+                .unwrap_or(0);
+        }
+    }
+    // joins and filters do drop columns nobody reads
+    assert!(pruned > 0);
+}
+
+/// An `Assign` evaluates every expression, read above or not: assigning
+/// `x = c * 2` and keeping only `a` must not prune `c` away from under it.
+#[test]
+fn an_unread_assigned_column_still_finds_its_inputs() {
+    let df = DataFrame::new(vec![
+        ("a", Column::from_i64(vec![1, 2, 3])),
+        ("b", Column::from_i64(vec![4, 5, 6])),
+        ("c", Column::from_i64(vec![7, 8, 9])),
+    ])
+    .unwrap();
+    let run = |column_pruning| {
+        session(column_pruning, 1 << 20)
+            .from_df(df.clone())?
+            .assign(vec![("x".into(), col("c").mul(lit(2i64)))])?
+            .select(strs(&["a"]))?
+            .fetch()
+    };
+    let (on, off) = (run(true), run(false));
+    assert_eq!(on.unwrap(), off.unwrap());
 }
