@@ -166,9 +166,10 @@ pub enum ChunkOp {
     },
 
     // ---- dataframe elementwise ---------------------------------------------
-    /// One elementwise step over one chunk. Graph-level fusion runs a chain
-    /// of these in one subtask (§V-A).
-    DfMap(DfStep),
+    /// One elementwise step over one chunk, shared by every chunk of its
+    /// tileable. Graph-level fusion runs a chain of these in one subtask
+    /// (§V-A).
+    DfMap(Arc<DfStep>),
 
     // ---- groupby map-combine-reduce (§III-C) --------------------------------
     /// Map stage: per-chunk partial aggregation.

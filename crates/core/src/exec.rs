@@ -113,7 +113,10 @@ pub fn run_subtask<IO: ChunkIo>(graph: &SubtaskGraph, si: usize, io: &mut IO) ->
         };
         match readers.get(&out) {
             Some(&(1, reader)) => match &nodes[reader].op {
-                ChunkOp::DfMap(DfStep::PruneTo(columns)) => Some(&columns[..]),
+                ChunkOp::DfMap(step) => match &**step {
+                    DfStep::PruneTo(columns) => Some(&columns[..]),
+                    _ => None,
+                },
                 _ => None,
             },
             _ => None,
@@ -566,8 +569,8 @@ mod tests {
                 gen: Arc::new(move || Ok(src.clone())),
                 label: "src".into(),
             },
-            ChunkOp::DfMap(DfStep::Filter(col("v").lt(lit(100i64)))),
-            ChunkOp::DfMap(DfStep::Assign(vec![("w".into(), col("v").mul(lit(2i64)))])),
+            ChunkOp::DfMap(DfStep::Filter(col("v").lt(lit(100i64))).into()),
+            ChunkOp::DfMap(DfStep::Assign(vec![("w".into(), col("v").mul(lit(2i64)))]).into()),
         ];
         let mut chunks = crate::chunk::ChunkGraph::new();
         let mut sizes = Vec::new();
@@ -615,7 +618,7 @@ mod tests {
             inputs,
             outputs: vec![out],
         };
-        let filter = ChunkOp::DfMap(DfStep::Filter(col("v").lt(lit(100i64))));
+        let filter = ChunkOp::DfMap(DfStep::Filter(col("v").lt(lit(100i64))).into());
         let keep = vec!["v".to_string()];
         let chain = || {
             let gen = ChunkOp::DfGen {
@@ -629,7 +632,7 @@ mod tests {
             chunks.push(node(gen, vec![], 0));
             chunks.push(node(filter.clone(), vec![0], 1));
             chunks.push(node(
-                ChunkOp::DfMap(DfStep::PruneTo(keep.clone())),
+                ChunkOp::DfMap(DfStep::PruneTo(keep.clone()).into()),
                 vec![1],
                 2,
             ));
@@ -656,7 +659,11 @@ mod tests {
         // before the projection, sees every column
         let mut chunks = chain();
         let prune = chunks.nodes.pop().unwrap();
-        chunks.push(node(ChunkOp::DfMap(DfStep::Dropna(None)), vec![1], 3));
+        chunks.push(node(
+            ChunkOp::DfMap(DfStep::Dropna(None).into()),
+            vec![1],
+            3,
+        ));
         chunks.push(prune);
         let graph = SubtaskGraph::from_groups(chunks, &[0; 4], &[2, 3].into()).unwrap();
         let mut io = MapIo::default();
@@ -695,9 +702,9 @@ mod tests {
     #[test]
     fn df_steps_apply_in_order() {
         let ops = [
-            ChunkOp::DfMap(DfStep::Assign(vec![("w".into(), col("v").mul(lit(10i64)))])),
-            ChunkOp::DfMap(DfStep::Filter(col("w").gt(lit(10i64)))),
-            ChunkOp::DfMap(DfStep::Project(vec!["k".into(), "w".into()])),
+            ChunkOp::DfMap(DfStep::Assign(vec![("w".into(), col("v").mul(lit(10i64)))]).into()),
+            ChunkOp::DfMap(DfStep::Filter(col("w").gt(lit(10i64))).into()),
+            ChunkOp::DfMap(DfStep::Project(vec!["k".into(), "w".into()]).into()),
         ];
         let out = run_chain(&ops, df_payload());
         let df = out.as_df().unwrap();

@@ -55,7 +55,7 @@ mod tests {
         });
         for i in 1..4 {
             g.push(ChunkNode {
-                op: ChunkOp::DfMap(DfStep::Filter(col("a").gt(lit(0i64)))),
+                op: ChunkOp::DfMap(DfStep::Filter(col("a").gt(lit(0i64))).into()),
                 inputs: vec![keys[i - 1]],
                 outputs: vec![keys[i]],
             });

@@ -325,15 +325,16 @@ impl<'g> Tiler<'g> {
     // ---- the building blocks ------------------------------------------------
 
     /// Allocates `n` output keys and pushes the node producing them — the
-    /// one place a chunk node is made.
-    fn emit_n(&mut self, op: ChunkOp, inputs: Vec<ChunkKey>, n: usize) -> Vec<ChunkKey> {
+    /// one place a chunk node is made. Returns the keys as the node holds
+    /// them.
+    fn emit_n(&mut self, op: ChunkOp, inputs: Vec<ChunkKey>, n: usize) -> &[ChunkKey] {
         let outputs = self.keygen.next_keys(n);
-        self.pending.push(ChunkNode {
+        let at = self.pending.push(ChunkNode {
             op,
             inputs,
-            outputs: outputs.clone(),
+            outputs,
         });
-        outputs
+        &self.pending.nodes[at].outputs
     }
 
     /// [`Self::emit_n`] for the usual single-output node.
@@ -377,7 +378,7 @@ impl<'g> Tiler<'g> {
                 keys: on.to_vec(),
                 n: p,
             };
-            for (part, piece) in parts.iter_mut().zip(self.emit_n(split, vec![k], p)) {
+            for (part, &piece) in parts.iter_mut().zip(self.emit_n(split, vec![k], p)) {
                 part.push(piece);
             }
         }
@@ -669,6 +670,7 @@ impl<'g> Tiler<'g> {
 
     fn tile_df_map(&mut self, input: TileableId, step: &DfStep) -> XbResult<Layout> {
         let layout = self.input(input)?;
+        let step = Arc::new(step.clone());
         let outs = self.map(&layout.keys(), || ChunkOp::DfMap(step.clone()));
         let ests = layout.chunks.iter().map(|c| ChunkEst {
             exact: c.est.exact && step.keeps_rows(),
@@ -1098,7 +1100,7 @@ impl<'g> Tiler<'g> {
         }
         // Stack the k R factors (k·n x n) and QR the stack.
         let stacked = self.emit(ChunkOp::Concat, r_parts);
-        let qr = self.emit_n(ChunkOp::QrLocal, vec![stacked], 2);
+        let qr = self.emit_n(ChunkOp::QrLocal, vec![stacked], 2).to_vec();
         // Q_i_final = Q_i @ Q2[i*n:(i+1)*n, :]. Each R_i is n x n, so block
         // i of the stack's Q occupies rows [i*n, (i+1)*n); n is unknown
         // statically, so the slice carries the block index and count and

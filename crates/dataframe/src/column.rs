@@ -8,7 +8,7 @@
 use crate::bitmap::{Bitmap, BitmapBuilder};
 use crate::buffer::Buffer;
 use crate::error::{DfError, DfResult};
-use crate::hash::{combine, hash_bytes};
+use crate::hash::{combine, hash_bytes, KeyTable};
 use crate::scalar::{DataType, Scalar};
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -953,59 +953,46 @@ impl StrArr {
     /// distinct-tracking run on the codes, so strings are hashed once here
     /// and never cloned or re-compared afterwards.
     pub fn dict_encode(&self) -> PrimArr<i64> {
-        // Open-addressed interner over (hash, code) with the string bytes
-        // compared against each code's first-occurrence span — leaner per
-        // probe than a `HashMap<&str, _>` in this one hot loop. Slots come
-        // from the hash's high bits (that's where the multiply mixes), and
-        // load stays under 1/2 to keep probe chains short.
-        let data = self.data.as_slice();
-        let offs = self.offsets.as_slice();
-        let mut bits: u32 = 7;
-        let mut cap: usize = 1 << bits;
-        let mut slots: Vec<(u64, u32)> = vec![(0, u32::MAX); cap];
-        let mut spans: Vec<(u32, u32)> = Vec::new();
-        let mut codes: Vec<i64> = Vec::with_capacity(self.len());
+        let mut codes = Vec::with_capacity(self.len());
         crate::mem::advise_huge(codes.as_ptr(), self.len());
-        for (i, w) in offs.windows(2).enumerate() {
-            if !self.is_valid(i) {
-                codes.push(0);
-                continue;
-            }
-            let bytes = &data[w[0] as usize..w[1] as usize];
-            let h = hash_bytes(data, w[0] as usize, w[1] as usize);
-            let mut slot = (h >> (64 - bits)) as usize;
-            let code = loop {
-                let (eh, c) = slots[slot];
-                if c == u32::MAX {
-                    let c = spans.len() as u32;
-                    slots[slot] = (h, c);
-                    spans.push((w[0], w[1]));
-                    break c;
-                }
-                let (s, e) = spans[c as usize];
-                if eh == h && &data[s as usize..e as usize] == bytes {
-                    break c;
-                }
-                slot = (slot + 1) & (cap - 1);
-            };
-            codes.push(code as i64);
-            if spans.len() * 2 >= cap {
-                bits += 1;
-                cap <<= 1;
-                let mut grown: Vec<(u64, u32)> = vec![(0, u32::MAX); cap];
-                for &(eh, c) in slots.iter().filter(|(_, c)| *c != u32::MAX) {
-                    let mut s = (eh >> (64 - bits)) as usize;
-                    while grown[s].1 != u32::MAX {
-                        s = (s + 1) & (cap - 1);
-                    }
-                    grown[s] = (eh, c);
-                }
-                slots = grown;
-            }
-        }
+        self.intern(false, &mut KeyTable::default(), &mut Vec::new(), &mut codes);
         PrimArr {
             values: Buffer::from_vec(codes),
             validity: self.validity.clone(),
+        }
+    }
+
+    /// The one string interner, for [`Self::dict_encode`] and the chunk
+    /// codec: fills `codes` with a code per row, dense in first-occurrence
+    /// order, and `spans` with each code's first byte span. With
+    /// `keep_nulls` a null row is interned by its bytes like any other
+    /// (the codec); without it, it gets code 0 and takes no code. `table`
+    /// is reset and kept, so a warmed one interns without allocating.
+    pub fn intern<C: From<u32>>(
+        &self,
+        keep_nulls: bool,
+        table: &mut KeyTable,
+        spans: &mut Vec<(u32, u32)>,
+        codes: &mut Vec<C>,
+    ) {
+        let data = self.data.as_slice();
+        table.reset();
+        spans.clear();
+        codes.clear();
+        for (i, w) in self.offsets.as_slice().windows(2).enumerate() {
+            if !keep_nulls && !self.is_valid(i) {
+                codes.push(C::from(0));
+                continue;
+            }
+            let bytes = &data[w[0] as usize..w[1] as usize];
+            let code = table.find_or_insert(hash_bytes(data, w[0] as usize, w[1] as usize), |c| {
+                let (s, e) = spans[c as usize];
+                &data[s as usize..e as usize] == bytes
+            });
+            if code as usize == spans.len() {
+                spans.push((w[0], w[1]));
+            }
+            codes.push(C::from(code));
         }
     }
 

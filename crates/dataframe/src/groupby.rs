@@ -17,7 +17,7 @@
 use crate::column::{BoolArr, Column, PrimArr, NO_ROW};
 use crate::error::{DfError, DfResult};
 use crate::frame::DataFrame;
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::{FxHashMap, FxHashSet, KeyTable};
 use crate::scalar::DataType;
 use std::cmp::Ordering;
 
@@ -108,8 +108,8 @@ pub(crate) type DictCache<'a> = FxHashMap<&'a str, PrimArr<i64>>;
 /// When every normalized key is `Int64` and the combined key range is
 /// small (dict codes always are; ints like ids and buckets usually are),
 /// group ids come from a dense direct-address table — no hashing and no
-/// collision chains at all. Wide or non-integer keys take a chained hash
-/// table with an `eq_at` check.
+/// collision chains at all. Wide or non-integer keys take the
+/// [`KeyTable`], tagged with the row hash and confirmed by `eq_at`.
 pub(crate) fn build_groups(
     df: &DataFrame,
     keys: &[&str],
@@ -138,14 +138,8 @@ pub(crate) fn build_groups(
     for c in &key_cols {
         c.hash_combine(&mut hashes);
     }
-    // The join's flat table over groups instead of rows: bucket heads from
-    // the hash's top bits (where its final multiply mixes), a chain link and
-    // the full hash per group, `NO_ROW` ending a chain. Heads double once
-    // groups fill half of them.
-    let mut bits = 10;
-    let mut heads = vec![NO_ROW; 1 << bits];
-    let mut next: Vec<u32> = Vec::new();
-    let mut group_hashes: Vec<u64> = Vec::new();
+    // one entry per group, confirmed against the group's first row
+    let mut table = KeyTable::default();
     let mut repr_rows = Vec::new();
     let mut row_gids: Vec<u32> = Vec::with_capacity(n);
     crate::mem::advise_huge(row_gids.as_ptr(), n);
@@ -154,30 +148,12 @@ pub(crate) fn build_groups(
             row_gids.push(DROPPED);
             continue;
         }
-        let b = (h >> (64 - bits)) as usize;
-        let mut gid = heads[b];
-        while gid != NO_ROW {
-            let g = gid as usize;
-            if group_hashes[g] == h && key_cols.iter().all(|c| c.eq_at(i, c, repr_rows[g])) {
-                break;
-            }
-            gid = next[g];
-        }
-        if gid == NO_ROW {
-            gid = repr_rows.len() as u32;
+        let gid = table.find_or_insert(h, |g| {
+            let g = repr_rows[g as usize];
+            key_cols.iter().all(|c| c.eq_at(i, c, g))
+        });
+        if gid as usize == repr_rows.len() {
             repr_rows.push(i);
-            group_hashes.push(h);
-            next.push(heads[b]);
-            heads[b] = gid;
-            if repr_rows.len() * 2 > heads.len() {
-                bits += 1;
-                heads = vec![NO_ROW; 1 << bits];
-                for (g, &gh) in group_hashes.iter().enumerate() {
-                    let b = (gh >> (64 - bits)) as usize;
-                    next[g] = heads[b];
-                    heads[b] = g as u32;
-                }
-            }
         }
         row_gids.push(gid);
     }

@@ -1,4 +1,5 @@
-//! A fast non-cryptographic hasher for groupby/join keys.
+//! A fast non-cryptographic hasher for groupby/join keys, and the one
+//! table ([`KeyTable`]) that finds equal keys.
 //!
 //! The standard library's SipHash is robust but slow for the hot hash-join
 //! and hash-aggregate loops. This is the well-known Fx multiply-xor hash
@@ -110,6 +111,129 @@ pub fn hash_bytes(data: &[u8], s: usize, e: usize) -> u64 {
     }
 }
 
+/// Ends a chain, and marks an empty bucket.
+const END: u32 = u32::MAX;
+
+/// 2^64 / φ: multiplying by it spreads tags over the top bits.
+const FIB: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The one table that finds equal keys: the join's build side, grouping
+/// and distinct, and both string dictionaries.
+///
+/// An entry is a 64-bit tag and a chain link; entries are numbered in
+/// insertion order and every chain lists them in ascending order. A
+/// null-free integer key is its own tag; any other key is tagged with its
+/// hash and the caller confirms a candidate. [`KeyTable::build`] makes a
+/// multimap of every row, and [`KeyTable::find_or_insert`] keeps one
+/// entry per distinct key.
+#[derive(Debug)]
+pub struct KeyTable {
+    /// log2 of the bucket count.
+    bits: u32,
+    /// First entry of each bucket's chain.
+    heads: Vec<u32>,
+    /// Per entry: its tag and the next entry of its chain.
+    chain: Vec<(u64, u32)>,
+}
+
+impl Default for KeyTable {
+    fn default() -> KeyTable {
+        let mut table = KeyTable {
+            bits: 0,
+            heads: Vec::new(),
+            chain: Vec::new(),
+        };
+        table.reset();
+        table
+    }
+}
+
+impl KeyTable {
+    /// A multimap of `n` tags: entry `j` is the `j`-th tag. The caller
+    /// keeps `n` below `u32::MAX`.
+    pub fn build(n: usize, tags: impl IntoIterator<Item = u64>) -> KeyTable {
+        let mut chain = Vec::with_capacity(n);
+        chain.extend(tags.into_iter().map(|tag| (tag, END)));
+        let mut table = KeyTable {
+            bits: (n.max(8) * 2).next_power_of_two().trailing_zeros(),
+            heads: Vec::new(),
+            chain,
+        };
+        table.relink();
+        table
+    }
+
+    /// Empties the table to 1024 buckets (so a small dictionary's hot keys
+    /// rarely share a chain) and keeps its allocations.
+    pub fn reset(&mut self) {
+        self.chain.clear();
+        self.bits = 10;
+        self.relink();
+    }
+
+    /// The entries tagged `tag`, in ascending order.
+    #[inline]
+    pub fn find(&self, tag: u64) -> impl Iterator<Item = u32> + '_ {
+        let mut e = self.heads[self.bucket(tag)];
+        std::iter::from_fn(move || {
+            while e != END {
+                let (t, next) = self.chain[e as usize];
+                let here = e;
+                e = next;
+                if t == tag {
+                    return Some(here);
+                }
+            }
+            None
+        })
+    }
+
+    /// The first entry tagged `tag` that `same` confirms, else a new entry
+    /// numbered one past the last; buckets double past half full.
+    #[inline]
+    pub fn find_or_insert(&mut self, tag: u64, mut same: impl FnMut(u32) -> bool) -> u32 {
+        let b = self.bucket(tag);
+        let mut last = None;
+        let mut e = self.heads[b];
+        while e != END {
+            let (t, next) = self.chain[e as usize];
+            if t == tag && same(e) {
+                return e;
+            }
+            last = Some(e as usize);
+            e = next;
+        }
+        let new = self.chain.len() as u32;
+        self.chain.push((tag, END));
+        match last {
+            Some(l) => self.chain[l].1 = new,
+            None => self.heads[b] = new,
+        }
+        if self.chain.len() * 2 > self.heads.len() {
+            self.bits += 1;
+            self.relink();
+        }
+        new
+    }
+
+    #[inline]
+    fn bucket(&self, tag: u64) -> usize {
+        (tag.wrapping_mul(FIB) >> (64 - self.bits)) as usize
+    }
+
+    /// Empties `1 << bits` buckets and links every entry, from the last,
+    /// so each chain is in ascending order.
+    fn relink(&mut self) {
+        self.heads.clear();
+        self.heads.resize(1 << self.bits, END);
+        for e in (0..self.chain.len()).rev() {
+            let b = self.bucket(self.chain[e].0);
+            self.chain[e].1 = self.heads[b];
+            self.heads[b] = e as u32;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +277,55 @@ mod tests {
                     "mismatch for range {s}..{e}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn multimap_chains_list_rows_in_ascending_order() {
+        let tags: Vec<u64> = (0..1000u64).map(|i| i * i % 7).collect();
+        let table = KeyTable::build(tags.len(), tags.iter().copied());
+        for t in 0..8 {
+            let want: Vec<u32> = (0..1000).filter(|&j| tags[j as usize] == t).collect();
+            assert_eq!(table.find(t).collect::<Vec<_>>(), want, "tag {t}");
+        }
+    }
+
+    #[test]
+    fn find_or_insert_keeps_first_entries_across_doublings() {
+        // eight tags for 8000 keys: every key shares a chain with 999
+        // others, and the table doubles from 1024 buckets to 16384
+        let mut table = KeyTable::default();
+        let keys: Vec<u64> = (0..8000).collect();
+        for round in 0..2 {
+            for &k in &keys {
+                let e = table.find_or_insert(k % 8, |e| keys[e as usize] == k);
+                assert_eq!(e as u64, k, "round {round}");
+            }
+        }
+        assert_eq!(table.chain.len(), 8000);
+        assert_eq!(table.heads.len(), 16384);
+        // among several entries `same` would take, the first-inserted wins
+        for t in 0..8 {
+            assert_eq!(table.find_or_insert(t, |_| true), t as u32);
+        }
+    }
+
+    #[test]
+    fn a_reset_table_is_reused_without_growing() {
+        let mut table = KeyTable::default();
+        let fill = |table: &mut KeyTable| {
+            for k in 0..3000u64 {
+                table.find_or_insert(k.wrapping_mul(0x2545_f491_4f6c_dd1d), |_| false);
+            }
+        };
+        fill(&mut table);
+        let (heads, chain) = (table.heads.capacity(), table.chain.capacity());
+        for _ in 0..3 {
+            table.reset();
+            assert!(table.chain.is_empty());
+            fill(&mut table);
+            assert_eq!(table.heads.capacity(), heads);
+            assert_eq!(table.chain.capacity(), chain);
         }
     }
 

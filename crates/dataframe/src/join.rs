@@ -2,13 +2,15 @@
 //!
 //! A side may arrive as pieces (the chunks of one shuffle partition, or a
 //! broadcast side's chunks) and is never concatenated; see
-//! [`merge_pieces`]. A single null-free `Int64` / `Date` key — almost every
-//! join — takes a typed probe over the key slices; every other key takes
-//! one generic probe over stored row hashes and `Column::eq_at`.
+//! [`merge_pieces`]. The right side is a [`KeyTable`] multimap probed by
+//! one loop: a single null-free `Int64` / `Date` key — almost every join —
+//! is its own tag, and every other key is tagged with its row hash and
+//! confirmed by `Column::eq_at`.
 
 use crate::column::{Column, GatherPlan, PrimArr, NO_ROW};
 use crate::error::{DfError, DfResult};
 use crate::frame::DataFrame;
+use crate::hash::KeyTable;
 use crate::scalar::DataType;
 use std::borrow::Cow;
 
@@ -101,19 +103,23 @@ pub fn merge_pieces(
 
     let null_free = |keys: &[Vec<&Column>]| keys[0].iter().all(|c| c.null_count() == 0);
     let single = lkeys.len() == 1 && null_free(&lkeys) && null_free(&rkeys);
-    let matches = match lkeys[0][0].data_type() {
-        DataType::Int64 if single => probe_typed(
+    let nright = row_count(&rkeys[0])?;
+    let mut matches = Matches::new(opts.how, row_count(&lkeys[0])?);
+    match lkeys[0][0].data_type() {
+        DataType::Int64 if single => probe_ints(
             &slices(&lkeys[0], Column::as_i64)?,
             &slices(&rkeys[0], Column::as_i64)?,
-            opts.how,
-        )?,
-        DataType::Date if single => probe_typed(
+            nright,
+            &mut matches,
+        ),
+        DataType::Date if single => probe_ints(
             &slices(&lkeys[0], Column::as_date)?,
             &slices(&rkeys[0], Column::as_date)?,
-            opts.how,
-        )?,
-        _ => probe_generic(&lkeys, &rkeys, opts.how)?,
-    };
+            nright,
+            &mut matches,
+        ),
+        _ => probe_hashed(&lkeys, &rkeys, &mut matches)?,
+    }
 
     // each side's ids are resolved against its pieces once, for all of
     // its columns
@@ -230,8 +236,8 @@ fn slices<'a, T>(
 }
 
 /// Rows of a side, as `u32` row ids: [`NO_ROW`] is reserved.
-fn row_count<T>(pieces: &[T], len: impl Fn(&T) -> usize) -> DfResult<usize> {
-    let rows: usize = pieces.iter().map(len).sum();
+fn row_count(pieces: &[&Column]) -> DfResult<usize> {
+    let rows: usize = pieces.iter().map(|c| c.len()).sum();
     if rows >= NO_ROW as usize {
         return Err(DfError::Unsupported(format!(
             "join side of {rows} rows exceeds u32 row ids"
@@ -247,6 +253,8 @@ struct Matches {
     how: JoinType,
     left: Vec<u32>,
     right: Vec<u32>,
+    /// Id of the next left row to probe.
+    next: u32,
 }
 
 impl Matches {
@@ -256,118 +264,72 @@ impl Matches {
             how,
             left: Vec::with_capacity(nleft),
             right: Vec::with_capacity(if pairs { nleft } else { 0 }),
+            next: 0,
         }
     }
 
-    /// Left row `i` matches right row `j`; true when `i`'s probe may stop
-    /// (a semi or anti join needs one match).
+    /// Probes the next left rows, given by their tags, against the right
+    /// side's table; `same(r, j)` confirms that the `r`-th of these rows
+    /// and right row `j` have equal keys. A right row that matches comes
+    /// out in ascending order, and a semi or anti join stops at the first.
     #[inline]
-    fn hit(&mut self, i: u32, j: u32) -> bool {
-        match self.how {
-            JoinType::Inner | JoinType::Left => {
-                self.left.push(i);
-                self.right.push(j);
-                false
-            }
-            JoinType::Semi => {
-                self.left.push(i);
-                true
-            }
-            JoinType::Anti => true,
-        }
-    }
-
-    /// Left row `i` matched nothing.
-    #[inline]
-    fn miss(&mut self, i: u32) {
-        match self.how {
-            JoinType::Left => {
-                self.left.push(i);
-                self.right.push(NO_ROW);
-            }
-            JoinType::Anti => self.left.push(i),
-            JoinType::Inner | JoinType::Semi => {}
-        }
-    }
-}
-
-/// A key the typed probe hashes and compares as itself.
-trait TypedKey: Copy + Eq {
-    fn bits(self) -> u64;
-}
-
-impl TypedKey for i64 {
-    #[inline]
-    fn bits(self) -> u64 {
-        self as u64
-    }
-}
-
-impl TypedKey for i32 {
-    #[inline]
-    fn bits(self) -> u64 {
-        self as u64
-    }
-}
-
-/// The probe for one null-free `Int64` or `Date` key. The build side is
-/// one chain array over the right rows holding `(key, next row)`, so a
-/// candidate costs one load and one compare of the key itself, and no
-/// per-row hash is kept; bucket heads take the top bits of a Fibonacci
-/// hash. Chains link rows in ascending order, so matches come out in
-/// right-row order.
-fn probe_typed<T: TypedKey>(lk: &[&[T]], rk: &[&[T]], how: JoinType) -> DfResult<Matches> {
-    let nleft = row_count(lk, |p| p.len())?;
-    let mut chain: Vec<(T, u32)> = Vec::with_capacity(row_count(rk, |p| p.len())?);
-    chain.extend(rk.iter().flat_map(|p| p.iter().map(|&k| (k, NO_ROW))));
-    let bits = (chain.len().max(1) * 2)
-        .next_power_of_two()
-        .trailing_zeros();
-    let bucket = |k: T| (k.bits().wrapping_mul(FIB) >> (64 - bits)) as usize;
-    let mut heads = vec![NO_ROW; 1 << bits];
-    // inserting from the last row links each chain in ascending order
-    for j in (0..chain.len()).rev() {
-        let head = &mut heads[bucket(chain[j].0)];
-        chain[j].1 = *head;
-        *head = j as u32;
-    }
-
-    let mut out = Matches::new(how, nleft);
-    for (i, &k) in lk.iter().flat_map(|p| p.iter()).enumerate() {
-        let i = i as u32;
-        let mut matched = false;
-        let mut j = heads[bucket(k)];
-        while j != NO_ROW {
-            let (key, next) = chain[j as usize];
-            if key == k {
-                matched = true;
-                if out.hit(i, j) {
-                    break;
+    fn probe(
+        &mut self,
+        table: &KeyTable,
+        tags: impl IntoIterator<Item = u64>,
+        same: impl Fn(usize, u32) -> bool,
+    ) {
+        for (r, tag) in tags.into_iter().enumerate() {
+            let i = self.next;
+            self.next += 1;
+            let mut matched = false;
+            for j in table.find(tag) {
+                if same(r, j) {
+                    matched = true;
+                    match self.how {
+                        JoinType::Inner | JoinType::Left => {
+                            self.left.push(i);
+                            self.right.push(j);
+                        }
+                        JoinType::Semi => {
+                            self.left.push(i);
+                            break;
+                        }
+                        JoinType::Anti => break,
+                    }
                 }
             }
-            j = next;
-        }
-        if !matched {
-            out.miss(i);
+            if !matched {
+                match self.how {
+                    JoinType::Left => {
+                        self.left.push(i);
+                        self.right.push(NO_ROW);
+                    }
+                    JoinType::Anti => self.left.push(i),
+                    JoinType::Inner | JoinType::Semi => {}
+                }
+            }
         }
     }
-    Ok(out)
 }
 
-/// 2^64 / φ: multiplying by it spreads keys over the top bits.
-const FIB: u64 = 0x9e37_79b9_7f4a_7c15;
+/// The probe for one null-free `Int64` or `Date` key: the key is its own
+/// tag, so a candidate costs one load and one compare and needs no
+/// confirming.
+fn probe_ints<T: Copy + Into<i64>>(lk: &[&[T]], rk: &[&[T]], nright: usize, out: &mut Matches) {
+    fn tags<'a, T: Copy + Into<i64> + 'a>(side: &'a [&'a [T]]) -> impl Iterator<Item = u64> + 'a {
+        side.iter().flat_map(|p| p.iter().map(|&k| k.into() as u64))
+    }
+    out.probe(&KeyTable::build(nright, tags(rk)), tags(lk), |_, _| true);
+}
 
 /// The probe for every other key: several columns, strings, floats,
-/// booleans or nulls. The build side's key columns are concatenated across
-/// its pieces (the keys only) and each right row's hash is stored; a left
-/// piece is hashed and probed on its own, a candidate is prefiltered on
-/// the stored hash and confirmed through [`Column::eq_at`], so null
-/// matches null and floats match by bits.
-fn probe_generic(
-    lkeys: &[Vec<&Column>],
-    rkeys: &[Vec<&Column>],
-    how: JoinType,
-) -> DfResult<Matches> {
+/// booleans or nulls. The tag is the row hash. The build side's key
+/// columns are concatenated across its pieces (the keys only); a left
+/// piece is hashed and probed on its own, and a candidate with an equal
+/// hash is confirmed through [`Column::eq_at`], so null matches null and
+/// floats match by bits.
+fn probe_hashed(lkeys: &[Vec<&Column>], rkeys: &[Vec<&Column>], out: &mut Matches) -> DfResult<()> {
     let rcols: Vec<Cow<Column>> = rkeys
         .iter()
         .map(|pieces| match pieces[..] {
@@ -375,53 +337,25 @@ fn probe_generic(
             _ => Column::concat(pieces).map(Cow::Owned),
         })
         .collect::<DfResult<_>>()?;
-    let nright = row_count(&rkeys[0], |c| c.len())?;
-    let mut rhashes = vec![0u64; nright];
-    for c in &rcols {
-        c.hash_combine(&mut rhashes);
-    }
-    // Two flat arrays — bucket heads and per-row chain links — instead of
-    // a hash map of per-key `Vec`s; reverse insertion so each chain yields
-    // right rows in ascending order. Buckets take the hash's top bits,
-    // where its final multiply mixes.
-    let bits = (nright.max(1) * 2).next_power_of_two().trailing_zeros();
-    let bucket = |h: u64| (h >> (64 - bits)) as usize;
-    let mut heads = vec![NO_ROW; 1 << bits];
-    let mut next = vec![NO_ROW; nright];
-    for j in (0..nright).rev() {
-        let b = bucket(rhashes[j]);
-        next[j] = heads[b];
-        heads[b] = j as u32;
-    }
-
-    let mut out = Matches::new(how, row_count(&lkeys[0], |c| c.len())?);
-    let mut i = 0u32;
+    let hashes = |cols: &[&Column]| {
+        let mut h = vec![0u64; cols[0].len()];
+        for c in cols {
+            c.hash_combine(&mut h);
+        }
+        h
+    };
+    let rhashes = hashes(&rcols.iter().map(|c| &**c).collect::<Vec<_>>());
+    let table = KeyTable::build(rhashes.len(), rhashes);
     for piece in 0..lkeys[0].len() {
         let lcols: Vec<&Column> = lkeys.iter().map(|k| k[piece]).collect();
-        let mut lhashes = vec![0u64; lcols[0].len()];
-        for c in &lcols {
-            c.hash_combine(&mut lhashes);
-        }
-        for (r, &h) in lhashes.iter().enumerate() {
-            let mut matched = false;
-            let mut j = heads[bucket(h)];
-            while j != NO_ROW {
-                let jr = j as usize;
-                if rhashes[jr] == h && lcols.iter().zip(&rcols).all(|(l, c)| l.eq_at(r, c, jr)) {
-                    matched = true;
-                    if out.hit(i, j) {
-                        break;
-                    }
-                }
-                j = next[jr];
-            }
-            if !matched {
-                out.miss(i);
-            }
-            i += 1;
-        }
+        out.probe(&table, hashes(&lcols), |r, j| {
+            lcols
+                .iter()
+                .zip(&rcols)
+                .all(|(l, c)| l.eq_at(r, c, j as usize))
+        });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Convenience: inner merge on same-named keys.

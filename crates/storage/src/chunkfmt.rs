@@ -57,16 +57,20 @@
 //!   rebuilt *zero-copy* as shared windows over the read buffer
 //!   ([`Buffer::from_shared`]);
 //! * **steady-state encode allocates nothing** — [`EncodeWorkspace`] owns
-//!   the output buffer, the dictionary hash table and the varint staging,
-//!   so a warmed workspace re-encodes without touching the heap (the spill
-//!   path holds one per storage shard, the executors one per worker).
+//!   the output buffer, the string interner's key table and the code
+//!   staging, so a warmed workspace re-encodes without touching the heap
+//!   (the spill path holds one per storage shard, the executors one per
+//!   worker).
+//!
+//! Dictionaries come from [`StrArr::intern`], which here interns a null
+//! row by its bytes like any other row (an empty one shares `""`'s code).
 
 use crate::error::{StorageError, StorageResult};
 use crate::ChunkValue;
 use std::sync::Arc;
 use xorbits_array::NdArray;
 use xorbits_dataframe::column::{BoolArr, PrimArr, StrArr};
-use xorbits_dataframe::hash::hash_bytes;
+use xorbits_dataframe::hash::{hash_bytes, KeyTable};
 use xorbits_dataframe::{Bitmap, Buffer, Column, DataFrame, DataType};
 
 /// Envelope magic.
@@ -317,20 +321,21 @@ pub struct EncodedSize {
 
 // ---- encode workspace --------------------------------------------------------
 
-/// Reusable encoder state: the output buffer, the string-dictionary hash
+/// Reusable encoder state: the output buffer, the string interner's key
 /// table and the per-row code staging. A warmed workspace re-encodes
 /// same-shaped chunks with **zero heap allocation** — the property the
 /// `zero_alloc` integration test pins with a counting global allocator.
 #[derive(Default)]
 pub struct EncodeWorkspace {
     out: Vec<u8>,
-    /// Open-addressed dictionary slots: 0 = empty, else `code + 1`.
-    slots: Vec<u32>,
+    /// The interner's table ([`StrArr::intern`]), reset and refilled for
+    /// every string column planned.
+    table: KeyTable,
     /// Per-row dictionary code of the column being planned.
     codes: Vec<u32>,
-    /// Representative row index of each dictionary code, in first-occurrence
-    /// (= wire) order.
-    reprs: Vec<u32>,
+    /// Byte span of each dictionary entry (absolute in the column's data
+    /// buffer), in first-occurrence (= wire) order.
+    spans: Vec<(u32, u32)>,
 }
 
 /// Per-column encoding decision, produced by planning and consumed by the
@@ -430,7 +435,7 @@ impl EncodeWorkspace {
 
     /// Chooses the value-region encoding for one column: compressed only
     /// when its exact wire size beats plain. Fills the dictionary staging
-    /// (`codes`/`reprs`) when DictUtf8 wins, ready for [`Self::write_values`].
+    /// (`codes`/`spans`) when DictUtf8 wins, ready for [`Self::write_values`].
     fn plan_column(&mut self, col: &Column, mode: EncodingMode) -> ColPlan {
         let plain = ColPlan {
             enc: ENC_PLAIN,
@@ -443,7 +448,7 @@ impl EncodeWorkspace {
         match col {
             Column::Utf8(a) => {
                 let dict_bytes = self.build_dict(a);
-                let ndict = self.reprs.len();
+                let ndict = self.spans.len();
                 let wire = 4 + (ndict + 1) * 4 + 8 + dict_bytes + 1 + a.len() * code_width(ndict);
                 if wire < plain.wire {
                     ColPlan {
@@ -472,46 +477,11 @@ impl EncodeWorkspace {
         }
     }
 
-    /// Interns every row of `a` into the workspace dictionary. On return
-    /// `codes[row]` is the row's dictionary code, `reprs[code]` a
-    /// representative row, and the sum of distinct-entry lengths is the
-    /// returned dictionary byte total.
+    /// Interns every row of `a`, null rows by their span, into the
+    /// workspace dictionary (`codes`, `spans`) and returns its byte total.
     fn build_dict(&mut self, a: &StrArr) -> usize {
-        let rows = a.len();
-        let offs = a.offsets_buffer().as_slice();
-        let data = a.data_buffer().as_slice();
-        let cap = (rows * 2).next_power_of_two().max(16);
-        self.slots.clear();
-        self.slots.resize(cap, 0);
-        self.codes.clear();
-        self.reprs.clear();
-        let mut dict_bytes = 0usize;
-        for row in 0..rows {
-            let (s, e) = (offs[row] as usize, offs[row + 1] as usize);
-            let bytes = &data[s..e];
-            let mut slot = hash_bytes(data, s, e) as usize & (cap - 1);
-            let code = loop {
-                match self.slots[slot] {
-                    0 => {
-                        let code = self.reprs.len() as u32;
-                        self.slots[slot] = code + 1;
-                        self.reprs.push(row as u32);
-                        dict_bytes += e - s;
-                        break code;
-                    }
-                    c => {
-                        let r = self.reprs[(c - 1) as usize] as usize;
-                        let (rs, re) = (offs[r] as usize, offs[r + 1] as usize);
-                        if &data[rs..re] == bytes {
-                            break c - 1;
-                        }
-                        slot = (slot + 1) & (cap - 1);
-                    }
-                }
-            };
-            self.codes.push(code);
-        }
-        dict_bytes
+        a.intern(true, &mut self.table, &mut self.spans, &mut self.codes);
+        self.spans.iter().map(|&(s, e)| (e - s) as usize).sum()
     }
 
     /// Writes the column's value region in the planned encoding.
@@ -522,21 +492,18 @@ impl EncodeWorkspace {
                     Column::Utf8(a) => a,
                     _ => unreachable!("dict plan on non-string column"),
                 };
-                let offs = a.offsets_buffer().as_slice();
                 let data = a.data_buffer().as_slice();
-                let ndict = self.reprs.len();
+                let ndict = self.spans.len();
                 (ndict as u32).write_le(out);
                 let mut acc = 0u32;
                 acc.write_le(out);
-                for &r in &self.reprs {
-                    let r = r as usize;
-                    acc += offs[r + 1] - offs[r];
+                for &(s, e) in &self.spans {
+                    acc += e - s;
                     acc.write_le(out);
                 }
                 (plan.dict_bytes as u64).write_le(out);
-                for &r in &self.reprs {
-                    let r = r as usize;
-                    out.extend_from_slice(&data[offs[r] as usize..offs[r + 1] as usize]);
+                for &(s, e) in &self.spans {
+                    out.extend_from_slice(&data[s as usize..e as usize]);
                 }
                 let width = code_width(ndict);
                 out.push(width as u8);
@@ -1216,6 +1183,81 @@ mod tests {
             assert_eq!(size.raw, encoded_size(&v));
             assert_eq!(size.wire, ws.encode(&v, mode).len(), "{mode:?}");
         }
+    }
+
+    /// The `Auto` wire bytes of a fixed corpus, pinned by digest: the
+    /// dictionary interner may change how it finds equal strings, never
+    /// which codes it hands out or in what order.
+    #[test]
+    fn auto_wire_bytes_are_pinned() {
+        // `n` distinct strings, each repeated `reps` times in a row, so the
+        // dictionary beats plain and its code width is `code_width(n)`
+        let dict = |n: usize, reps: usize| {
+            Column::from_str((0..n * reps).map(|i| format!("{:x}", i / reps)))
+        };
+        let long = Column::from_str((0..600).map(|i| format!("a-long-string-{}", i % 40)));
+        let viewed = DataFrame::new(vec![("s", long.clone())]).unwrap();
+        let corpus: Vec<(&str, DataFrame, u64)> = vec![
+            (
+                "nulls before the first empty string",
+                DataFrame::new(vec![(
+                    "s",
+                    Column::from_opt_str(
+                        (0..400).map(|i| [None, None, Some("x"), Some(""), Some("y")][i % 5]),
+                    ),
+                )])
+                .unwrap(),
+                0x4c0c7cbe59f629c9,
+            ),
+            (
+                "only nulls have empty spans",
+                DataFrame::new(vec![(
+                    "s",
+                    Column::from_opt_str(
+                        (0..400).map(|i| (i % 3 != 0).then_some(["p", "q"][i % 2])),
+                    ),
+                )])
+                .unwrap(),
+                0x677a4f0076cf2417,
+            ),
+            (
+                "strings longer than 8 bytes",
+                DataFrame::new(vec![("s", long)]).unwrap(),
+                0x0d350bc99de634b2,
+            ),
+            ("offset view", viewed.slice(37, 401), 0xf7e307618947a946),
+            (
+                "256 entries",
+                DataFrame::new(vec![("s", dict(256, 4))]).unwrap(),
+                0xcc7819790f936971,
+            ),
+            (
+                "257 entries",
+                DataFrame::new(vec![("s", dict(257, 4))]).unwrap(),
+                0xcf8039ad7577ed27,
+            ),
+            (
+                "65536 entries",
+                DataFrame::new(vec![("s", dict(65_536, 3))]).unwrap(),
+                0xa438a072acce4854,
+            ),
+            (
+                "65537 entries",
+                DataFrame::new(vec![("s", dict(65_537, 3))]).unwrap(),
+                0xa20bcab19fe1af3e,
+            ),
+        ];
+        let mut ws = EncodeWorkspace::new();
+        let mut wrong = Vec::new();
+        for (name, df, want) in corpus {
+            let bytes = ws.encode(&ChunkValue::Df(df), EncodingMode::Auto);
+            assert_eq!(u16::read_le(&bytes[8..10]), VERSION_V2, "{name}");
+            let got = hash_bytes(bytes, 0, bytes.len());
+            if got != want {
+                wrong.push(format!("{name}: {got:#018x}"));
+            }
+        }
+        assert!(wrong.is_empty(), "digests moved:\n{}", wrong.join("\n"));
     }
 
     #[test]

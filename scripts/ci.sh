@@ -349,15 +349,26 @@ if [[ -n "$strays" ]]; then
   exit 1
 fi
 
-# Structural gate (hard): rows are grouped by one table. Equal keys are
-# found in one place, groupby.rs::build_groups (a direct-address table or a
-# flat chained one), for grouping and for distinct alike: no code line under
-# crates/dataframe/src keeps a per-key `HashMap<u64, Vec<..>>` bucket map,
-# and `DataFrame::drop_duplicates` in frame.rs calls `build_groups(`. A
-# chunk's `nunique` keeps one table of (group, key) pairs too, never a set
-# per group: groupby.rs has no `Vec<FxHashSet`.
-echo "==> rows are grouped by one table (no HashMap<u64, Vec< in dataframe/src, no Vec<FxHashSet in groupby.rs; drop_duplicates calls build_groups)"
-strays=$(find crates/dataframe/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+# Structural gate (hard): equal keys are found by one table. The join's
+# build side, grouping and distinct, and both string dictionaries
+# (`StrArr::intern`, for `dict_encode` and the chunk codec) go through
+# hash.rs::KeyTable: no code line under crates/dataframe/src or
+# crates/storage/src outside hash.rs slots a bucket with `>> (64 -` or
+# sizes a table with `next_power_of_two` (bitmap.rs's `>> (64 - sh)` is a
+# bit splice's carry, not a slot, and is exempt from the first). Rows are
+# grouped in one place, groupby.rs::build_groups (a direct-address table
+# or the key table), for grouping and for distinct alike: no per-key
+# `HashMap<u64, Vec<..>>` bucket map, and `DataFrame::drop_duplicates` in
+# frame.rs calls `build_groups(`. A chunk's `nunique` keeps one table of
+# (group, key) pairs too, never a set per group: groupby.rs has no
+# `Vec<FxHashSet`.
+echo "==> equal keys are found by one table (slotting and sizing only in hash.rs; no HashMap<u64, Vec< in dataframe/src, no Vec<FxHashSet in groupby.rs; drop_duplicates calls build_groups)"
+strays=$(find crates/dataframe/src crates/storage/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  /^[[:space:]]*\/\// { next }
+  FILENAME ~ /\/hash\.rs$/ { next }
+  />> \(64 -/ && FILENAME !~ /\/bitmap\.rs$/ { print FILENAME ":" FNR ": " $0 }
+  /next_power_of_two/ { print FILENAME ":" FNR ": " $0 }')
+strays+=$(find crates/dataframe/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
   /^[[:space:]]*\/\// { next }
   /HashMap<u64, *Vec</ { print FILENAME ":" FNR ": " $0 }
   FILENAME ~ /groupby\.rs$/ && /Vec<FxHashSet/ { print FILENAME ":" FNR ": " $0 }')
@@ -369,7 +380,7 @@ strays+=$(awk '
   END { if (!seen) print "no fn drop_duplicates found"; else if (!calls) print "drop_duplicates does not call build_groups(" }
 ' crates/dataframe/src/frame.rs)
 if [[ -n "$strays" ]]; then
-  echo "rows with equal keys must be found by groupby.rs::build_groups alone; found:"
+  echo "equal keys must be found by hash.rs::KeyTable (rows grouped by groupby.rs::build_groups) alone; found:"
   echo "$strays"
   exit 1
 fi

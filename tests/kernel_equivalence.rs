@@ -507,13 +507,13 @@ fn projected_filter_equals_filter_then_prune() {
         if case % 5 == 4 {
             keep = vec!["absent".to_string()];
         }
-        let filter = ChunkOp::DfMap(DfStep::Filter(predicate));
+        let filter = ChunkOp::DfMap(DfStep::Filter(predicate).into());
         let input = [Arc::new(Payload::Df(df))];
         let run = |keep: Option<&[String]>| {
             let out = exec::execute_chunk(&filter, &input, keep).unwrap();
             out[0].as_df().unwrap().clone()
         };
-        let prune = ChunkOp::DfMap(DfStep::PruneTo(keep.clone()));
+        let prune = ChunkOp::DfMap(DfStep::PruneTo(keep.clone()).into());
         let whole = Arc::new(Payload::Df(run(None)));
         let want = exec::execute_chunk(&prune, &[whole], None).unwrap();
         let what = format!("case {case} keep {keep:?}");

@@ -76,8 +76,10 @@ impl<E: Executor> Executor for Recording<E> {
         let mut handed = self.handed.lock().unwrap();
         handed.graphs += 1;
         for node in &graph.chunks.nodes {
-            if let ChunkOp::DfMap(DfStep::PruneTo(cols)) = &node.op {
-                handed.pruned.push(cols.clone());
+            if let ChunkOp::DfMap(step) = &node.op {
+                if let DfStep::PruneTo(cols) = &**step {
+                    handed.pruned.push(cols.clone());
+                }
             }
         }
         drop(handed);
