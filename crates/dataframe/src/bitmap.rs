@@ -414,6 +414,52 @@ impl BitmapBuilder {
     }
 }
 
+/// Packs `bit(v)` of every value into LSB-first words, 64 rows a word: a
+/// fixed-length inner loop with no bounds check or branch, which the
+/// compiler vectorizes.
+pub(crate) fn pack<T: Copy>(vals: &[T], bit: impl Fn(T) -> bool) -> Vec<u64> {
+    let full = vals.len() / 64 * 64;
+    let mut words = Vec::with_capacity(vals.len().div_ceil(64));
+    for c in vals[..full].chunks_exact(64) {
+        let c: &[T; 64] = c.try_into().expect("a 64-value chunk");
+        words.push(word(c.iter().map(|&v| bit(v))));
+    }
+    if full < vals.len() {
+        words.push(word(vals[full..].iter().map(|&v| bit(v))));
+    }
+    words
+}
+
+/// [`pack`] over two slices of equal length.
+pub(crate) fn pack2<A: Copy, B: Copy>(a: &[A], b: &[B], bit: impl Fn(A, B) -> bool) -> Vec<u64> {
+    let full = a.len() / 64 * 64;
+    let mut words = Vec::with_capacity(a.len().div_ceil(64));
+    for (x, y) in a[..full].chunks_exact(64).zip(b[..full].chunks_exact(64)) {
+        let x: &[A; 64] = x.try_into().expect("a 64-value chunk");
+        let y: &[B; 64] = y.try_into().expect("a 64-value chunk");
+        words.push(word(x.iter().zip(y).map(|(&p, &q)| bit(p, q))));
+    }
+    if full < a.len() {
+        let tail = a[full..].iter().zip(&b[full..]);
+        words.push(word(tail.map(|(&p, &q)| bit(p, q))));
+    }
+    words
+}
+
+/// [`pack`] over row indices, for rows that are not fixed-width values.
+pub(crate) fn pack_idx(n: usize, mut bit: impl FnMut(usize) -> bool) -> Vec<u64> {
+    (0..n)
+        .step_by(64)
+        .map(|base| word((base..n.min(base + 64)).map(&mut bit)))
+        .collect()
+}
+
+#[inline(always)]
+fn word(bits: impl Iterator<Item = bool>) -> u64 {
+    bits.enumerate()
+        .fold(0, |w, (j, b)| w | (u64::from(b) << j))
+}
+
 /// Clears any bits beyond `len` in the last word.
 fn mask_tail(words: &mut [u64], len: usize) {
     let rem = len % 64;

@@ -5,13 +5,15 @@
 //! (`Buffer::make_mut`); see the crate-level "Memory model" notes in
 //! DESIGN.md for the sharing/accounting rules.
 
-use crate::bitmap::{Bitmap, BitmapBuilder};
+use crate::bitmap::{pack, pack2, pack_idx, Bitmap, BitmapBuilder};
 use crate::buffer::Buffer;
 use crate::error::{DfError, DfResult};
-use crate::hash::{combine, hash_bytes, KeyTable};
+use crate::hash::{combine, hash_bytes, FxHashSet, KeyTable};
 use crate::scalar::{DataType, Scalar};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A gather index with no source row: the row comes out null (a left
 /// join's unmatched right side, a group with no best row).
@@ -313,7 +315,7 @@ impl StrOut {
         self.validity.push_run(None, row, len);
     }
 
-    fn finish(mut self) -> StrArr {
+    fn finish(mut self) -> Plain {
         assert_eq!(
             self.pos(),
             self.total,
@@ -321,11 +323,7 @@ impl StrOut {
         );
         // SAFETY: bytes `0..total` were written.
         unsafe { self.data.set_len(self.total) };
-        StrArr {
-            data: Buffer::from_vec(self.data),
-            offsets: Buffer::from_vec(self.offsets),
-            validity: self.validity.finish_if_null(),
-        }
+        Plain::new(self.data, self.offsets, self.validity.finish_if_null())
     }
 }
 
@@ -556,162 +554,119 @@ impl<T: Copy + Default> PrimArr<T> {
             }
         }
     }
+
+    /// Drops an all-set validity bitmap.
+    fn nulls_only(mut self) -> Self {
+        self.validity = if_null(self.validity);
+        self
+    }
+
+    /// Copies any buffer that retains more than `slack ×` its view.
+    fn compact(&mut self, slack: f64) -> bool {
+        let mut changed = self.values.compact(slack);
+        if let Some(v) = &mut self.validity {
+            changed |= v.compact(slack);
+        }
+        changed
+    }
+
+    /// Vertical concatenation; a validity bitmap when some part has one.
+    fn concat(arrs: &[&Self]) -> Self {
+        let total: usize = arrs.iter().map(|a| a.len()).sum();
+        let mut values = Vec::with_capacity(total);
+        for a in arrs {
+            values.extend_from_slice(&a.values);
+        }
+        PrimArr {
+            values: Buffer::from_vec(values),
+            validity: concat_validity(arrs.iter().map(|a| (a.validity.as_ref(), a.len()))),
+        }
+    }
 }
 
-/// A UTF-8 string array with contiguous byte storage (Arrow-style offsets).
+/// A UTF-8 string array, in one of two forms that read alike:
 ///
-/// Offsets are *absolute* positions into the (always full-view) byte
-/// buffer, so slicing only narrows the offsets view — both buffers stay
-/// shared and the slice is O(1).
+/// * **plain** — contiguous byte storage with Arrow-style offsets;
+/// * **coded** — a `u32` code per row into a shared dictionary of distinct
+///   values. [`StrArr::from_picks`] builds it. Row operations keep it when
+///   their parts share a dictionary (the same one, or equal values in the
+///   same order) and fall back to the plain form otherwise; predicates,
+///   transforms, hashing and [`StrArr::dict_encode`] run once per
+///   dictionary value instead of once per row.
+///
+/// No result outside this crate depends on the form: values,
+/// [`Column::nbytes`] and the chunk codec's sizes and bytes are those of
+/// the plain twin.
 #[derive(Debug, Clone)]
-pub struct StrArr {
+pub struct StrArr(Form);
+
+#[derive(Debug, Clone)]
+enum Form {
+    Plain(Plain),
+    Coded(Coded),
+}
+
+/// The plain form. Offsets are *absolute* positions into the (always
+/// full-view) byte buffer, so slicing only narrows the offsets view — both
+/// buffers stay shared and the slice is O(1).
+#[derive(Debug, Clone)]
+struct Plain {
     data: Buffer<u8>,
     /// `len + 1` absolute offsets into `data`.
     offsets: Buffer<u32>,
     validity: Option<Bitmap>,
 }
 
-impl StrArr {
-    /// Builds from string slices, all valid.
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_iter<S: AsRef<str>, I: IntoIterator<Item = S>>(iter: I) -> Self {
-        let iter = iter.into_iter();
-        let mut data = Vec::new();
-        let mut offsets = Vec::with_capacity(iter.size_hint().0 + 1);
-        offsets.push(0u32);
-        for s in iter {
-            data.extend_from_slice(s.as_ref().as_bytes());
-            offsets.push(data.len() as u32);
-        }
-        StrArr {
+/// The coded form: the codes move through the primitive kernels, and the
+/// dictionary is shared, never copied.
+#[derive(Debug, Clone)]
+struct Coded {
+    /// Row `i` holds entry `codes[i]` of `dict`; the codes carry the rows'
+    /// validity. A null row's code is unspecified: a gather's missing row
+    /// holds 0, which an empty dictionary does not have.
+    codes: PrimArr<u32>,
+    /// Distinct values, plain and all valid.
+    dict: Arc<StrArr>,
+    /// Bytes of the valid rows' values before each 64-row block of the
+    /// array the codes were first built as, so a slice's logical size
+    /// (which every published chunk is asked for) costs at most two
+    /// partial blocks, as a plain slice's costs two offsets.
+    sums: Arc<[usize]>,
+    /// The view's first row in the rows `sums` counts.
+    base: usize,
+}
+
+/// `validity` when some row is null: the normal form every string result
+/// takes.
+fn if_null(validity: Option<Bitmap>) -> Option<Bitmap> {
+    validity.filter(|v| v.count_set() < v.len())
+}
+
+impl Plain {
+    fn new(data: Vec<u8>, offsets: Vec<u32>, validity: Option<Bitmap>) -> Plain {
+        Plain {
             data: Buffer::from_vec(data),
             offsets: Buffer::from_vec(offsets),
-            validity: None,
+            validity,
         }
     }
 
-    /// Builds from optional string slices.
-    pub fn from_options<S: AsRef<str>, I: IntoIterator<Item = Option<S>>>(iter: I) -> Self {
-        let mut data = Vec::new();
-        let mut offsets = vec![0u32];
-        let mut validity = BitmapBuilder::with_capacity(0);
-        for s in iter {
-            match s {
-                Some(s) => {
-                    data.extend_from_slice(s.as_ref().as_bytes());
-                    validity.push(true);
-                }
-                None => validity.push(false),
-            }
-            offsets.push(data.len() as u32);
-        }
-        StrArr {
-            data: Buffer::from_vec(data),
-            offsets: Buffer::from_vec(offsets),
-            validity: validity.finish_validity(),
-        }
-    }
-
-    /// Builds `rows` all-valid strings written in place: `write(i, text)`
-    /// appends row `i`'s string to `text`, one buffer for the whole column
-    /// reserved at `bytes`, so no row allocates a string of its own.
-    pub fn from_writer(
-        rows: usize,
-        bytes: usize,
-        mut write: impl FnMut(usize, &mut String),
-    ) -> Self {
-        let mut text = String::with_capacity(bytes);
-        let mut offsets = Vec::with_capacity(rows + 1);
-        offsets.push(0u32);
-        for i in 0..rows {
-            write(i, &mut text);
-            offsets.push(text.len() as u32);
-        }
-        StrArr {
-            data: Buffer::from_vec(text.into_bytes()),
-            offsets: Buffer::from_vec(offsets),
-            validity: None,
-        }
-    }
-
-    /// All-valid strings each one of a few `options`: row `i` is
-    /// `options[picks[i]]`. The byte buffer is reserved for the values
-    /// plus one store's slack, and each value of at most `PICK_WIDTH`
-    /// bytes is copied as one fixed-width store of its option padded out,
-    /// the buffer then cut back to the value's end — no variable-length
-    /// copy per row.
-    pub fn from_picks(options: &[&str], picks: &[u8]) -> Self {
-        const PICK_WIDTH: usize = 32;
-        let padded: Vec<[u8; PICK_WIDTH]> = options
-            .iter()
-            .map(|o| {
-                let mut pad = [0u8; PICK_WIDTH];
-                let n = o.len().min(PICK_WIDTH);
-                pad[..n].copy_from_slice(&o.as_bytes()[..n]);
-                pad
-            })
-            .collect();
-        let total: usize = picks.iter().map(|&p| options[p as usize].len()).sum();
-        let mut data: Vec<u8> = Vec::with_capacity(total + PICK_WIDTH);
-        let mut offsets = Vec::with_capacity(picks.len() + 1);
-        offsets.push(0u32);
-        for &p in picks {
-            let value = options[p as usize];
-            let end = data.len() + value.len();
-            if value.len() <= PICK_WIDTH {
-                data.extend_from_slice(&padded[p as usize]);
-                data.truncate(end);
-            } else {
-                data.extend_from_slice(value.as_bytes());
-            }
-            offsets.push(end as u32);
-        }
-        StrArr {
-            data: Buffer::from_vec(data),
-            offsets: Buffer::from_vec(offsets),
-            validity: None,
-        }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.offsets.len() - 1
     }
 
-    /// True if no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Validity of row `i`.
     #[inline]
-    pub fn is_valid(&self, i: usize) -> bool {
+    fn is_valid(&self, i: usize) -> bool {
         self.validity.as_ref().is_none_or(|v| v.get(i))
     }
 
-    /// String at row `i` ignoring validity (null rows yield `""`).
+    /// Row `i`'s bytes as a string, ignoring validity.
     #[inline]
-    pub fn value(&self, i: usize) -> &str {
-        let start = self.offsets[i] as usize;
-        let end = self.offsets[i + 1] as usize;
+    fn value(&self, i: usize) -> &str {
+        let (start, end) = self.byte_range(i);
         // SAFETY: `data` only ever holds concatenated UTF-8 strings and
         // `offsets` only ever points at their boundaries.
         unsafe { std::str::from_utf8_unchecked(&self.data.as_slice()[start..end]) }
-    }
-
-    /// String at row `i`, `None` when null.
-    #[inline]
-    pub fn get(&self, i: usize) -> Option<&str> {
-        if self.is_valid(i) {
-            Some(self.value(i))
-        } else {
-            None
-        }
-    }
-
-    /// Iterator over all values (null ⇒ `None`).
-    pub fn iter(&self) -> impl Iterator<Item = Option<&str>> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
     }
 
     /// Byte range of row `i` in `data`.
@@ -822,15 +777,8 @@ impl StrArr {
                 m &= m - 1;
             }
         }
-        StrArr {
-            data: Buffer::from_vec(data),
-            offsets: Buffer::from_vec(offsets),
-            validity: self
-                .validity
-                .as_ref()
-                .map(|v| v.filter(mask))
-                .filter(|v| v.count_set() < kept),
-        }
+        let validity = self.validity.as_ref().map(|v| v.filter(mask));
+        Plain::new(data, offsets, if_null(validity))
     }
 
     /// Scatter into `counts.len()` partitions (see [`Column::scatter`]):
@@ -935,7 +883,7 @@ impl StrArr {
         counts
             .iter()
             .enumerate()
-            .map(|(p, &c)| StrArr {
+            .map(|(p, &c)| Plain {
                 data: data.clone(),
                 offsets: offsets.slice(ostarts[p], c + 1),
                 validity: vbs.as_mut().and_then(|it| {
@@ -947,28 +895,9 @@ impl StrArr {
             .collect()
     }
 
-    /// Dictionary-encodes the array: equal strings share a dense `i64`
-    /// code (first-occurrence order, so valid rows' codes are exactly
-    /// `0..` the number of distinct strings), nulls stay null. Grouping and
-    /// distinct-tracking run on the codes, so strings are hashed once here
-    /// and never cloned or re-compared afterwards.
-    pub fn dict_encode(&self) -> PrimArr<i64> {
-        let mut codes = Vec::with_capacity(self.len());
-        crate::mem::advise_huge(codes.as_ptr(), self.len());
-        self.intern(false, &mut KeyTable::default(), &mut Vec::new(), &mut codes);
-        PrimArr {
-            values: Buffer::from_vec(codes),
-            validity: self.validity.clone(),
-        }
-    }
-
-    /// The one string interner, for [`Self::dict_encode`] and the chunk
-    /// codec: fills `codes` with a code per row, dense in first-occurrence
-    /// order, and `spans` with each code's first byte span. With
-    /// `keep_nulls` a null row is interned by its bytes like any other
-    /// (the codec); without it, it gets code 0 and takes no code. `table`
-    /// is reset and kept, so a warmed one interns without allocating.
-    pub fn intern<C: From<u32>>(
+    /// See [`StrArr::intern`]. Whether a row is skipped as null is decided
+    /// once for the array, not per row.
+    fn intern<C: From<u32>>(
         &self,
         keep_nulls: bool,
         table: &mut KeyTable,
@@ -976,35 +905,672 @@ impl StrArr {
         codes: &mut Vec<C>,
     ) {
         let data = self.data.as_slice();
+        let offs = self.offsets.as_slice();
         table.reset();
         spans.clear();
         codes.clear();
-        for (i, w) in self.offsets.as_slice().windows(2).enumerate() {
-            if !keep_nulls && !self.is_valid(i) {
-                codes.push(C::from(0));
-                continue;
-            }
-            let bytes = &data[w[0] as usize..w[1] as usize];
-            let code = table.find_or_insert(hash_bytes(data, w[0] as usize, w[1] as usize), |c| {
+        let mut code_of = |s: u32, e: u32| {
+            let bytes = &data[s as usize..e as usize];
+            let code = table.find_or_insert(hash_bytes(data, s as usize, e as usize), |c| {
                 let (s, e) = spans[c as usize];
                 &data[s as usize..e as usize] == bytes
             });
             if code as usize == spans.len() {
-                spans.push((w[0], w[1]));
+                spans.push((s, e));
             }
-            codes.push(C::from(code));
+            C::from(code)
+        };
+        match self.validity.as_ref().filter(|_| !keep_nulls) {
+            None => codes.extend(offs.windows(2).map(|w| code_of(w[0], w[1]))),
+            Some(valid) => codes.extend(offs.windows(2).enumerate().map(|(i, w)| {
+                if valid.get(i) {
+                    code_of(w[0], w[1])
+                } else {
+                    C::from(0)
+                }
+            })),
         }
     }
 
-    /// The shared byte buffer (for the chunk codec's encoder).
-    pub fn data_buffer(&self) -> &Buffer<u8> {
-        &self.data
+    /// Packs whether each row's bytes equal one of `probes`. With at most
+    /// [`STR_SAME_LEN`] probes of any one length, a row is compared only
+    /// with the probes of its length: their first 8 bytes as one word, and
+    /// the bytes after them only when that agrees — so most rows are
+    /// settled without a byte comparison or a hash. More probes of one
+    /// length go through a hash set.
+    fn member(&self, probes: &[&[u8]]) -> Vec<u64> {
+        let (data, offs) = (self.data.as_slice(), self.offsets.as_slice());
+        let longest = probes.iter().map(|p| p.len()).max().unwrap_or(0);
+        let mut by_len: Vec<Vec<(u64, &[u8])>> = vec![Vec::new(); longest + 1];
+        for p in probes {
+            by_len[p.len()].push((head(p, 0, p.len()), &p[p.len().min(8)..]));
+        }
+        if by_len.iter().any(|ps| ps.len() > STR_SAME_LEN) {
+            let set: FxHashSet<&[u8]> = probes.iter().copied().collect();
+            return pack_idx(self.len(), |i| set.contains(self.value(i).as_bytes()));
+        }
+        pack_idx(self.len(), |i| {
+            let (start, end) = (offs[i] as usize, offs[i + 1] as usize);
+            let len = end - start;
+            match by_len.get(len) {
+                Some(ps) if !ps.is_empty() => {
+                    let row_head = head(data, start, len);
+                    ps.iter().any(|&(ph, tail)| {
+                        ph == row_head && (len <= 8 || data[start + 8..end] == *tail)
+                    })
+                }
+                _ => false,
+            }
+        })
     }
 
-    /// The offsets buffer: `len + 1` absolute positions into the byte
-    /// buffer (for the chunk codec's encoder).
-    pub fn offsets_buffer(&self) -> &Buffer<u32> {
-        &self.offsets
+    /// O(1): narrows the offsets view; the byte buffer stays shared.
+    fn slice(&self, offset: usize, len: usize) -> Self {
+        Plain {
+            data: self.data.clone(),
+            offsets: self.offsets.slice(offset, len + 1),
+            validity: self.validity.as_ref().map(|v| v.slice(offset, len)),
+        }
+    }
+
+    /// Bytes referenced by the viewed rows (excludes unreferenced parts
+    /// of a shared byte buffer).
+    fn viewed_bytes(&self) -> usize {
+        (self.offsets[self.len()] - self.offsets[0]) as usize
+    }
+
+    fn retained_nbytes(&self) -> usize {
+        self.data.retained_nbytes()
+            + self.offsets.retained_nbytes()
+            + self.validity.as_ref().map_or(0, |v| v.retained_nbytes())
+    }
+
+    fn push_allocs(&self, out: &mut Vec<(usize, usize)>) {
+        out.push((self.data.alloc_id(), self.data.retained_nbytes()));
+        out.push((self.offsets.alloc_id(), self.offsets.retained_nbytes()));
+        if let Some(v) = &self.validity {
+            out.push((v.alloc_id(), v.retained_nbytes()));
+        }
+    }
+
+    fn compact(&mut self, slack: f64) -> bool {
+        let slack = slack.max(1.0);
+        let mut changed = self.offsets.compact(slack);
+        if let Some(v) = &mut self.validity {
+            changed |= v.compact(slack);
+        }
+        let first = self.offsets[0] as usize;
+        let last = self.offsets[self.len()] as usize;
+        let viewed = last - first;
+        if (self.data.retained_nbytes() as f64) > (viewed.max(1) as f64) * slack {
+            let bytes = self.data.as_slice()[first..last].to_vec();
+            self.data = Buffer::from_vec(bytes);
+            if first != 0 {
+                let rebased: Vec<u32> = self.offsets.iter().map(|&o| o - first as u32).collect();
+                self.offsets = Buffer::from_vec(rebased);
+            }
+            changed = true;
+        }
+        changed
+    }
+
+    /// Bulk concatenation: referenced byte ranges appended, offsets rebased
+    /// (parts may be views with non-zero base offsets).
+    fn concat(parts: &[&Plain]) -> Plain {
+        let total_rows: usize = parts.iter().map(|p| p.len()).sum();
+        let total_bytes: usize = parts.iter().map(|p| p.viewed_bytes()).sum();
+        let mut data = Vec::with_capacity(total_bytes);
+        let mut offsets = Vec::with_capacity(total_rows + 1);
+        offsets.push(0u32);
+        for p in parts {
+            let first = p.offsets[0];
+            let last = p.offsets[p.len()];
+            let base = data.len() as u32;
+            data.extend_from_slice(&p.data.as_slice()[first as usize..last as usize]);
+            offsets.extend(p.offsets[1..].iter().map(|o| o - first + base));
+        }
+        let validity = concat_validity(parts.iter().map(|p| (p.validity.as_ref(), p.len())));
+        Plain::new(data, offsets, validity)
+    }
+}
+
+/// The most probes of one byte length [`Plain::member`] compares a row
+/// with. A row is compared with every probe of its length, so past some
+/// count a hash set is cheaper. On 76k-row columns (Xeon, 2 vCPU) the hash
+/// set costs 14–22 ns/row at any probe count; comparing costs 4–7 ns/row
+/// for up to 4 two-byte probes of one length, and 17 ns/row for 4 probes
+/// of one length that share their first 8 bytes, the worst case. Probes of
+/// distinct lengths stay under 5 ns/row at any count.
+const STR_SAME_LEN: usize = 4;
+
+/// The first `min(len, 8)` bytes of `data[start..]` as a little-endian
+/// word, zero above them: one unaligned load where 8 bytes exist.
+#[inline(always)]
+fn head(data: &[u8], start: usize, len: usize) -> u64 {
+    match data.get(start..start + 8) {
+        Some(w) => {
+            let w = u64::from_le_bytes(w.try_into().expect("8 bytes"));
+            if len >= 8 {
+                w
+            } else {
+                w & ((1u64 << (len * 8)) - 1)
+            }
+        }
+        None => {
+            let mut w = [0u8; 8];
+            let n = len.min(8);
+            w[..n].copy_from_slice(&data[start..start + n]);
+            u64::from_le_bytes(w)
+        }
+    }
+}
+
+/// The validity of parts laid end to end, given as `(validity, rows)`:
+/// one word-level [`Bitmap::concat`] when some part has a bitmap, so an
+/// all-set one carries over as it does in every other kernel.
+fn concat_validity<'a>(
+    parts: impl Iterator<Item = (Option<&'a Bitmap>, usize)> + Clone,
+) -> Option<Bitmap> {
+    if parts.clone().all(|(v, _)| v.is_none()) {
+        return None;
+    }
+    let maps: Vec<Bitmap> = parts
+        .map(|(v, len)| v.cloned().unwrap_or_else(|| Bitmap::new_set(len, true)))
+        .collect();
+    let refs: Vec<&Bitmap> = maps.iter().collect();
+    Some(Bitmap::concat(&refs))
+}
+
+/// A dictionary's plain form.
+fn plain_dict(dict: &StrArr) -> &Plain {
+    match &dict.0 {
+        Form::Plain(p) => p,
+        Form::Coded(_) => unreachable!("a dictionary is plain"),
+    }
+}
+
+impl Coded {
+    /// Codes into `dict`, their block sums counted in one pass.
+    fn new(codes: PrimArr<u32>, dict: Arc<StrArr>) -> Coded {
+        let d = plain_dict(&dict);
+        // a missing row's code 0 reads the 0 past an empty dictionary
+        let lens: Vec<usize> = (0..d.len()).map(|c| d.value(c).len()).chain([0]).collect();
+        let mut acc = 0;
+        let blocks = codes.values.chunks(64).enumerate().map(|(b, block)| {
+            acc += match codes.validity.as_ref().map_or(u64::MAX, |v| v.word(b)) {
+                u64::MAX => block.iter().map(|&c| lens[c as usize]).sum::<usize>(),
+                valid => (0..block.len())
+                    .filter(|&k| (valid >> k) & 1 == 1)
+                    .map(|k| lens[block[k] as usize])
+                    .sum(),
+            };
+            acc
+        });
+        let sums = std::iter::once(0).chain(blocks).collect();
+        Coded {
+            codes,
+            dict,
+            sums,
+            base: 0,
+        }
+    }
+
+    /// The dictionary's plain form.
+    fn dict(&self) -> &Plain {
+        plain_dict(&self.dict)
+    }
+
+    #[inline]
+    fn value(&self, i: usize) -> &str {
+        if self.codes.is_valid(i) {
+            self.dict().value(self.codes.values[i] as usize)
+        } else {
+            ""
+        }
+    }
+
+    /// Packs, per row, the bit of `words` (a predicate packed over the
+    /// dictionary) at the row's code: one table read per row.
+    fn map_words(&self, mut words: Vec<u64>) -> Vec<u64> {
+        // a missing row's code 0 reads a word an empty dictionary lacks
+        words.push(0);
+        pack(&self.codes.values, |c| {
+            (words[c as usize >> 6] >> (c & 63)) & 1 == 1
+        })
+    }
+
+    /// Bytes the valid rows' values hold: the whole blocks' from `sums`,
+    /// the rows around them one by one.
+    fn value_bytes(&self) -> usize {
+        let (lo, hi) = (self.base, self.base + self.codes.len());
+        let (first, last) = (lo.div_ceil(64), hi / 64);
+        let bytes = |rows: Range<usize>| -> usize { rows.map(|i| self.value(i).len()).sum() };
+        if first >= last {
+            return bytes(0..hi - lo);
+        }
+        bytes(0..first * 64 - lo)
+            + (self.sums[last] - self.sums[first])
+            + bytes(last * 64 - lo..hi - lo)
+    }
+
+    /// [`StrArr::write_plain`] of the codes, in one pass over a region made
+    /// at once: each row as one `W`-byte store of its value padded (every
+    /// value fits `W`), or as its exact bytes when `W` is 0. A padded
+    /// store's tail is overwritten by the next row; the region's last `W`
+    /// bytes are the slack it needs, cut off at the end.
+    fn write_plain<const W: usize>(&self, out: &mut Vec<u8>) {
+        let d = self.dict();
+        // per dictionary value its length and its bytes padded; a null
+        // row's key is the empty entry past every value
+        let (mut lens, mut padded) = ([0u32; MAX_DICT + 1], [[0u8; W]; MAX_DICT + 1]);
+        for k in 0..d.len() {
+            let v = d.value(k).as_bytes();
+            lens[k] = v.len() as u32;
+            if W > 0 {
+                padded[k][..v.len()].copy_from_slice(v);
+            }
+        }
+        let (n, total) = (self.codes.len(), self.value_bytes());
+        let (start, bytes_at) = (out.len(), 4 * (n + 1) + 8);
+        out.resize(start + bytes_at + total + W, 0);
+        let region = &mut out[start..];
+        region[4 * (n + 1)..bytes_at].copy_from_slice(&(total as u64).to_le_bytes());
+        let (mut end, valid) = (0, self.codes.validity.as_ref());
+        for (i, &k) in self.codes.values.iter().enumerate() {
+            let k = match valid {
+                Some(v) if !v.get(i) => MAX_DICT,
+                _ => k as usize,
+            };
+            let at = bytes_at + end as usize;
+            if W > 0 {
+                region[at..at + W].copy_from_slice(&padded[k]);
+            } else if k < d.len() {
+                region[at..at + lens[k] as usize].copy_from_slice(d.value(k).as_bytes());
+            }
+            end += lens[k];
+            region[4 * (i + 1)..4 * (i + 2)].copy_from_slice(&end.to_le_bytes());
+        }
+        assert_eq!(end as usize, total, "string bytes changed between passes");
+        out.truncate(start + bytes_at + total);
+    }
+
+    /// Rows `offset..offset + len`, the dictionary and block sums shared.
+    fn slice(&self, offset: usize, len: usize) -> Coded {
+        Coded {
+            codes: self.codes.slice(offset, len),
+            dict: self.dict.clone(),
+            sums: self.sums.clone(),
+            base: self.base + offset,
+        }
+    }
+
+    /// The plain twin: each valid row's value, a null row's none, and the
+    /// codes' validity as it is.
+    fn decode(&self) -> Plain {
+        let n = self.codes.len();
+        let mut data = Vec::with_capacity(self.value_bytes());
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        for i in 0..n {
+            data.extend_from_slice(self.value(i).as_bytes());
+            offsets.push(data.len() as u32);
+        }
+        Plain::new(data, offsets, self.codes.validity.clone())
+    }
+
+    /// See [`StrArr::intern`]: a code's first occurrence numbers it, in an
+    /// array on the stack, and a null row interned as a value is `""`'s.
+    fn intern<C: From<u32>>(
+        &self,
+        keep_nulls: bool,
+        spans: &mut Vec<(u32, u32)>,
+        codes: &mut Vec<C>,
+    ) {
+        let d = self.dict();
+        spans.clear();
+        codes.clear();
+        // `""`'s code, else one past the dictionary, whose span is empty
+        let empty = (0..d.len())
+            .find(|&c| d.value(c).is_empty())
+            .unwrap_or(d.len());
+        let span = |c: u32| match c as usize {
+            c if c < d.len() => (d.offsets[c], d.offsets[c + 1]),
+            _ => (0, 0),
+        };
+        let mut ids = [u32::MAX; MAX_DICT + 1];
+        let mut id_of = |c: u32| {
+            let id = &mut ids[c as usize];
+            if *id == u32::MAX {
+                *id = spans.len() as u32;
+                spans.push(span(c));
+            }
+            C::from(*id)
+        };
+        let vals = self.codes.values.as_slice();
+        match &self.codes.validity {
+            None => codes.extend(vals.iter().map(|&c| id_of(c))),
+            Some(valid) => codes.extend(vals.iter().zip(valid.iter()).map(|(&c, v)| match v {
+                true => id_of(c),
+                false if keep_nulls => id_of(empty as u32),
+                false => C::from(0),
+            })),
+        }
+    }
+}
+
+/// The most values a dictionary holds: [`StrArr::from_picks`] picks with
+/// a `u8`, and a transform never adds values.
+const MAX_DICT: usize = 256;
+
+impl StrArr {
+    fn plain(p: Plain) -> StrArr {
+        StrArr(Form::Plain(p))
+    }
+
+    fn coded(codes: PrimArr<u32>, dict: Arc<StrArr>) -> StrArr {
+        StrArr(Form::Coded(Coded::new(codes, dict)))
+    }
+
+    /// Builds from string slices, all valid.
+    #[allow(clippy::should_implement_trait)]
+    pub fn from_iter<S: AsRef<str>, I: IntoIterator<Item = S>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut data = Vec::new();
+        let mut offsets = Vec::with_capacity(iter.size_hint().0 + 1);
+        offsets.push(0u32);
+        for s in iter {
+            data.extend_from_slice(s.as_ref().as_bytes());
+            offsets.push(data.len() as u32);
+        }
+        StrArr::plain(Plain::new(data, offsets, None))
+    }
+
+    /// Builds from optional string slices.
+    pub fn from_options<S: AsRef<str>, I: IntoIterator<Item = Option<S>>>(iter: I) -> Self {
+        let mut data = Vec::new();
+        let mut offsets = vec![0u32];
+        let mut validity = BitmapBuilder::with_capacity(0);
+        for s in iter {
+            match s {
+                Some(s) => {
+                    data.extend_from_slice(s.as_ref().as_bytes());
+                    validity.push(true);
+                }
+                None => validity.push(false),
+            }
+            offsets.push(data.len() as u32);
+        }
+        StrArr::plain(Plain::new(data, offsets, validity.finish_validity()))
+    }
+
+    /// Builds `rows` all-valid strings written in place: `write(i, text)`
+    /// appends row `i`'s string to `text`, one buffer for the whole column
+    /// reserved at `bytes`, so no row allocates a string of its own.
+    pub fn from_writer(
+        rows: usize,
+        bytes: usize,
+        mut write: impl FnMut(usize, &mut String),
+    ) -> Self {
+        let mut text = String::with_capacity(bytes);
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0u32);
+        for i in 0..rows {
+            write(i, &mut text);
+            offsets.push(text.len() as u32);
+        }
+        StrArr::plain(Plain::new(text.into_bytes(), offsets, None))
+    }
+
+    /// All-valid strings each one of a few `options`: row `i` is
+    /// `options[picks[i]]`. Built coded: the distinct options are the
+    /// dictionary, and each row's code is written, not its bytes. A `u8`
+    /// pick reaches only the first 256 options.
+    pub fn from_picks(options: &[&str], picks: &[u8]) -> Self {
+        let options = &options[..options.len().min(MAX_DICT)];
+        let mut dict: Vec<&str> = Vec::with_capacity(options.len());
+        let code_of: Vec<u32> = options
+            .iter()
+            .map(|o| {
+                let c = dict.iter().position(|d| d == o).unwrap_or_else(|| {
+                    dict.push(o);
+                    dict.len() - 1
+                });
+                c as u32
+            })
+            .collect();
+        let codes = picks.iter().map(|&p| code_of[p as usize]).collect();
+        StrArr::coded(PrimArr::new(codes), Arc::new(StrArr::from_iter(dict)))
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Form::Plain(p) => p.len(),
+            Form::Coded(c) => c.codes.len(),
+        }
+    }
+
+    /// True if no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The validity bitmap; `None` means no nulls.
+    pub fn validity(&self) -> Option<&Bitmap> {
+        match &self.0 {
+            Form::Plain(p) => p.validity.as_ref(),
+            Form::Coded(c) => c.codes.validity.as_ref(),
+        }
+    }
+
+    /// Validity of row `i`.
+    #[inline]
+    pub fn is_valid(&self, i: usize) -> bool {
+        self.validity().is_none_or(|v| v.get(i))
+    }
+
+    /// String at row `i` ignoring validity (null rows yield `""`).
+    #[inline]
+    pub fn value(&self, i: usize) -> &str {
+        match &self.0 {
+            Form::Plain(p) => p.value(i),
+            Form::Coded(c) => c.value(i),
+        }
+    }
+
+    /// String at row `i`, `None` when null.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<&str> {
+        if self.is_valid(i) {
+            Some(self.value(i))
+        } else {
+            None
+        }
+    }
+
+    /// Iterator over all values (null ⇒ `None`).
+    pub fn iter(&self) -> impl Iterator<Item = Option<&str>> + '_ {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+
+    /// Appends the viewed rows' plain value region as the chunk codec lays
+    /// it out: `len + 1` offsets rebased to 0, as little-endian `u32`s,
+    /// the byte count as a little-endian `u64`, then the bytes, a null
+    /// row's as [`Self::value`] reads them. A coded array takes each
+    /// value's length from a table and copies a row as one fixed-width
+    /// store of its value padded to the dictionary's longest (up to 64
+    /// bytes).
+    pub fn write_plain(&self, out: &mut Vec<u8>) {
+        let c = match &self.0 {
+            Form::Coded(c) => c,
+            Form::Plain(p) => {
+                let offs = p.offsets.as_slice();
+                let (first, last) = (offs[0], offs[offs.len() - 1]);
+                let at = out.len();
+                out.resize(at + 4 * offs.len(), 0);
+                for (dst, &o) in out[at..].chunks_exact_mut(4).zip(offs) {
+                    dst.copy_from_slice(&(o - first).to_le_bytes());
+                }
+                out.extend_from_slice(&u64::from(last - first).to_le_bytes());
+                let bytes = &p.data.as_slice()[first as usize..last as usize];
+                return out.extend_from_slice(bytes);
+            }
+        };
+        let d = c.dict();
+        match (0..d.len()).map(|k| d.value(k).len()).max().unwrap_or(0) {
+            0..=8 => c.write_plain::<8>(out),
+            9..=16 => c.write_plain::<16>(out),
+            17..=32 => c.write_plain::<32>(out),
+            33..=64 => c.write_plain::<64>(out),
+            _ => c.write_plain::<0>(out),
+        }
+    }
+
+    /// Whether the array is in the coded form (for tests of the two forms).
+    pub fn is_coded(&self) -> bool {
+        matches!(self.0, Form::Coded(_))
+    }
+
+    /// The plain form: borrowed, or a coded array's decoded twin.
+    fn to_plain(&self) -> Cow<'_, Plain> {
+        match &self.0 {
+            Form::Plain(p) => Cow::Borrowed(p),
+            Form::Coded(c) => Cow::Owned(c.decode()),
+        }
+    }
+
+    /// The dictionary every non-empty part is coded with (the same one,
+    /// or equal values in the same order), if there is one.
+    fn shared_dict<'a>(parts: &[&'a StrArr]) -> Option<&'a Arc<StrArr>> {
+        let mut dict: Option<&Arc<StrArr>> = None;
+        for p in parts.iter().filter(|p| !p.is_empty()) {
+            let Form::Coded(c) = &p.0 else { return None };
+            match dict {
+                Some(d) if !Arc::ptr_eq(d, &c.dict) && **d != *c.dict => return None,
+                Some(_) => {}
+                None => dict = Some(&c.dict),
+            }
+        }
+        dict
+    }
+
+    /// Every part's codes, an empty part of another form's as none (its
+    /// validity kept).
+    fn codes_of(parts: &[&StrArr]) -> Vec<PrimArr<u32>> {
+        parts
+            .iter()
+            .map(|p| match &p.0 {
+                Form::Coded(c) => c.codes.clone(),
+                Form::Plain(p) => PrimArr {
+                    values: Buffer::empty(),
+                    validity: p.validity.clone(),
+                },
+            })
+            .collect()
+    }
+
+    /// Every part's plain form.
+    fn plains<'a>(parts: &[&'a StrArr]) -> Vec<Cow<'a, Plain>> {
+        parts.iter().map(|p| p.to_plain()).collect()
+    }
+
+    /// Rows `idx` of `parts` laid end to end (see [`Column::gather`]): the
+    /// codes' gather when the parts share a dictionary, else the plain one.
+    fn gather<I: RowId, L: Locate>(parts: &[&Self], idx: &[I], segs: &[Seg<L>]) -> Self {
+        if let Some(dict) = StrArr::shared_dict(parts) {
+            let codes = StrArr::codes_of(parts);
+            let codes: Vec<&PrimArr<u32>> = codes.iter().collect();
+            let gathered = PrimArr::gather(&codes, idx, segs).nulls_only();
+            return StrArr::coded(gathered, dict.clone());
+        }
+        let plains = StrArr::plains(parts);
+        let plains: Vec<&Plain> = plains.iter().map(|p| p.as_ref()).collect();
+        StrArr::plain(Plain::gather(&plains, idx, segs))
+    }
+
+    fn filter(&self, mask: &Bitmap) -> Self {
+        match &self.0 {
+            Form::Plain(p) => StrArr::plain(p.filter(mask)),
+            Form::Coded(c) => StrArr::coded(c.codes.filter(mask).nulls_only(), c.dict.clone()),
+        }
+    }
+
+    fn scatter(&self, pids: &[u32], counts: &[usize]) -> Vec<Self> {
+        match &self.0 {
+            Form::Plain(p) => p
+                .scatter(pids, counts)
+                .into_iter()
+                .map(StrArr::plain)
+                .collect(),
+            Form::Coded(c) => c
+                .codes
+                .scatter(pids, counts)
+                .into_iter()
+                .map(|codes| StrArr::coded(codes, c.dict.clone()))
+                .collect(),
+        }
+    }
+
+    /// Dictionary-encodes the array: equal strings share an `i64` code and
+    /// nulls stay null. Grouping and distinct-tracking run on the codes,
+    /// so strings are never cloned or re-compared afterwards. A coded
+    /// array's codes are its own (dictionary order, as sparse as the rows
+    /// use them); a plain array is interned, dense in first-occurrence
+    /// order.
+    pub fn dict_encode(&self) -> PrimArr<i64> {
+        match &self.0 {
+            Form::Coded(c) => PrimArr {
+                values: c.codes.values.iter().map(|&v| i64::from(v)).collect(),
+                validity: c.codes.validity.clone(),
+            },
+            Form::Plain(p) => {
+                let mut codes = Vec::with_capacity(p.len());
+                crate::mem::advise_huge(codes.as_ptr(), p.len());
+                p.intern(false, &mut KeyTable::default(), &mut Vec::new(), &mut codes);
+                PrimArr {
+                    values: Buffer::from_vec(codes),
+                    validity: p.validity.clone(),
+                }
+            }
+        }
+    }
+
+    /// The one string interner, for [`Self::dict_encode`] and the chunk
+    /// codec: fills `codes` with a code per row, dense in first-occurrence
+    /// order, and `spans` with each code's byte span in
+    /// [`Self::data_buffer`]. With `keep_nulls` a null row is interned by
+    /// its bytes like any other (the codec), a coded array's as `""`;
+    /// without it, it gets code 0 and takes no code. `table` is reset and
+    /// kept, so a warmed one interns without allocating. A coded array
+    /// numbers its codes instead, without `table` or a hash.
+    pub fn intern<C: From<u32>>(
+        &self,
+        keep_nulls: bool,
+        table: &mut KeyTable,
+        spans: &mut Vec<(u32, u32)>,
+        codes: &mut Vec<C>,
+    ) {
+        match &self.0 {
+            Form::Plain(p) => p.intern(keep_nulls, table, spans, codes),
+            Form::Coded(c) => c.intern(keep_nulls, spans, codes),
+        }
+    }
+
+    /// The byte buffer: the plain form's, or a coded array's dictionary's
+    /// (the bytes [`Self::intern`]'s spans index; for the chunk codec).
+    pub fn data_buffer(&self) -> &Buffer<u8> {
+        match &self.0 {
+            Form::Plain(p) => &p.data,
+            Form::Coded(c) => &c.dict().data,
+        }
+    }
+
+    /// Bytes the viewed rows' values hold in the plain form.
+    pub fn value_bytes(&self) -> usize {
+        match &self.0 {
+            Form::Plain(p) => p.viewed_bytes(),
+            Form::Coded(c) => c.value_bytes(),
+        }
     }
 
     /// Reassembles an array from raw parts, validating every invariant the
@@ -1053,107 +1619,239 @@ impl StrArr {
                 });
             }
         }
-        Ok(StrArr {
+        Ok(StrArr::plain(Plain {
             data,
             offsets,
             validity,
-        })
+        }))
     }
 
-    /// O(1): narrows the offsets view; the byte buffer stays shared.
+    /// O(1): narrows the offsets or codes view; the bytes or dictionary
+    /// stay shared.
     fn slice(&self, offset: usize, len: usize) -> Self {
-        StrArr {
-            data: self.data.clone(),
-            offsets: self.offsets.slice(offset, len + 1),
-            validity: self.validity.as_ref().map(|v| v.slice(offset, len)),
+        match &self.0 {
+            Form::Plain(p) => StrArr::plain(p.slice(offset, len)),
+            Form::Coded(c) => StrArr(Form::Coded(c.slice(offset, len))),
         }
     }
 
-    /// Bytes referenced by the viewed rows (excludes unreferenced parts
-    /// of a shared byte buffer).
-    fn viewed_bytes(&self) -> usize {
-        (self.offsets[self.len()] - self.offsets[0]) as usize
-    }
-
+    /// The plain form's logical size, whichever form holds the rows.
     fn nbytes(&self) -> usize {
-        self.viewed_bytes()
-            + self.offsets.len() * 4
-            + self.validity.as_ref().map_or(0, |v| v.nbytes())
+        self.value_bytes() + (self.len() + 1) * 4 + self.validity().map_or(0, |v| v.nbytes())
     }
 
+    /// What is physically held; a coded array counts its dictionary once.
     fn retained_nbytes(&self) -> usize {
-        self.data.retained_nbytes()
-            + self.offsets.retained_nbytes()
-            + self.validity.as_ref().map_or(0, |v| v.retained_nbytes())
+        match &self.0 {
+            Form::Plain(p) => p.retained_nbytes(),
+            Form::Coded(c) => {
+                c.codes.values.retained_nbytes()
+                    + c.codes.validity.as_ref().map_or(0, |v| v.retained_nbytes())
+                    + std::mem::size_of_val(&*c.sums)
+                    + c.dict.retained_nbytes()
+            }
+        }
     }
 
     fn push_allocs(&self, out: &mut Vec<(usize, usize)>) {
-        out.push((self.data.alloc_id(), self.data.retained_nbytes()));
-        out.push((self.offsets.alloc_id(), self.offsets.retained_nbytes()));
-        if let Some(v) = &self.validity {
-            out.push((v.alloc_id(), v.retained_nbytes()));
-        }
-    }
-
-    fn compact(&mut self, slack: f64) -> bool {
-        let slack = slack.max(1.0);
-        let mut changed = self.offsets.compact(slack);
-        if let Some(v) = &mut self.validity {
-            changed |= v.compact(slack);
-        }
-        let first = self.offsets[0] as usize;
-        let last = self.offsets[self.len()] as usize;
-        let viewed = last - first;
-        if (self.data.retained_nbytes() as f64) > (viewed.max(1) as f64) * slack {
-            let bytes = self.data.as_slice()[first..last].to_vec();
-            self.data = Buffer::from_vec(bytes);
-            if first != 0 {
-                let rebased: Vec<u32> = self.offsets.iter().map(|&o| o - first as u32).collect();
-                self.offsets = Buffer::from_vec(rebased);
+        match &self.0 {
+            Form::Plain(p) => p.push_allocs(out),
+            Form::Coded(c) => {
+                out.push((c.codes.values.alloc_id(), c.codes.values.retained_nbytes()));
+                if let Some(v) = &c.codes.validity {
+                    out.push((v.alloc_id(), v.retained_nbytes()));
+                }
+                out.push((c.sums.as_ptr() as usize, std::mem::size_of_val(&*c.sums)));
+                c.dict.push_allocs(out);
             }
-            changed = true;
         }
-        changed
     }
 
-    /// Bulk concatenation: referenced byte ranges appended, offsets rebased
-    /// (parts may be views with non-zero base offsets).
-    pub fn concat(parts: &[&StrArr]) -> StrArr {
-        let total_rows: usize = parts.iter().map(|p| p.len()).sum();
-        let total_bytes: usize = parts.iter().map(|p| p.viewed_bytes()).sum();
-        let mut data = Vec::with_capacity(total_bytes);
-        let mut offsets = Vec::with_capacity(total_rows + 1);
-        offsets.push(0u32);
-        for p in parts {
-            let first = p.offsets[0];
-            let last = p.offsets[p.len()];
-            let base = data.len() as u32;
-            data.extend_from_slice(&p.data.as_slice()[first as usize..last as usize]);
-            offsets.extend(p.offsets[1..].iter().map(|o| o - first + base));
+    /// A coded array compacts its codes; the shared dictionary stays.
+    fn compact(&mut self, slack: f64) -> bool {
+        match &mut self.0 {
+            Form::Plain(p) => p.compact(slack),
+            Form::Coded(c) => c.codes.compact(slack),
         }
-        // validity via word-level Bitmap::concat, not a per-row push loop
-        let validity = if parts.iter().any(|p| p.validity.is_some()) {
-            let maps: Vec<Bitmap> = parts
-                .iter()
-                .map(|p| match &p.validity {
-                    Some(v) => v.clone(),
-                    None => Bitmap::new_set(p.len(), true),
-                })
-                .collect();
-            let refs: Vec<&Bitmap> = maps.iter().collect();
-            Some(Bitmap::concat(&refs))
-        } else {
-            None
+    }
+
+    /// Bulk concatenation: the codes' when the parts share a dictionary,
+    /// else referenced byte ranges appended and offsets rebased (parts may
+    /// be views with non-zero base offsets).
+    pub fn concat(parts: &[&StrArr]) -> StrArr {
+        if let Some(dict) = StrArr::shared_dict(parts) {
+            let codes = StrArr::codes_of(parts);
+            let codes: Vec<&PrimArr<u32>> = codes.iter().collect();
+            return StrArr::coded(PrimArr::concat(&codes), dict.clone());
+        }
+        let plains = StrArr::plains(parts);
+        let plains: Vec<&Plain> = plains.iter().map(|p| p.as_ref()).collect();
+        StrArr::plain(Plain::concat(&plains))
+    }
+
+    /// Folds each row's value hash into `hashes[row]`, `null_h` for a null
+    /// row. A coded array hashes each dictionary value once.
+    fn hash_combine(&self, hashes: &mut [u64], null_h: u64) {
+        let (data, offs) = match &self.0 {
+            Form::Plain(p) => (p.data.as_slice(), p.offsets.as_slice()),
+            Form::Coded(c) => {
+                let d = c.dict();
+                let dict_hashes: Vec<u64> = (0..d.len())
+                    .map(|k| {
+                        let (s, e) = d.byte_range(k);
+                        hash_bytes(d.data.as_slice(), s, e)
+                    })
+                    .collect();
+                let by_code = |&k: &u32| dict_hashes[k as usize];
+                let codes = c.codes.values.as_slice();
+                match &c.codes.validity {
+                    None => {
+                        for (h, k) in hashes.iter_mut().zip(codes) {
+                            *h = combine(*h, by_code(k));
+                        }
+                    }
+                    Some(valid) => {
+                        for ((h, k), v) in hashes.iter_mut().zip(codes).zip(valid.iter()) {
+                            *h = combine(*h, if v { by_code(k) } else { null_h });
+                        }
+                    }
+                }
+                return;
+            }
         };
-        StrArr {
-            data: Buffer::from_vec(data),
-            offsets: Buffer::from_vec(offsets),
-            validity,
+        match self.validity() {
+            None => {
+                for (h, w) in hashes.iter_mut().zip(offs.windows(2)) {
+                    *h = combine(*h, hash_bytes(data, w[0] as usize, w[1] as usize));
+                }
+            }
+            Some(valid) => {
+                for (i, h) in hashes.iter_mut().enumerate() {
+                    let vh = if valid.get(i) {
+                        hash_bytes(data, offs[i] as usize, offs[i + 1] as usize)
+                    } else {
+                        null_h
+                    };
+                    *h = combine(*h, vh);
+                }
+            }
+        }
+    }
+
+    /// Row equality, null equal to null; codes of one dictionary compare
+    /// as the values do.
+    fn eq_at(&self, i: usize, other: &StrArr, j: usize) -> bool {
+        match (&self.0, &other.0) {
+            (Form::Coded(a), Form::Coded(b)) if Arc::ptr_eq(&a.dict, &b.dict) => {
+                a.codes.get(i) == b.codes.get(j)
+            }
+            _ => self.get(i) == other.get(j),
+        }
+    }
+
+    /// Packs `bit` of every row's value, 64 rows a word; a null row's bit
+    /// is unspecified. A coded array runs `bit` once per dictionary value.
+    pub(crate) fn pack_values(&self, mut bit: impl FnMut(&str) -> bool) -> Vec<u64> {
+        match &self.0 {
+            Form::Plain(p) => pack_idx(p.len(), |i| bit(p.value(i))),
+            Form::Coded(c) => c.map_words(c.dict.pack_values(bit)),
+        }
+    }
+
+    /// Packs whether each row's value is one of `probes`; a null row's bit
+    /// is unspecified. A coded array compares each dictionary value once.
+    pub(crate) fn pack_member(&self, probes: &[&[u8]]) -> Vec<u64> {
+        match &self.0 {
+            Form::Plain(p) => p.member(probes),
+            Form::Coded(c) => c.map_words(c.dict.pack_member(probes)),
+        }
+    }
+
+    /// Packs whether row `i` orders `want` against row `i` of `other`; a
+    /// null row's bit is unspecified. Codes of one dictionary test
+    /// equality as the values do.
+    pub(crate) fn pack_cmp(&self, other: &StrArr, want: Ordering) -> Vec<u64> {
+        match (&self.0, &other.0) {
+            (Form::Coded(a), Form::Coded(b))
+                if want == Ordering::Equal && Arc::ptr_eq(&a.dict, &b.dict) =>
+            {
+                pack2(&a.codes.values, &b.codes.values, |x, y| x == y)
+            }
+            _ => pack_idx(self.len(), |i| self.value(i).cmp(other.value(i)) == want),
+        }
+    }
+
+    /// Each valid row's value through `f`, which appends its result to the
+    /// text it is given; null rows stay null. Plain rows are written into
+    /// one buffer. A coded array maps each dictionary value once and
+    /// re-interns the results, so values that map to one share a code.
+    pub(crate) fn map_str(&self, mut f: impl FnMut(&str, &mut String)) -> StrArr {
+        let c = match &self.0 {
+            Form::Coded(c) => c,
+            Form::Plain(p) => {
+                let mut text = String::with_capacity(p.viewed_bytes());
+                let mut offsets = Vec::with_capacity(p.len() + 1);
+                offsets.push(0u32);
+                for i in 0..p.len() {
+                    if p.is_valid(i) {
+                        f(p.value(i), &mut text);
+                    }
+                    offsets.push(text.len() as u32);
+                }
+                let validity = if_null(p.validity.clone());
+                return StrArr::plain(Plain::new(text.into_bytes(), offsets, validity));
+            }
+        };
+        let mapped = c.dict.map_str(f);
+        let mut remap: Vec<u32> = Vec::with_capacity(mapped.len() + 1);
+        mapped.intern(false, &mut KeyTable::default(), &mut Vec::new(), &mut remap);
+        let mut firsts = Vec::new();
+        for (row, &code) in remap.iter().enumerate() {
+            if code as usize == firsts.len() {
+                firsts.push(row);
+            }
+        }
+        let dict = StrArr::from_iter(firsts.iter().map(|&row| mapped.value(row)));
+        // a missing row's code 0 reads an entry an empty dictionary lacks
+        remap.push(0);
+        let codes = PrimArr {
+            values: c.codes.values.iter().map(|&k| remap[k as usize]).collect(),
+            validity: c.codes.validity.clone(),
+        };
+        StrArr::coded(codes.nulls_only(), Arc::new(dict))
+    }
+
+    /// `f` of each valid row's value, `T::default()` on a null row, with
+    /// the rows' validity. A coded array runs `f` once per dictionary
+    /// value.
+    pub(crate) fn map_values<T: Copy + Default>(&self, mut f: impl FnMut(&str) -> T) -> PrimArr<T> {
+        let values: Vec<T> = match &self.0 {
+            Form::Plain(p) => (0..p.len())
+                .map(|i| match p.is_valid(i) {
+                    true => f(p.value(i)),
+                    false => T::default(),
+                })
+                .collect(),
+            Form::Coded(c) => {
+                let d = c.dict();
+                let table: Vec<T> = (0..d.len()).map(|k| f(d.value(k))).collect();
+                (0..c.codes.len())
+                    .map(|i| match c.codes.is_valid(i) {
+                        true => table[c.codes.values[i] as usize],
+                        false => T::default(),
+                    })
+                    .collect()
+            }
+        };
+        PrimArr {
+            values: Buffer::from_vec(values),
+            validity: if_null(self.validity().cloned()),
         }
     }
 }
 
-/// Logical equality: views with different base offsets compare by content.
+/// Logical equality: views with different base offsets, and the two forms,
+/// compare by content.
 impl PartialEq for StrArr {
     fn eq(&self, other: &StrArr) -> bool {
         self.len() == other.len() && (0..self.len()).all(|i| self.get(i) == other.get(i))
@@ -1427,14 +2125,7 @@ impl Column {
 
     /// Number of null rows.
     pub fn null_count(&self) -> usize {
-        let validity = match self {
-            Column::Int64(a) => &a.validity,
-            Column::Float64(a) => &a.validity,
-            Column::Bool(a) => &a.validity,
-            Column::Utf8(a) => &a.validity,
-            Column::Date(a) => &a.validity,
-        };
-        validity.as_ref().map_or(0, |v| v.len() - v.count_set())
+        self.validity().map_or(0, |v| v.len() - v.count_set())
     }
 
     /// Approximate *logical* heap bytes of the viewed rows (the runtime's
@@ -1509,17 +2200,10 @@ impl Column {
     /// its logical size, so a small view stops pinning a large parent.
     /// Returns true if any buffer was copied.
     pub fn compact(&mut self, slack: f64) -> bool {
-        fn prim<T: Clone>(a: &mut PrimArr<T>, slack: f64) -> bool {
-            let mut changed = a.values.compact(slack);
-            if let Some(v) = &mut a.validity {
-                changed |= v.compact(slack);
-            }
-            changed
-        }
         match self {
-            Column::Int64(a) => prim(a, slack),
-            Column::Float64(a) => prim(a, slack),
-            Column::Date(a) => prim(a, slack),
+            Column::Int64(a) => a.compact(slack),
+            Column::Float64(a) => a.compact(slack),
+            Column::Date(a) => a.compact(slack),
             Column::Bool(a) => {
                 let mut changed = a.values.compact(slack);
                 if let Some(v) = &mut a.validity {
@@ -1681,7 +2365,7 @@ impl Column {
             Column::Int64(a) => a.validity.as_ref(),
             Column::Float64(a) => a.validity.as_ref(),
             Column::Bool(a) => a.validity.as_ref(),
-            Column::Utf8(a) => a.validity.as_ref(),
+            Column::Utf8(a) => a.validity(),
             Column::Date(a) => a.validity.as_ref(),
         }
     }
@@ -1761,7 +2445,7 @@ impl Column {
             },
             Column::Utf8(a) => match value.as_str() {
                 Some(s) => {
-                    if a.validity.is_none() {
+                    if a.validity().is_none() {
                         return self.clone();
                     }
                     Column::Utf8(StrArr::from_iter(
@@ -1787,58 +2471,33 @@ impl Column {
                 });
             }
         }
-        fn concat_prim<T: Copy + Default>(arrs: Vec<&PrimArr<T>>) -> PrimArr<T> {
-            let total: usize = arrs.iter().map(|a| a.len()).sum();
-            let mut values = Vec::with_capacity(total);
-            let any_null = arrs.iter().any(|a| a.validity.is_some());
-            for a in &arrs {
-                values.extend_from_slice(&a.values);
-            }
-            let validity = if any_null {
-                let mut parts: Vec<Bitmap> = Vec::with_capacity(arrs.len());
-                for a in &arrs {
-                    match &a.validity {
-                        Some(v) => parts.push(v.clone()),
-                        None => parts.push(Bitmap::new_set(a.len(), true)),
-                    }
-                }
-                let refs: Vec<&Bitmap> = parts.iter().collect();
-                Some(Bitmap::concat(&refs))
-            } else {
-                None
-            };
-            PrimArr {
-                values: Buffer::from_vec(values),
-                validity,
-            }
-        }
         Ok(match dtype {
-            DataType::Int64 => Column::Int64(concat_prim(
-                parts
+            DataType::Int64 => Column::Int64(PrimArr::concat(
+                &parts
                     .iter()
                     .map(|p| match p {
                         Column::Int64(a) => a,
                         _ => unreachable!(),
                     })
-                    .collect(),
+                    .collect::<Vec<_>>(),
             )),
-            DataType::Float64 => Column::Float64(concat_prim(
-                parts
+            DataType::Float64 => Column::Float64(PrimArr::concat(
+                &parts
                     .iter()
                     .map(|p| match p {
                         Column::Float64(a) => a,
                         _ => unreachable!(),
                     })
-                    .collect(),
+                    .collect::<Vec<_>>(),
             )),
-            DataType::Date => Column::Date(concat_prim(
-                parts
+            DataType::Date => Column::Date(PrimArr::concat(
+                &parts
                     .iter()
                     .map(|p| match p {
                         Column::Date(a) => a,
                         _ => unreachable!(),
                     })
-                    .collect(),
+                    .collect::<Vec<_>>(),
             )),
             DataType::Bool => {
                 let arrs: Vec<&BoolArr> = parts
@@ -1850,20 +2509,7 @@ impl Column {
                     .collect();
                 let value_parts: Vec<&Bitmap> = arrs.iter().map(|a| &a.values).collect();
                 let values = Bitmap::concat(&value_parts);
-                let has_null = arrs.iter().any(|a| a.validity.is_some());
-                let validity = if has_null {
-                    let parts: Vec<Bitmap> = arrs
-                        .iter()
-                        .map(|a| match &a.validity {
-                            Some(v) => v.clone(),
-                            None => Bitmap::new_set(a.len(), true),
-                        })
-                        .collect();
-                    let refs: Vec<&Bitmap> = parts.iter().collect();
-                    Some(Bitmap::concat(&refs))
-                } else {
-                    None
-                };
+                let validity = concat_validity(arrs.iter().map(|a| (a.validity.as_ref(), a.len())));
                 Column::Bool(BoolArr { values, validity })
             }
             DataType::Utf8 => {
@@ -2010,27 +2656,7 @@ impl Column {
                     *h = combine(*h, a.get(i).map_or(NULL_H, |v| v as u64));
                 }
             }
-            Column::Utf8(a) => {
-                let data = a.data.as_slice();
-                let offs = a.offsets.as_slice();
-                match &a.validity {
-                    None => {
-                        for (h, w) in hashes.iter_mut().zip(offs.windows(2)) {
-                            *h = combine(*h, hash_bytes(data, w[0] as usize, w[1] as usize));
-                        }
-                    }
-                    Some(_) => {
-                        for (i, h) in hashes.iter_mut().enumerate() {
-                            let vh = if a.is_valid(i) {
-                                hash_bytes(data, offs[i] as usize, offs[i + 1] as usize)
-                            } else {
-                                NULL_H
-                            };
-                            *h = combine(*h, vh);
-                        }
-                    }
-                }
-            }
+            Column::Utf8(a) => a.hash_combine(hashes, NULL_H),
         }
     }
 
@@ -2047,7 +2673,7 @@ impl Column {
             },
             (Column::Date(a), Column::Date(b)) => a.get(i) == b.get(j),
             (Column::Bool(a), Column::Bool(b)) => a.get(i) == b.get(j),
-            (Column::Utf8(a), Column::Utf8(b)) => a.get(i) == b.get(j),
+            (Column::Utf8(a), Column::Utf8(b)) => a.eq_at(i, b, j),
             _ => false,
         }
     }

@@ -2,7 +2,8 @@
 //!
 //! [`eval`] walks an [`Expr`] tree once per chunk, and every node runs a
 //! kernel on the physical type of its operands: `i64`, `i32` dates, `f64`,
-//! UTF-8 bytes or packed booleans. A literal is a one-row operand and is
+//! UTF-8 strings (a coded column's once per dictionary value, through
+//! `StrArr`) or packed booleans. A literal is a one-row operand and is
 //! never broadcast to the frame's length; a literal on the left flips the
 //! comparison. Predicates pack 64 rows into each `u64` word and combine
 //! validity word-wise, so a filter's intermediates are bitmaps of n/8
@@ -15,7 +16,7 @@
 //! runs a chain of such steps in one subtask, so no intermediate reaches
 //! the storage service.
 
-use crate::bitmap::Bitmap;
+use crate::bitmap::{pack, pack2, pack_idx, Bitmap};
 use crate::column::{BoolArr, Column, PrimArr, StrArr};
 use crate::dates;
 use crate::error::{DfError, DfResult};
@@ -353,25 +354,19 @@ fn cmp_words<A: Copy, B: Copy, K: Ord + Copy>(
     words
 }
 
-/// Row `i`'s bytes, straight out of the shared byte buffer.
-fn rows<'a>(a: &'a StrArr) -> impl Fn(usize) -> &'a [u8] + 'a {
-    let (data, offs) = (a.data_buffer().as_slice(), a.offsets_buffer().as_slice());
-    move |i| &data[offs[i] as usize..offs[i + 1] as usize]
-}
-
 /// Byte-wise comparison, which orders UTF-8 exactly as `str` does; a
-/// literal is compared as the borrowed `&str` it is.
+/// literal is compared as the borrowed `&str` it is, once per dictionary
+/// value of a coded column.
 fn str_cmp(op: BinOp, a: &StrArr, b: &StrArr, side: Side) -> Vec<u64> {
-    let (ra, rb) = (rows(a), rows(b));
     let (want, negate) = base_op(op);
     let mut words = match side {
-        Side::Col => pack_idx(a.len(), |i| ra(i).cmp(rb(i)) == want),
+        Side::Col => a.pack_cmp(b, want),
         _ => {
-            let k = rb(0);
+            let k = b.value(0);
             if want == Ordering::Equal {
-                str_member(a, &[k]).expect("one probe is within the bound")
+                a.pack_member(&[k.as_bytes()])
             } else {
-                pack_idx(a.len(), |i| ra(i).cmp(k) == want)
+                a.pack_values(|v| v.cmp(k) == want)
             }
         }
     };
@@ -418,52 +413,6 @@ fn clear_nulls(words: &mut [u64], validity: &Bitmap) {
     for (w, v) in words.iter_mut().zip(validity.words_iter()) {
         *w &= v;
     }
-}
-
-/// Packs `bit(v)` of every value into LSB-first words, 64 rows a word: a
-/// fixed-length inner loop with no bounds check or branch, which the
-/// compiler vectorizes.
-fn pack<T: Copy>(vals: &[T], bit: impl Fn(T) -> bool) -> Vec<u64> {
-    let full = vals.len() / 64 * 64;
-    let mut words = Vec::with_capacity(vals.len().div_ceil(64));
-    for c in vals[..full].chunks_exact(64) {
-        let c: &[T; 64] = c.try_into().expect("a 64-value chunk");
-        words.push(word(c.iter().map(|&v| bit(v))));
-    }
-    if full < vals.len() {
-        words.push(word(vals[full..].iter().map(|&v| bit(v))));
-    }
-    words
-}
-
-/// [`pack`] over two slices of equal length.
-fn pack2<A: Copy, B: Copy>(a: &[A], b: &[B], bit: impl Fn(A, B) -> bool) -> Vec<u64> {
-    let full = a.len() / 64 * 64;
-    let mut words = Vec::with_capacity(a.len().div_ceil(64));
-    for (x, y) in a[..full].chunks_exact(64).zip(b[..full].chunks_exact(64)) {
-        let x: &[A; 64] = x.try_into().expect("a 64-value chunk");
-        let y: &[B; 64] = y.try_into().expect("a 64-value chunk");
-        words.push(word(x.iter().zip(y).map(|(&p, &q)| bit(p, q))));
-    }
-    if full < a.len() {
-        let tail = a[full..].iter().zip(&b[full..]);
-        words.push(word(tail.map(|(&p, &q)| bit(p, q))));
-    }
-    words
-}
-
-/// [`pack`] over row indices, for rows that are not fixed-width values.
-fn pack_idx(n: usize, mut bit: impl FnMut(usize) -> bool) -> Vec<u64> {
-    (0..n)
-        .step_by(64)
-        .map(|base| word((base..n.min(base + 64)).map(&mut bit)))
-        .collect()
-}
-
-#[inline(always)]
-fn word(bits: impl Iterator<Item = bool>) -> u64 {
-    bits.enumerate()
-        .fold(0, |w, (j, b)| w | (u64::from(b) << j))
 }
 
 fn unary(op: UnOp, c: &Column) -> DfResult<Column> {
@@ -526,46 +475,21 @@ fn call(func: &Func, c: &Column) -> DfResult<Column> {
         Func::StartsWith(p) => str_pred(c, |s| s.starts_with(p)),
         Func::EndsWith(p) => str_pred(c, |s| s.ends_with(p)),
         Func::Contains(p) => str_pred(c, |s| s.contains(p.as_str())),
-        Func::Substr { start, len } => {
-            let a = c.as_utf8()?;
-            let out: Vec<Option<String>> = a
-                .iter()
-                .map(|s| s.map(|s| s.chars().skip(*start).take(*len).collect::<String>()))
-                .collect();
-            Ok(Column::from_opt_str(out))
-        }
-        Func::StrLen => {
-            let a = c.as_utf8()?;
-            Ok(Column::from_opt_i64(
-                a.iter()
-                    .map(|s| s.map(|s| s.chars().count() as i64))
-                    .collect(),
-            ))
-        }
-        Func::Lower => {
-            let a = c.as_utf8()?;
-            Ok(Column::from_opt_str(
-                a.iter()
-                    .map(|s| s.map(str::to_lowercase))
-                    .collect::<Vec<_>>(),
-            ))
-        }
-        Func::Upper => {
-            let a = c.as_utf8()?;
-            Ok(Column::from_opt_str(
-                a.iter()
-                    .map(|s| s.map(str::to_uppercase))
-                    .collect::<Vec<_>>(),
-            ))
-        }
-        Func::Trim => {
-            let a = c.as_utf8()?;
-            Ok(Column::from_opt_str(
-                a.iter()
-                    .map(|s| s.map(|s| s.trim().to_string()))
-                    .collect::<Vec<_>>(),
-            ))
-        }
+        Func::Substr { start, len } => str_map(c, |s, out| {
+            out.extend(s.chars().skip(*start).take(*len));
+        }),
+        Func::StrLen => Ok(Column::Int64(
+            c.as_utf8()?.map_values(|s| s.chars().count() as i64),
+        )),
+        Func::Lower => str_map(c, |s, out| match s.is_ascii() {
+            true => out.extend(s.bytes().map(|b| char::from(b.to_ascii_lowercase()))),
+            false => out.push_str(&s.to_lowercase()),
+        }),
+        Func::Upper => str_map(c, |s, out| match s.is_ascii() {
+            true => out.extend(s.bytes().map(|b| char::from(b.to_ascii_uppercase()))),
+            false => out.push_str(&s.to_uppercase()),
+        }),
+        Func::Trim => str_map(c, |s, out| out.push_str(s.trim())),
         Func::Abs => match c {
             Column::Int64(a) => Ok(Column::Int64(PrimArr {
                 values: a.values.iter().map(|v| v.abs()).collect(),
@@ -595,8 +519,13 @@ fn call(func: &Func, c: &Column) -> DfResult<Column> {
 
 fn str_pred(c: &Column, pred: impl Fn(&str) -> bool) -> DfResult<Column> {
     let a = c.as_utf8()?;
-    let words = pack_idx(a.len(), |i| pred(a.value(i)));
-    Ok(finish(words, a.len(), c.validity().cloned()))
+    Ok(finish(a.pack_values(pred), a.len(), c.validity().cloned()))
+}
+
+/// A string transform: `f` appends a value's result to the text it is
+/// given, so no row allocates a string of its own.
+fn str_map(c: &Column, f: impl FnMut(&str, &mut String)) -> DfResult<Column> {
+    Ok(Column::Utf8(c.as_utf8()?.map_str(f)))
 }
 
 /// Membership in a literal set. Null rows are not members and the result
@@ -612,7 +541,7 @@ fn isin(c: &Column, values: &[Scalar]) -> DfResult<Column> {
                 .filter_map(Scalar::as_str)
                 .map(str::as_bytes)
                 .collect();
-            str_member(a, &probes).unwrap_or_else(|| member(a.len(), rows(a), &probes))
+            a.pack_member(&probes)
         }
         Column::Float64(a) => {
             let probes: Vec<u64> = values
@@ -666,67 +595,6 @@ fn int_isin<T: Copy>(vals: &[T], wide: impl Fn(T) -> i64 + Copy, values: &[Scala
         }
     }
     words
-}
-
-/// The most probes of one byte length [`str_member`] takes. A row is
-/// compared with every probe of its length, so past some count a hash set
-/// is cheaper. On 76k-row columns (Xeon, 2 vCPU) the hash set costs
-/// 14–22 ns/row at any probe count; comparing costs 4–7 ns/row for up to 4
-/// two-byte probes of one length, and 17 ns/row for 4 probes of one length
-/// that share their first 8 bytes, the worst case. Probes of distinct
-/// lengths stay under 5 ns/row at any count.
-const STR_SAME_LEN: usize = 4;
-
-/// Packs whether each row's bytes equal one of `probes`, or `None` when
-/// more than [`STR_SAME_LEN`] probes share a length. A row is compared
-/// only with the probes of its length: their first 8 bytes as one word,
-/// and the bytes after them only when that agrees — so most rows are
-/// settled without a byte comparison or a hash.
-fn str_member(a: &StrArr, probes: &[&[u8]]) -> Option<Vec<u64>> {
-    let (data, offs) = (a.data_buffer().as_slice(), a.offsets_buffer().as_slice());
-    let longest = probes.iter().map(|p| p.len()).max().unwrap_or(0);
-    let mut by_len: Vec<Vec<(u64, &[u8])>> = vec![Vec::new(); longest + 1];
-    for p in probes {
-        by_len[p.len()].push((head(p, 0, p.len()), &p[p.len().min(8)..]));
-    }
-    if by_len.iter().any(|ps| ps.len() > STR_SAME_LEN) {
-        return None;
-    }
-    Some(pack_idx(a.len(), |i| {
-        let (start, end) = (offs[i] as usize, offs[i + 1] as usize);
-        let len = end - start;
-        match by_len.get(len) {
-            Some(ps) if !ps.is_empty() => {
-                let row_head = head(data, start, len);
-                ps.iter().any(|&(ph, tail)| {
-                    ph == row_head && (len <= 8 || data[start + 8..end] == *tail)
-                })
-            }
-            _ => false,
-        }
-    }))
-}
-
-/// The first `min(len, 8)` bytes of `data[start..]` as a little-endian
-/// word, zero above them: one unaligned load where 8 bytes exist.
-#[inline(always)]
-fn head(data: &[u8], start: usize, len: usize) -> u64 {
-    match data.get(start..start + 8) {
-        Some(w) => {
-            let w = u64::from_le_bytes(w.try_into().expect("8 bytes"));
-            if len >= 8 {
-                w
-            } else {
-                w & ((1u64 << (len * 8)) - 1)
-            }
-        }
-        None => {
-            let mut w = [0u8; 8];
-            let n = len.min(8);
-            w[..n].copy_from_slice(&data[start..start + n]);
-            u64::from_le_bytes(w)
-        }
-    }
 }
 
 /// Packs whether `key(i)` is one of `probes`, through a hash set of the

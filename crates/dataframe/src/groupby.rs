@@ -100,10 +100,11 @@ pub(crate) type DictCache<'a> = FxHashMap<&'a str, PrimArr<i64>>;
 /// row with a null key is dropped (pandas `groupby(dropna=True)`).
 ///
 /// String keys are dictionary-encoded up front (taken from `dicts`, else
-/// encoded here), so equality runs on dense `i64` codes — strings are
-/// hashed once during encoding and never cloned or re-compared per
-/// candidate pair. (Codes are chunk-local, which is fine here: grouping
-/// only needs within-frame equality.)
+/// encoded here), so equality runs on `i64` codes — strings are hashed
+/// once during encoding (a coded column's codes are its own, and nothing
+/// is hashed) and never cloned or re-compared per candidate pair. (Codes
+/// are chunk-local, which is fine here: grouping only needs within-frame
+/// equality.)
 ///
 /// When every normalized key is `Int64` and the combined key range is
 /// small (dict codes always are; ints like ids and buckets usually are),

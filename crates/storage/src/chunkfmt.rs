@@ -64,6 +64,8 @@
 //!
 //! Dictionaries come from [`StrArr::intern`], which here interns a null
 //! row by its bytes like any other row (an empty one shares `""`'s code).
+//! A coded column's dictionary is derived from its codes, in the order
+//! they first occur, so its sizes and bytes are its plain twin's.
 
 use crate::error::{StorageError, StorageResult};
 use crate::ChunkValue;
@@ -278,11 +280,7 @@ fn plain_values_size(col: &Column) -> usize {
         Column::Int64(_) | Column::Float64(_) => rows * 8,
         Column::Date(_) => rows * 4,
         Column::Bool(_) => validity_region(rows),
-        Column::Utf8(a) => {
-            let offs = a.offsets_buffer().as_slice();
-            let data = (offs[rows] - offs[0]) as usize;
-            (rows + 1) * 4 + 8 + data
-        }
+        Column::Utf8(a) => (rows + 1) * 4 + 8 + a.value_bytes(),
     }
 }
 
@@ -333,8 +331,8 @@ pub struct EncodeWorkspace {
     table: KeyTable,
     /// Per-row dictionary code of the column being planned.
     codes: Vec<u32>,
-    /// Byte span of each dictionary entry (absolute in the column's data
-    /// buffer), in first-occurrence (= wire) order.
+    /// Byte span of each dictionary entry (absolute in the column's
+    /// [`StrArr::data_buffer`]), in first-occurrence (= wire) order.
     spans: Vec<(u32, u32)>,
 }
 
@@ -537,23 +535,7 @@ impl EncodeWorkspace {
                 Column::Float64(a) => put_fixed(out, a.values.as_slice()),
                 Column::Date(a) => put_fixed(out, a.values.as_slice()),
                 Column::Bool(a) => put_words(out, &a.values),
-                Column::Utf8(a) => {
-                    let offs = a.offsets_buffer().as_slice();
-                    let first = offs[0];
-                    let last = offs[offs.len() - 1];
-                    if first == 0 {
-                        put_fixed(out, offs);
-                    } else {
-                        // a sliced view: rebase the window's offsets to 0 so
-                        // the envelope is self-contained
-                        for &o in offs {
-                            (o - first).write_le(out);
-                        }
-                    }
-                    let data = &a.data_buffer().as_slice()[first as usize..last as usize];
-                    (data.len() as u64).write_le(out);
-                    out.extend_from_slice(data);
-                }
+                Column::Utf8(a) => a.write_plain(out),
             },
         }
     }

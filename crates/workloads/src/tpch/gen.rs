@@ -182,6 +182,24 @@ fn picks(start: usize, len: usize, pick: impl Fn(u64) -> u8) -> Vec<u8> {
     rows(start, len).map(pick).collect()
 }
 
+/// A column of `options[picks[i]]`, the options built as `String`s.
+fn from_picks(options: &[String], picks: &[u8]) -> Column {
+    let options: Vec<&str> = options.iter().map(String::as_str).collect();
+    Column::from_str_picks(&options, picks)
+}
+
+/// Every space-joined choice of one word from each list, the last list's
+/// word varying fastest: option `(i * n1 + j) * n2 + k` of three lists.
+fn joined(lists: &[&[&str]]) -> Vec<String> {
+    lists.iter().fold(vec![String::new()], |heads, words| {
+        let sep = |h: &String| if h.is_empty() { "" } else { " " };
+        heads
+            .iter()
+            .flat_map(|h| words.iter().map(move |w| format!("{h}{}{w}", sep(h))))
+            .collect()
+    })
+}
+
 /// `j`-th of the four suppliers of `partkey` (TPC-H formula analogue).
 fn supp_of_part(partkey: i64, j: i64, nsupp: i64) -> i64 {
     1 + ((partkey + j * (nsupp / 4 + 1)) % nsupp)
@@ -383,22 +401,34 @@ pub fn gen_part(scale: TpchScale, start: usize, len: usize) -> DfResult<DataFram
     let name = Column::from_str_writer(len, len * 13, |i, text| {
         words(i, text, &[(1, &PART_WORDS), (2, &PART_WORDS)])
     });
-    let m = |i: usize| uniform(T_PART, (start + i) as u64, 3, 1, 5) as u64;
-    let mfgr = Column::from_str_writer(len, len * 14, |i, text| {
-        text.push_str("Manufacturer#");
-        push_padded(text, m(i), 1);
+    // manufacturer `m` and brand `mn`, each digit 1..=5
+    let m = |r: u64| uniform(T_PART, r, 3, 1, 5) as u8 - 1;
+    let manufacturers: Vec<String> = (1..=5).map(|m| format!("Manufacturer#{m}")).collect();
+    let mfgr = from_picks(&manufacturers, &picks(start, len, m));
+    let brands: Vec<String> = (11..=55)
+        .filter(|b| (1..=5).contains(&(b % 10)))
+        .map(|b| format!("Brand#{b}"))
+        .collect();
+    let brand = picks(start, len, |r| {
+        m(r) * 5 + uniform(T_PART, r, 4, 1, 5) as u8 - 1
     });
-    let brand = Column::from_str_writer(len, len * 8, |i, text| {
-        text.push_str("Brand#");
-        push_padded(text, m(i), 1);
-        push_padded(text, uniform(T_PART, (start + i) as u64, 4, 1, 5) as u64, 1);
+    let brand = from_picks(&brands, &brand);
+    // the option of one word per `(field, list)`, as `joined` numbers them
+    let words_pick = |r: u64, lists: &[(u64, &[&str])]| {
+        let at = |&(field, list): &(u64, &[&str])| (pick(T_PART, r, field, list.len()), list.len());
+        lists
+            .iter()
+            .map(at)
+            .fold(0, |acc, (k, n)| acc * n as u8 + k)
+    };
+    let ptype = picks(start, len, |r| {
+        words_pick(r, &[(5, &TYPE_1), (6, &TYPE_2), (7, &TYPE_3)])
     });
-    let ptype = Column::from_str_writer(len, len * 20, |i, text| {
-        words(i, text, &[(5, &TYPE_1), (6, &TYPE_2), (7, &TYPE_3)])
+    let ptype = from_picks(&joined(&[&TYPE_1, &TYPE_2, &TYPE_3]), &ptype);
+    let container = picks(start, len, |r| {
+        words_pick(r, &[(9, &CONTAINER_1), (10, &CONTAINER_2)])
     });
-    let container = Column::from_str_writer(len, len * 8, |i, text| {
-        words(i, text, &[(9, &CONTAINER_1), (10, &CONTAINER_2)])
-    });
+    let container = from_picks(&joined(&[&CONTAINER_1, &CONTAINER_2]), &container);
     DataFrame::new(vec![
         ("p_partkey", Column::from_i64(partkey)),
         ("p_name", name),
@@ -466,11 +496,18 @@ pub fn gen_supplier(scale: TpchScale, start: usize, len: usize) -> DfResult<Data
     ])
 }
 
+/// The nations' names, one row each, coded like every few-valued column.
+fn nation_names() -> Column {
+    let names: Vec<&str> = NATIONS.iter().map(|(n, _)| *n).collect();
+    let rows: Vec<u8> = (0..NATIONS.len() as u8).collect();
+    Column::from_str_picks(&names, &rows)
+}
+
 /// Generates the full `nation` table (25 rows).
 pub fn gen_nation() -> DfResult<DataFrame> {
     DataFrame::new(vec![
         ("n_nationkey", Column::from_i64((0..25).collect())),
-        ("n_name", Column::from_str(NATIONS.iter().map(|(n, _)| *n))),
+        ("n_name", nation_names()),
         (
             "n_regionkey",
             Column::from_i64(NATIONS.iter().map(|(_, r)| *r).collect()),
@@ -482,7 +519,7 @@ pub fn gen_nation() -> DfResult<DataFrame> {
 pub fn gen_region() -> DfResult<DataFrame> {
     DataFrame::new(vec![
         ("r_regionkey", Column::from_i64((0..5).collect())),
-        ("r_name", Column::from_str(REGIONS)),
+        ("r_name", Column::from_str_picks(&REGIONS, &[0, 1, 2, 3, 4])),
     ])
 }
 

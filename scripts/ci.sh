@@ -385,6 +385,28 @@ if [[ -n "$strays" ]]; then
   exit 1
 fi
 
+# Structural gate (hard): a string's layout is known in one module. A
+# `StrArr` is plain (bytes and offsets) or coded (a code per row into a
+# shared dictionary). Outside test modules, only the array itself
+# (crates/dataframe/src/column.rs) and the chunk codec, which copies
+# dictionary bytes out of it (crates/storage/src/chunkfmt.rs), reach its
+# buffers through `data_buffer()`; the pattern also catches an
+# `offsets_buffer()` accessor, since `StrArr::write_plain` writes the
+# plain layout. Every other reader, the expression evaluator included,
+# goes through `StrArr`'s methods, so no kernel can assume one form.
+# Integration tests (`tests/` directories) are exempt.
+echo "==> a string's layout is known in one module (data_buffer()/offsets_buffer() only in column.rs and chunkfmt.rs)"
+strays=$(find crates src examples -name '*.rs' -not -path '*/tests/*' -not -path '*/target/*' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_tests = 0 }
+  /^#\[cfg\(test\)\]/ { in_tests = 1 }
+  in_tests || /^[[:space:]]*\/\// { next }
+  /data_buffer\(\)|offsets_buffer\(\)/ && FILENAME !~ /^crates\/(dataframe\/src\/column|storage\/src\/chunkfmt)\.rs$/ { print FILENAME ":" FNR ": " $0 }')
+if [[ -n "$strays" ]]; then
+  echo "a string's buffers may be reached only in dataframe/src/column.rs and storage/src/chunkfmt.rs; found:"
+  echo "$strays"
+  exit 1
+fi
+
 echo "==> threads are made only by the subtask pool and serving's tenant drivers"
 strays=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
   FNR == 1 { in_tests = 0 }

@@ -1595,3 +1595,346 @@ fn eval_arithmetic_matches_scalar_reference() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// coded strings: a coded column and its plain twin give equal results
+// ---------------------------------------------------------------------------
+
+/// Dictionary values: `""`, non-ASCII text, and two values that share
+/// their first 21 bytes, so equality must look past the first word.
+const CODED_VALUES: [&str; 7] = [
+    "AIR",
+    "",
+    "REG AIR",
+    "a-long-shared-prefix-1",
+    "a-long-shared-prefix-2",
+    "é",
+    "MAIL",
+];
+
+/// The plain column holding `c`'s values.
+fn plain_twin(c: &Column) -> Column {
+    Column::from_opt_str(c.as_utf8().unwrap().iter())
+}
+
+fn is_coded(c: &Column) -> bool {
+    c.as_utf8().unwrap().is_coded()
+}
+
+/// `n` rows coded over `values` (every option listed, so unused entries
+/// stay in the dictionary), about a fifth of them null.
+fn coded_column(rng: &mut Xoshiro256, n: usize, values: &[&str]) -> Column {
+    let picks: Vec<u8> = (0..n)
+        .map(|_| rng.next_bounded(values.len() as u64) as u8)
+        .collect();
+    let full = Column::from_str_picks(values, &picks);
+    let ids: Vec<u32> = (0..n as u32)
+        .map(|i| if rng.gen_bool(0.2) { NO_ROW } else { i })
+        .collect();
+    Column::gather(&[&full], &ids).unwrap()
+}
+
+/// A coded result and the plain result hold the same values, carry a
+/// validity bitmap alike and have the same logical size.
+fn assert_twins(coded: &Column, plain: &Column, what: &str) {
+    assert_eq!(coded, plain, "{what}");
+    assert_eq!(
+        coded.validity().is_some(),
+        plain.validity().is_some(),
+        "{what}: validity bitmap"
+    );
+    assert_eq!(coded.nbytes(), plain.nbytes(), "{what}: nbytes");
+}
+
+/// Filter, take, slice at offsets that are no multiple of 64, scatter and
+/// concat keep the coded form and agree with the plain kernels.
+#[test]
+fn coded_strings_match_plain_under_row_operations() {
+    for seed in 0..CASES {
+        let mut rng = Xoshiro256::seed_from_u64(9000 + seed);
+        let n = rng.gen_range_i64(0, 300) as usize;
+        let coded = coded_column(&mut rng, n, &CODED_VALUES);
+        let plain = plain_twin(&coded);
+        assert!(is_coded(&coded));
+        assert_twins(&coded, &plain, "built");
+
+        let mask = xorbits::dataframe::Bitmap::from_iter((0..n).map(|_| rng.gen_bool(0.6)));
+        let filtered = coded.filter(&mask);
+        assert!(is_coded(&filtered));
+        assert_twins(&filtered, &plain.filter(&mask), "filter");
+
+        let rows: Vec<usize> = (0..n / 2)
+            .map(|_| rng.next_bounded(n as u64) as usize)
+            .collect();
+        let taken = coded.take(&rows);
+        assert!(is_coded(&taken));
+        assert_twins(&taken, &plain.take(&rows), "take");
+
+        let off = rng.gen_range_i64(0, n as i64 + 1) as usize;
+        let off = if off.is_multiple_of(64) && off < n {
+            off + 1
+        } else {
+            off
+        };
+        let len = rng.gen_range_i64(0, (n - off) as i64 + 1) as usize;
+        let sliced = coded.slice(off, len);
+        assert!(is_coded(&sliced));
+        assert_twins(&sliced, &plain.slice(off, len), "slice");
+        for (at, rows) in [(len / 3, len / 2), (1.min(len), len.saturating_sub(2))] {
+            let inner = sliced.slice(at, rows);
+            assert_twins(&inner, &plain.slice(off + at, rows), "slice of a slice");
+        }
+
+        let parts = 1 + rng.next_bounded(4) as usize;
+        let pids: Vec<u32> = (0..n)
+            .map(|_| rng.next_bounded(parts as u64) as u32)
+            .collect();
+        let mut counts = vec![0; parts];
+        pids.iter().for_each(|&p| counts[p as usize] += 1);
+        for (c, p) in coded
+            .scatter(&pids, &counts)
+            .iter()
+            .zip(plain.scatter(&pids, &counts))
+        {
+            assert!(is_coded(c));
+            assert_twins(c, &p, "scatter");
+        }
+
+        let pieces = [&sliced, &filtered, &coded.slice(0, 0), &taken];
+        let joined = Column::concat(&pieces).unwrap();
+        assert!(is_coded(&joined));
+        let plains: Vec<Column> = pieces.iter().map(|c| plain_twin(c)).collect();
+        let plains: Vec<&Column> = plains.iter().collect();
+        let want = Column::concat(&plains).unwrap();
+        assert_eq!(joined, want, "concat");
+        assert_eq!(joined.nbytes(), want.nbytes(), "concat nbytes");
+    }
+}
+
+/// A gather across pieces keeps the codes when the pieces share their
+/// dictionary or hold equal ones, and falls back to the plain form when
+/// the dictionaries differ; every result matches the plain gather.
+#[test]
+fn coded_gather_across_pieces_matches_plain() {
+    for seed in 0..CASES {
+        let mut rng = Xoshiro256::seed_from_u64(9100 + seed);
+        let one = coded_column(&mut rng, 120, &CODED_VALUES);
+        let other = coded_column(&mut rng, 90, &CODED_VALUES);
+        let mut reordered = CODED_VALUES;
+        reordered.reverse();
+        let different = coded_column(&mut rng, 70, &reordered);
+        let same = [one.slice(0, 50), one.slice(50, 0), one.slice(50, 70)];
+        let equal = [one.clone(), other.clone()];
+        let mixed = [one.clone(), different];
+        let with_plain = [one.clone(), plain_twin(&other)];
+        for (what, pieces, keeps) in [
+            ("same dictionary", &same[..], true),
+            ("equal dictionaries", &equal[..], true),
+            ("different dictionaries", &mixed[..], false),
+            ("a plain piece", &with_plain[..], false),
+        ] {
+            let parts: Vec<&Column> = pieces.iter().collect();
+            let plains: Vec<Column> = pieces.iter().map(plain_twin).collect();
+            let plains: Vec<&Column> = plains.iter().collect();
+            let n: usize = pieces.iter().map(Column::len).sum();
+            for ascending in [false, true] {
+                let idx = gather_ids(&mut rng, n, ascending);
+                let got = Column::gather(&parts, &idx).unwrap();
+                assert_eq!(is_coded(&got), keeps, "{what}");
+                assert_twins(&got, &Column::gather(&plains, &idx).unwrap(), what);
+            }
+        }
+    }
+}
+
+/// A frame of a coded column `s`, a second coded column `t` over the same
+/// dictionary, and an integer column `k`, sliced at an offset that is no
+/// multiple of 64; and its plain twin.
+fn coded_frames(rng: &mut Xoshiro256) -> (DataFrame, DataFrame) {
+    let n = rng.gen_range_i64(70, 300) as usize;
+    let picks: Vec<u8> = (0..n)
+        .map(|_| rng.next_bounded(CODED_VALUES.len() as u64) as u8)
+        .collect();
+    let base = Column::from_str_picks(&CODED_VALUES, &picks);
+    let pick_rows = |rng: &mut Xoshiro256| -> Vec<u32> {
+        (0..n as u32)
+            .map(|_| match rng.gen_bool(0.2) {
+                true => NO_ROW,
+                false => rng.next_bounded(n as u64) as u32,
+            })
+            .collect()
+    };
+    let s = Column::gather(&[&base], &pick_rows(rng)).unwrap();
+    let t = Column::gather(&[&base], &pick_rows(rng)).unwrap();
+    let k = Column::from_i64((0..n).map(|_| rng.gen_range_i64(0, 5)).collect());
+    let coded = DataFrame::new(vec![("s", s), ("t", t), ("k", k)]).unwrap();
+    let off = rng.gen_range_i64(1, 64) as usize;
+    let coded = coded.slice(off, n - off);
+    let plain = DataFrame::new(vec![
+        ("s", plain_twin(coded.column("s").unwrap())),
+        ("t", plain_twin(coded.column("t").unwrap())),
+        ("k", coded.column("k").unwrap().clone()),
+    ])
+    .unwrap();
+    (coded, plain)
+}
+
+/// Every comparison and `isin` against literals (present, absent, `""`,
+/// a long shared prefix), column against column, the LIKE family and the
+/// string transforms give the plain column's results.
+#[test]
+fn coded_predicates_and_transforms_match_plain() {
+    let literals = [
+        "AIR",
+        "ZZZ",
+        "",
+        "a-long-shared-prefix-",
+        "a-long-shared-prefix-2",
+        "é",
+    ];
+    let probe_sets: [&[&str]; 4] = [
+        &["AIR", "REG AIR"],
+        &["", "absent"],
+        &["a-long-shared-prefix-1", "a-long-shared-prefix-3"],
+        // more probes of one length than are compared word-wise
+        &["AIR", "BBB", "CCC", "DDD", "EEE", "FFF"],
+    ];
+    for seed in 0..CASES {
+        let mut rng = Xoshiro256::seed_from_u64(9200 + seed);
+        let (coded, plain) = coded_frames(&mut rng);
+        let mut exprs: Vec<Expr> = Vec::new();
+        for op in CMP_OPS {
+            for &k in &literals {
+                exprs.push(binary(op, col("s"), lit(k)));
+                exprs.push(binary(op, lit(k), col("s")));
+            }
+            exprs.push(binary(op, col("s"), col("t")));
+        }
+        for probes in probe_sets {
+            exprs.push(col("s").is_in(probes.iter().copied()));
+        }
+        for p in ["A", "a-long-shared-prefix-", "", "é"] {
+            exprs.push(col("s").starts_with(p));
+            exprs.push(col("s").call(Func::EndsWith(p.to_string())));
+            exprs.push(col("s").contains(p));
+        }
+        for f in [
+            Func::Substr { start: 0, len: 2 },
+            Func::Substr { start: 1, len: 20 },
+            Func::Lower,
+            Func::Upper,
+            Func::Trim,
+            Func::StrLen,
+        ] {
+            exprs.push(col("s").call(f));
+        }
+        for e in &exprs {
+            let want = eval::eval(&plain, e).unwrap();
+            let got = eval::eval(&coded, e).unwrap();
+            assert_eq!(got, want, "{e:?}");
+            assert_eq!(
+                got.validity().is_some(),
+                want.validity().is_some(),
+                "{e:?}: validity bitmap"
+            );
+            assert_eq!(got.nbytes(), want.nbytes(), "{e:?}: nbytes");
+        }
+        // coded against plain, column against column
+        let cross = DataFrame::new(vec![
+            ("s", coded.column("s").unwrap().clone()),
+            ("t", plain.column("t").unwrap().clone()),
+        ])
+        .unwrap();
+        for op in CMP_OPS {
+            let e = binary(op, col("s"), col("t"));
+            assert_eq!(
+                eval::eval(&cross, &e).unwrap(),
+                eval::eval(&plain, &e).unwrap()
+            );
+        }
+    }
+}
+
+/// Grouping by coded keys, `nunique` and min/max/first over coded
+/// strings, sorting, hash partitioning, and a join of a coded key against
+/// its plain twin give the plain frames' results.
+#[test]
+fn coded_keys_group_sort_and_join_like_plain() {
+    for seed in 0..CASES {
+        let mut rng = Xoshiro256::seed_from_u64(9300 + seed);
+        let (coded, plain) = coded_frames(&mut rng);
+        let specs = vec![
+            AggSpec::new("k", AggFunc::Sum, "k_sum"),
+            AggSpec::new("t", AggFunc::Nunique, "t_nunique"),
+            AggSpec::new("t", AggFunc::Min, "t_min"),
+            AggSpec::new("t", AggFunc::Max, "t_max"),
+            AggSpec::new("t", AggFunc::First, "t_first"),
+            AggSpec::new("t", AggFunc::Count, "t_count"),
+        ];
+        for keys in [&["s"][..], &["s", "t"][..], &["k"][..]] {
+            let got = groupby::groupby_agg(&coded, keys, &specs).unwrap();
+            let want = groupby::groupby_agg(&plain, keys, &specs).unwrap();
+            assert_same(&got, &want);
+            assert_eq!(got.nbytes(), want.nbytes(), "groupby {keys:?}");
+        }
+        for keys in [&[("s", true)][..], &[("t", false), ("s", true)][..]] {
+            assert_eq!(
+                sort::argsort(&coded, keys).unwrap(),
+                sort::argsort(&plain, keys).unwrap(),
+                "sort {keys:?}"
+            );
+        }
+        let got = partition::hash_partition(&coded, &["s"], 3).unwrap();
+        let want = partition::hash_partition(&plain, &["s"], 3).unwrap();
+        for (g, w) in got.iter().zip(&want) {
+            assert_same(g, w);
+        }
+        for how in [JoinType::Inner, JoinType::Left] {
+            let opts = JoinOptions {
+                how,
+                suffixes: ("_x".into(), "_y".into()),
+            };
+            let got = join::merge(&coded, &plain, &["s"], &["s"], &opts).unwrap();
+            let want = join::merge(&plain, &plain, &["s"], &["s"], &opts).unwrap();
+            assert_same(&got, &want);
+            let got = join::merge(&plain, &coded, &["t"], &["s"], &opts).unwrap();
+            let want = join::merge(&plain, &plain, &["t"], &["s"], &opts).unwrap();
+            assert_same(&got, &want);
+        }
+    }
+}
+
+/// The chunk codec sizes and writes a coded column exactly as its plain
+/// twin, under both encodings: a whole frame, an offset view, a filtered
+/// one whose codes leave dictionary entries unused, and no rows.
+#[test]
+fn coded_strings_encode_like_plain() {
+    use xorbits_storage::chunkfmt::{decode_chunk, EncodeWorkspace};
+    use xorbits_storage::{ChunkValue, EncodingMode};
+    let mut ws = EncodeWorkspace::new();
+    for seed in 0..CASES {
+        let mut rng = Xoshiro256::seed_from_u64(9400 + seed);
+        let (coded, plain) = coded_frames(&mut rng);
+        let mask = xorbits::dataframe::Bitmap::from_iter(
+            (0..coded.num_rows()).map(|i| i % 3 == 0 && rng.gen_bool(0.5)),
+        );
+        let cases = [
+            (coded.clone(), plain.clone()),
+            (coded.slice(5, 61), plain.slice(5, 61)),
+            (coded.filter(&mask).unwrap(), plain.filter(&mask).unwrap()),
+            (coded.slice(0, 0), plain.slice(0, 0)),
+        ];
+        for (c, p) in cases {
+            for mode in [EncodingMode::Plain, EncodingMode::Auto] {
+                let (cv, pv) = (ChunkValue::Df(c.clone()), ChunkValue::Df(p.clone()));
+                assert_eq!(ws.measure(&cv, mode), ws.measure(&pv, mode), "{mode:?}");
+                let bytes = ws.encode(&cv, mode).to_vec();
+                assert_eq!(bytes, ws.encode(&pv, mode), "{mode:?}");
+                match decode_chunk(bytes).unwrap() {
+                    ChunkValue::Df(back) => assert_same(&back, &p),
+                    ChunkValue::Arr(_) => unreachable!("a frame was encoded"),
+                }
+            }
+        }
+    }
+}
