@@ -1439,9 +1439,18 @@ impl StrArr {
         }
     }
 
+    /// A coded array's codes, read in place (key packing); `None` for
+    /// the plain form.
+    pub(crate) fn codes(&self) -> Option<&PrimArr<u32>> {
+        match &self.0 {
+            Form::Coded(c) => Some(&c.codes),
+            Form::Plain(_) => None,
+        }
+    }
+
     /// The dictionary every non-empty part is coded with (the same one,
     /// or equal values in the same order), if there is one.
-    fn shared_dict<'a>(parts: &[&'a StrArr]) -> Option<&'a Arc<StrArr>> {
+    pub(crate) fn shared_dict<'a>(parts: &[&'a StrArr]) -> Option<&'a Arc<StrArr>> {
         let mut dict: Option<&Arc<StrArr>> = None;
         for p in parts.iter().filter(|p| !p.is_empty()) {
             let Form::Coded(c) = &p.0 else { return None };

@@ -14,10 +14,11 @@
 //! tiling layer (see `xorbits-core`) shuffles raw rows by key and runs the
 //! single-pass path on each partition.
 
+use crate::bitmap::Bitmap;
 use crate::column::{BoolArr, Column, PrimArr, NO_ROW};
 use crate::error::{DfError, DfResult};
 use crate::frame::DataFrame;
-use crate::hash::{FxHashMap, FxHashSet, KeyTable};
+use crate::hash::{FxHashMap, KeyTable};
 use crate::scalar::DataType;
 use std::cmp::Ordering;
 
@@ -88,9 +89,10 @@ pub(crate) struct Groups {
     row_gids: Vec<u32>,
 }
 
-/// Dictionary-encoded `Utf8` columns shared across one `groupby_agg` call
-/// (key normalization and `nunique` accumulators reuse the same encode
-/// pass instead of re-hashing the strings per consumer).
+/// Dictionary-encoded plain `Utf8` columns shared across one `groupby_agg`
+/// call (key normalization and `nunique` accumulators reuse the same
+/// encode pass instead of re-hashing the strings per consumer). A coded
+/// column is read through its own codes and never enters it.
 pub(crate) type DictCache<'a> = FxHashMap<&'a str, PrimArr<i64>>;
 
 /// Builds groups over `keys`: the one place where rows with equal keys are
@@ -99,18 +101,21 @@ pub(crate) type DictCache<'a> = FxHashMap<&'a str, PrimArr<i64>>;
 /// `keep_nulls` null is a key value like any other (distinct); without it a
 /// row with a null key is dropped (pandas `groupby(dropna=True)`).
 ///
-/// String keys are dictionary-encoded up front (taken from `dicts`, else
-/// encoded here), so equality runs on `i64` codes — strings are hashed
-/// once during encoding (a coded column's codes are its own, and nothing
-/// is hashed) and never cloned or re-compared per candidate pair. (Codes
-/// are chunk-local, which is fine here: grouping only needs within-frame
+/// A plain string key is dictionary-encoded up front (taken from `dicts`,
+/// else encoded here), so equality runs on `i64` codes — strings are
+/// hashed once during encoding and never cloned or re-compared per
+/// candidate pair; a coded key's `u32` codes are read in place. (Codes are
+/// chunk-local, which is fine here: grouping only needs within-frame
 /// equality.)
 ///
-/// When every normalized key is `Int64` and the combined key range is
-/// small (dict codes always are; ints like ids and buckets usually are),
-/// group ids come from a dense direct-address table — no hashing and no
-/// collision chains at all. Wide or non-integer keys take the
-/// [`KeyTable`], tagged with the row hash and confirmed by `eq_at`.
+/// When every normalized key is an `Int64`, `Date` or coded string and
+/// the combined key range fits 64 bits, each row's key is packed into one
+/// word ([`Radix`]). A small range (dict codes always are; ints like ids
+/// and buckets usually are) numbers the words in a dense direct-address
+/// table — no hashing and no collision chains at all; a wide one takes
+/// the [`KeyTable`] with the word as its own tag, which needs no confirm.
+/// Float and boolean keys, and ranges that overflow, take the key table
+/// tagged with the row hash and confirmed by `eq_at`.
 pub(crate) fn build_groups(
     df: &DataFrame,
     keys: &[&str],
@@ -122,7 +127,7 @@ pub(crate) fn build_groups(
         .iter()
         .map(|k| {
             Ok(match df.column(k)? {
-                Column::Utf8(a) => Column::Int64(match dicts.get(k) {
+                Column::Utf8(a) if a.codes().is_none() => Column::Int64(match dicts.get(k) {
                     Some(codes) => codes.clone(), // Arc bump, not a copy
                     None => a.dict_encode(),
                 }),
@@ -131,7 +136,7 @@ pub(crate) fn build_groups(
         })
         .collect::<DfResult<Vec<_>>>()?;
 
-    if let Some(groups) = dense_int_groups(&key_cols, n, keep_nulls) {
+    if let Some(groups) = packed_groups(&key_cols, n, keep_nulls) {
         return Ok(groups);
     }
 
@@ -140,7 +145,7 @@ pub(crate) fn build_groups(
         c.hash_combine(&mut hashes);
     }
     // one entry per group, confirmed against the group's first row
-    let mut table = KeyTable::default();
+    let mut table = KeyTable::with_capacity(n);
     let mut repr_rows = Vec::new();
     let mut row_gids: Vec<u32> = Vec::with_capacity(n);
     crate::mem::advise_huge(row_gids.as_ptr(), n);
@@ -167,112 +172,233 @@ pub(crate) fn build_groups(
 /// Most slots (the product of the keys' ranges, null slots included) the
 /// dense direct-address grouping table accepts (slots are 4 bytes, so
 /// this caps the table at 8 MiB).
-const DENSE_GROUP_LIMIT: u128 = 1 << 21;
+const DENSE_GROUP_LIMIT: u64 = 1 << 21;
 
-/// Direct-address grouping for all-`Int64` key tuples with a small
-/// combined value range. Returns `None` when the keys don't qualify.
-fn dense_int_groups(key_cols: &[Column], n: usize, keep_nulls: bool) -> Option<Groups> {
-    let arrs: Vec<&PrimArr<i64>> = key_cols
-        .iter()
-        .map(|c| match c {
-            Column::Int64(a) => Some(a),
-            _ => None,
-        })
-        .collect::<Option<_>>()?;
+/// Most dense-table slots per grouped row: filling a wider table costs
+/// more than the key table's probes would.
+const DENSE_SLOTS_PER_ROW: u64 = 16;
 
-    // per key: smallest valid value, number of values up to the largest,
-    // and slots — one more past the values for null when the column can
-    // hold one (a row that lands there is dropped unless `keep_nulls`)
-    let mut bounds = Vec::with_capacity(arrs.len());
-    for a in &arrs {
-        let (mut mn, mut mx) = (i64::MAX, i64::MIN);
-        match &a.validity {
-            None => {
-                for &v in a.values.as_slice() {
-                    mn = mn.min(v);
-                    mx = mx.max(v);
-                }
-            }
-            Some(_) => {
-                for i in 0..a.len() {
-                    if a.is_valid(i) {
-                        let v = a.values[i];
-                        mn = mn.min(v);
-                        mx = mx.max(v);
-                    }
-                }
-            }
+/// The packed word of a row whose null key drops it (no packed key is
+/// `u64::MAX`: [`Radix::new`] keeps the width below it).
+const DROPPED_WORD: u64 = u64::MAX;
+
+/// Grouping over packed keys ([`number_words`]). A single null-free
+/// key's word is its offset, read in place; several keys are summed into
+/// a word per row first. `None` when the keys don't pack.
+fn packed_groups(key_cols: &[Column], n: usize, keep_nulls: bool) -> Option<Groups> {
+    let keys: Vec<IntKey> = key_cols.iter().map(IntKey::of).collect::<Option<_>>()?;
+    let radix = Radix::new(keys.iter().map(|k| (k.range(), k.validity().is_some())))?;
+    if let [key] = keys[..] {
+        fn single<T: Copy + Default + Into<i64>>(a: &PrimArr<T>, radix: &Radix) -> Option<Groups> {
+            let lo = radix.keys[0].0;
+            let words = a.values.iter().map(|&v| offset(v, lo));
+            a.validity
+                .is_none()
+                .then(|| number_words(words, radix.width))
         }
-        let values = if mn > mx {
-            0
-        } else {
-            (mx as i128 - mn as i128 + 1) as u128
+        let groups = match key {
+            IntKey::I64(a) => single(a, &radix),
+            IntKey::I32(a) => single(a, &radix),
+            IntKey::U32(a) => single(a, &radix),
         };
-        bounds.push((mn, values, values + a.validity.is_some() as u128));
-    }
-
-    let mut width: u128 = 1;
-    for &(_, _, slots) in &bounds {
-        width = width.checked_mul(slots)?;
-        if width > DENSE_GROUP_LIMIT {
-            return None;
+        if groups.is_some() {
+            return groups;
         }
     }
-
-    // row-major strides over the per-key slots
-    let mut strides = vec![1usize; arrs.len()];
-    for k in (0..arrs.len().saturating_sub(1)).rev() {
-        strides[k] = strides[k + 1] * bounds[k + 1].2 as usize;
+    let mut words = vec![0u64; n];
+    crate::mem::advise_huge(words.as_ptr(), n);
+    for (k, key) in keys.iter().enumerate() {
+        radix.add(k, *key, &mut words);
     }
-
-    let mut table: Vec<u32> = vec![u32::MAX; width as usize];
-    crate::mem::advise_huge(table.as_ptr(), table.len());
-    let mut repr_rows = Vec::new();
-    let mut row_gids: Vec<u32> = Vec::with_capacity(n);
-    crate::mem::advise_huge(row_gids.as_ptr(), n);
-    if let [a] = arrs.as_slice() {
-        if a.validity.is_none() {
-            // single null-free key: the common shuffle/groupby shape
-            let mn = bounds[0].0;
-            for (i, &v) in a.values.as_slice().iter().enumerate() {
-                let slot = &mut table[(v - mn) as usize];
-                if *slot == u32::MAX {
-                    *slot = repr_rows.len() as u32;
-                    repr_rows.push(i);
+    if !keep_nulls {
+        for valid in keys.iter().filter_map(|k| k.validity()) {
+            for (w, v) in words.iter_mut().zip(valid.iter()) {
+                if !v {
+                    *w = DROPPED_WORD;
                 }
-                row_gids.push(*slot);
             }
-            return Some(Groups {
-                repr_rows,
-                row_gids,
+        }
+    }
+    Some(number_words(words.into_iter(), radix.width))
+}
+
+/// Groups of packed words in first-occurrence order, [`DROPPED_WORD`]
+/// dropping its row: a dense table for a small `width`, else the key
+/// table with each word as its own tag, sized for a group per row.
+fn number_words(words: impl ExactSizeIterator<Item = u64>, width: u64) -> Groups {
+    /// `gid(word, row, repr_rows)` returns the word's group id, adding
+    /// `row` to `repr_rows` for a word not seen before.
+    fn number(
+        words: impl ExactSizeIterator<Item = u64>,
+        mut gid: impl FnMut(u64, usize, &mut Vec<usize>) -> u32,
+    ) -> Groups {
+        let mut repr_rows = Vec::new();
+        let mut row_gids: Vec<u32> = Vec::with_capacity(words.len());
+        crate::mem::advise_huge(row_gids.as_ptr(), words.len());
+        for (i, w) in words.enumerate() {
+            row_gids.push(match w {
+                DROPPED_WORD => DROPPED,
+                w => gid(w, i, &mut repr_rows),
             });
         }
-    }
-    'rows: for i in 0..n {
-        let mut code = 0usize;
-        for (k, a) in arrs.iter().enumerate() {
-            let (mn, values, _) = bounds[k];
-            let offset = if a.is_valid(i) {
-                (a.values[i] - mn) as usize
-            } else if keep_nulls {
-                values as usize
-            } else {
-                row_gids.push(DROPPED);
-                continue 'rows;
-            };
-            code += offset * strides[k];
+        Groups {
+            repr_rows,
+            row_gids,
         }
-        let slot = &mut table[code];
-        if *slot == u32::MAX {
-            *slot = repr_rows.len() as u32;
-            repr_rows.push(i);
-        }
-        row_gids.push(*slot);
     }
-    Some(Groups {
-        repr_rows,
-        row_gids,
-    })
+    if width <= DENSE_GROUP_LIMIT.min(DENSE_SLOTS_PER_ROW * words.len() as u64) {
+        let mut table: Vec<u32> = vec![u32::MAX; width as usize];
+        crate::mem::advise_huge(table.as_ptr(), table.len());
+        number(words, |w, row, repr_rows| {
+            let slot = &mut table[w as usize];
+            if *slot == u32::MAX {
+                *slot = repr_rows.len() as u32;
+                repr_rows.push(row);
+            }
+            *slot
+        })
+    } else {
+        let mut table = KeyTable::with_capacity(words.len());
+        number(words, |w, row, repr_rows| {
+            let g = table.find_or_insert(w, |_| true);
+            if g as usize == repr_rows.len() {
+                repr_rows.push(row);
+            }
+            g
+        })
+    }
+}
+
+/// A value's offset from its key's smallest `lo`, in 64 bits.
+#[inline]
+fn offset<T: Into<i64>>(v: T, lo: i64) -> u64 {
+    (v.into() as u64).wrapping_sub(lo as u64)
+}
+
+/// A key column read in place as integers: an `Int64`, a `Date`, or a
+/// coded string's `u32` codes (no widening copy).
+#[derive(Clone, Copy)]
+pub(crate) enum IntKey<'a> {
+    I64(&'a PrimArr<i64>),
+    I32(&'a PrimArr<i32>),
+    U32(&'a PrimArr<u32>),
+}
+
+impl<'a> IntKey<'a> {
+    /// The view of `col`; `None` for floats, booleans and plain strings.
+    pub(crate) fn of(col: &'a Column) -> Option<IntKey<'a>> {
+        match col {
+            Column::Int64(a) => Some(IntKey::I64(a)),
+            Column::Date(a) => Some(IntKey::I32(a)),
+            Column::Utf8(a) => a.codes().map(IntKey::U32),
+            Column::Float64(_) | Column::Bool(_) => None,
+        }
+    }
+
+    pub(crate) fn len(self) -> usize {
+        match self {
+            IntKey::I64(a) => a.len(),
+            IntKey::I32(a) => a.len(),
+            IntKey::U32(a) => a.len(),
+        }
+    }
+
+    fn validity(self) -> Option<&'a Bitmap> {
+        match self {
+            IntKey::I64(a) => a.validity.as_ref(),
+            IntKey::I32(a) => a.validity.as_ref(),
+            IntKey::U32(a) => a.validity.as_ref(),
+        }
+    }
+
+    /// The smallest and the largest valid value; `None` when no row is
+    /// valid.
+    pub(crate) fn range(self) -> Option<(i64, i64)> {
+        fn range<T: Copy + Default + Into<i64>>(a: &PrimArr<T>) -> Option<(i64, i64)> {
+            let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+            let vals = a.values.as_slice();
+            match &a.validity {
+                None => vals.iter().for_each(|&v| {
+                    lo = lo.min(v.into());
+                    hi = hi.max(v.into());
+                }),
+                Some(valid) => vals.iter().zip(valid.iter()).for_each(|(&v, ok)| {
+                    if ok {
+                        lo = lo.min(v.into());
+                        hi = hi.max(v.into());
+                    }
+                }),
+            }
+            (lo <= hi).then_some((lo, hi))
+        }
+        match self {
+            IntKey::I64(a) => range(a),
+            IntKey::I32(a) => range(a),
+            IntKey::U32(a) => range(a),
+        }
+    }
+}
+
+/// A key tuple packed into one word: mixed-radix, row-major over each
+/// column's slots (its values from the smallest to the largest, plus one
+/// for null when the column has a validity bitmap). The grouping table
+/// and the join probe take the word as the key's own tag.
+pub(crate) struct Radix {
+    /// Per key: its smallest value, its null slot (one past its values)
+    /// and its stride.
+    keys: Vec<(i64, u64, u64)>,
+    /// The number of distinct words, below `u64::MAX`.
+    pub(crate) width: u64,
+}
+
+impl Radix {
+    /// The radix over each key's `(range, nullable)` ([`IntKey::range`]);
+    /// `None` when the product of the slots does not stay below
+    /// `u64::MAX`.
+    pub(crate) fn new(keys: impl IntoIterator<Item = (Option<(i64, i64)>, bool)>) -> Option<Radix> {
+        let mut slots: Vec<(i64, u64, u64)> = Vec::new();
+        for (range, nullable) in keys {
+            let (lo, values) = range.map_or((0, 0), |(lo, hi)| (lo, hi.abs_diff(lo) as u128 + 1));
+            let values = u64::try_from(values).ok()?;
+            slots.push((lo, values, values.checked_add(nullable as u64)?));
+        }
+        // row-major strides, from the last key
+        let mut width: u64 = 1;
+        let mut keys = vec![(0, 0, 0); slots.len()];
+        for (k, &(lo, null, count)) in slots.iter().enumerate().rev() {
+            keys[k] = (lo, null, width);
+            width = width.checked_mul(count).filter(|&w| w < u64::MAX)?;
+        }
+        Some(Radix { keys, width })
+    }
+
+    /// Adds key `k`'s part of each row's word to `words`: its value's
+    /// offset from the key's smallest, or the null slot, times its stride.
+    pub(crate) fn add(&self, k: usize, key: IntKey, words: &mut [u64]) {
+        fn add<T: Copy + Default + Into<i64>>(
+            a: &PrimArr<T>,
+            (lo, null, stride): (i64, u64, u64),
+            words: &mut [u64],
+        ) {
+            let vals = a.values.as_slice();
+            match &a.validity {
+                None => words
+                    .iter_mut()
+                    .zip(vals)
+                    .for_each(|(w, &v)| *w += offset(v, lo) * stride),
+                Some(valid) => words
+                    .iter_mut()
+                    .zip(vals)
+                    .zip(valid.iter())
+                    .for_each(|((w, &v), ok)| *w += if ok { offset(v, lo) } else { null } * stride),
+            }
+        }
+        match key {
+            IntKey::I64(a) => add(a, self.keys[k], words),
+            IntKey::I32(a) => add(a, self.keys[k], words),
+            IntKey::U32(a) => add(a, self.keys[k], words),
+        }
+    }
 }
 
 /// Typed read-only numeric view over a column. Reads go straight to the
@@ -282,6 +408,8 @@ enum NumView<'a> {
     F(&'a PrimArr<f64>),
     D(&'a PrimArr<i32>),
     B(&'a BoolArr),
+    /// A coded string's codes (only `nunique` reads strings).
+    C(&'a PrimArr<u32>),
 }
 
 impl NumView<'_> {
@@ -326,6 +454,7 @@ impl NumView<'_> {
             NumView::I(a) => rows(a, row_gids, int, &mut f),
             NumView::F(a) => rows(a, row_gids, float, &mut f),
             NumView::D(a) => rows(a, row_gids, |v| int(v as i64), &mut f),
+            NumView::C(a) => rows(a, row_gids, |v| int(v as i64), &mut f),
             NumView::B(a) => row_gids
                 .iter()
                 .enumerate()
@@ -337,7 +466,8 @@ impl NumView<'_> {
     /// [`NumView::walk`] over each value's 64-bit key, the identity
     /// `nunique` counts: ints, dates and bools as they are, floats by bit
     /// pattern (so ±0.0 are two values), strings by their dictionary code
-    /// (an `I` view of codes).
+    /// (a `C` view of a coded column's codes, else an `I` view of a plain
+    /// one's).
     fn walk_keys(&self, row_gids: &[u32], f: impl FnMut(usize, i64)) {
         self.walk(row_gids, |v| v, |x| x.to_bits() as i64, f);
     }
@@ -399,14 +529,28 @@ enum Accumulator<'a> {
         seen: Vec<u64>,
     },
     /// Distinct count over the same keys, for observed key ranges too
-    /// wide for the bitset: one set of `(group, key)` pairs for the whole
-    /// chunk, reserved from its row count, and a count per group that
-    /// grows when a pair is new.
-    NuniqueSets {
-        keys: NumView<'a>,
-        seen: FxHashSet<(u32, i64)>,
-        counts: Vec<i64>,
-    },
+    /// wide for the bitset: the keys are counting-sorted by group, stably,
+    /// and each group's run is counted on its own ([`distinct_in_run`]).
+    NuniqueRuns { keys: NumView<'a>, counts: Vec<i64> },
+}
+
+/// Longest run [`distinct_in_run`] counts by a linear scan; a longer one
+/// is sorted.
+const SHORT_RUN: usize = 16;
+
+/// The number of distinct keys in one group's run: each key looked up
+/// among the ones before it in a short run, runs of equal keys counted
+/// after sorting a long one.
+fn distinct_in_run(run: &mut [i64]) -> i64 {
+    if run.len() <= SHORT_RUN {
+        let mut count = 0;
+        for i in 0..run.len() {
+            count += !run[..i].contains(&run[i]) as i64;
+        }
+        return count;
+    }
+    run.sort_unstable();
+    1 + run.windows(2).filter(|w| w[0] != w[1]).count() as i64
 }
 
 /// Largest (groups × observed key range) the nunique bitset accepts (bits;
@@ -456,7 +600,9 @@ impl<'a> Accumulator<'a> {
             AggFunc::Mean => Accumulator::Mean(view("mean")?, vec![0.0; ngroups], vec![0; ngroups]),
             AggFunc::Nunique => {
                 let keys = match col {
-                    Column::Utf8(_) => NumView::I(&dicts[name]),
+                    Column::Utf8(a) => a
+                        .codes()
+                        .map_or_else(|| NumView::I(&dicts[name]), NumView::C),
                     _ => view("nunique")?,
                 };
                 // the rule is about the observed key range, not the type; the
@@ -475,12 +621,8 @@ impl<'a> Accumulator<'a> {
                         ngroups,
                         seen: vec![0u64; (ngroups * span).div_ceil(64)],
                     },
-                    None => Accumulator::NuniqueSets {
+                    None => Accumulator::NuniqueRuns {
                         keys,
-                        seen: FxHashSet::with_capacity_and_hasher(
-                            groups.row_gids.len(),
-                            Default::default(),
-                        ),
                         counts: vec![0; ngroups],
                     },
                 }
@@ -547,11 +689,27 @@ impl<'a> Accumulator<'a> {
                 let bit = g * *span + (k - *lo) as usize;
                 seen[bit >> 6] |= 1 << (bit & 63);
             }),
-            Accumulator::NuniqueSets { keys, seen, counts } => keys.walk_keys(row_gids, |g, k| {
-                if seen.insert((g as u32, k)) {
-                    counts[g] += 1;
+            Accumulator::NuniqueRuns { keys, counts } => {
+                // `next[g + 1]` counts group `g`'s keys, then (summed)
+                // `next[g]` is where its run starts; placing a key moves
+                // it on, so after the scatter `next[g]` is where it ends
+                let ngroups = counts.len();
+                let mut next = vec![0usize; ngroups + 1];
+                keys.walk_keys(row_gids, |g, _| next[g + 1] += 1);
+                for g in 1..=ngroups {
+                    next[g] += next[g - 1];
                 }
-            }),
+                let mut runs = vec![0i64; next[ngroups]];
+                keys.walk_keys(row_gids, |g, k| {
+                    runs[next[g]] = k;
+                    next[g] += 1;
+                });
+                let mut start = 0;
+                for (count, &end) in counts.iter_mut().zip(&next[..ngroups]) {
+                    *count = distinct_in_run(&mut runs[start..end]);
+                    start = end;
+                }
+            }
         }
     }
 
@@ -598,7 +756,7 @@ impl<'a> Accumulator<'a> {
                 }
                 Column::from_i64(out)
             }
-            Accumulator::NuniqueSets { counts, .. } => Column::from_i64(counts),
+            Accumulator::NuniqueRuns { counts, .. } => Column::from_i64(counts),
         })
     }
 }
@@ -618,16 +776,20 @@ pub fn groupby_agg(df: &DataFrame, keys: &[&str], specs: &[AggSpec]) -> DfResult
 /// zero rows. The map/combine stages use this so empty chunks contribute
 /// *no* partial state (a padded zero-row would perturb float sum order).
 fn groupby_agg_raw(df: &DataFrame, keys: &[&str], specs: &[AggSpec]) -> DfResult<DataFrame> {
-    // Dictionary-encode each Utf8 column that grouping or nunique needs,
-    // once — key normalization and accumulators share the encode pass.
+    // Dictionary-encode each plain Utf8 column that grouping or nunique
+    // needs, once — key normalization and accumulators share the encode
+    // pass.
     let mut dicts: DictCache = FxHashMap::default();
     let nunique_cols = specs
         .iter()
         .filter(|s| s.func == AggFunc::Nunique)
         .map(|s| s.column.as_str());
     for name in keys.iter().copied().chain(nunique_cols) {
-        if let Column::Utf8(a) = df.column(name)? {
-            dicts.entry(name).or_insert_with(|| a.dict_encode());
+        match df.column(name)? {
+            Column::Utf8(a) if a.codes().is_none() => {
+                dicts.entry(name).or_insert_with(|| a.dict_encode());
+            }
+            _ => {}
         }
     }
 

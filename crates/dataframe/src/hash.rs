@@ -163,6 +163,12 @@ impl KeyTable {
         table
     }
 
+    /// An empty table with buckets for `n` entries, so as many
+    /// [`KeyTable::find_or_insert`]s never double it.
+    pub fn with_capacity(n: usize) -> KeyTable {
+        KeyTable::build(n, std::iter::empty())
+    }
+
     /// Empties the table to 1024 buckets (so a small dictionary's hot keys
     /// rarely share a chain) and keeps its allocations.
     pub fn reset(&mut self) {

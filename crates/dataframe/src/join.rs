@@ -4,12 +4,15 @@
 //! broadcast side's chunks) and is never concatenated; see
 //! [`merge_pieces`]. The right side is a [`KeyTable`] multimap probed by
 //! one loop: a single null-free `Int64` / `Date` key — almost every join —
-//! is its own tag, and every other key is tagged with its row hash and
-//! confirmed by `Column::eq_at`.
+//! is its own tag; null-free `Int64`, `Date` and coded-string keys
+//! (sharing one dictionary) whose ranges fit 64 bits are packed into one
+//! word ([`Radix`]) that is its own tag; every other key is tagged with
+//! its row hash and confirmed by `Column::eq_at`.
 
-use crate::column::{Column, GatherPlan, PrimArr, NO_ROW};
+use crate::column::{Column, GatherPlan, PrimArr, StrArr, NO_ROW};
 use crate::error::{DfError, DfResult};
 use crate::frame::DataFrame;
+use crate::groupby::{IntKey, Radix};
 use crate::hash::KeyTable;
 use crate::scalar::DataType;
 use std::borrow::Cow;
@@ -109,16 +112,21 @@ pub fn merge_pieces(
         DataType::Int64 if single => probe_ints(
             &slices(&lkeys[0], Column::as_i64)?,
             &slices(&rkeys[0], Column::as_i64)?,
+            |k| k as u64,
             nright,
             &mut matches,
         ),
         DataType::Date if single => probe_ints(
             &slices(&lkeys[0], Column::as_date)?,
             &slices(&rkeys[0], Column::as_date)?,
+            |k| k as i64 as u64,
             nright,
             &mut matches,
         ),
-        _ => probe_hashed(&lkeys, &rkeys, &mut matches)?,
+        _ => match pack_sides(&lkeys, &rkeys) {
+            Some((lw, rw)) => probe_ints(&[&lw], &[&rw], |w| w, nright, &mut matches),
+            None => probe_hashed(&lkeys, &rkeys, &mut matches)?,
+        },
     }
 
     // each side's ids are resolved against its pieces once, for all of
@@ -272,6 +280,7 @@ impl Matches {
     /// side's table; `same(r, j)` confirms that the `r`-th of these rows
     /// and right row `j` have equal keys. A right row that matches comes
     /// out in ascending order, and a semi or anti join stops at the first.
+    /// The join type is matched once per call, not per row.
     #[inline]
     fn probe(
         &mut self,
@@ -279,48 +288,103 @@ impl Matches {
         tags: impl IntoIterator<Item = u64>,
         same: impl Fn(usize, u32) -> bool,
     ) {
-        for (r, tag) in tags.into_iter().enumerate() {
-            let i = self.next;
-            self.next += 1;
-            let mut matched = false;
-            for j in table.find(tag) {
-                if same(r, j) {
-                    matched = true;
-                    match self.how {
-                        JoinType::Inner | JoinType::Left => {
-                            self.left.push(i);
-                            self.right.push(j);
-                        }
-                        JoinType::Semi => {
-                            self.left.push(i);
-                            break;
-                        }
-                        JoinType::Anti => break,
-                    }
+        let (left, right) = (&mut self.left, &mut self.right);
+        let mut i = self.next;
+        let tags = tags.into_iter().enumerate();
+        match self.how {
+            JoinType::Inner => tags.for_each(|(r, tag)| {
+                for j in table.find(tag).filter(|&j| same(r, j)) {
+                    left.push(i);
+                    right.push(j);
                 }
-            }
-            if !matched {
-                match self.how {
-                    JoinType::Left => {
-                        self.left.push(i);
-                        self.right.push(NO_ROW);
-                    }
-                    JoinType::Anti => self.left.push(i),
-                    JoinType::Inner | JoinType::Semi => {}
+                i += 1;
+            }),
+            JoinType::Left => tags.for_each(|(r, tag)| {
+                let before = left.len();
+                for j in table.find(tag).filter(|&j| same(r, j)) {
+                    left.push(i);
+                    right.push(j);
                 }
+                if left.len() == before {
+                    left.push(i);
+                    right.push(NO_ROW);
+                }
+                i += 1;
+            }),
+            JoinType::Semi | JoinType::Anti => {
+                let keep = self.how == JoinType::Semi;
+                tags.for_each(|(r, tag)| {
+                    if table.find(tag).any(|j| same(r, j)) == keep {
+                        left.push(i);
+                    }
+                    i += 1;
+                })
             }
         }
+        self.next = i;
     }
 }
 
-/// The probe for one null-free `Int64` or `Date` key: the key is its own
-/// tag, so a candidate costs one load and one compare and needs no
-/// confirming.
-fn probe_ints<T: Copy + Into<i64>>(lk: &[&[T]], rk: &[&[T]], nright: usize, out: &mut Matches) {
-    fn tags<'a, T: Copy + Into<i64> + 'a>(side: &'a [&'a [T]]) -> impl Iterator<Item = u64> + 'a {
-        side.iter().flat_map(|p| p.iter().map(|&k| k.into() as u64))
+/// The probe for keys that are their own tags (`tag` widens one): one
+/// null-free `Int64` or `Date` key, or packed words. A candidate costs one
+/// load and one compare and needs no confirming; each left piece is
+/// probed on its own.
+fn probe_ints<T: Copy>(
+    lk: &[&[T]],
+    rk: &[&[T]],
+    tag: impl Fn(T) -> u64 + Copy,
+    nright: usize,
+    out: &mut Matches,
+) {
+    let rtags = rk.iter().flat_map(|p| p.iter().map(move |&k| tag(k)));
+    let table = KeyTable::build(nright, rtags);
+    for p in lk {
+        out.probe(&table, p.iter().map(|&k| tag(k)), |_, _| true);
     }
-    out.probe(&KeyTable::build(nright, tags(rk)), tags(lk), |_, _| true);
+}
+
+/// Both sides' keys packed into one word per row over a [`Radix`] of both
+/// sides' ranges, so equal keys get equal words: `None` unless every key
+/// is a null-free `Int64`, `Date` or coded string (every piece of both
+/// sides coded with one dictionary) and the ranges fit 64 bits.
+fn pack_sides(lkeys: &[Vec<&Column>], rkeys: &[Vec<&Column>]) -> Option<(Vec<u64>, Vec<u64>)> {
+    // a zero-row piece may be a plain string column: it has no rows to pack
+    fn views<'a>(pieces: &[&'a Column]) -> Option<Vec<IntKey<'a>>> {
+        pieces
+            .iter()
+            .filter(|c| !c.is_empty())
+            .map(|c| IntKey::of(c))
+            .collect()
+    }
+    let (mut lviews, mut rviews) = (Vec::new(), Vec::new());
+    for (l, r) in lkeys.iter().zip(rkeys) {
+        let both = || l.iter().chain(r).copied();
+        if both().any(|c| c.null_count() > 0) {
+            return None;
+        }
+        if let Column::Utf8(_) = l[0] {
+            let strs: Vec<&StrArr> = both().map(|c| c.as_utf8()).collect::<DfResult<_>>().ok()?;
+            StrArr::shared_dict(&strs)?;
+        }
+        lviews.push(views(l)?);
+        rviews.push(views(r)?);
+    }
+    let radix = Radix::new(lviews.iter().zip(&rviews).map(|(l, r)| {
+        let ranges = l.iter().chain(r).filter_map(|k| k.range());
+        (ranges.reduce(|a, b| (a.0.min(b.0), a.1.max(b.1))), false)
+    }))?;
+    let words = |views: &[Vec<IntKey>], keys: &[Vec<&Column>]| {
+        let mut words = vec![0u64; keys[0].iter().map(|c| c.len()).sum()];
+        for (k, pieces) in views.iter().enumerate() {
+            let mut at = 0;
+            for key in pieces {
+                radix.add(k, *key, &mut words[at..at + key.len()]);
+                at += key.len();
+            }
+        }
+        words
+    };
+    Some((words(&lviews, lkeys), words(&rviews, rkeys)))
 }
 
 /// The probe for every other key: several columns, strings, floats,

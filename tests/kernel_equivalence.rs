@@ -1938,3 +1938,289 @@ fn coded_strings_encode_like_plain() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// packed keys: a multi-column key as one word, and `nunique` by runs
+// ---------------------------------------------------------------------------
+
+/// The packing shapes of a key column: small negative ints, dates, ints
+/// over a wide range (a packed word past the dense grouping table), `i64`
+/// extremes (a range that overflows 64 bits: the hashed fallback) and
+/// coded strings.
+#[derive(Clone, Copy, Debug)]
+enum KeyShape {
+    Negative,
+    Dates,
+    Wide,
+    Extreme,
+    Coded,
+}
+
+const SHAPES: [KeyShape; 5] = [
+    KeyShape::Negative,
+    KeyShape::Dates,
+    KeyShape::Wide,
+    KeyShape::Extreme,
+    KeyShape::Coded,
+];
+
+/// `n` key cells of `shape`, about a sixth null when `nulls`; a coded
+/// key is a gather of `base`, so every such column shares its dictionary.
+fn shaped_key(
+    rng: &mut Xoshiro256,
+    shape: KeyShape,
+    n: usize,
+    nulls: bool,
+    base: &Column,
+) -> Column {
+    let null = |rng: &mut Xoshiro256| nulls && rng.gen_bool(0.15);
+    match shape {
+        KeyShape::Coded => {
+            let ids: Vec<u32> = (0..n)
+                .map(|_| match null(rng) {
+                    true => NO_ROW,
+                    false => rng.next_bounded(base.len() as u64) as u32,
+                })
+                .collect();
+            Column::gather(&[base], &ids).unwrap()
+        }
+        KeyShape::Dates => Column::from_scalars(
+            &(0..n)
+                .map(|_| match null(rng) {
+                    true => Scalar::Null,
+                    false => Scalar::Date(rng.gen_range_i64(-30, 30) as i32 + 18_000),
+                })
+                .collect::<Vec<_>>(),
+            DataType::Date,
+        )
+        .unwrap(),
+        _ => Column::from_opt_i64(
+            (0..n)
+                .map(|_| {
+                    (!null(rng)).then(|| match shape {
+                        KeyShape::Negative => rng.gen_range_i64(-4, 3),
+                        KeyShape::Wide => rng.gen_range_i64(-3, 3) * 3_000_000_007,
+                        _ => pick(rng, &[i64::MIN, i64::MAX, -1, 0, i64::MIN + 1]),
+                    })
+                })
+                .collect(),
+        ),
+    }
+}
+
+/// A coded column over `options` holding `c`'s values, nulls kept.
+fn recode(c: &Column, options: &[&str]) -> Column {
+    let s = c.as_utf8().unwrap();
+    let picks: Vec<u8> = (0..s.len())
+        .map(|i| {
+            s.get(i)
+                .map_or(0, |v| options.iter().position(|o| *o == v).unwrap() as u8)
+        })
+        .collect();
+    let ids: Vec<u32> = (0..s.len() as u32)
+        .map(|i| if s.is_valid(i as usize) { i } else { NO_ROW })
+        .collect();
+    Column::gather(&[&Column::from_str_picks(options, &picks)], &ids).unwrap()
+}
+
+/// Grouping by two or three keys of every packing shape — dense words,
+/// wide words, overflowing ranges, null keys, coded strings — on whole
+/// frames and offset views equals the per-row reference, `nunique` and
+/// the other accumulators included.
+#[test]
+fn packed_group_keys_match_scalar_reference() {
+    let picks: Vec<u8> = (0..CODED_VALUES.len() as u8).collect();
+    let base = Column::from_str_picks(&CODED_VALUES, &picks);
+    let specs = [
+        AggSpec::new("v", AggFunc::Sum, "sum_v"),
+        AggSpec::new("v", AggFunc::Nunique, "nu_v"),
+        AggSpec::new("f", AggFunc::Nunique, "nu_f"),
+        AggSpec::new("k1", AggFunc::Nunique, "nu_k1"),
+        AggSpec::new("f", AggFunc::First, "fst_f"),
+    ];
+    for case in 0..120u64 {
+        let mut rng = Xoshiro256::seed_from_u64(0x9ac0 + case);
+        let n = rng.gen_range_i64(0, 200) as usize;
+        let nkeys = 2 + (case % 2) as usize;
+        let shapes: Vec<KeyShape> = (0..nkeys).map(|_| pick(&mut rng, &SHAPES)).collect();
+        let nulls = case % 3 == 0;
+        let mut cols: Vec<(String, Column)> = shapes
+            .iter()
+            .enumerate()
+            .map(|(k, &s)| (format!("k{k}"), shaped_key(&mut rng, s, n, nulls, &base)))
+            .collect();
+        let floats = [0.0, -0.0, f64::NAN, 1.5, -2.25];
+        cols.push((
+            "v".into(),
+            Column::from_opt_i64(
+                (0..n)
+                    .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range_i64(-50, 50)))
+                    .collect(),
+            ),
+        ));
+        cols.push((
+            "f".into(),
+            Column::from_opt_f64(
+                (0..n)
+                    .map(|_| rng.gen_bool(0.8).then(|| pick(&mut rng, &floats)))
+                    .collect(),
+            ),
+        ));
+        let df = DataFrame::new(cols).unwrap();
+        let off = rng.gen_range_i64(0, n as i64 + 1) as usize;
+        let keys: Vec<String> = (0..nkeys).map(|k| format!("k{k}")).collect();
+        let keys: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
+        for (what, frame) in [("whole", df.clone()), ("offset", df.slice(off, n - off))] {
+            assert_frames_equal(
+                &groupby::groupby_agg(&frame, &keys, &specs).unwrap(),
+                &ref_groupby(&frame, &keys, &specs),
+                &format!("case {case} {what} {shapes:?} nulls {nulls}"),
+            );
+        }
+    }
+}
+
+/// Joins on two keys of every packing shape, for all four join types, over
+/// multi-piece sides cut at offsets, equal the nested-loop reference: both
+/// sides' keys packed over their joint ranges, overflowing ranges and null
+/// keys on the hashed path, and coded keys whose dictionaries are shared,
+/// equal (built apart, same values in the same order) or different.
+#[test]
+fn packed_join_keys_match_nested_loop_reference() {
+    let picks: Vec<u8> = (0..CODED_VALUES.len() as u8).collect();
+    let base = Column::from_str_picks(&CODED_VALUES, &picks);
+    let mut reversed = CODED_VALUES;
+    reversed.reverse();
+    let hows = [
+        JoinType::Inner,
+        JoinType::Left,
+        JoinType::Semi,
+        JoinType::Anti,
+    ];
+    for case in 0..150u64 {
+        let mut rng = Xoshiro256::seed_from_u64(0x701d + case);
+        let shapes = [pick(&mut rng, &SHAPES), pick(&mut rng, &SHAPES)];
+        let nulls = case % 4 == 0;
+        // both sides are rows of one pool of key tuples, so keys match
+        let pool_n = rng.gen_range_i64(1, 30) as usize;
+        let pool: Vec<Column> = shapes
+            .iter()
+            .map(|&s| shaped_key(&mut rng, s, pool_n, nulls, &base))
+            .collect();
+        let side = |rng: &mut Xoshiro256, payload: &str| {
+            let n = rng.gen_range_i64(0, 60) as usize;
+            let ids: Vec<u32> = (0..n)
+                .map(|_| rng.next_bounded(pool_n as u64) as u32)
+                .collect();
+            let mut cols: Vec<(String, Column)> = pool
+                .iter()
+                .enumerate()
+                .map(|(k, c)| (format!("k{k}"), Column::gather(&[c], &ids).unwrap()))
+                .collect();
+            cols.push((payload.into(), payload_column(rng, n)));
+            DataFrame::new(cols).unwrap()
+        };
+        let l = side(&mut rng, "lv");
+        let mut r = side(&mut rng, "rv");
+        let dicts = ["shared", "equal", "different"][case as usize % 3];
+        for (k, &shape) in shapes.iter().enumerate() {
+            let name = format!("k{k}");
+            let c = r.column(&name).unwrap().clone();
+            let recoded = match (shape, dicts) {
+                (KeyShape::Coded, "equal") => recode(&c, &CODED_VALUES),
+                (KeyShape::Coded, "different") => recode(&c, &reversed),
+                _ => continue,
+            };
+            r = r.with_column(&name, recoded).unwrap();
+        }
+        let (lp, rp) = (cut(&mut rng, &l), cut(&mut rng, &r));
+        let (lrefs, rrefs): (Vec<&DataFrame>, Vec<&DataFrame>) =
+            (lp.iter().collect(), rp.iter().collect());
+        for how in hows {
+            let opts = JoinOptions {
+                how,
+                ..Default::default()
+            };
+            let on = ["k0", "k1"];
+            let got = join::merge_pieces(&lrefs, &rrefs, &on, &on, &opts, None).unwrap();
+            let what = format!("case {case} {how:?} {shapes:?} nulls {nulls} dicts {dicts}");
+            assert_frames_equal(&got, &ref_merge(&l, &r, &on, &on, how, ("_x", "_y")), &what);
+        }
+    }
+}
+
+/// Optional int payload cells.
+fn payload_column(rng: &mut Xoshiro256, n: usize) -> Column {
+    Column::from_opt_i64(
+        (0..n)
+            .map(|i| rng.gen_bool(0.8).then_some(i as i64))
+            .collect(),
+    )
+}
+
+/// `nunique` past the bitset counts each group's run of keys: runs on
+/// both sides of the short-run scan, one group far longer than any,
+/// keys over the whole `i64` range, floats by bits (`NaN`, ±0.0), null
+/// values skipped, groups scattered over the rows, a whole-frame
+/// aggregate and no rows at all.
+#[test]
+fn nunique_runs_match_scalar_reference() {
+    let mut rng = Xoshiro256::seed_from_u64(0x4e17);
+    // group g has g % 40 + 1 rows, group 60 has 3,000
+    let mut g: Vec<i64> = (0..60)
+        .flat_map(|g| std::iter::repeat_n(g, g as usize % 40 + 1))
+        .collect();
+    g.extend(std::iter::repeat_n(60, 3000));
+    for i in (1..g.len()).rev() {
+        let j = rng.next_bounded(i as u64 + 1) as usize;
+        g.swap(i, j);
+    }
+    let n = g.len();
+    let values: Vec<i64> = (0..40).map(|_| rng.next_u64() as i64).collect();
+    let floats = [0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY, 1.0, 1e300];
+    let df = DataFrame::new(vec![
+        ("g", Column::from_i64(g)),
+        (
+            "v",
+            Column::from_opt_i64(
+                (0..n)
+                    .map(|_| rng.gen_bool(0.9).then(|| pick(&mut rng, &values)))
+                    .collect(),
+            ),
+        ),
+        (
+            "f",
+            Column::from_opt_f64(
+                (0..n)
+                    .map(|_| rng.gen_bool(0.9).then(|| pick(&mut rng, &floats)))
+                    .collect(),
+            ),
+        ),
+    ])
+    .unwrap();
+    let specs = [
+        AggSpec::new("v", AggFunc::Nunique, "nu_v"),
+        AggSpec::new("f", AggFunc::Nunique, "nu_f"),
+    ];
+    for keys in [&["g"][..], &[][..]] {
+        for (what, frame) in [
+            ("whole", df.clone()),
+            ("offset", df.slice(37, n - 37)),
+            ("empty", df.head(0)),
+        ] {
+            let got = groupby::groupby_agg(&frame, keys, &specs).unwrap();
+            if keys.is_empty() && frame.num_rows() == 0 {
+                // a whole-frame aggregate of no rows is one row of zeros
+                assert_eq!(got.num_rows(), 1, "{what}");
+                assert_eq!(got.column("nu_v").unwrap().get(0), Scalar::Int(0));
+                assert_eq!(got.column("nu_f").unwrap().get(0), Scalar::Int(0));
+                continue;
+            }
+            assert_frames_equal(
+                &got,
+                &ref_groupby(&frame, keys, &specs),
+                &format!("{keys:?} {what}"),
+            );
+        }
+    }
+}

@@ -130,22 +130,37 @@ fn skew_family_bit_identical_and_deterministic() {
     }
 }
 
+/// Virtual makespans embed measured host kernel time, so one host stall
+/// inflates a single run: each side's makespan is the fastest of
+/// [`MAKESPAN_RUNS`] identical runs.
 #[test]
 fn skew_makespan_improves_on_zipf_15() {
+    const MAKESPAN_RUNS: usize = 3;
     let d = data(1.5);
     for (name, run) in [
         ("groupby-nunique", WORKLOADS[0].1),
         ("lopsided-join", WORKLOADS[2].1),
     ] {
-        let (_, off) = run_sim(RetileMode::Off, &d, run);
-        let (_, auto) = run_sim(RetileMode::Auto, &d, run);
-        assert!(auto.retiled_partitions > 0, "{name}: no re-tile happened");
+        let fastest = |mode| {
+            let runs: Vec<ExecStats> = (0..MAKESPAN_RUNS)
+                .map(|_| run_sim(mode, &d, run).1)
+                .collect();
+            let makespan = runs
+                .iter()
+                .map(|s| s.makespan)
+                .fold(f64::INFINITY, f64::min);
+            (runs, makespan)
+        };
+        let (_, off) = fastest(RetileMode::Off);
+        let (auto_runs, auto) = fastest(RetileMode::Auto);
         assert!(
-            auto.makespan < off.makespan,
+            auto_runs.iter().all(|s| s.retiled_partitions > 0),
+            "{name}: no re-tile happened"
+        );
+        assert!(
+            auto < off,
             "{name}: adaptive re-tiling must beat static tiling on Zipf(1.5): \
-             adaptive {:.4}s vs static {:.4}s",
-            auto.makespan,
-            off.makespan
+             adaptive {auto:.4}s vs static {off:.4}s (fastest of {MAKESPAN_RUNS})"
         );
     }
 }
